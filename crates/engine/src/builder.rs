@@ -1,93 +1,42 @@
 //! Constructing any backend from an [`EngineKind`] or a config string.
 
 use crate::kind::ParseEngineKindError;
-use crate::{
-    BaselineEngine, CachedEngine, ConfigurableEngine, EngineKind, InnerFactory, PacketClassifier,
-    ShardedEngine,
-};
+use crate::{BaselineEngine, CachedEngine, ConfigurableEngine, EngineKind, PacketClassifier};
+use crate::{ShardedEngine, SnapshotEngine, SoftTcamEngine, TupleSpaceEngine};
 use spc_analyze::{AnalyzerLimits, RuleSetReport};
 use spc_baselines::{
     Dcfl, HyperCuts, HyperCutsConfig, LinearSearch, OptionClassifier, OptionKind, Rfc,
 };
-use spc_core::shard::{self, ShardStrategy};
+use spc_core::shard::{self, ShardPlan, ShardRouter, ShardStrategy};
 use spc_core::{ArchConfig, Classifier, CombineStrategy, IpAlg};
-use spc_types::{Dim, DimValue, RuleId, RuleSet};
+use spc_types::{Dim, DimValue, RuleId, RuleSet, ALL_DIMS};
 use std::collections::HashMap;
 use std::fmt;
 
-/// Default RFC phase-table entry cap (the Table I harness value).
-const DEFAULT_RFC_ENTRY_CAP: u64 = 1 << 27;
-
-/// Which backend family accepts a spec key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KeyScope {
-    /// Configurable backends — and `sharded`, which forwards these to
-    /// its inner engines. (The cached wrapper does *not* forward them:
-    /// tune its inner engine inside the nested `inner=(...)` spec.)
-    Configurable,
-    /// The sharded backend only.
-    Sharded,
-    /// Wrapper backends that take an inner engine (`sharded`, `cached`,
-    /// `snapshot`).
-    Inner,
-    /// The cached backend only.
-    Cached,
-    /// The tuple-space backend only.
-    TupleSpace,
-    /// The software-TCAM backend only.
-    Tcam,
-    /// Every backend (build-level keys such as `optimize`).
-    Any,
-}
-
-impl KeyScope {
-    fn accepts(self, kind: EngineKind) -> bool {
-        match self {
-            KeyScope::Configurable => kind.is_configurable() || kind == EngineKind::Sharded,
-            KeyScope::Sharded => kind == EngineKind::Sharded,
-            KeyScope::Inner => {
-                kind == EngineKind::Sharded
-                    || kind == EngineKind::Cached
-                    || kind == EngineKind::Snapshot
-            }
-            KeyScope::Cached => kind == EngineKind::Cached,
-            KeyScope::TupleSpace => kind == EngineKind::TupleSpace,
-            KeyScope::Tcam => kind == EngineKind::SoftTcam,
-            KeyScope::Any => true,
-        }
-    }
-}
+/// RFC phase-table entry cap (the Table I harness value).
+const RFC_ENTRY_CAP: u64 = 1 << 27;
 
 /// The single source of truth for engine-spec keys: the
-/// [`EngineBuilder::from_spec`] parser dispatches through this table and
-/// [`BuildError::BadOption`]'s `Display` derives its key list from it —
-/// adding a key here is the *only* way to make the parser accept it, so
-/// the error message cannot rot behind the grammar.
-const SPEC_KEYS: &[(&str, KeyScope)] = &[
-    ("rf_bits", KeyScope::Configurable),
-    ("combine", KeyScope::Configurable),
-    ("inner", KeyScope::Inner),
-    ("shards", KeyScope::Sharded),
-    ("strategy", KeyScope::Sharded),
-    ("hash_dim", KeyScope::Sharded),
-    ("skew", KeyScope::Sharded),
-    ("flows", KeyScope::Cached),
-    ("megaflow", KeyScope::Cached),
-    ("tables", KeyScope::TupleSpace),
-    ("capacity", KeyScope::Tcam),
-    ("partitions", KeyScope::Tcam),
-    ("optimize", KeyScope::Any),
+/// [`EngineBuilder::from_spec`] parser admits a key only if it is listed
+/// here and [`BuildError::BadOption`]'s `Display` derives its key list
+/// from it, so the error message cannot rot behind the grammar. Which
+/// backend a key belongs to is decided by the [`KindOpts`] variant that
+/// stores it (`inner` and `optimize` live on the [`EngineBuilder`] node).
+const SPEC_KEYS: &[&str] = &[
+    "rf_bits",
+    "combine",
+    "inner",
+    "shards",
+    "strategy",
+    "hash_dim",
+    "skew",
+    "flows",
+    "megaflow",
+    "tables",
+    "capacity",
+    "partitions",
+    "optimize",
 ];
-
-/// The comma-separated key list for error messages, straight from
-/// [`SPEC_KEYS`].
-fn spec_key_list() -> String {
-    SPEC_KEYS
-        .iter()
-        .map(|&(name, _)| name)
-        .collect::<Vec<_>>()
-        .join(", ")
-}
 
 /// Error from [`EngineBuilder`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -161,7 +110,7 @@ impl fmt::Display for BuildError {
                 write!(
                     f,
                     "bad engine option {option:?}; expected key=value (keys: {})",
-                    spec_key_list()
+                    SPEC_KEYS.join(", ")
                 )
             }
             BuildError::ConfigError { option, reason } => {
@@ -227,7 +176,218 @@ pub enum OptimizePolicy {
     Validated,
 }
 
+/// Whether `descendant` may appear anywhere below `ancestor` on a
+/// root-to-leaf path of a spec tree — the one table that decides wrapper
+/// nesting. It is applied to every ancestor/descendant pair, not just
+/// parent/child: only the three wrappers take an inner engine, a wrapper
+/// kind appears at most once on a path, and `snapshot` never sits below
+/// `sharded`.
+///
+/// # Errors
+///
+/// The reason the pair is illegal.
+pub fn legal_nesting(ancestor: EngineKind, descendant: EngineKind) -> Result<(), &'static str> {
+    use EngineKind::{Cached, Sharded, Snapshot};
+    match (ancestor, descendant) {
+        (Sharded, Snapshot) => Err(
+            "the snapshot wrapper serves concurrent readers; nest it outside, not inside, \
+             a sharded engine",
+        ),
+        (Sharded | Cached | Snapshot, d) if d == ancestor => Err(
+            "a wrapper kind may appear only once on a path; it cannot wrap itself, \
+             directly or through other wrappers",
+        ),
+        (Sharded | Cached | Snapshot, _) => Ok(()),
+        _ => Err("only the sharded, cached and snapshot wrappers take an inner engine"),
+    }
+}
+
+/// [`legal_nesting`] of `kind` under every kind already on the path.
+fn nest_under(ancestors: &[EngineKind], kind: EngineKind) -> Result<(), BuildError> {
+    ancestors.iter().try_for_each(|&ancestor| {
+        legal_nesting(ancestor, kind).map_err(|reason| BuildError::ConfigError {
+            option: format!("inner={kind}"),
+            reason: format!("{kind} cannot nest under {ancestor}: {reason}"),
+        })
+    })
+}
+
+/// Default dimension for `strategy=hash` when `hash_dim` is absent: the
+/// low destination-IP segment, typically the most value-diverse field in
+/// ClassBench-style sets.
+const DEFAULT_HASH_DIM: Dim = Dim::DipLo;
+
+/// Default band-rebalance skew factor for updatable priority-band
+/// sharding: a band splits once it exceeds twice its build-time quota.
+const DEFAULT_BAND_SKEW: f64 = 2.0;
+
+/// The options of one spec-tree node: one variant per option-bearing
+/// backend family, holding exactly the spec keys that family owns.
+/// Registering a key means adding a field here, its arms in
+/// [`KindOpts::set`] / [`KindOpts::write_spec`], and its [`SPEC_KEYS`]
+/// row.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum KindOpts {
+    /// Backends without options of their own.
+    None,
+    /// `configurable-mbt` / `configurable-bst`.
+    Configurable {
+        /// Rule Filter address width (`None`: auto-sized, see `arch_for`).
+        rf_bits: Option<u32>,
+        /// Phase-3 strategy (`None`: the `ArchConfig::large()` default).
+        combine: Option<CombineStrategy>,
+    },
+    /// `sharded`.
+    Sharded {
+        shards: usize,
+        /// As written: `strategy=hash` alone carries [`DEFAULT_HASH_DIM`].
+        strategy: ShardStrategy,
+        /// Refines `strategy=hash`.
+        hash_dim: Option<Dim>,
+        /// Band-split factor (`None`: [`DEFAULT_BAND_SKEW`]).
+        skew: Option<f64>,
+    },
+    /// `cached`.
+    Cached { flows: usize, megaflow: bool },
+    /// `tss`.
+    Tss { tables: usize },
+    /// `tcam`.
+    Tcam { capacity: usize, partitions: usize },
+}
+
+impl KindOpts {
+    /// The default provisioning of `kind`.
+    fn defaults(kind: EngineKind) -> Self {
+        match kind {
+            EngineKind::ConfigurableMbt | EngineKind::ConfigurableBst => KindOpts::Configurable {
+                rf_bits: None,
+                combine: None,
+            },
+            EngineKind::Sharded => KindOpts::Sharded {
+                shards: 4,
+                strategy: ShardStrategy::PriorityBands,
+                hash_dim: None,
+                skew: None,
+            },
+            EngineKind::Cached => KindOpts::Cached {
+                flows: 4096,
+                megaflow: true,
+            },
+            EngineKind::TupleSpace => KindOpts::Tss {
+                tables: crate::DEFAULT_TSS_TABLES,
+            },
+            EngineKind::SoftTcam => KindOpts::Tcam {
+                capacity: crate::DEFAULT_TCAM_CAPACITY,
+                partitions: crate::DEFAULT_TCAM_PARTITIONS,
+            },
+            _ => KindOpts::None,
+        }
+    }
+
+    /// Stores one `key=value` if `key` is one of this variant's:
+    /// `Ok(false)` when it is not, `Err(())` when the value does not
+    /// parse. Range and cross-key rules are [`EngineBuilder::check`]'s.
+    fn set(&mut self, key: &str, value: &str) -> Result<bool, ()> {
+        fn num<T: std::str::FromStr>(value: &str) -> Result<T, ()> {
+            value.parse().map_err(|_| ())
+        }
+        /// A slot count the structure rounds up to a power of two.
+        fn slots(key: &str, value: &str) -> Result<usize, ()> {
+            let n: usize = num(value)?;
+            if n != 0 && !n.is_power_of_two() {
+                eprintln!(
+                    "warning: {key}={n} is not a power of two; rounding up to {}",
+                    n.next_power_of_two()
+                );
+            }
+            Ok(n)
+        }
+        match (self, key) {
+            (KindOpts::Configurable { rf_bits, .. }, "rf_bits") => *rf_bits = Some(num(value)?),
+            (KindOpts::Configurable { combine, .. }, "combine") => {
+                *combine = Some(match value {
+                    "first" => CombineStrategy::FirstLabel,
+                    "probe" => CombineStrategy::PriorityProbe,
+                    _ => return Err(()),
+                });
+            }
+            (KindOpts::Sharded { shards, .. }, "shards") => *shards = num(value)?,
+            (KindOpts::Sharded { strategy, .. }, "strategy") => {
+                *strategy = match value {
+                    "prio" | "priority" | "bands" => ShardStrategy::PriorityBands,
+                    "hash" | "field-hash" => ShardStrategy::FieldHash(DEFAULT_HASH_DIM),
+                    _ => return Err(()),
+                };
+            }
+            (KindOpts::Sharded { hash_dim, .. }, "hash_dim") => {
+                let dim = ALL_DIMS.into_iter().find(|d| d.to_string() == value);
+                *hash_dim = Some(dim.ok_or(())?);
+            }
+            (KindOpts::Sharded { skew, .. }, "skew") => *skew = Some(num(value)?),
+            (KindOpts::Cached { flows, .. }, "flows") => *flows = slots(key, value)?,
+            (KindOpts::Cached { megaflow, .. }, "megaflow") => {
+                *megaflow = match value {
+                    "on" => true,
+                    "off" => false,
+                    _ => return Err(()),
+                };
+            }
+            (KindOpts::Tss { tables }, "tables") => *tables = slots(key, value)?,
+            (KindOpts::Tcam { capacity, .. }, "capacity") => *capacity = num(value)?,
+            (KindOpts::Tcam { partitions, .. }, "partitions") => *partitions = num(value)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Appends this variant's `key=value` pairs in the spelling
+    /// [`KindOpts::set`] reads back.
+    fn write_spec(&self, out: &mut Vec<String>) {
+        match *self {
+            KindOpts::None => {}
+            KindOpts::Configurable { rf_bits, combine } => {
+                out.extend(rf_bits.map(|bits| format!("rf_bits={bits}")));
+                out.extend(combine.map(|c| match c {
+                    CombineStrategy::FirstLabel => "combine=first".to_string(),
+                    CombineStrategy::PriorityProbe => "combine=probe".to_string(),
+                }));
+            }
+            KindOpts::Sharded {
+                shards,
+                strategy,
+                hash_dim,
+                skew,
+            } => {
+                out.push(format!("shards={shards}"));
+                if matches!(strategy, ShardStrategy::FieldHash(_)) {
+                    out.push("strategy=hash".to_string());
+                }
+                out.extend(hash_dim.map(|dim| format!("hash_dim={dim}")));
+                out.extend(skew.map(|skew| format!("skew={skew}")));
+            }
+            KindOpts::Cached { flows, megaflow } => {
+                out.push(format!("flows={flows}"));
+                out.push(format!("megaflow={}", if megaflow { "on" } else { "off" }));
+            }
+            KindOpts::Tss { tables } => out.push(format!("tables={tables}")),
+            KindOpts::Tcam {
+                capacity,
+                partitions,
+            } => {
+                out.push(format!("capacity={capacity}"));
+                out.push(format!("partitions={partitions}"));
+            }
+        }
+    }
+}
+
 /// Builds any registered backend as a `Box<dyn PacketClassifier>`.
+///
+/// A builder is one node of a spec tree: a backend kind, that kind's
+/// options, and — for the `sharded`, `cached` and `snapshot` wrappers —
+/// the builder of the engine they wrap. [`fmt::Display`] prints the
+/// canonical spec string, which [`EngineBuilder::from_spec`] parses back
+/// to an equal tree.
 ///
 /// ```
 /// use spc_engine::EngineBuilder;
@@ -240,47 +400,31 @@ pub enum OptimizePolicy {
 ///     assert!(engine.rules() == 1, "{spec}");
 /// }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineBuilder {
     kind: EngineKind,
-    arch: Option<ArchConfig>,
-    rule_filter_bits: Option<u32>,
-    combine: Option<CombineStrategy>,
-    rfc_entry_cap: u64,
-    hypercuts: HyperCutsConfig,
-    shard_count: usize,
-    shard_strategy: ShardStrategy,
-    shard_inner: EngineKind,
-    band_skew: f64,
+    opts: KindOpts,
+    /// The wrapped engine's builder: `Some` exactly on wrapper nodes.
+    inner: Option<Box<EngineBuilder>>,
     audit: AuditPolicy,
-    cache_flows: usize,
-    cache_megaflow: bool,
-    /// Full builder for the cached wrapper's inner engine (`None` means
-    /// the default `configurable-bst`) — boxed because the type recurses.
-    cache_inner: Option<Box<EngineBuilder>>,
-    /// Full builder for the snapshot wrapper's inner engine (`None`
-    /// means the default `configurable-bst`) — boxed like `cache_inner`.
-    snapshot_inner: Option<Box<EngineBuilder>>,
-    tss_tables: usize,
-    tcam_capacity: usize,
-    tcam_partitions: usize,
     optimize: OptimizePolicy,
 }
 
-/// Default shard count for `sharded` specs that don't say.
-const DEFAULT_SHARDS: usize = 4;
-
-/// Default microflow capacity for `cached` specs that don't say.
-const DEFAULT_CACHE_FLOWS: usize = 4096;
-
-/// Default band-rebalance skew factor for updatable priority-band
-/// sharding: a band splits once it exceeds twice its build-time quota.
-const DEFAULT_BAND_SKEW: f64 = 2.0;
-
-/// Default dimension for `strategy=hash` when `hash_dim` is absent: the
-/// low destination-IP segment, typically the most value-diverse field in
-/// ClassBench-style sets.
-const DEFAULT_HASH_DIM: Dim = Dim::DipLo;
+impl fmt::Display for EngineBuilder {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut opts = Vec::new();
+        opts.extend(self.inner.as_ref().map(|inner| format!("inner=({inner})")));
+        self.opts.write_spec(&mut opts);
+        if self.optimize == OptimizePolicy::Validated {
+            opts.push("optimize=validated".to_string());
+        }
+        write!(f, "{}", self.kind)?;
+        if !opts.is_empty() {
+            write!(f, ":{}", opts.join(","))?;
+        }
+        Ok(())
+    }
+}
 
 /// Splits a spec's option list on commas at parenthesis depth 0, so a
 /// nested inner spec — `cached:inner=(sharded:inner=linear,shards=2)` —
@@ -313,44 +457,20 @@ fn strip_parens(s: &str) -> &str {
     }
 }
 
-fn parse_dim(s: &str) -> Option<Dim> {
-    Some(match s {
-        "sip_hi" => Dim::SipHi,
-        "sip_lo" => Dim::SipLo,
-        "dip_hi" => Dim::DipHi,
-        "dip_lo" => Dim::DipLo,
-        "src_port" => Dim::SrcPort,
-        "dst_port" => Dim::DstPort,
-        "proto" => Dim::Proto,
-        _ => return None,
-    })
-}
-
 impl EngineBuilder {
     /// A builder for the given backend with default provisioning.
     ///
-    /// For [`EngineKind::Sharded`] the defaults are 4 shards of
-    /// `configurable-bst` split by priority bands.
+    /// Every wrapper wraps `configurable-bst` until
+    /// [`EngineBuilder::with_inner`] (or `inner=`) says otherwise;
+    /// [`EngineKind::Sharded`] defaults to 4 shards split by priority
+    /// bands.
     pub fn new(kind: EngineKind) -> Self {
+        let wraps = legal_nesting(kind, EngineKind::ConfigurableBst).is_ok();
         EngineBuilder {
             kind,
-            arch: None,
-            rule_filter_bits: None,
-            combine: None,
-            rfc_entry_cap: DEFAULT_RFC_ENTRY_CAP,
-            hypercuts: HyperCutsConfig::default(),
-            shard_count: DEFAULT_SHARDS,
-            shard_strategy: ShardStrategy::PriorityBands,
-            shard_inner: EngineKind::ConfigurableBst,
-            band_skew: DEFAULT_BAND_SKEW,
+            opts: KindOpts::defaults(kind),
+            inner: wraps.then(|| Box::new(Self::new(EngineKind::ConfigurableBst))),
             audit: AuditPolicy::Off,
-            cache_flows: DEFAULT_CACHE_FLOWS,
-            cache_megaflow: true,
-            cache_inner: None,
-            snapshot_inner: None,
-            tss_tables: crate::DEFAULT_TSS_TABLES,
-            tcam_capacity: crate::DEFAULT_TCAM_CAPACITY,
-            tcam_partitions: crate::DEFAULT_TCAM_PARTITIONS,
             optimize: OptimizePolicy::Off,
         }
     }
@@ -359,23 +479,25 @@ impl EngineBuilder {
     /// `:key=value[,key=value...]` options.
     ///
     /// Configurable backends take `rf_bits=N` (Rule Filter address
-    /// width) and `combine=first|probe` (phase-3 strategy). The sharded
-    /// backend takes `inner=<kind>`, `shards=N`, `strategy=prio|hash`,
-    /// `hash_dim=<dimension>` (e.g. `dst_port`; implies nothing on
-    /// its own — it refines `strategy=hash`) and `skew=F` (band-split
-    /// factor ≥ 1.0; refines `strategy=prio`, see
-    /// [`ShardedEngine::enable_updates`]), plus `rf_bits`/`combine`
-    /// when its inner engine is configurable. The cached backend takes
-    /// `inner=<spec>` (a *full* nested spec — parenthesise it when it
-    /// contains commas, e.g. `cached:inner=(sharded:shards=4),flows=8192`),
-    /// `flows=N` (microflow slots, rounded up to a power of two at build
-    /// time) and `megaflow=on|off`. The snapshot backend takes
-    /// `inner=<spec>` (a full nested spec, like cached —
-    /// `snapshot:inner=(sharded:shards=4)` rebuilds per shard). The
+    /// width) and `combine=first|probe` (phase-3 strategy). The three
+    /// wrappers — `sharded`, `cached`, `snapshot` — take `inner=<spec>`,
+    /// a *full* nested spec (default `configurable-bst`); parenthesise
+    /// it when it contains commas, e.g.
+    /// `cached:inner=(sharded:inner=(tss:tables=64),shards=4),flows=8192`.
+    /// Nesting is decided by [`legal_nesting`] for every pair on a path.
+    /// The sharded backend also takes `shards=N`, `strategy=prio|hash`,
+    /// `hash_dim=<dimension>` (e.g. `dst_port`; refines `strategy=hash`)
+    /// and `skew=F` (band-split factor ≥ 1.0; refines `strategy=prio`,
+    /// see [`ShardedEngine`]); `rf_bits`/`combine` written on it are
+    /// pushed down onto its configurable inner node.
+    /// The cached backend takes `flows=N` (microflow slots, rounded up
+    /// to a power of two at build time) and `megaflow=on|off`; a
+    /// `snapshot:inner=(sharded:...)` rebuilds per shard. The
     /// tuple-space backend takes `tables=N` (per-tuple hash-slot hint,
     /// rounded up to a power of two at build time); the software TCAM
     /// takes `capacity=N` (provisioned slots) and `partitions=K`
-    /// (allocator partition count, at most one per slot).
+    /// (allocator partition count, at most one per slot). Every backend
+    /// takes `optimize=off|validated`.
     ///
     /// Every key is checked against the kind it is for: unknown keys,
     /// keys for another backend, and duplicated keys are hard
@@ -386,22 +508,33 @@ impl EngineBuilder {
     /// [`BuildError::UnknownKind`] for an unregistered backend name,
     /// [`BuildError::BadOption`] for malformed `key=value` text, and
     /// [`BuildError::ConfigError`] for unknown/duplicate/inconsistent
-    /// keys.
+    /// keys and illegal nesting.
     pub fn from_spec(spec: &str) -> Result<Self, BuildError> {
-        let (kind_str, opts) = match spec.split_once(':') {
-            Some((k, o)) => (k, Some(o)),
-            None => (spec, None),
-        };
+        let builder = Self::parse(spec, &[])?;
+        builder.check(&[])?;
+        Ok(builder)
+    }
+
+    /// Parses one node whose ancestors on the path are `ancestors`.
+    /// Nesting legality is settled as soon as the node's kind is known,
+    /// before any of its options (and so its own `inner=`) are read:
+    /// the table, not a depth constant, bounds the recursion at three
+    /// wrappers and a leaf whatever the input.
+    fn parse(spec: &str, ancestors: &[EngineKind]) -> Result<Self, BuildError> {
+        let (kind_str, opts) = spec.split_once(':').unwrap_or((spec, ""));
         let kind: EngineKind = kind_str
             .trim()
             .parse()
             .map_err(|source| BuildError::UnknownKind { source })?;
+        nest_under(ancestors, kind)?;
+        let path = [ancestors, &[kind]].concat();
         let mut b = EngineBuilder::new(kind);
-        let mut seen: Vec<String> = Vec::new();
-        let mut hash_dim: Option<Dim> = None;
-        let mut strategy_set = false;
-        let mut skew_set = false;
-        for opt in opts.into_iter().flat_map(split_opts) {
+        // `rf_bits`/`combine` written on a sharded node: the legacy
+        // forwarded form, pushed down onto the inner node below.
+        let unset = KindOpts::defaults(EngineKind::ConfigurableBst);
+        let mut forwarded = unset;
+        let mut seen: Vec<&str> = Vec::new();
+        for opt in split_opts(opts) {
             let opt = opt.trim();
             if opt.is_empty() {
                 continue;
@@ -415,220 +548,138 @@ impl EngineBuilder {
             };
             let (key, value) = opt.split_once('=').ok_or_else(bad)?;
             let (key, value) = (key.trim(), value.trim());
-            if seen.iter().any(|k| k == key) {
+            if seen.contains(&key) {
                 return Err(config_err(format!(
                     "duplicate key {key:?}; each key may appear once"
                 )));
             }
-            seen.push(key.to_string());
+            seen.push(key);
             // Admission runs through the shared SPEC_KEYS table: an
-            // unregistered key — or one registered for another backend
-            // family — is a hard error, never silently ignored.
-            let scope = SPEC_KEYS.iter().find(|&&(name, _)| name == key);
-            match scope {
-                None => {
-                    return Err(config_err(format!(
-                        "unknown key {key:?}; known keys: {}",
-                        spec_key_list()
-                    )))
-                }
-                Some(&(_, scope)) if !scope.accepts(kind) => {
-                    return Err(config_err(format!(
-                        "unknown key {key:?} for backend {kind}"
-                    )))
-                }
-                Some(_) => {}
+            // unregistered key — or, below, one no part of this node
+            // stores — is a hard error, never silently ignored.
+            if !SPEC_KEYS.contains(&key) {
+                return Err(config_err(format!(
+                    "unknown key {key:?}; known keys: {}",
+                    SPEC_KEYS.join(", ")
+                )));
             }
-            match key {
-                "rf_bits" => {
-                    b.rule_filter_bits = Some(value.parse().map_err(|_| bad())?);
-                }
-                "combine" => {
-                    b.combine = Some(match value {
-                        "first" => CombineStrategy::FirstLabel,
-                        "probe" => CombineStrategy::PriorityProbe,
-                        _ => return Err(bad()),
-                    });
-                }
-                "inner" if kind == EngineKind::Cached => {
-                    // The cached wrapper nests a *full* spec, not just a
-                    // kind name, so the inner engine is tunable in place.
-                    let inner_spec = strip_parens(value);
-                    let inner = EngineBuilder::from_spec(inner_spec)
-                        .map_err(|e| config_err(format!("inner spec {inner_spec:?}: {e}")))?;
-                    if inner.kind == EngineKind::Cached {
-                        return Err(config_err(
-                            "the inner engine cannot itself be cached".to_string(),
-                        ));
-                    }
-                    b.cache_inner = Some(Box::new(inner));
-                }
-                "inner" if kind == EngineKind::Snapshot => {
-                    // Like the cached wrapper, the snapshot wrapper
-                    // nests a *full* spec — `snapshot:inner=(sharded:
-                    // shards=4)` gets the per-shard rebuild path.
-                    let inner_spec = strip_parens(value);
-                    let inner = EngineBuilder::from_spec(inner_spec)
-                        .map_err(|e| config_err(format!("inner spec {inner_spec:?}: {e}")))?;
-                    if inner.kind == EngineKind::Snapshot {
-                        return Err(config_err(
-                            "the inner engine cannot itself be a snapshot wrapper".to_string(),
-                        ));
-                    }
-                    b.snapshot_inner = Some(Box::new(inner));
-                }
-                "inner" => {
-                    let inner: EngineKind = value
-                        .parse()
-                        .map_err(|source| BuildError::UnknownKind { source })?;
-                    if inner == EngineKind::Sharded {
-                        return Err(config_err(
-                            "the inner engine cannot itself be sharded".to_string(),
-                        ));
-                    }
-                    if inner == EngineKind::Snapshot {
-                        return Err(config_err(
-                            "the snapshot wrapper serves concurrent readers; nest it \
-                             outside, not inside, a sharded engine"
-                                .to_string(),
-                        ));
-                    }
-                    b.shard_inner = inner;
-                }
-                "flows" => {
-                    let n: usize = value.parse().map_err(|_| bad())?;
-                    if n == 0 {
-                        return Err(config_err(
-                            "flows must be >= 1 (the cache needs at least one slot)".to_string(),
-                        ));
-                    }
-                    if !n.is_power_of_two() {
-                        eprintln!(
-                            "warning: flows={n} is not a power of two; \
-                             rounding up to {}",
-                            n.next_power_of_two()
-                        );
-                    }
-                    b.cache_flows = n;
-                }
-                "megaflow" => {
-                    b.cache_megaflow = match value {
-                        "on" => true,
-                        "off" => false,
-                        _ => return Err(bad()),
-                    };
-                }
-                "tables" => {
-                    let n: usize = value.parse().map_err(|_| bad())?;
-                    if n == 0 {
-                        return Err(config_err(
-                            "tables must be >= 1 (each tuple needs at least one slot)".to_string(),
-                        ));
-                    }
-                    if !n.is_power_of_two() {
-                        eprintln!(
-                            "warning: tables={n} is not a power of two; \
-                             rounding up to {}",
-                            n.next_power_of_two()
-                        );
-                    }
-                    b.tss_tables = n;
-                }
-                "capacity" => {
-                    let n: usize = value.parse().map_err(|_| bad())?;
-                    if n == 0 {
-                        return Err(config_err(
-                            "capacity must be >= 1 (the TCAM needs at least one slot)".to_string(),
-                        ));
-                    }
-                    b.tcam_capacity = n;
-                }
-                "partitions" => {
-                    let n: usize = value.parse().map_err(|_| bad())?;
-                    if n == 0 {
-                        return Err(config_err("partitions must be >= 1".to_string()));
-                    }
-                    b.tcam_partitions = n;
-                }
+            let stored = match key {
                 "optimize" => {
                     b.optimize = match value {
                         "off" => OptimizePolicy::Off,
                         "validated" => OptimizePolicy::Validated,
                         _ => return Err(bad()),
                     };
+                    true
                 }
-                "shards" => {
-                    let n: usize = value.parse().map_err(|_| bad())?;
-                    if n == 0 {
-                        return Err(config_err("shards must be >= 1".to_string()));
-                    }
-                    b.shard_count = n;
+                "inner" if b.inner.is_some() => {
+                    b.inner = Some(Box::new(Self::parse(strip_parens(value), &path)?));
+                    true
                 }
-                "strategy" => {
-                    strategy_set = true;
-                    b.shard_strategy = match value {
-                        "prio" | "priority" | "bands" => ShardStrategy::PriorityBands,
-                        "hash" | "field-hash" => ShardStrategy::FieldHash(DEFAULT_HASH_DIM),
-                        _ => return Err(bad()),
-                    };
+                "rf_bits" | "combine" if matches!(b.opts, KindOpts::Sharded { .. }) => {
+                    forwarded.set(key, value).map_err(|()| bad())?
                 }
-                "hash_dim" => {
-                    // An unknown dimension is an unparseable value, the
-                    // same class as combine=middle: BadOption.
-                    hash_dim = Some(parse_dim(value).ok_or_else(bad)?);
-                }
-                "skew" => {
-                    let skew: f64 = value.parse().map_err(|_| bad())?;
-                    if !skew.is_finite() || skew < 1.0 {
-                        return Err(config_err(format!(
-                            "skew must be a finite factor >= 1.0, got {value}"
-                        )));
-                    }
-                    skew_set = true;
-                    b.band_skew = skew;
-                }
-                _ => unreachable!("every SPEC_KEYS entry is dispatched above"),
+                _ => b.opts.set(key, value).map_err(|()| bad())?,
+            };
+            if !stored {
+                return Err(config_err(format!(
+                    "unknown key {key:?} for backend {kind}"
+                )));
             }
         }
-        // Cross-key validation (spec key order must not matter).
-        if let Some(dim) = hash_dim {
-            match b.shard_strategy {
-                ShardStrategy::FieldHash(_) if strategy_set => {
-                    b.shard_strategy = ShardStrategy::FieldHash(dim);
+        if let Some(inner) = b.inner.as_deref_mut().filter(|_| forwarded != unset) {
+            match (&mut inner.opts, forwarded) {
+                (
+                    KindOpts::Configurable { rf_bits, combine },
+                    KindOpts::Configurable {
+                        rf_bits: fwd_bits,
+                        combine: fwd_combine,
+                    },
+                ) if rf_bits.and(fwd_bits).is_none() && combine.and(fwd_combine).is_none() => {
+                    *rf_bits = rf_bits.or(fwd_bits);
+                    *combine = combine.or(fwd_combine);
                 }
                 _ => {
                     return Err(BuildError::ConfigError {
-                        option: format!("hash_dim={dim}"),
-                        reason: "hash_dim requires strategy=hash".to_string(),
+                        option: spec.to_string(),
+                        reason: format!(
+                            "rf_bits/combine apply to configurable inner engines that do \
+                             not set them themselves, not {inner}"
+                        ),
                     })
                 }
             }
         }
-        if skew_set && matches!(b.shard_strategy, ShardStrategy::FieldHash(_)) {
-            return Err(BuildError::ConfigError {
-                option: format!("skew={}", b.band_skew),
-                reason: "skew tunes priority-band splitting; it requires strategy=prio".to_string(),
-            });
-        }
-        if kind == EngineKind::SoftTcam && b.tcam_partitions > b.tcam_capacity {
-            return Err(BuildError::ConfigError {
-                option: format!("partitions={}", b.tcam_partitions),
-                reason: format!("partitions must not exceed capacity ({})", b.tcam_capacity),
-            });
-        }
-        if kind == EngineKind::Sharded
-            && !b.shard_inner.is_configurable()
-            && (b.rule_filter_bits.is_some() || b.combine.is_some())
-        {
-            return Err(BuildError::ConfigError {
-                option: spec.to_string(),
-                reason: format!(
-                    "rf_bits/combine apply to configurable inner engines, not {}",
-                    b.shard_inner
-                ),
-            });
-        }
         Ok(b)
+    }
+
+    /// Validates the tree below a node whose ancestors on the path are
+    /// `ancestors`: [`legal_nesting`] for every ancestor/descendant pair
+    /// and each node's range and cross-key rules. The one place those
+    /// rules live — [`EngineBuilder::from_spec`], [`EngineBuilder::build`]
+    /// and [`EngineBuilder::build_snapshot`] all call it, so the spec
+    /// path and the typed path cannot diverge.
+    fn check(&self, ancestors: &[EngineKind]) -> Result<(), BuildError> {
+        nest_under(ancestors, self.kind)?;
+        let config = |option: String, reason: &str| {
+            Err(BuildError::ConfigError {
+                option,
+                reason: reason.to_string(),
+            })
+        };
+        let at_least_one = |key: &str, n: usize, why: &str| match n {
+            0 => config(format!("{key}=0"), &format!("{key} must be >= 1{why}")),
+            _ => Ok(()),
+        };
+        match self.opts {
+            KindOpts::None | KindOpts::Configurable { .. } => Ok(()),
+            KindOpts::Sharded {
+                shards,
+                strategy,
+                hash_dim,
+                skew,
+            } => {
+                at_least_one("shards", shards, "")?;
+                match (strategy, hash_dim, skew) {
+                    (ShardStrategy::PriorityBands, Some(dim), _) => {
+                        config(format!("hash_dim={dim}"), "hash_dim requires strategy=hash")
+                    }
+                    (ShardStrategy::FieldHash(_), _, Some(skew)) => config(
+                        format!("skew={skew}"),
+                        "skew tunes priority-band splitting; it requires strategy=prio",
+                    ),
+                    (_, _, Some(skew)) if !skew.is_finite() || skew < 1.0 => config(
+                        format!("skew={skew}"),
+                        "skew must be a finite factor >= 1.0",
+                    ),
+                    _ => Ok(()),
+                }
+            }
+            KindOpts::Cached { flows, .. } => {
+                at_least_one("flows", flows, " (the cache needs at least one slot)")
+            }
+            KindOpts::Tss { tables } => {
+                at_least_one("tables", tables, " (each tuple needs at least one slot)")
+            }
+            KindOpts::Tcam {
+                capacity,
+                partitions,
+            } => {
+                at_least_one("capacity", capacity, " (the TCAM needs at least one slot)")?;
+                at_least_one("partitions", partitions, "")?;
+                if partitions > capacity {
+                    return config(
+                        format!("partitions={partitions}"),
+                        &format!("partitions must not exceed capacity ({capacity})"),
+                    );
+                }
+                Ok(())
+            }
+        }?;
+        match &self.inner {
+            Some(inner) => inner.check(&[ancestors, &[self.kind]].concat()),
+            None => Ok(()),
+        }
     }
 
     /// The backend this builder constructs.
@@ -636,115 +687,38 @@ impl EngineBuilder {
         self.kind
     }
 
-    /// Overrides the full architecture configuration (configurable
-    /// backends; the builder still forces `ip_alg` to match the kind).
-    pub fn with_arch_config(mut self, config: ArchConfig) -> Self {
-        self.arch = Some(config);
-        self
-    }
-
-    /// Overrides the Rule Filter address width (configurable backends).
+    /// Overrides the Rule Filter address width (configurable backends;
+    /// a no-op on any other node — set it on the node passed to
+    /// [`EngineBuilder::with_inner`]).
     pub fn with_rule_filter_bits(mut self, bits: u32) -> Self {
-        self.rule_filter_bits = Some(bits);
+        if let KindOpts::Configurable { rf_bits, .. } = &mut self.opts {
+            *rf_bits = Some(bits);
+        }
         self
     }
 
-    /// Overrides the phase-3 combine strategy (configurable backends).
-    pub fn with_combine(mut self, combine: CombineStrategy) -> Self {
-        self.combine = Some(combine);
+    /// Sets the shard count (sharded backend; a no-op on any other
+    /// node). 0 is a [`BuildError::ConfigError`] at build time, as it is
+    /// from a spec.
+    pub fn with_shards(mut self, count: usize) -> Self {
+        if let KindOpts::Sharded { shards, .. } = &mut self.opts {
+            *shards = count;
+        }
         self
     }
 
-    /// Overrides the RFC phase-table entry cap.
-    pub fn with_rfc_entry_cap(mut self, cap: u64) -> Self {
-        self.rfc_entry_cap = cap;
-        self
-    }
-
-    /// Overrides the HyperCuts tuning parameters.
-    pub fn with_hypercuts_config(mut self, config: HyperCutsConfig) -> Self {
-        self.hypercuts = config;
-        self
-    }
-
-    /// Sets the shard count (sharded backend; 0 is clamped to 1 at
-    /// build time).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shard_count = shards;
-        self
-    }
-
-    /// Sets the rule-partitioning strategy (sharded backend).
-    pub fn with_shard_strategy(mut self, strategy: ShardStrategy) -> Self {
-        self.shard_strategy = strategy;
-        self
-    }
-
-    /// Sets the inner backend each shard runs (sharded backend).
-    pub fn with_shard_inner(mut self, inner: EngineKind) -> Self {
-        self.shard_inner = inner;
-        self
-    }
-
-    /// Sets the band-rebalance skew factor (sharded backend, priority
-    /// bands): under incremental updates a band splits once it exceeds
-    /// `skew ×` its build-time quota. Values below 1.0 are clamped.
-    pub fn with_band_skew(mut self, skew: f64) -> Self {
-        self.band_skew = skew;
+    /// Sets the builder of the engine this wrapper wraps (`sharded`,
+    /// `cached`, `snapshot`; default `configurable-bst`). Nesting the
+    /// [`legal_nesting`] table rejects — including any inner on a
+    /// non-wrapper — is a [`BuildError::ConfigError`] at build time.
+    pub fn with_inner(mut self, inner: EngineBuilder) -> Self {
+        self.inner = Some(Box::new(inner));
         self
     }
 
     /// Sets what [`EngineBuilder::build`] does with the pre-build audit.
     pub fn with_audit(mut self, policy: AuditPolicy) -> Self {
         self.audit = policy;
-        self
-    }
-
-    /// Sets the microflow capacity (cached backend; rounded up to a
-    /// power of two at build time, 0 is rejected there).
-    pub fn with_cache_flows(mut self, flows: usize) -> Self {
-        self.cache_flows = flows;
-        self
-    }
-
-    /// Enables or disables the megaflow layer (cached backend).
-    pub fn with_cache_megaflow(mut self, megaflow: bool) -> Self {
-        self.cache_megaflow = megaflow;
-        self
-    }
-
-    /// Sets the full builder for the cached wrapper's inner engine
-    /// (cached backend; defaults to `configurable-bst`).
-    pub fn with_cache_inner(mut self, inner: EngineBuilder) -> Self {
-        self.cache_inner = Some(Box::new(inner));
-        self
-    }
-
-    /// Sets the full builder for the snapshot wrapper's inner engine
-    /// (snapshot backend; defaults to `configurable-bst`).
-    pub fn with_snapshot_inner(mut self, inner: EngineBuilder) -> Self {
-        self.snapshot_inner = Some(Box::new(inner));
-        self
-    }
-
-    /// Sets the per-tuple hash-slot hint (tuple-space backend; rounded
-    /// up to a power of two, minimum 4, by the structure).
-    pub fn with_tss_tables(mut self, tables: usize) -> Self {
-        self.tss_tables = tables;
-        self
-    }
-
-    /// Sets the provisioned slot capacity (software-TCAM backend;
-    /// 0 is clamped to 1 at build time).
-    pub fn with_tcam_capacity(mut self, capacity: usize) -> Self {
-        self.tcam_capacity = capacity;
-        self
-    }
-
-    /// Sets the allocator partition count (software-TCAM backend;
-    /// clamped to `1..=capacity` at build time).
-    pub fn with_tcam_partitions(mut self, partitions: usize) -> Self {
-        self.tcam_partitions = partitions;
         self
     }
 
@@ -759,13 +733,15 @@ impl EngineBuilder {
     /// provision for `rules`: label and Rule Filter capacities are taken
     /// from the same [`ArchConfig`] that [`EngineBuilder::build`] uses
     /// (including Rule Filter auto-sizing), so audit predictions line up
-    /// with the built engine.
+    /// with the built engine. Under wrappers the node judged is the leaf
+    /// of the `inner` chain — the engine that holds the labels and the
+    /// Rule Filter — not the wrapper asked.
     pub fn audit_limits(&self, rules: &RuleSet) -> AnalyzerLimits {
-        let alg = match self.kind {
-            EngineKind::ConfigurableMbt => IpAlg::Mbt,
-            _ => IpAlg::Bst,
-        };
-        let cfg = self.arch_for(alg, rules);
+        let mut leaf = self;
+        while let Some(inner) = &leaf.inner {
+            leaf = inner;
+        }
+        let cfg = leaf.arch_for(rules);
         let w = cfg.label_widths;
         AnalyzerLimits::from_capacities(
             (1usize << w.ip).min(cfg.ip_label_entries),
@@ -785,12 +761,21 @@ impl EngineBuilder {
         spc_analyze::analyze_with(rules, &self.audit_limits(rules))
     }
 
-    fn arch_for(&self, alg: IpAlg, rules: &RuleSet) -> ArchConfig {
-        let mut cfg = self.arch.clone().unwrap_or_else(ArchConfig::large);
-        cfg.ip_alg = alg;
-        if let Some(bits) = self.rule_filter_bits {
+    /// The architecture this node provisions for `rules` (`IPalg_s`
+    /// follows the kind; non-configurable kinds are judged as BST).
+    fn arch_for(&self, rules: &RuleSet) -> ArchConfig {
+        let mut cfg = ArchConfig::large();
+        cfg.ip_alg = match self.kind {
+            EngineKind::ConfigurableMbt => IpAlg::Mbt,
+            _ => IpAlg::Bst,
+        };
+        let (rf_bits, combine) = match self.opts {
+            KindOpts::Configurable { rf_bits, combine } => (rf_bits, combine),
+            _ => (None, None),
+        };
+        if let Some(bits) = rf_bits {
             cfg.rule_filter_addr_bits = bits;
-        } else if self.arch.is_none() {
+        } else {
             // Auto-size the Rule Filter to keep hash-probe chains short:
             // at least 4x the rule count, within the large() default.
             let mut bits = cfg.rule_filter_addr_bits;
@@ -799,104 +784,75 @@ impl EngineBuilder {
             }
             cfg.rule_filter_addr_bits = bits;
         }
-        if let Some(combine) = self.combine {
+        if let Some(combine) = combine {
             cfg.combine = combine;
         }
         cfg
     }
 
-    fn build_configurable(
-        &self,
-        alg: IpAlg,
-        rules: &RuleSet,
-    ) -> Result<ConfigurableEngine, BuildError> {
-        let mut cls = Classifier::new(self.arch_for(alg, rules));
-        cls.load(rules).map_err(|e| BuildError::Rejected {
+    /// The backend refused the rule set.
+    fn rejected(&self, reason: impl fmt::Display) -> BuildError {
+        BuildError::Rejected {
             kind: self.kind,
-            reason: e.to_string(),
-        })?;
+            reason: reason.to_string(),
+        }
+    }
+
+    /// A typed build method was called on a node of another kind.
+    fn not_a(&self, wanted: EngineKind) -> BuildError {
+        BuildError::ConfigError {
+            option: self.to_string(),
+            reason: format!("not a {wanted} spec"),
+        }
+    }
+
+    fn build_configurable(&self, rules: &RuleSet) -> Result<ConfigurableEngine, BuildError> {
+        let mut cls = Classifier::new(self.arch_for(rules));
+        cls.load(rules).map_err(|e| self.rejected(e))?;
         Ok(ConfigurableEngine::new(cls))
     }
 
+    /// A sharded node taken apart for its engine: the partitioning of
+    /// `rules` (the plan and its live router, under the strategy
+    /// `hash_dim` resolves to), the node every shard is built from, and
+    /// the band-split factor. `None` on any other node.
+    fn sharded_parts(&self, rules: &RuleSet) -> Option<(ShardPlan, ShardRouter, &Self, f64)> {
+        let (
+            KindOpts::Sharded {
+                shards,
+                strategy,
+                hash_dim,
+                skew,
+            },
+            Some(inner),
+        ) = (self.opts, &self.inner)
+        else {
+            return None;
+        };
+        let strategy = match (strategy, hash_dim) {
+            (ShardStrategy::FieldHash(_), Some(dim)) => ShardStrategy::FieldHash(dim),
+            _ => strategy,
+        };
+        let plan = shard::plan(rules, shards, strategy);
+        let router = ShardRouter::from_plan(&plan, shards);
+        Some((plan, router, inner, skew.unwrap_or(DEFAULT_BAND_SKEW)))
+    }
+
     pub(crate) fn build_sharded(&self, rules: &RuleSet) -> Result<ShardedEngine, BuildError> {
-        if self.shard_inner == EngineKind::Sharded {
-            return Err(BuildError::ConfigError {
-                option: "inner=sharded".to_string(),
-                reason: "the inner engine cannot itself be sharded".to_string(),
-            });
-        }
-        if self.shard_inner == EngineKind::Snapshot {
-            return Err(BuildError::ConfigError {
-                option: "inner=snapshot".to_string(),
-                reason: "the snapshot wrapper serves concurrent readers; nest it \
-                         outside, not inside, a sharded engine"
-                    .to_string(),
-            });
-        }
-        let plan = shard::plan(rules, self.shard_count, self.shard_strategy);
-        let router = shard::ShardRouter::from_plan(&plan, self.shard_count);
-        // Each shard gets its own inner engine, provisioned for its own
-        // slice (Rule Filter autosizing sees the shard's rule count, not
-        // the global one — that per-shard right-sizing is half the win).
-        let mut inner = EngineBuilder::new(self.shard_inner);
-        inner.arch.clone_from(&self.arch);
-        inner.rule_filter_bits = self.rule_filter_bits;
-        inner.combine = self.combine;
-        inner.rfc_entry_cap = self.rfc_entry_cap;
-        inner.hypercuts = self.hypercuts;
-        inner.tss_tables = self.tss_tables;
-        inner.tcam_capacity = self.tcam_capacity;
-        inner.tcam_partitions = self.tcam_partitions;
-        let mut parts = Vec::with_capacity(plan.shards.len());
-        for slice in plan.shards {
-            let engine = inner.build(&slice.rules)?;
-            parts.push((engine, slice));
-        }
-        // Capability probing delegates to the engines actually built,
-        // not their registry kind: sharding stays updatable exactly when
-        // every inner shard is.
-        let updatable = parts.iter().all(|(engine, _)| engine.supports_updates());
-        let mut engine = ShardedEngine::from_parts(parts, self.shard_strategy, self.shard_inner);
-        if updatable {
-            // Churn can open shards the plan never built (an empty hash
-            // slot gaining its first rule, a band split): hand the
-            // engine a factory for empty inners with identical
-            // provisioning.
-            let inner_builder = inner.clone();
-            let factory: InnerFactory = Box::new(move || {
-                inner_builder
-                    .build(&RuleSet::new())
-                    .map_err(|e| e.to_string())
-            });
-            engine.enable_updates(router, factory, self.band_skew);
-        }
-        Ok(engine)
+        let (plan, router, inner, skew) = self
+            .sharded_parts(rules)
+            .ok_or_else(|| self.not_a(EngineKind::Sharded))?;
+        ShardedEngine::from_plan(plan, router, inner.clone(), skew)
     }
 
     pub(crate) fn build_cached(&self, rules: &RuleSet) -> Result<CachedEngine, BuildError> {
-        let inner_builder = match &self.cache_inner {
-            Some(b) => (**b).clone(),
-            None => EngineBuilder::new(EngineKind::ConfigurableBst),
+        let (KindOpts::Cached { flows, megaflow }, Some(inner)) = (self.opts, &self.inner) else {
+            return Err(self.not_a(EngineKind::Cached));
         };
-        // The spec parser rejects `inner=cached`; this guards the
-        // builder-method path.
-        if inner_builder.kind == EngineKind::Cached {
-            return Err(BuildError::ConfigError {
-                option: "inner=cached".to_string(),
-                reason: "the inner engine cannot itself be cached".to_string(),
-            });
-        }
-        if self.cache_flows == 0 {
-            return Err(BuildError::ConfigError {
-                option: "flows=0".to_string(),
-                reason: "flows must be >= 1 (the cache needs at least one slot)".to_string(),
-            });
-        }
-        let inner = inner_builder.build(rules)?;
         Ok(CachedEngine::new(
-            inner,
-            self.cache_flows.next_power_of_two(),
-            self.cache_megaflow,
+            inner.build(rules)?,
+            flows.next_power_of_two(),
+            megaflow,
             rules.rules(),
         ))
     }
@@ -904,51 +860,26 @@ impl EngineBuilder {
     /// Builds the snapshot-swap wrapper as its concrete type, so callers
     /// can take [`crate::SnapshotReader`]s ([`crate::SnapshotEngine::reader`])
     /// — the trait object returned by [`EngineBuilder::build`] cannot
-    /// hand those out. `inner` defaults to `configurable-bst`; a
-    /// `sharded:` inner is decomposed so updates rebuild only the
-    /// touched shard.
+    /// hand those out. A `sharded:` inner is decomposed so updates
+    /// rebuild only the touched shard.
     ///
     /// # Errors
     ///
     /// As [`EngineBuilder::build`], plus [`BuildError::ConfigError`]
-    /// for snapshot-in-snapshot nesting.
-    pub fn build_snapshot(&self, rules: &RuleSet) -> Result<crate::SnapshotEngine, BuildError> {
-        let inner = match &self.snapshot_inner {
-            Some(b) => (**b).clone(),
-            None => EngineBuilder::new(EngineKind::ConfigurableBst),
+    /// when this is not a `snapshot` node.
+    pub fn build_snapshot(&self, rules: &RuleSet) -> Result<SnapshotEngine, BuildError> {
+        self.check(&[])?;
+        let (EngineKind::Snapshot, Some(inner)) = (self.kind, &self.inner) else {
+            return Err(self.not_a(EngineKind::Snapshot));
         };
-        // The spec parser rejects `inner=snapshot`; this guards the
-        // builder-method path.
-        if inner.kind == EngineKind::Snapshot {
-            return Err(BuildError::ConfigError {
-                option: "inner=snapshot".to_string(),
-                reason: "the inner engine cannot itself be a snapshot wrapper".to_string(),
-            });
-        }
-        if inner.kind == EngineKind::Sharded {
-            if inner.shard_inner == EngineKind::Sharded || inner.shard_inner == EngineKind::Snapshot
-            {
-                return Err(BuildError::ConfigError {
-                    option: format!("inner={}", inner.shard_inner),
-                    reason: "invalid shard inner for a snapshot wrapper".to_string(),
-                });
+        // Decomposing skips the sharded node's own `build`, so a node
+        // that asks it to optimize is rebuilt whole instead.
+        let decomposable = inner.optimize == OptimizePolicy::Off;
+        match decomposable.then(|| inner.sharded_parts(rules)).flatten() {
+            Some((plan, router, per_shard, _)) => {
+                SnapshotEngine::from_sharded(plan, router, per_shard.clone())
             }
-            let plan = shard::plan(rules, inner.shard_count, inner.shard_strategy);
-            let router = shard::ShardRouter::from_plan(&plan, inner.shard_count);
-            // Per-shard inner provisioning, exactly as `build_sharded`
-            // derives it: Rule Filter autosizing sees shard-local counts.
-            let mut per = EngineBuilder::new(inner.shard_inner);
-            per.arch.clone_from(&inner.arch);
-            per.rule_filter_bits = inner.rule_filter_bits;
-            per.combine = inner.combine;
-            per.rfc_entry_cap = inner.rfc_entry_cap;
-            per.hypercuts = inner.hypercuts;
-            per.tss_tables = inner.tss_tables;
-            per.tcam_capacity = inner.tcam_capacity;
-            per.tcam_partitions = inner.tcam_partitions;
-            crate::SnapshotEngine::from_sharded(plan, router, per, inner.shard_strategy)
-        } else {
-            crate::SnapshotEngine::from_single(rules, inner)
+            None => SnapshotEngine::from_single(rules, (**inner).clone()),
         }
     }
 
@@ -956,6 +887,8 @@ impl EngineBuilder {
     ///
     /// # Errors
     ///
+    /// [`BuildError::ConfigError`] when the tree breaks a nesting or
+    /// option rule (see [`EngineBuilder::from_spec`]),
     /// [`BuildError::DuplicateRules`] when two rules have identical match
     /// conditions (checked up front on every backend),
     /// [`BuildError::AuditRejected`] when
@@ -966,6 +899,7 @@ impl EngineBuilder {
     /// the backend cannot hold the set (provisioning limits, RFC entry
     /// cap).
     pub fn build(&self, rules: &RuleSet) -> Result<Box<dyn PacketClassifier>, BuildError> {
+        self.check(&[])?;
         // Duplicate 5-tuples are unrepresentable on the configurable
         // architecture; reject them uniformly so a set either builds on
         // every backend or on none. The check runs on the set as given,
@@ -1015,56 +949,51 @@ impl EngineBuilder {
     /// The kind dispatch, after all set-level checks: builds the backend
     /// from exactly the rules it is given.
     fn build_raw(&self, rules: &RuleSet) -> Result<Box<dyn PacketClassifier>, BuildError> {
-        Ok(match self.kind {
-            EngineKind::ConfigurableMbt => Box::new(self.build_configurable(IpAlg::Mbt, rules)?),
-            EngineKind::ConfigurableBst => Box::new(self.build_configurable(IpAlg::Bst, rules)?),
-            EngineKind::Linear => Box::new(BaselineEngine::new(
-                self.kind,
-                LinearSearch::build(rules),
-                rules,
-            )),
-            EngineKind::HyperCuts => Box::new(BaselineEngine::new(
-                self.kind,
-                HyperCuts::build(rules, self.hypercuts),
-                rules,
-            )),
-            EngineKind::Rfc => {
-                let rfc =
-                    Rfc::build(rules, self.rfc_entry_cap).map_err(|e| BuildError::Rejected {
-                        kind: self.kind,
-                        reason: e.to_string(),
-                    })?;
-                Box::new(BaselineEngine::new(self.kind, rfc, rules))
+        let kind = self.kind;
+        Ok(match (kind, self.opts) {
+            (EngineKind::ConfigurableMbt | EngineKind::ConfigurableBst, _) => {
+                Box::new(self.build_configurable(rules)?)
             }
-            EngineKind::Dcfl => Box::new(BaselineEngine::new(self.kind, Dcfl::build(rules), rules)),
-            EngineKind::Option1 => Box::new(BaselineEngine::new(
-                self.kind,
+            (EngineKind::Linear, _) => {
+                Box::new(BaselineEngine::new(kind, LinearSearch::build(rules), rules))
+            }
+            (EngineKind::HyperCuts, _) => Box::new(BaselineEngine::new(
+                kind,
+                HyperCuts::build(rules, HyperCutsConfig::default()),
+                rules,
+            )),
+            (EngineKind::Rfc, _) => {
+                let rfc = Rfc::build(rules, RFC_ENTRY_CAP).map_err(|e| self.rejected(e))?;
+                Box::new(BaselineEngine::new(kind, rfc, rules))
+            }
+            (EngineKind::Dcfl, _) => Box::new(BaselineEngine::new(kind, Dcfl::build(rules), rules)),
+            (EngineKind::Option1, _) => Box::new(BaselineEngine::new(
+                kind,
                 OptionClassifier::build(rules, OptionKind::One),
                 rules,
             )),
-            EngineKind::Option2 => Box::new(BaselineEngine::new(
-                self.kind,
+            (EngineKind::Option2, _) => Box::new(BaselineEngine::new(
+                kind,
                 OptionClassifier::build(rules, OptionKind::Two),
                 rules,
             )),
-            EngineKind::Sharded => Box::new(self.build_sharded(rules)?),
-            EngineKind::Cached => Box::new(self.build_cached(rules)?),
-            EngineKind::Snapshot => Box::new(self.build_snapshot(rules)?),
-            EngineKind::TupleSpace => Box::new(
-                crate::TupleSpaceEngine::build(rules, self.tss_tables).map_err(|e| {
-                    BuildError::Rejected {
-                        kind: self.kind,
-                        reason: e.to_string(),
-                    }
-                })?,
+            (EngineKind::Sharded, _) => Box::new(self.build_sharded(rules)?),
+            (EngineKind::Cached, _) => Box::new(self.build_cached(rules)?),
+            (EngineKind::Snapshot, _) => Box::new(self.build_snapshot(rules)?),
+            (EngineKind::TupleSpace, KindOpts::Tss { tables }) => {
+                Box::new(TupleSpaceEngine::build(rules, tables).map_err(|e| self.rejected(e))?)
+            }
+            (
+                EngineKind::SoftTcam,
+                KindOpts::Tcam {
+                    capacity,
+                    partitions,
+                },
+            ) => Box::new(
+                SoftTcamEngine::build(rules, capacity, partitions).map_err(|e| self.rejected(e))?,
             ),
-            EngineKind::SoftTcam => Box::new(
-                crate::SoftTcamEngine::build(rules, self.tcam_capacity, self.tcam_partitions)
-                    .map_err(|e| BuildError::Rejected {
-                        kind: self.kind,
-                        reason: e.to_string(),
-                    })?,
-            ),
+            // `new` pairs every kind with its own options variant.
+            (EngineKind::TupleSpace | EngineKind::SoftTcam, _) => return Err(self.not_a(kind)),
         })
     }
 }
@@ -1147,7 +1076,7 @@ mod tests {
     fn skew_spec_rules() {
         // skew parses and reaches the builder on the prio strategy.
         let b = EngineBuilder::from_spec("sharded:strategy=prio,skew=1.5").unwrap();
-        assert!((b.band_skew - 1.5).abs() < 1e-12);
+        assert!(matches!(b.opts, KindOpts::Sharded { skew: Some(s), .. } if s == 1.5));
         // Default strategy is prio, so a bare skew is fine too.
         assert!(EngineBuilder::from_spec("sharded:skew=3").is_ok());
         // Malformed values are BadOption; out-of-range and
@@ -1177,23 +1106,19 @@ mod tests {
             option: "x".to_string(),
         }
         .to_string();
-        for &(key, scope) in SPEC_KEYS {
+        for &key in SPEC_KEYS {
             assert!(msg.contains(key), "BadOption must list {key:?}: {msg}");
-            // Every table entry is live grammar: with a garbage value a
-            // backend in the key's scope must fail on the *value*, never
+            // Every table entry is live grammar: with a garbage value the
+            // backend that owns the key must fail on the *value*, never
             // with an unknown-key rejection.
-            let probe = match scope {
-                KeyScope::Cached => "cached",
-                KeyScope::TupleSpace => "tss",
-                KeyScope::Tcam => "tcam",
-                _ => "sharded",
-            };
-            let e = EngineBuilder::from_spec(&format!("{probe}:{key}=\u{2301}")).unwrap_err();
-            let rejected_key = matches!(
-                &e,
-                BuildError::ConfigError { reason, .. } if reason.contains("unknown key")
-            );
-            assert!(!rejected_key, "{key:?} fell out of the parser: {e}");
+            let owned = EngineKind::ALL.into_iter().any(|kind| {
+                let e = EngineBuilder::from_spec(&format!("{kind}:{key}=\u{2301}")).unwrap_err();
+                !matches!(
+                    &e,
+                    BuildError::ConfigError { reason, .. } if reason.contains("unknown key")
+                )
+            });
+            assert!(owned, "{key:?} fell out of the parser");
         }
     }
 
@@ -1205,7 +1130,7 @@ mod tests {
         // Inspect the *built* engine's live config through the adapter
         // accessor, so dropping the parsed options in build() would fail
         // here.
-        let engine = b.build_configurable(IpAlg::Mbt, &rules).unwrap();
+        let engine = b.build_configurable(&rules).unwrap();
         let cfg = engine.classifier().config();
         assert_eq!(cfg.rule_filter_addr_bits, 14);
         assert_eq!(cfg.combine, CombineStrategy::FirstLabel);
@@ -1289,7 +1214,6 @@ mod tests {
     #[test]
     fn sharded_spec_inconsistencies_are_config_errors() {
         for spec in [
-            "sharded:inner=sharded",                // recursive sharding
             "sharded:shards=0",                     // no shards
             "sharded:hash_dim=dst_port",            // hash_dim without strategy=hash
             "sharded:strategy=prio,hash_dim=proto", // same, explicit prio
@@ -1318,9 +1242,10 @@ mod tests {
             EngineBuilder::from_spec("sharded:strategy=hash,hash_dim=warp"),
             Err(BuildError::BadOption { .. })
         ));
-        // The builder-method path is validated at build time.
+        // The builder-method path runs the same check at build time
+        // (nesting, on both paths: tests/spec_tree.rs).
         let e = EngineBuilder::new(EngineKind::Sharded)
-            .with_shard_inner(EngineKind::Sharded)
+            .with_shards(0)
             .build(&rules());
         assert!(matches!(e, Err(BuildError::ConfigError { .. })));
     }
@@ -1386,7 +1311,7 @@ mod tests {
         // Limits mirror the exact config build() would use, including
         // Rule Filter auto-sizing.
         let limits = b.audit_limits(&rules);
-        let cfg = b.arch_for(IpAlg::Bst, &rules);
+        let cfg = b.arch_for(&rules);
         assert_eq!(limits.rule_filter_slots, cfg.rule_slots());
     }
 
@@ -1465,23 +1390,12 @@ mod tests {
 
     #[test]
     fn cached_spec_inconsistencies_are_config_errors() {
-        // flows=0 is a typed ConfigError at parse time...
+        // flows=0 is a typed ConfigError.
         let e = EngineBuilder::from_spec("cached:flows=0").unwrap_err();
         assert!(
             matches!(&e, BuildError::ConfigError { reason, .. } if reason.contains("flows")),
             "{e}"
         );
-        // ...and at build time through the builder-method path.
-        let e = EngineBuilder::new(EngineKind::Cached)
-            .with_cache_flows(0)
-            .build(&rules())
-            .unwrap_err();
-        assert!(matches!(e, BuildError::ConfigError { .. }));
-        // A cached wrapper inside a cached wrapper is rejected.
-        assert!(matches!(
-            EngineBuilder::from_spec("cached:inner=cached"),
-            Err(BuildError::ConfigError { .. })
-        ));
         // A broken nested spec carries the inner parser's message.
         let e = EngineBuilder::from_spec("cached:inner=(linear:frobnicate=1)").unwrap_err();
         match &e {
@@ -1591,7 +1505,7 @@ mod tests {
     #[test]
     fn rule_filter_autosizing_scales() {
         let b = EngineBuilder::new(EngineKind::ConfigurableMbt);
-        let small = b.arch_for(IpAlg::Mbt, &rules());
+        let small = b.arch_for(&rules());
         assert_eq!(
             small.rule_filter_addr_bits,
             ArchConfig::large().rule_filter_addr_bits
@@ -1603,7 +1517,157 @@ mod tests {
                     .build()
             })
             .collect();
-        let big = b.arch_for(IpAlg::Mbt, &many);
+        let big = b.arch_for(&many);
         assert!(big.rule_filter_addr_bits > ArchConfig::large().rule_filter_addr_bits);
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_the_table_not_the_input() {
+        // Untrusted input: 100 000 alternating wrappers would need one
+        // parser frame each; the table refuses the third level.
+        let deep =
+            "cached:inner=(snapshot:inner=(".repeat(50_000) + "linear" + &")".repeat(100_000);
+        assert!(matches!(
+            EngineBuilder::from_spec(&deep),
+            Err(BuildError::ConfigError { .. })
+        ));
+        // A wrapper may not reach itself through another wrapper either,
+        // nor a snapshot hide below a sharded engine's cache.
+        for spec in [
+            "cached:inner=(sharded:inner=cached)",
+            "cached:inner=(snapshot:inner=(cached:inner=(snapshot:inner=linear)))",
+            "sharded:inner=(cached:inner=snapshot)",
+        ] {
+            let e = EngineBuilder::from_spec(spec);
+            assert!(matches!(e, Err(BuildError::ConfigError { .. })), "{spec}");
+        }
+        let ok = "cached:inner=(snapshot:inner=(sharded:inner=(tss:tables=64),shards=2))";
+        assert_eq!(build_engine(ok, &rules()).unwrap().rules(), 2);
+    }
+
+    #[test]
+    fn audit_judges_the_configurable_leaf_under_wrappers() {
+        // The 9-rule set of `audit_policy_rejects_error_sets`: it cannot
+        // fit a 4-slot Rule Filter, wrapped or not.
+        let rules: RuleSet = (0..9u16)
+            .map(|i| {
+                Rule::builder(Priority(u32::from(i)))
+                    .dst_port(PortRange::exact(i))
+                    .proto(ProtoSpec::Exact(6))
+                    .build()
+            })
+            .collect();
+        for spec in [
+            "configurable-bst:rf_bits=2",
+            "cached:inner=(configurable-bst:rf_bits=2)",
+            "snapshot:inner=(configurable-mbt:rf_bits=2)",
+        ] {
+            let b = EngineBuilder::from_spec(spec).unwrap();
+            assert_eq!(b.audit_limits(&rules).rule_filter_slots, 4, "{spec}");
+            assert!(b.audit(&rules).has_errors(), "{spec}");
+            let e = b.with_audit(AuditPolicy::RejectErrors).build(&rules);
+            assert!(
+                matches!(e, Err(BuildError::AuditRejected { errors, .. }) if errors >= 1),
+                "{spec}: {e:?}"
+            );
+        }
+        // The leaf is judged as what it is: an MBT inner gets the limits
+        // a bare MBT engine gets.
+        let bare = EngineBuilder::from_spec("configurable-mbt:rf_bits=2").unwrap();
+        let wrapped = EngineBuilder::from_spec("snapshot:inner=(configurable-mbt:rf_bits=2)");
+        assert_eq!(
+            wrapped.unwrap().audit_limits(&rules),
+            bare.audit_limits(&rules)
+        );
+        assert_eq!(bare.arch_for(&rules).ip_alg, IpAlg::Mbt);
+    }
+
+    /// SplitMix64, so the property below is seeded and dependency-free.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A random legal tree with every option drawn, defaults included.
+    fn random_tree(rng: &mut u64, ancestors: &[EngineKind]) -> EngineBuilder {
+        let mut pick = |n: u64| next(rng) % n;
+        let kind = loop {
+            let kind = EngineKind::ALL[pick(13) as usize];
+            if nest_under(ancestors, kind).is_ok() {
+                break kind;
+            }
+        };
+        let opts = match KindOpts::defaults(kind) {
+            KindOpts::None => KindOpts::None,
+            KindOpts::Configurable { .. } => KindOpts::Configurable {
+                rf_bits: [None, Some(10 + pick(8) as u32)][pick(2) as usize],
+                combine: [
+                    None,
+                    Some(CombineStrategy::FirstLabel),
+                    Some(CombineStrategy::PriorityProbe),
+                ][pick(3) as usize],
+            },
+            KindOpts::Sharded { .. } => {
+                let hash = pick(2) == 0;
+                KindOpts::Sharded {
+                    shards: 1 + pick(9) as usize,
+                    strategy: if hash {
+                        ShardStrategy::FieldHash(DEFAULT_HASH_DIM)
+                    } else {
+                        ShardStrategy::PriorityBands
+                    },
+                    hash_dim: [None, Some(ALL_DIMS[pick(7) as usize])]
+                        [usize::from(hash) * pick(2) as usize],
+                    skew: [None, Some(1.0 + pick(40) as f64 / 8.0)]
+                        [usize::from(!hash) * pick(2) as usize],
+                }
+            }
+            KindOpts::Cached { .. } => KindOpts::Cached {
+                flows: 1 << pick(14),
+                megaflow: pick(2) == 0,
+            },
+            KindOpts::Tss { .. } => KindOpts::Tss {
+                tables: 1 << pick(8),
+            },
+            KindOpts::Tcam { .. } => {
+                let partitions = 1 + pick(8) as usize;
+                KindOpts::Tcam {
+                    capacity: partitions + pick(5000) as usize,
+                    partitions,
+                }
+            }
+        };
+        let optimize = [OptimizePolicy::Off, OptimizePolicy::Validated][pick(2) as usize];
+        let mut node = EngineBuilder::new(kind).with_optimize(optimize);
+        node.opts = opts;
+        if node.inner.is_some() {
+            node.inner = Some(Box::new(random_tree(rng, &[ancestors, &[kind]].concat())));
+        }
+        node
+    }
+
+    #[test]
+    fn display_round_trips_random_legal_trees() {
+        // No key can be printed and not read back, or parsed and then
+        // dropped from the tree: `from_spec` inverts `Display` exactly.
+        let mut rng = 2014;
+        let mut wrapped = 0;
+        for _ in 0..2000 {
+            let tree = random_tree(&mut rng, &[]);
+            assert!(tree.check(&[]).is_ok(), "{tree}");
+            wrapped += usize::from(tree.inner.is_some());
+            assert_eq!(EngineBuilder::from_spec(&tree.to_string()), Ok(tree));
+        }
+        assert!(wrapped > 200, "the generator reaches wrapper nodes");
+        // The canonical form of a legacy forwarded spec keeps the key on
+        // the node that owns it.
+        let b = EngineBuilder::from_spec("sharded:rf_bits=13,inner=configurable-mbt,shards=2");
+        assert_eq!(
+            b.unwrap().to_string(),
+            "sharded:inner=(configurable-mbt:rf_bits=13),shards=2"
+        );
     }
 }

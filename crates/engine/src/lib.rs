@@ -86,7 +86,9 @@ mod tuple;
 pub mod workload;
 
 pub use baseline::BaselineEngine;
-pub use builder::{build_engine, AuditPolicy, BuildError, EngineBuilder, OptimizePolicy};
+pub use builder::{
+    build_engine, legal_nesting, AuditPolicy, BuildError, EngineBuilder, OptimizePolicy,
+};
 pub use cache::{CacheStats, CachedEngine};
 pub use configurable::ConfigurableEngine;
 pub use kind::EngineKind;
@@ -94,7 +96,7 @@ pub use optimized::OptimizedEngine;
 pub use pipeline::{
     BatchWorker, EngineSource, IngestConfig, IngestPipeline, PipelineError, SharedWorker,
 };
-pub use sharded::{InnerFactory, ShardedEngine};
+pub use sharded::ShardedEngine;
 pub use snapshot::{SnapshotEngine, SnapshotReader};
 pub use tuple::{
     SoftTcamEngine, TupleSpaceEngine, DEFAULT_TCAM_CAPACITY, DEFAULT_TCAM_PARTITIONS,

@@ -43,24 +43,27 @@
 
 use crate::pipeline::{self, BatchWorker};
 use crate::{
-    EngineKind, LookupStats, MatchHandle, PacketClassifier, UpdateError, UpdateReport, Verdict,
+    BuildError, EngineBuilder, EngineKind, LookupStats, MatchHandle, PacketClassifier, UpdateError,
+    UpdateReport, Verdict,
 };
-use spc_core::shard::{RouteTarget, ShardRouter, ShardSlice, ShardStrategy};
+use spc_core::shard::{RouteTarget, ShardPlan, ShardRouter, ShardStrategy};
 use spc_hwsim::AccessCounts;
-use spc_types::{Header, Rule, RuleId};
-use std::fmt;
+use spc_types::{Header, Rule, RuleId, RuleSet};
+use std::borrow::Borrow;
 
-/// One shard: an inner engine plus the local→global rule-id map.
+/// One shard: an inner engine plus the local→global rule-id map. Shared
+/// with the snapshot wrapper, whose published versions hold the same
+/// thing frozen behind an `Arc`.
 #[derive(Debug)]
-struct Shard {
-    engine: Box<dyn PacketClassifier>,
-    global_ids: Vec<RuleId>,
+pub(crate) struct Shard {
+    pub(crate) engine: Box<dyn PacketClassifier>,
+    pub(crate) global_ids: Vec<RuleId>,
 }
 
 impl Shard {
     /// Rewrites a shard-local verdict into global rule-id space (both
     /// the shim `rule` field and the [`MatchHandle`] it mirrors).
-    fn remap(&self, v: Verdict) -> Verdict {
+    pub(crate) fn remap(&self, v: Verdict) -> Verdict {
         Verdict {
             rule: v.rule.map(|id| self.global_ids[id.0 as usize]),
             matched: v.matched.map(|m| MatchHandle {
@@ -75,7 +78,7 @@ impl Shard {
     /// allocate local ids monotonically and never reuse them, so the map
     /// stays a dense vector; slots of removed rules go stale harmlessly
     /// (the inner engine can never hit them again).
-    fn set_global(&mut self, local: RuleId, global: RuleId) {
+    pub(crate) fn set_global(&mut self, local: RuleId, global: RuleId) {
         let idx = local.0 as usize;
         if self.global_ids.len() <= idx {
             self.global_ids.resize(idx + 1, RuleId(u32::MAX));
@@ -86,7 +89,7 @@ impl Shard {
     /// Rewrites the rule ids an inner engine's [`UpdateError`] carries
     /// into global id space — a shard-local id must never leak through
     /// the sharded engine's API, where it would name an unrelated rule.
-    fn remap_error(&self, e: UpdateError) -> UpdateError {
+    pub(crate) fn remap_error(&self, e: UpdateError) -> UpdateError {
         let global = |local: RuleId| {
             self.global_ids
                 .get(local.0 as usize)
@@ -103,31 +106,84 @@ impl Shard {
     }
 }
 
-/// Builds an empty inner engine for shards that churn creates after the
-/// initial plan: a hash slot gaining its first rule, or the upper half
-/// of a split priority band. Errors are backend build failures, already
-/// rendered to text (they surface as [`UpdateError::Rejected`]).
-pub type InnerFactory = Box<dyn Fn() -> Result<Box<dyn PacketClassifier>, String> + Send + Sync>;
+/// Classifies against a shard list under `strategy`'s merge discipline
+/// — the one lookup loop behind [`ShardedEngine`] and the snapshot
+/// wrapper's published versions.
+pub(crate) fn classify_shards<S: Borrow<Shard>>(
+    strategy: ShardStrategy,
+    shards: &[S],
+    header: &Header,
+) -> Verdict {
+    let classify = |shard: &S| {
+        let shard: &Shard = shard.borrow();
+        shard.remap(shard.engine.classify(header))
+    };
+    match strategy {
+        // Bands are (priority, id)-ordered: the first band that hits
+        // holds the global HPMR, and later bands are never read.
+        ShardStrategy::PriorityBands => {
+            let mut reads = 0u32;
+            for shard in shards {
+                let mut v = classify(shard);
+                v.add_reads(reads);
+                if v.is_hit() {
+                    return v;
+                }
+                reads = v.mem_reads;
+            }
+            Verdict::miss(reads)
+        }
+        // Hash shards are unordered: query all, keep the best.
+        ShardStrategy::FieldHash(_) => {
+            let mut merged = Verdict::miss(0);
+            for shard in shards {
+                ShardedEngine::merge(&mut merged, &classify(shard));
+            }
+            merged
+        }
+    }
+}
+
+/// Restates an inner engine's update report under the global rule id —
+/// or, for an inner that reported nothing, synthesizes a zero-cost one,
+/// so a successful update always replaces the report.
+pub(crate) fn report_for(raw: Option<UpdateReport>, rule_id: RuleId) -> UpdateReport {
+    UpdateReport {
+        rule_id,
+        ..raw.unwrap_or(UpdateReport {
+            rule_id,
+            created_labels: 0,
+            freed_labels: 0,
+            hw_write_cycles: 0,
+        })
+    }
+}
+
+/// Builds an empty inner engine for a shard churn creates after the
+/// initial plan — a hash slot gaining its first rule, or the upper half
+/// of a split priority band — with the provisioning every other shard
+/// got.
+fn empty_shard(inner: &EngineBuilder) -> Result<Shard, UpdateError> {
+    let engine = inner
+        .build(&RuleSet::new())
+        .map_err(|e| UpdateError::Rejected {
+            reason: e.to_string(),
+        })?;
+    Ok(Shard {
+        engine,
+        global_ids: Vec::new(),
+    })
+}
 
 /// The incremental-update state of a [`ShardedEngine`] whose inner
 /// engines all support updates: the live router (routing decisions +
-/// global→local id map), the factory for churn-created shards, and the
-/// band-split threshold.
+/// global→local id map) and the band-split threshold.
+#[derive(Debug)]
 struct LiveUpdates {
     router: ShardRouter,
-    factory: InnerFactory,
-    /// A priority band longer than this splits (see
-    /// [`ShardedEngine::enable_updates`] for the policy).
+    /// A priority band longer than this splits (see [`ShardedEngine`]
+    /// for the policy).
     band_threshold: usize,
-}
-
-impl fmt::Debug for LiveUpdates {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LiveUpdates")
-            .field("router", &self.router)
-            .field("band_threshold", &self.band_threshold)
-            .finish_non_exhaustive()
-    }
 }
 
 /// Bands this short never split, whatever the skew factor — splitting
@@ -150,11 +206,23 @@ impl BatchWorker for Shard {
 /// A partitioned multi-classifier backend: N inner engines, one merged
 /// verdict. Built by [`crate::EngineBuilder`] from specs like
 /// `sharded:inner=configurable-bst,shards=8,strategy=prio`.
+///
+/// Capability follows the engines actually built, not their registry
+/// kind: when every shard supports updates the incremental-update path
+/// (the paper's §V.A fast update, routed to the owning shard) is armed
+/// at build time, and shards churn creates later are built empty from
+/// the same inner builder. The spec's `skew` sets the band-rebalance
+/// policy: a priority band splits when it exceeds
+/// `skew × max(ceil(rules / bands), 16)` rules, both measured at build
+/// time, so the threshold is a fixed per-band capacity (no feedback
+/// loop) and at most one split runs per insert. Values below 1.0 are
+/// clamped to 1.0; hash strategies ignore it.
 #[derive(Debug)]
 pub struct ShardedEngine {
     shards: Vec<Shard>,
     strategy: ShardStrategy,
-    inner_kind: EngineKind,
+    /// The spec-tree node every shard's engine is built from.
+    inner: EngineBuilder,
     rules: usize,
     /// `Some` when every inner engine supports updates and the builder
     /// armed the routed `insert`/`remove` path.
@@ -164,66 +232,44 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Assembles a sharded engine from built inner engines and their
-    /// id maps (one per [`ShardSlice`] of the plan that produced them).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty or an engine's rule count disagrees
-    /// with its slice — both indicate a builder bug, not user error.
-    pub fn from_parts(
-        parts: Vec<(Box<dyn PacketClassifier>, ShardSlice)>,
-        strategy: ShardStrategy,
-        inner_kind: EngineKind,
-    ) -> Self {
-        assert!(!parts.is_empty(), "a sharded engine needs >= 1 shard");
-        let mut shards = Vec::with_capacity(parts.len());
-        let mut rules = 0;
-        for (engine, slice) in parts {
-            assert_eq!(engine.rules(), slice.global_ids.len(), "slice mismatch");
-            rules += slice.global_ids.len();
+    /// Builds one `inner` engine per slice of `plan` — each provisioned
+    /// for its own slice, so Rule Filter autosizing sees the shard's
+    /// rule count, not the global one — and merges them under the plan's
+    /// strategy. `router` is the plan's own
+    /// ([`ShardRouter::from_plan`]); it and `skew` arm the update path
+    /// the type's docs describe when every shard supports updates.
+    pub(crate) fn from_plan(
+        plan: ShardPlan,
+        router: ShardRouter,
+        inner: EngineBuilder,
+        skew: f64,
+    ) -> Result<Self, BuildError> {
+        let strategy = plan.strategy;
+        let mut shards = Vec::with_capacity(plan.shards.len());
+        for slice in plan.shards {
             shards.push(Shard {
-                engine,
+                engine: inner.build(&slice.rules)?,
                 global_ids: slice.global_ids,
             });
         }
-        ShardedEngine {
+        let rules = router.len();
+        let updatable = shards.iter().all(|s| s.engine.supports_updates());
+        let live = updatable.then(|| {
+            let quota = rules.div_ceil(shards.len()).max(MIN_BAND_QUOTA);
+            LiveUpdates {
+                router,
+                band_threshold: (quota as f64 * skew.max(1.0)).ceil() as usize,
+            }
+        });
+        Ok(ShardedEngine {
             shards,
             strategy,
-            inner_kind,
+            inner,
             rules,
-            live: None,
+            live,
             last_report: None,
             epoch: 0,
-        }
-    }
-
-    /// Arms the incremental-update path (the paper's §V.A fast update,
-    /// routed to the owning shard).
-    ///
-    /// `router` must describe exactly the rules the inner engines were
-    /// built from — [`crate::EngineBuilder`] derives both from the same
-    /// [`spc_core::shard::ShardPlan`] — and `factory` builds an empty
-    /// inner engine for shards churn creates later. `skew` sets the
-    /// band-rebalance policy: a priority band splits when it exceeds
-    /// `skew × max(ceil(rules / bands), 16)` rules, both measured at
-    /// arming time, so the threshold is a fixed per-band capacity (no
-    /// feedback loop) and at most one split runs per insert. Values
-    /// below 1.0 are clamped to 1.0; hash strategies ignore it.
-    pub fn enable_updates(&mut self, router: ShardRouter, factory: InnerFactory, skew: f64) {
-        assert_eq!(router.len(), self.rules, "router must mirror the engine");
-        assert_eq!(
-            router.shard_count(),
-            self.shards.len(),
-            "router must cover every shard"
-        );
-        let quota = self.rules.div_ceil(self.shards.len()).max(MIN_BAND_QUOTA);
-        let band_threshold = (quota as f64 * skew.max(1.0)).ceil() as usize;
-        self.live = Some(LiveUpdates {
-            router,
-            factory,
-            band_threshold,
-        });
+        })
     }
 
     /// Number of shards actually built (empty slices are dropped by the
@@ -239,7 +285,7 @@ impl ShardedEngine {
 
     /// The registry kind of the inner engines.
     pub fn inner_kind(&self) -> EngineKind {
-        self.inner_kind
+        self.inner.kind()
     }
 
     /// Per-shard rule counts, for load-balance inspection.
@@ -252,8 +298,7 @@ impl ShardedEngine {
     /// shards are queried, so every shard's reads are real work). The
     /// merge is commutative and associative, which is what lets the
     /// batch path fold chunks in arrival order. Crate-visible because
-    /// the snapshot wrapper's hash-sharded snapshots merge per-shard
-    /// verdicts with exactly these semantics (`crate::snapshot`).
+    /// [`classify_shards`] serves the snapshot wrapper too.
     pub(crate) fn merge(into: &mut Verdict, from: &Verdict) {
         into.add_reads(from.mem_reads);
         let wins = match (from.rule, into.rule) {
@@ -275,7 +320,7 @@ impl ShardedEngine {
     /// cascade invariant so early-exit merging stays correct.
     ///
     /// Best-effort: the moved rules are installed into the fresh engine
-    /// *first*, and if any install fails (factory error, capacity) the
+    /// *first*, and if any install fails (build error, capacity) the
     /// fresh engine is discarded with the live engines untouched — an
     /// oversized band is a load-balance wart, not a correctness problem.
     /// Returns the hardware write cycles the migration cost.
@@ -295,7 +340,12 @@ impl ShardedEngine {
     // lines up, and nothing removes rules between planning and applying,
     // so the location/remove lookups cannot miss.
     #[allow(clippy::expect_used)]
-    fn split_band(shards: &mut Vec<Shard>, live: &mut LiveUpdates, band: usize) -> u64 {
+    fn split_band(
+        shards: &mut Vec<Shard>,
+        live: &mut LiveUpdates,
+        inner: &EngineBuilder,
+        band: usize,
+    ) -> u64 {
         let abandon = |live: &mut LiveUpdates| {
             live.band_threshold = live.band_threshold.saturating_mul(2);
             0
@@ -304,12 +354,8 @@ impl ShardedEngine {
         if moves.is_empty() {
             return 0;
         }
-        let Ok(engine) = (live.factory)() else {
+        let Ok(mut fresh) = empty_shard(inner) else {
             return abandon(live);
-        };
-        let mut fresh = Shard {
-            engine,
-            global_ids: Vec::new(),
         };
         let mut cycles = 0u64;
         let mut moved = Vec::with_capacity(moves.len());
@@ -366,31 +412,7 @@ impl PacketClassifier for ShardedEngine {
     }
 
     fn classify(&self, header: &Header) -> Verdict {
-        match self.strategy {
-            // Bands are (priority, id)-ordered: the first band that hits
-            // holds the global HPMR, and later bands are never read.
-            ShardStrategy::PriorityBands => {
-                let mut reads = 0u32;
-                for shard in &self.shards {
-                    let mut v = shard.remap(shard.engine.classify(header));
-                    v.add_reads(reads);
-                    if v.is_hit() {
-                        return v;
-                    }
-                    reads = v.mem_reads;
-                }
-                Verdict::miss(reads)
-            }
-            // Hash shards are unordered: query all, keep the best.
-            ShardStrategy::FieldHash(_) => {
-                let mut merged = Verdict::miss(0);
-                for shard in &self.shards {
-                    let v = shard.remap(shard.engine.classify(header));
-                    Self::merge(&mut merged, &v);
-                }
-                merged
-            }
-        }
+        classify_shards(self.strategy, &self.shards, header)
     }
 
     /// Fans the batch out over one scoped pool worker per shard —
@@ -459,8 +481,7 @@ impl PacketClassifier for ShardedEngine {
     }
 
     /// `true` when every inner engine supports updates — then the
-    /// builder armed the routed update path via
-    /// [`ShardedEngine::enable_updates`].
+    /// routed update path was armed at build time.
     fn supports_updates(&self) -> bool {
         self.live.is_some()
     }
@@ -470,7 +491,7 @@ impl PacketClassifier for ShardedEngine {
     /// `(priority, global id)` key — and installs it there, creating
     /// the shard first if churn just opened it (an empty hash slot).
     /// Under priority bands, a band grown past the skew threshold is
-    /// split afterwards (see [`ShardedEngine::enable_updates`]).
+    /// split afterwards (see [`ShardedEngine`]).
     fn insert(&mut self, rule: Rule) -> Result<RuleId, UpdateError> {
         // A failed insert (unsupported, duplicate, inner rejection) must
         // leave the previous report and the epoch untouched — the epoch
@@ -489,11 +510,7 @@ impl PacketClassifier for ShardedEngine {
         let shard = match live.router.route(&rule) {
             RouteTarget::Existing(shard) => shard,
             RouteTarget::NewShard { slot } => {
-                let engine = (live.factory)().map_err(|reason| UpdateError::Rejected { reason })?;
-                self.shards.push(Shard {
-                    engine,
-                    global_ids: Vec::new(),
-                });
+                self.shards.push(empty_shard(&self.inner)?);
                 live.router.register_shard(slot)
             }
         };
@@ -506,24 +523,14 @@ impl PacketClassifier for ShardedEngine {
         let global = live.router.record_insert(rule, shard, local);
         self.shards[shard].set_global(local, global);
         self.rules += 1;
-        let mut report = self.shards[shard].engine.last_update_report().map_or_else(
-            || UpdateReport {
-                rule_id: global,
-                created_labels: 0,
-                freed_labels: 0,
-                hw_write_cycles: 0,
-            },
-            |r| UpdateReport {
-                rule_id: global,
-                ..r
-            },
-        );
+        let mut report = report_for(self.shards[shard].engine.last_update_report(), global);
         if self.strategy == ShardStrategy::PriorityBands
             && live.router.shard_len(shard) > live.band_threshold
         {
             report.hw_write_cycles = report.hw_write_cycles.saturating_add(Self::split_band(
                 &mut self.shards,
                 live,
+                &self.inner,
                 shard,
             ));
         }
@@ -551,14 +558,9 @@ impl PacketClassifier for ShardedEngine {
         // Always replace the report on success (even if the inner
         // backend reported nothing) so the epoch/report pair moves
         // together.
-        self.last_report = Some(self.shards[shard].engine.last_update_report().map_or_else(
-            || UpdateReport {
-                rule_id: id,
-                created_labels: 0,
-                freed_labels: 0,
-                hw_write_cycles: 0,
-            },
-            |r| UpdateReport { rule_id: id, ..r },
+        self.last_report = Some(report_for(
+            self.shards[shard].engine.last_update_report(),
+            id,
         ));
         self.epoch += 1;
         Ok(())

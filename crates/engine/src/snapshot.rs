@@ -49,9 +49,10 @@
 //! paying for rebuilds.
 
 use crate::pipeline::BatchWorker;
+use crate::sharded::{classify_shards, report_for, Shard};
 use crate::{
-    BuildError, EngineBuilder, EngineKind, LookupStats, MatchHandle, PacketClassifier,
-    ShardedEngine, UpdateError, UpdateReport, Verdict,
+    BuildError, EngineBuilder, EngineKind, LookupStats, PacketClassifier, UpdateError,
+    UpdateReport, Verdict,
 };
 use spc_core::shard::{RouteTarget, ShardPlan, ShardRouter, ShardStrategy};
 use spc_hwsim::AccessCounts;
@@ -59,33 +60,11 @@ use spc_types::{Header, Rule, RuleId, RuleSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// One immutable shard of a snapshot: an inner engine plus the
-/// local→global rule-id map, mirroring `sharded::Shard` but frozen.
-#[derive(Debug)]
-struct ShardSnap {
-    engine: Box<dyn PacketClassifier>,
-    global_ids: Vec<RuleId>,
-}
-
-impl ShardSnap {
-    /// Rewrites a shard-local verdict into global rule ids.
-    fn remap(&self, v: Verdict) -> Verdict {
-        Verdict {
-            rule: v.rule.map(|id| self.global_ids[id.0 as usize]),
-            matched: v.matched.map(|m| MatchHandle {
-                id: self.global_ids[m.id.0 as usize],
-                ..m
-            }),
-            ..v
-        }
-    }
-}
-
 /// One published, immutable rule-set version.
 #[derive(Debug)]
 struct Snapshot {
-    /// The shard engines (a single-inner snapshot is one shard).
-    shards: Vec<Arc<ShardSnap>>,
+    /// The shard engines, frozen (a single-inner snapshot is one shard).
+    shards: Vec<Arc<Shard>>,
     /// `None` for a single inner; the merge discipline otherwise.
     strategy: Option<ShardStrategy>,
     /// The writer epoch this snapshot was published at (0 = initial).
@@ -105,29 +84,9 @@ impl Snapshot {
                 Some(s) => s.remap(s.engine.classify(header)),
                 None => Verdict::miss(0),
             },
-            // Same merge disciplines as `ShardedEngine::classify`. The
-            // priority-band cascade stays valid because the snapshot
+            // The priority-band cascade stays valid because the snapshot
             // writer never splits bands, so band order is preserved.
-            Some(ShardStrategy::PriorityBands) => {
-                let mut reads = 0u32;
-                for shard in &self.shards {
-                    let mut v = shard.remap(shard.engine.classify(header));
-                    v.add_reads(reads);
-                    if v.is_hit() {
-                        return v;
-                    }
-                    reads = v.mem_reads;
-                }
-                Verdict::miss(reads)
-            }
-            Some(ShardStrategy::FieldHash(_)) => {
-                let mut merged = Verdict::miss(0);
-                for shard in &self.shards {
-                    let v = shard.remap(shard.engine.classify(header));
-                    ShardedEngine::merge(&mut merged, &v);
-                }
-                merged
-            }
+            Some(strategy) => classify_shards(strategy, &self.shards, header),
         }
     }
 }
@@ -206,16 +165,6 @@ enum WriterMode {
     },
 }
 
-/// Maps a zero-cost synthesized report for build-once inners.
-fn zero_report(rule_id: RuleId) -> UpdateReport {
-    UpdateReport {
-        rule_id,
-        created_labels: 0,
-        freed_labels: 0,
-        hw_write_cycles: 0,
-    }
-}
-
 /// Maps a rebuild failure into an update error.
 fn rejected(e: &BuildError) -> UpdateError {
     UpdateError::Rejected {
@@ -223,83 +172,64 @@ fn rejected(e: &BuildError) -> UpdateError {
     }
 }
 
-/// Rewrites shard-local ids inside an inner engine's error into global
-/// ids, so callers never see writer-internal numbering.
-fn remap_local_error(e: UpdateError, live: &[(RuleId, Rule)]) -> UpdateError {
-    let global = |local: RuleId| live.get(local.0 as usize).map_or(local, |&(g, _)| g);
-    match e {
-        UpdateError::Duplicate { existing } => UpdateError::Duplicate {
-            existing: global(existing),
-        },
-        UpdateError::UnknownRule { id } => UpdateError::UnknownRule { id: global(id) },
-        other => other,
-    }
+/// Builds one shard (or the single inner) over `live`, in load order:
+/// local id = position, mapped back to the global id beside it.
+fn build_shard(builder: &EngineBuilder, live: &[(RuleId, Rule)]) -> Result<Shard, UpdateError> {
+    let rules: RuleSet = live.iter().map(|&(_, r)| r).collect();
+    Ok(Shard {
+        engine: builder.build(&rules).map_err(|e| rejected(&e))?,
+        global_ids: live.iter().map(|&(g, _)| g).collect(),
+    })
 }
 
-/// Builds the next engine for one shard (or the single inner) with
-/// `rule` appended after `live`. When the inner supports the paper's
-/// §V.A incremental update, the pre-update engine is rebuilt and the
-/// insert replayed through it so the returned report carries the
-/// inner's real accounting; otherwise the post-update set is built
-/// wholesale and the caller synthesizes a zero-cost report.
+/// Builds the next shard (or the single inner) with `rule` appended
+/// after `live`; the caller appends the global id it allocates for it.
+/// When the inner supports the paper's §V.A incremental update, the
+/// pre-update engine is rebuilt and the insert replayed through it so
+/// the returned report carries the inner's real accounting; otherwise
+/// the post-update set is built wholesale and the caller synthesizes a
+/// zero-cost report.
 fn next_with_insert(
     builder: &EngineBuilder,
     live: &[(RuleId, Rule)],
     rule: Rule,
-) -> Result<(Box<dyn PacketClassifier>, Option<UpdateReport>), UpdateError> {
-    let base: RuleSet = live.iter().map(|&(_, r)| r).collect();
-    let mut engine = builder.build(&base).map_err(|e| rejected(&e))?;
-    if engine.supports_updates() {
-        let local = engine
-            .insert(rule)
-            .map_err(|e| remap_local_error(e, live))?;
-        debug_assert_eq!(local, RuleId(live.len() as u32));
-        let raw = engine.last_update_report();
-        Ok((engine, raw))
+) -> Result<(Shard, Option<UpdateReport>), UpdateError> {
+    let mut shard = build_shard(builder, live)?;
+    let raw = if shard.engine.supports_updates() {
+        match shard.engine.insert(rule) {
+            Ok(local) => debug_assert_eq!(local, RuleId(live.len() as u32)),
+            Err(e) => return Err(shard.remap_error(e)),
+        }
+        shard.engine.last_update_report()
     } else {
-        let mut full = base;
-        full.push(rule);
-        let engine = builder.build(&full).map_err(|e| rejected(&e))?;
-        Ok((engine, None))
-    }
+        let full: RuleSet = live.iter().map(|&(_, r)| r).chain([rule]).collect();
+        shard.engine = builder.build(&full).map_err(|e| rejected(&e))?;
+        None
+    };
+    Ok((shard, raw))
 }
 
-/// Builds the next engine for one shard (or the single inner) with the
-/// rule at `idx` removed from `live`. Returns the engine, its
-/// local→global id map, and the inner's real report when available
+/// Builds the next shard (or the single inner) with the rule at `idx`
+/// removed from `live`, plus the inner's real report when available
 /// (same replay recipe as [`next_with_insert`]).
-#[allow(clippy::type_complexity)]
 fn next_with_remove(
     builder: &EngineBuilder,
     live: &[(RuleId, Rule)],
     idx: usize,
-) -> Result<(Box<dyn PacketClassifier>, Vec<RuleId>, Option<UpdateReport>), UpdateError> {
-    let full: RuleSet = live.iter().map(|&(_, r)| r).collect();
-    let mut engine = builder.build(&full).map_err(|e| rejected(&e))?;
-    if engine.supports_updates() {
-        engine
-            .remove(RuleId(idx as u32))
-            .map_err(|e| remap_local_error(e, live))?;
+) -> Result<(Shard, Option<UpdateReport>), UpdateError> {
+    let mut shard = build_shard(builder, live)?;
+    if shard.engine.supports_updates() {
         // Survivors keep their local ids; the removed slot goes stale
         // harmlessly (the inner never re-allocates it).
-        let ids = live.iter().map(|&(g, _)| g).collect();
-        let raw = engine.last_update_report();
-        Ok((engine, ids, raw))
+        if let Err(e) = shard.engine.remove(RuleId(idx as u32)) {
+            return Err(shard.remap_error(e));
+        }
+        let raw = shard.engine.last_update_report();
+        Ok((shard, raw))
     } else {
-        let remaining: RuleSet = live
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != idx)
-            .map(|(_, &(_, r))| r)
-            .collect();
-        let engine = builder.build(&remaining).map_err(|e| rejected(&e))?;
-        let ids = live
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != idx)
-            .map(|(_, &(g, _))| g)
-            .collect();
-        Ok((engine, ids, None))
+        let mut remaining = live.to_vec();
+        remaining.remove(idx);
+        Ok((build_shard(builder, &remaining)?, None))
     }
 }
 
@@ -318,13 +248,11 @@ pub struct SnapshotEngine {
     handle: Arc<SnapshotHandle>,
     /// Builder for the single inner, or for each shard's inner.
     inner_builder: EngineBuilder,
-    /// The spec-level inner kind (`Sharded` for per-shard mode).
-    inner_kind: EngineKind,
     mode: WriterMode,
     /// Writer's working copy of the shard snaps; published snapshots
     /// share these `Arc`s, so an update allocates only the shard it
     /// touched.
-    snaps: Vec<Arc<ShardSnap>>,
+    snaps: Vec<Arc<Shard>>,
     rules: usize,
     epoch: u64,
     report: Option<UpdateReport>,
@@ -337,11 +265,9 @@ impl SnapshotEngine {
         let global_ids: Vec<RuleId> = rules.iter().map(|(id, _)| id).collect();
         let live: Vec<(RuleId, Rule)> = rules.iter().map(|(id, r)| (id, *r)).collect();
         let next_global = live.iter().map(|&(id, _)| id.0 + 1).max().unwrap_or(0);
-        let inner_kind = inner.kind();
-        let snaps = vec![Arc::new(ShardSnap { engine, global_ids })];
+        let snaps = vec![Arc::new(Shard { engine, global_ids })];
         Ok(Self::assemble(
             inner,
-            inner_kind,
             WriterMode::Single { live, next_global },
             snaps,
             rules.len(),
@@ -350,13 +276,13 @@ impl SnapshotEngine {
 
     /// Wraps a sharded inner: one engine per plan slice, rebuilt
     /// per-shard on update. `per` is the builder for each shard's inner
-    /// engine (already provisioned like `build_sharded` does).
+    /// engine (the sharded node's own inner node).
     pub(crate) fn from_sharded(
         plan: ShardPlan,
         router: ShardRouter,
         per: EngineBuilder,
-        strategy: ShardStrategy,
     ) -> Result<Self, BuildError> {
+        let strategy = plan.strategy;
         let mut snaps = Vec::with_capacity(plan.shards.len());
         let mut shards = Vec::with_capacity(plan.shards.len());
         let total = plan.total_rules();
@@ -367,7 +293,7 @@ impl SnapshotEngine {
                 .iter()
                 .map(|(local, rule)| (slice.global_id(local), *rule))
                 .collect();
-            snaps.push(Arc::new(ShardSnap {
+            snaps.push(Arc::new(Shard {
                 engine,
                 global_ids: slice.global_ids,
             }));
@@ -375,7 +301,6 @@ impl SnapshotEngine {
         }
         Ok(Self::assemble(
             per,
-            EngineKind::Sharded,
             WriterMode::Sharded {
                 router,
                 shards,
@@ -388,9 +313,8 @@ impl SnapshotEngine {
 
     fn assemble(
         inner_builder: EngineBuilder,
-        inner_kind: EngineKind,
         mode: WriterMode,
-        snaps: Vec<Arc<ShardSnap>>,
+        snaps: Vec<Arc<Shard>>,
         rules: usize,
     ) -> Self {
         let strategy = match &mode {
@@ -407,7 +331,6 @@ impl SnapshotEngine {
         SnapshotEngine {
             handle: Arc::new(SnapshotHandle::new(initial)),
             inner_builder,
-            inner_kind,
             mode,
             snaps,
             rules,
@@ -455,12 +378,6 @@ impl SnapshotEngine {
         (0..n)
             .map(|_| Box::new(self.reader()) as Box<dyn BatchWorker>)
             .collect()
-    }
-
-    /// The spec-level inner kind (`sharded` when updates rebuild
-    /// per-shard).
-    pub fn inner_kind(&self) -> EngineKind {
-        self.inner_kind
     }
 
     /// How many shard engines the current snapshot holds (1 for a
@@ -535,16 +452,12 @@ impl PacketClassifier for SnapshotEngine {
                 {
                     return Err(UpdateError::Duplicate { existing });
                 }
-                let (engine, raw) = next_with_insert(&self.inner_builder, live, rule)?;
+                let (mut shard, raw) = next_with_insert(&self.inner_builder, live, rule)?;
                 let global = RuleId(*next_global);
                 *next_global += 1;
-                let mut ids: Vec<RuleId> = live.iter().map(|&(g, _)| g).collect();
-                ids.push(global);
+                shard.global_ids.push(global);
                 live.push((global, rule));
-                self.snaps[0] = Arc::new(ShardSnap {
-                    engine,
-                    global_ids: ids,
-                });
+                self.snaps[0] = Arc::new(shard);
                 (global, raw)
             }
             WriterMode::Sharded { router, shards, .. } => {
@@ -557,36 +470,25 @@ impl PacketClassifier for SnapshotEngine {
                         // Open the empty shard first so `shards` and
                         // `snaps` stay parallel even if the rebuild
                         // below fails (an empty shard is harmless).
-                        let engine = self
-                            .inner_builder
-                            .build(&RuleSet::new())
-                            .map_err(|e| rejected(&e))?;
+                        let empty = build_shard(&self.inner_builder, &[])?;
                         shards.push(Vec::new());
-                        self.snaps.push(Arc::new(ShardSnap {
-                            engine,
-                            global_ids: Vec::new(),
-                        }));
+                        self.snaps.push(Arc::new(empty));
                         router.register_shard(slot)
                     }
                 };
-                let (engine, raw) = next_with_insert(&self.inner_builder, &shards[k], rule)?;
+                let (mut shard, raw) = next_with_insert(&self.inner_builder, &shards[k], rule)?;
                 let local = RuleId(shards[k].len() as u32);
                 let global = router.record_insert(rule, k, local);
-                let mut ids: Vec<RuleId> = shards[k].iter().map(|&(g, _)| g).collect();
-                ids.push(global);
+                shard.global_ids.push(global);
                 shards[k].push((global, rule));
                 // The untouched shards' `Arc`s carry over unchanged —
                 // this swap is the only allocation the update publishes.
-                self.snaps[k] = Arc::new(ShardSnap {
-                    engine,
-                    global_ids: ids,
-                });
+                self.snaps[k] = Arc::new(shard);
                 (global, raw)
             }
         };
         self.rules += 1;
-        let report = raw_to_report(raw, global);
-        self.publish(report);
+        self.publish(report_for(raw, global));
         Ok(global)
     }
 
@@ -601,13 +503,10 @@ impl PacketClassifier for SnapshotEngine {
                     .iter()
                     .position(|&(g, _)| g == id)
                     .ok_or(UpdateError::UnknownRule { id })?;
-                let (engine, ids, raw) = next_with_remove(&self.inner_builder, live, idx)?;
+                let (shard, raw) = next_with_remove(&self.inner_builder, live, idx)?;
                 live.remove(idx);
-                self.snaps[0] = Arc::new(ShardSnap {
-                    engine,
-                    global_ids: ids,
-                });
-                raw_to_report(raw, id)
+                self.snaps[0] = Arc::new(shard);
+                report_for(raw, id)
             }
             WriterMode::Sharded { router, shards, .. } => {
                 let k = router
@@ -618,14 +517,11 @@ impl PacketClassifier for SnapshotEngine {
                     .iter()
                     .position(|&(g, _)| g == id)
                     .expect("router and writer shard mirrors agree");
-                let (engine, ids, raw) = next_with_remove(&self.inner_builder, &shards[k], idx)?;
+                let (shard, raw) = next_with_remove(&self.inner_builder, &shards[k], idx)?;
                 router.record_remove(id);
                 shards[k].remove(idx);
-                self.snaps[k] = Arc::new(ShardSnap {
-                    engine,
-                    global_ids: ids,
-                });
-                raw_to_report(raw, id)
+                self.snaps[k] = Arc::new(shard);
+                report_for(raw, id)
             }
         };
         self.rules -= 1;
@@ -640,18 +536,6 @@ impl PacketClassifier for SnapshotEngine {
     fn update_epoch(&self) -> u64 {
         self.epoch
     }
-}
-
-/// Restates an inner engine's report (or synthesizes a zero-cost one
-/// for build-once inners) under the global rule id.
-fn raw_to_report(raw: Option<UpdateReport>, global: RuleId) -> UpdateReport {
-    raw.map_or_else(
-        || zero_report(global),
-        |r| UpdateReport {
-            rule_id: global,
-            ..r
-        },
-    )
 }
 
 /// A concurrent reader over a [`SnapshotEngine`]'s published snapshots.
@@ -813,7 +697,7 @@ mod tests {
             &rules,
         );
         assert_eq!(eng.shard_count(), 4);
-        let before: Vec<Arc<ShardSnap>> = eng.snaps.clone();
+        let before: Vec<Arc<Shard>> = eng.snaps.clone();
 
         let id = eng.insert(rule(1_000_000, 4000)).unwrap();
         let changed: Vec<usize> = (0..4)
@@ -824,7 +708,7 @@ mod tests {
         let v = eng.classify(&probe(4000));
         assert_eq!(v.rule, Some(id));
 
-        let before: Vec<Arc<ShardSnap>> = eng.snaps.clone();
+        let before: Vec<Arc<Shard>> = eng.snaps.clone();
         eng.remove(id).unwrap();
         let changed: Vec<usize> = (0..4)
             .filter(|&i| !Arc::ptr_eq(&before[i], &eng.snaps[i]))

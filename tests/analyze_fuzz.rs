@@ -5,8 +5,9 @@
 //! failure reproduces from its seed:
 //!
 //! 1. **Parser robustness** — mutated ClassBench rule text, scenario
-//!    scripts and pcap captures (bit flips, truncation, token garbage)
-//!    must never panic the parsers; they may only return errors.
+//!    scripts, engine spec strings and pcap captures (bit flips,
+//!    truncation, token garbage, deep nesting) must never panic the
+//!    parsers; they may only return errors.
 //! 2. **Differential backends** — every adversarial rule set builds on
 //!    all ten registry backends, and each backend returns LinearSearch's
 //!    verdict on every probe header.
@@ -486,6 +487,51 @@ fn mutated_scenario_scripts_never_panic_the_parser() {
         let _ = ScenarioScript::parse(&String::from_utf8_lossy(&data));
     }
     assert!(ScenarioScript::parse(corpus[0]).is_ok());
+}
+
+#[test]
+fn mutated_spec_strings_never_panic_the_parser() {
+    // The repo's own spec strings, deepest nesting and legacy forwarded
+    // form included, as the mutation substrate.
+    let corpus = [
+        "configurable-bst:rf_bits=14,combine=first",
+        "sharded:inner=configurable-mbt,shards=2,rf_bits=13",
+        "sharded:inner=(tss:tables=64),shards=8,strategy=hash,hash_dim=dst_port",
+        "cached:inner=(sharded:inner=configurable-bst,shards=4),flows=8192,megaflow=off",
+        "snapshot:inner=(sharded:inner=configurable-bst,shards=4,strategy=hash,hash_dim=dst_port)",
+        "snapshot:inner=(cached:inner=(sharded:inner=(tcam:capacity=4096,partitions=4),skew=1.5))",
+        "tcam:capacity=1024,partitions=4,optimize=validated",
+    ];
+    let mut rng = StdRng::seed_from_u64(FUZZ_SEED ^ 0x5bec);
+    for i in 0..400u64 {
+        let base = corpus[(i as usize) % corpus.len()];
+        assert!(EngineBuilder::from_spec(base).is_ok(), "{base}");
+        let mut data = base.as_bytes().to_vec();
+        // Structure-aware first — the grammar's own punctuation spliced
+        // in at random — then the byte-level flips and truncations.
+        for _ in 0..(i % 4) {
+            let at = rng.gen_range(0..=data.len());
+            data.insert(at, b"(),:="[rng.gen_range(0..5usize)]);
+        }
+        mutate_bytes(&mut rng, &mut data, (i as usize) % 5);
+        // Ok or a typed BuildError are both fine; only a panic (or a
+        // stack overflow, which aborts the whole test binary) fails.
+        if let Ok(b) = EngineBuilder::from_spec(&String::from_utf8_lossy(&data)) {
+            assert_eq!(EngineBuilder::from_spec(&b.to_string()), Ok(b));
+        }
+    }
+    // Nesting deeper than any stack: every legal and illegal wrapper
+    // alternation, 20 000 levels, balanced and not.
+    for pair in [
+        "cached:inner=(snapshot:inner=(",
+        "snapshot:inner=(sharded:inner=(",
+    ] {
+        let open = pair.repeat(10_000);
+        for close in [0, 20_000] {
+            let spec = format!("{open}linear{}", ")".repeat(close));
+            assert!(EngineBuilder::from_spec(&spec).is_err(), "{pair} x{close}");
+        }
+    }
 }
 
 #[test]

@@ -380,7 +380,7 @@ fn sharded_degenerate_shapes() {
 
     // Typed-builder path behaves like the spec path.
     let boxed = EngineBuilder::new(EngineKind::Sharded)
-        .with_shard_inner(EngineKind::Linear)
+        .with_inner(EngineBuilder::new(EngineKind::Linear))
         .with_shards(2)
         .build(&tiny)
         .unwrap();

@@ -1,0 +1,197 @@
+//! The spec tree's nesting table, exercised by construction rather than
+//! by a hand-kept list: every ordered pair of `EngineKind::ALL`, and
+//! every ordering of the three wrappers, is either legal by
+//! `legal_nesting` — then it must parse, build, agree with `linear` and
+//! keep the `update_epoch` contract — or illegal — then both the spec
+//! path and the typed path must answer with a `ConfigError`. A backend
+//! or wrapper added to the registry is covered the moment it registers.
+
+// Integration-test support code (helpers outside #[test] fns are not
+// covered by clippy.toml's allow-unwrap-in-tests): a failed unwrap here
+// IS the test failure.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use spc::classbench::{FilterKind, RuleSetGenerator, TraceGenerator};
+use spc::engine::{legal_nesting, BuildError, EngineBuilder, EngineKind, UpdateError};
+use spc::types::{Action, Header, PortRange, Priority, ProtoSpec, Rule, RuleId, RuleSet};
+
+/// Whether every ancestor/descendant pair on `path` is legal.
+fn legal(path: &[EngineKind]) -> bool {
+    (0..path.len()).all(|i| {
+        path[i + 1..]
+            .iter()
+            .all(|&d| legal_nesting(path[i], d).is_ok())
+    })
+}
+
+/// `a:inner=(b:inner=(c))` for the path `[a, b, c]`.
+fn spec_of(path: &[EngineKind]) -> String {
+    match path {
+        [] => String::new(),
+        [leaf] => leaf.to_string(),
+        [outer, rest @ ..] => format!("{outer}:inner=({})", spec_of(rest)),
+    }
+}
+
+/// The same tree through `new(..).with_inner(..)`.
+fn typed(path: &[EngineKind]) -> EngineBuilder {
+    let (&outer, rest) = path.split_first().unwrap();
+    let node = EngineBuilder::new(outer);
+    if rest.is_empty() {
+        node
+    } else {
+        node.with_inner(typed(rest))
+    }
+}
+
+/// Every path the matrix covers: all ordered pairs, plus every ordering
+/// of the kinds that can wrap anything at all (over the default leaf).
+fn paths() -> Vec<Vec<EngineKind>> {
+    let mut paths = Vec::new();
+    for outer in EngineKind::ALL {
+        for inner in EngineKind::ALL {
+            paths.push(vec![outer, inner]);
+        }
+    }
+    let wrappers: Vec<EngineKind> = EngineKind::ALL
+        .into_iter()
+        .filter(|&k| legal_nesting(k, EngineKind::Linear).is_ok())
+        .collect();
+    for &a in &wrappers {
+        for &b in &wrappers {
+            for &c in &wrappers {
+                paths.push(vec![a, b, c]);
+                paths.push(vec![a, b, c, EngineKind::Linear]);
+            }
+        }
+    }
+    paths
+}
+
+fn probe_rule() -> Rule {
+    Rule::builder(Priority(0))
+        .dst_port(PortRange::exact(61_234))
+        .proto(ProtoSpec::Exact(132))
+        .action(Action::Forward(7))
+        .build()
+}
+
+/// The `update_epoch` contract in brief (`tests/properties.rs` holds
+/// the long form): +1 exactly when the report is replaced.
+fn epoch_smoke(spec: &str, e: &mut dyn spc::engine::PacketClassifier) {
+    assert_eq!(e.update_epoch(), 0, "{spec}");
+    if !e.supports_updates() {
+        assert!(
+            matches!(e.insert(probe_rule()), Err(UpdateError::Unsupported { .. })),
+            "{spec}"
+        );
+        assert_eq!(e.update_epoch(), 0, "{spec}");
+        return;
+    }
+    let id = e.insert(probe_rule()).unwrap();
+    assert_eq!(e.update_epoch(), 1, "{spec}");
+    let report = e.last_update_report().expect(spec);
+    assert_eq!(report.rule_id, id, "{spec}");
+    assert!(e.insert(probe_rule()).is_err(), "{spec}: duplicate");
+    assert!(e.remove(RuleId(9_999_999)).is_err(), "{spec}: unknown id");
+    assert_eq!(e.update_epoch(), 1, "{spec}: failed updates must not bump");
+    assert_eq!(e.last_update_report(), Some(report), "{spec}");
+    e.remove(id).unwrap();
+    assert_eq!(e.update_epoch(), 2, "{spec}");
+}
+
+#[test]
+fn nesting_matrix_follows_the_table() {
+    let rules = RuleSetGenerator::new(FilterKind::Acl, 60)
+        .seed(13)
+        .generate();
+    let trace: Vec<Header> = TraceGenerator::new()
+        .seed(14)
+        .match_fraction(0.85)
+        .generate(&rules, 256);
+    let oracle = EngineBuilder::new(EngineKind::Linear)
+        .build(&rules)
+        .unwrap();
+    let (mut built, mut refused) = (0, 0);
+    for path in paths() {
+        let spec = spec_of(&path);
+        if legal(&path) {
+            let parsed = EngineBuilder::from_spec(&spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
+            assert_eq!(parsed, typed(&path), "{spec}: spec and typed trees differ");
+            let mut engine = parsed
+                .build(&rules)
+                .unwrap_or_else(|e| panic!("{spec}: {e}"));
+            assert_eq!(engine.kind(), path[0], "{spec}");
+            for h in &trace {
+                assert_eq!(engine.classify(h).rule, oracle.classify(h).rule, "{spec}");
+            }
+            epoch_smoke(&spec, engine.as_mut());
+            built += 1;
+        } else {
+            for (route, result) in [
+                ("spec", EngineBuilder::from_spec(&spec).map(|_| ())),
+                ("typed", typed(&path).build(&rules).map(|_| ())),
+            ] {
+                assert!(
+                    matches!(result, Err(BuildError::ConfigError { .. })),
+                    "{spec} via {route}: expected a ConfigError, got {result:?}"
+                );
+            }
+            refused += 1;
+        }
+    }
+    // Three wrappers over any other kind, minus snapshot-under-sharded;
+    // three legal orderings of all three wrappers, bare and over a leaf.
+    assert_eq!(built, 3 * 12 - 1 + 2 * 3, "legal paths built");
+    assert!(refused > built, "most of the matrix is illegal nesting");
+}
+
+/// Every spec string the README shows — a backticked token that starts
+/// with a registered kind — parses, and its canonical `Display`
+/// round-trips to an equal tree.
+#[test]
+fn readme_specs_parse_and_round_trip() {
+    let readme = include_str!("../README.md");
+    let mut seen = 0;
+    for token in readme.split('`').skip(1).step_by(2) {
+        let kind = token.split(':').next().unwrap_or("");
+        let placeholder = token.contains(['<', '|', ' ', '*']) || token.contains("...");
+        if placeholder || kind.parse::<EngineKind>().is_err() {
+            continue;
+        }
+        let b = EngineBuilder::from_spec(token).unwrap_or_else(|e| panic!("README `{token}`: {e}"));
+        assert_eq!(EngineBuilder::from_spec(&b.to_string()), Ok(b), "{token}");
+        seen += 1;
+    }
+    assert!(
+        seen >= 20,
+        "the README cheatsheet lists specs ({seen} found)"
+    );
+}
+
+/// A sharded node's inner is a full spec like any other wrapper's:
+/// tss/tcam shards are tunable, and the options reach the engines.
+#[test]
+fn sharded_inner_takes_a_full_spec() {
+    let rules: RuleSet = (0..40u16)
+        .map(|i| {
+            Rule::builder(Priority(u32::from(i)))
+                .dst_port(PortRange::exact(i))
+                .build()
+        })
+        .collect();
+    let roomy =
+        spc::engine::build_engine("sharded:inner=(tss:tables=64),shards=2", &rules).unwrap();
+    let tight = spc::engine::build_engine("sharded:inner=(tss:tables=4),shards=2", &rules).unwrap();
+    assert!(roomy.supports_updates());
+    assert!(
+        roomy.memory_bits() > tight.memory_bits(),
+        "tables= must reach the shard engines"
+    );
+    // A 2-slot TCAM per shard cannot hold 20 rules: the capacity arrived.
+    let e = spc::engine::build_engine(
+        "sharded:inner=(tcam:capacity=2,partitions=1),shards=2",
+        &rules,
+    );
+    assert!(matches!(e, Err(BuildError::Rejected { .. })), "{e:?}");
+}
