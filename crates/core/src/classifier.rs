@@ -439,9 +439,9 @@ impl Classifier {
     fn write_cycles(&self) -> u64 {
         self.dims
             .iter()
-            .map(|u| u.engine.access_counts().writes + u.store.access_counts().writes)
+            .map(|u| u.engine.writes() + u.store.writes())
             .sum::<u64>()
-            + self.rule_filter.access_counts().writes
+            + self.rule_filter.writes()
     }
 
     /// Classifies a header through the 4-phase pipeline, returning the
@@ -689,24 +689,6 @@ impl Classifier {
             4 * bst.provisioned_bits(),
             rule_word,
         )
-    }
-
-    /// Aggregate engine+store+filter access counters.
-    pub fn access_counts(&self) -> spc_hwsim::AccessCounts {
-        self.dims
-            .iter()
-            .map(|u| u.engine.access_counts() + u.store.access_counts())
-            .sum::<spc_hwsim::AccessCounts>()
-            + self.rule_filter.access_counts()
-    }
-
-    /// Resets all access counters (e.g. between benchmark phases).
-    pub fn reset_access_counts(&self) {
-        for u in &self.dims {
-            u.engine.reset_access_counts();
-            u.store.reset_access_counts();
-        }
-        self.rule_filter.reset_access_counts();
     }
 }
 

@@ -71,7 +71,6 @@ impl RuleFilter {
         for _ in 0..words {
             slots.alloc(Slot::Empty).expect("provisioned");
         }
-        slots.reset_accesses();
         RuleFilter {
             slots,
             hash: HashUnit::new(addr_bits),
@@ -102,13 +101,13 @@ impl RuleFilter {
 
     /// Iterates over the installed rules, in slot order.
     ///
-    /// This is a *software-controller* view (untracked reads — no
-    /// hardware access accounting): it exists so wrappers can derive
+    /// This is a *software-controller* view, not a modelled hardware
+    /// operation (it returns no cost): it exists so wrappers can derive
     /// per-rule metadata such as [`spc_types::MaskSummary`] from the
     /// stored rules without re-reading the original rule set.
     pub fn iter(&self) -> impl Iterator<Item = &StoredRule> {
-        (0..self.capacity()).filter_map(move |addr| match self.slots.get_untracked(addr) {
-            Some(Slot::Occupied(stored)) => Some(stored),
+        (0..self.capacity()).filter_map(move |addr| match self.slots.read(addr) {
+            Ok(Slot::Occupied(stored)) => Some(stored),
             _ => None,
         })
     }
@@ -210,14 +209,10 @@ impl RuleFilter {
         self.live as u64 * u64::from(self.slots.width_bits())
     }
 
-    /// Access counters.
-    pub fn access_counts(&self) -> spc_hwsim::AccessCounts {
-        self.slots.accesses()
-    }
-
-    /// Resets access counters.
-    pub fn reset_access_counts(&self) {
-        self.slots.reset_accesses();
+    /// Rule words written since construction (the pre-allocated empty
+    /// slots included); [`crate::Classifier`] takes deltas of it.
+    pub(crate) fn writes(&self) -> u64 {
+        self.slots.writes()
     }
 }
 
@@ -317,14 +312,8 @@ mod tests {
             f.insert(k, RuleId(k as u32), rule(0)).unwrap();
         }
         f.remove(2, RuleId(2)).unwrap();
-        f.reset_access_counts();
         let mut ids: Vec<u32> = f.iter().map(|s| s.id.0).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1, 3, 4]);
-        assert_eq!(
-            f.access_counts(),
-            spc_hwsim::AccessCounts::default(),
-            "controller-side iteration is untracked"
-        );
     }
 }

@@ -60,7 +60,6 @@
 //! `docs/concurrency.md` for the trade-off).
 
 use crate::{EngineKind, LookupStats, PacketClassifier, UpdateError, UpdateReport, Verdict};
-use spc_hwsim::AccessCounts;
 use spc_types::{Header, MaskSummary, Rule, RuleId, ALL_DIMS};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -298,7 +297,7 @@ pub struct CacheStats {
 impl CacheStats {
     /// Fraction of lookups served from the cache.
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
+        let total = self.hits.saturating_add(self.misses);
         if total == 0 {
             0.0
         } else {
@@ -595,14 +594,6 @@ impl PacketClassifier for CachedEngine {
         self.inner.memory_bits() + micro_bits + mega_bits
     }
 
-    fn access_counts(&self) -> AccessCounts {
-        self.inner.access_counts()
-    }
-
-    fn reset_access_counts(&self) {
-        self.inner.reset_access_counts();
-    }
-
     fn supports_updates(&self) -> bool {
         self.inner.supports_updates()
     }
@@ -687,6 +678,13 @@ mod tests {
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
+        // Pegged counters saturate, like every stats fold in the crate.
+        let pegged = CacheStats {
+            hits: u64::MAX,
+            misses: 1,
+            ..stats
+        };
+        assert!((pegged.hit_rate() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! [`PacketClassifier`] for the paper's configurable architecture.
 
 use crate::{
-    EngineKind, LookupStats, MatchHandle, PacketClassifier, UpdateError, UpdateReport, Verdict,
+    classify_each, EngineKind, LookupStats, MatchHandle, PacketClassifier, UpdateError,
+    UpdateReport, Verdict,
 };
 use spc_core::{Classification, Classifier, ClassifierError, ClassifyScratch, IpAlg};
-use spc_hwsim::AccessCounts;
 use spc_types::{Header, MaskSummary, Rule, RuleId};
 
 /// The configurable label-based classifier behind the unified API.
@@ -103,29 +103,18 @@ impl PacketClassifier for ConfigurableEngine {
     }
 
     fn classify_batch(&mut self, headers: &[Header], out: &mut Vec<Verdict>) -> LookupStats {
-        out.clear();
-        out.reserve(headers.len());
-        let mut stats = LookupStats::default();
-        for h in headers {
+        let mut combos = 0u64;
+        let mut stats = classify_each(headers, out, |h| {
             let c = self.cls.classify_with(h, &mut self.scratch);
-            let v = Self::verdict(&c);
-            stats.absorb(&v);
-            stats.combos_probed += u64::from(c.combos_probed);
-            out.push(v);
-        }
+            combos = combos.saturating_add(u64::from(c.combos_probed));
+            Self::verdict(&c)
+        });
+        stats.combos_probed = combos;
         stats
     }
 
     fn memory_bits(&self) -> u64 {
         self.cls.memory_report().total_used()
-    }
-
-    fn access_counts(&self) -> AccessCounts {
-        self.cls.access_counts()
-    }
-
-    fn reset_access_counts(&self) {
-        self.cls.reset_access_counts();
     }
 
     fn supports_updates(&self) -> bool {

@@ -109,7 +109,6 @@ pub use spc_core::shard::ShardStrategy;
 // ([`PacketClassifier::last_update_report`]) without a spc-core dep.
 pub use spc_core::UpdateReport;
 
-use spc_hwsim::AccessCounts;
 use spc_types::{Action, Header, MaskSummary, Priority, Rule, RuleId};
 use std::fmt;
 
@@ -253,7 +252,7 @@ impl LookupStats {
     /// Fraction of lookups served from a flow cache (0 when no cache is
     /// in the path).
     pub fn cache_hit_rate(&self) -> f64 {
-        let probes = self.cache_hits + self.cache_misses;
+        let probes = self.cache_hits.saturating_add(self.cache_misses);
         if probes == 0 {
             0.0
         } else {
@@ -333,10 +332,11 @@ impl std::error::Error for UpdateError {}
 /// to know which algorithm is behind the box. See the crate docs for the
 /// design rationale and `docs/engine_design.md` for how to add a backend.
 ///
-/// Engines are `Send + Sync`: lookups take `&self` and all hardware-model
-/// access counters are atomic, so a built engine can serve concurrent
-/// readers — `Arc<dyn PacketClassifier>` behind
-/// [`pipeline::IngestPipeline`]'s shared mode relies on exactly this.
+/// Engines are `Send + Sync`: lookups take `&self` and write nothing
+/// shared — modelled cost comes back by value in [`Verdict::mem_reads`]
+/// — so a built engine can serve concurrent readers;
+/// `Arc<dyn PacketClassifier>` behind [`pipeline::IngestPipeline`]'s
+/// shared mode relies on exactly this.
 /// Only the `&mut self` paths (batch scratch reuse, incremental updates)
 /// need exclusive access.
 ///
@@ -375,29 +375,11 @@ pub trait PacketClassifier: fmt::Debug + Send + Sync {
     /// backends with per-lookup working memory override it to reuse
     /// scratch buffers across the batch (see [`ConfigurableEngine`]).
     fn classify_batch(&mut self, headers: &[Header], out: &mut Vec<Verdict>) -> LookupStats {
-        out.clear();
-        out.reserve(headers.len());
-        let mut stats = LookupStats::default();
-        for h in headers {
-            let v = self.classify(h);
-            stats.absorb(&v);
-            out.push(v);
-        }
-        stats
+        classify_each(headers, out, |h| self.classify(h))
     }
 
     /// Bits of memory the structure occupies in the hardware model.
     fn memory_bits(&self) -> u64;
-
-    /// Cumulative structural memory access counters, where the backend
-    /// models them (the configurable architecture); zeros otherwise —
-    /// per-lookup costs are always available via [`Verdict::mem_reads`].
-    fn access_counts(&self) -> AccessCounts {
-        AccessCounts::default()
-    }
-
-    /// Resets [`PacketClassifier::access_counts`].
-    fn reset_access_counts(&self) {}
 
     /// Whether [`PacketClassifier::insert`] / [`PacketClassifier::remove`]
     /// are live paths (the paper's §V.A fast incremental update) rather
@@ -467,6 +449,26 @@ pub trait PacketClassifier: fmt::Debug + Send + Sync {
     }
 }
 
+/// The one classify loop behind every batch path: clears `out`, pushes
+/// `classify(h)` for each header in order and folds the verdicts into
+/// the returned stats. Generic over the closure so each caller's lookup
+/// is monomorphised into its own loop.
+pub(crate) fn classify_each(
+    headers: &[Header],
+    out: &mut Vec<Verdict>,
+    mut classify: impl FnMut(&Header) -> Verdict,
+) -> LookupStats {
+    out.clear();
+    out.reserve(headers.len());
+    let mut stats = LookupStats::default();
+    for h in headers {
+        let v = classify(h);
+        stats.absorb(&v);
+        out.push(v);
+    }
+    stats
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,6 +514,14 @@ mod tests {
         let t = s + s;
         assert_eq!(t.packets, 4);
         assert_eq!(t.mem_reads, 32);
+        // A pegged counter saturates in every fold, rates included.
+        let pegged = LookupStats {
+            cache_hits: u64::MAX,
+            cache_misses: 1,
+            ..Default::default()
+        };
+        assert!((pegged.cache_hit_rate() - 1.0).abs() < 1e-12);
+        assert_eq!((pegged + pegged).cache_hits, u64::MAX);
     }
 
     #[test]

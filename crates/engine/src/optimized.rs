@@ -28,7 +28,6 @@ use crate::{
     EngineKind, LookupStats, MatchHandle, PacketClassifier, UpdateError, UpdateReport, Verdict,
 };
 use spc_analyze::OptimizedRuleSet;
-use spc_hwsim::AccessCounts;
 use spc_types::{Header, MaskSummary, Rule, RuleId, RuleSet};
 use std::collections::HashMap;
 
@@ -163,14 +162,6 @@ impl PacketClassifier for OptimizedEngine {
 
     fn memory_bits(&self) -> u64 {
         self.inner.memory_bits()
-    }
-
-    fn access_counts(&self) -> AccessCounts {
-        self.inner.access_counts()
-    }
-
-    fn reset_access_counts(&self) {
-        self.inner.reset_access_counts();
     }
 
     fn supports_updates(&self) -> bool {

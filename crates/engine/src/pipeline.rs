@@ -58,7 +58,7 @@
 //! # }
 //! ```
 
-use crate::{BuildError, EngineBuilder, LookupStats, PacketClassifier, Verdict};
+use crate::{classify_each, BuildError, EngineBuilder, LookupStats, PacketClassifier, Verdict};
 use spc_types::{Header, RuleSet};
 use std::collections::HashMap;
 use std::fmt;
@@ -110,15 +110,7 @@ impl SharedWorker {
 
 impl BatchWorker for SharedWorker {
     fn process(&mut self, headers: &[Header], out: &mut Vec<Verdict>) -> LookupStats {
-        out.clear();
-        out.reserve(headers.len());
-        let mut stats = LookupStats::default();
-        for h in headers {
-            let v = self.0.classify(h);
-            stats.absorb(&v);
-            out.push(v);
-        }
-        stats
+        classify_each(headers, out, |h| self.0.classify(h))
     }
 }
 
@@ -132,15 +124,7 @@ impl BatchWorker for SharedWorker {
 impl BatchWorker for crate::SnapshotReader {
     fn process(&mut self, headers: &[Header], out: &mut Vec<Verdict>) -> LookupStats {
         self.refresh();
-        out.clear();
-        out.reserve(headers.len());
-        let mut stats = LookupStats::default();
-        for h in headers {
-            let v = self.classify_current(h);
-            stats.absorb(&v);
-            out.push(v);
-        }
-        stats
+        classify_each(headers, out, |h| self.classify_current(h))
     }
 }
 
@@ -803,13 +787,32 @@ mod tests {
         assert_eq!(stats, LookupStats::default());
     }
 
-    /// A worker that panics on its first chunk.
+    /// A worker that panics on its first chunk, announcing it first.
     #[derive(Debug)]
-    struct PanickingWorker;
+    struct PanickingWorker(mpsc::Sender<()>);
 
     impl BatchWorker for PanickingWorker {
         fn process(&mut self, _headers: &[Header], _out: &mut Vec<Verdict>) -> LookupStats {
+            let _ = self.0.send(());
             panic!("worker exploded");
+        }
+    }
+
+    /// A healthy worker that holds its first chunk until the
+    /// [`PanickingWorker`] has taken one — otherwise it can win every
+    /// pull from the shared queue and the batch completes with nobody
+    /// dead.
+    struct AfterExplosion {
+        exploded: Option<mpsc::Receiver<()>>,
+        inner: Box<dyn PacketClassifier>,
+    }
+
+    impl BatchWorker for AfterExplosion {
+        fn process(&mut self, headers: &[Header], out: &mut Vec<Verdict>) -> LookupStats {
+            if let Some(exploded) = self.exploded.take() {
+                let _ = exploded.recv();
+            }
+            self.inner.process(headers, out)
         }
     }
 
@@ -822,7 +825,14 @@ mod tests {
         let healthy = EngineBuilder::new(EngineKind::Linear)
             .build(&rules)
             .unwrap();
-        let workers: Vec<Box<dyn BatchWorker>> = vec![Box::new(PanickingWorker), Box::new(healthy)];
+        let (announce, exploded) = mpsc::channel();
+        let workers: Vec<Box<dyn BatchWorker>> = vec![
+            Box::new(PanickingWorker(announce)),
+            Box::new(AfterExplosion {
+                exploded: Some(exploded),
+                inner: healthy,
+            }),
+        ];
         let mut pipe = IngestPipeline::from_workers(
             workers,
             IngestConfig {

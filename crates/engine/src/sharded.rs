@@ -47,7 +47,6 @@ use crate::{
     UpdateReport, Verdict,
 };
 use spc_core::shard::{RouteTarget, ShardPlan, ShardRouter, ShardStrategy};
-use spc_hwsim::AccessCounts;
 use spc_types::{Header, Rule, RuleId, RuleSet};
 use std::borrow::Borrow;
 
@@ -465,19 +464,6 @@ impl PacketClassifier for ShardedEngine {
 
     fn memory_bits(&self) -> u64 {
         self.shards.iter().map(|s| s.engine.memory_bits()).sum()
-    }
-
-    fn access_counts(&self) -> AccessCounts {
-        self.shards
-            .iter()
-            .map(|s| s.engine.access_counts())
-            .fold(AccessCounts::default(), |a, b| a + b)
-    }
-
-    fn reset_access_counts(&self) {
-        for s in &self.shards {
-            s.engine.reset_access_counts();
-        }
     }
 
     /// `true` when every inner engine supports updates — then the

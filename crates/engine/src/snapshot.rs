@@ -51,11 +51,10 @@
 use crate::pipeline::BatchWorker;
 use crate::sharded::{classify_shards, report_for, Shard};
 use crate::{
-    BuildError, EngineBuilder, EngineKind, LookupStats, PacketClassifier, UpdateError,
-    UpdateReport, Verdict,
+    classify_each, BuildError, EngineBuilder, EngineKind, LookupStats, PacketClassifier,
+    UpdateError, UpdateReport, Verdict,
 };
 use spc_core::shard::{RouteTarget, ShardPlan, ShardRouter, ShardStrategy};
-use spc_hwsim::AccessCounts;
 use spc_types::{Header, Rule, RuleId, RuleSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -408,32 +407,11 @@ impl PacketClassifier for SnapshotEngine {
         // Resolve the snapshot once: the whole batch is classified
         // against one consistent rule-set version.
         let snap = self.handle.load();
-        out.clear();
-        out.reserve(headers.len());
-        let mut stats = LookupStats::default();
-        for h in headers {
-            let v = snap.classify(h);
-            stats.absorb(&v);
-            out.push(v);
-        }
-        stats
+        classify_each(headers, out, |h| snap.classify(h))
     }
 
     fn memory_bits(&self) -> u64 {
         self.snaps.iter().map(|s| s.engine.memory_bits()).sum()
-    }
-
-    fn access_counts(&self) -> AccessCounts {
-        self.snaps
-            .iter()
-            .map(|s| s.engine.access_counts())
-            .fold(AccessCounts::default(), |a, b| a + b)
-    }
-
-    fn reset_access_counts(&self) {
-        for s in &self.snaps {
-            s.engine.reset_access_counts();
-        }
     }
 
     fn supports_updates(&self) -> bool {

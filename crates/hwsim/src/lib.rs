@@ -7,7 +7,8 @@
 //! without hardware:
 //!
 //! * [`MemoryBlock`] — a block RAM with fixed geometry (words × word width)
-//!   that stores the actual simulator data and counts every read/write;
+//!   that stores the actual simulator data and counts every word written
+//!   (reads are counted by the lookup that makes them and returned by value);
 //! * [`ClockDomain`] — converts cycles/packet into lookups/s and Gbps the
 //!   same way the paper does (§V.C);
 //! * [`HashUnit`] — the hardware hash that folds the merged 68-bit label key
@@ -24,7 +25,7 @@ mod share;
 
 pub use clock::{ClockDomain, MIN_PACKET_BYTES, STRATIX_V_FMAX_MHZ};
 pub use hash::HashUnit;
-pub use mem::{AccessCounts, MemoryBlock, MemoryError};
+pub use mem::{MemoryBlock, MemoryError};
 pub use resources::{
     ResourceReport, STRATIX_V_MEM_BITS, STRATIX_V_TOTAL_ALMS, STRATIX_V_TOTAL_PINS,
 };

@@ -1,7 +1,6 @@
-//! Block-RAM model: fixed geometry, real storage, access counting.
+//! Block-RAM model: fixed geometry, real storage, write accounting.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Error from memory operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,40 +42,8 @@ impl fmt::Display for MemoryError {
 
 impl std::error::Error for MemoryError {}
 
-/// Read/write counters of a block (or an aggregate over blocks).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AccessCounts {
-    /// Number of word reads.
-    pub reads: u64,
-    /// Number of word writes.
-    pub writes: u64,
-}
-
-impl AccessCounts {
-    /// Total accesses (reads + writes).
-    pub fn total(self) -> u64 {
-        self.reads + self.writes
-    }
-}
-
-impl std::ops::Add for AccessCounts {
-    type Output = AccessCounts;
-    fn add(self, rhs: AccessCounts) -> AccessCounts {
-        AccessCounts {
-            reads: self.reads + rhs.reads,
-            writes: self.writes + rhs.writes,
-        }
-    }
-}
-
-impl std::iter::Sum for AccessCounts {
-    fn sum<I: Iterator<Item = AccessCounts>>(iter: I) -> Self {
-        iter.fold(AccessCounts::default(), |a, b| a + b)
-    }
-}
-
 /// A block RAM of `words` words, each `width_bits` wide, storing values of
-/// type `T` (one per word) and counting every access.
+/// type `T` (one per word) and counting every word written.
 ///
 /// The element type `T` is the *semantic* content of a word (a trie node, a
 /// label list pointer, ...); `width_bits` is what the word costs in hardware
@@ -84,15 +51,18 @@ impl std::iter::Sum for AccessCounts {
 /// together means the simulator cannot silently use more state than the
 /// hardware it models provisions.
 ///
-/// Reads use interior mutability (atomic counters) so lookup paths can stay
-/// `&self`, matching read-only data-plane access.
+/// A read charges nothing here: lookup paths count the words they read and
+/// return the total by value (`LookupCost::mem_reads` upward), so `&self`
+/// access mutates nothing and a built block is plain shared data. Writes
+/// need `&mut self` already and are tallied in [`MemoryBlock::writes`], the
+/// raw material of the §V.A update-cost report.
 ///
 /// ```
 /// use spc_hwsim::MemoryBlock;
 /// let mut m: MemoryBlock<u32> = MemoryBlock::new("l1", 32, 24);
 /// let addr = m.alloc(7).unwrap();
 /// assert_eq!(*m.read(addr).unwrap(), 7);
-/// assert_eq!(m.accesses().reads, 1);
+/// assert_eq!(m.writes(), 1);
 /// assert_eq!(m.capacity_bits(), 32 * 24);
 /// ```
 #[derive(Debug)]
@@ -101,8 +71,7 @@ pub struct MemoryBlock<T> {
     words: usize,
     width_bits: u32,
     data: Vec<T>,
-    reads: AtomicU64,
-    writes: AtomicU64,
+    writes: u64,
 }
 
 impl<T> MemoryBlock<T> {
@@ -113,8 +82,7 @@ impl<T> MemoryBlock<T> {
             words,
             width_bits,
             data: Vec::new(),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
+            writes: 0,
         }
     }
 
@@ -170,18 +138,17 @@ impl<T> MemoryBlock<T> {
                 words: self.words,
             });
         }
-        self.writes.fetch_add(1, Ordering::Relaxed);
+        self.writes += 1;
         self.data.push(value);
         Ok(self.data.len() - 1)
     }
 
-    /// Reads the word at `addr`, charging one read access.
+    /// Reads the word at `addr` (the caller counts the access).
     ///
     /// # Errors
     ///
     /// Returns [`MemoryError::OutOfBounds`] for unallocated addresses.
     pub fn read(&self, addr: usize) -> Result<&T, MemoryError> {
-        self.reads.fetch_add(1, Ordering::Relaxed);
         self.data.get(addr).ok_or_else(|| MemoryError::OutOfBounds {
             block: self.name.clone(),
             addr,
@@ -195,7 +162,7 @@ impl<T> MemoryBlock<T> {
     ///
     /// Returns [`MemoryError::OutOfBounds`] for unallocated addresses.
     pub fn write(&mut self, addr: usize, value: T) -> Result<(), MemoryError> {
-        self.writes.fetch_add(1, Ordering::Relaxed);
+        self.writes += 1;
         match self.data.get_mut(addr) {
             Some(slot) => {
                 *slot = value;
@@ -209,34 +176,16 @@ impl<T> MemoryBlock<T> {
         }
     }
 
-    /// Mutable access to a word *without* charging an access — for software
-    /// (controller-side) restructuring that happens off the data path.
-    pub fn get_mut_untracked(&mut self, addr: usize) -> Option<&mut T> {
-        self.data.get_mut(addr)
-    }
-
-    /// Read without charging an access — controller-side inspection.
-    pub fn get_untracked(&self, addr: usize) -> Option<&T> {
-        self.data.get(addr)
-    }
-
-    /// Clears content (e.g. software rebuild), keeping geometry and counters.
+    /// Clears content (e.g. software rebuild), keeping geometry and the
+    /// write count.
     pub fn clear(&mut self) {
         self.data.clear();
     }
 
-    /// Current access counters.
-    pub fn accesses(&self) -> AccessCounts {
-        AccessCounts {
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Resets the access counters (e.g. between benchmark phases).
-    pub fn reset_accesses(&self) {
-        self.reads.store(0, Ordering::Relaxed);
-        self.writes.store(0, Ordering::Relaxed);
+    /// Words written since construction (allocations included). Callers
+    /// take a before/after delta around an update.
+    pub fn writes(&self) -> u64 {
+        self.writes
     }
 }
 
@@ -263,10 +212,7 @@ mod tests {
         assert_eq!(*m.read(a1).unwrap(), 11);
         m.write(a0, 20).unwrap();
         assert_eq!(*m.read(a0).unwrap(), 20);
-        let c = m.accesses();
-        assert_eq!(c.reads, 2);
-        assert_eq!(c.writes, 3); // 2 allocs + 1 write
-        assert_eq!(c.total(), 5);
+        assert_eq!(m.writes(), 3); // 2 allocs + 1 write
         assert_eq!(m.used_bits(), 16);
     }
 
@@ -286,44 +232,12 @@ mod tests {
     }
 
     #[test]
-    fn untracked_access_does_not_count() {
-        let mut m: MemoryBlock<u32> = MemoryBlock::new("b", 4, 8);
-        m.alloc(1).unwrap();
-        m.reset_accesses();
-        assert_eq!(*m.get_untracked(0).unwrap(), 1);
-        *m.get_mut_untracked(0).unwrap() = 9;
-        assert_eq!(m.accesses(), AccessCounts::default());
-        assert_eq!(*m.read(0).unwrap(), 9);
-    }
-
-    #[test]
     fn clear_keeps_geometry() {
         let mut m: MemoryBlock<u32> = MemoryBlock::new("b", 4, 8);
         m.alloc(1).unwrap();
         m.clear();
         assert!(m.is_empty());
         assert_eq!(m.words(), 4);
-    }
-
-    #[test]
-    fn counts_sum_and_add() {
-        let a = AccessCounts {
-            reads: 1,
-            writes: 2,
-        };
-        let b = AccessCounts {
-            reads: 3,
-            writes: 4,
-        };
-        assert_eq!((a + b).total(), 10);
-        let s: AccessCounts = [a, b].into_iter().sum();
-        assert_eq!(
-            s,
-            AccessCounts {
-                reads: 4,
-                writes: 6
-            }
-        );
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use crate::engine::{EngineError, EngineKind, FieldEngine, LookupCost};
 use crate::label::{Label, LabelEntry, LabelList};
 use crate::store::{LabelStore, ListPtr};
-use spc_hwsim::{AccessCounts, MemoryBlock};
+use spc_hwsim::MemoryBlock;
 use spc_types::{DimValue, SegPrefix};
 use std::collections::BTreeMap;
 
@@ -265,12 +265,8 @@ impl FieldEngine for RangeBst {
         self.intervals.used_bits()
     }
 
-    fn access_counts(&self) -> AccessCounts {
-        self.intervals.accesses()
-    }
-
-    fn reset_access_counts(&self) {
-        self.intervals.reset_accesses();
+    fn writes(&self) -> u64 {
+        self.intervals.writes()
     }
 
     fn is_pipelined(&self) -> bool {
@@ -355,6 +351,11 @@ mod tests {
         assert!(bst.lookup(&s, 0x5fff).unwrap().labels.contains(Label(4)));
         assert!(!bst.lookup(&s, 0x3fff).unwrap().labels.contains(Label(4)));
         assert!(!bst.lookup(&s, 0x6000).unwrap().labels.contains(Label(4)));
+        // An empty interval's list still costs its head read: the search
+        // walk plus one, exactly the cycle count.
+        let miss = bst.lookup(&s, 0x3fff).unwrap();
+        assert!(miss.labels.is_empty());
+        assert_eq!(miss.mem_reads, miss.cycles);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::label::{Label, LabelEntry, LabelError};
 use crate::store::{LabelStore, StoreError};
-use spc_hwsim::{AccessCounts, MemoryError};
+use spc_hwsim::MemoryError;
 use spc_types::DimValue;
 use std::fmt;
 
@@ -148,9 +148,10 @@ impl From<LabelError> for EngineError {
 /// [`LabelStore`] is passed in from outside so the same label memory serves
 /// whichever engine `IPalg_s` currently selects (§IV.C.2).
 ///
-/// Engines are `Sync` because lookups take `&self` and all access
-/// accounting is atomic: a built engine can be queried from many threads
-/// at once (the ingest-pipeline's shared-engine mode relies on this).
+/// Engines are `Sync` because lookups take `&self` and write nothing —
+/// the words a lookup reads come back by value in [`LookupCost`] — so a
+/// built engine is immutable data that many threads can query at once
+/// (the ingest-pipeline's shared-engine mode relies on this).
 pub trait FieldEngine: fmt::Debug + Send + Sync {
     /// The algorithm this engine implements.
     fn kind(&self) -> EngineKind;
@@ -239,11 +240,9 @@ pub trait FieldEngine: fmt::Debug + Send + Sync {
     /// Bits of structural memory occupied.
     fn used_bits(&self) -> u64;
 
-    /// Structural memory access counters (label store excluded).
-    fn access_counts(&self) -> AccessCounts;
-
-    /// Resets the structural access counters.
-    fn reset_access_counts(&self);
+    /// Structural memory words written since construction (label store
+    /// excluded). Only ever used as a before/after delta around an update.
+    fn writes(&self) -> u64;
 
     /// Whether lookups are pipelined with initiation interval 1 (the
     /// throughput model then charges 1 cycle/packet instead of the latency).

@@ -12,7 +12,7 @@
 use crate::engine::{EngineError, EngineKind, FieldEngine, LookupCost, LookupResult};
 use crate::label::{Label, LabelEntry, LabelList};
 use crate::store::{LabelStore, ListPtr};
-use spc_hwsim::{AccessCounts, MemoryBlock};
+use spc_hwsim::MemoryBlock;
 use spc_types::DimValue;
 
 /// Geometry of a [`MultiBitTrie`].
@@ -380,7 +380,7 @@ impl MultiBitTrie {
         let mut reads = 0u32;
         let mut runs = 0u32;
         if let Some(ptr) = self.wildcard {
-            if store.len_untracked(ptr)? > 0 {
+            if store.len(ptr)? > 0 {
                 reads += store.read_all_into(ptr, out)?;
                 runs += 1;
             }
@@ -465,17 +465,8 @@ impl FieldEngine for MultiBitTrie {
             .sum()
     }
 
-    fn access_counts(&self) -> AccessCounts {
-        self.levels
-            .iter()
-            .map(spc_hwsim::MemoryBlock::accesses)
-            .sum()
-    }
-
-    fn reset_access_counts(&self) {
-        for b in &self.levels {
-            b.reset_accesses();
-        }
+    fn writes(&self) -> u64 {
+        self.levels.iter().map(MemoryBlock::writes).sum()
     }
 
     fn is_pipelined(&self) -> bool {
@@ -633,16 +624,20 @@ mod tests {
     }
 
     #[test]
-    fn access_counting_increases_on_lookup() {
+    fn lookup_cost_counts_nodes_and_list_words() {
         let mut s = store();
         let mut mbt = MultiBitTrie::new(MbtConfig::segment_paper(8));
         mbt.insert_prefix(&mut s, 0xa000, 8, entry(1, 1)).unwrap();
-        mbt.reset_access_counts();
-        s.reset_access_counts();
-        let r = mbt.lookup_key(&s, 0xa0ff).unwrap();
-        let struct_reads = mbt.access_counts().reads;
-        let list_reads = s.access_counts().reads;
-        assert_eq!(struct_reads + list_reads, u64::from(r.mem_reads));
+        // Level-0 slot, level-1 slot, its one-label list.
+        assert_eq!(mbt.lookup_key(&s, 0xa0ff).unwrap().mem_reads, 3);
+        // A second label on the same value is one more list word; the
+        // wildcard list adds its own.
+        mbt.insert_prefix(&mut s, 0xa000, 8, entry(2, 2)).unwrap();
+        assert_eq!(mbt.lookup_key(&s, 0xa0ff).unwrap().mem_reads, 4);
+        mbt.insert_prefix(&mut s, 0, 0, entry(3, 3)).unwrap();
+        assert_eq!(mbt.lookup_key(&s, 0xa0ff).unwrap().mem_reads, 5);
+        // Off the stored path only the root slot (and the wildcard) is read.
+        assert_eq!(mbt.lookup_key(&s, 0x1234).unwrap().mem_reads, 2);
     }
 
     #[test]

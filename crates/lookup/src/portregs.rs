@@ -11,7 +11,6 @@
 use crate::engine::{EngineError, EngineKind, FieldEngine, LookupCost};
 use crate::label::{Label, LabelEntry, LabelList};
 use crate::store::LabelStore;
-use spc_hwsim::AccessCounts;
 use spc_types::{DimValue, PortRange};
 
 /// One port match register.
@@ -150,11 +149,9 @@ impl FieldEngine for PortRegisters {
         self.regs.len() as u64 * (16 + 16 + u64::from(self.label_bits))
     }
 
-    fn access_counts(&self) -> AccessCounts {
-        AccessCounts::default() // registers, not block memory
+    fn writes(&self) -> u64 {
+        0 // registers, not block memory
     }
-
-    fn reset_access_counts(&self) {}
 
     fn is_pipelined(&self) -> bool {
         true

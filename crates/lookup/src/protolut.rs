@@ -10,7 +10,7 @@
 use crate::engine::{EngineError, EngineKind, FieldEngine, LookupCost};
 use crate::label::{Label, LabelEntry, LabelList};
 use crate::store::LabelStore;
-use spc_hwsim::{AccessCounts, MemoryBlock};
+use spc_hwsim::MemoryBlock;
 use spc_types::{DimValue, ProtoSpec};
 
 /// Order key of exact protocol labels (sorts before the wildcard).
@@ -52,7 +52,6 @@ impl ProtocolLut {
         for _ in 0..256 {
             table.alloc(None).expect("256 words provisioned");
         }
-        table.reset_accesses(); // construction is not an update cost
         ProtocolLut {
             table,
             any: None,
@@ -109,7 +108,7 @@ impl FieldEngine for ProtocolLut {
         match spec {
             ProtoSpec::Exact(v) => {
                 let addr = usize::from(v);
-                match self.table.get_untracked(addr).copied().flatten() {
+                match self.table.read(addr).ok().copied().flatten() {
                     Some(e) if e.label == label => {
                         self.table.write(addr, None)?;
                         Ok(())
@@ -157,12 +156,8 @@ impl FieldEngine for ProtocolLut {
         self.provisioned_bits()
     }
 
-    fn access_counts(&self) -> AccessCounts {
-        self.table.accesses()
-    }
-
-    fn reset_access_counts(&self) {
-        self.table.reset_accesses();
+    fn writes(&self) -> u64 {
+        self.table.writes()
     }
 
     fn is_pipelined(&self) -> bool {
@@ -207,10 +202,9 @@ mod tests {
         let mut lut = ProtocolLut::new();
         lut.insert(&mut s, DimValue::Proto(ProtoSpec::Exact(17)), entry(1, 0))
             .unwrap();
-        lut.reset_access_counts();
         let r = lut.lookup(&s, 17).unwrap();
         assert_eq!(r.cycles, 1);
-        assert_eq!(lut.access_counts().reads, 1);
+        assert_eq!(r.mem_reads, 1);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::engine::{EngineError, EngineKind, FieldEngine, LookupCost};
 use crate::label::{Label, LabelEntry, LabelList};
 use crate::store::{LabelStore, ListPtr};
-use spc_hwsim::{AccessCounts, MemoryBlock};
+use spc_hwsim::MemoryBlock;
 use spc_types::{DimValue, PortRange};
 
 /// Geometry of a [`SegmentTrie`].
@@ -385,17 +385,8 @@ impl FieldEngine for SegmentTrie {
             .sum()
     }
 
-    fn access_counts(&self) -> AccessCounts {
-        self.levels
-            .iter()
-            .map(spc_hwsim::MemoryBlock::accesses)
-            .sum()
-    }
-
-    fn reset_access_counts(&self) {
-        for b in &self.levels {
-            b.reset_accesses();
-        }
+    fn writes(&self) -> u64 {
+        self.levels.iter().map(MemoryBlock::writes).sum()
     }
 
     fn is_pipelined(&self) -> bool {

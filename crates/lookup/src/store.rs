@@ -9,13 +9,12 @@
 //!
 //! Accounting model: a list of `n` labels occupies `n` words of
 //! `label_bits` each (priority is implied by list order in hardware).
-//! Reading the head costs one access; reading the whole list costs its
-//! length; inserting into / removing from a sorted list rewrites it, which
-//! is charged as `new length` writes.
+//! Reading a whole list costs its length, returned to the caller by value;
+//! inserting into / removing from a sorted list rewrites it, which is
+//! charged as `new length` writes on [`LabelStore::writes`].
 
 use crate::label::{Label, LabelEntry, LabelList};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Pointer to a label list inside a [`LabelStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -70,8 +69,7 @@ pub struct LabelStore {
     capacity_entries: usize,
     lists: Vec<LabelList>,
     entries_used: usize,
-    reads: AtomicU64,
-    writes: AtomicU64,
+    writes: u64,
 }
 
 impl LabelStore {
@@ -90,8 +88,7 @@ impl LabelStore {
             capacity_entries,
             lists: Vec::new(),
             entries_used: 0,
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
+            writes: 0,
         }
     }
 
@@ -118,11 +115,12 @@ impl LabelStore {
     }
 
     fn list_mut(&mut self, ptr: ListPtr) -> Result<&mut LabelList, StoreError> {
-        let name = self.name.clone();
+        // Built lazily: an eager name clone would allocate on every §V.A
+        // list edit.
         self.lists
             .get_mut(ptr.0 as usize)
-            .ok_or(StoreError::BadPtr {
-                store: name,
+            .ok_or_else(|| StoreError::BadPtr {
+                store: self.name.clone(),
                 ptr: ptr.0,
             })
     }
@@ -158,7 +156,7 @@ impl LabelStore {
         if grows {
             self.entries_used += 1;
         }
-        self.writes.fetch_add(n, Ordering::Relaxed);
+        self.writes += n;
         Ok(())
     }
 
@@ -174,37 +172,15 @@ impl LabelStore {
         let n = list.len() as u64;
         if removed {
             self.entries_used -= 1;
-            self.writes.fetch_add(n.max(1), Ordering::Relaxed);
+            self.writes += n.max(1);
         }
         Ok(removed)
     }
 
-    /// Reads the head (HPML) of a list: one memory access.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::BadPtr`] on a dangling pointer.
-    pub fn read_head(&self, ptr: ListPtr) -> Result<Option<LabelEntry>, StoreError> {
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        Ok(self.list(ptr)?.head().copied())
-    }
-
-    /// Reads a whole list: `len` accesses (minimum 1 — the hardware must
-    /// read the head to learn the list is empty).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::BadPtr`] on a dangling pointer.
-    pub fn read_all(&self, ptr: ListPtr) -> Result<LabelList, StoreError> {
-        let list = self.list(ptr)?.clone();
-        self.reads
-            .fetch_add((list.len() as u64).max(1), Ordering::Relaxed);
-        Ok(list)
-    }
-
     /// Reads a whole list by *appending* its entries (already in list
-    /// order) to `out`, charging `len` accesses (minimum 1) — the
-    /// allocation-free sibling of [`LabelStore::read_all`] behind
+    /// order) to `out`, returning its length: the words the calling
+    /// lookup charges (minimum 1 where it dereferences an empty list —
+    /// the hardware reads the head to learn that). Allocation-free, behind
     /// `FieldEngine::lookup_into`. Appending to a non-empty `out` breaks
     /// its sort invariant until the caller restores it, which is why
     /// both this method's mutation primitive and the restore are
@@ -219,18 +195,20 @@ impl LabelStore {
         out: &mut LabelList,
     ) -> Result<u32, StoreError> {
         let list = self.list(ptr)?;
-        let n = list.len() as u32;
-        self.reads.fetch_add(u64::from(n).max(1), Ordering::Relaxed);
         out.append_run(list.entries());
-        Ok(n)
+        Ok(list.len() as u32)
     }
 
-    /// Length of a list without charging an access (controller-side).
-    pub fn len_untracked(&self, ptr: ListPtr) -> Result<usize, StoreError> {
+    /// Length of a list (controller-side inspection).
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::BadPtr`] on a dangling pointer.
+    pub fn len(&self, ptr: ListPtr) -> Result<usize, StoreError> {
         Ok(self.list(ptr)?.len())
     }
 
-    /// Clears every list (BST software rebuild). Keeps counters.
+    /// Clears every list (BST software rebuild). Keeps the write count.
     pub fn clear(&mut self) {
         self.lists.clear();
         self.entries_used = 0;
@@ -251,18 +229,10 @@ impl LabelStore {
         self.entries_used as u64 * u64::from(self.label_bits)
     }
 
-    /// Access counters as a [`spc_hwsim::AccessCounts`].
-    pub fn access_counts(&self) -> spc_hwsim::AccessCounts {
-        spc_hwsim::AccessCounts {
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Resets the access counters.
-    pub fn reset_access_counts(&self) {
-        self.reads.store(0, Ordering::Relaxed);
-        self.writes.store(0, Ordering::Relaxed);
+    /// Label words written since construction. Callers take a
+    /// before/after delta around an update.
+    pub fn writes(&self) -> u64 {
+        self.writes
     }
 }
 
@@ -281,9 +251,10 @@ mod tests {
         let p = s.alloc_list().unwrap();
         s.insert(p, entry(2, 20)).unwrap();
         s.insert(p, entry(1, 10)).unwrap();
-        assert_eq!(s.read_head(p).unwrap().unwrap().label, Label(1));
-        let all = s.read_all(p).unwrap();
-        assert_eq!(all.len(), 2);
+        let mut all = LabelList::new();
+        assert_eq!(s.read_all_into(p, &mut all).unwrap(), 2);
+        assert_eq!(all.head().unwrap().label, Label(1));
+        assert_eq!(s.len(p).unwrap(), 2);
         assert_eq!(s.entries_used(), 2);
         assert_eq!(s.used_bits(), 26);
     }
@@ -309,7 +280,7 @@ mod tests {
         assert!(s.remove(p, Label(1)).unwrap());
         assert!(!s.remove(p, Label(1)).unwrap());
         assert_eq!(s.entries_used(), 0);
-        assert!(s.read_head(p).unwrap().is_none());
+        assert_eq!(s.len(p).unwrap(), 0);
     }
 
     #[test]
@@ -318,31 +289,28 @@ mod tests {
         let p = s.alloc_list().unwrap();
         s.insert(p, entry(1, 1)).unwrap(); // 1 write
         s.insert(p, entry(2, 2)).unwrap(); // list len 2 -> 2 writes
-        let c = s.access_counts();
-        assert_eq!(c.writes, 3);
-        s.read_head(p).unwrap(); // 1 read
-        s.read_all(p).unwrap(); // 2 reads
-        assert_eq!(s.access_counts().reads, 3);
-        s.reset_access_counts();
-        assert_eq!(s.access_counts().reads, 0);
-    }
-
-    #[test]
-    fn empty_list_read_costs_one() {
-        let mut s = LabelStore::new("x", 10, 7);
-        let p = s.alloc_list().unwrap();
-        let l = s.read_all(p).unwrap();
-        assert!(l.is_empty());
-        assert_eq!(s.access_counts().reads, 1);
+        assert_eq!(s.writes(), 3);
+        s.remove(p, Label(1)).unwrap(); // list len 1 -> 1 write
+        s.remove(p, Label(2)).unwrap(); // emptied: still 1 write
+        assert!(!s.remove(p, Label(2)).unwrap()); // absent: no write
+        assert_eq!(s.writes(), 5);
     }
 
     #[test]
     fn bad_ptr_reported() {
-        let s = LabelStore::new("x", 10, 7);
+        let mut s = LabelStore::new("x", 10, 7);
         assert!(matches!(
-            s.read_head(ListPtr(3)),
+            s.len(ListPtr(3)),
             Err(StoreError::BadPtr { ptr: 3, .. })
         ));
+        // The mutable path builds the same error (lazily).
+        assert_eq!(
+            s.insert(ListPtr(3), entry(1, 1)),
+            Err(StoreError::BadPtr {
+                store: "x".into(),
+                ptr: 3
+            })
+        );
     }
 
     #[test]
@@ -352,6 +320,6 @@ mod tests {
         s.insert(p, entry(1, 1)).unwrap();
         s.clear();
         assert_eq!(s.entries_used(), 0);
-        assert!(s.read_head(p).is_err());
+        assert!(s.len(p).is_err());
     }
 }

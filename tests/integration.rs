@@ -214,3 +214,49 @@ fn update_costs_are_small_and_reported() {
     // Label sharing keeps the worst insert far below a structure rebuild.
     assert!(max_cycles < 2_000, "worst insert cost {max_cycles} cycles");
 }
+
+/// The by-value cost channel against constants captured at the commit
+/// before the cumulative access counters were retired: every line that
+/// counts a modelled read or write was edited, none may count differently.
+#[test]
+fn modelled_costs_match_golden_constants() {
+    let rules = gen(FilterKind::Acl, 256, 21);
+    let headers = trace(&rules, 256);
+    let churn = gen(FilterKind::Acl, 16, 22);
+    let reads_of = |e: &dyn PacketClassifier| -> u64 {
+        headers
+            .iter()
+            .map(|h| u64::from(e.classify(h).mem_reads))
+            .sum()
+    };
+    // (spec, Σ mem_reads, memory_bits, Σ hw_write_cycles over the churn)
+    for (leaf, reads, bits, cycles) in [
+        ("configurable-bst", 27_262, 81_890, 139_929),
+        ("configurable-mbt", 22_275, 437_302, 3_954),
+    ] {
+        let mut engine = build_engine(leaf, &rules).unwrap();
+        assert_eq!(reads_of(engine.as_ref()), reads, "{leaf} reads");
+        assert_eq!(engine.memory_bits(), bits, "{leaf} bits");
+        // Pass-through wrappers add nothing to the model.
+        for spec in [
+            format!("sharded:inner={leaf},shards=1"),
+            format!("snapshot:inner=({leaf})"),
+        ] {
+            let wrapped = build_engine(&spec, &rules).unwrap();
+            assert_eq!(reads_of(wrapped.as_ref()), reads, "{spec} reads");
+            assert_eq!(wrapped.memory_bits(), bits, "{spec} bits");
+        }
+        // §V.A: insert 16 fresh rules, then remove them again.
+        let mut spent = 0u64;
+        let mut ids = Vec::new();
+        for r in churn.rules() {
+            ids.push(engine.insert(*r).unwrap());
+            spent += engine.last_update_report().unwrap().hw_write_cycles;
+        }
+        for id in ids {
+            engine.remove(id).unwrap();
+            spent += engine.last_update_report().unwrap().hw_write_cycles;
+        }
+        assert_eq!(spent, cycles, "{leaf} churn write cycles");
+    }
+}
