@@ -1,6 +1,10 @@
-//! Criterion ablations over the design choices DESIGN.md calls out:
-//! combination strategy (the paper's single-probe fast path versus the
-//! exact priority probe) and MBT leaf provisioning.
+//! Criterion ablation: classify time against MBT leaf provisioning
+//! (`mbt_leaf_nodes` 384 / 512 / 1024, `combine=first`, ACL 1000).
+//!
+//! The sweep axis the `spc_benchmark` ledger lacks is the provisioning
+//! knob: the ledger times one auto-sized configuration per workload
+//! (and has the first-versus-probe combine comparison as
+//! `core.classify_first_ns` / `core.classify_probe_ns`).
 
 // Reproduction harness: a panic here means the bench environment itself
 // is broken (bad spec string, generator misconfiguration), and aborting
@@ -12,33 +16,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use spc_bench::{ruleset, trace};
 use spc_classbench::FilterKind;
 use spc_core::{ArchConfig, Classifier, CombineStrategy};
-
-fn bench_combine_strategy(c: &mut Criterion) {
-    let rules = ruleset(FilterKind::Acl, 2000);
-    let t = trace(&rules, 256);
-    let mut group = c.benchmark_group("combine_strategy");
-    group.throughput(Throughput::Elements(t.len() as u64));
-    for strat in [CombineStrategy::FirstLabel, CombineStrategy::PriorityProbe] {
-        let mut cfg = ArchConfig::large().with_combine(strat);
-        cfg.rule_filter_addr_bits = 14;
-        let mut cls = Classifier::new(cfg);
-        cls.load(&rules).expect("fits");
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{strat:?}")),
-            &t,
-            |b, t| {
-                b.iter(|| {
-                    let mut probes = 0u64;
-                    for h in t {
-                        probes += u64::from(cls.classify(h).combos_probed);
-                    }
-                    probes
-                });
-            },
-        );
-    }
-    group.finish();
-}
 
 fn bench_mbt_leaf_nodes(c: &mut Criterion) {
     let rules = ruleset(FilterKind::Acl, 1000);
@@ -64,5 +41,5 @@ fn bench_mbt_leaf_nodes(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_combine_strategy, bench_mbt_leaf_nodes);
+criterion_group!(benches, bench_mbt_leaf_nodes);
 criterion_main!(benches);

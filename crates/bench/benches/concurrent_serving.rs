@@ -11,6 +11,9 @@
 //!   conventional stop-the-world arrangement: the reader takes the lock
 //!   per classify and blocks whenever the writer is mid-update.
 //!
+//! The **mutex** arm is what the `spc_benchmark` ledger lacks: its
+//! `snapshot_churn` workload and `snapshot.*` rows time the snapshot path alone.
+//!
 //! The churn is a net-zero [`ScenarioScript`] (`insert 8; remove 8`
 //! bursts from a high-priority foreign pool), driven event by event so
 //! both arms apply the identical update sequence — the snapshot writer

@@ -7,8 +7,9 @@
 //! sources are benchmarked side by side since they are the pipeline's
 //! central trade-off.
 //!
-//! `SPC_SCALE` overrides the rule count; `--test` (as in CI's
-//! bench-smoke job) runs every body once.
+//! The sweep axis the `spc_benchmark` ledger lacks: worker count × source
+//! mode (it has one configuration: `pipeline.run_source_lps`, `hop_us`).
+//! `--test` (as in CI) runs every body once.
 
 // Reproduction harness: a panic here means the bench environment itself
 // is broken (bad spec string, generator misconfiguration), and aborting
@@ -17,7 +18,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use spc_bench::{ruleset, scale_or, trace, trace_source};
+use spc_bench::{ruleset, trace, trace_source};
 use spc_classbench::FilterKind;
 use spc_engine::{
     EngineBuilder, EngineSource, IngestConfig, IngestPipeline, PacketClassifier, Verdict,
@@ -29,7 +30,7 @@ const BATCH: usize = 8192;
 const SPEC: &str = "configurable-bst";
 
 fn bench_ingest_throughput(c: &mut Criterion) {
-    let rules = ruleset(FilterKind::Acl, scale_or(8192));
+    let rules = ruleset(FilterKind::Acl, 8192);
     let t = trace(&rules, BATCH);
     let builder = EngineBuilder::from_spec(SPEC).expect("valid spec");
 

@@ -1,11 +1,11 @@
 //! Criterion bench: sharded batch throughput as a function of shard
-//! count × batch size, on an 8k-rule ACL set — the data behind the
-//! "first multiplier toward millions-of-users scale" claim. The
-//! unsharded inner engine (shards=1) is the baseline in every group, so
-//! the scaling factor is read straight off the report.
+//! count × batch size, on an 8k-rule ACL set. The unsharded inner engine
+//! (shards=1) is the baseline in every group, so the scaling factor is
+//! read straight off the report.
 //!
-//! `SPC_SCALE` overrides the rule count; `--test` (as in CI's
-//! bench-smoke job) runs every body once.
+//! The sweep axis the `spc_benchmark` ledger lacks: shard count × batch
+//! size (it has the 4-shard points only: `sharded.hash4_ns`, `prio4_ns`).
+//! `--test` (as in CI) runs every body once.
 
 // Reproduction harness: a panic here means the bench environment itself
 // is broken (bad spec string, generator misconfiguration), and aborting
@@ -14,7 +14,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use spc_bench::{ruleset, scale_or, trace};
+use spc_bench::{ruleset, trace};
 use spc_classbench::FilterKind;
 use spc_engine::{EngineBuilder, PacketClassifier, Verdict};
 
@@ -35,7 +35,7 @@ fn build_sharded(
 }
 
 fn bench_sharded_scaling(c: &mut Criterion) {
-    let rules = ruleset(FilterKind::Acl, scale_or(8192));
+    let rules = ruleset(FilterKind::Acl, 8192);
     let full = trace(&rules, *BATCH_SIZES.iter().max().unwrap());
     for strategy in ["prio", "hash"] {
         let mut group = c.benchmark_group(format!("sharded_scaling/{strategy}"));

@@ -7,6 +7,10 @@
 //! occasional split migrations, and both pay the global↔local id
 //! bookkeeping.
 //!
+//! The sweep axis the `spc_benchmark` ledger lacks: sharded churn at
+//! 1 / 2 / 8 shards (it has `core.insert_us` / `core.remove_us` and one
+//! sharded point, `sharded.update_us`).
+//!
 //! Each iteration replays the same scenario — insert the whole churn
 //! pool in bursts, classify between bursts, then remove everything it
 //! inserted — so the engine returns to its base state and iterations

@@ -2,9 +2,10 @@
 //! arbitrary rule files.
 //!
 //! With no arguments, audits the three canonical ClassBench families
-//! (ACL / FW / IPC) at `SPC_SCALE` rules (default 512) exactly as the
-//! benchmarks build them. Any positional argument is instead treated as
-//! a path to a ClassBench-format rule file to audit.
+//! (ACL / FW / IPC) at 512 rules, seeded as everywhere else in
+//! `spc-bench`. Any argument is instead treated as a path to a
+//! ClassBench-format rule file to audit (`gen_filters` writes one at any
+//! size).
 //!
 //! The audit runs through [`EngineBuilder::audit`], so the analyzer
 //! limits (label-store capacities, Rule Filter slots) are derived from
@@ -21,7 +22,7 @@
 //! Output:
 //! - a per-set summary table plus every finding on stdout;
 //! - a JSON findings artifact written to `SPC_AUDIT_OUT` when that env
-//!   var is set (mirrors `SPC_BENCH_OUT` in `bench_smoke`);
+//!   var is set;
 //! - exit status 2 if any audited set has `Severity::Error` findings,
 //!   so CI can gate on clean families;
 //! - exit status 3 if `SPC_AUDIT_OPTIMIZE` validation ever reports
@@ -37,7 +38,7 @@
 use std::process::ExitCode;
 
 use spc_analyze::{optimize, OptimizeConfig, RuleSetReport, Severity};
-use spc_bench::{print_table, ruleset, scale_or, Row, ToJson};
+use spc_bench::{markdown_table, ruleset, ToJson};
 use spc_classbench::FilterKind;
 use spc_engine::EngineBuilder;
 use spc_types::{parse_ruleset, RuleSet};
@@ -108,7 +109,7 @@ json_object!(PassSummary {
 struct AuditArtifact {
     /// Spec used for every audit in this run.
     engine_spec: String,
-    /// Workload scale (rules per generated family).
+    /// Rules requested per generated family.
     scale: usize,
     /// One record per audited set.
     audits: Vec<AuditRecord>,
@@ -184,8 +185,8 @@ fn main() -> ExitCode {
     let spec = std::env::var("SPC_AUDIT_SPEC").unwrap_or_else(|_| "configurable-bst".to_string());
     let builder = EngineBuilder::from_spec(&spec)
         .unwrap_or_else(|e| panic!("spc_audit: bad SPC_AUDIT_SPEC {spec:?}: {e}"));
-    let scale = scale_or(512);
-    let args: Vec<String> = std::env::args().skip(1).filter(|a| a != "--json").collect();
+    let scale = 512;
+    let args: Vec<String> = std::env::args().skip(1).collect();
 
     let run_optimizer = std::env::var("SPC_AUDIT_OPTIMIZE").is_ok_and(|v| v == "1");
 
@@ -196,35 +197,31 @@ fn main() -> ExitCode {
     for (name, rules) in &sets {
         eprintln!("auditing {name} ({} rules)...", rules.len());
         let report = builder.audit(rules);
-        rows.push(Row {
-            name: name.clone(),
-            values: vec![
-                rules.len().to_string(),
-                severity_count(&report, Severity::Error).to_string(),
-                severity_count(&report, Severity::Warning).to_string(),
-                severity_count(&report, Severity::Info).to_string(),
-                report.shadowed_rules().len().to_string(),
-                report.distinct_keys.to_string(),
-                report.exhaustive.to_string(),
-                report.probes.to_string(),
-            ],
-        });
+        rows.push(vec![
+            name.clone(),
+            rules.len().to_string(),
+            severity_count(&report, Severity::Error).to_string(),
+            severity_count(&report, Severity::Warning).to_string(),
+            severity_count(&report, Severity::Info).to_string(),
+            report.shadowed_rules().len().to_string(),
+            report.distinct_keys.to_string(),
+            report.exhaustive.to_string(),
+            report.probes.to_string(),
+        ]);
         let optimization = run_optimizer.then(|| {
             let summary = optimize_summary(rules);
-            opt_rows.push(Row {
-                name: name.clone(),
-                values: vec![
-                    summary.rules_before.to_string(),
-                    summary.rules_after.to_string(),
-                    summary
-                        .passes
-                        .iter()
-                        .map(|p| format!("{}:{}", p.pass, p.removed + p.merges + p.renumbered))
-                        .collect::<Vec<_>>()
-                        .join(" "),
-                    summary.validation.clone(),
-                ],
-            });
+            opt_rows.push(vec![
+                name.clone(),
+                summary.rules_before.to_string(),
+                summary.rules_after.to_string(),
+                summary
+                    .passes
+                    .iter()
+                    .map(|p| format!("{}:{}", p.pass, p.removed + p.merges + p.renumbered))
+                    .collect::<Vec<_>>()
+                    .join(" "),
+                summary.validation.clone(),
+            ]);
             summary
         });
         audits.push(AuditRecord {
@@ -235,26 +232,14 @@ fn main() -> ExitCode {
         });
     }
 
-    print_table(
-        "rule-set audit",
-        &[
-            "rules",
-            "errors",
-            "warnings",
-            "infos",
-            "shadowed",
-            "keys",
-            "exhaustive",
-            "probes",
-        ],
-        &rows,
-    );
+    let header = |columns: &str| -> Vec<String> { columns.split(' ').map(String::from).collect() };
+    println!("\nrule-set audit\n");
+    let columns = "set rules errors warnings infos shadowed keys exhaustive probes";
+    print!("{}", markdown_table(&header(columns), &rows));
     if run_optimizer {
-        print_table(
-            "optimizer (full pipeline, validated)",
-            &["before", "after", "passes", "validation"],
-            &opt_rows,
-        );
+        println!("\noptimizer (full pipeline, validated)\n");
+        let columns = "set before after passes validation";
+        print!("{}", markdown_table(&header(columns), &opt_rows));
     }
 
     for rec in &audits {
@@ -276,7 +261,6 @@ fn main() -> ExitCode {
             .unwrap_or_else(|e| panic!("spc_audit: cannot write {path}: {e}"));
         eprintln!("wrote findings to {path}");
     }
-    spc_bench::emit_json(&artifact);
 
     if has_differs {
         eprintln!("spc_audit: the optimizer FAILED validation on at least one set");

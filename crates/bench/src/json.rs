@@ -1,10 +1,9 @@
-//! A dependency-free JSON emitter for the `--json` record output.
+//! A dependency-free JSON emitter for `spc_audit`'s findings artifact.
 //!
-//! The harness used to lean on `serde`/`serde_json` for this; the offline
-//! build replaces that with a tiny value tree ([`Value`]), a conversion
-//! trait ([`ToJson`]) and the [`crate::json_object!`] macro that stamps out
-//! field-by-field struct impls (the moral equivalent of
-//! `#[derive(Serialize)]` for the record structs the binaries emit).
+//! The offline build has no `serde`/`serde_json`; this is a tiny value
+//! tree ([`Value`]), a conversion trait ([`ToJson`]) and the
+//! [`crate::json_object!`] macro that stamps out field-by-field struct
+//! impls (the moral equivalent of `#[derive(Serialize)]`).
 
 use std::fmt::Write as _;
 
@@ -141,12 +140,6 @@ impl ToJson for f64 {
     }
 }
 
-impl ToJson for f32 {
-    fn to_json(&self) -> Value {
-        Value::Num(f64::from(*self))
-    }
-}
-
 impl ToJson for bool {
     fn to_json(&self) -> Value {
         Value::Bool(*self)
@@ -180,36 +173,6 @@ impl<T: ToJson> ToJson for Vec<T> {
     }
 }
 
-impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> Value {
-        Value::Array(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: ToJson, const N: usize> ToJson for [T; N] {
-    fn to_json(&self) -> Value {
-        Value::Array(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json(&self) -> Value {
-        Value::Array(vec![self.0.to_json(), self.1.to_json()])
-    }
-}
-
-impl<A: ToJson, B: ToJson, C: ToJson> ToJson for (A, B, C) {
-    fn to_json(&self) -> Value {
-        Value::Array(vec![self.0.to_json(), self.1.to_json(), self.2.to_json()])
-    }
-}
-
-impl<T: ToJson + ?Sized> ToJson for &T {
-    fn to_json(&self) -> Value {
-        (**self).to_json()
-    }
-}
-
 /// Implements [`ToJson`] for a struct with public fields, field by field —
 /// the stand-in for `#[derive(Serialize)]` on record structs.
 #[macro_export]
@@ -225,45 +188,8 @@ macro_rules! json_object {
     };
 }
 
-// JSON views of the library report types the binaries embed in their
-// records (the trait is local, so the foreign impls live here).
-
-impl ToJson for spc_types::FieldUniques {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("src_ip", self.src_ip.to_json()),
-            ("dst_ip", self.dst_ip.to_json()),
-            ("src_port", self.src_port.to_json()),
-            ("dst_port", self.dst_port.to_json()),
-            ("proto", self.proto.to_json()),
-        ])
-    }
-}
-
-impl ToJson for spc_classbench::RuleSetStats {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("name", self.name.to_json()),
-            ("rules", self.rules.to_json()),
-            ("uniques", self.uniques.to_json()),
-            ("segment_uniques", self.segment_uniques.to_json()),
-            ("label_saving", self.label_saving.to_json()),
-        ])
-    }
-}
-
-impl ToJson for spc_core::SharingReport {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("physical_bits", self.physical_bits.to_json()),
-            ("mbt_bits", self.mbt_bits.to_json()),
-            ("bst_bits", self.bst_bits.to_json()),
-            ("freed_bits_bst_mode", self.freed_bits_bst_mode.to_json()),
-            ("extra_rule_capacity", self.extra_rule_capacity.to_json()),
-            ("unshared_bits", self.unshared_bits.to_json()),
-        ])
-    }
-}
+// JSON views of the analyzer report types `spc_audit` embeds in its
+// artifact (the trait is local, so the foreign impls live here).
 
 impl ToJson for spc_analyze::Severity {
     fn to_json(&self) -> Value {
@@ -354,13 +280,13 @@ mod tests {
 
     #[test]
     fn containers_nest() {
-        let v = vec![(1u32, "x"), (2, "y")];
+        let v = vec![Some(vec!["x", "y"]), None];
         let s = v.to_json().pretty();
         assert!(s.starts_with('['), "{s}");
         assert!(s.contains("\"x\""), "{s}");
-        let arr = [1u8, 2, 3];
+        assert!(s.contains("null"), "{s}");
         assert_eq!(
-            arr.to_json(),
+            vec![1u8, 2, 3].to_json(),
             Value::Array(vec![Value::Int(1), Value::Int(2), Value::Int(3)])
         );
     }
@@ -371,6 +297,15 @@ mod tests {
         let s = o.pretty();
         assert!(s.contains("\"a\": 1"), "{s}");
         assert!(s.contains("\"b\": null"), "{s}");
+
+        struct Rec {
+            a: u8,
+        }
+        crate::json_object!(Rec { a });
+        assert_eq!(
+            Rec { a: 1 }.to_json(),
+            Value::object([("a", Value::Int(1))])
+        );
     }
 
     #[test]

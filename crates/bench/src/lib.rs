@@ -1,13 +1,11 @@
-//! Shared harness utilities for the table-reproduction binaries and
-//! criterion benches.
-//!
-//! Every `table*`/`fig*` binary prints the paper's rows next to our
-//! measured values and also emits a JSON record (on `--json`) so results
-//! can be collected mechanically. Workload scale can be overridden with
-//! `SPC_SCALE` (rule count, default per experiment) to trade fidelity for
-//! runtime.
+//! Shared harness for the reproduction report ([`reproduction`], printed
+//! by the `reproduce` bin as `REPRODUCTION.md`), the `spc_audit` bin and
+//! the criterion benches: the canonical seeded rule sets and traffic, unit
+//! conversions, one Markdown table renderer, `spc_audit`'s JSON emitter.
+//! Wall-clock performance is `spc_benchmark`'s job (`BENCHMARK.json`).
 
 pub mod json;
+pub mod reproduction;
 
 pub use json::{ToJson, Value as JsonValue};
 use spc_classbench::{FilterKind, RuleSetGenerator, SyntheticTrace, TraceGenerator, TraceSource};
@@ -47,26 +45,6 @@ pub fn trace(rules: &RuleSet, len: usize) -> Vec<Header> {
         .expect("synthetic sources cannot fail")
 }
 
-/// Reads a scale override from `SPC_SCALE`.
-pub fn scale_or(default: usize) -> usize {
-    std::env::var("SPC_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Whether `--json` was passed.
-pub fn json_mode() -> bool {
-    std::env::args().any(|a| a == "--json")
-}
-
-/// Prints a serialisable record as pretty JSON when `--json` is set.
-pub fn emit_json<T: ToJson>(record: &T) {
-    if json_mode() {
-        println!("{}", record.to_json().pretty());
-    }
-}
-
 /// Converts bits to the paper's "Mb" (megabits).
 pub fn mbits(bits: u64) -> f64 {
     bits as f64 / 1.0e6
@@ -77,42 +55,44 @@ pub fn kbits(bits: u64) -> f64 {
     bits as f64 / 1.0e3
 }
 
-/// One row of a printed table.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Row label (algorithm / configuration).
-    pub name: String,
-    /// Column values, in table order.
-    pub values: Vec<String>,
-}
-
-crate::json_object!(Row { name, values });
-
-/// Prints an aligned table with a header, a separator and rows.
-pub fn print_table(title: &str, columns: &[&str], rows: &[Row]) {
-    println!("\n=== {title} ===");
-    let mut widths: Vec<usize> = columns.iter().map(|c| c.len()).collect();
-    widths.insert(
-        0,
-        rows.iter().map(|r| r.name.len()).max().unwrap_or(4).max(4),
-    );
-    for r in rows {
-        for (i, v) in r.values.iter().enumerate() {
-            widths[i + 1] = widths[i + 1].max(v.len());
+/// Renders a Markdown table with cells padded to the column width, so
+/// the source reads as a table too: first column left-aligned, the rest
+/// right-aligned. Every row has one cell per header column.
+pub fn markdown_table(header: &[String], rows: &[Vec<String>]) -> String {
+    let width = |s: &String| s.chars().count();
+    // Four dashes: the alignment row's `---:` must fit.
+    let widths: Vec<usize> = (0..header.len())
+        .map(|i| {
+            rows.iter()
+                .map(|r| width(&r[i]))
+                .fold(width(&header[i]).max(4), usize::max)
+        })
+        .collect();
+    let line = |cells: &[String]| {
+        let mut out = String::from("|");
+        for (i, (cell, w)) in cells.iter().zip(&widths).enumerate() {
+            let pad = " ".repeat(w - width(cell));
+            out += &if i == 0 {
+                format!(" {cell}{pad} |")
+            } else {
+                format!(" {pad}{cell} |")
+            };
         }
-    }
-    print!("{:<w$}  ", "", w = widths[0]);
-    for (i, c) in columns.iter().enumerate() {
-        print!("{:>w$}  ", c, w = widths[i + 1]);
-    }
-    println!();
-    for r in rows {
-        print!("{:<w$}  ", r.name, w = widths[0]);
-        for (i, v) in r.values.iter().enumerate() {
-            print!("{:>w$}  ", v, w = widths[i + 1]);
+        out + "\n"
+    };
+    let dashes = |(i, w): (usize, &usize)| {
+        if i == 0 {
+            "-".repeat(*w)
+        } else {
+            "-".repeat(w - 1) + ":"
         }
-        println!();
+    };
+    let rule: Vec<String> = widths.iter().enumerate().map(dashes).collect();
+    let mut out = line(header) + &line(&rule);
+    for r in rows {
+        out += &line(r);
     }
+    out
 }
 
 #[cfg(test)]
@@ -131,24 +111,21 @@ mod tests {
     }
 
     #[test]
-    fn print_table_does_not_panic() {
-        print_table(
-            "t",
-            &["a", "b"],
-            &[Row {
-                name: "x".into(),
-                values: vec!["1".into(), "2".into()],
-            }],
+    fn markdown_table_pads_to_the_widest_cell() {
+        let cell = |s: &str| s.to_string();
+        let t = markdown_table(
+            &[cell(""), cell("Gbps")],
+            &[
+                vec![cell("§V.A — MBT"), cell("42.73")],
+                vec![cell("BST"), cell("2.7")],
+            ],
         );
-    }
-
-    #[test]
-    fn row_serialises() {
-        let r = Row {
-            name: "x".into(),
-            values: vec!["1".into()],
-        };
-        let s = r.to_json().pretty();
-        assert!(s.contains("\"name\": \"x\""), "{s}");
+        let want = "\
+|            |  Gbps |
+| ---------- | ----: |
+| §V.A — MBT | 42.73 |
+| BST        |   2.7 |
+";
+        assert_eq!(t, want);
     }
 }

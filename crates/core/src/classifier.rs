@@ -227,14 +227,6 @@ impl Classifier {
         &self.rule_filter
     }
 
-    fn dim_order_entry(dim: Dim, label: Label, priority: Priority) -> LabelEntry {
-        // Engines that define their own list order (port registers,
-        // protocol LUT) recompute it internally; priority order is the
-        // default for IP dimensions (§IV.C.1).
-        let _ = dim;
-        LabelEntry::by_priority(label, priority)
-    }
-
     /// Packs the seven dimension labels into the merged hash key
     /// (68 bits in the paper configuration, §IV.C.1).
     fn make_key(&self, labels: &[Label; 7]) -> u128 {
@@ -290,12 +282,14 @@ impl Classifier {
         let mut created = 0u32;
         let mut completed = 0usize;
         let mut result: Result<(), ClassifierError> = Ok(());
-        for (i, &dim) in ALL_DIMS.iter().enumerate() {
-            let unit = &mut self.dims[i];
+        for (i, unit) in self.dims.iter_mut().enumerate() {
             let value = dim_values[i];
             match unit.table.insert(value, rule.priority) {
                 Ok(InsertOutcome::Created { label }) => {
-                    let entry = Self::dim_order_entry(dim, label, rule.priority);
+                    // Priority order for every dimension: the port and
+                    // protocol engines recompute their own list order
+                    // internally (§IV.C.1).
+                    let entry = LabelEntry::by_priority(label, rule.priority);
                     if let Err(e) = unit.engine.insert(&mut unit.store, value, entry) {
                         // Undo the table entry we just created.
                         unit.table.remove(&value, rule.priority);
@@ -315,7 +309,7 @@ impl Classifier {
                             .get(&value)
                             .expect("just inserted")
                             .best_priority();
-                        let entry = Self::dim_order_entry(dim, label, best);
+                        let entry = LabelEntry::by_priority(label, best);
                         if let Err(e) = unit.engine.insert(&mut unit.store, value, entry) {
                             unit.table.remove(&value, rule.priority);
                             result = Err(e.into());
@@ -376,7 +370,7 @@ impl Classifier {
                     label,
                     new_best: Some(best),
                 }) => {
-                    let entry = Self::dim_order_entry(unit.dim, label, best);
+                    let entry = LabelEntry::by_priority(label, best);
                     let _ = unit.engine.insert(&mut unit.store, value, entry);
                 }
                 _ => {}
@@ -409,7 +403,7 @@ impl Classifier {
                     label,
                     new_best: Some(best),
                 }) => {
-                    let entry = Self::dim_order_entry(unit.dim, label, best);
+                    let entry = LabelEntry::by_priority(label, best);
                     let _ = unit.engine.insert(&mut unit.store, value, entry);
                 }
                 Some(RemoveOutcome::Dereferenced { .. }) => {}
@@ -530,7 +524,9 @@ impl Classifier {
         }
     }
 
-    /// Best-first search over label combinations (DESIGN.md §2).
+    /// Best-first search over label combinations — the exact
+    /// alternative to hashing only the per-dimension heads, which can
+    /// miss the HPMR when those heads belong to different rules.
     ///
     /// Each label's `priority` is the best priority among its user rules,
     /// so `max` over a combination lower-bounds the priority of any rule
@@ -644,7 +640,7 @@ impl Classifier {
             let mut store = Self::make_store(&self.config, dim);
             let unit = &mut self.dims[i];
             for (value, state) in unit.table.iter() {
-                let entry = Self::dim_order_entry(dim, state.label, state.best_priority());
+                let entry = LabelEntry::by_priority(state.label, state.best_priority());
                 engine.insert(&mut store, *value, entry)?;
             }
             engine.flush(&mut store)?;

@@ -33,7 +33,8 @@ impl std::fmt::Display for IpAlg {
 }
 
 /// How phase 3 combines per-dimension label lists into a Rule Filter probe
-/// (see DESIGN.md §2 "Correctness note").
+/// (the HPMR-agreement deviation is quantified in `REPRODUCTION.md`,
+/// Table VI).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CombineStrategy {
     /// The paper's fast path: hash only the head (HPML) of each list.
