@@ -19,7 +19,9 @@ use spc_lookup::{
     ProtocolLut, RangeBst,
 };
 use spc_types::{Dim, Header, Priority, Rule, RuleId, ALL_DIMS, IP_SEG_DIMS};
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::ops::Range;
 
 /// One dimension's hardware unit: the active engine, its label memory and
 /// the controller-side label table.
@@ -86,27 +88,106 @@ struct Installed {
 /// Reusable working memory for [`Classifier::classify_with`].
 ///
 /// One lookup needs the seven phase-2 label lists plus (in
-/// [`CombineStrategy::PriorityProbe`] mode) the best-first frontier. A
-/// batch caller allocates this once and the per-packet cost drops to
-/// buffer clears — the amortisation behind `spc-engine`'s batch path.
+/// [`CombineStrategy::PriorityProbe`] mode) priority-ordered copies of
+/// the three port/protocol lists. A caller that keeps one of these
+/// allocates nothing per lookup once the buffers have grown to the
+/// longest lists seen; [`Classifier::classify`] keeps one per thread.
 #[derive(Debug, Default)]
 pub struct ClassifyScratch {
-    /// Phase-2 output: one label list per dimension. The lists themselves
-    /// are reused across lookups via `FieldEngine::lookup_into`, so after
-    /// warm-up not even the per-dimension label vectors reallocate.
-    lists: Vec<LabelList>,
-    /// Priority-sorted copies of the lists (probe order).
-    dims: [Vec<LabelEntry>; 7],
-    /// Best-first frontier, keyed by priority lower bound.
-    heap: BinaryHeap<std::cmp::Reverse<(u32, [u16; 7])>>,
-    /// Frontier dedup.
-    visited: HashSet<[u16; 7]>,
+    /// Phase-2 output: one label list per dimension, refilled in place
+    /// by `FieldEngine::lookup_into`.
+    lists: [LabelList; 7],
+    /// The port and protocol lists re-sorted by `(priority, label)`:
+    /// their engines emit the paper's Table IV hardware order, and the
+    /// priority box needs priority order. The IP-segment lists already
+    /// have it and are borrowed from `lists`.
+    by_priority: [Vec<LabelEntry>; 7 - IP_SEG_DIMS.len()],
 }
 
 impl ClassifyScratch {
     /// Creates empty scratch space.
     pub fn new() -> Self {
         ClassifyScratch::default()
+    }
+}
+
+thread_local! {
+    /// The scratch behind the single-shot [`Classifier::classify`].
+    static SCRATCH: RefCell<ClassifyScratch> = RefCell::new(ClassifyScratch::new());
+}
+
+/// Appends one `width`-bit label to a partial merged key.
+fn pack_label(prefix: u128, width: u8, label: Label) -> u128 {
+    debug_assert!(u32::from(label.0) < (1u32 << width), "label exceeds width");
+    (prefix << width) | u128::from(label.0)
+}
+
+/// The accumulating state of one [`Classifier::priority_probe`]: the
+/// priority-ordered lists, the key layout, and the running
+/// `(best hit, reads, combinations)` triple.
+struct BoxWalk<'a> {
+    filter: &'a RuleFilter,
+    dims: [&'a [LabelEntry]; 7],
+    widths: [u8; 7],
+    best: Option<StoredRule>,
+    reads: u32,
+    combos: u32,
+}
+
+impl BoxWalk<'_> {
+    /// Probes every combination of the index box `ranges` (one index
+    /// range per dimension), last dimension fastest. `prefix[d]` holds
+    /// the key bits of dimensions `< d`, so an innermost step packs one
+    /// label and a carry repacks only the dimensions it moved.
+    fn probe_box(&mut self, ranges: &[Range<usize>; 7]) {
+        const LAST: usize = 6;
+        if ranges.iter().any(Range::is_empty) {
+            return;
+        }
+        let mut idx: [usize; 7] = std::array::from_fn(|d| ranges[d].start);
+        let mut prefix = [0u128; 7];
+        let mut repack_from = 0;
+        loop {
+            for d in repack_from..LAST {
+                prefix[d + 1] = self.pack(prefix[d], d, idx[d]);
+            }
+            for i in ranges[LAST].clone() {
+                self.probe(self.pack(prefix[LAST], LAST, i));
+            }
+            // Odometer carry over the outer six dimensions.
+            let mut d = LAST;
+            loop {
+                if d == 0 {
+                    return;
+                }
+                d -= 1;
+                idx[d] += 1;
+                if idx[d] < ranges[d].end {
+                    break;
+                }
+                idx[d] = ranges[d].start;
+            }
+            repack_from = d;
+        }
+    }
+
+    fn pack(&self, prefix: u128, d: usize, i: usize) -> u128 {
+        pack_label(prefix, self.widths[d], self.dims[d][i].label)
+    }
+
+    fn probe(&mut self, key: u128) {
+        let probe = self.filter.probe(key);
+        self.combos += 1;
+        self.reads += probe.reads;
+        if let Some(s) = probe.hit {
+            let better = match self.best {
+                None => true,
+                Some(cur) => (s.rule.priority, s.id.0) < (cur.rule.priority, cur.id.0),
+            };
+            if better {
+                self.best = Some(s);
+            }
+        }
     }
 }
 
@@ -227,17 +308,19 @@ impl Classifier {
         &self.rule_filter
     }
 
+    /// Label width per dimension, in [`ALL_DIMS`] (key-concatenation) order.
+    fn key_widths(&self) -> [u8; 7] {
+        let w = self.config.label_widths;
+        [w.ip, w.ip, w.ip, w.ip, w.port, w.port, w.proto]
+    }
+
     /// Packs the seven dimension labels into the merged hash key
     /// (68 bits in the paper configuration, §IV.C.1).
     fn make_key(&self, labels: &[Label; 7]) -> u128 {
-        let w = self.config.label_widths;
-        let widths = [w.ip, w.ip, w.ip, w.ip, w.port, w.port, w.proto];
-        let mut key = 0u128;
-        for (label, width) in labels.iter().zip(widths) {
-            debug_assert!(u32::from(label.0) < (1u32 << width), "label exceeds width");
-            key = (key << width) | u128::from(label.0);
-        }
-        key
+        labels
+            .iter()
+            .zip(self.key_widths())
+            .fold(0, |key, (&label, width)| pack_label(key, width, label))
     }
 
     /// Installs a rule (Fig 4's incremental update).
@@ -441,21 +524,23 @@ impl Classifier {
     /// Classifies a header through the 4-phase pipeline, returning the
     /// HPMR (per the configured [`CombineStrategy`]) plus full accounting.
     ///
-    /// Allocates fresh working buffers per call; batch consumers should
-    /// hold a [`ClassifyScratch`] and use [`Classifier::classify_with`].
+    /// Works in a per-thread [`ClassifyScratch`], so the steady state
+    /// allocates nothing — this is the path shared readers (`&self`
+    /// through an `Arc`) take. A caller that owns its scratch uses
+    /// [`Classifier::classify_with`] and skips the thread-local access.
     ///
     /// # Panics
     ///
     /// Panics (debug builds) if an engine reports pending updates — the
     /// public update paths always flush, so this indicates internal misuse.
     pub fn classify(&self, header: &Header) -> Classification {
-        self.classify_with(header, &mut ClassifyScratch::new())
+        SCRATCH.with_borrow_mut(|scratch| self.classify_with(header, scratch))
     }
 
     /// Classifies a header, reusing `scratch` for every intermediate
-    /// buffer (label lists, probe frontier). This is the amortised hot
-    /// path behind `spc-engine`'s `classify_batch`: across a batch, the
-    /// per-lookup allocations collapse to buffer clears.
+    /// buffer (the label lists and their priority-ordered copies), so
+    /// per-lookup allocations collapse to buffer clears. This is the hot
+    /// path behind `spc-engine`'s `classify_batch`.
     ///
     /// # Panics
     ///
@@ -467,7 +552,6 @@ impl Classifier {
     pub fn classify_with(&self, header: &Header, scratch: &mut ClassifyScratch) -> Classification {
         // Phase 2: parallel single-field lookups, each writing into the
         // scratch's per-dimension list so nothing allocates after warm-up.
-        scratch.lists.resize_with(ALL_DIMS.len(), LabelList::new);
         let mut engine_latency = 0u32;
         let mut engine_ii = 1u32;
         let mut engine_reads = 0u32;
@@ -524,80 +608,89 @@ impl Classifier {
         }
     }
 
-    /// Best-first search over label combinations — the exact
-    /// alternative to hashing only the per-dimension heads, which can
-    /// miss the HPMR when those heads belong to different rules.
+    /// The exact combine: probes the *priority box* of the seven label
+    /// lists and returns its `(priority, id)`-best hit, the Rule Filter
+    /// reads it cost and the number of combinations probed. This is what
+    /// hashing only the per-dimension heads approximates — the heads can
+    /// belong to different rules while the HPMR sits deeper.
     ///
-    /// Each label's `priority` is the best priority among its user rules,
-    /// so `max` over a combination lower-bounds the priority of any rule
-    /// stored under that key — combinations are explored in bound order
-    /// and the search stops once the best hit beats every remaining bound.
-    ///
-    /// Reads the phase-2 label lists from `scratch.lists` and reuses the
-    /// frontier buffers in `scratch`.
-    // The bound closure maxes over the fixed `0..7` dimension range,
-    // which is never empty.
-    #[allow(clippy::expect_used)]
+    /// A label's `priority` is the best priority among the rules using
+    /// it, so `bound(c) = max_d priority(c_d)` lower-bounds the priority
+    /// of any rule stored under combination `c`. With `p*` the HPMR's
+    /// priority, every hit that could win lies in the box
+    /// `E = {c : bound(c) <= p*}` (the whole lattice on a miss), and
+    /// nothing outside `E` need be probed. With every list in priority
+    /// order `{c : bound(c) <= t}` is an index box `[0, hi_d)` per
+    /// dimension, so `E` is walked as nested loops, one shell per distinct
+    /// bound `t` in ascending order, stopping at the first `t` that a hit
+    /// already found beats. The result, the reads and the count depend on
+    /// `E` alone, not on the order it is visited in.
     fn priority_probe(&self, scratch: &mut ClassifyScratch) -> (Option<StoredRule>, u32, u32) {
-        // Sort each dimension by rule priority (port/protocol lists are
-        // hardware-ordered differently; the bound argument needs priority
-        // order).
-        let ClassifyScratch {
-            lists,
+        const IP: usize = IP_SEG_DIMS.len();
+        let ClassifyScratch { lists, by_priority } = scratch;
+        for (sorted, list) in by_priority.iter_mut().zip(&lists[IP..]) {
+            sorted.clear();
+            sorted.extend_from_slice(list.entries());
+            sorted.sort_unstable_by_key(|e| (e.priority, e.label));
+        }
+        let dims: [&[LabelEntry]; 7] = std::array::from_fn(|d| {
+            if d < IP {
+                lists[d].entries()
+            } else {
+                by_priority[d - IP].as_slice()
+            }
+        });
+        debug_assert!(
+            dims[..IP].iter().all(|l| l
+                .windows(2)
+                .all(|w| (w[0].priority, w[0].label) <= (w[1].priority, w[1].label))),
+            "IP-segment engines must return their lists in (priority, label) order"
+        );
+        let mut walk = BoxWalk {
+            filter: &self.rule_filter,
             dims,
-            heap,
-            visited,
-        } = scratch;
-        for (v, l) in dims.iter_mut().zip(lists.iter()) {
-            v.clear();
-            v.extend_from_slice(l.entries());
-            v.sort_by_key(|e| (e.priority, e.label.0));
-        }
-        let dims = &*dims;
-        let bound = |idx: &[u16; 7]| -> u32 {
-            (0..7)
-                .map(|d| dims[d][idx[d] as usize].priority.0)
-                .max()
-                .expect("seven dims")
+            widths: self.key_widths(),
+            best: None,
+            reads: 0,
+            combos: 0,
         };
-        heap.clear();
-        visited.clear();
-        let start = [0u16; 7];
-        heap.push(std::cmp::Reverse((bound(&start), start)));
-        visited.insert(start);
-        let mut best: Option<StoredRule> = None;
-        let mut rf_reads = 0u32;
-        let mut combos = 0u32;
-        while let Some(std::cmp::Reverse((b, idx))) = heap.pop() {
-            if let Some(s) = best {
-                if s.rule.priority.0 < b {
-                    break; // every remaining combo is provably worse
-                }
+        // `box(lo)` is probed; each round grows it to `box(hi)`, the
+        // combinations of bound <= `t`. The first `t` is the all-heads
+        // combination's bound (`classify_with` returned early if any
+        // list is empty).
+        let mut lo = [0usize; 7];
+        let mut threshold = dims
+            .iter()
+            .filter_map(|l| l.first())
+            .map(|e| e.priority)
+            .max();
+        while let Some(t) = threshold {
+            if walk.best.is_some_and(|s| s.rule.priority < t) {
+                break; // every combination left is provably worse
             }
-            combos += 1;
-            let labels: [Label; 7] = std::array::from_fn(|d| dims[d][idx[d] as usize].label);
-            let probe = self.rule_filter.probe(self.make_key(&labels));
-            rf_reads += probe.reads;
-            if let Some(s) = probe.hit {
-                let better = match best {
-                    None => true,
-                    Some(cur) => (s.rule.priority, s.id.0) < (cur.rule.priority, cur.id.0),
-                };
-                if better {
-                    best = Some(s);
-                }
+            let mut hi = lo;
+            for (h, list) in hi.iter_mut().zip(&dims) {
+                *h += list[*h..].partition_point(|e| e.priority <= t);
             }
-            for d in 0..7 {
-                if usize::from(idx[d]) + 1 < dims[d].len() {
-                    let mut nxt = idx;
-                    nxt[d] += 1;
-                    if visited.insert(nxt) {
-                        heap.push(std::cmp::Reverse((bound(&nxt), nxt)));
-                    }
-                }
+            // The shell `box(hi) \ box(lo)` as disjoint boxes: `pivot` is
+            // the first dimension whose index is at or past `lo`.
+            for pivot in 0..7 {
+                walk.probe_box(&std::array::from_fn(|d| match d.cmp(&pivot) {
+                    std::cmp::Ordering::Less => 0..lo[d],
+                    std::cmp::Ordering::Equal => lo[d]..hi[d],
+                    std::cmp::Ordering::Greater => 0..hi[d],
+                }));
             }
+            lo = hi;
+            // The next bound up: the best priority just outside the box.
+            threshold = dims
+                .iter()
+                .zip(lo)
+                .filter_map(|(list, i)| list.get(i))
+                .map(|e| e.priority)
+                .min();
         }
-        (best, rf_reads, combos)
+        (walk.best, walk.reads, walk.combos)
     }
 
     /// Switches the IP lookup algorithm at run time (the `IPalg_s`
@@ -691,7 +784,144 @@ impl Classifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spc_types::{Action, PortRange, Prefix, ProtoSpec};
+    use crate::rulefilter::ProbeResult;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use spc_classbench::{FilterKind, RuleSetGenerator, TraceGenerator};
+    use spc_types::{Action, PortRange, Prefix, ProtoSpec, RuleSet};
+
+    /// The seven phase-2 label lists of `h`, as the engines return them.
+    fn label_lists(cls: &Classifier, h: &Header) -> Vec<LabelList> {
+        cls.dims
+            .iter()
+            .map(|u| {
+                let mut list = LabelList::new();
+                u.engine
+                    .lookup_into(&u.store, u.dim.query(h), &mut list)
+                    .unwrap();
+                list
+            })
+            .collect()
+    }
+
+    /// What `priority_probe` must return, from its specification alone:
+    /// probe the *whole* lattice of `h`'s seven lists, take `p*` from the
+    /// best hit, and report the `(priority, id)`-minimal hit, the reads
+    /// and the size of `E = {c : bound(c) <= p*}` (everything on a miss).
+    fn box_oracle(cls: &Classifier, h: &Header) -> (Option<(Priority, RuleId)>, u32, u32) {
+        let lists = label_lists(cls, h);
+        if lists.iter().any(LabelList::is_empty) {
+            return (None, 0, 0);
+        }
+        let mut lattice = Vec::new(); // (bound, probe) per combination
+        let mut idx = [0usize; 7];
+        'lattice: loop {
+            let combo: [LabelEntry; 7] = std::array::from_fn(|d| lists[d].entries()[idx[d]]);
+            let bound = combo.iter().map(|e| e.priority).max().unwrap();
+            let key = cls.make_key(&combo.map(|e| e.label));
+            lattice.push((bound, cls.rule_filter.probe(key)));
+            for d in 0..7 {
+                idx[d] += 1;
+                if idx[d] < lists[d].len() {
+                    continue 'lattice;
+                }
+                idx[d] = 0;
+            }
+            break;
+        }
+        let hit_of = |p: &ProbeResult| p.hit.map(|s| (s.rule.priority, s.id));
+        let best = lattice.iter().filter_map(|(_, p)| hit_of(p)).min();
+        let in_box = |bound: Priority| best.map_or(true, |(p_star, _)| bound <= p_star);
+        let probed = lattice.iter().filter(|(bound, _)| in_box(*bound));
+        let (reads, combos) = probed.fold((0, 0), |(r, c), (_, p)| (r + p.reads, c + 1));
+        (best, reads, combos)
+    }
+
+    fn assert_matches_box_oracle(cls: &Classifier, trace: &[Header], what: &str) {
+        let mut scratch = ClassifyScratch::new();
+        let (mut hits, mut full_lattice_misses) = (0, 0);
+        for h in trace {
+            let c = cls.classify_with(h, &mut scratch);
+            let got = (
+                c.hit.map(|x| (x.rule.priority, x.rule_id)),
+                c.rule_filter_reads,
+                c.combos_probed,
+            );
+            assert_eq!(got, box_oracle(cls, h), "{what}, header {h}");
+            hits += usize::from(c.hit.is_some());
+            full_lattice_misses += usize::from(c.hit.is_none() && c.combos_probed > 0);
+        }
+        assert!(hits > 0, "{what}: trace never hits");
+        assert!(
+            full_lattice_misses > 0,
+            "{what}: trace never misses past phase 2"
+        );
+    }
+
+    /// Headers of `rules`' own trace plus ones that get through phase 2
+    /// and then miss: a matching header with its protocol flipped between
+    /// TCP and UDP still finds labels in every dimension.
+    fn probe_trace(rules: &RuleSet, seed: u64) -> Vec<Header> {
+        let mut trace = TraceGenerator::new()
+            .seed(seed)
+            .match_fraction(0.8)
+            .generate(rules, 48);
+        let flipped: Vec<Header> = trace
+            .iter()
+            .take(16)
+            .map(|h| Header {
+                proto: if h.proto == 6 { 17 } else { 6 },
+                ..*h
+            })
+            .collect();
+        trace.extend(flipped);
+        trace
+    }
+
+    #[test]
+    fn priority_probe_walks_exactly_the_priority_box() {
+        for kind in [FilterKind::Acl, FilterKind::Fw, FilterKind::Ipc] {
+            for alg in [IpAlg::Bst, IpAlg::Mbt] {
+                for shared_priorities in [false, true] {
+                    let what = format!("{kind:?}/{alg:?}/shared_priorities={shared_priorities}");
+                    let mut rules = RuleSetGenerator::new(kind, 400).seed(11).generate();
+                    let mut pool = RuleSetGenerator::new(kind, 64).seed(12).generate();
+                    if shared_priorities {
+                        // Eight rules per priority value: ties everywhere.
+                        let tie = |r: &Rule| Rule {
+                            priority: Priority(r.priority.0 / 8),
+                            ..*r
+                        };
+                        rules = rules.rules().iter().map(tie).collect();
+                        pool = pool.rules().iter().map(tie).collect();
+                    }
+                    let mut cls = Classifier::new(ArchConfig::large().with_ip_alg(alg));
+                    let mut live = cls.load(&rules).unwrap();
+                    let trace = probe_trace(&rules, 5);
+                    assert_matches_box_oracle(&cls, &trace, &what);
+
+                    // 32-rule churn: 16 out, 16 (non-duplicate) in.
+                    let mut rng = StdRng::seed_from_u64(13);
+                    for _ in 0..16 {
+                        let id = live.swap_remove(rng.gen_range(0..live.len()));
+                        cls.remove(id).unwrap();
+                    }
+                    let mut inserted = 0;
+                    for rule in pool.rules() {
+                        match cls.insert(*rule) {
+                            Ok(_) => inserted += 1,
+                            Err(ClassifierError::DuplicateKey { .. }) => {}
+                            Err(e) => panic!("{what}: {e}"),
+                        }
+                        if inserted == 16 {
+                            break;
+                        }
+                    }
+                    assert_eq!(inserted, 16, "{what}: pool too small");
+                    assert_matches_box_oracle(&cls, &trace, &format!("{what} after churn"));
+                }
+            }
+        }
+    }
 
     fn cfg() -> ArchConfig {
         ArchConfig::default()
@@ -712,11 +942,10 @@ mod tests {
 
     #[test]
     fn priority_probe_survives_wide_label_lists() {
-        // More than 256 labels in one dimension: the probe frontier's
-        // combination indices must not be limited to u8. The only fully
-        // matching rule sits at list index 299 of two dimensions, and the
-        // uniform priority bound (the TCP rule is the worst-priority one)
-        // forces the search to walk the whole frontier to prove it.
+        // More than 256 labels in one dimension: combination indices must
+        // not be limited to u8. The only fully matching rule sits at list
+        // index 299 of two dimensions and is the worst-priority one, so
+        // proving it is the HPMR takes the whole lattice.
         let mut cls = Classifier::new(ArchConfig::large());
         let n: u16 = 300;
         for i in 0..n {
@@ -732,11 +961,9 @@ mod tests {
         let h = Header::new([1, 1, 1, 1].into(), [2, 2, 2, 2].into(), 1000, 2000, 6);
         let c = cls.classify(&h);
         assert_eq!(c.hit.unwrap().rule.priority, Priority(u32::from(n) - 1));
-        assert!(
-            c.combos_probed > 256,
-            "search must explore past the u8 frontier, probed {}",
-            c.combos_probed
-        );
+        let lattice: usize = label_lists(&cls, &h).iter().map(LabelList::len).product();
+        assert_eq!(lattice, 300 * 300);
+        assert_eq!(c.combos_probed as usize, lattice);
     }
 
     #[test]

@@ -41,9 +41,12 @@ pub enum CombineStrategy {
     /// Two final cycles, but may miss the true HPMR when the per-dimension
     /// heads belong to different rules.
     FirstLabel,
-    /// Best-first search over label combinations ordered by a priority
-    /// lower bound; guaranteed to return the true HPMR. Extra probes are
-    /// charged to the cycle model.
+    /// Probes every label combination whose priority lower bound (the
+    /// worst of its seven labels' best priorities) does not exceed the
+    /// HPMR's priority — an index box over the priority-ordered lists,
+    /// walked with nested loops; guaranteed to return the true HPMR, the
+    /// whole lattice on a miss. Extra probes are charged to the cycle
+    /// model.
     #[default]
     PriorityProbe,
 }

@@ -20,6 +20,17 @@ enum Slot {
     Occupied(StoredRule),
 }
 
+impl Slot {
+    /// This slot's byte in [`RuleFilter`]'s occupancy mirror.
+    fn occupancy(&self) -> u8 {
+        match self {
+            Slot::Empty => EMPTY,
+            Slot::Tombstone => TOMBSTONE,
+            Slot::Occupied(_) => OCCUPIED,
+        }
+    }
+}
+
 /// A stored rule with its label key.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StoredRule {
@@ -49,6 +60,11 @@ pub struct ProbeResult {
 #[derive(Debug)]
 pub struct RuleFilter {
     slots: MemoryBlock<Slot>,
+    /// One byte per slot mirroring its `Slot` variant (`EMPTY`,
+    /// `TOMBSTONE`, `OCCUPIED`), so a probe learns that a slot is free
+    /// without pulling the slot's own cache line. Derived data: the model
+    /// prices `slots` only, and every chain step still costs one read.
+    occupancy: Vec<u8>,
     hash: HashUnit,
     live: usize,
     /// Longest probe sequence seen on insert (worst-case lookup cost).
@@ -57,10 +73,14 @@ pub struct RuleFilter {
 
 const RULE_BODY_BITS: u32 = 48;
 
-// Every slot access goes through `HashUnit::probe`, which masks the hash
-// down to the block's address width, so `read`/`write` cannot see an
-// out-of-range address; `new` pre-allocates exactly `words` slots, so
-// `alloc` cannot overflow the provisioned block.
+const EMPTY: u8 = 0;
+const TOMBSTONE: u8 = 1;
+const OCCUPIED: u8 = 2;
+
+// Every slot address is `HashUnit::fold` plus a step, masked down to the
+// block's address width, so `read`/`write` cannot see an out-of-range
+// address; `new` pre-allocates exactly `words` slots, so `alloc` cannot
+// overflow the provisioned block.
 #[allow(clippy::expect_used)]
 impl RuleFilter {
     /// Creates a filter with `2^addr_bits` slots and a `key_bits`-wide key
@@ -73,6 +93,7 @@ impl RuleFilter {
         }
         RuleFilter {
             slots,
+            occupancy: vec![EMPTY; words],
             hash: HashUnit::new(addr_bits),
             live: 0,
             max_probe: 0,
@@ -112,6 +133,13 @@ impl RuleFilter {
         })
     }
 
+    /// Writes one slot and its occupancy byte together — the only place
+    /// either changes after construction, so the mirror cannot drift.
+    fn set_slot(&mut self, addr: usize, slot: Slot) {
+        self.occupancy[addr] = slot.occupancy();
+        self.slots.write(addr, slot).expect("address in range");
+    }
+
     /// Inserts a rule under its label key.
     ///
     /// # Errors
@@ -119,23 +147,21 @@ impl RuleFilter {
     /// [`ClassifierError::DuplicateKey`] if the key is already installed;
     /// [`ClassifierError::RuleFilterFull`] if no slot is free.
     pub fn insert(&mut self, key: u128, id: RuleId, rule: Rule) -> Result<(), ClassifierError> {
+        let home = self.hash.fold(key);
+        let mask = self.capacity() - 1;
         let mut first_free: Option<usize> = None;
+        // Steps walked: the whole table unless an empty slot ends the chain.
+        let mut chain = self.capacity();
         for i in 0..self.capacity() {
-            let addr = self.hash.probe(key, i);
-            match *self.slots.read(addr).expect("address in range") {
+            let addr = (home + i) & mask;
+            match self.slots.read(addr).expect("address in range") {
                 Slot::Empty => {
-                    let target = first_free.unwrap_or(addr);
-                    self.slots
-                        .write(target, Slot::Occupied(StoredRule { key, id, rule }))
-                        .expect("address in range");
-                    self.live += 1;
-                    self.max_probe = self.max_probe.max(i as u32 + 1);
-                    return Ok(());
+                    first_free.get_or_insert(addr);
+                    chain = i + 1;
+                    break;
                 }
                 Slot::Tombstone => {
-                    if first_free.is_none() {
-                        first_free = Some(addr);
-                    }
+                    first_free.get_or_insert(addr);
                 }
                 Slot::Occupied(s) if s.key == key => {
                     return Err(ClassifierError::DuplicateKey { existing: s.id.0 });
@@ -143,15 +169,11 @@ impl RuleFilter {
                 Slot::Occupied(_) => {}
             }
         }
-        if let Some(addr) = first_free {
-            self.slots
-                .write(addr, Slot::Occupied(StoredRule { key, id, rule }))
-                .expect("address in range");
-            self.live += 1;
-            self.max_probe = self.max_probe.max(self.capacity() as u32);
-            return Ok(());
-        }
-        Err(ClassifierError::RuleFilterFull)
+        let target = first_free.ok_or(ClassifierError::RuleFilterFull)?;
+        self.set_slot(target, Slot::Occupied(StoredRule { key, id, rule }));
+        self.live += 1;
+        self.max_probe = self.max_probe.max(chain as u32);
+        Ok(())
     }
 
     /// Removes the rule stored under `key`.
@@ -160,40 +182,47 @@ impl RuleFilter {
     ///
     /// [`ClassifierError::UnknownRule`] when the key is absent.
     pub fn remove(&mut self, key: u128, id: RuleId) -> Result<Rule, ClassifierError> {
+        let home = self.hash.fold(key);
+        let mask = self.capacity() - 1;
         for i in 0..self.capacity() {
-            let addr = self.hash.probe(key, i);
-            match *self.slots.read(addr).expect("address in range") {
+            let addr = (home + i) & mask;
+            match self.slots.read(addr).expect("address in range") {
                 Slot::Empty => break,
-                Slot::Tombstone => continue,
                 Slot::Occupied(s) if s.key == key => {
-                    self.slots
-                        .write(addr, Slot::Tombstone)
-                        .expect("address in range");
+                    let rule = s.rule;
+                    self.set_slot(addr, Slot::Tombstone);
                     self.live -= 1;
-                    return Ok(s.rule);
+                    return Ok(rule);
                 }
-                Slot::Occupied(_) => {}
+                Slot::Tombstone | Slot::Occupied(_) => {}
             }
         }
         Err(ClassifierError::UnknownRule { id: id.0 })
     }
 
-    /// Probes for a key (phase 4 of the lookup pipeline).
+    /// Probes for a key (phase 4 of the lookup pipeline): the key is
+    /// folded once, each chain step costs one modelled read, and only a
+    /// step over an occupied slot touches the slot itself.
     pub fn probe(&self, key: u128) -> ProbeResult {
+        let home = self.hash.fold(key);
+        let mask = self.capacity() - 1;
         let mut reads = 0;
         for i in 0..self.capacity() {
-            let addr = self.hash.probe(key, i);
+            let addr = (home + i) & mask;
             reads += 1;
-            match *self.slots.read(addr).expect("address in range") {
-                Slot::Empty => break,
-                Slot::Tombstone => continue,
-                Slot::Occupied(s) if s.key == key => {
-                    return ProbeResult {
-                        hit: Some(s),
-                        reads,
-                    };
+            match self.occupancy[addr] {
+                EMPTY => break,
+                TOMBSTONE => {}
+                _ => {
+                    if let Slot::Occupied(s) = self.slots.read(addr).expect("address in range") {
+                        if s.key == key {
+                            return ProbeResult {
+                                hit: Some(*s),
+                                reads,
+                            };
+                        }
+                    }
                 }
-                Slot::Occupied(_) => {}
             }
         }
         ProbeResult { hit: None, reads }
@@ -219,6 +248,7 @@ impl RuleFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
     use spc_types::Priority;
 
     fn rule(p: u32) -> Rule {
@@ -286,6 +316,61 @@ mod tests {
         // Tombstone is reused on insert.
         f.insert(9, RuleId(9), rule(0)).unwrap();
         assert_eq!(f.len(), 4);
+    }
+
+    #[test]
+    fn occupancy_mirrors_slot_state_under_churn() {
+        // 96 keys over 64 slots, in alternating insert-heavy and
+        // remove-heavy phases: the filter fills, drains, and reuses
+        // tombstones, and failed operations of all three kinds occur.
+        let mut f = RuleFilter::new(6, 68);
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut live: Vec<u128> = Vec::new();
+        let (mut duplicate, mut full, mut unknown) = (0, 0, 0);
+        for step in 0..2000u32 {
+            let key = u128::from(rng.gen_range(0..96u32));
+            let installed = live.contains(&key);
+            let insert_share = if (step / 250) % 2 == 0 { 0.85 } else { 0.3 };
+            if rng.gen_bool(insert_share) {
+                match f.insert(key, RuleId(step), rule(0)) {
+                    Ok(()) => {
+                        assert!(!installed);
+                        live.push(key);
+                    }
+                    Err(ClassifierError::DuplicateKey { .. }) => {
+                        assert!(installed);
+                        duplicate += 1;
+                    }
+                    Err(ClassifierError::RuleFilterFull) => {
+                        assert_eq!(live.len(), f.capacity());
+                        full += 1;
+                    }
+                    Err(e) => panic!("unexpected {e}"),
+                }
+            } else {
+                match f.remove(key, RuleId(step)) {
+                    Ok(_) => {
+                        assert!(installed);
+                        live.retain(|k| *k != key);
+                    }
+                    Err(_) => {
+                        assert!(!installed);
+                        unknown += 1;
+                    }
+                }
+            }
+            assert_eq!(f.len(), live.len());
+            for addr in 0..f.capacity() {
+                let slot = f.slots.read(addr).unwrap();
+                assert_eq!(
+                    f.occupancy[addr],
+                    slot.occupancy(),
+                    "step {step}, slot {addr}"
+                );
+            }
+            assert_eq!(f.probe(key).hit.is_some(), live.contains(&key));
+        }
+        assert!(duplicate > 0 && full > 0 && unknown > 0);
     }
 
     #[test]

@@ -13,9 +13,10 @@ use spc_types::{Header, MaskSummary, Rule, RuleId};
 /// [`crate::EngineBuilder`] selected. This is the only registry backend
 /// with a live incremental-update path
 /// ([`PacketClassifier::supports_updates`] is `true`), and its
-/// [`PacketClassifier::classify_batch`] reuses one [`ClassifyScratch`]
-/// across the whole batch, collapsing the per-lookup working-memory
-/// allocations of the single-shot path.
+/// [`PacketClassifier::classify_batch`] works in the engine's own
+/// [`ClassifyScratch`] and reports `combos_probed`; the `&self`
+/// single-shot path works in `spc-core`'s per-thread one. Neither
+/// allocates once warm.
 #[derive(Debug)]
 pub struct ConfigurableEngine {
     cls: Classifier,

@@ -20,9 +20,9 @@
 //! * [`EngineSource`] — how workers get an engine: one read-only engine
 //!   shared behind `Arc` (cheap in memory, but workers go through the
 //!   single-shot `classify` path), or one replica per worker (N× the
-//!   memory, but each worker runs the amortised `classify_batch` with
-//!   its own scratch). See `docs/ingest_pipeline.md` for the trade-off
-//!   in numbers. A third shape rides on [`IngestPipeline::from_workers`]:
+//!   memory, but each worker runs its replica's own `classify_batch`,
+//!   with full batch accounting). See `docs/ingest_pipeline.md` for the
+//!   trade-off in numbers. A third shape rides on [`IngestPipeline::from_workers`]:
 //!   [`crate::SnapshotReader`] workers over a live
 //!   [`crate::SnapshotEngine`], which re-resolve the published rule-set
 //!   snapshot once per chunk so the pool keeps serving lock-free while a
@@ -95,9 +95,11 @@ impl BatchWorker for Box<dyn PacketClassifier> {
 /// A worker that classifies through a shared read-only engine.
 ///
 /// The engine is behind `Arc`, so lookups go through the `&self`
-/// single-shot [`PacketClassifier::classify`] path — no scratch
-/// amortisation and no `combos_probed` accounting, in exchange for not
-/// replicating the structure per worker.
+/// single-shot [`PacketClassifier::classify`] path — no
+/// `combos_probed` accounting, in exchange for not replicating the
+/// structure per worker. (A configurable engine's single-shot lookup
+/// works in a per-thread scratch, so each worker thread still reuses
+/// its buffers.)
 #[derive(Debug, Clone)]
 pub struct SharedWorker(Arc<dyn PacketClassifier>);
 
@@ -136,7 +138,7 @@ pub enum EngineSource {
     Shared(Arc<dyn PacketClassifier>),
     /// One engine replica per worker (the vector length must equal
     /// [`IngestConfig::workers`]). N× the structure memory; each worker
-    /// runs the amortised batch path with private scratch.
+    /// runs its replica's own batch path.
     Cloned(Vec<Box<dyn PacketClassifier>>),
 }
 

@@ -18,10 +18,12 @@ use std::collections::BTreeMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // An enterprise-scale firewall policy. A security middlebox needs the
-    // exact HPMR, so this example runs the PriorityProbe strategy; its
-    // cross-product probing cost on wildcard-heavy FW rules is reported
-    // honestly below (the paper's single-probe fast path — spec option
-    // `combine=first` — is cheaper but approximate).
+    // exact HPMR, so this example runs the PriorityProbe strategy: every
+    // label combination that could hold a rule at least as good as the
+    // HPMR is hashed into the Rule Filter. On wildcard-heavy FW rules
+    // that box is large, and its cost is reported honestly below (the
+    // paper's single-probe fast path — spec option `combine=first` — is
+    // cheaper but approximate).
     let rules = RuleSetGenerator::new(FilterKind::Fw, 500)
         .seed(7)
         .generate();

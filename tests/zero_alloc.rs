@@ -1,0 +1,81 @@
+//! Steady-state lookups allocate nothing — neither the batch path, which
+//! owns its scratch, nor the `&self` single-shot path that snapshot
+//! readers and shared workers take, which works in a per-thread one.
+//!
+//! The counter is process-wide, so this file holds exactly one test: no
+//! other test thread can allocate while it counts.
+
+// The one `unsafe` in the workspace: a counting allocator cannot be
+// written without implementing `GlobalAlloc`.
+#![allow(unsafe_code)]
+// Integration-test support code: a failed unwrap here IS the test failure.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use spc::classbench::{FilterKind, RuleSetGenerator, TraceGenerator};
+use spc::engine::EngineBuilder;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+struct CountingAllocator;
+
+// SAFETY: every method hands its arguments unchanged to `System` and
+// returns what `System` returns, so `System`'s own `GlobalAlloc` contract
+// carries over; the counter is a `Relaxed` statistic that guards no data.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator, with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as `dealloc`, and the caller upholds `realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+#[test]
+fn steady_state_lookups_do_not_allocate() {
+    let rules = RuleSetGenerator::new(FilterKind::Acl, 256)
+        .seed(7)
+        .generate();
+    let trace = TraceGenerator::new()
+        .seed(3)
+        .match_fraction(0.8)
+        .generate(&rules, 100);
+    let mut engine = EngineBuilder::from_spec("configurable-bst")
+        .unwrap()
+        .build(&rules)
+        .unwrap();
+    let snapshot = EngineBuilder::from_spec("snapshot:inner=(configurable-bst)")
+        .unwrap()
+        .build_snapshot(&rules)
+        .unwrap();
+    let mut reader = snapshot.reader();
+    let mut out = Vec::new();
+
+    let mut pass = || {
+        let stats = engine.classify_batch(&trace, &mut out);
+        let hits = trace.iter().filter(|h| reader.classify(h).is_hit()).count();
+        assert_eq!(stats.hits, hits as u64);
+    };
+    // Warm-up: every scratch buffer grows to the longest list it will see.
+    pass();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..10 {
+        pass(); // 100 batch + 100 single-shot lookups
+    }
+    let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(allocated, 0, "allocations across 2 000 warm lookups");
+}
