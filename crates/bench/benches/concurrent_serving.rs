@@ -6,7 +6,8 @@
 //!
 //! * **snapshot** — a `SnapshotReader` classifies lock-free against the
 //!   current published version while the `SnapshotEngine` writer
-//!   rebuilds-and-publishes each scripted update off to the side.
+//!   applies each scripted update to a retired copy the reader has let
+//!   go of (building one only when none is free) and publishes it.
 //! * **mutex** — the same inner engine behind a `Mutex`, the
 //!   conventional stop-the-world arrangement: the reader takes the lock
 //!   per classify and blocks whenever the writer is mid-update.

@@ -1,15 +1,15 @@
 //! Snapshot-swap concurrent serving: readers classify against an
-//! immutable published snapshot while the writer rebuilds and
-//! atomically publishes the next one.
+//! immutable published snapshot while the writer brings a copy no
+//! reader can see to the next version and atomically publishes it.
 //!
 //! Every other backend in the registry serialises classification and
 //! updates on one engine value (`&mut self` for updates, `&self` for
 //! lookups, one owner). A production data plane cannot: packets must
 //! keep classifying at line rate *while* the controller churns rules.
 //! [`SnapshotEngine`] is the RCU-style answer, built entirely on
-//! `std::sync` (the workspace forbids `unsafe`, so the "atomic pointer"
-//! is a [`Mutex`]`<Arc<Snapshot>>` paired with an [`AtomicU64`]
-//! version counter — see below):
+//! `std::sync` (the workspace lint denies `unsafe`, so the "atomic
+//! pointer" is a [`Mutex`]`<Arc<Snapshot>>` paired with an
+//! [`AtomicU64`] version counter — see below):
 //!
 //! * **Readers** ([`SnapshotReader`]) hold a cached `Arc` to the
 //!   current snapshot. On the steady-state path a classify is one
@@ -18,14 +18,22 @@
 //!   when the version counter has moved does the reader briefly take
 //!   the publication lock to clone the new `Arc`.
 //! * **The writer** (`insert`/`remove` through [`PacketClassifier`])
-//!   never mutates a published snapshot. It rebuilds the next engine
-//!   off to the side, then publishes it with a single pointer swap
-//!   under the publication lock. Readers still classifying against the
-//!   old snapshot keep their `Arc`; the old snapshot is retired
-//!   (dropped) when the last reader releases it.
+//!   never mutates a published snapshot. The copy a publish replaces is
+//!   *retired* into a small pool together with the number of updates it
+//!   reflects; the next update *recycles* the freshest pooled copy that
+//!   nothing else holds — `Arc` uniqueness is safe Rust's own proof
+//!   that no reader and no published snapshot can still see it —
+//!   replays the few ops it missed from a short log, applies the new
+//!   op and publishes the result with a single pointer swap under the
+//!   publication lock. An update costs a handful of the inner's own
+//!   §V.A updates, not a build. Only when nothing in the pool is free
+//!   does the writer build a fresh copy, which is the same code path: a
+//!   fresh build is a copy that has missed nothing. The writer never
+//!   waits for a reader: a reader that pins an old snapshot keeps its
+//!   copy out of the pool's reach for as long as it likes.
 //! * **Sharded inners** (`snapshot:inner=(sharded:...)`) keep the
-//!   plan's partitioning on the writer side: an update rebuilds *only
-//!   the touched shard's* inner engine and the next snapshot reuses
+//!   plan's partitioning on the writer side: an update advances *only
+//!   the touched shard's* line of copies and the next snapshot reuses
 //!   every untouched shard's `Arc` — publication cost scales with the
 //!   shard, not the rule set.
 //!
@@ -35,18 +43,18 @@
 //! never a torn mix of two versions — and the epoch a reader reports
 //! ([`SnapshotReader::update_epoch`]) is exactly the version its last
 //! verdict came from, non-decreasing over the reader's lifetime.
-//! `docs/concurrency.md` walks through the publish/retire protocol and
-//! the trade-offs against the shared-`Mutex` stop-the-world model.
+//! `docs/concurrency.md` walks through the publish/retire/recycle
+//! protocol and the trade-offs against the shared-`Mutex`
+//! stop-the-world model.
 //!
 //! Update reports keep the paper's §V.A semantics where the inner
-//! engine supports incremental updates: the writer rebuilds the
-//! pre-update engine and replays the op through the inner's own
-//! `insert`/`remove`, so `last_update_report()` carries the inner's
-//! real label/hw-cycle accounting. Build-once inners (e.g. `linear`,
-//! `rfc`) are rebuilt wholesale and report zero hardware write cycles —
-//! the rebuild happens in software, off the fast path. Either way the
-//! snapshot wrapper itself is *always* updatable: that is the point of
-//! paying for rebuilds.
+//! engine supports incremental updates: the new op goes through the
+//! inner's own `insert`/`remove` on the copy about to be published, so
+//! `last_update_report()` carries the inner's real label/hw-cycle
+//! accounting. Build-once inners (e.g. `linear`, `rfc`) have nothing to
+//! replay through: every version is built wholesale and reports zero
+//! hardware write cycles — the build happens in software, off the fast
+//! path. Either way the snapshot wrapper itself is *always* updatable.
 
 use crate::pipeline::BatchWorker;
 use crate::sharded::{classify_shards, report_for, Shard};
@@ -92,13 +100,13 @@ impl Snapshot {
 
 /// The publication point: the current snapshot plus a version counter.
 ///
-/// `unsafe` is forbidden workspace-wide, so instead of an `AtomicPtr`
+/// `unsafe` is denied workspace-wide, so instead of an `AtomicPtr`
 /// swap this pairs a [`Mutex`]-guarded `Arc` with an [`AtomicU64`]
 /// version. Readers poll the version with one `Acquire` load and only
 /// touch the lock when it moved, so the steady state (no churn since
 /// the reader's last refresh) takes no lock at all; the lock is held
-/// only for an `Arc` clone or swap — never for classification or a
-/// rebuild — so even a refresh cannot block behind real work.
+/// only for an `Arc` clone or swap — never for classification or an
+/// update — so even a refresh cannot block behind real work.
 #[derive(Debug)]
 struct SnapshotHandle {
     current: Mutex<Arc<Snapshot>>,
@@ -142,29 +150,76 @@ impl SnapshotHandle {
     }
 }
 
-/// Writer-side state: the mutable mirror the next snapshot is rebuilt
-/// from. Readers never see any of this.
-#[derive(Debug)]
-enum WriterMode {
-    /// One inner engine rebuilt wholesale per update.
-    Single {
-        /// Live rules in inner-engine load order, with their global ids.
-        live: Vec<(RuleId, Rule)>,
-        /// Next global id to allocate (monotonic, never reused).
-        next_global: u32,
-    },
-    /// Per-shard rebuild: only the touched shard's engine is replaced.
-    Sharded {
-        /// Routes updates to their owning shard and allocates global ids.
-        router: ShardRouter,
-        /// Per-shard live rules in inner-engine load order.
-        shards: Vec<Vec<(RuleId, Rule)>>,
-        /// The merge discipline, fixed at build time.
-        strategy: ShardStrategy,
-    },
+/// A pooled copy that has missed more ops than this is forgotten, and
+/// the log of ops to replay is never longer. Replaying through the
+/// inner costs about one bare update per op, and a build of the
+/// benchmark's 4096-rule ACL set costs about 18 of them (`setup_s`
+/// 5.9 ms against `acl_lookup/updates_per_s` 3.3 K), so past ~16 missed
+/// ops the rebuild is the cheaper way to the next version.
+const MAX_LAG: usize = 16;
+
+/// Retired copies kept per line. `snapshot_churn`'s one reader, which
+/// refreshes after every insert, and the ledger's, which never
+/// refreshes, both circulate two retired copies beside the published
+/// one (`steady_state_publishes_never_rebuild` holds that); the third
+/// slot lets a straggler pin one without pushing a working copy out.
+/// Two pooled copies of the 4096-rule engine do not show in
+/// `host.rss_mb`: medians of six traced runs 50.6 → 50.9 MB, inside a
+/// run-to-run spread of ±4 MB.
+const POOL_MAX: usize = 3;
+
+/// One successful update of a line, as a copy that missed it replays it.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// The rule and the global id it was given.
+    Insert(Rule, RuleId),
+    /// The global id that left.
+    Remove(RuleId),
 }
 
-/// Maps a rebuild failure into an update error.
+impl Op {
+    /// Applies the op to a live-rule mirror.
+    fn apply_to(self, live: &mut Vec<(RuleId, Rule)>) {
+        match self {
+            Op::Insert(rule, global) => live.push((global, rule)),
+            Op::Remove(global) => live.retain(|&(g, _)| g != global),
+        }
+    }
+
+    /// Applies the op to `copy` through the inner's own §V.A update,
+    /// keeping the copy's local→global map: the one place an update
+    /// reaches an engine, whether the copy is catching up or taking the
+    /// op for the first time.
+    fn replay(self, copy: &mut Shard) -> Result<(), UpdateError> {
+        match self {
+            Op::Insert(rule, global) => match copy.engine.insert(rule) {
+                Ok(local) => {
+                    copy.set_global(local, global);
+                    Ok(())
+                }
+                Err(e) => Err(copy.remap_error(e)),
+            },
+            Op::Remove(global) => {
+                // Local ids differ from copy to copy (a fresh build
+                // numbers by load order, a recycled copy by arrival), so
+                // each copy answers from its own map. Survivors keep
+                // their local ids; the removed slot goes stale harmlessly
+                // (the inner never re-allocates it, and global ids are
+                // never reused).
+                let local = copy
+                    .global_ids
+                    .iter()
+                    .rposition(|&g| g == global)
+                    .ok_or(UpdateError::UnknownRule { id: global })?;
+                copy.engine
+                    .remove(RuleId(local as u32))
+                    .map_err(|e| copy.remap_error(e))
+            }
+        }
+    }
+}
+
+/// Maps a build failure into an update error.
 fn rejected(e: &BuildError) -> UpdateError {
     UpdateError::Rejected {
         reason: format!("snapshot rebuild failed: {e}"),
@@ -181,77 +236,144 @@ fn build_shard(builder: &EngineBuilder, live: &[(RuleId, Rule)]) -> Result<Shard
     })
 }
 
-/// Builds the next shard (or the single inner) with `rule` appended
-/// after `live`; the caller appends the global id it allocates for it.
-/// When the inner supports the paper's §V.A incremental update, the
-/// pre-update engine is rebuilt and the insert replayed through it so
-/// the returned report carries the inner's real accounting; otherwise
-/// the post-update set is built wholesale and the caller synthesizes a
-/// zero-cost report.
-fn next_with_insert(
-    builder: &EngineBuilder,
-    live: &[(RuleId, Rule)],
-    rule: Rule,
-) -> Result<(Shard, Option<UpdateReport>), UpdateError> {
-    let mut shard = build_shard(builder, live)?;
-    let raw = if shard.engine.supports_updates() {
-        match shard.engine.insert(rule) {
-            Ok(local) => debug_assert_eq!(local, RuleId(live.len() as u32)),
-            Err(e) => return Err(shard.remap_error(e)),
-        }
-        shard.engine.last_update_report()
-    } else {
-        let full: RuleSet = live.iter().map(|&(_, r)| r).chain([rule]).collect();
-        shard.engine = builder.build(&full).map_err(|e| rejected(&e))?;
-        None
-    };
-    Ok((shard, raw))
+/// Writer-side history of one entry of `snaps` (the single inner, or
+/// one shard): the live rules it serves, and the retired copies of it
+/// the next update may recycle. Readers never see any of this.
+#[derive(Debug, Default)]
+struct Line {
+    /// Live rules with their global ids, in the load order of a fresh
+    /// build.
+    live: Vec<(RuleId, Rule)>,
+    /// Successful updates so far: the version of the published copy.
+    seq: usize,
+    /// Retired copies, each with the `seq` it reflects, stalest first.
+    /// At most [`POOL_MAX`], none more than [`MAX_LAG`] behind.
+    pool: Vec<(usize, Arc<Shard>)>,
+    /// The last ops, newest last, back to the stalest pooled copy.
+    log: Vec<Op>,
 }
 
-/// Builds the next shard (or the single inner) with the rule at `idx`
-/// removed from `live`, plus the inner's real report when available
-/// (same replay recipe as [`next_with_insert`]).
-fn next_with_remove(
-    builder: &EngineBuilder,
-    live: &[(RuleId, Rule)],
-    idx: usize,
-) -> Result<(Shard, Option<UpdateReport>), UpdateError> {
-    let mut shard = build_shard(builder, live)?;
-    if shard.engine.supports_updates() {
-        // Survivors keep their local ids; the removed slot goes stale
-        // harmlessly (the inner never re-allocates it).
-        if let Err(e) = shard.engine.remove(RuleId(idx as u32)) {
-            return Err(shard.remap_error(e));
+impl Line {
+    fn new(live: Vec<(RuleId, Rule)>) -> Self {
+        Line {
+            live,
+            ..Line::default()
         }
-        let raw = shard.engine.last_update_report();
-        Ok((shard, raw))
-    } else {
-        let mut remaining = live.to_vec();
-        remaining.remove(idx);
-        Ok((build_shard(builder, &remaining)?, None))
+    }
+
+    /// Takes the freshest pooled copy nothing else can see — the fewest
+    /// ops to replay. `Arc::get_mut` answers only when this pool holds
+    /// the sole reference: no published `Snapshot`, hence no reader,
+    /// still has the copy, and only the writer could hand out another.
+    fn take_free(&mut self) -> Option<(usize, Shard)> {
+        let i = self
+            .pool
+            .iter_mut()
+            .rposition(|(_, copy)| Arc::get_mut(copy).is_some())?;
+        let (at, copy) = self.pool.remove(i);
+        Arc::into_inner(copy).map(|copy| (at, copy))
+    }
+
+    /// Pools a copy that reflects the first `at` ops, then trims the
+    /// pool and the log to their bounds.
+    fn retire(&mut self, at: usize, copy: Arc<Shard>) {
+        // A copy updated in place only ever grows its id map. Once the
+        // stale slots outnumber the live rules (or `MAX_LAG`: a rebuild
+        // is not worth fewer slots than the ops it costs) it is let go
+        // instead, so the rebuild that follows compacts the map.
+        if copy.global_ids.len() <= 2 * self.live.len().max(MAX_LAG) {
+            self.pool.push((at, copy));
+        }
+        let seq = self.seq;
+        self.pool.retain(|&(at, _)| seq - at <= MAX_LAG);
+        if self.pool.len() > POOL_MAX {
+            self.pool.remove(0);
+        }
+        let missed = self.pool.first().map_or(0, |&(at, _)| seq - at);
+        self.log.drain(..self.log.len() - missed);
+    }
+
+    /// Brings a copy of this line to the version after `op` and swaps
+    /// it into `slot` (the writer's entry of `snaps`), retiring the copy
+    /// it replaces. Returns the inner's report of `op`, if it made one.
+    ///
+    /// An updatable inner takes the freshest free pooled copy, or — a
+    /// copy that has missed nothing — a fresh build over the live
+    /// rules, replays what the copy missed and then `op` itself. A
+    /// build-once inner has no update to replay through: the next
+    /// version is built wholesale. On `Err` nothing was published and
+    /// the line reads as before.
+    fn advance(
+        &mut self,
+        builder: &EngineBuilder,
+        slot: &mut Arc<Shard>,
+        op: Op,
+    ) -> Result<Option<UpdateReport>, UpdateError> {
+        if !slot.engine.supports_updates() {
+            let mut next = self.live.clone();
+            op.apply_to(&mut next);
+            *slot = Arc::new(build_shard(builder, &next)?);
+            self.live = next;
+            return Ok(None);
+        }
+        let copy = loop {
+            let (at, mut copy) = match self.take_free() {
+                Some(free) => free,
+                None => (self.seq, build_shard(builder, &self.live)?),
+            };
+            let missed = &self.log[self.log.len() - (self.seq - at)..];
+            let caught_up = missed.iter().try_for_each(|op| op.replay(&mut copy));
+            if caught_up.is_err() {
+                // An op this line took failed on this copy (capacity
+                // depends on a copy's own history): drop it and let a
+                // staler copy, or the build, answer.
+                continue;
+            }
+            if let Err(e) = op.replay(&mut copy) {
+                // Inner updates are atomic, so the copy still is the
+                // published version: keep it for the next update.
+                self.retire(self.seq, Arc::new(copy));
+                return Err(e);
+            }
+            break copy;
+        };
+        let raw = copy.engine.last_update_report();
+        let retired = std::mem::replace(slot, Arc::new(copy));
+        op.apply_to(&mut self.live);
+        self.log.push(op);
+        self.seq += 1;
+        self.retire(self.seq - 1, retired);
+        Ok(raw)
     }
 }
 
 /// Snapshot-swap concurrent-serving wrapper ([`EngineKind::Snapshot`],
 /// spec `snapshot:inner=<spec>`).
 ///
-/// The engine value itself is the *writer*: `insert`/`remove` rebuild
-/// the next snapshot and publish it atomically. Classification through
-/// [`PacketClassifier::classify`] works (it reads the current
-/// snapshot), but the concurrent-serving payoff comes from handing
-/// [`SnapshotReader`]s (see [`SnapshotEngine::reader`]) to other
-/// threads: readers classify against immutable snapshots and are never
-/// blocked by churn. See the [module docs](self) for the protocol.
+/// The engine value itself is the *writer*: `insert`/`remove` bring a
+/// copy no reader can see to the next version and publish it
+/// atomically. Classification through [`PacketClassifier::classify`]
+/// works (it reads the current snapshot), but the concurrent-serving
+/// payoff comes from handing [`SnapshotReader`]s (see
+/// [`SnapshotEngine::reader`]) to other threads: readers classify
+/// against immutable snapshots and are never blocked by churn. See the
+/// [module docs](self) for the protocol.
 #[derive(Debug)]
 pub struct SnapshotEngine {
     handle: Arc<SnapshotHandle>,
     /// Builder for the single inner, or for each shard's inner.
     inner_builder: EngineBuilder,
-    mode: WriterMode,
+    /// Routes updates to their owning shard; `None` for a single inner.
+    router: Option<ShardRouter>,
     /// Writer's working copy of the shard snaps; published snapshots
-    /// share these `Arc`s, so an update allocates only the shard it
+    /// share these `Arc`s, so an update replaces only the shard it
     /// touched.
     snaps: Vec<Arc<Shard>>,
+    /// The history behind each entry of `snaps`.
+    lines: Vec<Line>,
+    /// Next global id to allocate (monotonic, never reused). A router
+    /// counts the same way; `insert` holds the two together.
+    next_global: u32,
     rules: usize,
     epoch: u64,
     report: Option<UpdateReport>,
@@ -263,28 +385,20 @@ impl SnapshotEngine {
         let engine = inner.build(rules)?;
         let global_ids: Vec<RuleId> = rules.iter().map(|(id, _)| id).collect();
         let live: Vec<(RuleId, Rule)> = rules.iter().map(|(id, r)| (id, *r)).collect();
-        let next_global = live.iter().map(|&(id, _)| id.0 + 1).max().unwrap_or(0);
         let snaps = vec![Arc::new(Shard { engine, global_ids })];
-        Ok(Self::assemble(
-            inner,
-            WriterMode::Single { live, next_global },
-            snaps,
-            rules.len(),
-        ))
+        Ok(Self::assemble(inner, None, snaps, vec![Line::new(live)]))
     }
 
-    /// Wraps a sharded inner: one engine per plan slice, rebuilt
-    /// per-shard on update. `per` is the builder for each shard's inner
+    /// Wraps a sharded inner: one engine per plan slice, each with its
+    /// own line of copies. `per` is the builder for each shard's inner
     /// engine (the sharded node's own inner node).
     pub(crate) fn from_sharded(
         plan: ShardPlan,
         router: ShardRouter,
         per: EngineBuilder,
     ) -> Result<Self, BuildError> {
-        let strategy = plan.strategy;
         let mut snaps = Vec::with_capacity(plan.shards.len());
-        let mut shards = Vec::with_capacity(plan.shards.len());
-        let total = plan.total_rules();
+        let mut lines = Vec::with_capacity(plan.shards.len());
         for slice in plan.shards {
             let engine = per.build(&slice.rules)?;
             let live: Vec<(RuleId, Rule)> = slice
@@ -296,33 +410,23 @@ impl SnapshotEngine {
                 engine,
                 global_ids: slice.global_ids,
             }));
-            shards.push(live);
+            lines.push(Line::new(live));
         }
-        Ok(Self::assemble(
-            per,
-            WriterMode::Sharded {
-                router,
-                shards,
-                strategy,
-            },
-            snaps,
-            total,
-        ))
+        Ok(Self::assemble(per, Some(router), snaps, lines))
     }
 
     fn assemble(
         inner_builder: EngineBuilder,
-        mode: WriterMode,
+        router: Option<ShardRouter>,
         snaps: Vec<Arc<Shard>>,
-        rules: usize,
+        lines: Vec<Line>,
     ) -> Self {
-        let strategy = match &mode {
-            WriterMode::Single { .. } => None,
-            WriterMode::Sharded { strategy, .. } => Some(*strategy),
-        };
+        let live = || lines.iter().flat_map(|line| &line.live);
+        let rules = live().count();
+        let next_global = live().map(|&(id, _)| id.0 + 1).max().unwrap_or(0);
         let initial = Arc::new(Snapshot {
             shards: snaps.clone(),
-            strategy,
+            strategy: router.as_ref().map(ShardRouter::strategy),
             epoch: 0,
             report: None,
             rules,
@@ -330,8 +434,10 @@ impl SnapshotEngine {
         SnapshotEngine {
             handle: Arc::new(SnapshotHandle::new(initial)),
             inner_builder,
-            mode,
+            router,
             snaps,
+            lines,
+            next_global,
             rules,
             epoch: 0,
             report: None,
@@ -342,13 +448,9 @@ impl SnapshotEngine {
     fn publish(&mut self, report: UpdateReport) {
         self.epoch += 1;
         self.report = Some(report);
-        let strategy = match &self.mode {
-            WriterMode::Single { .. } => None,
-            WriterMode::Sharded { strategy, .. } => Some(*strategy),
-        };
         self.handle.publish(Arc::new(Snapshot {
             shards: self.snaps.clone(),
-            strategy,
+            strategy: self.router.as_ref().map(ShardRouter::strategy),
             epoch: self.epoch,
             report: self.report,
             rules: self.rules,
@@ -411,99 +513,83 @@ impl PacketClassifier for SnapshotEngine {
     }
 
     fn memory_bits(&self) -> u64 {
+        // The published copies only: the model prices one device, and
+        // the pooled copies are the controller's working memory.
         self.snaps.iter().map(|s| s.engine.memory_bits()).sum()
     }
 
     fn supports_updates(&self) -> bool {
         // Always: build-once inners are rebuilt wholesale (see the
-        // module docs) — paying for rebuilds off the fast path is the
-        // point of the wrapper.
+        // module docs) — paying for the next version off the fast path
+        // is the point of the wrapper.
         true
     }
 
     fn insert(&mut self, rule: Rule) -> Result<RuleId, UpdateError> {
-        let (global, raw) = match &mut self.mode {
-            WriterMode::Single { live, next_global } => {
-                if let Some(&(existing, _)) = live
+        let k = match &mut self.router {
+            None => {
+                if let Some(&(existing, _)) = self.lines[0]
+                    .live
                     .iter()
                     .find(|(_, r)| r.dim_values() == rule.dim_values())
                 {
                     return Err(UpdateError::Duplicate { existing });
                 }
-                let (mut shard, raw) = next_with_insert(&self.inner_builder, live, rule)?;
-                let global = RuleId(*next_global);
-                *next_global += 1;
-                shard.global_ids.push(global);
-                live.push((global, rule));
-                self.snaps[0] = Arc::new(shard);
-                (global, raw)
+                0
             }
-            WriterMode::Sharded { router, shards, .. } => {
+            Some(router) => {
                 if let Some(existing) = router.duplicate_of(&rule) {
                     return Err(UpdateError::Duplicate { existing });
                 }
-                let k = match router.route(&rule) {
+                match router.route(&rule) {
                     RouteTarget::Existing(k) => k,
                     RouteTarget::NewShard { slot } => {
-                        // Open the empty shard first so `shards` and
-                        // `snaps` stay parallel even if the rebuild
+                        // Open the empty shard first so `lines` and
+                        // `snaps` stay parallel even if the update
                         // below fails (an empty shard is harmless).
                         let empty = build_shard(&self.inner_builder, &[])?;
-                        shards.push(Vec::new());
+                        self.lines.push(Line::default());
                         self.snaps.push(Arc::new(empty));
                         router.register_shard(slot)
                     }
-                };
-                let (mut shard, raw) = next_with_insert(&self.inner_builder, &shards[k], rule)?;
-                let local = RuleId(shards[k].len() as u32);
-                let global = router.record_insert(rule, k, local);
-                shard.global_ids.push(global);
-                shards[k].push((global, rule));
-                // The untouched shards' `Arc`s carry over unchanged —
-                // this swap is the only allocation the update publishes.
-                self.snaps[k] = Arc::new(shard);
-                (global, raw)
+                }
             }
         };
+        let global = RuleId(self.next_global);
+        // The untouched shards' `Arc`s carry over unchanged — this swap
+        // is the only one the update publishes.
+        let raw = self.lines[k].advance(
+            &self.inner_builder,
+            &mut self.snaps[k],
+            Op::Insert(rule, global),
+        )?;
+        if let Some(router) = &mut self.router {
+            // Local ids differ from copy to copy; the router gets the
+            // one a fresh build would give.
+            let local = RuleId(self.lines[k].live.len() as u32 - 1);
+            let allocated = router.record_insert(rule, k, local);
+            debug_assert_eq!(allocated, global);
+        }
+        self.next_global += 1;
         self.rules += 1;
         self.publish(report_for(raw, global));
         Ok(global)
     }
 
-    // The writer's shard mirrors and the router are updated in lock-step
-    // by every update path, so a rule the router locates is always
-    // present in the mirrored shard.
-    #[allow(clippy::expect_used)]
     fn remove(&mut self, id: RuleId) -> Result<(), UpdateError> {
-        let report = match &mut self.mode {
-            WriterMode::Single { live, .. } => {
-                let idx = live
-                    .iter()
-                    .position(|&(g, _)| g == id)
-                    .ok_or(UpdateError::UnknownRule { id })?;
-                let (shard, raw) = next_with_remove(&self.inner_builder, live, idx)?;
-                live.remove(idx);
-                self.snaps[0] = Arc::new(shard);
-                report_for(raw, id)
-            }
-            WriterMode::Sharded { router, shards, .. } => {
-                let k = router
-                    .location(id)
-                    .ok_or(UpdateError::UnknownRule { id })?
-                    .shard;
-                let idx = shards[k]
-                    .iter()
-                    .position(|&(g, _)| g == id)
-                    .expect("router and writer shard mirrors agree");
-                let (shard, raw) = next_with_remove(&self.inner_builder, &shards[k], idx)?;
-                router.record_remove(id);
-                shards[k].remove(idx);
-                self.snaps[k] = Arc::new(shard);
-                report_for(raw, id)
-            }
+        let k = match &self.router {
+            None => Some(0),
+            Some(router) => router.location(id).map(|loc| loc.shard),
         };
+        let Some(k) = k.filter(|&k| self.lines[k].live.iter().any(|&(g, _)| g == id)) else {
+            return Err(UpdateError::UnknownRule { id });
+        };
+        let raw = self.lines[k].advance(&self.inner_builder, &mut self.snaps[k], Op::Remove(id))?;
+        if let Some(router) = &mut self.router {
+            router.record_remove(id);
+        }
         self.rules -= 1;
-        self.publish(report);
+        self.publish(report_for(raw, id));
         Ok(())
     }
 
@@ -590,6 +676,8 @@ mod tests {
     use super::*;
     use crate::EngineBuilder;
     use spc_types::{Action, PortRange, Priority, ProtoSpec, Rule};
+    use std::collections::VecDeque;
+    use std::fmt::Debug;
 
     fn rule(priority: u32, port: u16) -> Rule {
         Rule::builder(Priority(priority))
@@ -744,5 +832,243 @@ mod tests {
         assert_eq!(report.rule_id, id);
         // The §V.A floor the configurable engines assert themselves.
         assert!(report.hw_write_cycles >= 3, "{report:?}");
+    }
+
+    /// Ports every grid below probes: the base rules' and a margin.
+    const GRID: std::ops::Range<u16> = 995..1070;
+
+    /// A rule that beats every base rule on dst ports `1000..=hi`.
+    fn shadow(hi: u16) -> Rule {
+        Rule::builder(Priority(0))
+            .dst_port(PortRange::new(1000, hi).unwrap())
+            .proto(ProtoSpec::Exact(6))
+            .action(Action::Forward(hi))
+            .build()
+    }
+
+    /// What a grid answered, in global-id space.
+    type Answers = Vec<(Option<RuleId>, Option<Action>)>;
+
+    fn answers(mut classify: impl FnMut(&Header) -> Verdict) -> Answers {
+        GRID.map(|port| {
+            let v = classify(&probe(port));
+            (v.rule, v.action)
+        })
+        .collect()
+    }
+
+    /// `linear` over `live`, the test's own shadow of the installed
+    /// rules with the global ids the engine handed out.
+    fn oracle(live: &[(RuleId, Rule)]) -> Answers {
+        let set: RuleSet = live.iter().map(|&(_, r)| r).collect();
+        let linear = EngineBuilder::new(EngineKind::Linear).build(&set).unwrap();
+        answers(|h| {
+            let mut v = linear.classify(h);
+            v.rule = v.rule.map(|local| live[local.0 as usize].0);
+            v
+        })
+    }
+
+    fn shadow_of(rules: &RuleSet) -> Vec<(RuleId, Rule)> {
+        rules.iter().map(|(id, r)| (id, *r)).collect()
+    }
+
+    #[test]
+    fn pinned_reader_keeps_its_version_while_copies_recycle() {
+        let rules = base_rules(24);
+        let mut live = shadow_of(&rules);
+        let mut eng = snap("snapshot:inner=configurable-bst", &rules);
+        let pinned = eng.reader();
+        let mut fresh = eng.reader();
+        let at_zero = oracle(&live);
+        let mut churned = VecDeque::new();
+        for op in 0..3 * MAX_LAG as u16 {
+            // Two inserts to every remove: the set drifts from epoch 0.
+            if op % 3 < 2 {
+                let r = shadow(1001 + op);
+                let id = eng.insert(r).unwrap();
+                live.push((id, r));
+                churned.push_back(id);
+            } else {
+                let id = churned.pop_front().unwrap();
+                eng.remove(id).unwrap();
+                live.retain(|&(g, _)| g != id);
+            }
+            assert_eq!(answers(|h| fresh.classify(h)), oracle(&live), "op {op}");
+            assert_eq!(fresh.update_epoch(), u64::from(op) + 1);
+            assert_eq!(answers(|h| pinned.classify_current(h)), at_zero, "op {op}");
+            assert_eq!(pinned.update_epoch(), 0);
+            let line = &eng.lines[0];
+            assert!(line.pool.len() <= POOL_MAX, "op {op}: {}", line.pool.len());
+            assert!(line.log.len() <= MAX_LAG, "op {op}");
+            assert!(line.pool.iter().all(|&(at, _)| line.seq - at <= MAX_LAG));
+        }
+    }
+
+    /// A copy built for the op that published it maps exactly the rules
+    /// it was loaded with plus that op's; a copy updated in place has
+    /// kept the slot of every insert it ever took. So in insert/remove
+    /// cycles over `n` base rules, `n + 1` slots means "built just now".
+    fn built_for_this_op(eng: &SnapshotEngine, n: usize) -> bool {
+        eng.snaps[0].global_ids.len() == n + 1
+    }
+
+    #[test]
+    fn steady_state_publishes_never_rebuild() {
+        let rules = base_rules(16);
+        // The benchmark's sequencing (the reader refreshes between an
+        // insert and its remove) and the ledger's (it never does).
+        for refreshing in [true, false] {
+            let mut eng = snap("snapshot:inner=configurable-bst", &rules);
+            let mut reader = eng.reader();
+            for cycle in 0..12u16 {
+                let id = eng.insert(shadow(1001 + cycle)).unwrap();
+                let insert_built = built_for_this_op(&eng, rules.len());
+                if refreshing {
+                    assert!(reader.refresh());
+                }
+                eng.remove(id).unwrap();
+                let remove_built = built_for_this_op(&eng, rules.len());
+                match cycle {
+                    // Nothing is pooled before the first publish.
+                    0 => assert!(insert_built, "refreshing={refreshing}"),
+                    1 => {}
+                    _ => {
+                        assert!(
+                            !insert_built && !remove_built,
+                            "refreshing={refreshing} cycle {cycle}: steady state rebuilt"
+                        );
+                        // What `POOL_MAX` was sized on.
+                        assert!(eng.lines[0].pool.len() <= 2, "cycle {cycle}");
+                    }
+                }
+            }
+            assert_eq!(answers(|h| eng.classify(h)), oracle(&shadow_of(&rules)));
+        }
+    }
+
+    #[test]
+    fn grown_id_maps_are_compacted_by_a_rebuild() {
+        let rules = base_rules(24);
+        let n = rules.len();
+        let mut eng = snap("snapshot:inner=configurable-bst", &rules);
+        let bound = 2 * (n + 1) + MAX_LAG + 1;
+        for cycle in 0..10 * n as u16 {
+            let id = eng.insert(shadow(1001 + cycle)).unwrap();
+            eng.remove(id).unwrap();
+            let pooled = eng.lines[0].pool.iter().map(|(_, copy)| copy);
+            for copy in pooled.chain(&eng.snaps) {
+                let slots = copy.global_ids.len();
+                assert!(slots <= bound, "cycle {cycle}: {slots} slots");
+            }
+        }
+        assert_eq!(answers(|h| eng.classify(h)), oracle(&shadow_of(&rules)));
+    }
+
+    /// Everything a failed update must leave alone.
+    fn observe(eng: &SnapshotEngine, readers: &[SnapshotReader]) -> impl PartialEq + Debug {
+        let readers: Vec<_> = readers
+            .iter()
+            .map(|r| (r.update_epoch(), answers(|h| r.classify_current(h))))
+            .collect();
+        (
+            answers(|h| eng.classify(h)),
+            eng.update_epoch(),
+            eng.last_update_report(),
+            eng.rules(),
+            readers,
+        )
+    }
+
+    #[test]
+    fn failed_updates_are_atomic_with_and_without_a_free_copy() {
+        // A 32-slot Rule Filter: the base set fits, the churn below
+        // runs it full.
+        let rules = base_rules(20);
+        for pin_everything in [false, true] {
+            let mut eng = snap("snapshot:inner=(configurable-bst:rf_bits=5)", &rules);
+            let mut live = shadow_of(&rules);
+            // `readers[0]` follows the writer. The others, one per
+            // version, never refresh: they keep every retired copy out
+            // of the pool's reach, so each update builds afresh.
+            let mut readers = vec![eng.reader()];
+            let mut full = None;
+            for i in 0..40u16 {
+                if pin_everything {
+                    readers.push(eng.reader());
+                }
+                let before = observe(&eng, &readers);
+                let r = shadow(1001 + i);
+                match eng.insert(r) {
+                    Ok(id) => live.push((id, r)),
+                    Err(e) => {
+                        assert!(matches!(e, UpdateError::Rejected { .. }), "{e:?}");
+                        assert_eq!(observe(&eng, &readers), before, "capacity, insert {i}");
+                        full = Some(r);
+                        break;
+                    }
+                }
+                assert!(readers[0].refresh());
+                assert_eq!(answers(|h| eng.classify(h)), oracle(&live));
+                let free = eng.lines[0]
+                    .pool
+                    .iter_mut()
+                    .any(|(_, copy)| Arc::get_mut(copy).is_some());
+                assert_eq!(free, !pin_everything, "insert {i}");
+            }
+            let full = full.expect("32 slots cannot hold 60 rules");
+
+            let before = observe(&eng, &readers);
+            let (dup_of, dup) = live[3];
+            assert_eq!(
+                eng.insert(dup),
+                Err(UpdateError::Duplicate { existing: dup_of })
+            );
+            assert_eq!(
+                eng.remove(RuleId(404)),
+                Err(UpdateError::UnknownRule { id: RuleId(404) })
+            );
+            assert!(eng.insert(full).is_err(), "still full");
+            assert_eq!(observe(&eng, &readers), before);
+            assert!(!readers[0].refresh(), "nothing was published");
+
+            // The next successful ops publish versions equal to linear.
+            let (gone, _) = live.remove(21);
+            eng.remove(gone).unwrap();
+            assert_eq!(answers(|h| readers[0].classify(h)), oracle(&live));
+            let id = eng.insert(full).unwrap();
+            live.push((id, full));
+            assert_eq!(answers(|h| readers[0].classify(h)), oracle(&live));
+            assert_eq!(eng.rules(), live.len());
+        }
+    }
+
+    #[test]
+    fn recycled_cached_copies_never_serve_stale_verdicts() {
+        // A recycled copy keeps the flow cache it filled versions ago;
+        // only `CachedEngine`'s own invalidation, run by the replay,
+        // keeps it coherent. Every rule below shadows headers the
+        // reader has already classified on every copy in rotation.
+        let rules = base_rules(32);
+        let mut live = shadow_of(&rules);
+        let spec = "snapshot:inner=(cached:inner=configurable-bst,flows=64)";
+        let mut eng = snap(spec, &rules);
+        let mut reader = eng.reader();
+        let mut warm_hits = 0;
+        for cycle in 0..32u16 {
+            assert_eq!(answers(|h| reader.classify(h)), oracle(&live));
+            let r = shadow(1001 + cycle);
+            let id = eng.insert(r).unwrap();
+            live.push((id, r));
+            // A cache hit is one wide read: count the verdicts the new
+            // version answers from a cache it did not start cold with.
+            let first_pass = GRID.map(|port| reader.classify(&probe(port)));
+            warm_hits += first_pass.filter(|v| v.mem_reads == 1).count();
+            assert_eq!(answers(|h| reader.classify(h)), oracle(&live), "{cycle}");
+            eng.remove(id).unwrap();
+            live.pop();
+            assert_eq!(answers(|h| reader.classify(h)), oracle(&live), "{cycle}");
+        }
+        assert!(warm_hits > 0, "no recycled copy ever served from its cache");
     }
 }

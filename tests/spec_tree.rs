@@ -1,10 +1,11 @@
 //! The spec tree's nesting table, exercised by construction rather than
 //! by a hand-kept list: every ordered pair of `EngineKind::ALL`, and
 //! every ordering of the three wrappers, is either legal by
-//! `legal_nesting` — then it must parse, build, agree with `linear` and
-//! keep the `update_epoch` contract — or illegal — then both the spec
-//! path and the typed path must answer with a `ConfigError`. A backend
-//! or wrapper added to the registry is covered the moment it registers.
+//! `legal_nesting` — then it must parse, build, agree with `linear`,
+//! keep the `update_epoch` contract and, under `snapshot`, serve a
+//! reader through churn — or illegal — then both the spec path and the
+//! typed path must answer with a `ConfigError`. A backend or wrapper
+//! added to the registry is covered the moment it registers.
 
 // Integration-test support code (helpers outside #[test] fns are not
 // covered by clippy.toml's allow-unwrap-in-tests): a failed unwrap here
@@ -12,7 +13,9 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use spc::classbench::{FilterKind, RuleSetGenerator, TraceGenerator};
-use spc::engine::{legal_nesting, BuildError, EngineBuilder, EngineKind, UpdateError};
+use spc::engine::{
+    legal_nesting, BuildError, EngineBuilder, EngineKind, PacketClassifier, UpdateError,
+};
 use spc::types::{Action, Header, PortRange, Priority, ProtoSpec, Rule, RuleId, RuleSet};
 
 /// Whether every ancestor/descendant pair on `path` is legal.
@@ -78,7 +81,7 @@ fn probe_rule() -> Rule {
 
 /// The `update_epoch` contract in brief (`tests/properties.rs` holds
 /// the long form): +1 exactly when the report is replaced.
-fn epoch_smoke(spec: &str, e: &mut dyn spc::engine::PacketClassifier) {
+fn epoch_smoke(spec: &str, e: &mut dyn PacketClassifier) {
     assert_eq!(e.update_epoch(), 0, "{spec}");
     if !e.supports_updates() {
         assert!(
@@ -98,6 +101,51 @@ fn epoch_smoke(spec: &str, e: &mut dyn spc::engine::PacketClassifier) {
     assert_eq!(e.last_update_report(), Some(report), "{spec}");
     e.remove(id).unwrap();
     assert_eq!(e.update_epoch(), 2, "{spec}");
+}
+
+/// The snapshot writer under a refreshing reader: eight alternating
+/// insert / remove steps, each rule shadowing a traced flow, every
+/// verdict the reader gives held to `linear` over the live set. Inners
+/// that update in place put the writer's recycle path under every such
+/// kind; build-once inners keep its rebuild path honest.
+fn snapshot_churn_smoke(spec: &str, builder: &EngineBuilder, rules: &RuleSet, trace: &[Header]) {
+    let mut writer = builder.build_snapshot(rules).expect(spec);
+    let mut reader = writer.reader();
+    let mut live: Vec<(RuleId, Rule)> = rules.iter().map(|(id, r)| (id, *r)).collect();
+    let mut flows: Vec<(u16, u8)> = trace.iter().map(|h| (h.dst_port, h.proto)).collect();
+    flows.sort_unstable();
+    flows.dedup();
+    let mut churned = Vec::new();
+    for step in 0..8 {
+        if step % 2 == 0 {
+            let (port, proto) = flows[step * flows.len() / 8];
+            let rule = Rule::builder(Priority(0))
+                .dst_port(PortRange::exact(port))
+                .proto(ProtoSpec::Exact(proto))
+                .action(Action::Forward(step as u16))
+                .build();
+            let id = writer
+                .insert(rule)
+                .unwrap_or_else(|e| panic!("{spec}: {e}"));
+            live.push((id, rule));
+            churned.push(id);
+        } else {
+            // Oldest first, so a rule outlives the insert after it.
+            let id = churned.remove(0);
+            writer.remove(id).unwrap_or_else(|e| panic!("{spec}: {e}"));
+            live.retain(|&(g, _)| g != id);
+        }
+        assert_eq!(writer.update_epoch(), step as u64 + 1, "{spec}");
+        let set: RuleSet = live.iter().map(|&(_, r)| r).collect();
+        let oracle = EngineBuilder::new(EngineKind::Linear).build(&set).unwrap();
+        for h in trace {
+            let (got, want) = (reader.classify(h), oracle.classify(h));
+            let want_id = want.rule.map(|local| live[local.0 as usize].0);
+            assert_eq!(got.rule, want_id, "{spec} step {step} at {h}");
+            assert_eq!(got.action, want.action, "{spec} step {step} at {h}");
+        }
+        assert_eq!(reader.update_epoch(), writer.update_epoch(), "{spec}");
+    }
 }
 
 #[test]
@@ -126,6 +174,9 @@ fn nesting_matrix_follows_the_table() {
                 assert_eq!(engine.classify(h).rule, oracle.classify(h).rule, "{spec}");
             }
             epoch_smoke(&spec, engine.as_mut());
+            if path[0] == EngineKind::Snapshot {
+                snapshot_churn_smoke(&spec, &parsed, &rules, &trace);
+            }
             built += 1;
         } else {
             for (route, result) in [
