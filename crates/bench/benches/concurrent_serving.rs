@@ -182,8 +182,9 @@ fn bench_concurrent_serving(c: &mut Criterion) {
     let mut group = c.benchmark_group("concurrent_serving");
     group.throughput(Throughput::Elements(PROBES as u64));
     group.sample_size(10);
-    // A sharded inner additionally exercises the touched-shard-only
-    // rebuild: untouched shard Arcs are reused across versions.
+    // A sharded inner additionally exercises the per-shard lines: an
+    // update advances only the touched shard's line of copies, and
+    // untouched shard Arcs are reused across versions.
     for inner in [
         "configurable-bst",
         "sharded:inner=configurable-bst,shards=4,strategy=prio",

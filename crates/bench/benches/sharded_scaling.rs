@@ -1,7 +1,10 @@
 //! Criterion bench: sharded batch throughput as a function of shard
 //! count × batch size, on an 8k-rule ACL set. The unsharded inner engine
 //! (shards=1) is the baseline in every group, so the scaling factor is
-//! read straight off the report.
+//! read straight off the report. Only the `hash` groups run threads
+//! (`pipeline::broadcast_batch`, one scoped worker per shard); the
+//! `prio` groups probe bands in order on the calling thread, so for
+//! them the sweep reads the cost of the partition, not a topology.
 //!
 //! The sweep axis the `spc_benchmark` ledger lacks: shard count × batch
 //! size (it has the 4-shard points only: `sharded.hash4_ns`, `prio4_ns`).

@@ -3,9 +3,9 @@
 //! bursts on the sharded backend at {1, 2, 8} shards (both strategies)
 //! vs the unsharded configurable inner. This measures the cost of
 //! keeping the paper's §V.A fast update path alive under sharding: hash
-//! routing re-folds one dimension per insert, priority bands pay
-//! occasional split migrations, and both pay the global↔local id
-//! bookkeeping.
+//! routing re-folds one dimension per insert, priority bands search the
+//! band key sets, and both pay the global↔local id bookkeeping on top
+//! of exactly one inner update.
 //!
 //! The sweep axis the `spc_benchmark` ledger lacks: sharded churn at
 //! 1 / 2 / 8 shards (it has `core.insert_us` / `core.remove_us` and one

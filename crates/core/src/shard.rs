@@ -10,8 +10,11 @@
 //!
 //! Correctness does not depend on the strategy: a sharded classifier
 //! queries *every* shard and keeps the highest-priority hit, so any
-//! assignment of rules to shards yields the same merged verdict. The
-//! strategy only shapes load balance and per-shard structure size.
+//! assignment of rules to shards yields the same merged verdict (under
+//! priority bands, which are ordered, it may stop at the first band
+//! that hits). The strategy only shapes load balance and per-shard
+//! structure size; nothing here moves a rule between shards after it
+//! is placed.
 
 use spc_hwsim::HashUnit;
 use spc_types::{Dim, DimValue, Priority, Rule, RuleId, RuleSet};
@@ -32,17 +35,6 @@ pub enum ShardStrategy {
     /// Rules sharing a field value (and hence a label) land in the same
     /// shard, which keeps per-shard label tables dense.
     FieldHash(Dim),
-}
-
-impl ShardStrategy {
-    /// Short display token (`prio` / `hash:<dim>`), the inverse of the
-    /// engine-spec syntax.
-    pub fn token(self) -> String {
-        match self {
-            ShardStrategy::PriorityBands => "prio".to_string(),
-            ShardStrategy::FieldHash(dim) => format!("hash:{dim}"),
-        }
-    }
 }
 
 /// One shard's slice of the original rule set.
@@ -83,11 +75,6 @@ impl ShardPlan {
     /// Total rules across all shards (equals the input set's length).
     pub fn total_rules(&self) -> usize {
         self.shards.iter().map(|s| s.rules.len()).sum()
-    }
-
-    /// Length of the largest shard — the load-balance worst case.
-    pub fn max_shard_len(&self) -> usize {
-        self.shards.iter().map(|s| s.rules.len()).max().unwrap_or(0)
     }
 }
 
@@ -190,7 +177,7 @@ pub enum RouteTarget {
 
 /// A live rule's location: which shard holds it, under which
 /// shard-local id, and the rule itself (needed to key the duplicate
-/// index on removal and to re-install the rule during band migration).
+/// index and the band key set on removal).
 #[derive(Debug, Clone, Copy)]
 pub struct RuleLocation {
     /// Index of the owning shard.
@@ -213,13 +200,13 @@ pub struct RuleLocation {
 /// this router keeps global→local). It also owns the two pieces of
 /// bookkeeping the strategies need under churn: the hash-slot→shard
 /// table (slots can gain their first rule after build) and the per-band
-/// ordered key sets that keep the `(priority, global id)` cascade
-/// invariant checkable and band splits plannable.
+/// ordered key sets that route an insert to its band and keep the
+/// `(priority, global id)` cascade invariant checkable.
 ///
 /// The router records decisions; it never touches classifiers. The
 /// engine layer performs the actual insert/remove and reports the
 /// resulting shard-local ids back via [`ShardRouter::record_insert`] /
-/// [`ShardRouter::record_remove`] / [`ShardRouter::apply_band_split`].
+/// [`ShardRouter::record_remove`].
 #[derive(Debug, Clone)]
 pub struct ShardRouter {
     strategy: ShardStrategy,
@@ -414,56 +401,6 @@ impl ShardRouter {
         Some(loc)
     }
 
-    /// The global ids a split of `band` would migrate: the upper half of
-    /// its keys, in ascending `(priority, id)` order. Empty when the
-    /// band holds fewer than two rules.
-    pub fn split_moves(&self, band: usize) -> Vec<RuleId> {
-        let keys = &self.bands[band];
-        let keep = keys.len() - keys.len() / 2;
-        keys.iter().skip(keep).map(|&(_, id)| id).collect()
-    }
-
-    /// Commits a band split: the caller migrated `moved` (global id →
-    /// new shard-local id, in [`ShardRouter::split_moves`] order) into a
-    /// fresh classifier spliced in at `band + 1`. Shifts every later
-    /// shard index up by one and relocates the moved rules, preserving
-    /// the cascade invariant (the moved keys were the band's upper half,
-    /// so old band < new band < old band + 1 holds by construction).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the strategy is not [`ShardStrategy::PriorityBands`] or
-    /// a moved id is not installed in `band`.
-    #[allow(clippy::expect_used)] // panic contract documented above
-    pub fn apply_band_split(&mut self, band: usize, moved: &[(RuleId, RuleId)]) {
-        assert_eq!(
-            self.strategy,
-            ShardStrategy::PriorityBands,
-            "only priority bands split"
-        );
-        for loc in self.entries.values_mut() {
-            if loc.shard > band {
-                loc.shard += 1;
-            }
-        }
-        self.bands.insert(band + 1, BTreeSet::new());
-        self.lens.insert(band + 1, 0);
-        for &(global, local) in moved {
-            let loc = self
-                .entries
-                .get_mut(&global.0)
-                .expect("moved rule is installed");
-            assert_eq!(loc.shard, band, "moved rule must come from the split band");
-            let key = (loc.rule.priority, global);
-            self.bands[band].remove(&key);
-            self.bands[band + 1].insert(key);
-            self.lens[band] -= 1;
-            self.lens[band + 1] += 1;
-            loc.shard = band + 1;
-            loc.local = local;
-        }
-    }
-
     /// Checks the cascade invariant: every band's keys lie strictly
     /// below the next non-empty band's. Test/debug aid.
     pub fn bands_ordered(&self) -> bool {
@@ -595,22 +532,6 @@ mod tests {
                 assert_eq!(x.global_ids, y.global_ids);
             }
         }
-    }
-
-    #[test]
-    fn strategy_tokens() {
-        assert_eq!(ShardStrategy::PriorityBands.token(), "prio");
-        assert_eq!(
-            ShardStrategy::FieldHash(Dim::DstPort).token(),
-            "hash:dst_port"
-        );
-    }
-
-    #[test]
-    fn max_shard_len_reports_imbalance() {
-        let rules = set(9);
-        let p = plan(&rules, 2, ShardStrategy::PriorityBands);
-        assert_eq!(p.max_shard_len(), 5);
     }
 
     fn rule(prio: u32, port: u16) -> Rule {
@@ -789,36 +710,5 @@ mod tests {
         );
         router.record_remove(first).unwrap();
         assert!(router.duplicate_of(&twin(5)).is_none());
-    }
-
-    #[test]
-    fn router_band_split_moves_upper_half() {
-        let rules = set(16);
-        let p = plan(&rules, 2, ShardStrategy::PriorityBands);
-        let mut router = ShardRouter::from_plan(&p, 2);
-        let band0_before = router.shard_len(0);
-        let moves = router.split_moves(0);
-        assert_eq!(moves.len(), band0_before / 2);
-        // The moved ids are the band's worst-priority suffix.
-        let moved: Vec<(RuleId, RuleId)> = moves
-            .iter()
-            .enumerate()
-            .map(|(i, &g)| (g, RuleId(i as u32)))
-            .collect();
-        let displaced: Vec<usize> = (0..router.shard_count())
-            .map(|s| router.shard_len(s))
-            .collect();
-        router.apply_band_split(0, &moved);
-        assert_eq!(router.shard_count(), 3);
-        assert_eq!(router.shard_len(0), band0_before - moves.len());
-        assert_eq!(router.shard_len(1), moves.len());
-        assert_eq!(router.shard_len(2), displaced[1], "old band 1 shifted");
-        assert!(router.bands_ordered(), "split must preserve the cascade");
-        for (i, &(g, _)) in moved.iter().enumerate() {
-            let loc = router.location(g).unwrap();
-            assert_eq!(loc.shard, 1);
-            assert_eq!(loc.local, RuleId(i as u32));
-        }
-        assert_eq!(router.len(), 16, "split moves rules, it doesn't drop them");
     }
 }

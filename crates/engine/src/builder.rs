@@ -29,7 +29,6 @@ const SPEC_KEYS: &[&str] = &[
     "shards",
     "strategy",
     "hash_dim",
-    "skew",
     "flows",
     "megaflow",
     "tables",
@@ -217,10 +216,6 @@ fn nest_under(ancestors: &[EngineKind], kind: EngineKind) -> Result<(), BuildErr
 /// ClassBench-style sets.
 const DEFAULT_HASH_DIM: Dim = Dim::DipLo;
 
-/// Default band-rebalance skew factor for updatable priority-band
-/// sharding: a band splits once it exceeds twice its build-time quota.
-const DEFAULT_BAND_SKEW: f64 = 2.0;
-
 /// The options of one spec-tree node: one variant per option-bearing
 /// backend family, holding exactly the spec keys that family owns.
 /// Registering a key means adding a field here, its arms in
@@ -244,8 +239,6 @@ enum KindOpts {
         strategy: ShardStrategy,
         /// Refines `strategy=hash`.
         hash_dim: Option<Dim>,
-        /// Band-split factor (`None`: [`DEFAULT_BAND_SKEW`]).
-        skew: Option<f64>,
     },
     /// `cached`.
     Cached { flows: usize, megaflow: bool },
@@ -267,7 +260,6 @@ impl KindOpts {
                 shards: 4,
                 strategy: ShardStrategy::PriorityBands,
                 hash_dim: None,
-                skew: None,
             },
             EngineKind::Cached => KindOpts::Cached {
                 flows: 4096,
@@ -323,7 +315,6 @@ impl KindOpts {
                 let dim = ALL_DIMS.into_iter().find(|d| d.to_string() == value);
                 *hash_dim = Some(dim.ok_or(())?);
             }
-            (KindOpts::Sharded { skew, .. }, "skew") => *skew = Some(num(value)?),
             (KindOpts::Cached { flows, .. }, "flows") => *flows = slots(key, value)?,
             (KindOpts::Cached { megaflow, .. }, "megaflow") => {
                 *megaflow = match value {
@@ -356,14 +347,12 @@ impl KindOpts {
                 shards,
                 strategy,
                 hash_dim,
-                skew,
             } => {
                 out.push(format!("shards={shards}"));
                 if matches!(strategy, ShardStrategy::FieldHash(_)) {
                     out.push("strategy=hash".to_string());
                 }
                 out.extend(hash_dim.map(|dim| format!("hash_dim={dim}")));
-                out.extend(skew.map(|skew| format!("skew={skew}")));
             }
             KindOpts::Cached { flows, megaflow } => {
                 out.push(format!("flows={flows}"));
@@ -485,14 +474,14 @@ impl EngineBuilder {
     /// it when it contains commas, e.g.
     /// `cached:inner=(sharded:inner=(tss:tables=64),shards=4),flows=8192`.
     /// Nesting is decided by [`legal_nesting`] for every pair on a path.
-    /// The sharded backend also takes `shards=N`, `strategy=prio|hash`,
-    /// `hash_dim=<dimension>` (e.g. `dst_port`; refines `strategy=hash`)
-    /// and `skew=F` (band-split factor ≥ 1.0; refines `strategy=prio`,
-    /// see [`ShardedEngine`]); `rf_bits`/`combine` written on it are
-    /// pushed down onto its configurable inner node.
+    /// The sharded backend also takes `shards=N`, `strategy=prio|hash`
+    /// and `hash_dim=<dimension>` (e.g. `dst_port`; refines
+    /// `strategy=hash`); `rf_bits`/`combine` written on it are pushed
+    /// down onto its configurable inner node.
     /// The cached backend takes `flows=N` (microflow slots, rounded up
-    /// to a power of two at build time) and `megaflow=on|off`; a
-    /// `snapshot:inner=(sharded:...)` rebuilds per shard. The
+    /// to a power of two at build time) and `megaflow=on|off`; an update
+    /// to a `snapshot:inner=(sharded:...)` advances only the touched
+    /// shard's line of copies. The
     /// tuple-space backend takes `tables=N` (per-tuple hash-slot hint,
     /// rounded up to a power of two at build time); the software TCAM
     /// takes `capacity=N` (provisioned slots) and `partitions=K`
@@ -637,21 +626,12 @@ impl EngineBuilder {
                 shards,
                 strategy,
                 hash_dim,
-                skew,
             } => {
                 at_least_one("shards", shards, "")?;
-                match (strategy, hash_dim, skew) {
-                    (ShardStrategy::PriorityBands, Some(dim), _) => {
+                match (strategy, hash_dim) {
+                    (ShardStrategy::PriorityBands, Some(dim)) => {
                         config(format!("hash_dim={dim}"), "hash_dim requires strategy=hash")
                     }
-                    (ShardStrategy::FieldHash(_), _, Some(skew)) => config(
-                        format!("skew={skew}"),
-                        "skew tunes priority-band splitting; it requires strategy=prio",
-                    ),
-                    (_, _, Some(skew)) if !skew.is_finite() || skew < 1.0 => config(
-                        format!("skew={skew}"),
-                        "skew must be a finite factor >= 1.0",
-                    ),
                     _ => Ok(()),
                 }
             }
@@ -814,15 +794,14 @@ impl EngineBuilder {
 
     /// A sharded node taken apart for its engine: the partitioning of
     /// `rules` (the plan and its live router, under the strategy
-    /// `hash_dim` resolves to), the node every shard is built from, and
-    /// the band-split factor. `None` on any other node.
-    fn sharded_parts(&self, rules: &RuleSet) -> Option<(ShardPlan, ShardRouter, &Self, f64)> {
+    /// `hash_dim` resolves to) and the node every shard is built from.
+    /// `None` on any other node.
+    fn sharded_parts(&self, rules: &RuleSet) -> Option<(ShardPlan, ShardRouter, &Self)> {
         let (
             KindOpts::Sharded {
                 shards,
                 strategy,
                 hash_dim,
-                skew,
             },
             Some(inner),
         ) = (self.opts, &self.inner)
@@ -835,14 +814,14 @@ impl EngineBuilder {
         };
         let plan = shard::plan(rules, shards, strategy);
         let router = ShardRouter::from_plan(&plan, shards);
-        Some((plan, router, inner, skew.unwrap_or(DEFAULT_BAND_SKEW)))
+        Some((plan, router, inner))
     }
 
     pub(crate) fn build_sharded(&self, rules: &RuleSet) -> Result<ShardedEngine, BuildError> {
-        let (plan, router, inner, skew) = self
+        let (plan, router, inner) = self
             .sharded_parts(rules)
             .ok_or_else(|| self.not_a(EngineKind::Sharded))?;
-        ShardedEngine::from_plan(plan, router, inner.clone(), skew)
+        ShardedEngine::from_plan(plan, router, inner.clone())
     }
 
     pub(crate) fn build_cached(&self, rules: &RuleSet) -> Result<CachedEngine, BuildError> {
@@ -861,7 +840,7 @@ impl EngineBuilder {
     /// can take [`crate::SnapshotReader`]s ([`crate::SnapshotEngine::reader`])
     /// — the trait object returned by [`EngineBuilder::build`] cannot
     /// hand those out. A `sharded:` inner is decomposed so updates
-    /// rebuild only the touched shard.
+    /// advance only the touched shard's line of copies.
     ///
     /// # Errors
     ///
@@ -876,7 +855,10 @@ impl EngineBuilder {
         // that asks it to optimize is rebuilt whole instead.
         let decomposable = inner.optimize == OptimizePolicy::Off;
         match decomposable.then(|| inner.sharded_parts(rules)).flatten() {
-            Some((plan, router, per_shard, _)) => {
+            Some((plan, router, per_shard)) => {
+                // The one branch that never passes the whole set through
+                // a `build`: twins in different shards would go unseen.
+                reject_duplicates(rules)?;
                 SnapshotEngine::from_sharded(plan, router, per_shard.clone())
             }
             None => SnapshotEngine::from_single(rules, (**inner).clone()),
@@ -900,19 +882,9 @@ impl EngineBuilder {
     /// cap).
     pub fn build(&self, rules: &RuleSet) -> Result<Box<dyn PacketClassifier>, BuildError> {
         self.check(&[])?;
-        // Duplicate 5-tuples are unrepresentable on the configurable
-        // architecture; reject them uniformly so a set either builds on
-        // every backend or on none. The check runs on the set as given,
-        // before any optimization, so registry semantics do not depend
-        // on the optimize policy.
-        let mut first_seen: HashMap<[DimValue; 7], RuleId> = HashMap::new();
-        for (id, rule) in rules.iter() {
-            if let Some(&first) = first_seen.get(&rule.dim_values()) {
-                return Err(BuildError::DuplicateRules { first, dup: id });
-            }
-            first_seen.insert(rule.dim_values(), id);
-        }
-        drop(first_seen);
+        // On the set as given, before any optimization, so registry
+        // semantics do not depend on the optimize policy.
+        reject_duplicates(rules)?;
         match self.audit {
             AuditPolicy::Off => {}
             AuditPolicy::Warn => {
@@ -998,6 +970,20 @@ impl EngineBuilder {
     }
 }
 
+/// Duplicate 5-tuples are unrepresentable on the configurable
+/// architecture; reject them uniformly so a set either builds on every
+/// backend or on none.
+fn reject_duplicates(rules: &RuleSet) -> Result<(), BuildError> {
+    let mut first_seen: HashMap<[DimValue; 7], RuleId> = HashMap::new();
+    for (id, rule) in rules.iter() {
+        if let Some(&first) = first_seen.get(&rule.dim_values()) {
+            return Err(BuildError::DuplicateRules { first, dup: id });
+        }
+        first_seen.insert(rule.dim_values(), id);
+    }
+    Ok(())
+}
+
 /// One-shot convenience: parse a spec and build over a rule set.
 ///
 /// # Errors
@@ -1073,34 +1059,6 @@ mod tests {
     }
 
     #[test]
-    fn skew_spec_rules() {
-        // skew parses and reaches the builder on the prio strategy.
-        let b = EngineBuilder::from_spec("sharded:strategy=prio,skew=1.5").unwrap();
-        assert!(matches!(b.opts, KindOpts::Sharded { skew: Some(s), .. } if s == 1.5));
-        // Default strategy is prio, so a bare skew is fine too.
-        assert!(EngineBuilder::from_spec("sharded:skew=3").is_ok());
-        // Malformed values are BadOption; out-of-range and
-        // strategy-mismatched ones are ConfigError.
-        assert!(matches!(
-            EngineBuilder::from_spec("sharded:skew=fast"),
-            Err(BuildError::BadOption { .. })
-        ));
-        assert!(matches!(
-            EngineBuilder::from_spec("sharded:skew=0.5"),
-            Err(BuildError::ConfigError { .. })
-        ));
-        assert!(matches!(
-            EngineBuilder::from_spec("sharded:strategy=hash,skew=2"),
-            Err(BuildError::ConfigError { .. })
-        ));
-        // skew is a sharded key, nobody else's.
-        assert!(matches!(
-            EngineBuilder::from_spec("linear:skew=2"),
-            Err(BuildError::ConfigError { .. })
-        ));
-    }
-
-    #[test]
     fn bad_option_key_list_tracks_the_parser_table() {
         let msg = BuildError::BadOption {
             option: "x".to_string(),
@@ -1148,10 +1106,19 @@ mod tests {
             EngineBuilder::from_spec("linear:frobnicate=1"),
             Err(BuildError::ConfigError { .. })
         ));
-        assert!(matches!(
-            EngineBuilder::from_spec("sharded:frobnicate=1"),
-            Err(BuildError::ConfigError { .. })
-        ));
+        for spec in [
+            "sharded:frobnicate=1",
+            // Keys that went with the code they tuned.
+            "sharded:skew=2",
+            "sharded:strategy=prio,skew=1.5",
+        ] {
+            let e = EngineBuilder::from_spec(spec);
+            let unknown = matches!(
+                &e,
+                Err(BuildError::ConfigError { reason, .. }) if reason.contains("unknown key")
+            );
+            assert!(unknown, "{spec}: {e:?}");
+        }
         // Malformed values stay BadOption.
         assert!(matches!(
             EngineBuilder::from_spec("configurable-mbt:rf_bits=banana"),
@@ -1297,6 +1264,35 @@ mod tests {
         ]);
         for kind in EngineKind::ALL {
             assert!(EngineBuilder::new(kind).build(&ok).is_ok(), "{kind}");
+        }
+        // Twins at priority extremes land in different bands, where no
+        // per-slice build sees both — `build_snapshot` called directly
+        // must still refuse them, as `build` on the same tree does.
+        let mut split: RuleSet = (0..10u16)
+            .map(|i| {
+                Rule::builder(Priority(10 + u32::from(i)))
+                    .dst_port(PortRange::exact(i))
+                    .build()
+            })
+            .collect();
+        for priority in [2, 5000] {
+            split.push(
+                Rule::builder(Priority(priority))
+                    .dst_port(PortRange::exact(900))
+                    .build(),
+            );
+        }
+        let twins = Err(BuildError::DuplicateRules {
+            first: RuleId(10),
+            dup: RuleId(11),
+        });
+        for spec in [
+            "snapshot:inner=(sharded:inner=configurable-bst,shards=2,strategy=prio)",
+            "snapshot:inner=(configurable-bst)",
+        ] {
+            let b = EngineBuilder::from_spec(spec).unwrap();
+            assert_eq!(b.build(&split).map(|_| ()), twins, "{spec}");
+            assert_eq!(b.build_snapshot(&split).map(|_| ()), twins, "{spec}");
         }
     }
 
@@ -1621,8 +1617,6 @@ mod tests {
                     },
                     hash_dim: [None, Some(ALL_DIMS[pick(7) as usize])]
                         [usize::from(hash) * pick(2) as usize],
-                    skew: [None, Some(1.0 + pick(40) as f64 / 8.0)]
-                        [usize::from(!hash) * pick(2) as usize],
                 }
             }
             KindOpts::Cached { .. } => KindOpts::Cached {

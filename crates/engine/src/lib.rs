@@ -26,8 +26,8 @@
 //!   ([`IngestPipeline`]): any backend driven from a header stream
 //!   through a bounded, backpressure-aware queue, over per-worker
 //!   engine replicas or one shared `Arc` engine. The sharded backend's
-//!   batch paths run on the same machinery
-//!   ([`pipeline::broadcast_batch`] / [`pipeline::cascade_batch`]);
+//!   hash-strategy batch path runs on the same machinery
+//!   ([`pipeline::broadcast_batch`]);
 //! * [`cache`] — the flow verdict cache: [`CachedEngine`] wraps any
 //!   backend with an exact-match microflow table plus an optional
 //!   masked megaflow layer, kept coherent with incremental updates
@@ -36,8 +36,9 @@
 //! * [`snapshot`] — snapshot-swap concurrent serving: [`SnapshotEngine`]
 //!   publishes immutable rule-set snapshots that [`SnapshotReader`]s on
 //!   other threads classify against lock-free while `insert`/`remove`
-//!   rebuild and atomically publish the next version (per-shard rebuilds
-//!   for `sharded:` inners);
+//!   atomically publish the next version, recycling the copies readers
+//!   have let go of (a `sharded:` inner is decomposed, so an update
+//!   advances only the touched shard's line of copies);
 //! * [`TupleSpaceEngine`] / [`SoftTcamEngine`] — the update-first
 //!   backends of `spc-tuplespace` behind the same trait: tuple-space
 //!   search (`"tss:tables=8"`) and a partitioned software TCAM

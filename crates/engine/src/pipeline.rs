@@ -27,11 +27,10 @@
 //!   [`crate::SnapshotEngine`], which re-resolve the published rule-set
 //!   snapshot once per chunk so the pool keeps serving lock-free while a
 //!   writer churns rules (see `docs/concurrency.md`).
-//! * [`broadcast_batch`] / [`cascade_batch`] — the one-shot scoped
-//!   topologies `ShardedEngine` is built on: *broadcast* hands every
-//!   chunk to every worker and merges, *cascade* chains workers in order
-//!   with early-exit forwarding. They live here so the sharded backend
-//!   shares the pool machinery instead of duplicating it.
+//! * [`broadcast_batch`] — the one-shot scoped topology `ShardedEngine`'s
+//!   hash strategy is built on: every chunk goes to every worker and the
+//!   verdicts merge. It lives here so the sharded backend shares the
+//!   pool machinery instead of duplicating it.
 //!
 //! Per-worker [`LookupStats`] always fold with the `Copy + Add` impl;
 //! that contract is what lets every topology report one aggregate.
@@ -561,93 +560,6 @@ where
             }
         }
     });
-    folded
-}
-
-/// One-shot *cascade* over borrowed workers in slice order: worker `k`
-/// classifies its chunks, writes every hit straight to `out` (so the
-/// workers must be ordered such that a hit at stage `k` cannot be beaten
-/// by any later stage — priority bands are), and forwards only
-/// unresolved headers to worker `k + 1`, carrying their accumulated
-/// `mem_reads`. The last worker resolves misses too. Chunks ripple
-/// through the stages concurrently. Returns per-worker stats folded
-/// with `+`.
-///
-/// # Panics
-///
-/// Panics if `workers` is empty or `out` is shorter than `headers`.
-pub fn cascade_batch<W: BatchWorker>(
-    workers: &mut [W],
-    headers: &[Header],
-    out: &mut [Verdict],
-    chunk: usize,
-) -> LookupStats {
-    assert!(!workers.is_empty(), "a cascade needs >= 1 stage");
-    assert!(out.len() >= headers.len(), "one slot per header");
-    let chunk = chunk.max(1);
-    type Work = Vec<(usize, u32)>; // (header index, reads carried so far)
-    let n = workers.len();
-    let (res_tx, res_rx) = mpsc::channel::<Vec<(usize, Verdict)>>();
-    let (stat_tx, stat_rx) = mpsc::channel::<LookupStats>();
-    std::thread::scope(|scope| {
-        // Seed stage 0 with the whole batch, nothing read yet.
-        let (seed_tx, seed_rx) = mpsc::channel::<Work>();
-        for chunk_start in (0..headers.len()).step_by(chunk) {
-            let chunk_end = (chunk_start + chunk).min(headers.len());
-            let _ = seed_tx.send((chunk_start..chunk_end).map(|i| (i, 0u32)).collect());
-        }
-        drop(seed_tx);
-
-        let mut rx = seed_rx;
-        for (k, worker) in workers.iter_mut().enumerate() {
-            let is_last = k + 1 == n;
-            let (fwd_tx, fwd_rx) = mpsc::channel::<Work>();
-            let my_rx = std::mem::replace(&mut rx, fwd_rx);
-            let res_tx = res_tx.clone();
-            let stat_tx = stat_tx.clone();
-            scope.spawn(move || {
-                let mut gathered: Vec<Header> = Vec::new();
-                let mut buf: Vec<Verdict> = Vec::new();
-                let mut folded = LookupStats::default();
-                while let Ok(items) = my_rx.recv() {
-                    gathered.clear();
-                    gathered.extend(items.iter().map(|&(i, _)| headers[i]));
-                    folded = folded + worker.process(&gathered, &mut buf);
-                    let mut resolved = Vec::new();
-                    let mut unresolved: Work = Vec::new();
-                    for (&(i, carried), v) in items.iter().zip(&buf) {
-                        let mut v = *v;
-                        v.add_reads(carried);
-                        if v.is_hit() || is_last {
-                            resolved.push((i, v));
-                        } else {
-                            unresolved.push((i, v.mem_reads));
-                        }
-                    }
-                    if !resolved.is_empty() {
-                        let _ = res_tx.send(resolved);
-                    }
-                    if !unresolved.is_empty() {
-                        let _ = fwd_tx.send(unresolved);
-                    }
-                }
-                // Dropping fwd_tx here closes the downstream stage's
-                // inbox, draining the pipeline stage by stage.
-                let _ = stat_tx.send(folded);
-            });
-        }
-        drop(res_tx);
-        drop(stat_tx);
-        while let Ok(batch) = res_rx.recv() {
-            for (i, v) in batch {
-                out[i] = v;
-            }
-        }
-    });
-    let mut folded = LookupStats::default();
-    while let Ok(s) = stat_rx.try_recv() {
-        folded = folded + s;
-    }
     folded
 }
 

@@ -91,8 +91,6 @@ impl Snapshot {
                 Some(s) => s.remap(s.engine.classify(header)),
                 None => Verdict::miss(0),
             },
-            // The priority-band cascade stays valid because the snapshot
-            // writer never splits bands, so band order is preserved.
             Some(strategy) => classify_shards(strategy, &self.shards, header),
         }
     }

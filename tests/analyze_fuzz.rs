@@ -499,7 +499,7 @@ fn mutated_spec_strings_never_panic_the_parser() {
         "sharded:inner=(tss:tables=64),shards=8,strategy=hash,hash_dim=dst_port",
         "cached:inner=(sharded:inner=configurable-bst,shards=4),flows=8192,megaflow=off",
         "snapshot:inner=(sharded:inner=configurable-bst,shards=4,strategy=hash,hash_dim=dst_port)",
-        "snapshot:inner=(cached:inner=(sharded:inner=(tcam:capacity=4096,partitions=4),skew=1.5))",
+        "snapshot:inner=(cached:inner=(sharded:inner=(tcam:capacity=4096,partitions=4)))",
         "tcam:capacity=1024,partitions=4,optimize=validated",
     ];
     let mut rng = StdRng::seed_from_u64(FUZZ_SEED ^ 0x5bec);

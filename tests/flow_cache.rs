@@ -19,6 +19,9 @@
 // the behaviour we want.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+mod common;
+
+use common::{churn_against_rebuild, Churn};
 use rand::prelude::*;
 use spc::classbench::{FilterKind, RuleSetGenerator, ScenarioScript, TraceGenerator};
 use spc::engine::{build_engine, run_scenario, EngineKind, LookupStats, PacketClassifier, Verdict};
@@ -216,52 +219,29 @@ fn scenario_churn_matches_rebuilt_oracle() {
 /// reference.
 #[test]
 fn interleaved_churn_never_serves_stale_verdicts() {
-    const OPS: usize = 60;
-    const CHECK_EVERY: usize = 5;
     let (base, probe) = workload(FilterKind::Acl);
     let pool = RuleSetGenerator::new(FilterKind::Fw, 120)
         .seed(SEED ^ 0x99)
         .generate();
-    let spec = "cached:inner=configurable-bst,flows=1024";
-    let mut engine = build_engine(spec, &base).unwrap();
-    let mut live: Vec<(RuleId, Rule)> = base.iter().map(|(id, r)| (id, *r)).collect();
-    let mut rng = StdRng::seed_from_u64(SEED ^ 0x5ca1e);
-    let mut pool_next = 0usize;
+    let churn = Churn {
+        spec: "cached:inner=configurable-bst,flows=1024",
+        reference: "linear",
+        ops: 60,
+        check_every: 5,
+        seed: SEED ^ 0x5ca1e,
+        probe: Some(&probe),
+    };
     let mut scratch = Vec::new();
-    for step in 0..OPS {
+    churn_against_rebuild(
+        &churn,
+        &base,
+        &pool,
+        |rng| Priority(rng.gen_range(0..50_000)),
         // Keep the cache hot on the probe trace between updates.
-        engine.classify_batch(&probe, &mut scratch);
-        if rng.gen_bool(0.6) || live.is_empty() {
-            let mut rule = pool.rules()[pool_next % pool.len()];
-            pool_next += 1;
-            rule.priority = Priority(rng.gen_range(0..50_000));
-            match engine.insert(rule) {
-                Ok(id) => live.push((id, rule)),
-                Err(spc::engine::UpdateError::Duplicate { .. }) => {}
-                Err(e) => panic!("{spec}: insert failed at step {step}: {e}"),
-            }
-        } else {
-            let victim = rng.gen_range(0..live.len());
-            let (id, _) = live.remove(victim);
-            engine
-                .remove(id)
-                .unwrap_or_else(|e| panic!("{spec}: remove {id} at step {step}: {e}"));
-        }
-        assert_eq!(engine.rules(), live.len(), "{spec} rule count at {step}");
-        if step % CHECK_EVERY == CHECK_EVERY - 1 {
-            let rules: RuleSet = live.iter().map(|&(_, r)| r).collect();
-            let mut reference = build_engine("linear", &rules).unwrap();
-            let (mut got, mut want) = (Vec::new(), Vec::new());
-            engine.classify_batch(&probe, &mut got);
-            reference.classify_batch(&probe, &mut want);
-            for ((h, w), g) in probe.iter().zip(&want).zip(&got) {
-                let want_global = w.rule.map(|pos| live[pos.0 as usize].0);
-                assert_eq!(g.rule, want_global, "{spec} step {step} at {h}");
-                assert_eq!(g.priority, w.priority, "{spec} step {step} priority at {h}");
-                assert_eq!(g.action, w.action, "{spec} step {step} action at {h}");
-            }
-        }
-    }
+        |engine| {
+            engine.classify_batch(&probe, &mut scratch);
+        },
+    );
 }
 
 /// More locality, more cache hits: the hit rate over a locality sweep

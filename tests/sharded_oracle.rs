@@ -12,9 +12,12 @@
 // the behaviour we want.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+mod common;
+
+use common::{churn_against_rebuild, diff_against_rebuild, Churn};
 use rand::prelude::*;
 use spc::classbench::{FilterKind, RuleSetGenerator, TraceGenerator};
-use spc::engine::{build_engine, EngineBuilder, EngineKind};
+use spc::engine::{build_engine, EngineBuilder, EngineKind, UpdateError};
 use spc::types::{Header, Priority, ProtoSpec, Rule, RuleSet};
 
 const RULES: usize = 240;
@@ -194,82 +197,35 @@ fn sharded_build_is_deterministic() {
 // leaked hash slots) shows up as a verdict disagreement.
 // ---------------------------------------------------------------------
 
-use spc::engine::{PacketClassifier, UpdateError};
-
-/// Interleaved churn against `spec`, checked against rebuilds of the
-/// unsharded `inner` every `CHECK_EVERY` operations.
-///
-/// `live` tracks the expected rule set as `(global id, rule)` in
-/// insertion order; since the sharded engine allocates global ids
-/// monotonically and never reuses them, the rebuilt reference's
-/// positional ids map back via `live[pos].0`, and priority ties break
-/// identically on both sides.
+/// Interleaved churn against the sharded `inner`, checked against
+/// rebuilds of the unsharded `inner` every 25 operations and once more
+/// at the end (`common::churn_against_rebuild` is the driver).
 fn churn_check(inner: &str, strategy: &str, shards: usize, skewed: bool) {
     const OPS: usize = 100;
-    const CHECK_EVERY: usize = 25;
     let (base, _) = workload(FilterKind::Acl);
     let pool = RuleSetGenerator::new(FilterKind::Fw, 160)
         .seed(SEED ^ 0x77)
         .generate();
-    let skew_opt = if skewed { ",skew=1.5" } else { "" };
-    let spec = format!("sharded:inner={inner},shards={shards},strategy={strategy}{skew_opt}");
-    let mut engine = build_engine(&spec, &base).unwrap();
-    assert!(engine.supports_updates(), "{spec} must be updatable");
-    let mut live: Vec<(spc::types::RuleId, Rule)> = base.iter().map(|(id, r)| (id, *r)).collect();
-    let mut rng = StdRng::seed_from_u64(SEED ^ shards as u64 ^ u64::from(skewed));
-    let mut pool_next = 0usize;
-    for step in 0..OPS {
-        if rng.gen_bool(0.6) || live.is_empty() {
-            let mut rule = pool.rules()[pool_next % pool.len()];
-            pool_next += 1;
-            rule.priority = if skewed {
-                // Skewed workload: everything beats the base rules, so
-                // every insert lands in the top priority band and the
-                // rebalance path must fire.
-                Priority(rng.gen_range(0..4))
-            } else {
-                Priority(rng.gen_range(0..50_000))
-            };
-            match engine.insert(rule) {
-                Ok(id) => {
-                    assert!(
-                        live.iter().all(|&(g, _)| g != id),
-                        "{spec}: global id {id} reused"
-                    );
-                    let report = engine
-                        .last_update_report()
-                        .unwrap_or_else(|| panic!("{spec}: insert must report §V.A costs"));
-                    assert_eq!(report.rule_id, id, "{spec}");
-                    assert!(report.hw_write_cycles >= 3, "{spec}: §V.A floor");
-                    live.push((id, rule));
-                }
-                Err(UpdateError::Duplicate { existing }) => {
-                    // Dimension collision with a live rule; the engine
-                    // must name it and install nothing.
-                    assert!(
-                        live.iter().any(|&(g, _)| g == existing),
-                        "{spec}: duplicate names a dead rule {existing}"
-                    );
-                }
-                Err(e) => panic!("{spec}: insert failed at step {step}: {e}"),
-            }
-        } else {
-            let victim = rng.gen_range(0..live.len());
-            let (id, _) = live.remove(victim);
-            engine
-                .remove(id)
-                .unwrap_or_else(|e| panic!("{spec}: remove {id} at step {step}: {e}"));
-            assert!(
-                engine.last_update_report().is_some(),
-                "{spec}: remove must report §V.A costs"
-            );
-        }
-        assert_eq!(engine.rules(), live.len(), "{spec} rule count at {step}");
-        if step % CHECK_EVERY == CHECK_EVERY - 1 {
-            diff_against_rebuild(&spec, engine.as_mut(), &live, inner, step as u64);
-        }
-    }
-    diff_against_rebuild(&spec, engine.as_mut(), &live, inner, OPS as u64);
+    let spec = format!("sharded:inner={inner},shards={shards},strategy={strategy}");
+    let churn = Churn {
+        spec: &spec,
+        reference: inner,
+        ops: OPS,
+        check_every: 25,
+        seed: SEED ^ shards as u64 ^ u64::from(skewed),
+        probe: None,
+    };
+    // Skewed: everything beats the base rules, so every insert lands in
+    // the top priority band.
+    let top = if skewed { 4 } else { 50_000 };
+    let (mut engine, live) = churn_against_rebuild(
+        &churn,
+        &base,
+        &pool,
+        |rng| Priority(rng.gen_range(0..top)),
+        |_| {},
+    );
+    diff_against_rebuild(&churn, engine.as_mut(), &live, OPS as u64);
     // Error semantics after heavy churn: unknown ids and duplicates.
     let dead = spc::types::RuleId(u32::MAX - 1);
     assert!(matches!(
@@ -282,39 +238,6 @@ fn churn_check(inner: &str, strategy: &str, shards: usize, skewed: bool) {
             Err(UpdateError::Duplicate { existing: id }),
             "{spec}: re-inserting a live rule must collide"
         );
-    }
-}
-
-/// One checkpoint: rebuild the unsharded inner from the live rules and
-/// require verdict-for-verdict agreement (ids mapped through `live`),
-/// on the batch and single-shot paths alike.
-fn diff_against_rebuild(
-    spec: &str,
-    engine: &mut dyn PacketClassifier,
-    live: &[(spc::types::RuleId, Rule)],
-    inner: &str,
-    salt: u64,
-) {
-    if live.is_empty() {
-        return;
-    }
-    let rules: RuleSet = live.iter().map(|&(_, r)| r).collect();
-    let mut reference = build_engine(inner, &rules)
-        .unwrap_or_else(|e| panic!("{spec}: rebuild reference must hold live rules: {e}"));
-    let trace = TraceGenerator::new()
-        .seed(SEED ^ 0xdead ^ salt)
-        .match_fraction(0.8)
-        .generate(&rules, 80);
-    let (mut got, mut want) = (Vec::new(), Vec::new());
-    engine.classify_batch(&trace, &mut got);
-    reference.classify_batch(&trace, &mut want);
-    for ((h, w), g) in trace.iter().zip(&want).zip(&got) {
-        let want_global = w.rule.map(|pos| live[pos.0 as usize].0);
-        assert_eq!(g.rule, want_global, "{spec} vs rebuilt {inner} at {h}");
-        assert_eq!(g.priority, w.priority, "{spec} priority at {h}");
-        assert_eq!(g.action, w.action, "{spec} action at {h}");
-        let single = engine.classify(h);
-        assert_eq!(single.rule, g.rule, "{spec} single-vs-batch at {h}");
     }
 }
 
@@ -333,10 +256,9 @@ fn churn_oracle_field_hash() {
 }
 
 /// Skewed-priority workload: every insert beats the whole base set, so
-/// one band absorbs all churn and must rebalance (spec `skew=1.5`), and
-/// verdicts must survive the migration.
+/// one band absorbs all churn — it grows lopsided, never wrong.
 #[test]
-fn churn_oracle_skewed_priorities_trigger_rebalance() {
+fn churn_oracle_skewed_priorities_fill_one_band() {
     churn_check("configurable-bst", "prio", 4, true);
 }
 

@@ -197,27 +197,48 @@ fn nesting_matrix_follows_the_table() {
     assert!(refused > built, "most of the matrix is illegal nesting");
 }
 
-/// Every spec string the README shows — a backticked token that starts
-/// with a registered kind — parses, and its canonical `Display`
-/// round-trips to an equal tree.
+/// Every spec string the README and `docs/*.md` show — a backticked
+/// token that starts with a registered kind — parses, and its canonical
+/// `Display` round-trips to an equal tree, so a deleted key that a doc
+/// still shows fails here. The nestings a doc shows *as rejected* must
+/// fail instead.
 #[test]
 fn readme_specs_parse_and_round_trip() {
-    let readme = include_str!("../README.md");
-    let mut seen = 0;
-    for token in readme.split('`').skip(1).step_by(2) {
-        let kind = token.split(':').next().unwrap_or("");
-        let placeholder = token.contains(['<', '|', ' ', '*']) || token.contains("...");
-        if placeholder || kind.parse::<EngineKind>().is_err() {
-            continue;
+    const MUST_FAIL: [&str; 2] = ["snapshot:inner=snapshot", "sharded:inner=snapshot"];
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = vec![root.join("README.md")];
+    files.extend(
+        std::fs::read_dir(root.join("docs"))
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "md")),
+    );
+    let (mut seen, mut refused) = (0, 0);
+    for file in &files {
+        let at = file.display();
+        let text = std::fs::read_to_string(file).unwrap();
+        for token in text.split('`').skip(1).step_by(2) {
+            let kind = token.split(':').next().unwrap_or("");
+            let placeholder = token.contains(['<', '|', ' ', '*', '…']) || token.contains("...");
+            if placeholder || kind.parse::<EngineKind>().is_err() {
+                continue;
+            }
+            let parsed = EngineBuilder::from_spec(token);
+            if MUST_FAIL.contains(&token) {
+                assert!(parsed.is_err(), "{at} `{token}` is documented as rejected");
+                refused += 1;
+                continue;
+            }
+            let b = parsed.unwrap_or_else(|e| panic!("{at} `{token}`: {e}"));
+            assert_eq!(EngineBuilder::from_spec(&b.to_string()), Ok(b), "{token}");
+            seen += 1;
         }
-        let b = EngineBuilder::from_spec(token).unwrap_or_else(|e| panic!("README `{token}`: {e}"));
-        assert_eq!(EngineBuilder::from_spec(&b.to_string()), Ok(b), "{token}");
-        seen += 1;
     }
     assert!(
-        seen >= 20,
-        "the README cheatsheet lists specs ({seen} found)"
+        seen >= 50,
+        "the README cheatsheet and the docs list specs ({seen} found)"
     );
+    assert_eq!(refused, MUST_FAIL.len(), "docs/concurrency.md shows both");
 }
 
 /// A sharded node's inner is a full spec like any other wrapper's:

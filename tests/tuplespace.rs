@@ -9,13 +9,16 @@
 // the behaviour we want.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+mod common;
+
+use common::{churn_against_rebuild, Churn};
 use rand::prelude::*;
 use spc::classbench::{FilterKind, RuleSetGenerator, TraceGenerator};
 use spc::engine::{
     build_engine, BuildError, EngineBuilder, PacketClassifier, SoftTcamEngine, TupleSpaceEngine,
     UpdateError,
 };
-use spc::types::{PortRange, Prefix, Priority, ProtoSpec, Rule, RuleId, RuleSet};
+use spc::types::{PortRange, Prefix, Priority, ProtoSpec, Rule, RuleSet};
 
 const SEED: u64 = 0x7557;
 
@@ -111,59 +114,20 @@ fn tss_and_tcam_survive_churn_bare_and_wrapped() {
         "cached:inner=tss,flows=64",
         "cached:inner=tcam,flows=64",
     ] {
-        let mut engine = build_engine(spec, &base).unwrap();
-        assert!(engine.supports_updates(), "{spec}");
-        let mut live: Vec<(RuleId, Rule)> = base.iter().map(|(id, r)| (id, *r)).collect();
-        let mut rng = StdRng::seed_from_u64(SEED ^ 0xc4u64);
-        let mut pool_next = 0usize;
-
-        for step in 0..120 {
-            if rng.gen_bool(0.6) || live.is_empty() {
-                let mut rule = pool.rules()[pool_next % pool.len()];
-                pool_next += 1;
-                rule.priority = Priority(rng.gen_range(0..50_000));
-                match engine.insert(rule) {
-                    Ok(id) => {
-                        assert!(live.iter().all(|&(g, _)| g != id), "{spec}: id {id} reused");
-                        live.push((id, rule));
-                    }
-                    Err(UpdateError::Duplicate { existing }) => {
-                        assert!(
-                            live.iter().any(|&(g, _)| g == existing),
-                            "{spec}: duplicate names a dead rule"
-                        );
-                    }
-                    Err(e) => panic!("{spec}: insert failed at step {step}: {e}"),
-                }
-            } else {
-                let victim = live.swap_remove(rng.gen_range(0..live.len())).0;
-                engine
-                    .remove(victim)
-                    .unwrap_or_else(|e| panic!("{spec}: remove {victim} failed: {e}"));
-            }
-            assert_eq!(engine.rules(), live.len(), "{spec} at step {step}");
-
-            if step % 30 == 29 {
-                // Checkpoint: the reference allocates positional ids in
-                // `live` order; both sides allocate monotonically, so
-                // priority ties break identically after the mapping.
-                let mut by_id = live.clone();
-                by_id.sort_by_key(|&(id, _)| id);
-                let rules: RuleSet = by_id.iter().map(|&(_, r)| r).collect();
-                let reference = build_engine("linear", &rules).unwrap();
-                let trace = TraceGenerator::new()
-                    .seed(SEED ^ step as u64)
-                    .match_fraction(0.8)
-                    .generate(&rules, 60);
-                for h in &trace {
-                    let want = reference.classify(h);
-                    let got = engine.classify(h);
-                    let want_global = want.rule.map(|pos| by_id[pos.0 as usize].0);
-                    assert_eq!(got.rule, want_global, "{spec} vs rebuild at {h}");
-                    assert_eq!(got.priority, want.priority, "{spec} priority at {h}");
-                    assert_eq!(got.action, want.action, "{spec} action at {h}");
-                }
-            }
-        }
+        let churn = Churn {
+            spec,
+            reference: "linear",
+            ops: 120,
+            check_every: 30,
+            seed: SEED ^ 0xc4,
+            probe: None,
+        };
+        churn_against_rebuild(
+            &churn,
+            &base,
+            &pool,
+            |rng| Priority(rng.gen_range(0..50_000)),
+            |_| {},
+        );
     }
 }
