@@ -280,22 +280,7 @@ pub fn analyze_with(rules: &RuleSet, limits: &AnalyzerLimits) -> RuleSetReport {
 /// Number of maximal prefix blocks covering a port range — the cost of
 /// expanding it for prefix-only backends. A 16-bit range needs at most 30.
 pub fn port_prefix_count(range: PortRange) -> u32 {
-    let mut lo = u32::from(range.lo());
-    let hi = u32::from(range.hi());
-    let mut count = 0;
-    while lo <= hi {
-        let mut size: u32 = if lo == 0 {
-            1 << 16
-        } else {
-            1 << lo.trailing_zeros()
-        };
-        while lo + size - 1 > hi {
-            size >>= 1;
-        }
-        count += 1;
-        lo += size;
-    }
-    count
+    range.prefix_blocks().count() as u32
 }
 
 #[cfg(test)]

@@ -18,9 +18,10 @@
 //! one direction only: `Equivalent` is always exact, never assumed.
 
 use crate::limits::AnalyzerLimits;
-use crate::probe::candidate_values;
-use crate::probe::header_from_dims;
-use spc_types::{Action, Header, ProvenanceMap, Rule, RuleId, RuleSet, ALL_DIMS};
+use crate::probe::{candidate_values, header_from_dims, walk_grid, Universe};
+use spc_types::{Action, Header, ProvenanceMap, RuleId, RuleSet};
+use std::cell::Cell;
+use std::ops::ControlFlow;
 
 /// One set's outcome for a header: the winning rule and its action, or
 /// `None` on a miss. Ids are in the owning set's own id space.
@@ -169,11 +170,11 @@ fn union_candidates(a: &RuleSet, b: &RuleSet) -> [Vec<u16>; 7] {
     out
 }
 
-/// The budgeted union-grid sweep behind [`check`] / [`check_mapped`]:
-/// walks the product grid depth-first with one bitmask universe covering
-/// both sets (set `a` in bits `0..n_a`, set `b` in bits `n_a..n_a+n_b`),
-/// pruning subtrees where *neither* set has a live rule (both miss
-/// everywhere inside — equal by construction), and calls `same` on each
+/// The budgeted union-grid sweep behind [`check`] / [`check_mapped`], a
+/// leaf of [`walk_grid`] over one bit universe covering both sets (set `a`
+/// in bits `0..n_a`, set `b` in bits `n_a..n_a+n_b`): subtrees where
+/// *neither* set has a live rule are pruned (both miss everywhere inside —
+/// equal by construction) and only counted, and `same` is called on each
 /// surviving cell's winner pair.
 fn sweep(
     a: &RuleSet,
@@ -182,39 +183,8 @@ fn sweep(
     same: impl Fn(MatchOutcome, MatchOutcome) -> bool,
 ) -> Equivalence {
     let cands = union_candidates(a, b);
-    let na = a.len();
-    let n = na + b.len();
-    let words = n.div_ceil(64).max(1);
-
-    let set_bit = |mask: &mut [u64], i: usize| mask[i / 64] |= 1 << (i % 64);
-    // Per dimension, per union candidate value: bitmask of rules (from
-    // either set) matching it.
-    let masks: [Vec<Vec<u64>>; 7] = ALL_DIMS.map(|dim| {
-        cands[dim.index()]
-            .iter()
-            .map(|&q| {
-                let mut mask = vec![0u64; words];
-                for (id, rule) in a.iter() {
-                    if rule.dim_value(dim).matches(q) {
-                        set_bit(&mut mask, id.0 as usize);
-                    }
-                }
-                for (id, rule) in b.iter() {
-                    if rule.dim_value(dim).matches(q) {
-                        set_bit(&mut mask, na + id.0 as usize);
-                    }
-                }
-                mask
-            })
-            .collect()
-    });
-
-    // Rank keys for HPM resolution, one entry per universe bit.
-    let rank: Vec<(spc_types::Priority, u32)> = a
-        .iter()
-        .map(|(id, r): (RuleId, &Rule)| (r.priority, id.0))
-        .chain(b.iter().map(|(id, r)| (r.priority, id.0)))
-        .collect();
+    let universe = Universe::new(&cands, &[a, b]);
+    let (na, n) = (a.len(), a.len() + b.len());
     let outcome_of = |set: &RuleSet, local: Option<usize>| -> MatchOutcome {
         local.map(|i| {
             let id = RuleId(i as u32);
@@ -222,100 +192,47 @@ fn sweep(
         })
     };
 
-    // Suffix products of the remaining dimensions' candidate counts
-    // (saturating): the number of cells a pruned subtree accounts for.
-    let mut subtree = [1usize; 8];
-    for d in (0..7).rev() {
-        subtree[d] = subtree[d + 1].saturating_mul(cands[d].len());
-    }
-
-    let mut cells_swept = 0usize;
+    let cells_swept = Cell::new(0usize);
     let mut visited = 0usize; // leaves actually probed (the work bound)
-    let mut partial: Vec<Vec<u64>> = vec![vec![!0u64; words]; 8];
-    let mut vals = [0u16; 7];
-    let mut idx = [0usize; 7];
-    let mut depth = 0usize;
-    'walk: loop {
-        if depth == 7 {
+    let stopped = walk_grid(
+        &cands,
+        &universe,
+        |vals, mask| {
             if visited >= budget {
-                return Equivalence::Unknown {
-                    cells_swept,
+                return ControlFlow::Break(Equivalence::Unknown {
+                    cells_swept: cells_swept.get(),
                     budget,
-                };
+                });
             }
             visited += 1;
-            cells_swept = cells_swept.saturating_add(1);
+            cells_swept.set(cells_swept.get().saturating_add(1));
             // Winner of each set inside this cell, by (priority, id) rank.
-            let mask = &partial[7];
-            let mut win_a: Option<usize> = None;
-            let mut win_b: Option<usize> = None;
-            for (w, &bits) in mask.iter().enumerate() {
-                let mut bits = bits;
-                while bits != 0 {
-                    let i = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let slot = if i < na { &mut win_a } else { &mut win_b };
-                    let better = match *slot {
-                        None => true,
-                        Some(prev) => rank[i] < rank[prev],
-                    };
-                    if better {
-                        *slot = Some(i);
-                    }
-                }
-            }
-            let oa = outcome_of(a, win_a);
-            let ob = outcome_of(b, win_b.map(|i| i - na));
-            if !same(oa, ob) {
-                return Equivalence::Differs {
+            let oa = outcome_of(a, universe.winner(mask, 0..na));
+            let ob = outcome_of(b, universe.winner(mask, na..n).map(|i| i - na));
+            if same(oa, ob) {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(Equivalence::Differs {
                     witness: header_from_dims(vals),
                     verdict_a: oa,
                     verdict_b: ob,
-                };
+                })
             }
-            depth -= 1;
-            idx[depth] += 1;
-            continue;
-        }
-        let d = depth;
-        loop {
-            if idx[d] >= cands[d].len() {
-                idx[d] = 0;
-                if d == 0 {
-                    break 'walk;
-                }
-                depth -= 1;
-                idx[depth] += 1;
-                continue 'walk;
-            }
-            vals[d] = cands[d][idx[d]];
-            let (parent, rest) = partial.split_at_mut(d + 1);
-            let src = &parent[d];
-            let dst = &mut rest[0];
-            let dim_mask = &masks[d][idx[d]];
-            let mut any = 0u64;
-            for w in 0..words {
-                dst[w] = src[w] & dim_mask[w];
-                any |= dst[w];
-            }
-            if any == 0 && n != 0 {
-                // No rule of either set survives this prefix: every cell
-                // below is miss-vs-miss, equal by construction.
-                cells_swept = cells_swept.saturating_add(subtree[d + 1]);
-                idx[d] += 1;
-                continue;
-            }
-            depth += 1;
-            continue 'walk;
-        }
+        },
+        |cells| cells_swept.set(cells_swept.get().saturating_add(cells)),
+    );
+    match stopped {
+        ControlFlow::Break(verdict) => verdict,
+        ControlFlow::Continue(()) => Equivalence::Equivalent {
+            cells_swept: cells_swept.get(),
+        },
     }
-    Equivalence::Equivalent { cells_swept }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spc_types::{PortRange, Prefix, Priority};
+    use spc_types::{PortRange, Prefix, Priority, Rule};
 
     fn limits() -> AnalyzerLimits {
         AnalyzerLimits::default()

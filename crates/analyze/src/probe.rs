@@ -10,7 +10,8 @@
 //! representative header as witness.
 
 use crate::report::Reachability;
-use spc_types::{DimValue, Header, Ipv4, ProtoSpec, Rule, RuleSet, ALL_DIMS};
+use spc_types::{DimValue, Header, Ipv4, Priority, ProtoSpec, Rule, RuleId, RuleSet, ALL_DIMS};
+use std::ops::{ControlFlow, Range};
 
 /// Inclusive query-value bounds of a rule's projection on one dimension.
 pub(crate) fn bounds(v: DimValue) -> (u16, u16) {
@@ -102,100 +103,143 @@ pub(crate) fn reachability(rules: &RuleSet, budget: usize) -> Sweep {
     }
 }
 
-fn exact_sweep(rules: &RuleSet, cands: &[Vec<u16>; 7], cells: usize) -> Sweep {
-    let n = rules.len();
-    let words = n.div_ceil(64);
-    // Per dimension, per candidate value: bitmask of rules matching it.
-    let masks: [Vec<Vec<u64>>; 7] = ALL_DIMS.map(|dim| {
-        cands[dim.index()]
-            .iter()
-            .map(|&q| {
-                let mut mask = vec![0u64; words];
-                for (id, rule) in rules.iter() {
-                    if rule.dim_value(dim).matches(q) {
-                        mask[id.0 as usize / 64] |= 1 << (id.0 as usize % 64);
-                    }
-                }
-                mask
-            })
-            .collect()
-    });
+/// The rule-bit universe a grid walk runs over: the rules of one or more
+/// sets laid end to end, one bit each (a set's rule `id` sits at the set's
+/// offset plus `id`).
+pub(crate) struct Universe {
+    /// `(priority, id)` per bit — the HPM rank inside the rule's own set.
+    rank: Vec<(Priority, u32)>,
+    /// `u64` words per mask (at least one).
+    words: usize,
+    /// Per dimension, per candidate value: the bits of the rules matching it.
+    masks: [Vec<Vec<u64>>; 7],
+}
 
-    // Rank keys for winner resolution inside a cell.
-    let rank: Vec<(spc_types::Priority, u32)> =
-        rules.iter().map(|(id, r)| (r.priority, id.0)).collect();
-
-    let mut reach: Vec<Option<Header>> = vec![None; n];
-    let mut found = 0usize;
-    // Depth-first product walk with running mask intersections; a depth's
-    // scratch mask lives in `partial[depth + 1]`.
-    let mut partial: Vec<Vec<u64>> = vec![vec![!0u64; words]; 8];
-    let mut vals = [0u16; 7];
-    let mut idx = [0usize; 7];
-    let mut depth = 0usize;
-    'walk: loop {
-        if found == n {
-            break; // every rule already has a witness
-        }
-        if depth == 7 {
-            // Leaf: the intersection is the set of matching rules.
-            let mask = &partial[7];
-            let mut winner: Option<usize> = None;
-            for (w, &bits) in mask.iter().enumerate() {
-                let mut bits = bits;
-                while bits != 0 {
-                    let i = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let better = match winner {
-                        None => true,
-                        Some(b) => rank[i] < rank[b],
-                    };
-                    if better {
-                        winner = Some(i);
+impl Universe {
+    pub(crate) fn new(cands: &[Vec<u16>; 7], sets: &[&RuleSet]) -> Self {
+        let rules: Vec<(RuleId, &Rule)> = sets.iter().flat_map(|set| set.iter()).collect();
+        let words = rules.len().div_ceil(64).max(1);
+        let masks = ALL_DIMS.map(|dim| {
+            cands[dim.index()]
+                .iter()
+                .map(|&q| {
+                    let mut mask = vec![0u64; words];
+                    for (bit, (_, rule)) in rules.iter().enumerate() {
+                        if rule.dim_value(dim).matches(q) {
+                            mask[bit / 64] |= 1 << (bit % 64);
+                        }
                     }
+                    mask
+                })
+                .collect()
+        });
+        let rank = rules.iter().map(|(id, r)| (r.priority, id.0)).collect();
+        Universe { rank, words, masks }
+    }
+
+    /// The best-ranked rule among the bits of `mask` that fall in `bits`
+    /// (one set's span of the universe), as a universe bit.
+    pub(crate) fn winner(&self, mask: &[u64], bits: Range<usize>) -> Option<usize> {
+        let mut best: Option<usize> = None;
+        let words = bits.start / 64..bits.end.div_ceil(64);
+        for (w, &word) in mask.iter().enumerate().take(words.end).skip(words.start) {
+            let mut word = word;
+            while word != 0 {
+                let i = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                if bits.contains(&i) && best.map_or(true, |b| self.rank[i] < self.rank[b]) {
+                    best = Some(i);
                 }
             }
-            if let Some(i) = winner {
+        }
+        best
+    }
+}
+
+/// The one grid walk: depth-first over the product of `cands`, keeping per
+/// depth the running AND of the chosen values' rule masks, so the mask at
+/// a leaf is exactly the set of rules matching the cell. A prefix no rule
+/// survives is not descended: `pruned` is told how many cells lie below it
+/// (saturating) — they all miss. `leaf` receives each surviving cell's
+/// representative values and mask, and stops the walk by breaking.
+pub(crate) fn walk_grid<B>(
+    cands: &[Vec<u16>; 7],
+    universe: &Universe,
+    mut leaf: impl FnMut([u16; 7], &[u64]) -> ControlFlow<B>,
+    mut pruned: impl FnMut(usize),
+) -> ControlFlow<B> {
+    // Suffix products of the remaining dimensions' candidate counts.
+    let mut subtree = [1usize; 8];
+    for d in (0..7).rev() {
+        subtree[d] = subtree[d + 1].saturating_mul(cands[d].len());
+    }
+    // `partial[d]` is the AND over the values chosen for dimensions `< d`.
+    let mut partial: Vec<Vec<u64>> = vec![vec![!0u64; universe.words]; 8];
+    let mut vals = [0u16; 7];
+    let mut idx = [0usize; 7];
+    let mut d = 0usize;
+    loop {
+        if idx[d] == cands[d].len() {
+            // This dimension is exhausted: backtrack.
+            if d == 0 {
+                return ControlFlow::Continue(());
+            }
+            idx[d] = 0;
+            d -= 1;
+            idx[d] += 1;
+            continue;
+        }
+        vals[d] = cands[d][idx[d]];
+        let (parent, rest) = partial.split_at_mut(d + 1);
+        let mut any = 0u64;
+        for ((dst, src), dim) in rest[0]
+            .iter_mut()
+            .zip(&parent[d])
+            .zip(&universe.masks[d][idx[d]])
+        {
+            *dst = src & dim;
+            any |= *dst;
+        }
+        if any == 0 && !universe.rank.is_empty() {
+            // No rule survives this prefix (an empty universe has nothing
+            // to prune by: its one cell is visited).
+            pruned(subtree[d + 1]);
+            idx[d] += 1;
+        } else if d == 6 {
+            leaf(vals, &partial[7])?;
+            idx[d] += 1;
+        } else {
+            d += 1;
+        }
+    }
+}
+
+/// Reachability as a leaf of [`walk_grid`]: each cell's winner takes the
+/// cell's representative as its witness; the walk stops once every rule
+/// has one.
+fn exact_sweep(rules: &RuleSet, cands: &[Vec<u16>; 7], cells: usize) -> Sweep {
+    let n = rules.len();
+    let universe = Universe::new(cands, &[rules]);
+    let mut reach: Vec<Option<Header>> = vec![None; n];
+    let mut found = 0usize;
+    let _ = walk_grid(
+        cands,
+        &universe,
+        |vals, mask| {
+            if let Some(i) = universe.winner(mask, 0..n) {
                 if reach[i].is_none() {
                     reach[i] = Some(header_from_dims(vals));
                     found += 1;
                 }
             }
-            depth -= 1;
-            idx[depth] += 1;
-            continue;
-        }
-        let d = depth;
-        loop {
-            if idx[d] >= cands[d].len() {
-                // This dimension is exhausted: backtrack.
-                idx[d] = 0;
-                if d == 0 {
-                    break 'walk;
-                }
-                depth -= 1;
-                idx[depth] += 1;
-                continue 'walk;
+            if found == n {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
             }
-            vals[d] = cands[d][idx[d]];
-            let (parent, rest) = partial.split_at_mut(d + 1);
-            let src = &parent[d];
-            let dst = &mut rest[0];
-            let dim_mask = &masks[d][idx[d]];
-            let mut any = 0u64;
-            for w in 0..words {
-                dst[w] = src[w] & dim_mask[w];
-                any |= dst[w];
-            }
-            if any == 0 && n != 0 {
-                // No rule survives this prefix: skip the whole subtree.
-                idx[d] += 1;
-                continue;
-            }
-            depth += 1;
-            continue 'walk;
-        }
-    }
+        },
+        |_| {},
+    );
 
     let reachability = reach
         .into_iter()
@@ -243,7 +287,7 @@ fn pairwise_fallback(rules: &RuleSet, grid: Option<usize>) -> Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spc_types::{PortRange, Prefix, Priority, RuleId};
+    use spc_types::{PortRange, Prefix};
 
     #[test]
     fn candidates_cover_rule_bounds() {

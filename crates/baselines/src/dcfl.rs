@@ -10,12 +10,10 @@
 //! the aggregation tables are provisioned for combination worst cases,
 //! which this implementation models with power-of-two overprovisioning.
 
+use crate::fields::FieldFrontEnd;
 use crate::{Baseline, BaselineResult};
-use spc_lookup::{
-    FieldEngine, Label, LabelEntry, LabelStore, MbtConfig, MultiBitTrie, ProtocolLut,
-    SegTrieConfig, SegmentTrie,
-};
-use spc_types::{DimValue, Header, Priority, ProtoSpec, RuleId, RuleSet};
+use spc_lookup::{MbtConfig, SegTrieConfig};
+use spc_types::{Header, Priority, RuleId, RuleSet};
 use std::collections::HashMap;
 
 /// An aggregation-network hash table: (left label, right label) → meta
@@ -59,16 +57,7 @@ impl AggTable {
 /// ```
 #[derive(Debug)]
 pub struct Dcfl {
-    sip: MultiBitTrie,
-    sip_store: LabelStore,
-    dip: MultiBitTrie,
-    dip_store: LabelStore,
-    sport: SegmentTrie,
-    sport_store: LabelStore,
-    dport: SegmentTrie,
-    dport_store: LabelStore,
-    proto: ProtocolLut,
-    proto_store: LabelStore,
+    fields: FieldFrontEnd,
     ag1: AggTable, // (sip, dip)
     ag2: AggTable, // (ag1, sport)
     ag3: AggTable, // (ag2, dport)
@@ -86,131 +75,32 @@ impl Dcfl {
     /// Table I comparators are deliberately build-once research
     /// artifacts; capacity overflow is a misconfiguration, not a
     /// runtime condition to recover from.
-    #[allow(clippy::expect_used)] // capacity invariants documented above
     pub fn build(rules: &RuleSet) -> Self {
         let cap = (rules.len() + 64).next_power_of_two();
-        let mut sip = MultiBitTrie::new(MbtConfig::ip32_5level(cap));
-        let mut dip = MultiBitTrie::new(MbtConfig::ip32_5level(cap));
-        let mut sport = SegmentTrie::new(SegTrieConfig::four_level(cap.min(4096)));
-        let mut dport = SegmentTrie::new(SegTrieConfig::four_level(cap.min(4096)));
-        let mut proto = ProtocolLut::new();
-        let mut sip_store = LabelStore::new("dcfl/sip", 1 << 20, 13);
-        let mut dip_store = LabelStore::new("dcfl/dip", 1 << 20, 13);
-        let mut sport_store = LabelStore::new("dcfl/sport", 1 << 18, 13);
-        let mut dport_store = LabelStore::new("dcfl/dport", 1 << 18, 13);
-        let mut proto_store = LabelStore::new("dcfl/proto", 16, 4);
-
-        let mut sip_labels: HashMap<(u32, u8), u16> = HashMap::new();
-        let mut dip_labels: HashMap<(u32, u8), u16> = HashMap::new();
-        let mut sport_labels: HashMap<(u16, u16), u16> = HashMap::new();
-        let mut dport_labels: HashMap<(u16, u16), u16> = HashMap::new();
-        let mut proto_labels: HashMap<Option<u8>, u16> = HashMap::new();
-
-        let mut ag1 = AggTable::default();
-        let mut ag2 = AggTable::default();
-        let mut ag3 = AggTable::default();
-        let mut final_map: HashMap<(u32, u32), (Priority, RuleId)> = HashMap::new();
-
+        let mut me = Dcfl {
+            fields: FieldFrontEnd::new(
+                "dcfl",
+                MbtConfig::ip32_5level(cap),
+                SegTrieConfig::four_level(cap.min(4096)),
+            ),
+            ag1: AggTable::default(),
+            ag2: AggTable::default(),
+            ag3: AggTable::default(),
+            final_map: HashMap::new(),
+        };
         for (id, r) in rules.iter() {
-            let next_sip = sip_labels.len();
-            let ls = *sip_labels
-                .entry((r.src_ip.value(), r.src_ip.len()))
-                .or_insert_with(|| {
-                    let l = next_sip as u16;
-                    sip.insert_prefix(
-                        &mut sip_store,
-                        r.src_ip.value(),
-                        r.src_ip.len(),
-                        LabelEntry::by_priority(Label(l), Priority(0)),
-                    )
-                    .expect("dcfl sip trie sized for the rule set");
-                    l
-                });
-            let next_dip = dip_labels.len();
-            let ld = *dip_labels
-                .entry((r.dst_ip.value(), r.dst_ip.len()))
-                .or_insert_with(|| {
-                    let l = next_dip as u16;
-                    dip.insert_prefix(
-                        &mut dip_store,
-                        r.dst_ip.value(),
-                        r.dst_ip.len(),
-                        LabelEntry::by_priority(Label(l), Priority(0)),
-                    )
-                    .expect("dcfl dip trie sized for the rule set");
-                    l
-                });
-            let next_sport = sport_labels.len();
-            let lsp = *sport_labels
-                .entry((r.src_port.lo(), r.src_port.hi()))
-                .or_insert_with(|| {
-                    let l = next_sport as u16;
-                    sport
-                        .insert_range(
-                            &mut sport_store,
-                            r.src_port,
-                            LabelEntry::by_priority(Label(l), Priority(0)),
-                        )
-                        .expect("dcfl sport trie sized for the rule set");
-                    l
-                });
-            let next_dport = dport_labels.len();
-            let ldp = *dport_labels
-                .entry((r.dst_port.lo(), r.dst_port.hi()))
-                .or_insert_with(|| {
-                    let l = next_dport as u16;
-                    dport
-                        .insert_range(
-                            &mut dport_store,
-                            r.dst_port,
-                            LabelEntry::by_priority(Label(l), Priority(0)),
-                        )
-                        .expect("dcfl dport trie sized for the rule set");
-                    l
-                });
-            let next_proto = proto_labels.len();
-            let lpr = *proto_labels
-                .entry(match r.proto {
-                    ProtoSpec::Any => None,
-                    ProtoSpec::Exact(v) => Some(v),
-                })
-                .or_insert_with(|| {
-                    let l = next_proto as u16;
-                    proto
-                        .insert(
-                            &mut proto_store,
-                            DimValue::Proto(r.proto),
-                            LabelEntry::by_priority(Label(l), Priority(0)),
-                        )
-                        .expect("protocol LUT is direct-indexed");
-                    l
-                });
-            let m1 = ag1.intern((u32::from(ls), u32::from(ld)));
-            let m2 = ag2.intern((m1, u32::from(lsp)));
-            let m3 = ag3.intern((m2, u32::from(ldp)));
-            let slot = final_map
-                .entry((m3, u32::from(lpr)))
-                .or_insert((r.priority, id));
+            // DCFL labels carry no priority: the final table holds it.
+            let labels = me.fields.intern(r, Priority(0));
+            let [ls, ld, lsp, ldp, lpr] = labels.map(|l| u32::from(l.0));
+            let m1 = me.ag1.intern((ls, ld));
+            let m2 = me.ag2.intern((m1, lsp));
+            let m3 = me.ag3.intern((m2, ldp));
+            let slot = me.final_map.entry((m3, lpr)).or_insert((r.priority, id));
             if (r.priority, id) < *slot {
                 *slot = (r.priority, id);
             }
         }
-        Dcfl {
-            sip,
-            sip_store,
-            dip,
-            dip_store,
-            sport,
-            sport_store,
-            dport,
-            dport_store,
-            proto,
-            proto_store,
-            ag1,
-            ag2,
-            ag3,
-            final_map,
-        }
+        me
     }
 
     fn final_memory_bits(&self) -> u64 {
@@ -225,37 +115,13 @@ impl Baseline for Dcfl {
         "DCFL"
     }
 
-    // Field lookups are total over their domains (u32 keys, u16 ports,
-    // u8 protocols), so the `Err` arms are unreachable by construction.
-    #[allow(clippy::expect_used)]
     fn classify(&self, h: &Header) -> BaselineResult {
-        let mut accesses = 0u32;
         // Parallel field searches returning full label sets.
-        let rs = self
-            .sip
-            .lookup_key(&self.sip_store, h.src_ip.0)
-            .expect("in range");
-        let rd = self
-            .dip
-            .lookup_key(&self.dip_store, h.dst_ip.0)
-            .expect("in range");
-        let rsp = self
-            .sport
-            .lookup(&self.sport_store, h.src_port)
-            .expect("in range");
-        let rdp = self
-            .dport
-            .lookup(&self.dport_store, h.dst_port)
-            .expect("in range");
-        let rpr = self
-            .proto
-            .lookup(&self.proto_store, u16::from(h.proto))
-            .expect("in range");
-        accesses += rs.mem_reads + rd.mem_reads + rsp.mem_reads + rdp.mem_reads + rpr.mem_reads;
+        let ([rs, rd, rsp, rdp, rpr], mut accesses) = self.fields.lookup(h);
         // Aggregation network: each candidate pair costs one probe.
         let mut m1 = Vec::new();
-        for a in rs.labels.iter() {
-            for b in rd.labels.iter() {
+        for a in &rs {
+            for b in &rd {
                 accesses += 1;
                 if let Some(m) = self.ag1.get((u32::from(a.label.0), u32::from(b.label.0))) {
                     m1.push(m);
@@ -264,7 +130,7 @@ impl Baseline for Dcfl {
         }
         let mut m2 = Vec::new();
         for &m in &m1 {
-            for p in rsp.labels.iter() {
+            for p in &rsp {
                 accesses += 1;
                 if let Some(x) = self.ag2.get((m, u32::from(p.label.0))) {
                     m2.push(x);
@@ -273,7 +139,7 @@ impl Baseline for Dcfl {
         }
         let mut m3 = Vec::new();
         for &m in &m2 {
-            for p in rdp.labels.iter() {
+            for p in &rdp {
                 accesses += 1;
                 if let Some(x) = self.ag3.get((m, u32::from(p.label.0))) {
                     m3.push(x);
@@ -282,7 +148,7 @@ impl Baseline for Dcfl {
         }
         let mut best: Option<(Priority, RuleId)> = None;
         for &m in &m3 {
-            for p in rpr.labels.iter() {
+            for p in &rpr {
                 accesses += 1;
                 if let Some(&cand) = self.final_map.get(&(m, u32::from(p.label.0))) {
                     if best.map_or(true, |b| cand < b) {
@@ -298,16 +164,7 @@ impl Baseline for Dcfl {
     }
 
     fn memory_bits(&self) -> u64 {
-        self.sip.used_bits()
-            + self.dip.used_bits()
-            + self.sport.used_bits()
-            + self.dport.used_bits()
-            + FieldEngine::used_bits(&self.proto)
-            + self.sip_store.used_bits()
-            + self.dip_store.used_bits()
-            + self.sport_store.used_bits()
-            + self.dport_store.used_bits()
-            + self.proto_store.used_bits()
+        self.fields.used_bits()
             + self.ag1.memory_bits()
             + self.ag2.memory_bits()
             + self.ag3.memory_bits()

@@ -15,11 +15,17 @@
 //!   "Option 2" in Table I (5/4-level multi-bit IP tries + 4/5-level
 //!   segment tries for ports + a protocol LUT).
 //!
+//! [`Dcfl`] and [`OptionClassifier`] share one five-field front end
+//! (private module `fields`: the two IP tries, the two port tries, the
+//! protocol LUT, their label memories and first-seen label interning);
+//! what each adds is what it does with the five label lists.
+//!
 //! All of them implement [`Baseline`], reporting per-lookup memory
 //! accesses and total memory bits so the Table I harness can print the
 //! same columns the paper does.
 
 mod dcfl;
+mod fields;
 mod hypercuts;
 mod linear;
 mod options;

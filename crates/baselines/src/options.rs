@@ -9,14 +9,11 @@
 //! cross-product against a hashed rule memory — the approach this paper
 //! then hardens into the configurable segment architecture.
 
+use crate::fields::FieldFrontEnd;
 use crate::{Baseline, BaselineResult};
 use spc_core::RuleFilter;
-use spc_lookup::{
-    FieldEngine, Label, LabelEntry, LabelStore, MbtConfig, MultiBitTrie, ProtocolLut,
-    SegTrieConfig, SegmentTrie,
-};
-use spc_types::{DimValue, Header, Priority, ProtoSpec, RuleId, RuleSet};
-use std::collections::HashMap;
+use spc_lookup::{Label, MbtConfig, SegTrieConfig};
+use spc_types::{Header, Priority, RuleId, RuleSet};
 
 /// Which Table I option to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,21 +48,12 @@ impl std::fmt::Display for OptionKind {
 #[derive(Debug)]
 pub struct OptionClassifier {
     kind: OptionKind,
-    sip: MultiBitTrie,
-    sip_store: LabelStore,
-    dip: MultiBitTrie,
-    dip_store: LabelStore,
-    sport: SegmentTrie,
-    sport_store: LabelStore,
-    dport: SegmentTrie,
-    dport_store: LabelStore,
-    proto: ProtocolLut,
-    proto_store: LabelStore,
+    fields: FieldFrontEnd,
     filter: RuleFilter,
 }
 
-/// Key layout: 13+13+13+13+4 = 56 bits.
-fn make_key(sip: Label, dip: Label, sp: Label, dp: Label, pr: Label) -> u128 {
+/// Key layout: 13+13+13+13+4 = 56 bits, in the front end's field order.
+fn make_key([sip, dip, sp, dp, pr]: [Label; 5]) -> u128 {
     let mut k = 0u128;
     for (l, w) in [(sip, 13u32), (dip, 13), (sp, 13), (dp, 13), (pr, 4)] {
         k = (k << w) | u128::from(l.0);
@@ -98,16 +86,7 @@ impl OptionClassifier {
         };
         let mut me = OptionClassifier {
             kind,
-            sip: MultiBitTrie::new(mbt_cfg.clone()),
-            sip_store: LabelStore::new("opt/sip", 1 << 20, 13),
-            dip: MultiBitTrie::new(mbt_cfg),
-            dip_store: LabelStore::new("opt/dip", 1 << 20, 13),
-            sport: SegmentTrie::new(seg_cfg.clone()),
-            sport_store: LabelStore::new("opt/sport", 1 << 18, 13),
-            dport: SegmentTrie::new(seg_cfg),
-            dport_store: LabelStore::new("opt/dport", 1 << 18, 13),
-            proto: ProtocolLut::new(),
-            proto_store: LabelStore::new("opt/proto", 16, 4),
+            fields: FieldFrontEnd::new("opt", mbt_cfg, seg_cfg),
             filter: RuleFilter::new(
                 ((rules.len().max(64) * 2)
                     .next_power_of_two()
@@ -116,90 +95,11 @@ impl OptionClassifier {
                 56,
             ),
         };
-        let mut sip_labels: HashMap<(u32, u8), Label> = HashMap::new();
-        let mut dip_labels: HashMap<(u32, u8), Label> = HashMap::new();
-        let mut sport_labels: HashMap<(u16, u16), Label> = HashMap::new();
-        let mut dport_labels: HashMap<(u16, u16), Label> = HashMap::new();
-        let mut proto_labels: HashMap<Option<u8>, Label> = HashMap::new();
         for (id, r) in rules.iter() {
-            let p = r.priority;
-            let next_sip = sip_labels.len();
-            let ls = *sip_labels
-                .entry((r.src_ip.value(), r.src_ip.len()))
-                .or_insert_with(|| {
-                    let l = Label(next_sip as u16);
-                    me.sip
-                        .insert_prefix(
-                            &mut me.sip_store,
-                            r.src_ip.value(),
-                            r.src_ip.len(),
-                            LabelEntry::by_priority(l, p),
-                        )
-                        .expect("option sip trie sized for the rule set");
-                    l
-                });
-            let next_dip = dip_labels.len();
-            let ld = *dip_labels
-                .entry((r.dst_ip.value(), r.dst_ip.len()))
-                .or_insert_with(|| {
-                    let l = Label(next_dip as u16);
-                    me.dip
-                        .insert_prefix(
-                            &mut me.dip_store,
-                            r.dst_ip.value(),
-                            r.dst_ip.len(),
-                            LabelEntry::by_priority(l, p),
-                        )
-                        .expect("option dip trie sized for the rule set");
-                    l
-                });
-            let next_sport = sport_labels.len();
-            let lsp = *sport_labels
-                .entry((r.src_port.lo(), r.src_port.hi()))
-                .or_insert_with(|| {
-                    let l = Label(next_sport as u16);
-                    me.sport
-                        .insert_range(
-                            &mut me.sport_store,
-                            r.src_port,
-                            LabelEntry::by_priority(l, p),
-                        )
-                        .expect("option sport trie sized for the rule set");
-                    l
-                });
-            let next_dport = dport_labels.len();
-            let ldp = *dport_labels
-                .entry((r.dst_port.lo(), r.dst_port.hi()))
-                .or_insert_with(|| {
-                    let l = Label(next_dport as u16);
-                    me.dport
-                        .insert_range(
-                            &mut me.dport_store,
-                            r.dst_port,
-                            LabelEntry::by_priority(l, p),
-                        )
-                        .expect("option dport trie sized for the rule set");
-                    l
-                });
-            let next_proto = proto_labels.len();
-            let lpr = *proto_labels
-                .entry(match r.proto {
-                    ProtoSpec::Any => None,
-                    ProtoSpec::Exact(v) => Some(v),
-                })
-                .or_insert_with(|| {
-                    let l = Label(next_proto as u16);
-                    me.proto
-                        .insert(
-                            &mut me.proto_store,
-                            DimValue::Proto(r.proto),
-                            LabelEntry::by_priority(l, p),
-                        )
-                        .expect("protocol LUT is direct-indexed");
-                    l
-                });
+            // A label is as good as the first rule that brought its value.
+            let labels = me.fields.intern(r, r.priority);
             me.filter
-                .insert(make_key(ls, ld, lsp, ldp, lpr), id, *r)
+                .insert(make_key(labels), id, *r)
                 .expect("filter sized at 2x rules; generator deduplicates 5-tuples");
         }
         me
@@ -219,41 +119,16 @@ impl Baseline for OptionClassifier {
         }
     }
 
-    // Field lookups are total over their domains (u32 keys, u16 ports,
-    // u8 protocols), so the `Err` arms are unreachable by construction.
-    #[allow(clippy::expect_used)]
     fn classify(&self, h: &Header) -> BaselineResult {
-        let mut accesses = 0u32;
-        let rs = self
-            .sip
-            .lookup_key(&self.sip_store, h.src_ip.0)
-            .expect("in range");
-        let rd = self
-            .dip
-            .lookup_key(&self.dip_store, h.dst_ip.0)
-            .expect("in range");
-        let rsp = self
-            .sport
-            .lookup(&self.sport_store, h.src_port)
-            .expect("in range");
-        let rdp = self
-            .dport
-            .lookup(&self.dport_store, h.dst_port)
-            .expect("in range");
-        let rpr = self
-            .proto
-            .lookup(&self.proto_store, u16::from(h.proto))
-            .expect("in range");
-        accesses += rs.mem_reads + rd.mem_reads + rsp.mem_reads + rdp.mem_reads + rpr.mem_reads;
+        let ([rs, rd, rsp, rdp, rpr], mut accesses) = self.fields.lookup(h);
         let mut best: Option<(Priority, RuleId)> = None;
-        for a in rs.labels.iter() {
-            for b in rd.labels.iter() {
-                for c in rsp.labels.iter() {
-                    for d in rdp.labels.iter() {
-                        for e in rpr.labels.iter() {
-                            let probe = self
-                                .filter
-                                .probe(make_key(a.label, b.label, c.label, d.label, e.label));
+        for a in &rs {
+            for b in &rd {
+                for c in &rsp {
+                    for d in &rdp {
+                        for e in &rpr {
+                            let key = make_key([a, b, c, d, e].map(|x| x.label));
+                            let probe = self.filter.probe(key);
                             accesses += probe.reads;
                             if let Some(s) = probe.hit {
                                 let cand = (s.rule.priority, s.id);
@@ -273,17 +148,7 @@ impl Baseline for OptionClassifier {
     }
 
     fn memory_bits(&self) -> u64 {
-        self.sip.used_bits()
-            + self.dip.used_bits()
-            + self.sport.used_bits()
-            + self.dport.used_bits()
-            + FieldEngine::used_bits(&self.proto)
-            + self.sip_store.used_bits()
-            + self.dip_store.used_bits()
-            + self.sport_store.used_bits()
-            + self.dport_store.used_bits()
-            + self.proto_store.used_bits()
-            + self.filter.provisioned_bits()
+        self.fields.used_bits() + self.filter.provisioned_bits()
     }
 }
 
@@ -330,7 +195,7 @@ mod tests {
         let rs = small_set();
         let o1 = OptionClassifier::build(&rs, OptionKind::One);
         let o2 = OptionClassifier::build(&rs, OptionKind::Two);
-        assert_eq!(o1.sip.num_levels(), 5);
-        assert_eq!(o2.sip.num_levels(), 4);
+        assert_eq!(o1.fields.sip.engine.num_levels(), 5);
+        assert_eq!(o2.fields.sip.engine.num_levels(), 4);
     }
 }

@@ -79,16 +79,6 @@ impl RangeBst {
         }
     }
 
-    /// Number of unique prefixes currently stored.
-    pub fn unique_values(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Number of elementary intervals in the current structure.
-    pub fn interval_count(&self) -> usize {
-        self.intervals.len()
-    }
-
     /// Worst-case binary-search reads per lookup (`⌈log2 n⌉ + 1`), 0 when
     /// empty.
     pub fn depth(&self) -> u32 {

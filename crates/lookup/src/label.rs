@@ -115,13 +115,6 @@ impl LabelList {
         self.entries.clear();
     }
 
-    /// Replaces this list's contents with `other`'s, reusing the
-    /// existing allocation where capacity allows.
-    pub fn copy_from(&mut self, other: &LabelList) {
-        self.entries.clear();
-        self.entries.extend_from_slice(&other.entries);
-    }
-
     /// Appends already-sorted entries *without* restoring the global sort
     /// invariant. Engine lookups use this to gather per-level runs into a
     /// caller-owned list; they must call [`LabelList::restore_sorted`]
@@ -158,27 +151,6 @@ impl LabelList {
     /// Whether the label is present.
     pub fn contains(&self, label: Label) -> bool {
         self.entries.iter().any(|x| x.label == label)
-    }
-
-    /// Merges another sorted list into a new sorted list (used when a trie
-    /// walk gathers lists from several levels).
-    pub fn merged(&self, other: &LabelList) -> LabelList {
-        let mut out = Vec::with_capacity(self.len() + other.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.entries.len() && j < other.entries.len() {
-            let a = &self.entries[i];
-            let b = &other.entries[j];
-            if (a.order, a.label.0) <= (b.order, b.label.0) {
-                out.push(*a);
-                i += 1;
-            } else {
-                out.push(*b);
-                j += 1;
-            }
-        }
-        out.extend_from_slice(&self.entries[i..]);
-        out.extend_from_slice(&other.entries[j..]);
-        LabelList { entries: out }
     }
 }
 
@@ -351,29 +323,6 @@ mod tests {
         assert!(l.remove(Label(1)));
         assert!(!l.remove(Label(1)));
         assert!(l.is_empty());
-    }
-
-    #[test]
-    fn merge_preserves_order() {
-        let a: LabelList = [(1u16, 10u32), (3, 30)]
-            .into_iter()
-            .map(|(id, p)| LabelEntry::by_priority(Label(id), Priority(p)))
-            .collect();
-        let b: LabelList = [(2u16, 20u32), (4, 40)]
-            .into_iter()
-            .map(|(id, p)| LabelEntry::by_priority(Label(id), Priority(p)))
-            .collect();
-        let m = a.merged(&b);
-        let ids: Vec<u16> = m.iter().map(|e| e.label.0).collect();
-        assert_eq!(ids, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn merge_with_empty() {
-        let a: LabelList =
-            std::iter::once(LabelEntry::by_priority(Label(1), Priority(1))).collect();
-        assert_eq!(a.merged(&LabelList::new()), a);
-        assert_eq!(LabelList::new().merged(&a), a);
     }
 
     #[test]

@@ -5,14 +5,22 @@
 //! priority-sorted list of labels.
 //!
 //! * [`MultiBitTrie`] — fixed-stride trie with prefix expansion (5/5/6 for
-//!   a segment; also the 32-bit "Option 1/2" tries of Table I);
+//!   a segment; also the 32-bit "Option 1/2" tries of Table I): the shared
+//!   stride trie plus a prefix front end and a wildcard register;
 //! * [`RangeBst`] — balanced BST over elementary intervals, software
 //!   rebuilt on update (memory-lean IP algorithm);
 //! * [`SegmentTrie`] — multi-level trie with canonical range decomposition
-//!   (port engine of the Table I options);
+//!   (port engine of the Table I options): the shared stride trie plus a
+//!   port-range front end;
 //! * [`PortRegisters`] — parallel match registers with Table IV's
 //!   exact-then-tightest label ordering;
 //! * [`ProtocolLut`] — single-cycle direct table.
+//!
+//! The two tries are one structure (private module `trie`: geometry,
+//! level blocks, node allocation, the covered-slot walk, the root-to-leaf
+//! read loop and its accounting) behind two ways of turning a field value
+//! into a key range, so their reads, Kbits and write cycles cannot drift
+//! apart.
 //!
 //! Engines share a contract ([`FieldEngine`]) and are deliberately split
 //! from the per-dimension label memory ([`LabelStore`]) so the `IPalg_s`
@@ -28,6 +36,7 @@ mod portregs;
 mod protolut;
 mod segtrie;
 mod store;
+mod trie;
 
 pub use bst::RangeBst;
 pub use engine::{EngineError, EngineKind, FieldEngine, LookupCost, LookupResult};

@@ -6,53 +6,38 @@
 //! three label-list reads) pipeline into a 6-cycle latency with an
 //! initiation interval of one packet per cycle (§V.B).
 //!
-//! The trie is *width-generic*: the same type implements the 32-bit,
-//! 5-level tries evaluated as "Option 1/2" in Table I.
+//! The structure itself — level blocks, node allocation, the root-to-leaf
+//! read loop, the accounting — is the shared stride trie of
+//! `trie.rs`, the same one under [`crate::SegmentTrie`]. What this front
+//! end adds is the prefix: a `(value, len)` becomes the key range it
+//! covers, which the shared walk expands at the one level whose
+//! cumulative stride reaches `len`, and length 0 goes to a wildcard
+//! register read ahead of the walk instead of filling the root. The trie
+//! is *width-generic*: the same type implements the 32-bit, 5-level tries
+//! evaluated as "Option 1/2" in Table I.
 
 use crate::engine::{EngineError, EngineKind, FieldEngine, LookupCost, LookupResult};
 use crate::label::{Label, LabelEntry, LabelList};
 use crate::store::{LabelStore, ListPtr};
-use spc_hwsim::MemoryBlock;
+use crate::trie::{Geometry, StrideTrie};
 use spc_types::DimValue;
 
-/// Geometry of a [`MultiBitTrie`].
+/// Geometry of a [`MultiBitTrie`]: key width, per-level strides and
+/// provisioned node capacity per level, with 13-bit label-list pointers.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MbtConfig {
-    /// Key width in bits (16 for segment dimensions, 32 for full IP).
-    pub key_bits: u8,
-    /// Per-level strides; must sum to `key_bits`.
-    pub strides: Vec<u8>,
-    /// Provisioned node capacity per level (level 0 is the single root).
-    pub level_nodes: Vec<usize>,
-    /// Width charged per slot for the label-list pointer.
-    pub list_ptr_bits: u8,
-}
+pub struct MbtConfig(Geometry);
 
 impl MbtConfig {
-    /// Validated constructor.
+    /// Validated constructor: a `key_bits`-wide key (16 for segment
+    /// dimensions, 32 for full IP) cut into `strides`, with `level_nodes`
+    /// nodes provisioned per level.
     ///
     /// # Panics
     ///
-    /// Panics if the strides don't sum to `key_bits`, lengths mismatch, or
-    /// level 0 capacity is not exactly 1.
+    /// Panics if the strides don't sum to `key_bits` or leave `1..=12`,
+    /// lengths mismatch, or level 0 capacity is not exactly 1.
     pub fn new(key_bits: u8, strides: Vec<u8>, level_nodes: Vec<usize>) -> Self {
-        assert_eq!(
-            strides.iter().map(|s| u32::from(*s)).sum::<u32>(),
-            u32::from(key_bits),
-            "strides must sum to key width"
-        );
-        assert!(
-            strides.iter().all(|s| (1..=12).contains(s)),
-            "strides must be 1..=12"
-        );
-        assert_eq!(strides.len(), level_nodes.len(), "one capacity per level");
-        assert_eq!(level_nodes[0], 1, "level 0 is the single root node");
-        MbtConfig {
-            key_bits,
-            strides,
-            level_nodes,
-            list_ptr_bits: 13,
-        }
+        MbtConfig(Geometry::new(key_bits, strides, level_nodes, 13))
     }
 
     /// The paper's 16-bit segment trie: strides 5/5/6 (§IV.C).
@@ -80,40 +65,6 @@ impl MbtConfig {
             vec![1, 256, per_level_nodes, per_level_nodes],
         )
     }
-
-    fn cum(&self) -> Vec<u8> {
-        let mut acc = 0;
-        self.strides
-            .iter()
-            .map(|s| {
-                acc += s;
-                acc
-            })
-            .collect()
-    }
-
-    fn child_ptr_bits(&self, level: usize) -> u32 {
-        if level + 1 >= self.level_nodes.len() {
-            0
-        } else {
-            (self.level_nodes[level + 1].max(2) as u64)
-                .next_power_of_two()
-                .trailing_zeros()
-        }
-    }
-
-    /// Slot word width at a level: child pointer + valid bit + list pointer
-    /// + valid bit.
-    pub fn slot_width_bits(&self, level: usize) -> u32 {
-        self.child_ptr_bits(level) + 1 + u32::from(self.list_ptr_bits) + 1
-    }
-}
-
-/// One trie slot (a word of a level memory block).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Slot {
-    child: Option<u32>,
-    list: Option<ListPtr>,
 }
 
 /// The multi-bit trie engine.
@@ -138,106 +89,39 @@ struct Slot {
 /// ```
 #[derive(Debug)]
 pub struct MultiBitTrie {
-    config: MbtConfig,
-    cum: Vec<u8>,
-    levels: Vec<MemoryBlock<Slot>>,
-    nodes_per_level: Vec<u32>,
+    trie: StrideTrie,
+    /// The length-0 prefix's list: a register beside the trie, so a
+    /// wildcard costs one list instead of a full root of expanded slots.
     wildcard: Option<ListPtr>,
 }
 
 impl MultiBitTrie {
     /// Creates an empty trie with the given geometry (root pre-allocated).
-    // The level-0 block is sized `level_nodes[0] << strides[0]` words, so
-    // allocating the root's `1 << strides[0]` slots cannot overflow.
-    #[allow(clippy::expect_used)]
     pub fn new(config: MbtConfig) -> Self {
-        let cum = config.cum();
-        let mut levels: Vec<MemoryBlock<Slot>> = config
-            .strides
-            .iter()
-            .enumerate()
-            .map(|(k, s)| {
-                MemoryBlock::new(
-                    format!("mbt_l{k}"),
-                    config.level_nodes[k] << s,
-                    config.slot_width_bits(k),
-                )
-            })
-            .collect();
-        // Allocate the root node.
-        for _ in 0..(1usize << config.strides[0]) {
-            levels[0]
-                .alloc(Slot::default())
-                .expect("root fits by construction");
-        }
-        let nodes_per_level = {
-            let mut v = vec![0u32; config.strides.len()];
-            v[0] = 1;
-            v
-        };
         MultiBitTrie {
-            config,
-            cum,
-            levels,
-            nodes_per_level,
+            trie: StrideTrie::new("mbt", config.0),
             wildcard: None,
         }
     }
 
-    /// The trie geometry.
-    pub fn config(&self) -> &MbtConfig {
-        &self.config
-    }
-
     /// Number of levels.
     pub fn num_levels(&self) -> usize {
-        self.config.strides.len()
+        self.trie.num_levels()
     }
 
     /// Fixed pipeline latency: one node read plus one list read per level.
     pub fn latency_cycles(&self) -> u32 {
-        2 * self.num_levels() as u32
+        self.trie.latency_cycles()
     }
 
-    /// Nodes allocated per level.
-    pub fn node_counts(&self) -> &[u32] {
-        &self.nodes_per_level
-    }
-
-    fn chunk(&self, value: u32, level: usize) -> usize {
-        let shift = u32::from(self.config.key_bits) - u32::from(self.cum[level]);
-        ((value >> shift) as usize) & ((1 << self.config.strides[level]) - 1)
-    }
-
-    fn alloc_node(&mut self, level: usize) -> Result<u32, EngineError> {
-        let slots = 1usize << self.config.strides[level];
-        if self.levels[level].free_words() < slots {
-            return Err(EngineError::Capacity {
-                what: format!("mbt_l{level} nodes"),
-            });
-        }
-        let base = self.levels[level].len();
-        for _ in 0..slots {
-            self.levels[level].alloc(Slot::default())?;
-        }
-        let idx = (base >> self.config.strides[level]) as u32;
-        self.nodes_per_level[level] += 1;
-        Ok(idx)
-    }
-
-    fn slot_addr(&self, level: usize, node: u32, idx: usize) -> usize {
-        ((node as usize) << self.config.strides[level]) + idx
-    }
-
-    /// Level index whose cumulative stride first covers `len`.
-    // `cum` ends at `key_bits` and insert validates `len <= key_bits`, so
-    // a covering level always exists.
-    #[allow(clippy::expect_used)]
-    fn target_level(&self, len: u8) -> usize {
-        self.cum
-            .iter()
-            .position(|c| len <= *c)
-            .expect("len <= key_bits")
+    /// The inclusive key range a `(value, len)` prefix covers, `len >= 1`
+    /// (bits of `value` below the prefix or above the key are ignored).
+    fn prefix_range(&self, value: u32, len: u8) -> (u32, u32) {
+        let key_bits = self.trie.key_bits();
+        assert!(len <= key_bits, "prefix longer than key");
+        let free = (1u32 << (key_bits - len)) - 1;
+        let lo = value & (u32::MAX >> (32 - key_bits)) & !free;
+        (lo, lo | free)
     }
 
     /// Inserts a `(value, len)` prefix with the given label entry.
@@ -253,54 +137,16 @@ impl MultiBitTrie {
         len: u8,
         entry: LabelEntry,
     ) -> Result<(), EngineError> {
-        assert!(len <= self.config.key_bits, "prefix longer than key");
         if len == 0 {
             let ptr = match self.wildcard {
                 Some(p) => p,
-                None => {
-                    let p = store.alloc_list()?;
-                    self.wildcard = Some(p);
-                    p
-                }
+                None => *self.wildcard.insert(store.alloc_list()?),
             };
             store.insert(ptr, entry)?;
             return Ok(());
         }
-        let target = self.target_level(len);
-        let mut node = 0u32;
-        for level in 0..target {
-            let idx = self.chunk(value, level);
-            let addr = self.slot_addr(level, node, idx);
-            let mut slot = *self.levels[level].read(addr)?;
-            let child = match slot.child {
-                Some(c) => c,
-                None => {
-                    let c = self.alloc_node(level + 1)?;
-                    slot.child = Some(c);
-                    self.levels[level].write(addr, slot)?;
-                    c
-                }
-            };
-            node = child;
-        }
-        // Prefix expansion at the target level.
-        let fill = 1usize << (self.cum[target] - len);
-        let base = self.chunk(value, target) & !(fill - 1);
-        for i in 0..fill {
-            let addr = self.slot_addr(target, node, base + i);
-            let mut slot = *self.levels[target].read(addr)?;
-            let ptr = match slot.list {
-                Some(p) => p,
-                None => {
-                    let p = store.alloc_list()?;
-                    slot.list = Some(p);
-                    self.levels[target].write(addr, slot)?;
-                    p
-                }
-            };
-            store.insert(ptr, entry)?;
-        }
-        Ok(())
+        self.trie
+            .insert(store, self.prefix_range(value, len), entry)
     }
 
     /// Removes a `(value, len, label)` binding.
@@ -315,7 +161,6 @@ impl MultiBitTrie {
         len: u8,
         label: Label,
     ) -> Result<(), EngineError> {
-        assert!(len <= self.config.key_bits, "prefix longer than key");
         if len == 0 {
             let ptr = self.wildcard.ok_or(EngineError::NotFound)?;
             if !store.remove(ptr, label)? {
@@ -323,29 +168,8 @@ impl MultiBitTrie {
             }
             return Ok(());
         }
-        let target = self.target_level(len);
-        let mut node = 0u32;
-        for level in 0..target {
-            let idx = self.chunk(value, level);
-            let addr = self.slot_addr(level, node, idx);
-            let slot = *self.levels[level].read(addr)?;
-            node = slot.child.ok_or(EngineError::NotFound)?;
-        }
-        let fill = 1usize << (self.cum[target] - len);
-        let base = self.chunk(value, target) & !(fill - 1);
-        let mut removed_any = false;
-        for i in 0..fill {
-            let addr = self.slot_addr(target, node, base + i);
-            let slot = *self.levels[target].read(addr)?;
-            if let Some(ptr) = slot.list {
-                removed_any |= store.remove(ptr, label)?;
-            }
-        }
-        if removed_any {
-            Ok(())
-        } else {
-            Err(EngineError::NotFound)
-        }
+        self.trie
+            .remove(store, self.prefix_range(value, len), label)
     }
 
     /// Looks up a full-width key, collecting label lists along the path.
@@ -376,39 +200,7 @@ impl MultiBitTrie {
         key: u32,
         out: &mut LabelList,
     ) -> Result<LookupCost, EngineError> {
-        out.clear();
-        let mut reads = 0u32;
-        let mut runs = 0u32;
-        if let Some(ptr) = self.wildcard {
-            if store.len(ptr)? > 0 {
-                reads += store.read_all_into(ptr, out)?;
-                runs += 1;
-            }
-        }
-        let mut node = 0u32;
-        for level in 0..self.num_levels() {
-            let idx = self.chunk(key, level);
-            let addr = self.slot_addr(level, node, idx);
-            let slot = *self.levels[level].read(addr)?;
-            reads += 1;
-            if let Some(ptr) = slot.list {
-                reads += store.read_all_into(ptr, out)?;
-                runs += 1;
-            }
-            match slot.child {
-                Some(c) => node = c,
-                None => break,
-            }
-        }
-        if runs > 1 {
-            // Each run is sorted; one unstable sort restores the global
-            // invariant without allocating.
-            out.restore_sorted();
-        }
-        Ok(LookupCost {
-            mem_reads: reads,
-            cycles: self.latency_cycles(),
-        })
+        self.trie.lookup(store, key, self.wildcard, out)
     }
 }
 
@@ -426,7 +218,7 @@ impl FieldEngine for MultiBitTrie {
         let DimValue::Seg(seg) = value else {
             return Err(EngineError::ValueKind { expected: "Seg" });
         };
-        debug_assert_eq!(self.config.key_bits, 16, "segment engine must be 16-bit");
+        debug_assert_eq!(self.trie.key_bits(), 16, "segment engine must be 16-bit");
         self.insert_prefix(store, u32::from(seg.value()), seg.len(), entry)
     }
 
@@ -452,21 +244,15 @@ impl FieldEngine for MultiBitTrie {
     }
 
     fn provisioned_bits(&self) -> u64 {
-        self.levels
-            .iter()
-            .map(spc_hwsim::MemoryBlock::capacity_bits)
-            .sum()
+        self.trie.provisioned_bits()
     }
 
     fn used_bits(&self) -> u64 {
-        self.levels
-            .iter()
-            .map(spc_hwsim::MemoryBlock::used_bits)
-            .sum()
+        self.trie.used_bits()
     }
 
     fn writes(&self) -> u64 {
-        self.levels.iter().map(MemoryBlock::writes).sum()
+        self.trie.writes()
     }
 
     fn is_pipelined(&self) -> bool {

@@ -4,25 +4,23 @@
 //! A k-level trie over the 16-bit port space. A range is inserted by
 //! canonical decomposition: every maximal trie cell fully covered by the
 //! range receives the range's label, so a lookup only walks root→leaf and
-//! concatenates the label lists it passes — the same access pattern as the
-//! MBT, but for arbitrary ranges instead of prefixes.
+//! concatenates the label lists it passes. That is the shared stride trie
+//! of `trie.rs` as it stands — the same structure as under
+//! [`crate::MultiBitTrie`], which reaches it through a prefix — so all
+//! this front end adds is the [`PortRange`] as the key range and the
+//! 16-bit geometries of the two Table I options.
 
 use crate::engine::{EngineError, EngineKind, FieldEngine, LookupCost};
 use crate::label::{Label, LabelEntry, LabelList};
-use crate::store::{LabelStore, ListPtr};
-use spc_hwsim::MemoryBlock;
+use crate::store::LabelStore;
+use crate::trie::{Geometry, StrideTrie};
 use spc_types::{DimValue, PortRange};
 
-/// Geometry of a [`SegmentTrie`].
+/// Geometry of a [`SegmentTrie`]: per-level strides over the 16-bit port
+/// space and provisioned node capacity per level, with 7-bit label-list
+/// pointers.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegTrieConfig {
-    /// Per-level strides; must sum to 16.
-    pub strides: Vec<u8>,
-    /// Provisioned node capacity per level (level 0 is the root).
-    pub level_nodes: Vec<usize>,
-    /// Width charged per slot for the label-list pointer.
-    pub list_ptr_bits: u8,
-}
+pub struct SegTrieConfig(Geometry);
 
 impl SegTrieConfig {
     /// Validated constructor (see [`crate::MbtConfig::new`] for the rules).
@@ -31,18 +29,7 @@ impl SegTrieConfig {
     ///
     /// Panics if strides don't sum to 16 or capacities mismatch.
     pub fn new(strides: Vec<u8>, level_nodes: Vec<usize>) -> Self {
-        assert_eq!(
-            strides.iter().map(|s| u32::from(*s)).sum::<u32>(),
-            16,
-            "strides must sum to 16"
-        );
-        assert_eq!(strides.len(), level_nodes.len(), "one capacity per level");
-        assert_eq!(level_nodes[0], 1, "level 0 is the single root node");
-        SegTrieConfig {
-            strides,
-            level_nodes,
-            list_ptr_bits: 7,
-        }
+        SegTrieConfig(Geometry::new(16, strides, level_nodes, 7))
     }
 
     /// The 4-level segment trie of Table I Option 1 (4-bit strides).
@@ -60,38 +47,6 @@ impl SegTrieConfig {
             vec![1, 16, per_level_nodes, per_level_nodes, per_level_nodes],
         )
     }
-
-    fn cum(&self) -> Vec<u8> {
-        let mut acc = 0;
-        self.strides
-            .iter()
-            .map(|s| {
-                acc += s;
-                acc
-            })
-            .collect()
-    }
-
-    fn child_ptr_bits(&self, level: usize) -> u32 {
-        if level + 1 >= self.level_nodes.len() {
-            0
-        } else {
-            (self.level_nodes[level + 1].max(2) as u64)
-                .next_power_of_two()
-                .trailing_zeros()
-        }
-    }
-
-    /// Slot word width at a level.
-    pub fn slot_width_bits(&self, level: usize) -> u32 {
-        self.child_ptr_bits(level) + 1 + u32::from(self.list_ptr_bits) + 1
-    }
-}
-
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Slot {
-    child: Option<u32>,
-    list: Option<ListPtr>,
 }
 
 /// The segment-trie engine for port ranges.
@@ -115,121 +70,29 @@ struct Slot {
 /// ```
 #[derive(Debug)]
 pub struct SegmentTrie {
-    config: SegTrieConfig,
-    cum: Vec<u8>,
-    levels: Vec<MemoryBlock<Slot>>,
+    trie: StrideTrie,
 }
 
-/// Per-slot callback used by the canonical-range walk: receives the level
-/// memories, the level index and the slot address.
-type SlotOp<'a> =
-    dyn FnMut(&mut Vec<MemoryBlock<Slot>>, usize, usize) -> Result<(), EngineError> + 'a;
+fn key_range(range: PortRange) -> (u32, u32) {
+    (u32::from(range.lo()), u32::from(range.hi()))
+}
 
 impl SegmentTrie {
     /// Creates an empty trie (root pre-allocated).
-    // The level-0 block is sized `level_nodes[0] << strides[0]` words, so
-    // allocating the root's `1 << strides[0]` slots cannot overflow.
-    #[allow(clippy::expect_used)]
     pub fn new(config: SegTrieConfig) -> Self {
-        let cum = config.cum();
-        let mut levels: Vec<MemoryBlock<Slot>> = config
-            .strides
-            .iter()
-            .enumerate()
-            .map(|(k, s)| {
-                MemoryBlock::new(
-                    format!("segtrie_l{k}"),
-                    config.level_nodes[k] << s,
-                    config.slot_width_bits(k),
-                )
-            })
-            .collect();
-        for _ in 0..(1usize << config.strides[0]) {
-            levels[0]
-                .alloc(Slot::default())
-                .expect("root fits by construction");
-        }
         SegmentTrie {
-            config,
-            cum,
-            levels,
+            trie: StrideTrie::new("segtrie", config.0),
         }
     }
 
     /// Number of levels.
     pub fn num_levels(&self) -> usize {
-        self.config.strides.len()
+        self.trie.num_levels()
     }
 
     /// Fixed pipeline latency: node + list read per level.
     pub fn latency_cycles(&self) -> u32 {
-        2 * self.num_levels() as u32
-    }
-
-    fn slot_addr(&self, level: usize, node: u32, idx: usize) -> usize {
-        ((node as usize) << self.config.strides[level]) + idx
-    }
-
-    fn alloc_node(&mut self, level: usize) -> Result<u32, EngineError> {
-        let slots = 1usize << self.config.strides[level];
-        if self.levels[level].free_words() < slots {
-            return Err(EngineError::Capacity {
-                what: format!("segtrie_l{level} nodes"),
-            });
-        }
-        let base = self.levels[level].len();
-        for _ in 0..slots {
-            self.levels[level].alloc(Slot::default())?;
-        }
-        Ok((base >> self.config.strides[level]) as u32)
-    }
-
-    /// Cell width (values per slot) at `level`.
-    fn cell(&self, level: usize) -> u32 {
-        1u32 << (16 - u32::from(self.cum[level]))
-    }
-
-    /// Applies `op` to every canonical slot of `range`; `op` returns
-    /// whether to continue. Used for both insert and remove.
-    fn for_canonical_slots(
-        &mut self,
-        level: usize,
-        node: u32,
-        node_base: u32,
-        lo: u32,
-        hi: u32,
-        op: &mut SlotOp<'_>,
-    ) -> Result<(), EngineError> {
-        let cell = self.cell(level);
-        let nslots = 1usize << self.config.strides[level];
-        for i in 0..nslots {
-            let s_lo = node_base + i as u32 * cell;
-            let s_hi = s_lo + cell - 1;
-            if s_hi < lo || s_lo > hi {
-                continue;
-            }
-            let addr = self.slot_addr(level, node, i);
-            if lo <= s_lo && s_hi <= hi {
-                op(&mut self.levels, level, addr)?;
-            } else {
-                debug_assert!(
-                    level + 1 < self.num_levels(),
-                    "unit cells are always covered"
-                );
-                let mut slot = *self.levels[level].read(addr)?;
-                let child = match slot.child {
-                    Some(c) => c,
-                    None => {
-                        let c = self.alloc_node(level + 1)?;
-                        slot.child = Some(c);
-                        self.levels[level].write(addr, slot)?;
-                        c
-                    }
-                };
-                self.for_canonical_slots(level + 1, child, s_lo, lo.max(s_lo), hi.min(s_hi), op)?;
-            }
-        }
-        Ok(())
+        self.trie.latency_cycles()
     }
 
     /// Inserts a port range with the given label entry.
@@ -243,34 +106,11 @@ impl SegmentTrie {
         range: PortRange,
         entry: LabelEntry,
     ) -> Result<(), EngineError> {
-        let mut op = |levels: &mut Vec<MemoryBlock<Slot>>,
-                      level: usize,
-                      addr: usize|
-         -> Result<(), EngineError> {
-            let mut slot = *levels[level].read(addr)?;
-            let ptr = match slot.list {
-                Some(p) => p,
-                None => {
-                    let p = store.alloc_list()?;
-                    slot.list = Some(p);
-                    levels[level].write(addr, slot)?;
-                    p
-                }
-            };
-            store.insert(ptr, entry)?;
-            Ok(())
-        };
-        self.for_canonical_slots(
-            0,
-            0,
-            0,
-            u32::from(range.lo()),
-            u32::from(range.hi()),
-            &mut op,
-        )
+        self.trie.insert(store, key_range(range), entry)
     }
 
-    /// Removes a port range / label binding.
+    /// Removes a port range / label binding. Allocates nothing: a range
+    /// that was never inserted leaves the trie as it was.
     ///
     /// # Errors
     ///
@@ -281,30 +121,7 @@ impl SegmentTrie {
         range: PortRange,
         label: Label,
     ) -> Result<(), EngineError> {
-        let mut removed = false;
-        let mut op = |levels: &mut Vec<MemoryBlock<Slot>>,
-                      level: usize,
-                      addr: usize|
-         -> Result<(), EngineError> {
-            let slot = *levels[level].read(addr)?;
-            if let Some(ptr) = slot.list {
-                removed |= store.remove(ptr, label)?;
-            }
-            Ok(())
-        };
-        self.for_canonical_slots(
-            0,
-            0,
-            0,
-            u32::from(range.lo()),
-            u32::from(range.hi()),
-            &mut op,
-        )?;
-        if removed {
-            Ok(())
-        } else {
-            Err(EngineError::NotFound)
-        }
+        self.trie.remove(store, key_range(range), label)
     }
 }
 
@@ -343,50 +160,19 @@ impl FieldEngine for SegmentTrie {
         query: u16,
         out: &mut LabelList,
     ) -> Result<LookupCost, EngineError> {
-        out.clear();
-        let mut reads = 0u32;
-        let mut runs = 0u32;
-        let mut node = 0u32;
-        for level in 0..self.num_levels() {
-            let shift = 16 - u32::from(self.cum[level]);
-            let idx = (usize::from(query) >> shift) & ((1 << self.config.strides[level]) - 1);
-            let addr = self.slot_addr(level, node, idx);
-            let slot = *self.levels[level].read(addr)?;
-            reads += 1;
-            if let Some(ptr) = slot.list {
-                reads += store.read_all_into(ptr, out)?;
-                runs += 1;
-            }
-            match slot.child {
-                Some(c) => node = c,
-                None => break,
-            }
-        }
-        if runs > 1 {
-            out.restore_sorted();
-        }
-        Ok(LookupCost {
-            mem_reads: reads,
-            cycles: self.latency_cycles(),
-        })
+        self.trie.lookup(store, u32::from(query), None, out)
     }
 
     fn provisioned_bits(&self) -> u64 {
-        self.levels
-            .iter()
-            .map(spc_hwsim::MemoryBlock::capacity_bits)
-            .sum()
+        self.trie.provisioned_bits()
     }
 
     fn used_bits(&self) -> u64 {
-        self.levels
-            .iter()
-            .map(spc_hwsim::MemoryBlock::used_bits)
-            .sum()
+        self.trie.used_bits()
     }
 
     fn writes(&self) -> u64 {
-        self.levels.iter().map(MemoryBlock::writes).sum()
+        self.trie.writes()
     }
 
     fn is_pipelined(&self) -> bool {
@@ -436,9 +222,10 @@ mod tests {
     fn full_wildcard_is_cheap() {
         let mut s = store();
         let mut t = SegmentTrie::new(SegTrieConfig::four_level(16));
+        let root_only = t.used_bits();
         t.insert_range(&mut s, PortRange::ANY, entry(3, 0)).unwrap();
         // Wildcard fills only the 16 root slots, no children.
-        assert_eq!(t.levels[1].len(), 0);
+        assert_eq!(t.used_bits(), root_only);
         assert!(t.lookup(&s, 12345).unwrap().labels.contains(Label(3)));
     }
 
@@ -471,6 +258,51 @@ mod tests {
         }
         assert!(matches!(
             t.remove_range(&mut s, r, Label(1)),
+            Err(EngineError::NotFound)
+        ));
+    }
+
+    #[test]
+    fn absent_removes_change_nothing() {
+        let mut s = store();
+        let mut t = SegmentTrie::new(SegTrieConfig::four_level(64));
+        let probes = [0u16, 999, 1000, 1003, 1004, 1100, 1200, 65535];
+        let state = |t: &SegmentTrie, s: &LabelStore| {
+            let seen: Vec<_> = probes.iter().map(|&q| t.lookup(s, q).unwrap()).collect();
+            (t.used_bits(), t.writes(), s.writes(), seen)
+        };
+        // Never inserted, empty trie: no node may be allocated on the way
+        // down to where the range would live.
+        let empty = state(&t, &s);
+        assert_eq!((empty.0, empty.1), (208, 16));
+        let absent = PortRange::new(1000, 1003).unwrap();
+        assert!(matches!(
+            t.remove_range(&mut s, absent, Label(1)),
+            Err(EngineError::NotFound)
+        ));
+        assert_eq!(state(&t, &s), empty);
+        // Half absent: the stored range's path exists, the rest of the
+        // removed range (and a foreign label on the stored one) does not.
+        t.insert_range(&mut s, PortRange::new(1000, 1100).unwrap(), entry(1, 0))
+            .unwrap();
+        let loaded = state(&t, &s);
+        for (lo, hi, label) in [(1050, 1200, 2), (1000, 1100, 2), (1101, 40000, 1)] {
+            let r = PortRange::new(lo, hi).unwrap();
+            assert!(
+                matches!(
+                    t.remove_range(&mut s, r, Label(label)),
+                    Err(EngineError::NotFound)
+                ),
+                "[{lo}, {hi}] label {label}"
+            );
+            assert_eq!(state(&t, &s), loaded, "[{lo}, {hi}] label {label}");
+        }
+        // On a full level the answer is still NotFound, not Capacity.
+        let mut full = SegmentTrie::new(SegTrieConfig::new(vec![4, 4, 4, 4], vec![1, 1, 1, 1]));
+        full.insert_range(&mut s, PortRange::new(0, 5).unwrap(), entry(3, 0))
+            .unwrap();
+        assert!(matches!(
+            full.remove_range(&mut s, PortRange::new(30000, 30005).unwrap(), Label(3)),
             Err(EngineError::NotFound)
         ));
     }

@@ -230,3 +230,110 @@ fn mbt_remove_is_inverse_of_insert() {
         assert_eq!(got_labels(&r.labels), want, "case {case} q={q:#x}");
     }
 }
+
+/// The MBT and the segment trie are one trie behind two insert front
+/// ends, held here from outside: the same prefixes (length >= 1), loaded
+/// as prefixes into one and as the key ranges they cover into the other,
+/// give the same labels, `mem_reads`, structural writes and label-store
+/// writes — through the inserts and a removal of every other prefix. An
+/// edit that forks the walk again fails here.
+#[test]
+fn mbt_and_segment_trie_are_one_structure() {
+    for strides in [vec![5u8, 5, 6], vec![4, 4, 4, 4], vec![4, 3, 3, 3, 3]] {
+        let mut rng = StdRng::seed_from_u64(0x6000 + strides.len() as u64);
+        let mut nodes = vec![512usize; strides.len()];
+        nodes[0] = 1;
+        let mut mbt = MultiBitTrie::new(MbtConfig::new(16, strides.clone(), nodes.clone()));
+        let mut seg = SegmentTrie::new(SegTrieConfig::new(strides.clone(), nodes));
+        let mut s_mbt = LabelStore::new("mbt", 1 << 16, 13);
+        let mut s_seg = LabelStore::new("seg", 1 << 16, 13);
+        let prefixes: Vec<SegPrefix> = (0..200)
+            .map(|_| SegPrefix::masked(rng.gen(), rng.gen_range(1u8..=16)))
+            .collect();
+        let as_range = |p: &SegPrefix| DimValue::Port(PortRange::new(p.first(), p.last()).unwrap());
+        let agree =
+            |mbt: &MultiBitTrie, seg: &SegmentTrie, s_mbt: &LabelStore, s_seg: &LabelStore| {
+                assert_eq!(mbt.writes(), seg.writes(), "{strides:?} structural writes");
+                assert_eq!(s_mbt.writes(), s_seg.writes(), "{strides:?} store writes");
+                let edges = prefixes.iter().flat_map(|p| {
+                    let (lo, hi) = (p.first(), p.last());
+                    [lo, hi, lo.wrapping_sub(1), hi.wrapping_add(1)]
+                });
+                for q in edges.chain((0..=u16::MAX).step_by(97)) {
+                    // `LookupResult` equality: labels in order, reads, cycles.
+                    assert_eq!(
+                        mbt.lookup(s_mbt, q).unwrap(),
+                        seg.lookup(s_seg, q).unwrap(),
+                        "{strides:?} q={q:#x}"
+                    );
+                }
+            };
+        for (i, p) in prefixes.iter().enumerate() {
+            let e = LabelEntry::by_priority(Label(i as u16), Priority(rng.gen_range(0..64)));
+            mbt.insert(&mut s_mbt, DimValue::Seg(*p), e).unwrap();
+            seg.insert(&mut s_seg, as_range(p), e).unwrap();
+        }
+        agree(&mbt, &seg, &s_mbt, &s_seg);
+        for (i, p) in prefixes.iter().enumerate().step_by(2) {
+            mbt.remove(&mut s_mbt, DimValue::Seg(*p), Label(i as u16))
+                .unwrap();
+            seg.remove(&mut s_seg, as_range(p), Label(i as u16))
+                .unwrap();
+        }
+        agree(&mbt, &seg, &s_mbt, &s_seg);
+    }
+}
+
+/// The prefix-to-range arithmetic at the top of a 32-bit key space:
+/// prefixes touching `0.0.0.0/1` and `255.255.255.255/32` match exactly
+/// the keys they contain, before and after removing half of them.
+#[test]
+fn mbt_ip32_matches_reference_at_the_key_space_edges() {
+    let mut rng = StdRng::seed_from_u64(0x7000);
+    let mut prefixes: Vec<(u32, u8)> = vec![
+        (0, 1),
+        (0x8000_0000, 1),
+        (u32::MAX, 32),
+        (u32::MAX - 1, 31),
+        (0xffff_0000, 16),
+        (0, 32),
+        (0, 7),
+        (0xfe00_0000, 7),
+    ];
+    for _ in 0..64 {
+        let len = rng.gen_range(1u8..=32);
+        let value = rng.gen::<u32>() & (u32::MAX << (32 - len));
+        if !prefixes.contains(&(value, len)) {
+            prefixes.push((value, len));
+        }
+    }
+    let mut store = LabelStore::new("ip32", 1 << 16, 13);
+    let mut mbt = MultiBitTrie::new(MbtConfig::ip32_5level(512));
+    for (i, &(value, len)) in prefixes.iter().enumerate() {
+        let e = LabelEntry::by_priority(Label(i as u16), Priority(i as u32));
+        mbt.insert_prefix(&mut store, value, len, e).unwrap();
+    }
+    let mut keys: Vec<u32> = (0..64).map(|_| rng.gen()).collect();
+    for &(value, len) in &prefixes {
+        let last = value | (u32::MAX.checked_shr(u32::from(len)).unwrap_or(0));
+        keys.extend([value, last, value.wrapping_sub(1), last.wrapping_add(1)]);
+    }
+    let check = |mbt: &MultiBitTrie, store: &LabelStore, live: &dyn Fn(usize) -> bool| {
+        for &key in &keys {
+            let want: BTreeSet<u16> = prefixes
+                .iter()
+                .enumerate()
+                .filter(|&(i, &(value, len))| live(i) && (key ^ value) >> (32 - len) == 0)
+                .map(|(i, _)| i as u16)
+                .collect();
+            let got = mbt.lookup_key(store, key).unwrap();
+            assert_eq!(got_labels(&got.labels), want, "key={key:#x}");
+        }
+    };
+    check(&mbt, &store, &|_| true);
+    for (i, &(value, len)) in prefixes.iter().enumerate().step_by(2) {
+        mbt.remove_prefix(&mut store, value, len, Label(i as u16))
+            .unwrap();
+    }
+    check(&mbt, &store, &|i| i % 2 == 1);
+}

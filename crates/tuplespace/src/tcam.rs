@@ -3,7 +3,7 @@
 //! shift-on-insert cost is surfaced per update.
 
 use crate::TupleError;
-use spc_types::{Action, DimValue, Header, Priority, ProtoSpec, Rule, RuleSet};
+use spc_types::{Action, DimValue, Header, PortRange, Priority, ProtoSpec, Rule, RuleSet};
 use std::collections::HashMap;
 
 /// Bits one provisioned TCAM slot occupies: seven 16-bit value cells
@@ -71,24 +71,7 @@ impl TcamEntry {
 /// ```
 pub fn port_prefixes(lo: u16, hi: u16) -> Vec<(u16, u16)> {
     debug_assert!(lo <= hi);
-    let mut out = Vec::new();
-    let mut lo = u32::from(lo);
-    let hi = u32::from(hi);
-    while lo <= hi {
-        // Largest block aligned at `lo` that does not overshoot `hi`.
-        let align = if lo == 0 {
-            1 << 16
-        } else {
-            lo & lo.wrapping_neg()
-        };
-        let mut size = align.min(1 << 16);
-        while lo + size - 1 > hi {
-            size >>= 1;
-        }
-        out.push((lo as u16, (!(size - 1) & 0xffff) as u16));
-        lo += size;
-    }
-    out
+    PortRange::new(lo, hi).map_or_else(|_| Vec::new(), |r| r.prefix_blocks().collect())
 }
 
 /// 16-bit care mask for a segment prefix length.
@@ -115,11 +98,11 @@ fn query_cells(h: &Header) -> [u16; 7] {
 }
 
 /// Expands one rule into its TCAM entries: segment prefixes verbatim,
-/// port ranges through [`port_prefixes`], protocol as an 8-bit exact
+/// port ranges through [`PortRange::prefix_blocks`], protocol as an 8-bit exact
 /// cell or wildcard.
 fn expand(id: u32, rule: &Rule) -> Vec<TcamEntry> {
-    let sp = port_prefixes(rule.src_port.lo(), rule.src_port.hi());
-    let dp = port_prefixes(rule.dst_port.lo(), rule.dst_port.hi());
+    let sp: Vec<(u16, u16)> = rule.src_port.prefix_blocks().collect();
+    let dp: Vec<(u16, u16)> = rule.dst_port.prefix_blocks().collect();
     let (sh, sl) = rule.src_ip.segments();
     let (dh, dl) = rule.dst_ip.segments();
     let (pv, pm) = match rule.proto {

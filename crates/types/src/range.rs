@@ -90,6 +90,32 @@ impl PortRange {
     pub fn overlaps(self, other: PortRange) -> bool {
         self.lo <= other.hi && other.lo <= self.hi
     }
+
+    /// The minimal greedy sequence of aligned `(value, mask)` prefix
+    /// blocks covering the range, in ascending order — the classic
+    /// range-to-prefix expansion a prefix-only structure requires (worst
+    /// case `2·16 - 2` blocks).
+    pub fn prefix_blocks(self) -> impl Iterator<Item = (u16, u16)> {
+        let hi = u32::from(self.hi);
+        let mut lo = u32::from(self.lo);
+        std::iter::from_fn(move || {
+            if lo > hi {
+                return None;
+            }
+            // Largest block aligned at `lo` that does not overshoot `hi`.
+            let mut size: u32 = if lo == 0 {
+                1 << 16
+            } else {
+                1 << lo.trailing_zeros()
+            };
+            while lo + size - 1 > hi {
+                size >>= 1;
+            }
+            let block = (lo as u16, !(size - 1) as u16);
+            lo += size;
+            Some(block)
+        })
+    }
 }
 
 impl Default for PortRange {
