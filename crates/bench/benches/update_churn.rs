@@ -5,7 +5,9 @@
 //! keeping the paper's §V.A fast update path alive under sharding: hash
 //! routing re-folds one dimension per insert, priority bands search the
 //! band key sets, and both pay the global↔local id bookkeeping on top
-//! of exactly one inner update.
+//! of exactly one inner update — a few microseconds in either IP mode
+//! since the BST flushes a delta, so that bookkeeping is now a visible
+//! share of the update, not noise under a 350 µs rebuild.
 //!
 //! The sweep axis the `spc_benchmark` ledger lacks: sharded churn at
 //! 1 / 2 / 8 shards (it has `core.insert_us` / `core.remove_us` and one

@@ -147,7 +147,12 @@ pub const SECTIONS: [Section; 11] = [
         name: "Table V blocks",
         title: "per-block memory inventory behind Table V",
         inputs: "Same classifier as Table V.",
-        notes: "`*/engine` is a dimension's MBT or BST structure, `*/labels` its label lists.",
+        notes: "`*/engine` is a dimension's MBT or BST structure, `*/labels` its label lists. \
+                Read against the paper's own per-block figure, Table V's +41 % sits in the \
+                four IP `*/engine` blocks alone: they provision 1 575 Kbit where Table VI \
+                gives the four MBTs 543 Kbit (+1 032 Kbit, more than the whole 867 Kbit \
+                gap), while the label memories, the port and protocol blocks and the Rule \
+                Filter come to 1 389 Kbit, 165 Kbit under what the paper's total leaves them.",
     },
     Section {
         name: "Table VI",
@@ -196,8 +201,10 @@ pub const SECTIONS: [Section; 11] = [
                  `rule_filter_addr_bits = 14`, in both IP modes.",
         notes: "The paper's floor is 3 cycles per rule (2 data words + 1 hash). Cycles \
                 above it are structural writes for new labels; label reuse is the share \
-                of the 7 per-rule field lookups that found one. The BST rows include the \
-                software rebuild on every change, which the paper concedes in §IV.C.",
+                of the 7 per-rule field lookups that found one. The BST rows are the delta \
+                the software-balanced tree pushes down (§IV.C): the interval words a new or \
+                dropped boundary shifts in the sorted array, and a rewrite of each label \
+                list the prefix covers.",
     },
 ];
 
@@ -396,8 +403,8 @@ fn table4(out: &mut Cells) {
 fn table5(out: &mut Cells) {
     out.section("Table V");
     let mut cls = Classifier::new(ArchConfig::paper_prototype());
-    // A prototype that fills up keeps what it stored; the first row says how much.
-    let _ = cls.load(&ruleset(FilterKind::Acl, 1000));
+    cls.load(&ruleset(FilterKind::Acl, 1000))
+        .expect("the prototype holds the 1 000-rule set");
     let rep = cls.memory_report();
     let rr = rep.resource_report();
     let paper_bits = 2_097_184u64;

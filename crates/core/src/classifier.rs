@@ -338,18 +338,36 @@ impl Classifier {
         self.insert_inner(rule, false)
     }
 
-    /// Bulk-loads a rule set, deferring BST rebuilds to one final flush —
-    /// the software controller's batch programming path.
+    /// Bulk-loads a rule set, deferring the BST push-down to one final
+    /// flush — the software controller's batch programming path.
     ///
     /// # Errors
     ///
-    /// As [`Classifier::insert`]; already-installed rules stay installed.
+    /// As [`Classifier::insert`], from the first rule that does not go in
+    /// or from the final flush. The batch is all or nothing: on error
+    /// every rule of it that was installed is taken out again, so the
+    /// classifier holds, and answers with, exactly what it did before the
+    /// call.
     pub fn load(&mut self, rules: &spc_types::RuleSet) -> Result<Vec<RuleId>, ClassifierError> {
+        let first_id = self.next_id;
         let mut ids = Vec::with_capacity(rules.len());
-        for rule in rules.rules() {
-            ids.push(self.insert_inner(*rule, true)?.rule_id);
+        let loaded = rules
+            .rules()
+            .iter()
+            .try_for_each(|rule| {
+                ids.push(self.insert_inner(*rule, true)?.rule_id);
+                Ok(())
+            })
+            .and_then(|()| self.flush_engines());
+        if let Err(e) = loaded {
+            for id in ids {
+                let _ = self.uninstall(id);
+            }
+            self.next_id = first_id;
+            // What is left fitted before the call, so this flush succeeds.
+            let _ = self.flush_engines();
+            return Err(e);
         }
-        self.flush_engines()?;
         Ok(ids)
     }
 
@@ -409,20 +427,20 @@ impl Classifier {
             completed = i + 1;
         }
         if let Err(e) = result {
-            self.rollback_dims(&dim_values, rule.priority, completed);
+            self.release_labels(&dim_values, rule.priority, completed);
             let _ = self.flush_engines();
             return Err(e);
         }
         let key = self.make_key(&labels);
         if let Err(e) = self.rule_filter.insert(key, id, rule) {
-            self.rollback_dims(&dim_values, rule.priority, 7);
+            self.release_labels(&dim_values, rule.priority, 7);
             let _ = self.flush_engines();
             return Err(e);
         }
         if !defer {
             if let Err(e) = self.flush_engines() {
                 let _ = self.rule_filter.remove(key, id);
-                self.rollback_dims(&dim_values, rule.priority, 7);
+                self.release_labels(&dim_values, rule.priority, 7);
                 let _ = self.flush_engines();
                 return Err(e);
             }
@@ -438,46 +456,19 @@ impl Classifier {
         })
     }
 
-    fn rollback_dims(
+    /// Drops one rule's reference on the label of each of the first
+    /// `upto` dimension values, taking a label nobody else uses out of
+    /// its engine and re-prioritising one whose best user left. Returns
+    /// the labels freed; the caller flushes.
+    fn release_labels(
         &mut self,
         dim_values: &[spc_types::DimValue; 7],
         priority: Priority,
         upto: usize,
-    ) {
+    ) -> u32 {
+        let mut freed = 0;
         for (unit, &value) in self.dims.iter_mut().zip(dim_values).take(upto) {
             match unit.table.remove(&value, priority) {
-                Some(RemoveOutcome::Freed { label }) => {
-                    let _ = unit.engine.remove(&mut unit.store, value, label);
-                }
-                Some(RemoveOutcome::Dereferenced {
-                    label,
-                    new_best: Some(best),
-                }) => {
-                    let entry = LabelEntry::by_priority(label, best);
-                    let _ = unit.engine.insert(&mut unit.store, value, entry);
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Removes an installed rule (Fig 4's deletion path: counters
-    /// decrement; a label leaves the hardware only at zero).
-    ///
-    /// # Errors
-    ///
-    /// [`ClassifierError::UnknownRule`] for an unknown id.
-    pub fn remove(&mut self, id: RuleId) -> Result<(Rule, UpdateReport), ClassifierError> {
-        let installed = *self
-            .rules
-            .get(&id.0)
-            .ok_or(ClassifierError::UnknownRule { id: id.0 })?;
-        let writes_before = self.write_cycles();
-        self.rule_filter.remove(installed.key, id)?;
-        let dim_values = installed.rule.dim_values();
-        let mut freed = 0u32;
-        for (unit, &value) in self.dims.iter_mut().zip(&dim_values) {
-            match unit.table.remove(&value, installed.rule.priority) {
                 Some(RemoveOutcome::Freed { label }) => {
                     let _ = unit.engine.remove(&mut unit.store, value, label);
                     freed += 1;
@@ -489,14 +480,24 @@ impl Classifier {
                     let entry = LabelEntry::by_priority(label, best);
                     let _ = unit.engine.insert(&mut unit.store, value, entry);
                 }
-                Some(RemoveOutcome::Dereferenced { .. }) => {}
-                None => unreachable!("installed rule must be in label tables"),
+                _ => {}
             }
         }
+        freed
+    }
+
+    /// Removes an installed rule (Fig 4's deletion path: counters
+    /// decrement; a label leaves the hardware only at zero).
+    ///
+    /// # Errors
+    ///
+    /// [`ClassifierError::UnknownRule`] for an unknown id.
+    pub fn remove(&mut self, id: RuleId) -> Result<(Rule, UpdateReport), ClassifierError> {
+        let writes_before = self.write_cycles();
+        let (rule, freed) = self.uninstall(id)?;
         self.flush_engines()?;
-        self.rules.remove(&id.0);
         Ok((
-            installed.rule,
+            rule,
             UpdateReport {
                 rule_id: id,
                 created_labels: 0,
@@ -506,11 +507,30 @@ impl Classifier {
         ))
     }
 
+    /// Takes a rule out of the Rule Filter, the label tables and the
+    /// engines, returning it and the labels it freed; the caller flushes.
+    fn uninstall(&mut self, id: RuleId) -> Result<(Rule, u32), ClassifierError> {
+        let installed = *self
+            .rules
+            .get(&id.0)
+            .ok_or(ClassifierError::UnknownRule { id: id.0 })?;
+        self.rule_filter.remove(installed.key, id)?;
+        let rule = installed.rule;
+        let freed = self.release_labels(&rule.dim_values(), rule.priority, 7);
+        self.rules.remove(&id.0);
+        Ok((rule, freed))
+    }
+
+    /// Flushes every dimension — one that fails must not keep the ones
+    /// after it dirty — and reports the first error.
     fn flush_engines(&mut self) -> Result<(), ClassifierError> {
+        let mut first = Ok(());
         for unit in &mut self.dims {
-            unit.engine.flush(&mut unit.store)?;
+            if let Err(e) = unit.engine.flush(&mut unit.store) {
+                first = first.and(Err(e.into()));
+            }
         }
-        Ok(())
+        first
     }
 
     fn write_cycles(&self) -> u64 {
@@ -1153,6 +1173,88 @@ mod tests {
         let s = cls.sharing_report();
         assert!(s.bst_bits <= s.physical_bits);
         assert!(s.extra_rule_capacity > 0);
+    }
+
+    /// A rule over one `/8` source and one `/8` destination.
+    fn slash8_rule(i: u32) -> Rule {
+        Rule::builder(Priority(i))
+            .src_ip(Prefix::masked((10 + i) << 24, 8))
+            .dst_ip(Prefix::masked((100 + i) << 24, 8))
+            .action(Action::Forward(i as u16))
+            .build()
+    }
+
+    /// Everything a failed update must leave as it was.
+    fn observe(cls: &Classifier) -> impl PartialEq + std::fmt::Debug {
+        let verdicts: Vec<_> = (0..24u8)
+            .map(|i| Header::new([8 + i, 0, 0, 1].into(), [98 + i, 0, 0, 1].into(), 1, 2, 6))
+            .map(|h| cls.classify(&h))
+            .collect();
+        let memory: Vec<_> = cls.memory_report().blocks;
+        (verdicts, memory, cls.live_labels(), cls.len())
+    }
+
+    #[test]
+    fn failed_load_rolls_the_batch_back() {
+        // Four intervals per dimension: two /8s fit (0 | a | a+1 | b..),
+        // eight do not, and it is the final flush that finds out.
+        let tight = ArchConfig {
+            bst_max_intervals: 4,
+            ..cfg().with_ip_alg(IpAlg::Bst)
+        };
+        let mut cls = Classifier::new(tight);
+        let kept = cls.insert(slash8_rule(0)).unwrap().rule_id;
+        let before = observe(&cls);
+        let batch: RuleSet = (1..9).map(slash8_rule).collect();
+        assert!(matches!(
+            cls.load(&batch),
+            Err(ClassifierError::Capacity { .. })
+        ));
+        // No dimension is left dirty (this classify panicked), and the
+        // answers, the memory and the labels are those before the call.
+        assert_eq!(observe(&cls), before);
+        let h = Header::new([10, 0, 0, 1].into(), [100, 0, 0, 1].into(), 1, 2, 6);
+        assert_eq!(cls.classify(&h).hit.unwrap().rule_id, kept);
+        // The ids of the batch were never handed out.
+        assert_eq!(cls.insert(slash8_rule(1)).unwrap().rule_id, RuleId(1));
+        // A duplicate in the middle of a batch takes the batch with it.
+        let before = observe(&cls);
+        let dup: RuleSet = [slash8_rule(2), slash8_rule(1)].into_iter().collect();
+        assert!(matches!(
+            cls.load(&dup),
+            Err(ClassifierError::DuplicateKey { .. })
+        ));
+        assert_eq!(observe(&cls), before);
+    }
+
+    #[test]
+    fn updates_that_do_not_fit_mid_patch_are_atomic() {
+        // `10/8` splits the source dimension's `8/5` interval twice,
+        // copying its one-label list each time, then enters one list.
+        let wide = Rule::builder(Priority(7))
+            .src_ip(Prefix::masked(8 << 24, 5))
+            .dst_ip(Prefix::masked(100 << 24, 8))
+            .build();
+        // Interval array full at the first and at the second split (of
+        // five, `8/5` holding three); label memory full at the first list
+        // copy and at the covered list (of four entries, `8/5` holding one).
+        for (intervals, label_entries) in [(3, 64), (4, 64), (64, 1), (64, 3)] {
+            let what = format!("{intervals} intervals, {label_entries} label entries");
+            let tight = ArchConfig {
+                bst_max_intervals: intervals,
+                ip_label_entries: label_entries,
+                ..cfg().with_ip_alg(IpAlg::Bst)
+            };
+            let mut cls = Classifier::new(tight);
+            let id = cls.insert(wide).unwrap().rule_id;
+            let before = observe(&cls);
+            let e = cls.insert(slash8_rule(0)).unwrap_err();
+            assert!(matches!(e, ClassifierError::Capacity { .. }), "{what}: {e}");
+            assert_eq!(observe(&cls), before, "{what}");
+            // And it is still a working classifier.
+            cls.remove(id).unwrap();
+            cls.insert(slash8_rule(0)).unwrap();
+        }
     }
 
     #[test]

@@ -858,10 +858,21 @@ impl EngineBuilder {
             Some((plan, router, per_shard)) => {
                 // The one branch that never passes the whole set through
                 // a `build`: twins in different shards would go unseen.
-                reject_duplicates(rules)?;
+                // The router keeps its own index from here on.
+                key_index(rules)?;
                 SnapshotEngine::from_sharded(plan, router, per_shard.clone())
             }
-            None => SnapshotEngine::from_single(rules, (**inner).clone()),
+            None => {
+                // One index per build: the writer checks every later
+                // insert against the one the build's duplicate check made.
+                let (engine, keys) = inner.build_indexed(rules)?;
+                Ok(SnapshotEngine::from_single(
+                    rules,
+                    engine,
+                    keys,
+                    (**inner).clone(),
+                ))
+            }
         }
     }
 
@@ -881,10 +892,19 @@ impl EngineBuilder {
     /// the backend cannot hold the set (provisioning limits, RFC entry
     /// cap).
     pub fn build(&self, rules: &RuleSet) -> Result<Box<dyn PacketClassifier>, BuildError> {
+        Ok(self.build_indexed(rules)?.0)
+    }
+
+    /// [`EngineBuilder::build`], handing back beside the engine the
+    /// projection index its duplicate check made of `rules`.
+    fn build_indexed(
+        &self,
+        rules: &RuleSet,
+    ) -> Result<(Box<dyn PacketClassifier>, KeyIndex), BuildError> {
         self.check(&[])?;
         // On the set as given, before any optimization, so registry
         // semantics do not depend on the optimize policy.
-        reject_duplicates(rules)?;
+        let keys = key_index(rules)?;
         match self.audit {
             AuditPolicy::Off => {}
             AuditPolicy::Warn => {
@@ -904,8 +924,8 @@ impl EngineBuilder {
                 }
             }
         }
-        match self.optimize {
-            OptimizePolicy::Off => self.build_raw(rules),
+        let engine: Box<dyn PacketClassifier> = match self.optimize {
+            OptimizePolicy::Off => self.build_raw(rules)?,
             OptimizePolicy::Validated => {
                 let opt =
                     spc_analyze::optimize(rules, &spc_analyze::OptimizeConfig::id_preserving())
@@ -913,9 +933,10 @@ impl EngineBuilder {
                             reason: e.to_string(),
                         })?;
                 let inner = self.build_raw(&opt.rules)?;
-                Ok(Box::new(crate::OptimizedEngine::new(inner, &opt, rules)))
+                Box::new(crate::OptimizedEngine::new(inner, &opt, rules))
             }
-        }
+        };
+        Ok((engine, keys))
     }
 
     /// The kind dispatch, after all set-level checks: builds the backend
@@ -970,18 +991,21 @@ impl EngineBuilder {
     }
 }
 
+/// Dimension projection → id of the rule that has it.
+pub(crate) type KeyIndex = HashMap<[DimValue; 7], RuleId>;
+
 /// Duplicate 5-tuples are unrepresentable on the configurable
 /// architecture; reject them uniformly so a set either builds on every
-/// backend or on none.
-fn reject_duplicates(rules: &RuleSet) -> Result<(), BuildError> {
-    let mut first_seen: HashMap<[DimValue; 7], RuleId> = HashMap::new();
+/// backend or on none. A set without any comes back as its index:
+/// dimension projection → rule id.
+fn key_index(rules: &RuleSet) -> Result<KeyIndex, BuildError> {
+    let mut first_seen = KeyIndex::new();
     for (id, rule) in rules.iter() {
-        if let Some(&first) = first_seen.get(&rule.dim_values()) {
+        if let Some(first) = first_seen.insert(rule.dim_values(), id) {
             return Err(BuildError::DuplicateRules { first, dup: id });
         }
-        first_seen.insert(rule.dim_values(), id);
     }
-    Ok(())
+    Ok(first_seen)
 }
 
 /// One-shot convenience: parse a spec and build over a rule set.

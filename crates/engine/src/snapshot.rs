@@ -56,6 +56,7 @@
 //! hardware write cycles — the build happens in software, off the fast
 //! path. Either way the snapshot wrapper itself is *always* updatable.
 
+use crate::builder::KeyIndex;
 use crate::pipeline::BatchWorker;
 use crate::sharded::{classify_shards, report_for, Shard};
 use crate::{
@@ -149,11 +150,14 @@ impl SnapshotHandle {
 }
 
 /// A pooled copy that has missed more ops than this is forgotten, and
-/// the log of ops to replay is never longer. Replaying through the
-/// inner costs about one bare update per op, and a build of the
-/// benchmark's 4096-rule ACL set costs about 18 of them (`setup_s`
-/// 5.9 ms against `acl_lookup/updates_per_s` 3.3 K), so past ~16 missed
-/// ops the rebuild is the cheaper way to the next version.
+/// the log of ops to replay is never longer. What the bound protects is
+/// the writer's memory, not its time: a replayed op is one inner update
+/// (microseconds, against milliseconds for a build, so replaying is the
+/// cheaper way to the next version at any lag a small log can hold), but
+/// every pooled copy is a whole engine kept alive and every logged op a
+/// rule kept beside it. A copy this far behind belongs to a reader that
+/// stopped refreshing; letting it go costs one build if that reader ever
+/// returns it.
 const MAX_LAG: usize = 16;
 
 /// Retired copies kept per line. `snapshot_churn`'s one reader, which
@@ -363,6 +367,9 @@ pub struct SnapshotEngine {
     inner_builder: EngineBuilder,
     /// Routes updates to their owning shard; `None` for a single inner.
     router: Option<ShardRouter>,
+    /// Single inner only (a router keeps its own): dimension projection
+    /// → global id of the live rules, the duplicate check of `insert`.
+    keys: KeyIndex,
     /// Writer's working copy of the shard snaps; published snapshots
     /// share these `Arc`s, so an update replaces only the shard it
     /// touched.
@@ -378,13 +385,19 @@ pub struct SnapshotEngine {
 }
 
 impl SnapshotEngine {
-    /// Wraps a single inner engine (any non-sharded backend).
-    pub(crate) fn from_single(rules: &RuleSet, inner: EngineBuilder) -> Result<Self, BuildError> {
-        let engine = inner.build(rules)?;
+    /// Wraps a single inner engine (any non-sharded backend): `engine`
+    /// is `inner` built over `rules`, `keys` the projection index of
+    /// `rules` that build's duplicate check made.
+    pub(crate) fn from_single(
+        rules: &RuleSet,
+        engine: Box<dyn PacketClassifier>,
+        keys: KeyIndex,
+        inner: EngineBuilder,
+    ) -> Self {
         let global_ids: Vec<RuleId> = rules.iter().map(|(id, _)| id).collect();
         let live: Vec<(RuleId, Rule)> = rules.iter().map(|(id, r)| (id, *r)).collect();
         let snaps = vec![Arc::new(Shard { engine, global_ids })];
-        Ok(Self::assemble(inner, None, snaps, vec![Line::new(live)]))
+        Self::assemble(inner, None, keys, snaps, vec![Line::new(live)])
     }
 
     /// Wraps a sharded inner: one engine per plan slice, each with its
@@ -410,12 +423,19 @@ impl SnapshotEngine {
             }));
             lines.push(Line::new(live));
         }
-        Ok(Self::assemble(per, Some(router), snaps, lines))
+        Ok(Self::assemble(
+            per,
+            Some(router),
+            KeyIndex::new(),
+            snaps,
+            lines,
+        ))
     }
 
     fn assemble(
         inner_builder: EngineBuilder,
         router: Option<ShardRouter>,
+        keys: KeyIndex,
         snaps: Vec<Arc<Shard>>,
         lines: Vec<Line>,
     ) -> Self {
@@ -433,6 +453,7 @@ impl SnapshotEngine {
             handle: Arc::new(SnapshotHandle::new(initial)),
             inner_builder,
             router,
+            keys,
             snaps,
             lines,
             next_global,
@@ -526,11 +547,7 @@ impl PacketClassifier for SnapshotEngine {
     fn insert(&mut self, rule: Rule) -> Result<RuleId, UpdateError> {
         let k = match &mut self.router {
             None => {
-                if let Some(&(existing, _)) = self.lines[0]
-                    .live
-                    .iter()
-                    .find(|(_, r)| r.dim_values() == rule.dim_values())
-                {
+                if let Some(&existing) = self.keys.get(&rule.dim_values()) {
                     return Err(UpdateError::Duplicate { existing });
                 }
                 0
@@ -561,12 +578,17 @@ impl PacketClassifier for SnapshotEngine {
             &mut self.snaps[k],
             Op::Insert(rule, global),
         )?;
-        if let Some(router) = &mut self.router {
-            // Local ids differ from copy to copy; the router gets the
-            // one a fresh build would give.
-            let local = RuleId(self.lines[k].live.len() as u32 - 1);
-            let allocated = router.record_insert(rule, k, local);
-            debug_assert_eq!(allocated, global);
+        match &mut self.router {
+            Some(router) => {
+                // Local ids differ from copy to copy; the router gets the
+                // one a fresh build would give.
+                let local = RuleId(self.lines[k].live.len() as u32 - 1);
+                let allocated = router.record_insert(rule, k, local);
+                debug_assert_eq!(allocated, global);
+            }
+            None => {
+                self.keys.insert(rule.dim_values(), global);
+            }
         }
         self.next_global += 1;
         self.rules += 1;
@@ -579,12 +601,21 @@ impl PacketClassifier for SnapshotEngine {
             None => Some(0),
             Some(router) => router.location(id).map(|loc| loc.shard),
         };
-        let Some(k) = k.filter(|&k| self.lines[k].live.iter().any(|&(g, _)| g == id)) else {
+        let found = k.and_then(|k| {
+            let &(_, rule) = self.lines[k].live.iter().find(|&&(g, _)| g == id)?;
+            Some((k, rule))
+        });
+        let Some((k, rule)) = found else {
             return Err(UpdateError::UnknownRule { id });
         };
         let raw = self.lines[k].advance(&self.inner_builder, &mut self.snaps[k], Op::Remove(id))?;
-        if let Some(router) = &mut self.router {
-            router.record_remove(id);
+        match &mut self.router {
+            Some(router) => {
+                router.record_remove(id);
+            }
+            None => {
+                self.keys.remove(&rule.dim_values());
+            }
         }
         self.rules -= 1;
         self.publish(report_for(raw, id));
@@ -1038,6 +1069,14 @@ mod tests {
             live.push((id, full));
             assert_eq!(answers(|h| readers[0].classify(h)), oracle(&live));
             assert_eq!(eng.rules(), live.len());
+
+            // The duplicate index follows the live set through both.
+            eng.remove(id).unwrap();
+            let again = eng.insert(full).unwrap();
+            assert_eq!(
+                eng.insert(full),
+                Err(UpdateError::Duplicate { existing: again })
+            );
         }
     }
 

@@ -133,10 +133,7 @@ impl<T> MemoryBlock<T> {
     /// Returns [`MemoryError::Full`] when the block is at capacity.
     pub fn alloc(&mut self, value: T) -> Result<usize, MemoryError> {
         if self.data.len() >= self.words {
-            return Err(MemoryError::Full {
-                block: self.name.clone(),
-                words: self.words,
-            });
+            return Err(self.full());
         }
         self.writes += 1;
         self.data.push(value);
@@ -149,11 +146,7 @@ impl<T> MemoryBlock<T> {
     ///
     /// Returns [`MemoryError::OutOfBounds`] for unallocated addresses.
     pub fn read(&self, addr: usize) -> Result<&T, MemoryError> {
-        self.data.get(addr).ok_or_else(|| MemoryError::OutOfBounds {
-            block: self.name.clone(),
-            addr,
-            words: self.words,
-        })
+        self.data.get(addr).ok_or_else(|| self.out_of_bounds(addr))
     }
 
     /// Overwrites the word at `addr`, charging one write access.
@@ -168,11 +161,81 @@ impl<T> MemoryBlock<T> {
                 *slot = value;
                 Ok(())
             }
-            None => Err(MemoryError::OutOfBounds {
-                block: self.name.clone(),
-                addr,
-                words: self.words,
-            }),
+            None => Err(self.out_of_bounds(addr)),
+        }
+    }
+
+    /// Inserts a word at `addr`, moving the words from `addr` on one
+    /// address up — how a sorted array takes a new element. Charges one
+    /// write per word moved plus one for the new word.
+    ///
+    /// ```
+    /// use spc_hwsim::MemoryBlock;
+    /// let mut m: MemoryBlock<u32> = MemoryBlock::new("sorted", 8, 16);
+    /// for v in [10, 30, 40] {
+    ///     m.alloc(v).unwrap();
+    /// }
+    /// m.shift_insert(1, 20).unwrap(); // moves 30 and 40, writes 20
+    /// assert_eq!(m.writes(), 3 + 3);
+    /// assert_eq!(*m.read(1).unwrap(), 20);
+    /// assert_eq!(*m.read(3).unwrap(), 40);
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// [`MemoryError::Full`] when the block is at capacity,
+    /// [`MemoryError::OutOfBounds`] when `addr` is past the first free
+    /// word; the block and its write count are untouched either way.
+    pub fn shift_insert(&mut self, addr: usize, value: T) -> Result<(), MemoryError> {
+        if self.data.len() >= self.words {
+            return Err(self.full());
+        }
+        if addr > self.data.len() {
+            return Err(self.out_of_bounds(addr));
+        }
+        self.writes += (self.data.len() - addr) as u64 + 1;
+        self.data.insert(addr, value);
+        Ok(())
+    }
+
+    /// Removes the word at `addr`, moving the words after it one address
+    /// down, and returns it. Charges one write per word moved.
+    ///
+    /// ```
+    /// use spc_hwsim::MemoryBlock;
+    /// let mut m: MemoryBlock<u32> = MemoryBlock::new("sorted", 8, 16);
+    /// for v in [10, 20, 30] {
+    ///     m.alloc(v).unwrap();
+    /// }
+    /// assert_eq!(m.shift_remove(0).unwrap(), 10); // moves 20 and 30
+    /// assert_eq!(m.writes(), 3 + 2);
+    /// assert_eq!(m.len(), 2);
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// [`MemoryError::OutOfBounds`] for unallocated addresses; the block
+    /// and its write count are untouched.
+    pub fn shift_remove(&mut self, addr: usize) -> Result<T, MemoryError> {
+        if addr >= self.data.len() {
+            return Err(self.out_of_bounds(addr));
+        }
+        self.writes += (self.data.len() - addr - 1) as u64;
+        Ok(self.data.remove(addr))
+    }
+
+    fn full(&self) -> MemoryError {
+        MemoryError::Full {
+            block: self.name.clone(),
+            words: self.words,
+        }
+    }
+
+    fn out_of_bounds(&self, addr: usize) -> MemoryError {
+        MemoryError::OutOfBounds {
+            block: self.name.clone(),
+            addr,
+            words: self.words,
         }
     }
 
@@ -229,6 +292,54 @@ mod tests {
             m.write(5, 0),
             Err(MemoryError::OutOfBounds { .. })
         ));
+    }
+
+    #[test]
+    fn shifting_writes_charge_words_moved() {
+        let mut m: MemoryBlock<u32> = MemoryBlock::new("b", 6, 8);
+        for v in [0, 10, 20, 30] {
+            m.alloc(v).unwrap();
+        }
+        let w = m.writes();
+        m.shift_insert(2, 15).unwrap(); // 20 and 30 move, 15 is written
+        assert_eq!(m.writes() - w, 2 + 1);
+        m.shift_insert(5, 40).unwrap(); // at the end: nothing moves
+        assert_eq!(m.writes() - w, 3 + 1);
+        let all: Vec<u32> = (0..m.len()).map(|a| *m.read(a).unwrap()).collect();
+        assert_eq!(all, vec![0, 10, 15, 20, 30, 40]);
+
+        let w = m.writes();
+        assert_eq!(m.shift_remove(1).unwrap(), 10); // four words move down
+        assert_eq!(m.writes() - w, 4);
+        assert_eq!(m.shift_remove(4).unwrap(), 40); // the last word: none
+        assert_eq!(m.writes() - w, 4);
+        let all: Vec<u32> = (0..m.len()).map(|a| *m.read(a).unwrap()).collect();
+        assert_eq!(all, vec![0, 15, 20, 30]);
+    }
+
+    #[test]
+    fn failed_shifting_writes_leave_the_block_untouched() {
+        let mut m: MemoryBlock<u32> = MemoryBlock::new("b", 3, 8);
+        for v in [1, 2] {
+            m.alloc(v).unwrap();
+        }
+        let w = m.writes();
+        assert!(matches!(
+            m.shift_insert(3, 9),
+            Err(MemoryError::OutOfBounds { addr: 3, .. })
+        ));
+        assert!(matches!(
+            m.shift_remove(2),
+            Err(MemoryError::OutOfBounds { addr: 2, .. })
+        ));
+        m.alloc(3).unwrap();
+        assert!(matches!(
+            m.shift_insert(0, 9),
+            Err(MemoryError::Full { .. })
+        ));
+        assert_eq!(m.writes() - w, 1, "only the alloc was charged");
+        let all: Vec<u32> = (0..m.len()).map(|a| *m.read(a).unwrap()).collect();
+        assert_eq!(all, vec![1, 2, 3]);
     }
 
     #[test]

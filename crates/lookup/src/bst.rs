@@ -11,11 +11,22 @@
 //! makes the BST far smaller than the MBT (Table VI: 49 Kbits vs 543
 //! Kbits) and lets it share the MBT's memory blocks (Fig 5).
 //!
-//! The tree is balanced **in software** and pushed down on update — the
-//! paper is explicit that this rebuild is the BST's limitation (§IV.C).
-//! Updates are therefore deferred: [`FieldEngine::insert`]/`remove` mark
-//! the engine dirty and [`FieldEngine::flush`] performs the rebuild;
-//! lookups on a dirty engine return [`EngineError::Dirty`].
+//! The tree is balanced **in software** and pushed down on update (§IV.C),
+//! so updates are deferred: [`FieldEngine::insert`]/`remove` change the
+//! controller's prefix map and log the change, [`FieldEngine::flush`]
+//! pushes it down, and lookups in between return [`EngineError::Dirty`].
+//! What is pushed down is the *delta*. A new prefix splits at most two
+//! intervals — each split copies the split interval's list and shifts the
+//! array's suffix up one word — and enters the list of every interval it
+//! covers; a removed prefix leaves those lists, and each of its two
+//! boundaries goes (suffix shifted down) when the lists either side have
+//! become equal; a re-prioritised label is rewritten in the lists it sits
+//! in. A boundary exists exactly where some prefix starts or ends, and
+//! the label of that prefix is in the list on one side only, so the array
+//! kept this way is word for word the one a rebuild from the map gives:
+//! same reads, same bits. The rebuild is the bulk path — an empty array,
+//! or more logged changes than the array has words to patch — and what a
+//! flush falls back to when a patch does not fit.
 
 use crate::engine::{EngineError, EngineKind, FieldEngine, LookupCost};
 use crate::label::{Label, LabelEntry, LabelList};
@@ -55,10 +66,30 @@ struct IntervalWord {
 #[derive(Debug)]
 pub struct RangeBst {
     /// Unique prefixes with their current label entry (software shadow —
-    /// the controller's view, not charged to hardware memory).
+    /// the controller's view, not charged to hardware memory). Labels are
+    /// unique per prefix (the controller allocates one per field value).
     values: BTreeMap<(u16, u8), LabelEntry>,
     intervals: MemoryBlock<IntervalWord>,
-    dirty: bool,
+    pending: Pending,
+}
+
+/// One logged change to `values`, as a flush replays it.
+#[derive(Debug, Clone, Copy)]
+enum Delta {
+    /// The prefix's entry is new, or has a new priority.
+    Put(SegPrefix, LabelEntry),
+    /// The prefix left; its label goes from the lists it sat in.
+    Drop(SegPrefix, Label),
+}
+
+/// What the next flush owes the interval array.
+#[derive(Debug)]
+enum Pending {
+    /// The changes since the array was last current, oldest first (none:
+    /// the engine is clean). Never longer than the array.
+    Patch(Vec<Delta>),
+    /// The array is not a base to patch: rebuild it from `values`.
+    Rebuild,
 }
 
 impl RangeBst {
@@ -75,7 +106,7 @@ impl RangeBst {
         RangeBst {
             values: BTreeMap::new(),
             intervals: MemoryBlock::new("bst_intervals", max_intervals, width),
-            dirty: false,
+            pending: Pending::Patch(Vec::new()),
         }
     }
 
@@ -90,15 +121,103 @@ impl RangeBst {
         }
     }
 
-    /// Whether updates are pending a [`FieldEngine::flush`].
-    pub fn is_dirty(&self) -> bool {
-        self.dirty
+    /// Logs one change to `values`. Once the log would outgrow the array
+    /// it patches, the flush is a rebuild and the log is dropped.
+    fn log(&mut self, delta: Delta) {
+        if let Pending::Patch(log) = &mut self.pending {
+            if log.len() < self.intervals.len() {
+                log.push(delta);
+            } else {
+                self.pending = Pending::Rebuild;
+            }
+        }
     }
 
+    /// The rightmost interval whose start is `<= query` and the words the
+    /// binary search read to find it. Interval 0 starts at 0, so on a
+    /// non-empty array the search always lands somewhere.
+    fn locate(&self, query: u16) -> Result<(usize, u32), EngineError> {
+        let mut reads = 0u32;
+        // Invariant: every start below `lo` is <= query, none from `hi` on.
+        let (mut lo, mut hi) = (0usize, self.intervals.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            reads += 1;
+            if self.intervals.read(mid)?.start <= query {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        Ok((lo.saturating_sub(1), reads))
+    }
+
+    /// Makes `at` an interval start: the interval it falls in is split
+    /// there, the new upper half taking a copy of its list.
+    fn split(&mut self, store: &mut LabelStore, at: u16) -> Result<(), EngineError> {
+        let (i, _) = self.locate(at)?;
+        let below = *self.intervals.read(i)?;
+        if below.start != at {
+            let list = store.copy_list(below.list)?;
+            self.intervals
+                .shift_insert(i + 1, IntervalWord { start: at, list })?;
+        }
+        Ok(())
+    }
+
+    /// Drops the boundary at `at` if the lists either side of it have
+    /// become equal, freeing the upper one.
+    fn merge(&mut self, store: &mut LabelStore, at: u16) -> Result<(), EngineError> {
+        let (i, _) = self.locate(at)?;
+        if i == 0 {
+            return Ok(());
+        }
+        let (below, above) = (*self.intervals.read(i - 1)?, *self.intervals.read(i)?);
+        if above.start == at && store.lists_equal(below.list, above.list)? {
+            store.free_list(above.list)?;
+            self.intervals.shift_remove(i)?;
+        }
+        Ok(())
+    }
+
+    /// Pushes one logged change down to the interval array and the lists
+    /// the prefix covers.
+    fn patch(&mut self, store: &mut LabelStore, delta: Delta) -> Result<(), EngineError> {
+        let (Delta::Put(prefix, _) | Delta::Drop(prefix, _)) = delta;
+        // The boundary above the prefix; none when it runs to the top.
+        let above = prefix.last().checked_add(1);
+        if let Delta::Put(..) = delta {
+            self.split(store, prefix.first())?;
+            if let Some(at) = above {
+                self.split(store, at)?;
+            }
+        }
+        let (first, _) = self.locate(prefix.first())?;
+        let (last, _) = self.locate(prefix.last())?;
+        for i in first..=last {
+            let list = self.intervals.read(i)?.list;
+            match delta {
+                Delta::Put(_, entry) => store.insert(list, entry)?,
+                Delta::Drop(_, label) => {
+                    store.remove(list, label)?;
+                }
+            }
+        }
+        if let Delta::Drop(..) = delta {
+            // Upper boundary first: dropping it moves no word below it.
+            if let Some(at) = above {
+                self.merge(store, at)?;
+            }
+            self.merge(store, prefix.first())?;
+        }
+        Ok(())
+    }
+
+    /// Rebuilds the interval array and every list from `values`: the bulk
+    /// path, and the reference the patched array is held to.
     fn rebuild(&mut self, store: &mut LabelStore) -> Result<(), EngineError> {
         self.intervals.clear();
         store.clear();
-        self.dirty = false;
         if self.values.is_empty() {
             return Ok(());
         }
@@ -170,8 +289,12 @@ impl FieldEngine for RangeBst {
         let DimValue::Seg(seg) = value else {
             return Err(EngineError::ValueKind { expected: "Seg" });
         };
-        self.values.insert((seg.value(), seg.len()), entry);
-        self.dirty = true;
+        if let Some(old) = self.values.insert((seg.value(), seg.len()), entry) {
+            if old.label != entry.label {
+                self.log(Delta::Drop(seg, old.label));
+            }
+        }
+        self.log(Delta::Put(seg, entry));
         Ok(())
     }
 
@@ -188,7 +311,7 @@ impl FieldEngine for RangeBst {
         match self.values.get(&key) {
             Some(e) if e.label == label => {
                 self.values.remove(&key);
-                self.dirty = true;
+                self.log(Delta::Drop(seg, label));
                 Ok(())
             }
             _ => Err(EngineError::NotFound),
@@ -196,15 +319,27 @@ impl FieldEngine for RangeBst {
     }
 
     fn flush(&mut self, store: &mut LabelStore) -> Result<(), EngineError> {
-        if self.dirty {
+        // While the array is being worked on it reads as awaiting a
+        // rebuild, so no early return leaves it clean and wrong.
+        let log = match std::mem::replace(&mut self.pending, Pending::Rebuild) {
+            // An emptied engine is zero intervals, which a rebuild leaves.
+            Pending::Patch(log) if !self.values.is_empty() => Some(log),
+            _ => None,
+        };
+        let patched = log
+            .as_ref()
+            .is_some_and(|log| log.iter().try_for_each(|&d| self.patch(store, d)).is_ok());
+        if !patched {
+            // `values` is the truth: whether it fits is the rebuild's
+            // answer, not that of a patch which ran out of room.
             self.rebuild(store)?;
         }
+        let mut log = log.unwrap_or_default();
+        log.clear();
+        self.pending = Pending::Patch(log);
         Ok(())
     }
 
-    // Interval 0 starts at port 0, so the binary search always lands on
-    // a covering interval for any u16 query.
-    #[allow(clippy::expect_used)]
     fn lookup_into(
         &self,
         store: &LabelStore,
@@ -212,35 +347,20 @@ impl FieldEngine for RangeBst {
         out: &mut LabelList,
     ) -> Result<LookupCost, EngineError> {
         out.clear();
-        if self.dirty {
+        if !matches!(&self.pending, Pending::Patch(log) if log.is_empty()) {
             return Err(EngineError::Dirty);
         }
-        let n = self.intervals.len();
-        if n == 0 {
+        if self.intervals.is_empty() {
             return Ok(LookupCost {
                 mem_reads: 0,
                 cycles: 1,
             });
         }
-        // Binary search for the rightmost interval start <= query.
-        // Interval 0 starts at 0, so the search always lands somewhere.
-        let mut reads = 0u32;
-        let (mut lo, mut hi) = (0usize, n); // invariant: answer in [lo, hi)
-        let mut hit = None;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let w = *self.intervals.read(mid)?;
-            reads += 1;
-            if w.start <= query {
-                hit = Some(w);
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let w = hit.expect("interval 0 starts at 0");
+        let (i, reads) = self.locate(query)?;
         // One sorted run into an empty list: the invariant holds as-is.
-        let list_reads = store.read_all_into(w.list, out)?.max(1);
+        let list_reads = store
+            .read_all_into(self.intervals.read(i)?.list, out)?
+            .max(1);
         Ok(LookupCost {
             mem_reads: reads + list_reads,
             cycles: reads + 1, // search walk + head read
@@ -296,7 +416,6 @@ mod tests {
         let mut s = store();
         let mut bst = RangeBst::new(16);
         bst.insert(&mut s, seg(0, 0), entry(1, 1)).unwrap();
-        assert!(bst.is_dirty());
         assert!(matches!(bst.lookup(&s, 0), Err(EngineError::Dirty)));
         bst.flush(&mut s).unwrap();
         assert!(bst.lookup(&s, 0).is_ok());
@@ -393,6 +512,102 @@ mod tests {
             bst.flush(&mut s),
             Err(EngineError::Capacity { .. })
         ));
+        // A flush that failed has not made the engine clean: it answers
+        // `Dirty`, not an empty list, until a flush of a set that fits.
+        assert!(matches!(bst.lookup(&s, 0), Err(EngineError::Dirty)));
+        assert!(bst.flush(&mut s).is_err());
+        for i in 3..8u16 {
+            bst.remove(&mut s, seg(i << 13, 3), Label(i)).unwrap();
+        }
+        bst.flush(&mut s).unwrap();
+        assert!(bst.lookup(&s, 2 << 13).unwrap().labels.contains(Label(2)));
+    }
+
+    /// Everything a lookup can see, at every value a boundary could sit.
+    fn observe(bst: &RangeBst, s: &LabelStore) -> impl PartialEq + std::fmt::Debug {
+        let answers: Vec<_> = (0..=u16::MAX)
+            .step_by(0x0800)
+            .flat_map(|q| [q, q.wrapping_sub(1)])
+            .map(|q| bst.lookup(s, q).unwrap())
+            .collect();
+        (answers, bst.used_bits(), s.used_bits(), s.entries_used())
+    }
+
+    #[test]
+    fn a_patch_charges_the_words_it_moves() {
+        let mut s = store();
+        let mut bst = RangeBst::new(64);
+        // Intervals 0 | 0x4000 | 0x8000 | 0xc000, lists [] [1] [] [2].
+        bst.insert(&mut s, seg(0x4000, 2), entry(1, 1)).unwrap();
+        bst.insert(&mut s, seg(0xc000, 2), entry(2, 2)).unwrap();
+        bst.flush(&mut s).unwrap();
+        assert_eq!(bst.used_bits(), 4 * 29);
+        let (w_iv, w_ls) = (bst.writes(), s.writes());
+
+        // 0x5000/4 splits [0x4000, 0x7fff] twice. First split: 2 words
+        // move, 1 is written, the list [1] is copied (1 word). Second:
+        // the same again. Then label 3 enters one list of length 2.
+        bst.insert(&mut s, seg(0x5000, 4), entry(3, 0)).unwrap();
+        bst.flush(&mut s).unwrap();
+        assert_eq!(bst.writes() - w_iv, (2 + 1) + (2 + 1));
+        assert_eq!(s.writes() - w_ls, 1 + 1 + 2);
+        assert_eq!(bst.used_bits(), 6 * 29);
+
+        // Dropping it: one list rewritten (1 word), then the boundary at
+        // 0x6000 goes (2 words move down) and the one at 0x5000 (2 more);
+        // the two freed lists cost nothing.
+        let (w_iv, w_ls) = (bst.writes(), s.writes());
+        bst.remove(&mut s, seg(0x5000, 4), Label(3)).unwrap();
+        bst.flush(&mut s).unwrap();
+        assert_eq!(bst.writes() - w_iv, 2 + 2);
+        assert_eq!(s.writes() - w_ls, 1);
+        assert_eq!((bst.used_bits(), s.entries_used()), (4 * 29, 2));
+
+        // A new priority for label 1 is one rewrite of the one list it
+        // sits in, and no interval word.
+        let (w_iv, w_ls) = (bst.writes(), s.writes());
+        bst.insert(&mut s, seg(0x4000, 2), entry(1, 9)).unwrap();
+        bst.flush(&mut s).unwrap();
+        assert_eq!((bst.writes() - w_iv, s.writes() - w_ls), (0, 1));
+    }
+
+    #[test]
+    fn a_patch_that_does_not_fit_leaves_a_rebuild_pending() {
+        // (interval words, label entries) provisioned, and the prefix
+        // whose patch runs out of them: at the first split, at the second,
+        // at a list copy, and at the third of four covered lists.
+        for (words, entries, offender) in [
+            (4, 64, seg(0x1000, 4)),
+            (5, 64, seg(0x1000, 4)),
+            (64, 4, seg(0x1000, 4)),
+            (64, 6, seg(0, 0)),
+        ] {
+            let what = format!("{words} words, {entries} entries");
+            let mut s = LabelStore::new("small", entries, 13);
+            let mut bst = RangeBst::new(words);
+            // Intervals 0 | 0x4000 | 0x8000 | 0xc000, lists [1] [1,2] [] [3].
+            bst.insert(&mut s, seg(0x0000, 1), entry(1, 1)).unwrap();
+            bst.insert(&mut s, seg(0x4000, 2), entry(2, 2)).unwrap();
+            bst.insert(&mut s, seg(0xc000, 2), entry(3, 3)).unwrap();
+            bst.flush(&mut s).unwrap();
+            let before = observe(&bst, &s);
+
+            bst.insert(&mut s, offender, entry(9, 0)).unwrap();
+            assert!(
+                matches!(bst.flush(&mut s), Err(EngineError::Capacity { .. })),
+                "{what}"
+            );
+            assert!(
+                matches!(bst.lookup(&s, 0), Err(EngineError::Dirty)),
+                "{what}"
+            );
+            assert!(bst.flush(&mut s).is_err(), "{what}: still does not fit");
+            // The caller takes the change back; the next flush rebuilds
+            // to exactly the engine there was.
+            bst.remove(&mut s, offender, Label(9)).unwrap();
+            bst.flush(&mut s).unwrap();
+            assert_eq!(observe(&bst, &s), before, "{what}");
+        }
     }
 
     #[test]

@@ -185,12 +185,16 @@ pub trait FieldEngine: fmt::Debug + Send + Sync {
         label: Label,
     ) -> Result<(), EngineError>;
 
-    /// Applies deferred structural work (the BST software rebuild). No-op
-    /// for incrementally updatable engines.
+    /// Pushes deferred updates down to the structure lookups read (the
+    /// BST patches its interval array with the logged changes, or
+    /// rebuilds it after a bulk load). No-op for engines that update in
+    /// place.
     ///
     /// # Errors
     ///
-    /// [`EngineError::Capacity`] if the rebuilt structure no longer fits.
+    /// [`EngineError::Capacity`] if the updated structure no longer fits;
+    /// the engine then stays dirty ([`EngineError::Dirty`] on lookup)
+    /// until a flush of contents that do fit.
     fn flush(&mut self, store: &mut LabelStore) -> Result<(), EngineError> {
         let _ = store;
         Ok(())

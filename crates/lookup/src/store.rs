@@ -11,7 +11,12 @@
 //! `label_bits` each (priority is implied by list order in hardware).
 //! Reading a whole list costs its length, returned to the caller by value;
 //! inserting into / removing from a sorted list rewrites it, which is
-//! charged as `new length` writes on [`LabelStore::writes`].
+//! charged as `new length` writes on [`LabelStore::writes`]. Copying a
+//! list ([`LabelStore::copy_list`]) writes the copy, so it costs the
+//! list's length; freeing one ([`LabelStore::free_list`]) writes nothing,
+//! and the freed pointer is the next one [`LabelStore::alloc_list`] hands
+//! out, so the pointer space tracks the lists alive, not the lists ever
+//! made.
 
 use crate::label::{Label, LabelEntry, LabelList};
 use std::fmt;
@@ -68,6 +73,8 @@ pub struct LabelStore {
     label_bits: u8,
     capacity_entries: usize,
     lists: Vec<LabelList>,
+    /// Freed list pointers, reused before `lists` grows.
+    free: Vec<ListPtr>,
     entries_used: usize,
     writes: u64,
 }
@@ -87,6 +94,7 @@ impl LabelStore {
             label_bits,
             capacity_entries,
             lists: Vec::new(),
+            free: Vec::new(),
             entries_used: 0,
             writes: 0,
         }
@@ -102,16 +110,89 @@ impl LabelStore {
         self.label_bits
     }
 
-    /// Allocates a new, empty list.
+    /// Allocates a new, empty list, reusing a freed pointer if there is
+    /// one.
     ///
     /// # Errors
     ///
-    /// Never fails today (lists are cheap; entries are the bounded
-    /// resource) but returns `Result` for future-proofing of the pointer
-    /// namespace.
+    /// None: entries are the bounded resource, and the lists alive are
+    /// bounded by the structure that points at them (one per trie node or
+    /// BST interval, each a word of a block with its own capacity). The
+    /// `Result` is the signature every engine already calls through.
     pub fn alloc_list(&mut self) -> Result<ListPtr, StoreError> {
-        self.lists.push(LabelList::new());
-        Ok(ListPtr(self.lists.len() as u32 - 1))
+        Ok(self.free.pop().unwrap_or_else(|| {
+            self.lists.push(LabelList::new());
+            ListPtr(self.lists.len() as u32 - 1)
+        }))
+    }
+
+    /// Allocates a list holding a copy of the list at `src`, charging the
+    /// words written: its length.
+    ///
+    /// ```
+    /// use spc_lookup::{Label, LabelEntry, LabelStore};
+    /// use spc_types::Priority;
+    /// let mut s = LabelStore::new("dip_lo", 8, 13);
+    /// let a = s.alloc_list().unwrap();
+    /// s.insert(a, LabelEntry::by_priority(Label(1), Priority(1))).unwrap();
+    /// s.insert(a, LabelEntry::by_priority(Label(2), Priority(2))).unwrap();
+    /// let before = s.writes();
+    /// let b = s.copy_list(a).unwrap();
+    /// assert!(s.lists_equal(a, b).unwrap());
+    /// assert_eq!((s.writes() - before, s.entries_used()), (2, 4));
+    /// s.free_list(b).unwrap();
+    /// assert_eq!(s.entries_used(), 2);
+    /// assert_eq!(s.alloc_list().unwrap(), b); // the pointer is recycled
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Full`] if the copy does not fit the entry capacity
+    /// (nothing is allocated or charged); [`StoreError::BadPtr`] on a
+    /// dangling pointer.
+    pub fn copy_list(&mut self, src: ListPtr) -> Result<ListPtr, StoreError> {
+        let copy = self.list(src)?.clone();
+        if self.entries_used + copy.len() > self.capacity_entries {
+            return Err(self.full());
+        }
+        self.entries_used += copy.len();
+        self.writes += copy.len() as u64;
+        let ptr = self.alloc_list()?;
+        *self.list_mut(ptr)? = copy;
+        Ok(ptr)
+    }
+
+    /// Frees the list at `ptr` with whatever it holds: its entries stop
+    /// counting, its pointer is recycled, nothing is written.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::BadPtr`] on a dangling pointer.
+    pub fn free_list(&mut self, ptr: ListPtr) -> Result<(), StoreError> {
+        debug_assert!(!self.free.contains(&ptr), "double free of list {ptr}");
+        let list = self.list_mut(ptr)?;
+        let n = list.len();
+        list.clear();
+        self.entries_used -= n;
+        self.free.push(ptr);
+        Ok(())
+    }
+
+    /// Whether two lists hold the same entries in the same order
+    /// (controller-side inspection).
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::BadPtr`] on a dangling pointer.
+    pub fn lists_equal(&self, a: ListPtr, b: ListPtr) -> Result<bool, StoreError> {
+        Ok(self.list(a)? == self.list(b)?)
+    }
+
+    fn full(&self) -> StoreError {
+        StoreError::Full {
+            store: self.name.clone(),
+            capacity: self.capacity_entries,
+        }
     }
 
     fn list_mut(&mut self, ptr: ListPtr) -> Result<&mut LabelList, StoreError> {
@@ -146,10 +227,7 @@ impl LabelStore {
         let list = self.list_mut(ptr)?;
         let grows = !list.contains(entry.label);
         if grows && used >= cap {
-            return Err(StoreError::Full {
-                store: self.name.clone(),
-                capacity: cap,
-            });
+            return Err(self.full());
         }
         list.insert(entry);
         let n = list.len() as u64;
@@ -211,6 +289,7 @@ impl LabelStore {
     /// Clears every list (BST software rebuild). Keeps the write count.
     pub fn clear(&mut self) {
         self.lists.clear();
+        self.free.clear();
         self.entries_used = 0;
     }
 
@@ -297,6 +376,47 @@ mod tests {
     }
 
     #[test]
+    fn list_life_cycle_copies_frees_and_recycles() {
+        let mut s = LabelStore::new("x", 5, 7);
+        let a = s.alloc_list().unwrap();
+        for (id, p) in [(1, 10), (2, 20)] {
+            s.insert(a, entry(id, p)).unwrap();
+        }
+        let w = s.writes();
+        let b = s.copy_list(a).unwrap();
+        assert_eq!(s.writes() - w, 2, "a copy writes the list's length");
+        assert_eq!(s.entries_used(), 4);
+        assert!(s.lists_equal(a, b).unwrap());
+        s.insert(b, entry(3, 5)).unwrap();
+        assert!(!s.lists_equal(a, b).unwrap());
+        assert_eq!(s.len(a).unwrap(), 2, "the source is untouched");
+
+        // 5 of 5 entries used: a third copy of `a` does not fit, and
+        // leaves nothing behind.
+        let w = s.writes();
+        assert!(matches!(s.copy_list(a), Err(StoreError::Full { .. })));
+        assert_eq!((s.writes(), s.entries_used()), (w, 5));
+
+        s.free_list(b).unwrap();
+        assert_eq!((s.writes(), s.entries_used()), (w, 2), "freeing is free");
+        assert_eq!(s.alloc_list().unwrap(), b, "freed pointers are reused");
+        assert_eq!(s.len(b).unwrap(), 0, "and come back empty");
+        assert_ne!(s.alloc_list().unwrap(), b);
+        assert!(matches!(
+            s.free_list(ListPtr(9)),
+            Err(StoreError::BadPtr { .. })
+        ));
+        assert!(matches!(
+            s.copy_list(ListPtr(9)),
+            Err(StoreError::BadPtr { .. })
+        ));
+        assert!(matches!(
+            s.lists_equal(a, ListPtr(9)),
+            Err(StoreError::BadPtr { .. })
+        ));
+    }
+
+    #[test]
     fn bad_ptr_reported() {
         let mut s = LabelStore::new("x", 10, 7);
         assert!(matches!(
@@ -318,8 +438,11 @@ mod tests {
         let mut s = LabelStore::new("x", 10, 7);
         let p = s.alloc_list().unwrap();
         s.insert(p, entry(1, 1)).unwrap();
+        let q = s.alloc_list().unwrap();
+        s.free_list(q).unwrap();
         s.clear();
         assert_eq!(s.entries_used(), 0);
         assert!(s.len(p).is_err());
+        assert_eq!(s.alloc_list().unwrap(), p, "no freed pointer survives");
     }
 }

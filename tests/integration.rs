@@ -12,8 +12,9 @@
 
 use spc::classbench::{FilterKind, RuleSetGenerator, TraceGenerator};
 use spc::core::{ArchConfig, Classifier, IpAlg};
+use spc::engine::UpdateError;
 use spc::engine::{build_engine, ConfigurableEngine, EngineBuilder, EngineKind, PacketClassifier};
-use spc::types::{Header, RuleId, RuleSet};
+use spc::types::{Action, Header, Prefix, Priority, Rule, RuleId, RuleSet};
 
 fn gen(kind: FilterKind, n: usize, seed: u64) -> RuleSet {
     RuleSetGenerator::new(kind, n).seed(seed).generate()
@@ -215,6 +216,67 @@ fn update_costs_are_small_and_reported() {
     assert!(max_cycles < 2_000, "worst insert cost {max_cycles} cycles");
 }
 
+/// The BST interval array running full in the middle of a patch, under
+/// every serving wrapper: the failed insert leaves verdicts, epoch,
+/// report and rule count as they were, and the engine goes on working.
+#[test]
+fn bst_interval_overflow_mid_patch_is_atomic_under_every_wrapper() {
+    // Host routes on every other value of the source's high segment: two
+    // boundaries each and none shared. The 14-bit labels hold 16 384 of
+    // them; the 32 768-word interval array holds 16 383 (32 767 words) and
+    // runs out at the second split of one more.
+    let host = |i: u32| {
+        Rule::builder(Priority(i))
+            .src_ip(Prefix::masked((2 * i + 2) << 16, 16))
+            .action(Action::Forward(i as u16))
+            .build()
+    };
+    let (fits, too_many) = (host(16_382), host(16_383));
+    let rules: RuleSet = (0..16_382).map(host).collect();
+    let probes: Vec<Header> = [0, 1, 2, 3, 32_766, 32_767, 32_768, 32_769]
+        .into_iter()
+        .map(|hi: u16| {
+            Header::new(
+                [(hi >> 8) as u8, hi as u8, 9, 9].into(),
+                [1; 4].into(),
+                5,
+                6,
+                17,
+            )
+        })
+        .collect();
+    let observe = |e: &dyn PacketClassifier| {
+        let verdicts: Vec<_> = probes.iter().map(|h| e.classify(h).matched()).collect();
+        (
+            verdicts,
+            e.update_epoch(),
+            e.last_update_report(),
+            e.rules(),
+        )
+    };
+    for spec in [
+        "configurable-bst",
+        "snapshot:inner=configurable-bst",
+        "cached:inner=configurable-bst,flows=64",
+        "sharded:inner=configurable-bst,shards=4,strategy=hash",
+    ] {
+        let mut engine = build_engine(spec, &rules).unwrap();
+        let last = engine.insert(fits).unwrap();
+        let before = observe(engine.as_ref());
+        assert!(
+            before.0.iter().any(Option::is_some),
+            "{spec}: probes all miss"
+        );
+        let e = engine.insert(too_many).unwrap_err();
+        assert!(matches!(e, UpdateError::Rejected { .. }), "{spec}: {e}");
+        assert_eq!(observe(engine.as_ref()), before, "{spec}");
+        engine.remove(last).unwrap();
+        let id = engine.insert(too_many).unwrap();
+        let hit = engine.classify(&probes[6]).matched();
+        assert_eq!(hit.map(|m| m.id), Some(id), "{spec}");
+    }
+}
+
 /// The by-value cost channel against constants captured at the commit
 /// before the cumulative access counters were retired: every line that
 /// counts a modelled read or write was edited, none may count differently.
@@ -230,8 +292,13 @@ fn modelled_costs_match_golden_constants() {
             .sum()
     };
     // (spec, Σ mem_reads, memory_bits, Σ hw_write_cycles over the churn)
+    // The BST's cycles are those of the delta flush (139 929 when every
+    // flush rebuilt its dimension): 18 338 interval words moved by the
+    // boundary shifts (9 090 inserting, 9 248 removing), 2 217 label-list
+    // words (1 180 + 1 037: copies on a split and covered-list rewrites),
+    // 2 port/protocol words, 32 Rule Filter words, and §V.A's 3 per update.
     for (leaf, reads, bits, cycles) in [
-        ("configurable-bst", 27_262, 81_890, 139_929),
+        ("configurable-bst", 27_262, 81_890, 20_685),
         ("configurable-mbt", 22_275, 437_302, 3_954),
     ] {
         let mut engine = build_engine(leaf, &rules).unwrap();
