@@ -14,6 +14,7 @@ use crate::labels::{InsertOutcome, LabelTable, RemoveOutcome};
 use crate::memory::{BlockUsage, MemoryReport, SharingReport};
 use crate::pipeline::LookupTiming;
 use crate::rulefilter::{RuleFilter, StoredRule};
+use spc_hwsim::HashUnit;
 use spc_lookup::{
     FieldEngine, Label, LabelEntry, LabelList, LabelStore, MbtConfig, MultiBitTrie, PortRegisters,
     ProtocolLut, RangeBst,
@@ -89,19 +90,30 @@ struct Installed {
 ///
 /// One lookup needs the seven phase-2 label lists plus (in
 /// [`CombineStrategy::PriorityProbe`] mode) priority-ordered copies of
-/// the three port/protocol lists. A caller that keeps one of these
-/// allocates nothing per lookup once the buffers have grown to the
-/// longest lists seen; [`Classifier::classify`] keeps one per thread.
+/// them and the partial keys of the box being walked. A caller that keeps
+/// one of these allocates nothing per lookup once the buffers have grown
+/// to the longest lists seen (the partial keys to their fixed bound);
+/// [`Classifier::classify`] keeps one per thread.
 #[derive(Debug, Default)]
 pub struct ClassifyScratch {
     /// Phase-2 output: one label list per dimension, refilled in place
     /// by `FieldEngine::lookup_into`.
     lists: [LabelList; 7],
-    /// The port and protocol lists re-sorted by `(priority, label)`:
-    /// their engines emit the paper's Table IV hardware order, and the
-    /// priority box needs priority order. The IP-segment lists already
-    /// have it and are borrowed from `lists`.
-    by_priority: [Vec<LabelEntry>; 7 - IP_SEG_DIMS.len()],
+    /// The lists as the priority box walks them: in `(priority, label)`
+    /// order — the port and protocol engines emit the paper's Table IV
+    /// hardware order instead — with every label shifted to its place in
+    /// the merged key.
+    placed: [Vec<Placed>; 7],
+    /// `BoxWalk::probe_box`'s two levels of `(partial key, hash state)`.
+    partial: [Vec<(u128, u64)>; 2],
+}
+
+/// One label of a priority-ordered list, at its dimension's bit offset in
+/// the merged key: combining labels is an OR.
+#[derive(Debug, Clone, Copy)]
+struct Placed {
+    priority: Priority,
+    bits: u128,
 }
 
 impl ClassifyScratch {
@@ -122,13 +134,21 @@ fn pack_label(prefix: u128, width: u8, label: Label) -> u128 {
     (prefix << width) | u128::from(label.0)
 }
 
+/// The most partial keys [`BoxWalk::probe_box`] holds at once; a box
+/// with more combinations of its last six dimensions is probed in halves.
+const MAX_PARTIAL_KEYS: usize = 1024;
+
 /// The accumulating state of one [`Classifier::priority_probe`]: the
-/// priority-ordered lists, the key layout, and the running
-/// `(best hit, reads, combinations)` triple.
+/// priority-ordered lists, the key layout, the scratch partial keys are
+/// expanded in, and the running `(best hit, reads, combinations)` triple.
 struct BoxWalk<'a> {
     filter: &'a RuleFilter,
-    dims: [&'a [LabelEntry]; 7],
-    widths: [u8; 7],
+    dims: &'a [Vec<Placed>; 7],
+    /// The key byte each dimension's label starts in (dimension 6 in
+    /// byte 0, dimension 0 on top), and at index 7 the first byte no
+    /// key of this layout reaches.
+    first_byte: [usize; 8],
+    partial: &'a mut [Vec<(u128, u64)>; 2],
     best: Option<StoredRule>,
     reads: u32,
     combos: u32,
@@ -136,58 +156,71 @@ struct BoxWalk<'a> {
 
 impl BoxWalk<'_> {
     /// Probes every combination of the index box `ranges` (one index
-    /// range per dimension), last dimension fastest. `prefix[d]` holds
-    /// the key bits of dimensions `< d`, so an innermost step packs one
-    /// label and a carry repacks only the dimensions it moved.
+    /// range per dimension), *first* dimension fastest: the hash absorbs
+    /// a key from its low byte up and dimension 0 sits in the top bits,
+    /// so what lies below it is hashed once per combination of the other
+    /// six. The box is expanded last dimension first, each level turning
+    /// every `(key bits so far, hash state over the bytes they complete)`
+    /// into one per label of the next dimension up; the final step ORs a
+    /// dimension-0 label in, absorbs the bytes it touches and probes.
     fn probe_box(&mut self, ranges: &[Range<usize>; 7]) {
-        const LAST: usize = 6;
         if ranges.iter().any(Range::is_empty) {
             return;
         }
-        let mut idx: [usize; 7] = std::array::from_fn(|d| ranges[d].start);
-        let mut prefix = [0u128; 7];
-        let mut repack_from = 0;
-        loop {
-            for d in repack_from..LAST {
-                prefix[d + 1] = self.pack(prefix[d], d, idx[d]);
-            }
-            for i in ranges[LAST].clone() {
-                self.probe(self.pack(prefix[LAST], LAST, i));
-            }
-            // Odometer carry over the outer six dimensions.
-            let mut d = LAST;
-            loop {
-                if d == 0 {
-                    return;
+        let partial_keys = ranges[1..]
+            .iter()
+            .fold(1usize, |n, r| n.saturating_mul(r.len()));
+        if partial_keys > MAX_PARTIAL_KEYS {
+            // Order is irrelevant, so a box is the sum of its halves.
+            let mut widest = 1;
+            for d in 2..7 {
+                if ranges[d].len() > ranges[widest].len() {
+                    widest = d;
                 }
-                d -= 1;
-                idx[d] += 1;
-                if idx[d] < ranges[d].end {
-                    break;
+            }
+            let Range { start, end } = ranges[widest];
+            let mid = start + (end - start) / 2;
+            for half in [start..mid, mid..end] {
+                let mut ranges = ranges.clone();
+                ranges[widest] = half;
+                self.probe_box(&ranges);
+            }
+            return;
+        }
+        let [cur, next] = &mut *self.partial;
+        cur.clear();
+        cur.push((0, HashUnit::SEED));
+        for d in (1..7).rev() {
+            let labels = &self.dims[d][ranges[d].clone()];
+            // Dimension `d` completes the bytes below dimension `d - 1`.
+            let (from, to) = (self.first_byte[d], self.first_byte[d - 1]);
+            next.clear();
+            for &(key, state) in cur.iter() {
+                next.extend(labels.iter().map(|label| {
+                    let key = key | label.bits;
+                    (key, HashUnit::absorb(state, key, from, to))
+                }));
+            }
+            std::mem::swap(cur, next);
+        }
+        let hash = self.filter.hash_unit();
+        let labels = &self.dims[0][ranges[0].clone()];
+        let (from, to) = (self.first_byte[0], self.first_byte[7]);
+        for &(key, state) in cur.iter() {
+            for label in labels {
+                let key = key | label.bits;
+                let home = hash.finish(HashUnit::absorb(state, key, from, to), to);
+                let probe = self.filter.probe_at(home, key);
+                self.reads += probe.reads;
+                if let Some(s) = probe.hit {
+                    let rank = |s: &StoredRule| (s.rule.priority, s.id.0);
+                    if self.best.map_or(true, |held| rank(&s) < rank(&held)) {
+                        self.best = Some(s);
+                    }
                 }
-                idx[d] = ranges[d].start;
-            }
-            repack_from = d;
-        }
-    }
-
-    fn pack(&self, prefix: u128, d: usize, i: usize) -> u128 {
-        pack_label(prefix, self.widths[d], self.dims[d][i].label)
-    }
-
-    fn probe(&mut self, key: u128) {
-        let probe = self.filter.probe(key);
-        self.combos += 1;
-        self.reads += probe.reads;
-        if let Some(s) = probe.hit {
-            let better = match self.best {
-                None => true,
-                Some(cur) => (s.rule.priority, s.id.0) < (cur.rule.priority, cur.id.0),
-            };
-            if better {
-                self.best = Some(s);
             }
         }
+        self.combos += (cur.len() * labels.len()) as u32;
     }
 }
 
@@ -647,29 +680,44 @@ impl Classifier {
     /// `E` alone, not on the order it is visited in.
     fn priority_probe(&self, scratch: &mut ClassifyScratch) -> (Option<StoredRule>, u32, u32) {
         const IP: usize = IP_SEG_DIMS.len();
-        let ClassifyScratch { lists, by_priority } = scratch;
-        for (sorted, list) in by_priority.iter_mut().zip(&lists[IP..]) {
-            sorted.clear();
-            sorted.extend_from_slice(list.entries());
-            sorted.sort_unstable_by_key(|e| (e.priority, e.label));
+        let ClassifyScratch {
+            lists,
+            placed,
+            partial,
+        } = scratch;
+        // `make_key`'s layout, as the bit and the byte each label starts at.
+        let widths = self.key_widths();
+        let mut shifts = [0u32; 7];
+        let mut first_byte = [0usize; 8];
+        let mut key_bits = 0;
+        for d in (0..7).rev() {
+            shifts[d] = key_bits;
+            first_byte[d] = (key_bits / 8) as usize;
+            key_bits += u32::from(widths[d]);
         }
-        let dims: [&[LabelEntry]; 7] = std::array::from_fn(|d| {
-            if d < IP {
-                lists[d].entries()
-            } else {
-                by_priority[d - IP].as_slice()
+        first_byte[7] = key_bits.div_ceil(8) as usize;
+        for (d, (placed, list)) in placed.iter_mut().zip(lists.iter()).enumerate() {
+            placed.clear();
+            placed.extend(list.entries().iter().map(|e| Placed {
+                priority: e.priority,
+                bits: u128::from(e.label.0) << shifts[d],
+            }));
+            if d >= IP {
+                placed.sort_unstable_by_key(|l| (l.priority, l.bits));
             }
-        });
+        }
+        let dims: &[Vec<Placed>; 7] = placed;
         debug_assert!(
             dims[..IP].iter().all(|l| l
                 .windows(2)
-                .all(|w| (w[0].priority, w[0].label) <= (w[1].priority, w[1].label))),
+                .all(|w| (w[0].priority, w[0].bits) <= (w[1].priority, w[1].bits))),
             "IP-segment engines must return their lists in (priority, label) order"
         );
         let mut walk = BoxWalk {
             filter: &self.rule_filter,
             dims,
-            widths: self.key_widths(),
+            first_byte,
+            partial,
             best: None,
             reads: 0,
             combos: 0,
@@ -689,7 +737,7 @@ impl Classifier {
                 break; // every combination left is provably worse
             }
             let mut hi = lo;
-            for (h, list) in hi.iter_mut().zip(&dims) {
+            for (h, list) in hi.iter_mut().zip(dims) {
                 *h += list[*h..].partition_point(|e| e.priority <= t);
             }
             // The shell `box(hi) \ box(lo)` as disjoint boxes: `pivot` is
@@ -899,48 +947,92 @@ mod tests {
 
     #[test]
     fn priority_probe_walks_exactly_the_priority_box() {
-        for kind in [FilterKind::Acl, FilterKind::Fw, FilterKind::Ipc] {
-            for alg in [IpAlg::Bst, IpAlg::Mbt] {
-                for shared_priorities in [false, true] {
-                    let what = format!("{kind:?}/{alg:?}/shared_priorities={shared_priorities}");
-                    let mut rules = RuleSetGenerator::new(kind, 400).seed(11).generate();
-                    let mut pool = RuleSetGenerator::new(kind, 64).seed(12).generate();
-                    if shared_priorities {
-                        // Eight rules per priority value: ties everywhere.
-                        let tie = |r: &Rule| Rule {
-                            priority: Priority(r.priority.0 / 8),
-                            ..*r
-                        };
-                        rules = rules.rules().iter().map(tie).collect();
-                        pool = pool.rules().iter().map(tie).collect();
+        // Where dimension 0 starts decides which bytes the walk's last
+        // step absorbs: mid-byte at bit 55 of 68, byte-aligned at bit 64
+        // of 78, and at bit 66 of 81 with dimension 1 across bit 64.
+        let straddling = ArchConfig {
+            label_widths: spc_lookup::LabelWidths {
+                ip: 15,
+                port: 9,
+                proto: 3,
+            },
+            ..ArchConfig::large()
+        };
+        let layouts = [
+            ("paper", ArchConfig::paper_prototype()),
+            ("large", ArchConfig::large()),
+            ("straddling", straddling),
+        ];
+        for (layout, config) in layouts {
+            for kind in [FilterKind::Acl, FilterKind::Fw, FilterKind::Ipc] {
+                for alg in [IpAlg::Bst, IpAlg::Mbt] {
+                    for shared_priorities in [false, true] {
+                        let what = format!(
+                            "{layout}/{kind:?}/{alg:?}/shared_priorities={shared_priorities}"
+                        );
+                        walks_the_box_before_and_after_churn(
+                            config.clone().with_ip_alg(alg),
+                            kind,
+                            shared_priorities,
+                            &what,
+                        );
                     }
-                    let mut cls = Classifier::new(ArchConfig::large().with_ip_alg(alg));
-                    let mut live = cls.load(&rules).unwrap();
-                    let trace = probe_trace(&rules, 5);
-                    assert_matches_box_oracle(&cls, &trace, &what);
-
-                    // 32-rule churn: 16 out, 16 (non-duplicate) in.
-                    let mut rng = StdRng::seed_from_u64(13);
-                    for _ in 0..16 {
-                        let id = live.swap_remove(rng.gen_range(0..live.len()));
-                        cls.remove(id).unwrap();
-                    }
-                    let mut inserted = 0;
-                    for rule in pool.rules() {
-                        match cls.insert(*rule) {
-                            Ok(_) => inserted += 1,
-                            Err(ClassifierError::DuplicateKey { .. }) => {}
-                            Err(e) => panic!("{what}: {e}"),
-                        }
-                        if inserted == 16 {
-                            break;
-                        }
-                    }
-                    assert_eq!(inserted, 16, "{what}: pool too small");
-                    assert_matches_box_oracle(&cls, &trace, &format!("{what} after churn"));
                 }
             }
         }
+    }
+
+    fn walks_the_box_before_and_after_churn(
+        config: ArchConfig,
+        kind: FilterKind,
+        shared_priorities: bool,
+        what: &str,
+    ) {
+        let mut rules = RuleSetGenerator::new(kind, 400).seed(11).generate();
+        let mut pool = RuleSetGenerator::new(kind, 64).seed(12).generate();
+        if shared_priorities {
+            // Eight rules per priority value: ties everywhere.
+            let tie = |r: &Rule| Rule {
+                priority: Priority(r.priority.0 / 8),
+                ..*r
+            };
+            rules = rules.rules().iter().map(tie).collect();
+            pool = pool.rules().iter().map(tie).collect();
+        }
+        // The paper's 2-bit protocol and 7-bit port label spaces hold
+        // fewer values than a 400-rule set has: keep the rules that fit.
+        let mut trial = Classifier::new(config.clone());
+        let rules: RuleSet = rules
+            .rules()
+            .iter()
+            .copied()
+            .filter(|r| trial.insert(*r).is_ok())
+            .collect();
+        assert!(rules.len() >= 100, "{what}: {} rules fit", rules.len());
+        let mut cls = Classifier::new(config);
+        let mut live = cls.load(&rules).unwrap();
+        let trace = probe_trace(&rules, 5);
+        assert_matches_box_oracle(&cls, &trace, what);
+
+        // 32-rule churn: 16 out, 16 (non-duplicate) in.
+        let mut rng = StdRng::seed_from_u64(13);
+        for _ in 0..16 {
+            let id = live.swap_remove(rng.gen_range(0..live.len()));
+            cls.remove(id).unwrap();
+        }
+        let mut inserted = 0;
+        for rule in pool.rules() {
+            match cls.insert(*rule) {
+                Ok(_) => inserted += 1,
+                Err(ClassifierError::DuplicateKey { .. } | ClassifierError::Capacity { .. }) => {}
+                Err(e) => panic!("{what}: {e}"),
+            }
+            if inserted == 16 {
+                break;
+            }
+        }
+        assert_eq!(inserted, 16, "{what}: pool too small");
+        assert_matches_box_oracle(&cls, &trace, &format!("{what} after churn"));
     }
 
     fn cfg() -> ArchConfig {

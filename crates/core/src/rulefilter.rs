@@ -77,7 +77,7 @@ const EMPTY: u8 = 0;
 const TOMBSTONE: u8 = 1;
 const OCCUPIED: u8 = 2;
 
-// Every slot address is `HashUnit::fold` plus a step, masked down to the
+// Every slot address is a home address plus a step, masked down to the
 // block's address width, so `read`/`write` cannot see an out-of-range
 // address; `new` pre-allocates exactly `words` slots, so `alloc` cannot
 // overflow the provisioned block.
@@ -91,6 +91,8 @@ impl RuleFilter {
         for _ in 0..words {
             slots.alloc(Slot::Empty).expect("provisioned");
         }
+        // What lets `probe_at` index with `& (words - 1)` and nothing else.
+        assert_eq!(slots.len(), words, "one slot per address");
         RuleFilter {
             slots,
             occupancy: vec![EMPTY; words],
@@ -204,17 +206,24 @@ impl RuleFilter {
     /// folded once, each chain step costs one modelled read, and only a
     /// step over an occupied slot touches the slot itself.
     pub fn probe(&self, key: u128) -> ProbeResult {
-        let home = self.hash.fold(key);
-        let mask = self.capacity() - 1;
+        self.probe_at(self.hash.fold(key), key)
+    }
+
+    /// [`RuleFilter::probe`] for a caller that has `key`'s address from
+    /// [`RuleFilter::hash_unit`] already — the priority-box walk, which
+    /// shares hash state between neighbouring keys.
+    pub(crate) fn probe_at(&self, home: usize, key: u128) -> ProbeResult {
+        let slots = self.slots.as_slice();
+        let mask = slots.len() - 1;
         let mut reads = 0;
-        for i in 0..self.capacity() {
+        for i in 0..slots.len() {
             let addr = (home + i) & mask;
             reads += 1;
             match self.occupancy[addr] {
                 EMPTY => break,
                 TOMBSTONE => {}
                 _ => {
-                    if let Slot::Occupied(s) = self.slots.read(addr).expect("address in range") {
+                    if let Slot::Occupied(s) = &slots[addr] {
                         if s.key == key {
                             return ProbeResult {
                                 hit: Some(*s),
@@ -226,6 +235,11 @@ impl RuleFilter {
             }
         }
         ProbeResult { hit: None, reads }
+    }
+
+    /// The unit that turns a key into its home address.
+    pub(crate) fn hash_unit(&self) -> HashUnit {
+        self.hash
     }
 
     /// Provisioned bits of the rule memory.
@@ -369,6 +383,9 @@ mod tests {
                 );
             }
             assert_eq!(f.probe(key).hit.is_some(), live.contains(&key));
+            for k in 0..96u128 {
+                assert_eq!(f.probe_at(f.hash.fold(k), k), f.probe(k), "key {k}");
+            }
         }
         assert!(duplicate > 0 && full > 0 && unknown > 0);
     }

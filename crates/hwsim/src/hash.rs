@@ -12,7 +12,10 @@
 /// The implementation is a 64-bit FNV-1a over the key bytes followed by an
 /// xor-fold — cheap enough to be combinational in hardware, and completely
 /// deterministic so the software controller can precompute the same
-/// addresses it programs into the device.
+/// addresses it programs into the device. [`HashUnit::fold`] is
+/// [`HashUnit::SEED`], [`HashUnit::absorb`] and [`HashUnit::finish`]
+/// composed; a caller probing many keys that agree on their low bytes
+/// composes them itself and hashes those bytes once.
 ///
 /// ```
 /// use spc_hwsim::HashUnit;
@@ -50,29 +53,61 @@ impl HashUnit {
         1usize << self.addr_bits
     }
 
-    /// Folds a key (up to 128 bits; the architecture uses 68) to an address.
-    pub fn fold(self, key: u128) -> usize {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        for b in key.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        // Xor-fold 64 -> addr_bits.
+    /// The hash state before any key byte (the FNV-1a offset basis).
+    pub const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// Absorbs bytes `from..to` of `key` (little-endian: byte 0 is the
+    /// lowest) into `state`, one FNV-1a round each. Absorbing `0..a` and
+    /// then `a..b` is absorbing `0..b`, so keys that agree on their low
+    /// bytes can share the state over them.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `from <= to <= 16`.
+    #[inline]
+    pub fn absorb(state: u64, key: u128, from: usize, to: usize) -> u64 {
+        key.to_le_bytes()[from..to]
+            .iter()
+            .fold(state, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+    }
+
+    /// Finishes a key whose low `absorbed` bytes are in `state` and whose
+    /// remaining bytes are all zero: a zero byte's round is a bare
+    /// multiply, so the tail is one multiply by a power of the prime;
+    /// then xor-folds 64 -> `addr_bits`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `absorbed > 16`.
+    #[inline]
+    pub fn finish(self, state: u64, absorbed: usize) -> usize {
+        let h = state.wrapping_mul(PRIME_POWERS[16 - absorbed]);
         let folded = h ^ (h >> 32);
         let folded = folded ^ (folded >> self.addr_bits.min(31));
         (folded as usize) & (self.slots() - 1)
     }
 
-    /// The probe sequence for open addressing: `fold(key) + i` mod slots.
-    ///
-    /// Linear probing keeps the hardware trivial (an incrementer) and makes
-    /// probe counts easy to charge to the cycle model.
-    pub fn probe(self, key: u128, i: usize) -> usize {
-        (self.fold(key) + i) & (self.slots() - 1)
+    /// Folds a key (up to 128 bits; the architecture uses 68) to an
+    /// address: FNV-1a over its sixteen little-endian bytes.
+    pub fn fold(self, key: u128) -> usize {
+        let live = 16 - key.leading_zeros() as usize / 8;
+        self.finish(Self::absorb(Self::SEED, key, 0, live), live)
     }
 }
+
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `PRIME_POWERS[n]` is `FNV_PRIME^n` (wrapping): what `n` rounds over
+/// zero bytes multiply the state by.
+const PRIME_POWERS: [u64; 17] = {
+    let mut powers = [1u64; 17];
+    let mut n = 1;
+    while n < powers.len() {
+        powers[n] = powers[n - 1].wrapping_mul(FNV_PRIME);
+        n += 1;
+    }
+    powers
+};
 
 #[cfg(test)]
 mod tests {
@@ -104,13 +139,68 @@ mod tests {
         assert!(seen.len() > 300, "only {} distinct addresses", seen.len());
     }
 
+    /// The definition `fold` must keep: sixteen FNV-1a rounds, one per
+    /// little-endian key byte, then the xor-fold.
+    fn byte_loop(key: u128, addr_bits: u32) -> usize {
+        let mut h = HashUnit::SEED;
+        for b in key.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+        let folded = h ^ (h >> 32);
+        let folded = folded ^ (folded >> addr_bits.min(31));
+        (folded as usize) & ((1usize << addr_bits) - 1)
+    }
+
     #[test]
-    fn probe_wraps() {
-        let h = HashUnit::new(4);
-        let base = h.fold(7);
-        assert_eq!(h.probe(7, 0), base);
-        assert_eq!(h.probe(7, 16), base);
-        assert_eq!(h.probe(7, 1), (base + 1) % 16);
+    fn every_split_of_the_absorb_matches_the_byte_loop() {
+        // splitmix64, so the keys differ in every byte position.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut keys = vec![0, 1, 1 << 67, 1 << 72, 1 << 127, u128::MAX];
+        for width in [8, 64, 68, 72, 73, 78, 100, 128u32] {
+            for _ in 0..4 {
+                let k = u128::from(next()) << 64 | u128::from(next());
+                keys.push(k >> (128 - width));
+            }
+        }
+        for addr_bits in [1, 13, 15, 32] {
+            let h = HashUnit::new(addr_bits);
+            for &k in &keys {
+                let want = byte_loop(k, addr_bits);
+                assert_eq!(h.fold(k), want, "fold({k:#x}), {addr_bits} bits");
+                let live = 16 - k.leading_zeros() as usize / 8;
+                for n in live..=16 {
+                    for b in 0..=n {
+                        for a in 0..=b {
+                            let s = HashUnit::absorb(HashUnit::SEED, k, 0, a);
+                            let s = HashUnit::absorb(s, k, a, b);
+                            let s = HashUnit::absorb(s, k, b, n);
+                            assert_eq!(h.finish(s, n), want, "{k:#x} split {a}/{b}/{n}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn addresses_are_the_ones_installed_rules_were_placed_at() {
+        // Computed with the sixteen-round loop before `fold` was split:
+        // an edit that moves an address moves every Rule Filter placement,
+        // every probe chain and every modelled read count with it.
+        for (key, addr_bits, addr) in [
+            (0x0f12_3456_789a_bcde_f012_u128, 13, 998),
+            (0x2a5b_0123_4567_89ab_cdef, 15, 12128),
+            (u128::MAX - 0x1234_5678, 15, 26507),
+        ] {
+            assert_eq!(HashUnit::new(addr_bits).fold(key), addr, "{key:#x}");
+        }
     }
 
     #[test]

@@ -149,6 +149,14 @@ impl<T> MemoryBlock<T> {
         self.data.get(addr).ok_or_else(|| self.out_of_bounds(addr))
     }
 
+    /// The allocated words in address order, for a read path whose
+    /// addresses are in range by construction (the caller counts the
+    /// accesses): indexing the slice is still checked, but a miss is the
+    /// caller's broken invariant, not an error value to build.
+    pub fn as_slice(&self) -> &[T] {
+        &self.data
+    }
+
     /// Overwrites the word at `addr`, charging one write access.
     ///
     /// # Errors
