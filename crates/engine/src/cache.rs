@@ -25,20 +25,30 @@
 //!
 //! # Coherence under churn
 //!
-//! All updates flow *through* the wrapper (it owns the inner engine), so
-//! invalidation is wrapper-mediated and targeted:
+//! The wrapper owns the inner engine, so every update passes through it,
+//! and none of them walks a table — an update costs what it touches:
 //!
-//! * `remove(id)` — drop cached entries whose matched rule is `id`.
-//!   Misses stay valid: removing a rule can never turn a miss into a hit.
-//! * `insert(rule)` — drop microflow entries the new rule matches. If
-//!   the fold mask tightened, every megaflow key is stale: full megaflow
-//!   flush; otherwise drop only megaflow classes the new rule can match.
+//! * `remove(id)` — every slot holding a hit is on a doubly-linked
+//!   *chain* of its matched rule (links are slot indices stored in the
+//!   slot, heads live in a controller-side map), so the entries to drop
+//!   are one chain per layer. Misses stay valid: removing a rule can
+//!   never turn a miss into a hit.
+//! * `insert(rule)` — appends the rule to a short *log* of the live
+//!   rules inserted through the wrapper and returns. Every slot carries
+//!   the log position it was filled at (its *stamp*); a later hit on a
+//!   slot older than the newest logged rule is held to the rules logged
+//!   since its stamp — dropped if one of them matches its key, restamped
+//!   otherwise. `remove` also deletes its rule from the log, so a
+//!   short-lived rule costs the entries nobody looked up nothing. The
+//!   log is bounded: when it is full, the same validation runs over
+//!   every slot once and the log restarts empty.
+//! * If the new rule tightens the fold mask, every megaflow key is
+//!   stale: the megaflow layer is flushed (the fold only ever grows, so
+//!   this happens a bounded number of times).
 //!
-//! As a defensive fallback the wrapper also snapshots the inner engine's
-//! [`PacketClassifier::update_epoch`] after each synchronisation; if a
-//! lookup ever observes a different epoch (an out-of-band update through
-//! [`CachedEngine::inner_mut`]), the whole cache is flushed before
-//! serving — stale verdicts are never returned.
+//! A verdict cached at stamp *s* is current iff its rule is still live
+//! (else the chain dropped it) and no live rule logged at or after *s*
+//! matches its key; `docs/flow_cache.md` has the argument.
 //!
 //! # Concurrency of the `&self` classify path
 //!
@@ -59,8 +69,10 @@
 //! keeps one warm cache in front of the swap instead; see
 //! `docs/concurrency.md` for the trade-off).
 
-use crate::{EngineKind, LookupStats, PacketClassifier, UpdateError, UpdateReport, Verdict};
-use spc_types::{Header, MaskSummary, Rule, RuleId, ALL_DIMS};
+use crate::{
+    EngineKind, LookupStats, MatchHandle, PacketClassifier, UpdateError, UpdateReport, Verdict,
+};
+use spc_types::{Action, Header, MaskSummary, Rule, RuleId, ALL_DIMS};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -71,13 +83,107 @@ use std::sync::Mutex;
 /// its home position or not at all.
 const PROBE_WINDOW: usize = 8;
 
-/// One cached flow: key, verdict, and the matched rule (if any) for
-/// targeted invalidation, plus the clock reference bit.
+/// Live rules the insert log holds before a sweep validates every slot
+/// against them and empties it. A hit on a long-untouched slot tests at
+/// most this many rules.
+const LOG_BOUND: usize = 64;
+
+/// The "no slot" chain link.
+const NIL: u32 = u32::MAX;
+
+/// A position in the insert log. Narrow on purpose — it is stored in
+/// every slot; running out of positions forces the same sweep a full
+/// log does.
+type Stamp = u16;
+
+/// A flow-table key the insert log can hold a rule against.
+trait FlowKey: Hash + Eq + Copy {
+    /// Whether `rule` matches the header(s) this key stands for.
+    fn matched_by(&self, rule: &Rule) -> bool;
+}
+
+impl FlowKey for Header {
+    fn matched_by(&self, rule: &Rule) -> bool {
+        rule.matches(self)
+    }
+}
+
+/// A fold-masked query. The per-dimension test is exact because the
+/// rule's own mask is covered by the fold the key was masked with (a
+/// rule that tightens the fold flushes the layer instead).
+impl FlowKey for [u16; 7] {
+    fn matched_by(&self, rule: &Rule) -> bool {
+        ALL_DIMS
+            .iter()
+            .zip(self)
+            .all(|(d, q)| rule.dim_value(*d).matches(*q))
+    }
+}
+
+/// The rules inserted through the wrapper that are still live and that
+/// some slot may not have been validated against yet.
+#[derive(Debug, Default)]
+struct InsertLog {
+    /// `(position, id, rule)`, oldest first; positions rise along it.
+    live: Vec<(Stamp, RuleId, Rule)>,
+    /// The position the next insert takes — and the stamp of a slot
+    /// filled or validated now, which has seen every rule logged so far.
+    next: Stamp,
+}
+
+impl InsertLog {
+    /// Whether a live rule logged at or after `stamp` matches `key`: a
+    /// verdict cached at `stamp` may no longer be the HPMR.
+    fn outdates<K: FlowKey>(&self, key: &K, stamp: Stamp) -> bool {
+        self.live
+            .iter()
+            .rev()
+            .take_while(|(at, ..)| *at >= stamp)
+            .any(|(.., rule)| key.matched_by(rule))
+    }
+
+    fn is_full(&self) -> bool {
+        self.live.len() == LOG_BOUND || self.next == Stamp::MAX
+    }
+
+    fn push(&mut self, id: RuleId, rule: Rule) {
+        self.live.push((self.next, id, rule));
+        self.next += 1;
+    }
+
+    fn forget(&mut self, id: RuleId) {
+        self.live.retain(|(_, logged, _)| *logged != id);
+    }
+}
+
+/// One cached flow. The verdict is stored once — the matched rule's
+/// handle and action, `None` for a cached miss — and rebuilt on the way
+/// out; `prev`/`next` chain the slots holding a hit on the same rule.
 #[derive(Debug, Clone, Copy)]
-struct Entry<K> {
+struct Slot<K> {
     key: K,
-    verdict: Verdict,
+    hit: Option<(MatchHandle, Action)>,
+    stamp: Stamp,
+    prev: u32,
+    next: u32,
+    /// The clock reference bit.
     referenced: bool,
+}
+
+impl<K> Slot<K> {
+    /// The cached verdict as a cache hit: whatever the inner lookup cost
+    /// when the slot was filled, serving it again is one wide memory
+    /// read in the hardware model.
+    fn verdict(&self) -> Verdict {
+        match self.hit {
+            Some((handle, action)) => Verdict::hit(handle, action, 1),
+            None => Verdict::miss(1),
+        }
+    }
+
+    fn rule(&self) -> Option<RuleId> {
+        self.hit.map(|(handle, _)| handle.id)
+    }
 }
 
 /// An open-addressed, power-of-two flow table with clock eviction.
@@ -87,19 +193,34 @@ struct Entry<K> {
 /// implementation.
 #[derive(Debug)]
 struct FlowTable<K> {
-    slots: Vec<Option<Entry<K>>>,
+    slots: Vec<Option<Slot<K>>>,
     /// `slots.len() - 1`; capacity is a power of two.
     mask: usize,
     len: usize,
+    /// First slot of each rule's chain ([`NIL`] once it emptied). A key
+    /// goes when its rule is removed, so the map never outgrows the live
+    /// rules; it is controller-side state, not modelled table memory.
+    heads: HashMap<RuleId, u32>,
+    /// Entries dropped as invalid: chains of removed rules, and slots
+    /// found outdated by the insert log.
+    invalidated: u64,
+    /// Slots the update paths looked at (chain walks, sweeps, clears).
+    #[cfg(test)]
+    visited: u64,
 }
 
-impl<K: Hash + Eq + Copy> FlowTable<K> {
+impl<K: FlowKey> FlowTable<K> {
     fn new(capacity: usize) -> Self {
         let capacity = capacity.next_power_of_two().max(PROBE_WINDOW);
+        assert!(capacity < NIL as usize, "chain links are 32-bit");
         FlowTable {
             slots: vec![None; capacity],
             mask: capacity - 1,
             len: 0,
+            heads: HashMap::new(),
+            invalidated: 0,
+            #[cfg(test)]
+            visited: 0,
         }
     }
 
@@ -112,41 +233,110 @@ impl<K: Hash + Eq + Copy> FlowTable<K> {
         (h.finish() as usize) & self.mask
     }
 
-    /// Probes for `key`; on a hit sets the reference bit and returns the
-    /// cached verdict.
-    fn get(&mut self, key: &K) -> Option<Verdict> {
+    /// The occupied slot a chain link, a head or a probe just named.
+    #[allow(clippy::expect_used)] // chain invariant: links and heads name occupied slots
+    fn slot(&mut self, idx: usize) -> &mut Slot<K> {
+        self.slots[idx]
+            .as_mut()
+            .expect("chain links and heads name occupied slots")
+    }
+
+    /// Puts the hit in `idx` at the head of its rule's chain (a cached
+    /// miss is on none).
+    fn link(&mut self, idx: usize) {
+        let Some(rule) = self.slot(idx).rule() else {
+            return;
+        };
+        let head = self.heads.insert(rule, idx as u32).unwrap_or(NIL);
+        self.slot(idx).next = head;
+        if head != NIL {
+            self.slot(head as usize).prev = idx as u32;
+        }
+    }
+
+    /// Takes `idx` off its rule's chain.
+    fn unlink(&mut self, idx: usize) {
+        let slot = self.slot(idx);
+        let Some(rule) = slot.rule() else {
+            return;
+        };
+        let (prev, next) = (slot.prev, slot.next);
+        if next != NIL {
+            self.slot(next as usize).prev = prev;
+        }
+        if prev != NIL {
+            self.slot(prev as usize).next = next;
+        } else {
+            self.heads.insert(rule, next);
+        }
+    }
+
+    /// Overwrites `idx` (free, or already unlinked) with a fresh entry.
+    fn fill(&mut self, idx: usize, key: K, hit: Option<(MatchHandle, Action)>, stamp: Stamp) {
+        self.slots[idx] = Some(Slot {
+            key,
+            hit,
+            stamp,
+            prev: NIL,
+            next: NIL,
+            referenced: true,
+        });
+        self.link(idx);
+    }
+
+    fn free(&mut self, idx: usize) {
+        self.unlink(idx);
+        self.slots[idx] = None;
+        self.len -= 1;
+    }
+
+    /// Holds the entry in `idx` to the rules logged since its stamp:
+    /// drops it if one of them matches its key — the new rule may
+    /// outrank the cached one — and stamps it `restamp` otherwise.
+    /// Returns the entry if it survived.
+    fn validate(&mut self, idx: usize, log: &InsertLog, restamp: Stamp) -> Option<&mut Slot<K>> {
+        let slot = self.slots[idx].as_ref()?;
+        if slot.stamp != log.next && log.outdates(&slot.key, slot.stamp) {
+            self.free(idx);
+            self.invalidated += 1;
+            return None;
+        }
+        let slot = self.slots[idx].as_mut()?;
+        slot.stamp = restamp;
+        Some(slot)
+    }
+
+    /// Probes for `key`; a hit that is still current sets the reference
+    /// bit and returns the cached verdict.
+    fn get(&mut self, key: &K, log: &InsertLog) -> Option<Verdict> {
         let home = self.home(key);
         for i in 0..PROBE_WINDOW {
-            let slot = (home + i) & self.mask;
-            if let Some(e) = &mut self.slots[slot] {
-                if e.key == *key {
-                    e.referenced = true;
-                    return Some(e.verdict);
-                }
+            let idx = (home + i) & self.mask;
+            if self.slots[idx].as_ref().is_some_and(|s| s.key == *key) {
+                let slot = self.validate(idx, log, log.next)?;
+                slot.referenced = true;
+                return Some(slot.verdict());
             }
         }
         None
     }
 
-    /// Installs (or refreshes) `key -> verdict`. Returns `true` when an
-    /// unrelated entry was evicted to make room.
-    fn insert(&mut self, key: K, verdict: Verdict) -> bool {
+    /// Installs (or refreshes) `key -> verdict`, current as of `stamp`.
+    /// Returns `true` when an unrelated entry was evicted to make room.
+    fn insert(&mut self, key: K, verdict: &Verdict, stamp: Stamp) -> bool {
+        let hit = verdict.matched.zip(verdict.action);
         let home = self.home(&key);
         // First pass: refresh an existing entry or take a free slot.
         for i in 0..PROBE_WINDOW {
-            let slot = (home + i) & self.mask;
-            match &mut self.slots[slot] {
-                Some(e) if e.key == key => {
-                    e.verdict = verdict;
-                    e.referenced = true;
+            let idx = (home + i) & self.mask;
+            match &self.slots[idx] {
+                Some(s) if s.key == key => {
+                    self.unlink(idx);
+                    self.fill(idx, key, hit, stamp);
                     return false;
                 }
                 None => {
-                    self.slots[slot] = Some(Entry {
-                        key,
-                        verdict,
-                        referenced: true,
-                    });
+                    self.fill(idx, key, hit, stamp);
                     self.len += 1;
                     return false;
                 }
@@ -158,58 +348,70 @@ impl<K: Hash + Eq + Copy> FlowTable<K> {
         // falling back to the home slot if every entry was hot.
         let mut victim = home;
         for i in 0..PROBE_WINDOW {
-            let slot = (home + i) & self.mask;
-            match &mut self.slots[slot] {
-                // Unreachable (the first pass would have taken a free
-                // slot), but a free slot is also the perfect victim.
-                None => {
-                    victim = slot;
-                    break;
-                }
-                Some(e) if e.referenced => e.referenced = false,
-                Some(_) => {
-                    victim = slot;
-                    break;
-                }
+            let idx = (home + i) & self.mask;
+            let slot = self.slot(idx);
+            if !slot.referenced {
+                victim = idx;
+                break;
             }
+            slot.referenced = false;
         }
-        self.slots[victim] = Some(Entry {
-            key,
-            verdict,
-            referenced: true,
-        });
+        self.unlink(victim);
+        self.fill(victim, key, hit, stamp);
         true
     }
 
-    /// Drops every entry `pred` selects; returns how many were dropped.
-    fn retain_not(&mut self, mut pred: impl FnMut(&K, &Verdict) -> bool) -> u64 {
-        let mut dropped = 0;
-        for slot in &mut self.slots {
-            if let Some(e) = slot {
-                if pred(&e.key, &e.verdict) {
-                    *slot = None;
-                    self.len -= 1;
-                    dropped += 1;
-                }
+    /// Drops every entry holding a hit on `id`: one walk of its chain.
+    fn drop_chain(&mut self, id: RuleId) {
+        let mut at = self.heads.remove(&id).unwrap_or(NIL);
+        while at != NIL {
+            let idx = at as usize;
+            debug_assert_eq!(self.slot(idx).rule(), Some(id), "a foreign slot on a chain");
+            at = self.slot(idx).next;
+            self.slots[idx] = None;
+            self.len -= 1;
+            self.invalidated += 1;
+            #[cfg(test)]
+            {
+                self.visited += 1;
             }
         }
-        dropped
+    }
+
+    /// The bounded-log sweep: validates every entry against the whole
+    /// log, leaving the survivors stamped for the empty log that follows.
+    fn sweep(&mut self, log: &InsertLog) {
+        for idx in 0..self.slots.len() {
+            self.validate(idx, log, 0);
+        }
+        #[cfg(test)]
+        {
+            self.visited += self.slots.len() as u64;
+        }
     }
 
     fn clear(&mut self) {
         if self.len > 0 {
             self.slots.iter_mut().for_each(|s| *s = None);
             self.len = 0;
+            #[cfg(test)]
+            {
+                self.visited += self.slots.len() as u64;
+            }
         }
+        self.heads.clear();
     }
 
-    fn capacity(&self) -> usize {
-        self.slots.len()
+    /// Modelled table memory: every byte a slot stores, links and stamp
+    /// included.
+    fn memory_bits(&self) -> u64 {
+        (self.slots.len() * std::mem::size_of::<Option<Slot<K>>>()) as u64 * 8
     }
 }
 
-/// The mutable cache state behind the wrapper's lock: both layers plus
-/// the fold mask the megaflow keys were computed under.
+/// The mutable cache state behind the wrapper's lock: both layers, the
+/// fold mask the megaflow keys were computed under, and the insert log
+/// the slots' stamps refer to.
 #[derive(Debug)]
 struct CacheState {
     micro: FlowTable<Header>,
@@ -218,64 +420,71 @@ struct CacheState {
     /// mask. Kept *covering* (never shrunk on remove): a too-wide fold
     /// only splits classes finer, which stays sound.
     fold: MaskSummary,
+    log: InsertLog,
 }
 
 impl CacheState {
-    /// Drops both layers and widens the fold to all-care (without the
-    /// rule list the fold cannot be recomputed; all-care classes are
-    /// finer, which stays sound).
-    fn flush(&mut self) {
-        self.micro.clear();
-        if let Some(mega) = &mut self.mega {
-            mega.clear();
+    /// Probes both layers; `None` means fall through to the inner
+    /// engine.
+    fn probe(&mut self, header: &Header) -> Option<Verdict> {
+        if let Some(v) = self.micro.get(header, &self.log) {
+            return Some(v);
         }
-        self.fold = MaskSummary {
-            masks: [u16::MAX; 7],
-        };
+        let key = self.fold.masked_query(header);
+        self.mega.as_mut()?.get(&key, &self.log)
     }
 
-    /// Targeted invalidation after a successful `insert` through the
-    /// wrapper. Returns `(entries dropped, megaflow flushed)`.
-    fn invalidate_for_insert(&mut self, rule: &Rule) -> (u64, bool) {
-        // Microflow: the new rule can only change verdicts of headers
-        // it matches.
-        let mut dropped = self.micro.retain_not(|h, _| rule.matches(h));
-        let mut flushed = false;
-        let new_fold = self.fold.or(MaskSummary::of_rule(rule));
+    /// Installs an inner verdict into both layers; returns how many
+    /// entries that evicted.
+    fn install(&mut self, header: &Header, verdict: &Verdict) -> u64 {
+        let now = self.log.next;
+        let mut evicted = u64::from(self.micro.insert(*header, verdict, now));
         if let Some(mega) = &mut self.mega {
-            if new_fold == self.fold {
-                // Fold unchanged: keys stay valid; drop only the masked
-                // classes the new rule can match. Exact because the
-                // rule's own mask is covered by the fold.
-                dropped += mega.retain_not(|key, _| {
-                    ALL_DIMS
-                        .iter()
-                        .enumerate()
-                        .all(|(i, d)| rule.dim_value(*d).matches(key[i]))
-                });
-            } else {
-                // Fold tightened: every megaflow key was computed under
-                // a narrower mask — all stale.
-                mega.clear();
-                flushed = true;
+            let key = self.fold.masked_query(header);
+            evicted += u64::from(mega.insert(key, verdict, now));
+        }
+        evicted
+    }
+
+    /// Records a successful `insert` through the wrapper: the rule goes
+    /// on the log for later hits to be held to, and nothing is walked —
+    /// unless the log is full (one sweep, then it restarts empty) or the
+    /// rule tightens the fold (every megaflow key was computed under a
+    /// narrower mask: all stale). Returns whether the megaflow layer was
+    /// flushed.
+    fn note_insert(&mut self, id: RuleId, rule: &Rule) -> bool {
+        if self.log.is_full() {
+            self.micro.sweep(&self.log);
+            if let Some(mega) = &mut self.mega {
+                mega.sweep(&self.log);
             }
+            self.log.live.clear();
+            self.log.next = 0;
         }
+        self.log.push(id, *rule);
+        let new_fold = self.fold.or(MaskSummary::of_rule(rule));
+        let tightened = new_fold != self.fold;
         self.fold = new_fold;
-        (dropped, flushed)
+        match &mut self.mega {
+            Some(mega) if tightened => {
+                mega.clear();
+                true
+            }
+            _ => false,
+        }
     }
 
-    /// Targeted invalidation after a successful `remove` through the
-    /// wrapper: drop entries whose matched rule is gone. Misses stay
-    /// valid (removing a rule can never turn a miss into a hit), and
-    /// the fold is deliberately left wide (see [`CacheState::fold`]).
-    /// Returns the number of entries dropped.
-    fn invalidate_for_remove(&mut self, id: RuleId) -> u64 {
-        let hit_on = |v: &Verdict| v.matched.is_some_and(|m| m.id == id);
-        let mut dropped = self.micro.retain_not(|_, v| hit_on(v));
+    /// Records a successful `remove` through the wrapper: the entries
+    /// whose matched rule is gone are its chains, and the log stops
+    /// holding hits to it. Misses stay valid (removing a rule can never
+    /// turn a miss into a hit), and the fold is deliberately left wide
+    /// (see [`CacheState::fold`]).
+    fn note_remove(&mut self, id: RuleId) {
+        self.log.forget(id);
+        self.micro.drop_chain(id);
         if let Some(mega) = &mut self.mega {
-            dropped += mega.retain_not(|_, v| hit_on(v));
+            mega.drop_chain(id);
         }
-        dropped
     }
 }
 
@@ -288,9 +497,13 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted to make room (either layer).
     pub evictions: u64,
-    /// Entries dropped by targeted invalidation after an update.
+    /// Entries dropped as invalid after an update: the removed rule's
+    /// own entries, and entries a later lookup found outdated by an
+    /// inserted rule (an outdated entry nobody looks up is never
+    /// counted — it is evicted, or swept, or valid again once the rule
+    /// is removed).
     pub invalidations: u64,
-    /// Whole-layer flushes (fold tightened, or epoch fallback).
+    /// Whole-layer megaflow flushes (an insert tightened the fold).
     pub flushes: u64,
 }
 
@@ -321,19 +534,19 @@ impl CacheStats {
 pub struct CachedEngine {
     inner: Box<dyn PacketClassifier>,
     state: Mutex<CacheState>,
-    /// The inner epoch the cache last synchronised with; a mismatch at
-    /// lookup time (out-of-band update) triggers the full-flush
-    /// fallback.
-    seen_epoch: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    invalidations: AtomicU64,
     flushes: AtomicU64,
-    /// Scratch for the batch path: indices of headers that missed.
+    /// Scratch for the batch path, cleared and reused: the headers that
+    /// missed (their indices, themselves, their inner verdicts), where
+    /// each queued header sits in `miss_headers`, and `(out slot, miss
+    /// position)` of the repeats deduplicated against it.
     miss_idx: Vec<usize>,
     miss_headers: Vec<Header>,
     miss_verdicts: Vec<Verdict>,
+    pending: HashMap<Header, usize>,
+    dups: Vec<(usize, usize)>,
 }
 
 impl CachedEngine {
@@ -347,38 +560,29 @@ impl CachedEngine {
         megaflow: bool,
         rules: impl IntoIterator<Item = &'a Rule>,
     ) -> Self {
-        let fold = MaskSummary::fold(rules);
-        let seen = inner.update_epoch();
         CachedEngine {
             inner,
             state: Mutex::new(CacheState {
                 micro: FlowTable::new(flows),
                 mega: megaflow.then(|| FlowTable::new(flows)),
-                fold,
+                fold: MaskSummary::fold(rules),
+                log: InsertLog::default(),
             }),
-            seen_epoch: AtomicU64::new(seen),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
             flushes: AtomicU64::new(0),
             miss_idx: Vec::new(),
             miss_headers: Vec::new(),
             miss_verdicts: Vec::new(),
+            pending: HashMap::new(),
+            dups: Vec::new(),
         }
     }
 
     /// The wrapped engine.
     pub fn inner(&self) -> &dyn PacketClassifier {
         &*self.inner
-    }
-
-    /// Mutable access to the wrapped engine — an *out-of-band* channel:
-    /// updates applied here bypass the wrapper's targeted invalidation.
-    /// The epoch fallback catches them (next lookup flushes everything),
-    /// which is exactly what this accessor exists to let tests prove.
-    pub fn inner_mut(&mut self) -> &mut dyn PacketClassifier {
-        &mut *self.inner
     }
 
     /// Whether the megaflow layer is enabled.
@@ -392,57 +596,19 @@ impl CachedEngine {
 
     /// Snapshot of the cache counters.
     pub fn cache_stats(&self) -> CacheStats {
+        let invalidations = {
+            let state = self
+                .state
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            state.micro.invalidated + state.mega.as_ref().map_or(0, |m| m.invalidated)
+        };
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
+            invalidations,
             flushes: self.flushes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// A cache hit re-reported as one wide memory read: whatever the
-    /// inner lookup cost when the entry was populated, serving it again
-    /// costs a single cache-line access in the hardware model.
-    fn as_cache_hit(v: Verdict) -> Verdict {
-        Verdict { mem_reads: 1, ..v }
-    }
-
-    /// Flushes both layers if the inner epoch moved without the wrapper
-    /// seeing the update (out-of-band churn through
-    /// [`CachedEngine::inner_mut`]).
-    fn flush_if_stale(&self, state: &mut CacheState) {
-        let epoch = self.inner.update_epoch();
-        if self.seen_epoch.swap(epoch, Ordering::Relaxed) != epoch {
-            state.flush();
-            self.flushes.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Probes both layers; `None` means fall through to the inner
-    /// engine.
-    fn probe(&self, state: &mut CacheState, header: &Header) -> Option<Verdict> {
-        if let Some(v) = state.micro.get(header) {
-            return Some(Self::as_cache_hit(v));
-        }
-        let fold = state.fold;
-        if let Some(mega) = &mut state.mega {
-            if let Some(v) = mega.get(&fold.masked_query(header)) {
-                return Some(Self::as_cache_hit(v));
-            }
-        }
-        None
-    }
-
-    /// Installs an inner verdict into both layers.
-    fn install(&self, state: &mut CacheState, header: &Header, verdict: Verdict) {
-        let mut evicted = u64::from(state.micro.insert(*header, verdict));
-        let fold = state.fold;
-        if let Some(mega) = &mut state.mega {
-            evicted += u64::from(mega.insert(fold.masked_query(header), verdict));
-        }
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
     }
 }
@@ -466,8 +632,7 @@ impl PacketClassifier for CachedEngine {
                 .state
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            self.flush_if_stale(&mut state);
-            if let Some(v) = self.probe(&mut state, header) {
+            if let Some(v) = state.probe(header) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return v;
             }
@@ -478,11 +643,14 @@ impl PacketClassifier for CachedEngine {
         // they cannot interleave with `&self` lookups).
         self.misses.fetch_add(1, Ordering::Relaxed);
         let verdict = self.inner.classify(header);
-        let mut state = self
+        let evicted = self
             .state
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        self.install(&mut state, header, verdict);
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .install(header, &verdict);
+        if evicted > 0 {
+            self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        }
         verdict
     }
 
@@ -496,44 +664,27 @@ impl PacketClassifier for CachedEngine {
     /// cache's throughput win comes from.
     fn classify_batch(&mut self, headers: &[Header], out: &mut Vec<Verdict>) -> LookupStats {
         out.clear();
-        let epoch = self.inner.update_epoch();
         let state = self
             .state
             .get_mut()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if self.seen_epoch.swap(epoch, Ordering::Relaxed) != epoch {
-            state.flush();
-            self.flushes.fetch_add(1, Ordering::Relaxed);
-        }
         out.resize(headers.len(), Verdict::miss(0));
         self.miss_idx.clear();
         self.miss_headers.clear();
+        self.pending.clear();
+        self.dups.clear();
         let mut stats = LookupStats::default();
-        // Headers queued for the inner engine this batch, mapped to their
-        // position in `miss_headers`; repeats resolve here instead of
-        // costing a second inner lookup.
-        let mut pending: HashMap<Header, usize> = HashMap::new();
-        // (out slot, miss position) for deduplicated repeats.
-        let mut dups: Vec<(usize, usize)> = Vec::new();
         for (i, h) in headers.iter().enumerate() {
-            if let Some(v) = {
-                if let Some(v) = state.micro.get(h) {
-                    Some(Self::as_cache_hit(v))
-                } else {
-                    let fold = state.fold;
-                    state
-                        .mega
-                        .as_mut()
-                        .and_then(|mega| mega.get(&fold.masked_query(h)))
-                        .map(Self::as_cache_hit)
-                }
-            } {
+            if let Some(v) = state.probe(h) {
                 out[i] = v;
                 stats.absorb(&v);
-            } else if let Some(&m) = pending.get(h) {
-                dups.push((i, m));
+            } else if let Some(&m) = self.pending.get(h) {
+                // Already queued for the inner engine this batch: the
+                // repeat resolves here instead of costing a second
+                // inner lookup.
+                self.dups.push((i, m));
             } else {
-                pending.insert(*h, self.miss_headers.len());
+                self.pending.insert(*h, self.miss_headers.len());
                 self.miss_idx.push(i);
                 self.miss_headers.push(*h);
             }
@@ -552,25 +703,24 @@ impl PacketClassifier for CachedEngine {
                 .zip(self.miss_headers.iter().zip(&self.miss_verdicts))
             {
                 out[*slot] = *v;
-                evicted += u64::from(state.micro.insert(*h, *v));
-                let fold = state.fold;
-                if let Some(mega) = &mut state.mega {
-                    evicted += u64::from(mega.insert(fold.masked_query(h), *v));
-                }
+                evicted += state.install(h, v);
             }
             if evicted > 0 {
                 self.evictions.fetch_add(evicted, Ordering::Relaxed);
             }
         }
-        for &(slot, m) in &dups {
-            let v = Self::as_cache_hit(self.miss_verdicts[m]);
+        for &(slot, m) in &self.dups {
+            let v = Verdict {
+                mem_reads: 1,
+                ..self.miss_verdicts[m]
+            };
             out[slot] = v;
             stats.absorb(&v);
         }
 
         // Nested caches (e.g. sharded-of-cached) already folded their own
         // cache counters in via `inner_stats` — add, never overwrite.
-        let batch_hits = probe_hits + dups.len() as u64;
+        let batch_hits = probe_hits + self.dups.len() as u64;
         stats.cache_hits = stats.cache_hits.saturating_add(batch_hits);
         stats.cache_misses = stats
             .cache_misses
@@ -586,12 +736,9 @@ impl PacketClassifier for CachedEngine {
             .state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let micro_bits =
-            (state.micro.capacity() * std::mem::size_of::<Option<Entry<Header>>>()) as u64 * 8;
-        let mega_bits = state.mega.as_ref().map_or(0, |m| {
-            (m.capacity() * std::mem::size_of::<Option<Entry<[u16; 7]>>>()) as u64 * 8
-        });
-        self.inner.memory_bits() + micro_bits + mega_bits
+        self.inner.memory_bits()
+            + state.micro.memory_bits()
+            + state.mega.as_ref().map_or(0, FlowTable::memory_bits)
     }
 
     fn supports_updates(&self) -> bool {
@@ -603,29 +750,22 @@ impl PacketClassifier for CachedEngine {
         // report replacement — the inner backend guarantees it), so the
         // cache stays valid untouched.
         let id = self.inner.insert(rule)?;
-        let (dropped, flushed) = self
+        let flushed = self
             .state
             .get_mut()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .invalidate_for_insert(&rule);
-        self.invalidations.fetch_add(dropped, Ordering::Relaxed);
+            .note_insert(id, &rule);
         self.flushes
             .fetch_add(u64::from(flushed), Ordering::Relaxed);
-        self.seen_epoch
-            .store(self.inner.update_epoch(), Ordering::Relaxed);
         Ok(id)
     }
 
     fn remove(&mut self, id: RuleId) -> Result<(), UpdateError> {
         self.inner.remove(id)?;
-        let dropped = self
-            .state
+        self.state
             .get_mut()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .invalidate_for_remove(id);
-        self.invalidations.fetch_add(dropped, Ordering::Relaxed);
-        self.seen_epoch
-            .store(self.inner.update_epoch(), Ordering::Relaxed);
+            .note_remove(id);
         Ok(())
     }
 
@@ -642,7 +782,62 @@ impl PacketClassifier for CachedEngine {
 mod tests {
     use super::*;
     use crate::{build_engine, EngineBuilder};
-    use spc_types::{Action, PortRange, Priority, ProtoSpec, RuleSet};
+    use rand::prelude::*;
+    use spc_types::{Action, PortRange, Prefix, Priority, ProtoSpec, RuleSet};
+
+    impl<K: FlowKey> FlowTable<K> {
+        /// Each hit slot is on exactly its rule's chain, chains hold no
+        /// free or foreign slot and belong to live rules, `len` counts
+        /// the occupied slots, no stamp is ahead of the log.
+        fn check(&self, log: &InsertLog, live: &[RuleId]) {
+            let occupied = self.slots.iter().flatten().count();
+            assert_eq!(self.len, occupied, "len");
+            let mut chained = 0;
+            for (&rule, &head) in &self.heads {
+                assert!(live.contains(&rule), "chain of dead rule {rule}");
+                let (mut prev, mut at) = (NIL, head);
+                while at != NIL {
+                    let slot = self.slots[at as usize]
+                        .as_ref()
+                        .unwrap_or_else(|| panic!("free slot {at} on the chain of {rule}"));
+                    assert_eq!(slot.rule(), Some(rule), "foreign slot {at} on a chain");
+                    assert_eq!(slot.prev, prev, "back link of slot {at}");
+                    chained += 1;
+                    assert!(chained <= occupied, "the chain of {rule} cycles");
+                    (prev, at) = (at, slot.next);
+                }
+            }
+            let hits = self.slots.iter().flatten().filter(|s| s.hit.is_some());
+            assert_eq!(chained, hits.count(), "hit slots on no chain");
+            assert!(self.slots.iter().flatten().all(|s| s.stamp <= log.next));
+        }
+    }
+
+    impl CachedEngine {
+        /// Holds both tables and the log to their invariants; `live` are
+        /// the ids of the installed rules.
+        fn check_invariants(&self, live: &[RuleId]) {
+            let state = self.state.lock().unwrap();
+            state.micro.check(&state.log, live);
+            if let Some(mega) = &state.mega {
+                mega.check(&state.log, live);
+            }
+            let log = &state.log;
+            assert!(log.live.len() <= LOG_BOUND);
+            assert!(log.live.windows(2).all(|w| w[0].0 < w[1].0), "log order");
+            assert!(log.live.iter().all(|(at, ..)| *at < log.next));
+            assert!(
+                log.live.iter().all(|(_, id, _)| live.contains(id)),
+                "the log names a dead rule"
+            );
+        }
+
+        /// Slots the update paths have looked at so far, both layers.
+        fn visited(&self) -> u64 {
+            let state = self.state.lock().unwrap();
+            state.micro.visited + state.mega.as_ref().map_or(0, |m| m.visited)
+        }
+    }
 
     fn rules(n: u32) -> RuleSet {
         (0..n)
@@ -751,25 +946,6 @@ mod tests {
     }
 
     #[test]
-    fn out_of_band_update_triggers_epoch_flush() {
-        let rs = rules(4);
-        let inner = build_engine("configurable-bst", &rs).unwrap();
-        let mut e = CachedEngine::new(inner, 64, true, rs.rules());
-        assert!(!e.classify(&hdr(800)).is_hit());
-        // Bypass the wrapper: the cache cannot see this insert.
-        let r = Rule::builder(Priority(0))
-            .dst_port(PortRange::exact(800))
-            .proto(ProtoSpec::Exact(6))
-            .action(Action::Drop)
-            .build();
-        e.inner_mut().insert(r).unwrap();
-        // The epoch fallback must flush before serving the stale miss.
-        let v = e.classify(&hdr(800));
-        assert_eq!(v.action, Some(Action::Drop));
-        assert!(e.cache_stats().flushes > 0, "epoch mismatch flushed");
-    }
-
-    #[test]
     fn eviction_under_tiny_capacity_stays_correct() {
         let e = cached(64, PROBE_WINDOW, false);
         for round in 0..3 {
@@ -811,5 +987,166 @@ mod tests {
             .unwrap();
         assert_eq!(e.kind(), EngineKind::Cached);
         assert!(e.classify(&hdr(5)).is_hit());
+    }
+
+    /// A rule over one destination port, outranking every base rule.
+    fn port_rule(port: u16) -> Rule {
+        Rule::builder(Priority(0))
+            .dst_port(PortRange::exact(port))
+            .proto(ProtoSpec::Exact(6))
+            .action(Action::Drop)
+            .build()
+    }
+
+    #[test]
+    fn slots_pay_for_their_links() {
+        // `memory_bits` is `size_of`-based: the verdict stored once buys
+        // the stamp and the two links with room to spare (76 + 72 bytes
+        // when a slot held a whole `Verdict`).
+        assert_eq!(std::mem::size_of::<Option<Slot<Header>>>(), 60);
+        assert_eq!(std::mem::size_of::<Option<Slot<[u16; 7]>>>(), 60);
+    }
+
+    #[test]
+    fn updates_visit_only_the_slots_they_drop() {
+        let rs = rules(4);
+        let inner = build_engine("configurable-bst", &rs).unwrap();
+        let mut e = CachedEngine::new(inner, 65536, true, rs.rules());
+        // Three cached flows: two hits and a miss.
+        assert!(e.classify(&hdr(1)).is_hit());
+        assert!(e.classify(&hdr(2)).is_hit());
+        assert!(!e.classify(&hdr(700)).is_hit());
+        let start = e.visited();
+
+        // A short-lived rule nobody looks up while it is live: neither
+        // update walks anything, and the miss it shadowed is a cache hit
+        // again afterwards.
+        let id = e.insert(port_rule(700)).unwrap();
+        assert_eq!(e.visited(), start, "insert walks no slot");
+        e.remove(id).unwrap();
+        assert_eq!(e.visited(), start, "its chains were empty");
+        let before = e.cache_stats();
+        assert!(!e.classify(&hdr(700)).is_hit());
+        let after = e.cache_stats();
+        assert_eq!(after.hits, before.hits + 1, "the untouched entry survived");
+        assert_eq!(after.invalidations, 0);
+
+        // The same rule, looked up while live: the outdated miss is
+        // dropped on that hit and refilled on the rule's chains (one
+        // slot per layer), which is all its `remove` walks.
+        let id = e.insert(port_rule(700)).unwrap();
+        assert_eq!(e.classify(&hdr(700)).rule, Some(id));
+        assert_eq!(e.cache_stats().invalidations, 2, "dropped when found stale");
+        e.remove(id).unwrap();
+        assert_eq!(e.visited(), start + 2, "remove walks the slots it drops");
+        assert_eq!(e.cache_stats().invalidations, 4);
+        assert!(!e.classify(&hdr(700)).is_hit());
+
+        // Other rules' flows were never touched.
+        let before = e.cache_stats().hits;
+        e.classify(&hdr(1));
+        e.classify(&hdr(2));
+        assert_eq!(e.cache_stats().hits, before + 2);
+        assert_eq!(e.visited(), start + 2);
+        e.check_invariants(&[RuleId(0), RuleId(1), RuleId(2), RuleId(3)]);
+    }
+
+    #[test]
+    fn a_full_log_sweeps_once_and_restarts() {
+        for wrapped in [false, true] {
+            let rs = rules(4);
+            let inner = build_engine("configurable-bst", &rs).unwrap();
+            let mut e = CachedEngine::new(inner, 64, true, rs.rules());
+            let mut live: Vec<RuleId> = (0..4).map(RuleId).collect();
+            if wrapped {
+                // Out of positions long before the log is out of room.
+                e.state.get_mut().unwrap().log.next = Stamp::MAX - 3;
+            }
+            for port in [1, 2, 500, 601] {
+                e.classify(&hdr(port));
+            }
+            // More live inserts than the log holds; 500 is shadowed by
+            // the first of them and never looked up before the sweep.
+            for i in 0..=LOG_BOUND as u16 {
+                live.push(e.insert(port_rule(500 + 2 * i)).unwrap());
+                e.check_invariants(&live);
+            }
+            let state = e.state.get_mut().unwrap();
+            assert!(
+                state.log.live.len() < LOG_BOUND,
+                "the sweep emptied the log"
+            );
+            assert!(
+                state.micro.invalidated >= 1,
+                "the sweep dropped the shadowed miss"
+            );
+            assert_eq!(e.classify(&hdr(500)).rule, Some(live[4]));
+            assert!(!e.classify(&hdr(501)).is_hit());
+            let hits = e.cache_stats().hits;
+            assert!(!e.classify(&hdr(601)).is_hit());
+            assert_eq!(
+                e.cache_stats().hits,
+                hits + 1,
+                "an unshadowed miss survives"
+            );
+            e.check_invariants(&live);
+        }
+    }
+
+    #[test]
+    fn chains_and_log_stay_consistent_under_seeded_churn() {
+        // The cache against its own inner engine — the uncached truth —
+        // with the structural invariants checked after every step.
+        // `crates/engine/tests/cache_model.rs` holds the same kind of
+        // interleaving to a reference rebuilt from the live rules.
+        for (flows, megaflow, seed) in [(8, true, 1), (64, false, 2), (1024, true, 3)] {
+            let rs = rules(16);
+            let inner = build_engine("configurable-bst", &rs).unwrap();
+            let mut e = CachedEngine::new(inner, flows, megaflow, rs.rules());
+            let mut live: Vec<RuleId> = (0..16).map(RuleId).collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut out = Vec::new();
+            for step in 0..800 {
+                match rng.gen_range(0..10) {
+                    0..=2 => {
+                        let batch: Vec<Header> =
+                            (0..12).map(|_| hdr(rng.gen_range(0..40))).collect();
+                        e.classify_batch(&batch, &mut out);
+                    }
+                    3..=6 => {
+                        let lo: u16 = rng.gen_range(0..40);
+                        let rule = Rule::builder(Priority(rng.gen_range(0..32)))
+                            .src_ip(if rng.gen_bool(0.1) {
+                                Prefix::parse("1.2.0.0/16").unwrap()
+                            } else {
+                                Prefix::ANY
+                            })
+                            .dst_port(PortRange::new(lo, lo + rng.gen_range(0..6u16)).unwrap())
+                            .proto(ProtoSpec::Exact(6))
+                            .action(Action::Forward(1000 + step))
+                            .build();
+                        if let Ok(id) = e.insert(rule) {
+                            live.push(id);
+                        }
+                    }
+                    _ if !live.is_empty() => {
+                        let id = live.swap_remove(rng.gen_range(0..live.len()));
+                        e.remove(id).unwrap();
+                    }
+                    _ => {}
+                }
+                e.check_invariants(&live);
+                for port in 0..40 {
+                    let (got, want) = (e.classify(&hdr(port)), e.inner().classify(&hdr(port)));
+                    assert_eq!(
+                        (got.matched, got.action),
+                        (want.matched, want.action),
+                        "flows={flows} step {step} port {port}"
+                    );
+                }
+            }
+            let stats = e.cache_stats();
+            assert!(stats.invalidations > 0 && stats.hits > 0, "{stats:?}");
+        }
     }
 }

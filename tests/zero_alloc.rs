@@ -1,6 +1,7 @@
 //! Steady-state lookups allocate nothing — neither the batch path, which
 //! owns its scratch, nor the `&self` single-shot path that snapshot
-//! readers and shared workers take, which works in a per-thread one.
+//! readers and shared workers take, which works in a per-thread one, nor
+//! the flow cache in front of either, on a hit or on a miss.
 //!
 //! The counter is process-wide, so this file holds exactly one test: no
 //! other test thread can allocate while it counts.
@@ -13,6 +14,7 @@
 
 use spc::classbench::{FilterKind, RuleSetGenerator, TraceGenerator};
 use spc::engine::EngineBuilder;
+use spc::types::{Header, Ipv4};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -69,6 +71,29 @@ fn steady_state_lookups_do_not_allocate() {
             (trace, engine, reader)
         })
         .collect();
+    // The flow cache: a hot trace that always hits, and a flood of more
+    // distinct flows (the hot ones under other source addresses) than
+    // both layers hold together, so every round of it misses on what the
+    // round before evicted — installs, evictions and chain relinks in a
+    // table, a miss list and a rule-chain map that are all warm.
+    let rules = RuleSetGenerator::new(FilterKind::Acl, 256)
+        .seed(7)
+        .generate();
+    let traces = TraceGenerator::new().seed(5).match_fraction(0.8);
+    let hot = traces.generate(&rules, 100);
+    let flood: Vec<Header> = (0..20_480u32)
+        .map(|i| {
+            let h = hot[i as usize % hot.len()];
+            Header {
+                src_ip: Ipv4(h.src_ip.0 ^ (i / 100)),
+                ..h
+            }
+        })
+        .collect();
+    let mut cached = EngineBuilder::from_spec("cached:inner=(configurable-bst),flows=8192")
+        .unwrap()
+        .build(&rules)
+        .unwrap();
     let mut out = Vec::new();
 
     let mut pass = || {
@@ -77,13 +102,24 @@ fn steady_state_lookups_do_not_allocate() {
             let hits = trace.iter().filter(|h| reader.classify(h).is_hit()).count();
             assert_eq!(stats.hits, hits as u64);
         }
+        for batch in flood.chunks(4096) {
+            let stats = cached.classify_batch(batch, &mut out);
+            assert!(stats.cache_misses > 2048, "the flood must miss: {stats:?}");
+        }
+        cached.classify_batch(&hot, &mut out);
+        let stats = cached.classify_batch(&hot, &mut out);
+        assert_eq!(stats.cache_hits, hot.len() as u64);
+        let hits = hot.iter().filter(|h| cached.classify(h).is_hit()).count();
+        assert_eq!(stats.hits, hits as u64);
     };
     // Warm-up: every scratch buffer grows to the longest list it will see.
     pass();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for _ in 0..10 {
-        pass(); // 200 batch + 200 single-shot lookups
+        // 200 batch + 200 single-shot lookups uncached; behind the cache
+        // a 20 480-header flood, 200 batch and 100 single-shot lookups.
+        pass();
     }
     let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert_eq!(allocated, 0, "allocations across 4 000 warm lookups");
+    assert_eq!(allocated, 0, "allocations across 10 warm passes");
 }
