@@ -8,12 +8,13 @@
 //! enough to move [`Header`]s in and out:
 //!
 //! * [`PcapReader`] — a streaming [`crate::TraceSource`] over a capture
-//!   file, reading record by record through a buffered `Read` (one
-//!   reusable packet buffer; the capture is never materialised, so a
-//!   multi-gigabyte tcpdump file replays in constant memory). Both byte
-//!   orders and both timestamp resolutions (micro/nanosecond magic) are
-//!   accepted; link types Ethernet (1, with optional single VLAN tag)
-//!   and raw IPv4 (101) are supported. Only the 5-tuple segments the
+//!   file, parsing records in place out of one refillable byte window
+//!   (the capture is never materialised, so a multi-gigabyte tcpdump
+//!   file replays in constant memory; an in-memory capture *is* the
+//!   window and is never copied). Both byte orders and both timestamp
+//!   resolutions (micro/nanosecond magic) are accepted; link types
+//!   Ethernet (1, with optional single VLAN tag) and raw IPv4 (101)
+//!   are supported. Only the 5-tuple segments the
 //!   lookup engines consume are parsed: source and destination address,
 //!   the four bytes after the IPv4 header as source/destination port
 //!   (exact for TCP/UDP; for other protocols the classifiers treat
@@ -231,14 +232,14 @@ fn parse_five_tuple(packet: &[u8], link: u32) -> Option<Header> {
 /// # }
 /// ```
 pub struct PcapReader {
-    input: Box<dyn io::Read>,
-    /// Bytes consumed from the stream so far — the offsets in errors.
+    window: Window,
+    /// Capture offset of the next unparsed byte — the offsets in errors.
     pos: usize,
     swapped: bool,
     link: u32,
     /// Largest `incl_len` accepted, from the global header's snap
     /// length clamped to `[65535, 64 MiB]` — a corrupt record must not
-    /// drive the buffer allocation.
+    /// drive the window's growth.
     snap_cap: usize,
     chunk: usize,
     packets: u64,
@@ -246,8 +247,62 @@ pub struct PcapReader {
     /// Structural damage already reported; re-reported on every
     /// subsequent pull instead of resynchronising past it.
     poisoned: Option<Poisoned>,
-    /// Reusable per-record buffer (record header + body).
+}
+
+/// Bytes a streaming reader asks its input for at a time.
+const WINDOW_LEN: usize = 64 * 1024;
+
+/// The bytes read from the input and not yet consumed: `buf[head..tail]`.
+/// A record that lies wholly inside is parsed where it is; one that
+/// straddles `tail` moves the rest to the front and reads on behind it.
+struct Window {
+    /// `None` once the input ended (or for an in-memory capture, whose
+    /// `buf` holds all there is).
+    input: Option<Box<dyn io::Read>>,
     buf: Vec<u8>,
+    head: usize,
+    tail: usize,
+}
+
+impl Window {
+    fn bytes(&self) -> &[u8] {
+        &self.buf[self.head..self.tail]
+    }
+
+    /// Whether `n` unconsumed bytes are there, reading more if not — the
+    /// partial-fill primitive distinguishing clean EOF (`bytes()` empty)
+    /// from truncation (short but not empty).
+    fn holds(&mut self, n: usize) -> io::Result<bool> {
+        if self.tail - self.head >= n {
+            return Ok(true);
+        }
+        self.refill(n)
+    }
+
+    #[cold]
+    fn refill(&mut self, n: usize) -> io::Result<bool> {
+        let Some(input) = &mut self.input else {
+            return Ok(false);
+        };
+        self.buf.copy_within(self.head..self.tail, 0);
+        self.tail -= self.head;
+        self.head = 0;
+        if self.buf.len() < n {
+            self.buf.resize(n, 0);
+        }
+        while self.tail < n {
+            match input.read(&mut self.buf[self.tail..]) {
+                Ok(0) => {
+                    self.input = None;
+                    return Ok(false);
+                }
+                Ok(got) => self.tail += got,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(true)
+    }
 }
 
 /// The structural-damage classes a reader latches (everything but
@@ -310,28 +365,35 @@ impl fmt::Debug for PcapReader {
 }
 
 impl PcapReader {
-    /// Opens a capture file, streaming it record by record through a
-    /// buffered reader — the capture is never loaded whole.
+    /// Opens a capture file, streaming it through the reader's window —
+    /// the capture is never loaded whole.
     ///
     /// # Errors
     ///
     /// [`PcapError::Io`] on filesystem failure, plus everything
     /// [`PcapReader::new`] rejects.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, PcapError> {
-        Self::new(Box::new(io::BufReader::new(fs::File::open(path)?)))
+        Self::new(Box::new(fs::File::open(path)?))
     }
 
-    /// Wraps an in-memory capture.
+    /// Wraps an in-memory capture, which becomes the reader's window as
+    /// it is: no byte of it is copied.
     ///
     /// # Errors
     ///
     /// As [`PcapReader::new`].
     pub fn from_bytes(data: Vec<u8>) -> Result<Self, PcapError> {
-        Self::new(Box::new(io::Cursor::new(data)))
+        Self::start(Window {
+            input: None,
+            head: 0,
+            tail: data.len(),
+            buf: data,
+        })
     }
 
     /// Wraps any byte stream, reading and validating the 24-byte global
-    /// header.
+    /// header. The stream is read a window (64 KiB) at a time, so it
+    /// needs no buffering of its own.
     ///
     /// # Errors
     ///
@@ -339,12 +401,28 @@ impl PcapReader {
     /// [`PcapError::BadMagic`] for an unknown magic,
     /// [`PcapError::UnsupportedLinkType`] for a link type other than
     /// Ethernet or raw IP, [`PcapError::Io`] on read failure.
-    pub fn new(mut input: Box<dyn io::Read>) -> Result<Self, PcapError> {
-        let mut header = [0u8; FILE_HEADER_LEN];
-        let got = read_up_to(&mut input, &mut header)?;
-        if got < FILE_HEADER_LEN {
-            return Err(PcapError::TruncatedFileHeader { len: got });
+    pub fn new(input: Box<dyn io::Read>) -> Result<Self, PcapError> {
+        Self::windowed(input, WINDOW_LEN)
+    }
+
+    /// [`PcapReader::new`] with a window of `len` bytes (it still grows
+    /// to hold a longer record).
+    fn windowed(input: Box<dyn io::Read>, len: usize) -> Result<Self, PcapError> {
+        Self::start(Window {
+            input: Some(input),
+            buf: vec![0; len],
+            head: 0,
+            tail: 0,
+        })
+    }
+
+    fn start(mut window: Window) -> Result<Self, PcapError> {
+        if !window.holds(FILE_HEADER_LEN)? {
+            return Err(PcapError::TruncatedFileHeader {
+                len: window.bytes().len(),
+            });
         }
+        let header = window.bytes();
         let magic = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
         // The magic is written in the capturing host's byte order: if the
         // little-endian read comes out byte-swapped, every multi-byte
@@ -354,26 +432,14 @@ impl PcapReader {
             m if m.swap_bytes() == MAGIC_USEC || m.swap_bytes() == MAGIC_NSEC => true,
             _ => return Err(PcapError::BadMagic { magic }),
         };
-        let field = |off: usize| {
-            let b = [
-                header[off],
-                header[off + 1],
-                header[off + 2],
-                header[off + 3],
-            ];
-            if swapped {
-                u32::from_be_bytes(b)
-            } else {
-                u32::from_le_bytes(b)
-            }
-        };
-        let link = field(20);
+        let link = u32_at(header, 20, swapped);
         if link != LINK_ETHERNET && link != LINK_RAW_IP {
             return Err(PcapError::UnsupportedLinkType { link });
         }
-        let snap_cap = (field(16) as usize).clamp(65_535, 1 << 26);
+        let snap_cap = (u32_at(header, 16, swapped) as usize).clamp(65_535, 1 << 26);
+        window.head += FILE_HEADER_LEN;
         Ok(PcapReader {
-            input,
+            window,
             pos: FILE_HEADER_LEN,
             swapped,
             link,
@@ -382,7 +448,6 @@ impl PcapReader {
             packets: 0,
             skipped: 0,
             poisoned: None,
-            buf: Vec::new(),
         })
     }
 
@@ -390,11 +455,6 @@ impl PcapReader {
     pub fn with_chunk(mut self, chunk: usize) -> Self {
         self.chunk = chunk.max(1);
         self
-    }
-
-    /// The capture's link type (1 Ethernet, 101 raw IP).
-    pub fn link_type(&self) -> u32 {
-        self.link
     }
 
     /// Headers yielded so far.
@@ -408,105 +468,128 @@ impl PcapReader {
         self.skipped
     }
 
-    fn u32_in(&self, buf: &[u8], off: usize) -> u32 {
-        let b = [buf[off], buf[off + 1], buf[off + 2], buf[off + 3]];
-        if self.swapped {
-            u32::from_be_bytes(b)
-        } else {
-            u32::from_le_bytes(b)
-        }
-    }
-
     fn poison(&mut self, p: Poisoned) -> PcapError {
         self.poisoned = Some(p);
         p.to_error()
     }
 
-    /// Advances to the next parsable IPv4 packet, or `None` at end of
-    /// capture.
-    fn next_packet(&mut self) -> Result<Option<Header>, PcapError> {
+    /// Whether the window holds `n` unconsumed bytes; a failed read
+    /// poisons the reader.
+    fn holds(&mut self, n: usize) -> Result<bool, PcapError> {
+        match self.window.holds(n) {
+            Ok(held) => Ok(held),
+            Err(_) => Err(self.poison(Poisoned::Io)),
+        }
+    }
+
+    /// Appends parsable IPv4 packets to `out` until it holds `limit` or
+    /// the capture ends. Damage is an error; the packets before it are
+    /// in `out` all the same.
+    fn fill(&mut self, out: &mut Vec<Header>, limit: usize) -> Result<(), PcapError> {
         if let Some(p) = self.poisoned {
             return Err(p.to_error());
         }
         loop {
-            let record_offset = self.pos;
-            let mut rec = [0u8; RECORD_HEADER_LEN];
-            let got = match read_up_to(&mut self.input, &mut rec) {
-                Ok(n) => n,
-                Err(_) => return Err(self.poison(Poisoned::Io)),
-            };
-            self.pos += got;
-            if got == 0 {
-                return Ok(None); // clean end of capture
-            }
-            if got < RECORD_HEADER_LEN {
-                return Err(self.poison(Poisoned::RecordHeader {
-                    offset: record_offset,
-                    have: got,
-                }));
-            }
-            let incl_len = self.u32_in(&rec, 8) as usize;
-            if incl_len > self.snap_cap {
-                return Err(self.poison(Poisoned::Oversized {
-                    offset: record_offset,
-                    incl_len,
-                    cap: self.snap_cap,
-                }));
-            }
-            self.buf.resize(incl_len, 0);
-            let got = match read_up_to(&mut self.input, &mut self.buf) {
-                Ok(n) => n,
-                Err(_) => return Err(self.poison(Poisoned::Io)),
-            };
-            self.pos += got;
-            if got < incl_len {
-                return Err(self.poison(Poisoned::PacketBody {
-                    offset: record_offset,
-                    need: incl_len,
-                    have: got,
-                }));
-            }
-            match parse_five_tuple(&self.buf, self.link) {
-                Some(h) => {
-                    self.packets += 1;
-                    return Ok(Some(h));
+            // Every record wholly inside the window is parsed where it
+            // lies; nothing in this loop calls out, so its cursor and
+            // counts stay in registers.
+            let bytes = self.window.bytes();
+            let (yielded, mut skipped, mut at) = (out.len(), 0, 0);
+            while out.len() < limit {
+                let rest = &bytes[at..];
+                if rest.len() < RECORD_HEADER_LEN {
+                    break;
                 }
-                None => self.skipped += 1,
+                let incl_len = u32_at(rest, 8, self.swapped) as usize;
+                if incl_len > self.snap_cap {
+                    break;
+                }
+                let record_len = RECORD_HEADER_LEN + incl_len;
+                if rest.len() < record_len {
+                    break;
+                }
+                match parse_five_tuple(&rest[RECORD_HEADER_LEN..record_len], self.link) {
+                    Some(h) => out.push(h),
+                    None => skipped += 1,
+                }
+                at += record_len;
+            }
+            self.window.head += at;
+            self.pos += at;
+            self.packets += (out.len() - yielded) as u64;
+            self.skipped += skipped;
+            if out.len() >= limit || !self.admit_record()? {
+                return Ok(());
             }
         }
+    }
+
+    /// Brings the next record wholly into the window — the one place
+    /// bytes are read and damage is found. `Ok(false)` at the clean end
+    /// of the capture.
+    fn admit_record(&mut self) -> Result<bool, PcapError> {
+        let offset = self.pos;
+        if !self.holds(RECORD_HEADER_LEN)? {
+            let have = self.window.bytes().len();
+            self.pos += have;
+            if have == 0 {
+                return Ok(false);
+            }
+            return Err(self.poison(Poisoned::RecordHeader { offset, have }));
+        }
+        let incl_len = u32_at(self.window.bytes(), 8, self.swapped) as usize;
+        if incl_len > self.snap_cap {
+            self.pos += RECORD_HEADER_LEN;
+            return Err(self.poison(Poisoned::Oversized {
+                offset,
+                incl_len,
+                cap: self.snap_cap,
+            }));
+        }
+        if !self.holds(RECORD_HEADER_LEN + incl_len)? {
+            let have = self.window.bytes().len();
+            self.pos += have;
+            return Err(self.poison(Poisoned::PacketBody {
+                offset,
+                need: incl_len,
+                have: have - RECORD_HEADER_LEN,
+            }));
+        }
+        Ok(true)
+    }
+
+    /// Advances to the next parsable IPv4 packet, or `None` at end of
+    /// capture.
+    #[cfg(test)]
+    fn next_packet(&mut self) -> Result<Option<Header>, PcapError> {
+        let mut one = Vec::new();
+        self.fill(&mut one, 1)?;
+        Ok(one.pop())
     }
 }
 
-/// Reads until `buf` is full or the stream ends, returning how many
-/// bytes landed — the partial-fill primitive distinguishing clean EOF
-/// (0) from truncation (> 0 but short).
-fn read_up_to(input: &mut dyn io::Read, buf: &mut [u8]) -> Result<usize, PcapError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match input.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(PcapError::Io(e)),
-        }
+/// The `u32` at `buf[off..off + 4]` in the capture's byte order.
+fn u32_at(buf: &[u8], off: usize, swapped: bool) -> u32 {
+    let mut b = [0; 4];
+    b.copy_from_slice(&buf[off..off + 4]);
+    if swapped {
+        u32::from_be_bytes(b)
+    } else {
+        u32::from_le_bytes(b)
     }
-    Ok(filled)
 }
 
 impl TraceSource for PcapReader {
     fn next_event(&mut self) -> Result<Option<TraceEvent>, TraceError> {
         let mut chunk = Vec::with_capacity(self.chunk.min(4096));
-        while chunk.len() < self.chunk {
-            match self.next_packet()? {
-                Some(h) => chunk.push(h),
-                None => break,
-            }
+        let filled = self.fill(&mut chunk, self.chunk);
+        if !chunk.is_empty() {
+            // The packets before damage are good and go out first; the
+            // poisoned reader reports it again on the next pull.
+            return Ok(Some(TraceEvent::Headers(chunk)));
         }
-        if chunk.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(TraceEvent::Headers(chunk)))
-        }
+        filled?;
+        Ok(None)
     }
 }
 
@@ -650,7 +733,6 @@ mod tests {
         let bytes = to_bytes(&trace);
         assert_eq!(bytes.len(), FILE_HEADER_LEN + trace.len() * (16 + 24));
         let mut reader = PcapReader::from_bytes(bytes).unwrap().with_chunk(64);
-        assert_eq!(reader.link_type(), LINK_RAW_IP);
         let mut got = Vec::new();
         while let Some(ev) = reader.next_event().unwrap() {
             match ev {
@@ -873,7 +955,6 @@ mod tests {
         record(&esp);
 
         let mut reader = PcapReader::from_bytes(bytes).unwrap();
-        assert_eq!(reader.link_type(), LINK_ETHERNET);
         let got = {
             let mut out = Vec::new();
             while let Some(h) = reader.next_packet().unwrap() {
@@ -954,6 +1035,264 @@ mod tests {
             reader.next_packet().unwrap_err(),
             PcapError::OversizedPacket { .. }
         ));
+    }
+
+    /// A stream that hands out at most `step` bytes per `read`.
+    struct Trickle {
+        data: io::Cursor<Vec<u8>>,
+        step: usize,
+    }
+
+    impl io::Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.step);
+            self.data.read(&mut buf[..n])
+        }
+    }
+
+    /// `data` through every way bytes reach a reader: adopted whole,
+    /// streamed 1, 7 and 4 096 bytes per `read`, and streamed through a
+    /// window of `window` bytes.
+    fn readers(data: &[u8], window: usize) -> Vec<Result<PcapReader, PcapError>> {
+        let trickle = |step| -> Box<dyn io::Read> {
+            Box::new(Trickle {
+                data: io::Cursor::new(data.to_vec()),
+                step,
+            })
+        };
+        vec![
+            PcapReader::from_bytes(data.to_vec()),
+            PcapReader::new(trickle(1)),
+            PcapReader::new(trickle(7)),
+            PcapReader::new(trickle(4096)),
+            PcapReader::windowed(trickle(usize::MAX), window),
+            PcapReader::windowed(trickle(7), window),
+        ]
+    }
+
+    /// Everything a consumer can see of a reader: the headers it
+    /// yields, its counters, and the error it ends on (which must be
+    /// the error it goes on reporting).
+    fn drain(reader: Result<PcapReader, PcapError>) -> (Vec<Header>, u64, u64, Option<String>) {
+        let mut reader = match reader {
+            Ok(r) => r.with_chunk(64),
+            Err(e) => return (Vec::new(), 0, 0, Some(format!("{e:?}"))),
+        };
+        let mut got = Vec::new();
+        let error = loop {
+            match reader.next_event() {
+                Ok(Some(TraceEvent::Headers(h))) => got.extend(h),
+                Ok(Some(other)) => panic!("pcap sources emit headers only: {other:?}"),
+                Ok(None) => break None,
+                Err(TraceError::Pcap(e)) => {
+                    let error = format!("{e:?}");
+                    let again = reader.next_event().unwrap_err();
+                    assert_eq!(format!("{again:?}"), format!("Pcap({error})"), "sticky");
+                    break Some(error);
+                }
+                Err(other) => panic!("pcap sources fail as pcap: {other:?}"),
+            }
+        };
+        (got, reader.packets(), reader.skipped(), error)
+    }
+
+    /// A capture of `payloads` with every header field in the given
+    /// byte order.
+    fn capture_of(link: u32, big_endian: bool, payloads: &[Vec<u8>]) -> Vec<u8> {
+        let word = |v: u32| {
+            if big_endian {
+                v.to_be_bytes()
+            } else {
+                v.to_le_bytes()
+            }
+        };
+        let mut bytes = Vec::new();
+        for v in [MAGIC_USEC, 0x0004_0002, 0, 0, 65_535, link] {
+            bytes.extend_from_slice(&word(v));
+        }
+        if big_endian {
+            bytes[4..8].copy_from_slice(&[0, 2, 0, 4]); // two u16 versions
+        }
+        for (i, payload) in payloads.iter().enumerate() {
+            for v in [i as u32, 0, payload.len() as u32, payload.len() as u32] {
+                bytes.extend_from_slice(&word(v));
+            }
+            bytes.extend_from_slice(payload);
+        }
+        bytes
+    }
+
+    #[test]
+    fn the_window_is_invisible() {
+        let trace = sample_trace(200);
+        let ip_packets: Vec<Vec<u8>> = to_bytes(&trace)[FILE_HEADER_LEN..]
+            .chunks(40)
+            .map(|record| record[RECORD_HEADER_LEN..].to_vec())
+            .collect();
+        // The same packets as Ethernet frames — every third one behind
+        // a VLAN tag — with an ARP frame and a runt between them.
+        let mut frames = Vec::new();
+        for (i, ip) in ip_packets.iter().enumerate() {
+            let mut frame = vec![0u8; 12];
+            if i % 3 == 0 {
+                frame.extend_from_slice(&[0x81, 0x00, 0x00, 0x07]);
+            }
+            frame.extend_from_slice(&[0x08, 0x00]);
+            frame.extend_from_slice(ip);
+            frames.push(frame);
+            if i % 5 == 0 {
+                let mut arp = vec![0u8; 12];
+                arp.extend_from_slice(&[0x08, 0x06]);
+                arp.extend_from_slice(&[0u8; 28]);
+                frames.push(arp);
+                frames.push(vec![0u8; 6]);
+            }
+        }
+        for (what, bytes, skipped) in [
+            ("raw IP", capture_of(LINK_RAW_IP, false, &ip_packets), 0),
+            (
+                "raw IP, big-endian",
+                capture_of(LINK_RAW_IP, true, &ip_packets),
+                0,
+            ),
+            ("Ethernet", capture_of(LINK_ETHERNET, false, &frames), 80),
+            (
+                "Ethernet, big-endian",
+                capture_of(LINK_ETHERNET, true, &frames),
+                80,
+            ),
+        ] {
+            // One record and a byte: every record straddles the window.
+            let longest = frames.iter().map(Vec::len).max().unwrap();
+            for (i, reader) in readers(&bytes, RECORD_HEADER_LEN + longest + 1)
+                .into_iter()
+                .enumerate()
+            {
+                assert_eq!(
+                    drain(reader),
+                    (trace.clone(), 200, skipped, None),
+                    "{what} through reader {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn damage_reads_the_same_through_every_window() {
+        let good = to_bytes(&sample_trace(3));
+        let mut bad_magic = good.clone();
+        bad_magic[0..4].copy_from_slice(&0xfeed_beefu32.to_le_bytes());
+        let mut bad_link = good.clone();
+        bad_link[20..24].copy_from_slice(&228u32.to_le_bytes());
+        let mut oversized = good.clone();
+        oversized[FILE_HEADER_LEN + 40 + 8..FILE_HEADER_LEN + 40 + 12]
+            .copy_from_slice(&u32::MAX.to_le_bytes());
+        for (what, bytes, yielded, error) in [
+            ("bad magic", bad_magic, 0, "BadMagic { magic: 4276993775 }"),
+            (
+                "short file header",
+                good[..10].to_vec(),
+                0,
+                "TruncatedFileHeader { len: 10 }",
+            ),
+            (
+                "link type",
+                bad_link,
+                0,
+                "UnsupportedLinkType { link: 228 }",
+            ),
+            (
+                "cut record header",
+                good[..FILE_HEADER_LEN + 2 * 40 + 7].to_vec(),
+                2,
+                "TruncatedRecordHeader { offset: 104, have: 7 }",
+            ),
+            (
+                "cut packet body",
+                good[..FILE_HEADER_LEN + 40 + 16 + 5].to_vec(),
+                1,
+                "TruncatedPacketBody { offset: 64, need: 24, have: 5 }",
+            ),
+            (
+                "oversized",
+                oversized,
+                1,
+                "OversizedPacket { offset: 64, incl_len: 4294967295, cap: 65535 }",
+            ),
+        ] {
+            for (i, reader) in readers(&bytes, 41).into_iter().enumerate() {
+                let (got, packets, _, e) = drain(reader);
+                assert_eq!(
+                    (got.len(), packets, e.as_deref()),
+                    (yielded, yielded as u64, Some(error)),
+                    "{what} through reader {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn damage_keeps_the_packets_before_it() {
+        // 300 good records and a damaged 301st: the reader owes its
+        // consumer 256 + 44 headers and then the error, however the
+        // chunk boundary falls.
+        let trace = sample_trace(301);
+        let good = to_bytes(&trace);
+        let last = FILE_HEADER_LEN + 300 * 40;
+        let mut oversized = good.clone();
+        oversized[last + 8..last + 12].copy_from_slice(&u32::MAX.to_le_bytes());
+        for (bytes, error) in [
+            (good[..last + 9].to_vec(), "TruncatedRecordHeader"),
+            (good[..last + 16 + 3].to_vec(), "TruncatedPacketBody"),
+            (oversized, "OversizedPacket"),
+        ] {
+            let mut reader = PcapReader::from_bytes(bytes.clone())
+                .unwrap()
+                .with_chunk(256);
+            for want in [&trace[..256], &trace[256..300]] {
+                match reader.next_event() {
+                    Ok(Some(TraceEvent::Headers(h))) => assert_eq!(h, want, "{error}"),
+                    other => panic!("{error}: the good packets come first, not {other:?}"),
+                }
+            }
+            assert_eq!(reader.packets(), 300);
+            for _ in 0..2 {
+                let e = reader.next_event().unwrap_err();
+                assert!(format!("{e:?}").contains(error), "{e}");
+            }
+            // Through the collecting adapter the error wins, but every
+            // good packet was parsed on the way to it.
+            let mut reader = PcapReader::from_bytes(bytes).unwrap();
+            let e = (&mut reader).collect_headers().unwrap_err();
+            assert!(format!("{e:?}").contains(error), "{e}");
+            assert_eq!(reader.packets(), 300);
+        }
+    }
+
+    #[test]
+    fn a_failing_stream_yields_what_it_delivered() {
+        struct Failing(io::Cursor<Vec<u8>>);
+        impl io::Read for Failing {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                match self.0.read(buf) {
+                    Ok(0) => Err(io::Error::other("the tap went away")),
+                    got => got,
+                }
+            }
+        }
+        let trace = sample_trace(5);
+        let mut reader =
+            PcapReader::new(Box::new(Failing(io::Cursor::new(to_bytes(&trace))))).unwrap();
+        match reader.next_event() {
+            Ok(Some(TraceEvent::Headers(h))) => assert_eq!(h, trace),
+            other => panic!("the delivered packets come first, not {other:?}"),
+        }
+        for _ in 0..2 {
+            assert!(matches!(
+                reader.next_event(),
+                Err(TraceError::Pcap(PcapError::Io(_)))
+            ));
+        }
     }
 
     #[test]

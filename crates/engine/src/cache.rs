@@ -73,9 +73,7 @@ use crate::{
     EngineKind, LookupStats, MatchHandle, PacketClassifier, UpdateError, UpdateReport, Verdict,
 };
 use spc_types::{Action, Header, MaskSummary, Rule, RuleId, ALL_DIMS};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -96,13 +94,47 @@ const NIL: u32 = u32::MAX;
 /// log does.
 type Stamp = u16;
 
-/// A flow-table key the insert log can hold a rule against.
-trait FlowKey: Hash + Eq + Copy {
+/// A flow-table key: something [`FlowTable::home`] can place and the
+/// insert log can hold a rule against.
+trait FlowKey: Eq + Copy {
+    /// The key's bits in one word whose *top* bits say where the key
+    /// lives. It only places a key — a hit compares the whole key and
+    /// validates its stamp — so any deterministic function is correct;
+    /// what a poor one costs is evictions.
+    fn fold(&self) -> u64;
+
     /// Whether `rule` matches the header(s) this key stands for.
     fn matched_by(&self, rule: &Rule) -> bool;
 }
 
+/// [`FlowKey::fold`] of a key packed into two words, addresses in `a`
+/// (a header's source below its destination, a masked query's the other
+/// way round), ports and protocol in `b` (16-bit lanes, source port
+/// lowest): `a * FOLD_A + b * FOLD_B`. The sum is linear, so
+/// a run of consecutive values of one field — or of one field at a
+/// byte-aligned stride, a /24 per flow — is an arithmetic progression of
+/// folds, stepping by that multiplier shifted to the field's position.
+/// The two constants were searched for so that each of those steps, as
+/// a fraction of 2^64, is far from every small rational: such a
+/// progression strides evenly over a table of any size (Fibonacci
+/// hashing, for every field at once) where a random placement at half
+/// load overflows dozens of probe windows. Keys with no such structure
+/// land as a random placement would put them. `placement_quality` holds
+/// both.
+fn fold_words(a: u64, b: u64) -> u64 {
+    const FOLD_A: u64 = 0x9ecf_7584_4215_e6e1;
+    const FOLD_B: u64 = 0x82e5_acbb_6b67_ddb9;
+    a.wrapping_mul(FOLD_A).wrapping_add(b.wrapping_mul(FOLD_B))
+}
+
 impl FlowKey for Header {
+    fn fold(&self) -> u64 {
+        fold_words(
+            u64::from(self.src_ip.0) | u64::from(self.dst_ip.0) << 32,
+            u64::from(self.src_port) | u64::from(self.dst_port) << 16 | u64::from(self.proto) << 32,
+        )
+    }
+
     fn matched_by(&self, rule: &Rule) -> bool {
         rule.matches(self)
     }
@@ -112,6 +144,25 @@ impl FlowKey for Header {
 /// rule's own mask is covered by the fold the key was masked with (a
 /// rule that tightens the fold flushes the layer instead).
 impl FlowKey for [u16; 7] {
+    /// Packed as a header with the two addresses swapped, so the layers
+    /// place a flow and its class independently. Each layer loses a few
+    /// keys of a population to full windows; a flow that lost its
+    /// microflow slot is served by its class, so only one lost from
+    /// *both* reaches the inner engine once the cache is warm. Which
+    /// flows those are is chance under any placement (and which of them
+    /// goes depends on the order they arrive in);
+    /// `placement_quality_across_arrival_orders` holds the `flows_hot`
+    /// population to none, as SipHash happened to. Packed exactly as the
+    /// header, four of its flows were exposed in both layers and one
+    /// arrival order in four replayed one of them against the engine.
+    fn fold(&self) -> u64 {
+        let [sip_hi, sip_lo, dip_hi, dip_lo, sport, dport, proto] = self.map(u64::from);
+        fold_words(
+            dip_lo | dip_hi << 16 | sip_lo << 32 | sip_hi << 48,
+            sport | dport << 16 | proto << 32,
+        )
+    }
+
     fn matched_by(&self, rule: &Rule) -> bool {
         ALL_DIMS
             .iter()
@@ -196,6 +247,9 @@ struct FlowTable<K> {
     slots: Vec<Option<Slot<K>>>,
     /// `slots.len() - 1`; capacity is a power of two.
     mask: usize,
+    /// `64 - log2(slots.len())`: what leaves the top bits of a fold as
+    /// a slot index.
+    shift: u32,
     len: usize,
     /// First slot of each rule's chain ([`NIL`] once it emptied). A key
     /// goes when its rule is removed, so the map never outgrows the live
@@ -216,6 +270,7 @@ impl<K: FlowKey> FlowTable<K> {
         FlowTable {
             slots: vec![None; capacity],
             mask: capacity - 1,
+            shift: 64 - capacity.trailing_zeros(),
             len: 0,
             heads: HashMap::new(),
             invalidated: 0,
@@ -225,12 +280,7 @@ impl<K: FlowKey> FlowTable<K> {
     }
 
     fn home(&self, key: &K) -> usize {
-        // DefaultHasher is deterministic for a fixed key within one
-        // process — exactly what a lookup table needs; no DoS surface
-        // since keys come from the local workload, not an adversary.
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) & self.mask
+        (key.fold() >> self.shift) as usize
     }
 
     /// The occupied slot a chain link, a head or a probe just named.
@@ -1005,6 +1055,186 @@ mod tests {
         // when a slot held a whole `Verdict`).
         assert_eq!(std::mem::size_of::<Option<Slot<Header>>>(), 60);
         assert_eq!(std::mem::size_of::<Option<Slot<[u16; 7]>>>(), 60);
+    }
+
+    /// Fills an 8 192-slot table with `keys` (distinct) and returns how
+    /// many of them it evicted; every other one is found again.
+    fn evictions<K: FlowKey>(keys: &[K]) -> usize {
+        let mut table = FlowTable::new(8192);
+        let (log, verdict) = (InsertLog::default(), Verdict::miss(1));
+        let evicted = keys
+            .iter()
+            .filter(|key| table.insert(**key, &verdict, log.next))
+            .count();
+        let found = keys
+            .iter()
+            .filter(|key| table.get(key, &log).is_some())
+            .count();
+        assert_eq!(found, keys.len() - evicted);
+        assert_eq!(table.len, found);
+        evicted
+    }
+
+    #[test]
+    fn placement_quality() {
+        use std::collections::HashSet;
+
+        // Flows that differ in one field, by one: what a multiplicative
+        // fold with the wrong constant piles onto a few slots, and what
+        // a random placement — 4 096 keys in 8 192 slots, windows of 8 —
+        // pays 13 to 35 evictions for. Each lands without one, under
+        // either key type.
+        let base = hdr(443);
+        let run = |flow: &dyn Fn(u32) -> Header| (0..4096).map(flow).collect::<Vec<_>>();
+        for (what, flows) in [
+            (
+                "consecutive source addresses",
+                run(&|i| Header {
+                    src_ip: (0x0a01_0200 + i).into(),
+                    ..base
+                }),
+            ),
+            (
+                "consecutive destination addresses",
+                run(&|i| Header {
+                    dst_ip: (0xc0a8_0700 + i).into(),
+                    ..base
+                }),
+            ),
+            (
+                "a /24 per flow",
+                run(&|i| Header {
+                    src_ip: (0x0a00_0001 + (i << 8)).into(),
+                    ..base
+                }),
+            ),
+            (
+                "consecutive source ports",
+                run(&|i| Header {
+                    src_port: 32_768 + i as u16,
+                    ..base
+                }),
+            ),
+            (
+                "consecutive destination ports",
+                run(&|i| Header {
+                    dst_port: 1024 + i as u16,
+                    ..base
+                }),
+            ),
+            (
+                "every protocol",
+                (0..=255).map(|proto| Header { proto, ..base }).collect(),
+            ),
+        ] {
+            assert_eq!(evictions(&flows), 0, "{what}");
+            let queries: Vec<[u16; 7]> =
+                flows.iter().map(|h| ALL_DIMS.map(|d| d.query(h))).collect();
+            assert_eq!(evictions(&queries), 0, "{what}, as queries");
+        }
+
+        // The `flows_hot` population itself: 3 263 flows in 65 536
+        // headers, and their 3 175 fold-masked classes. Nothing to
+        // stride over here, so the yardstick is a random placement,
+        // which loses 2 to 8 of either (SipHash-1-3: 3 + 4).
+        let (trace, fold) = flows_hot_population();
+        let (mut flows, mut classes) = (Vec::new(), Vec::new());
+        let (mut seen_flows, mut seen_classes) = (HashSet::new(), HashSet::new());
+        for h in trace {
+            if seen_flows.insert(h) {
+                flows.push(h);
+            }
+            let class = fold.masked_query(&h);
+            if seen_classes.insert(class) {
+                classes.push(class);
+            }
+        }
+        let (lost_flows, lost_classes) = (evictions(&flows), evictions(&classes));
+        println!(
+            "{} flows, {lost_flows} evicted; {} classes, {lost_classes} evicted",
+            flows.len(),
+            classes.len()
+        );
+        assert!(lost_flows <= 8 && lost_classes <= 8);
+    }
+
+    /// What `spc_benchmark`'s `flows_hot` replays: an ACL-4096 trace at
+    /// locality 0.95 (65 536 headers) and the rule set's fold mask.
+    fn flows_hot_population() -> (Vec<Header>, MaskSummary) {
+        use spc_classbench::{FilterKind, RuleSetGenerator, TraceGenerator};
+        let rules = RuleSetGenerator::new(FilterKind::Acl, 4096)
+            .seed(2014)
+            .generate();
+        let trace = TraceGenerator::new()
+            .seed(2014 ^ 0x0074_7261_6365)
+            .match_fraction(0.9)
+            .locality(0.95)
+            .generate(&rules, 65_536);
+        (trace, MaskSummary::fold(rules.rules()))
+    }
+
+    /// `flows_hot` reports the reads of its *second* cycle as
+    /// `model_reads_per_lookup`, and a seed is an arrival order of the
+    /// trace's 256-header bursts: 1.0 on every seed means no order may
+    /// leave a flow out of both layers after the first cycle.
+    #[test]
+    fn placement_quality_across_arrival_orders() {
+        use rand::prelude::*;
+        use std::collections::HashSet;
+
+        fn holds<K: FlowKey>(table: &FlowTable<K>, key: &K) -> bool {
+            let home = table.home(key);
+            (0..PROBE_WINDOW).any(|i| {
+                table.slots[(home + i) & table.mask]
+                    .as_ref()
+                    .is_some_and(|s| s.key == *key)
+            })
+        }
+
+        let (trace, fold) = flows_hot_population();
+        let flows: HashSet<Header> = trace.iter().copied().collect();
+        let verdict = Verdict::miss(1);
+        // Flows seen out of the microflow table, classes seen out of the
+        // megaflow table, after either cycle of any order.
+        let (mut exposed_flows, mut exposed_classes) = (HashSet::new(), HashSet::new());
+        for seed in 1..=48 {
+            let mut bursts: Vec<&[Header]> = trace.chunks(256).collect();
+            bursts.shuffle(&mut StdRng::seed_from_u64(seed));
+            let mut state = CacheState {
+                micro: FlowTable::new(8192),
+                mega: Some(FlowTable::new(8192)),
+                fold,
+                log: InsertLog::default(),
+            };
+            for cycle in 0..2 {
+                for h in bursts.iter().copied().flatten() {
+                    if state.probe(h).is_none() {
+                        assert_eq!(cycle, 0, "order {seed}: {h:?} is in neither layer");
+                        state.install(h, &verdict);
+                    }
+                }
+                let mega = state.mega.as_ref().unwrap();
+                exposed_flows.extend(flows.iter().filter(|f| !holds(&state.micro, f)));
+                exposed_classes.extend(
+                    flows
+                        .iter()
+                        .map(|f| fold.masked_query(f))
+                        .filter(|class| !holds(mega, class)),
+                );
+            }
+        }
+        // Stronger than the orders tried: no flow that some order evicts
+        // has a class that some order evicts.
+        let both = exposed_flows
+            .iter()
+            .filter(|f| exposed_classes.contains(&fold.masked_query(f)))
+            .count();
+        println!(
+            "{} flows and {} classes exposed, {both} in both",
+            exposed_flows.len(),
+            exposed_classes.len()
+        );
+        assert_eq!(both, 0);
     }
 
     #[test]

@@ -346,6 +346,39 @@ mod tests {
     }
 
     #[test]
+    fn a_damaged_capture_is_classified_up_to_the_damage() {
+        use spc_classbench::{PcapError, PcapReader, PcapWriter};
+        let (rules, _, traffic) = workload();
+        let trace = traffic.generate(&rules, 301);
+        let mut w = PcapWriter::new(Vec::new()).unwrap();
+        for h in &trace {
+            w.write_header(h).unwrap();
+        }
+        // 300 whole records; the 301st loses the end of its body.
+        let mut capture = w.finish().unwrap();
+        capture.truncate(capture.len() - 5);
+        let mut pipe = pipe(&rules, 2);
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        pipe.run_batch(&trace[..300], &mut want);
+        // One event holds 1 024 headers: the damage sits inside the first.
+        let mut reader = PcapReader::from_bytes(capture).unwrap();
+        let err = pipe.run_source(&mut reader, &mut got).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                WorkloadError::Source(TraceError::Pcap(PcapError::TruncatedPacketBody {
+                    need: 24,
+                    have: 19,
+                    ..
+                }))
+            ),
+            "{err}"
+        );
+        assert_eq!(got, want, "every packet before the damage was classified");
+        assert_eq!(pipe.in_flight(), 0);
+    }
+
+    #[test]
     fn scenario_on_a_build_once_backend_is_an_update_error() {
         let (rules, pool, traffic) = workload();
         let mut engine = build_engine("linear", &rules).unwrap();

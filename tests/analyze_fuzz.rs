@@ -34,7 +34,7 @@ use rand::prelude::*;
 use spc::analyze::{
     analyze, candidate_values, grid_size, optimize, OptimizeConfig, PassKind, Reachability,
 };
-use spc::classbench::{PcapReader, PcapWriter, ScenarioScript, TraceSource};
+use spc::classbench::{PcapReader, PcapWriter, ScenarioScript, TraceEvent, TraceSource};
 use spc::core::{ArchConfig, Classifier};
 use spc::engine::{BuildError, EngineBuilder, EngineKind};
 use spc::types::{
@@ -550,15 +550,37 @@ fn mutated_pcap_captures_never_panic_the_reader() {
     }
     let base = w.finish().unwrap();
 
+    /// A stream that trickles in seven bytes per `read`: records
+    /// straddle every refill of the reader's window.
+    struct Trickle(std::io::Cursor<Vec<u8>>);
+    impl std::io::Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(7);
+            self.0.read(&mut buf[..n])
+        }
+    }
+    // Both construction and the streaming drain may error; neither may
+    // panic or loop forever.
+    let drain = |reader: Result<PcapReader, _>| {
+        let mut reader = reader.ok()?;
+        let mut got = Vec::new();
+        while let Ok(Some(TraceEvent::Headers(chunk))) = reader.next_event() {
+            got.extend(chunk);
+        }
+        Some((got, reader.packets(), reader.skipped()))
+    };
+
     let mut rng = StdRng::seed_from_u64(FUZZ_SEED ^ 0xbcab);
     for i in 0..100usize {
         let mut data = base.clone();
         mutate_bytes(&mut rng, &mut data, 1 + i % 12);
-        // Both construction and the streaming drain may error; neither
-        // may panic or loop forever.
-        if let Ok(mut reader) = PcapReader::from_bytes(data) {
-            while let Ok(Some(_)) = reader.next_event() {}
-        }
+        // However the bytes arrive, the reader sees the same capture.
+        let streamed = PcapReader::new(Box::new(Trickle(std::io::Cursor::new(data.clone()))));
+        assert_eq!(
+            drain(PcapReader::from_bytes(data)),
+            drain(streamed),
+            "mutant {i}"
+        );
     }
     // And the unmutated capture parses completely.
     let mut reader = PcapReader::from_bytes(base).unwrap();

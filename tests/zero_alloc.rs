@@ -1,7 +1,8 @@
 //! Steady-state lookups allocate nothing — neither the batch path, which
 //! owns its scratch, nor the `&self` single-shot path that snapshot
 //! readers and shared workers take, which works in a per-thread one, nor
-//! the flow cache in front of either, on a hit or on a miss.
+//! the flow cache in front of either, on a hit or on a miss. The pcap
+//! reader feeding them allocates the chunk it hands over and nothing else.
 //!
 //! The counter is process-wide, so this file holds exactly one test: no
 //! other test thread can allocate while it counts.
@@ -12,7 +13,9 @@
 // Integration-test support code: a failed unwrap here IS the test failure.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use spc::classbench::{FilterKind, RuleSetGenerator, TraceGenerator};
+use spc::classbench::{
+    FilterKind, PcapReader, PcapWriter, RuleSetGenerator, TraceGenerator, TraceSource,
+};
 use spc::engine::EngineBuilder;
 use spc::types::{Header, Ipv4};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -122,4 +125,28 @@ fn steady_state_lookups_do_not_allocate() {
     }
     let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(allocated, 0, "allocations across 10 warm passes");
+
+    // The pcap reader parses records where they lie in its window: a
+    // warm `next_event` allocates the chunk it returns and nothing more,
+    // whether the capture was adopted whole or is streamed (five window
+    // refills inside the counted events).
+    let mut w = PcapWriter::new(Vec::new()).unwrap();
+    for h in &flood[..8192] {
+        w.write_header(h).unwrap();
+    }
+    let capture = w.finish().unwrap();
+    for reader in [
+        PcapReader::from_bytes(capture.clone()),
+        PcapReader::new(Box::new(std::io::Cursor::new(capture))),
+    ] {
+        let mut reader = reader.unwrap().with_chunk(256);
+        reader.next_event().unwrap();
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let mut pulls = 1; // the one that finds the capture at its end
+        while reader.next_event().unwrap().is_some() {
+            pulls += 1;
+        }
+        let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!((pulls, allocated), (32, 32), "one allocation per pull");
+    }
 }
