@@ -104,8 +104,16 @@ pub struct ClassifyScratch {
     /// hardware order instead — with every label shifted to its place in
     /// the merged key.
     placed: [Vec<Placed>; 7],
-    /// `BoxWalk::probe_box`'s two levels of `(partial key, hash state)`.
-    partial: [Vec<(u128, u64)>; 2],
+    /// `BoxWalk::probe_box`'s two levels of partial keys.
+    partial: [Partials; 2],
+}
+
+/// One level of a box's expansion: partial merged keys and, at the same
+/// index, the hash state over the key bytes each one completes.
+#[derive(Debug, Default)]
+struct Partials {
+    keys: Vec<u128>,
+    states: Vec<u64>,
 }
 
 /// One label of a priority-ordered list, at its dimension's bit offset in
@@ -138,17 +146,75 @@ fn pack_label(prefix: u128, width: u8, label: Label) -> u128 {
 /// with more combinations of its last six dimensions is probed in halves.
 const MAX_PARTIAL_KEYS: usize = 1024;
 
+/// Evaluates `$body` with `$absorb` bound to a `(state, key) -> state`
+/// closure absorbing the byte range `$bytes` of `key`. The key layouts
+/// absorb 0–3 bytes per level; each of those widths gets its own copy of
+/// `$body` with the rounds unrolled, a wider span the runtime-width loop.
+macro_rules! with_absorb {
+    ($bytes:expr, |$absorb:ident| $body:expr) => {{
+        let Range {
+            start: from,
+            end: to,
+        } = $bytes;
+        match to - from {
+            0 => {
+                let $absorb = |state: u64, _: u128| state;
+                $body
+            }
+            1 => {
+                let $absorb = |state, key| HashUnit::absorb_n::<1>(state, key, from);
+                $body
+            }
+            2 => {
+                let $absorb = |state, key| HashUnit::absorb_n::<2>(state, key, from);
+                $body
+            }
+            3 => {
+                let $absorb = |state, key| HashUnit::absorb_n::<3>(state, key, from);
+                $body
+            }
+            _ => {
+                let $absorb = |state, key| HashUnit::absorb(state, key, from, to);
+                $body
+            }
+        }
+    }};
+}
+
+/// Expands `cur` by one dimension into `next`: every partial key ORed
+/// with every label, label-major, the hash state advanced over the bytes
+/// the label completes.
+fn expand(
+    labels: &[Placed],
+    cur: &Partials,
+    next: &mut Partials,
+    absorb: impl Fn(u64, u128) -> u64,
+) {
+    let Partials { keys, states } = next;
+    keys.clear();
+    states.clear();
+    for label in labels {
+        let start = keys.len();
+        keys.extend(cur.keys.iter().map(|&key| key | label.bits));
+        states.extend(
+            keys[start..]
+                .iter()
+                .zip(&cur.states)
+                .map(|(&key, &state)| absorb(state, key)),
+        );
+    }
+}
+
 /// The accumulating state of one [`Classifier::priority_probe`]: the
 /// priority-ordered lists, the key layout, the scratch partial keys are
 /// expanded in, and the running `(best hit, reads, combinations)` triple.
 struct BoxWalk<'a> {
     filter: &'a RuleFilter,
     dims: &'a [Vec<Placed>; 7],
-    /// The key byte each dimension's label starts in (dimension 6 in
-    /// byte 0, dimension 0 on top), and at index 7 the first byte no
-    /// key of this layout reaches.
-    first_byte: [usize; 8],
-    partial: &'a mut [Vec<(u128, u64)>; 2],
+    /// Per dimension, the key bytes the hash absorbs when its label
+    /// joins ([`Classifier::key_layout`]).
+    absorbs: [Range<usize>; 7],
+    partial: &'a mut [Partials; 2],
     best: Option<StoredRule>,
     reads: u32,
     combos: u32,
@@ -156,13 +222,16 @@ struct BoxWalk<'a> {
 
 impl BoxWalk<'_> {
     /// Probes every combination of the index box `ranges` (one index
-    /// range per dimension), *first* dimension fastest: the hash absorbs
-    /// a key from its low byte up and dimension 0 sits in the top bits,
-    /// so what lies below it is hashed once per combination of the other
-    /// six. The box is expanded last dimension first, each level turning
-    /// every `(key bits so far, hash state over the bytes they complete)`
-    /// into one per label of the next dimension up; the final step ORs a
-    /// dimension-0 label in, absorbs the bytes it touches and probes.
+    /// range per dimension): the hash absorbs a key from its low byte up
+    /// and dimension 0 sits in the top bits, so what lies below it is
+    /// hashed once per combination of the other six. The box is expanded
+    /// last dimension first, each level turning every `(key bits so far,
+    /// hash state over the bytes they complete)` into one per label of
+    /// the next dimension up; the final step ORs a dimension-0 label in,
+    /// absorbs the bytes it touches and probes. Every loop runs over
+    /// labels outside and partial keys inside, with the absorb's width
+    /// fixed per level (`with_absorb!`); a home slot that is free costs
+    /// its one read without a [`RuleFilter::probe_at`].
     fn probe_box(&mut self, ranges: &[Range<usize>; 7]) {
         if ranges.iter().any(Range::is_empty) {
             return;
@@ -188,39 +257,43 @@ impl BoxWalk<'_> {
             return;
         }
         let [cur, next] = &mut *self.partial;
-        cur.clear();
-        cur.push((0, HashUnit::SEED));
+        cur.keys.clear();
+        cur.keys.push(0);
+        cur.states.clear();
+        cur.states.push(HashUnit::SEED);
         for d in (1..7).rev() {
             let labels = &self.dims[d][ranges[d].clone()];
-            // Dimension `d` completes the bytes below dimension `d - 1`.
-            let (from, to) = (self.first_byte[d], self.first_byte[d - 1]);
-            next.clear();
-            for &(key, state) in cur.iter() {
-                next.extend(labels.iter().map(|label| {
-                    let key = key | label.bits;
-                    (key, HashUnit::absorb(state, key, from, to))
-                }));
-            }
+            with_absorb!(self.absorbs[d].clone(), |absorb| {
+                expand(labels, cur, next, absorb);
+            });
             std::mem::swap(cur, next);
         }
-        let hash = self.filter.hash_unit();
+        let (filter, hash) = (self.filter, self.filter.hash_unit());
         let labels = &self.dims[0][ranges[0].clone()];
-        let (from, to) = (self.first_byte[0], self.first_byte[7]);
-        for &(key, state) in cur.iter() {
+        let key_bytes = self.absorbs[0].end;
+        let mut reads = 0;
+        with_absorb!(self.absorbs[0].clone(), |absorb| {
             for label in labels {
-                let key = key | label.bits;
-                let home = hash.finish(HashUnit::absorb(state, key, from, to), to);
-                let probe = self.filter.probe_at(home, key);
-                self.reads += probe.reads;
-                if let Some(s) = probe.hit {
-                    let rank = |s: &StoredRule| (s.rule.priority, s.id.0);
-                    if self.best.map_or(true, |held| rank(&s) < rank(&held)) {
-                        self.best = Some(s);
+                for (&key, &state) in cur.keys.iter().zip(&cur.states) {
+                    let key = key | label.bits;
+                    let home = hash.finish(absorb(state, key), key_bytes);
+                    if filter.is_free(home) {
+                        reads += 1;
+                        continue;
+                    }
+                    let probe = filter.probe_at(home, key);
+                    reads += probe.reads;
+                    if let Some(s) = probe.hit {
+                        let rank = |s: &StoredRule| (s.rule.priority, s.id.0);
+                        if self.best.map_or(true, |held| rank(&s) < rank(&held)) {
+                            self.best = Some(s);
+                        }
                     }
                 }
             }
-        }
-        self.combos += (cur.len() * labels.len()) as u32;
+        });
+        self.reads += reads;
+        self.combos += (cur.keys.len() * labels.len()) as u32;
     }
 }
 
@@ -354,6 +427,27 @@ impl Classifier {
             .iter()
             .zip(self.key_widths())
             .fold(0, |key, (&label, width)| pack_label(key, width, label))
+    }
+
+    /// `make_key`'s layout as the priority-box walk uses it: the bit each
+    /// dimension's label starts at (dimension 6 at bit 0, dimension 0 on
+    /// top), and the key bytes the hash absorbs when that label joins a
+    /// partial key of the dimensions below it — the bytes under the next
+    /// dimension up's first byte, and for dimension 0 the rest of the key.
+    fn key_layout(&self) -> ([u32; 7], [Range<usize>; 7]) {
+        let widths = self.key_widths();
+        let mut shifts = [0u32; 7];
+        let mut key_bits = 0;
+        for d in (0..7).rev() {
+            shifts[d] = key_bits;
+            key_bits += u32::from(widths[d]);
+        }
+        let first_byte = |d: usize| (shifts[d] / 8) as usize;
+        let absorbs = std::array::from_fn(|d| match d {
+            0 => first_byte(0)..key_bits.div_ceil(8) as usize,
+            _ => first_byte(d)..first_byte(d - 1),
+        });
+        (shifts, absorbs)
     }
 
     /// Installs a rule (Fig 4's incremental update).
@@ -685,17 +779,7 @@ impl Classifier {
             placed,
             partial,
         } = scratch;
-        // `make_key`'s layout, as the bit and the byte each label starts at.
-        let widths = self.key_widths();
-        let mut shifts = [0u32; 7];
-        let mut first_byte = [0usize; 8];
-        let mut key_bits = 0;
-        for d in (0..7).rev() {
-            shifts[d] = key_bits;
-            first_byte[d] = (key_bits / 8) as usize;
-            key_bits += u32::from(widths[d]);
-        }
-        first_byte[7] = key_bits.div_ceil(8) as usize;
+        let (shifts, absorbs) = self.key_layout();
         for (d, (placed, list)) in placed.iter_mut().zip(lists.iter()).enumerate() {
             placed.clear();
             placed.extend(list.entries().iter().map(|e| Placed {
@@ -716,7 +800,7 @@ impl Classifier {
         let mut walk = BoxWalk {
             filter: &self.rule_filter,
             dims,
-            first_byte,
+            absorbs,
             partial,
             best: None,
             reads: 0,
@@ -945,11 +1029,11 @@ mod tests {
         trace
     }
 
-    #[test]
-    fn priority_probe_walks_exactly_the_priority_box() {
-        // Where dimension 0 starts decides which bytes the walk's last
-        // step absorbs: mid-byte at bit 55 of 68, byte-aligned at bit 64
-        // of 78, and at bit 66 of 81 with dimension 1 across bit 64.
+    /// The key layouts the priority-box oracle runs on. Where dimension 0
+    /// starts decides which bytes the walk's last step absorbs: mid-byte
+    /// at bit 55 of 68, byte-aligned at bit 64 of 78, and at bit 66 of 81
+    /// with dimension 1 across bit 64.
+    fn box_layouts() -> [(&'static str, ArchConfig); 3] {
         let straddling = ArchConfig {
             label_widths: spc_lookup::LabelWidths {
                 ip: 15,
@@ -958,12 +1042,33 @@ mod tests {
             },
             ..ArchConfig::large()
         };
-        let layouts = [
+        [
             ("paper", ArchConfig::paper_prototype()),
             ("large", ArchConfig::large()),
             ("straddling", straddling),
-        ];
-        for (layout, config) in layouts {
+        ]
+    }
+
+    #[test]
+    fn box_layouts_reach_every_fixed_absorb_width() {
+        // `with_absorb!` unrolls 0–3 bytes separately: an arm no layout
+        // of the oracle below reaches is an arm nothing checks.
+        let mut widths = std::collections::BTreeSet::new();
+        for (layout, config) in box_layouts() {
+            let (_, absorbs) = Classifier::new(config).key_layout();
+            assert!(
+                absorbs.windows(2).all(|w| w[1].end == w[0].start),
+                "{layout}: {absorbs:?} must tile the key from byte 0 up"
+            );
+            assert_eq!(absorbs[6].start, 0, "{layout}");
+            widths.extend(absorbs.iter().map(ExactSizeIterator::len));
+        }
+        assert_eq!(widths.into_iter().collect::<Vec<_>>(), [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn priority_probe_walks_exactly_the_priority_box() {
+        for (layout, config) in box_layouts() {
             for kind in [FilterKind::Acl, FilterKind::Fw, FilterKind::Ipc] {
                 for alg in [IpAlg::Bst, IpAlg::Mbt] {
                     for shared_priorities in [false, true] {

@@ -1,6 +1,6 @@
 //! Architecture configuration (what the SDN controller programs).
 
-use spc_hwsim::{ClockDomain, ShareSelect};
+use spc_hwsim::ClockDomain;
 use spc_lookup::LabelWidths;
 
 /// Which IP lookup algorithm the `IPalg_s` signal selects (§III.A).
@@ -11,16 +11,6 @@ pub enum IpAlg {
     Mbt,
     /// Binary search tree: ~16 cycles/packet, small memory, more rules.
     Bst,
-}
-
-impl IpAlg {
-    /// The corresponding memory-sharing select signal.
-    pub fn share_select(self) -> ShareSelect {
-        match self {
-            IpAlg::Mbt => ShareSelect::Mbt,
-            IpAlg::Bst => ShareSelect::Bst,
-        }
-    }
 }
 
 impl std::fmt::Display for IpAlg {
@@ -171,12 +161,6 @@ mod tests {
         assert_eq!(c.label_widths, LabelWidths::PAPER);
         assert_eq!(c.rule_slots(), 8192);
         assert!((c.clock.freq_mhz() - 133.51).abs() < 1e-9);
-    }
-
-    #[test]
-    fn share_select_mapping() {
-        assert_eq!(IpAlg::Mbt.share_select(), ShareSelect::Mbt);
-        assert_eq!(IpAlg::Bst.share_select(), ShareSelect::Bst);
     }
 
     #[test]

@@ -237,6 +237,13 @@ impl RuleFilter {
         ProbeResult { hit: None, reads }
     }
 
+    /// Whether slot `addr` is empty, so that a probe starting there ends
+    /// after its one read without finding anything — what most of the
+    /// priority-box walk's probes learn, from the occupancy byte alone.
+    pub(crate) fn is_free(&self, addr: usize) -> bool {
+        self.occupancy[addr] == EMPTY
+    }
+
     /// The unit that turns a key into its home address.
     pub(crate) fn hash_unit(&self) -> HashUnit {
         self.hash

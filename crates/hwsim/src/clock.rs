@@ -75,11 +75,6 @@ impl ClockDomain {
     pub fn throughput_gbps(self, cycles_per_packet: f64, packet_bytes: u32) -> f64 {
         self.lookups_per_sec(cycles_per_packet) * f64::from(packet_bytes) * 8.0 / 1e9
     }
-
-    /// Latency in nanoseconds of a `cycles`-cycle operation.
-    pub fn latency_ns(self, cycles: u32) -> f64 {
-        f64::from(cycles) * self.cycle_ns()
-    }
 }
 
 impl Default for ClockDomain {
@@ -120,7 +115,6 @@ mod tests {
     fn cycle_time() {
         let clk = ClockDomain::new(100.0);
         assert!((clk.cycle_ns() - 10.0).abs() < 1e-12);
-        assert!((clk.latency_ns(6) - 60.0).abs() < 1e-12);
     }
 
     #[test]

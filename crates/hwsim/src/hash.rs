@@ -71,6 +71,24 @@ impl HashUnit {
             .fold(state, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
     }
 
+    /// [`HashUnit::absorb`] of bytes `from..from + N`, with the width a
+    /// constant: the `N` rounds unroll into straight-line code, where a
+    /// runtime width compiles to a loop. A caller absorbing one width
+    /// many times dispatches on it once.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `from + N <= 16`.
+    #[inline]
+    pub fn absorb_n<const N: usize>(state: u64, key: u128, from: usize) -> u64 {
+        let bytes = key.to_le_bytes();
+        let mut h = state;
+        for i in 0..N {
+            h = (h ^ u64::from(bytes[from + i])).wrapping_mul(FNV_PRIME);
+        }
+        h
+    }
+
     /// Finishes a key whose low `absorbed` bytes are in `state` and whose
     /// remaining bytes are all zero: a zero byte's round is a bare
     /// multiply, so the tail is one multiply by a power of the prime;
@@ -169,11 +187,25 @@ mod tests {
                 keys.push(k >> (128 - width));
             }
         }
+        // Every width a caller dispatches to a fixed-width absorb, by width.
+        let fixed: [fn(u64, u128, usize) -> u64; 4] = [
+            HashUnit::absorb_n::<0>,
+            HashUnit::absorb_n::<1>,
+            HashUnit::absorb_n::<2>,
+            HashUnit::absorb_n::<3>,
+        ];
         for addr_bits in [1, 13, 15, 32] {
             let h = HashUnit::new(addr_bits);
             for &k in &keys {
                 let want = byte_loop(k, addr_bits);
                 assert_eq!(h.fold(k), want, "fold({k:#x}), {addr_bits} bits");
+                for (n, absorb_n) in fixed.into_iter().enumerate() {
+                    for from in 0..=16 - n {
+                        let s = HashUnit::absorb(HashUnit::SEED, k, 0, from);
+                        let s = HashUnit::absorb(absorb_n(s, k, from), k, from + n, 16);
+                        assert_eq!(h.finish(s, 16), want, "{k:#x} absorb_n::<{n}> at {from}");
+                    }
+                }
                 let live = 16 - k.leading_zeros() as usize / 8;
                 for n in live..=16 {
                     for b in 0..=n {

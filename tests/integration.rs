@@ -278,40 +278,44 @@ fn bst_interval_overflow_mid_patch_is_atomic_under_every_wrapper() {
 }
 
 /// The by-value cost channel against constants captured at the commit
-/// before the cumulative access counters were retired: every line that
+/// before the cumulative access counters were retired (ACL), and at the
+/// commit before the priority-box walk went struct-of-arrays (FW, whose
+/// wildcard-heavy lists make a lookup walk many boxes): every line that
 /// counts a modelled read or write was edited, none may count differently.
 #[test]
 fn modelled_costs_match_golden_constants() {
-    let rules = gen(FilterKind::Acl, 256, 21);
-    let headers = trace(&rules, 256);
-    let churn = gen(FilterKind::Acl, 16, 22);
-    let reads_of = |e: &dyn PacketClassifier| -> u64 {
-        headers
-            .iter()
-            .map(|h| u64::from(e.classify(h).mem_reads))
-            .sum()
-    };
-    // (spec, Σ mem_reads, memory_bits, Σ hw_write_cycles over the churn)
-    // The BST's cycles are those of the delta flush (139 929 when every
+    // (family, spec, Σ mem_reads, memory_bits, Σ hw_write_cycles over the churn)
+    // ACL's BST cycles are those of the delta flush (139 929 when every
     // flush rebuilt its dimension): 18 338 interval words moved by the
     // boundary shifts (9 090 inserting, 9 248 removing), 2 217 label-list
     // words (1 180 + 1 037: copies on a split and covered-list rewrites),
     // 2 port/protocol words, 32 Rule Filter words, and §V.A's 3 per update.
-    for (leaf, reads, bits, cycles) in [
-        ("configurable-bst", 27_262, 81_890, 20_685),
-        ("configurable-mbt", 22_275, 437_302, 3_954),
+    for (kind, leaf, reads, bits, cycles) in [
+        (FilterKind::Acl, "configurable-bst", 27_262, 81_890, 20_685),
+        (FilterKind::Acl, "configurable-mbt", 22_275, 437_302, 3_954),
+        (FilterKind::Fw, "configurable-bst", 248_912, 66_612, 9_492),
+        (FilterKind::Fw, "configurable-mbt", 244_537, 273_745, 2_932),
     ] {
+        let rules = gen(kind, 256, 21);
+        let headers = trace(&rules, 256);
+        let churn = gen(kind, 16, 22);
+        let reads_of = |e: &dyn PacketClassifier| -> u64 {
+            headers
+                .iter()
+                .map(|h| u64::from(e.classify(h).mem_reads))
+                .sum()
+        };
         let mut engine = build_engine(leaf, &rules).unwrap();
-        assert_eq!(reads_of(engine.as_ref()), reads, "{leaf} reads");
-        assert_eq!(engine.memory_bits(), bits, "{leaf} bits");
+        assert_eq!(reads_of(engine.as_ref()), reads, "{kind} {leaf} reads");
+        assert_eq!(engine.memory_bits(), bits, "{kind} {leaf} bits");
         // Pass-through wrappers add nothing to the model.
         for spec in [
             format!("sharded:inner={leaf},shards=1"),
             format!("snapshot:inner=({leaf})"),
         ] {
             let wrapped = build_engine(&spec, &rules).unwrap();
-            assert_eq!(reads_of(wrapped.as_ref()), reads, "{spec} reads");
-            assert_eq!(wrapped.memory_bits(), bits, "{spec} bits");
+            assert_eq!(reads_of(wrapped.as_ref()), reads, "{kind} {spec} reads");
+            assert_eq!(wrapped.memory_bits(), bits, "{kind} {spec} bits");
         }
         // §V.A: insert 16 fresh rules, then remove them again.
         let mut spent = 0u64;
@@ -324,6 +328,6 @@ fn modelled_costs_match_golden_constants() {
             engine.remove(id).unwrap();
             spent += engine.last_update_report().unwrap().hw_write_cycles;
         }
-        assert_eq!(spent, cycles, "{leaf} churn write cycles");
+        assert_eq!(spent, cycles, "{kind} {leaf} churn write cycles");
     }
 }
