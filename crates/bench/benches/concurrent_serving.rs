@@ -182,9 +182,8 @@ fn bench_concurrent_serving(c: &mut Criterion) {
     let mut group = c.benchmark_group("concurrent_serving");
     group.throughput(Throughput::Elements(PROBES as u64));
     group.sample_size(10);
-    // A sharded inner additionally exercises the per-shard lines: an
-    // update advances only the touched shard's line of copies, and
-    // untouched shard Arcs are reused across versions.
+    // A sharded inner is recycled and replayed like any other: each
+    // replayed op is one routed update in the owning shard.
     for inner in [
         "configurable-bst",
         "sharded:inner=configurable-bst,shards=4,strategy=prio",

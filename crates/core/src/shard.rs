@@ -71,13 +71,6 @@ pub struct ShardPlan {
     pub shards: Vec<ShardSlice>,
 }
 
-impl ShardPlan {
-    /// Total rules across all shards (equals the input set's length).
-    pub fn total_rules(&self) -> usize {
-        self.shards.iter().map(|s| s.rules.len()).sum()
-    }
-}
-
 /// Encodes a rule's field projection as a stable hash key.
 ///
 /// The encoding is injective per [`DimValue`] variant (discriminant byte
@@ -283,11 +276,6 @@ impl ShardRouter {
             .insert(global.0, RuleLocation { shard, local, rule });
     }
 
-    /// The strategy this router routes for.
-    pub fn strategy(&self) -> ShardStrategy {
-        self.strategy
-    }
-
     /// Live rule count across all shards.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -434,7 +422,8 @@ mod tests {
     }
 
     fn assert_partition(rules: &RuleSet, p: &ShardPlan) {
-        assert_eq!(p.total_rules(), rules.len());
+        let total: usize = p.shards.iter().map(|s| s.rules.len()).sum();
+        assert_eq!(total, rules.len());
         let mut seen: Vec<RuleId> = p
             .shards
             .iter()
@@ -508,7 +497,8 @@ mod tests {
             assert_eq!(one.shards.len(), 1);
             assert_eq!(one.shards[0].rules.len(), 5);
             let zero = plan(&rules, 0, strategy);
-            assert_eq!(zero.total_rules(), 5, "0 is clamped to 1");
+            let total: usize = zero.shards.iter().map(|s| s.rules.len()).sum();
+            assert_eq!(total, 5, "0 is clamped to 1");
             let many = plan(&rules, 64, strategy);
             assert_partition(&rules, &many);
             assert!(many.shards.len() <= 5, "no empty shards survive");

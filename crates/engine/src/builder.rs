@@ -7,7 +7,7 @@ use spc_analyze::{AnalyzerLimits, RuleSetReport};
 use spc_baselines::{
     Dcfl, HyperCuts, HyperCutsConfig, LinearSearch, OptionClassifier, OptionKind, Rfc,
 };
-use spc_core::shard::{self, ShardPlan, ShardRouter, ShardStrategy};
+use spc_core::shard::{self, ShardRouter, ShardStrategy};
 use spc_core::{ArchConfig, Classifier, CombineStrategy, IpAlg};
 use spc_types::{Dim, DimValue, RuleId, RuleSet, ALL_DIMS};
 use std::collections::HashMap;
@@ -15,6 +15,11 @@ use std::fmt;
 
 /// RFC phase-table entry cap (the Table I harness value).
 const RFC_ENTRY_CAP: u64 = 1 << 27;
+
+/// Exclusive bound on `flows=` and `tables=`: rounded up to a power of
+/// two, a count below it stays addressable by the flow cache's 32-bit
+/// slot links.
+const MAX_SLOTS: usize = 1 << 31;
 
 /// The single source of truth for engine-spec keys: the
 /// [`EngineBuilder::from_spec`] parser admits a key only if it is listed
@@ -82,15 +87,6 @@ pub enum BuildError {
         /// The rule that repeats it.
         dup: RuleId,
     },
-    /// The pre-build audit found [`spc_analyze::Severity::Error`]
-    /// findings and the builder was configured with
-    /// [`AuditPolicy::RejectErrors`].
-    AuditRejected {
-        /// Number of error-level findings.
-        errors: usize,
-        /// The first error finding's explanation.
-        first: String,
-    },
     /// [`OptimizePolicy::Validated`] ran the rule-set optimizer and its
     /// output failed equivalence validation against the original set —
     /// an optimizer bug caught before any engine was built from the bad
@@ -126,33 +122,11 @@ impl fmt::Display for BuildError {
                     dup.0, first.0
                 )
             }
-            BuildError::AuditRejected { errors, first } => {
-                write!(
-                    f,
-                    "pre-build audit rejected the rule set ({errors} error finding{}): {first}",
-                    if *errors == 1 { "" } else { "s" }
-                )
-            }
             BuildError::OptimizeFailed { reason } => {
                 write!(f, "rule-set optimization failed validation: {reason}")
             }
         }
     }
-}
-
-/// What [`EngineBuilder::build`] does with the pre-build audit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AuditPolicy {
-    /// No audit (the default): build directly.
-    #[default]
-    Off,
-    /// Run the audit and print its findings to stderr, then build
-    /// regardless of severity.
-    Warn,
-    /// Run the audit and refuse to build sets with
-    /// [`spc_analyze::Severity::Error`] findings
-    /// ([`BuildError::AuditRejected`]); print nothing.
-    RejectErrors,
 }
 
 impl std::error::Error for BuildError {}
@@ -286,11 +260,9 @@ impl KindOpts {
         /// A slot count the structure rounds up to a power of two.
         fn slots(key: &str, value: &str) -> Result<usize, ()> {
             let n: usize = num(value)?;
-            if n != 0 && !n.is_power_of_two() {
-                eprintln!(
-                    "warning: {key}={n} is not a power of two; rounding up to {}",
-                    n.next_power_of_two()
-                );
+            let rounded = n.checked_next_power_of_two().ok_or(())?;
+            if n != 0 && rounded != n {
+                eprintln!("warning: {key}={n} is not a power of two; rounding up to {rounded}");
             }
             Ok(n)
         }
@@ -395,7 +367,6 @@ pub struct EngineBuilder {
     opts: KindOpts,
     /// The wrapped engine's builder: `Some` exactly on wrapper nodes.
     inner: Option<Box<EngineBuilder>>,
-    audit: AuditPolicy,
     optimize: OptimizePolicy,
 }
 
@@ -459,7 +430,6 @@ impl EngineBuilder {
             kind,
             opts: KindOpts::defaults(kind),
             inner: wraps.then(|| Box::new(Self::new(EngineKind::ConfigurableBst))),
-            audit: AuditPolicy::Off,
             optimize: OptimizePolicy::Off,
         }
     }
@@ -476,21 +446,22 @@ impl EngineBuilder {
     /// Nesting is decided by [`legal_nesting`] for every pair on a path.
     /// The sharded backend also takes `shards=N`, `strategy=prio|hash`
     /// and `hash_dim=<dimension>` (e.g. `dst_port`; refines
-    /// `strategy=hash`); `rf_bits`/`combine` written on it are pushed
-    /// down onto its configurable inner node.
+    /// `strategy=hash`).
     /// The cached backend takes `flows=N` (microflow slots, rounded up
-    /// to a power of two at build time) and `megaflow=on|off`; an update
-    /// to a `snapshot:inner=(sharded:...)` advances only the touched
-    /// shard's line of copies. The
+    /// to a power of two at build time) and `megaflow=on|off`. The
     /// tuple-space backend takes `tables=N` (per-tuple hash-slot hint,
-    /// rounded up to a power of two at build time); the software TCAM
+    /// rounded up to a power of two at build time); `flows` and
+    /// `tables` stay below 2³¹. The software TCAM
     /// takes `capacity=N` (provisioned slots) and `partitions=K`
     /// (allocator partition count, at most one per slot). Every backend
     /// takes `optimize=off|validated`.
     ///
     /// Every key is checked against the kind it is for: unknown keys,
     /// keys for another backend, and duplicated keys are hard
-    /// [`BuildError::ConfigError`]s, never silently ignored.
+    /// [`BuildError::ConfigError`]s, never silently ignored. A wrapper
+    /// does not pass keys through to its inner engine: the inner
+    /// engine's keys go in its own spec,
+    /// `sharded:inner=(configurable-mbt:rf_bits=13)`.
     ///
     /// # Errors
     ///
@@ -518,11 +489,11 @@ impl EngineBuilder {
         nest_under(ancestors, kind)?;
         let path = [ancestors, &[kind]].concat();
         let mut b = EngineBuilder::new(kind);
-        // `rf_bits`/`combine` written on a sharded node: the legacy
-        // forwarded form, pushed down onto the inner node below.
-        let unset = KindOpts::defaults(EngineKind::ConfigurableBst);
-        let mut forwarded = unset;
         let mut seen: Vec<&str> = Vec::new();
+        // The first key no part of this node stores: reported once the
+        // whole list is read, so a wrapper's error can show the key on
+        // its inner engine wherever `inner=` stands.
+        let mut stray = None;
         for opt in split_opts(opts) {
             let opt = opt.trim();
             if opt.is_empty() {
@@ -565,39 +536,24 @@ impl EngineBuilder {
                     b.inner = Some(Box::new(Self::parse(strip_parens(value), &path)?));
                     true
                 }
-                "rf_bits" | "combine" if matches!(b.opts, KindOpts::Sharded { .. }) => {
-                    forwarded.set(key, value).map_err(|()| bad())?
-                }
                 _ => b.opts.set(key, value).map_err(|()| bad())?,
             };
             if !stored {
-                return Err(config_err(format!(
-                    "unknown key {key:?} for backend {kind}"
-                )));
+                stray = stray.or(Some((opt, key, value)));
             }
         }
-        if let Some(inner) = b.inner.as_deref_mut().filter(|_| forwarded != unset) {
-            match (&mut inner.opts, forwarded) {
-                (
-                    KindOpts::Configurable { rf_bits, combine },
-                    KindOpts::Configurable {
-                        rf_bits: fwd_bits,
-                        combine: fwd_combine,
-                    },
-                ) if rf_bits.and(fwd_bits).is_none() && combine.and(fwd_combine).is_none() => {
-                    *rf_bits = rf_bits.or(fwd_bits);
-                    *combine = combine.or(fwd_combine);
-                }
-                _ => {
-                    return Err(BuildError::ConfigError {
-                        option: spec.to_string(),
-                        reason: format!(
-                            "rf_bits/combine apply to configurable inner engines that do \
-                             not set them themselves, not {inner}"
-                        ),
-                    })
+        if let Some((opt, key, value)) = stray {
+            let mut reason = format!("unknown key {key:?} for backend {kind}");
+            // A key the wrapped engine owns is written on it.
+            if let Some(mut inner) = b.inner.map(|inner| *inner) {
+                if inner.opts.set(key, value) == Ok(true) {
+                    reason += &format!("; write it on the inner engine: inner=({inner})");
                 }
             }
+            return Err(BuildError::ConfigError {
+                option: opt.to_string(),
+                reason,
+            });
         }
         Ok(b)
     }
@@ -620,6 +576,13 @@ impl EngineBuilder {
             0 => config(format!("{key}=0"), &format!("{key} must be >= 1{why}")),
             _ => Ok(()),
         };
+        let linkable = |key: &str, n: usize| match n {
+            MAX_SLOTS.. => config(
+                format!("{key}={n}"),
+                &format!("{key} must be below 2^31 (slot links are 32-bit)"),
+            ),
+            _ => Ok(()),
+        };
         match self.opts {
             KindOpts::None | KindOpts::Configurable { .. } => Ok(()),
             KindOpts::Sharded {
@@ -636,10 +599,12 @@ impl EngineBuilder {
                 }
             }
             KindOpts::Cached { flows, .. } => {
-                at_least_one("flows", flows, " (the cache needs at least one slot)")
+                at_least_one("flows", flows, " (the cache needs at least one slot)")?;
+                linkable("flows", flows)
             }
             KindOpts::Tss { tables } => {
-                at_least_one("tables", tables, " (each tuple needs at least one slot)")
+                at_least_one("tables", tables, " (each tuple needs at least one slot)")?;
+                linkable("tables", tables)
             }
             KindOpts::Tcam {
                 capacity,
@@ -696,12 +661,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets what [`EngineBuilder::build`] does with the pre-build audit.
-    pub fn with_audit(mut self, policy: AuditPolicy) -> Self {
-        self.audit = policy;
-        self
-    }
-
     /// Sets whether [`EngineBuilder::build`] optimizes the rule set
     /// first (spec key `optimize=off|validated`; any backend).
     pub fn with_optimize(mut self, policy: OptimizePolicy) -> Self {
@@ -735,8 +694,9 @@ impl EngineBuilder {
     /// this builder's provisioning (see [`EngineBuilder::audit_limits`]).
     ///
     /// This never constructs an engine; it is cheap enough to run before
-    /// every build of an untrusted set. [`EngineBuilder::with_audit`]
-    /// folds it into [`EngineBuilder::build`] itself.
+    /// every build of an untrusted set. A caller that wants a gate
+    /// refuses to build when the report
+    /// [`has_errors`](RuleSetReport::has_errors).
     pub fn audit(&self, rules: &RuleSet) -> RuleSetReport {
         spc_analyze::analyze_with(rules, &self.audit_limits(rules))
     }
@@ -792,11 +752,7 @@ impl EngineBuilder {
         Ok(ConfigurableEngine::new(cls))
     }
 
-    /// A sharded node taken apart for its engine: the partitioning of
-    /// `rules` (the plan and its live router, under the strategy
-    /// `hash_dim` resolves to) and the node every shard is built from.
-    /// `None` on any other node.
-    fn sharded_parts(&self, rules: &RuleSet) -> Option<(ShardPlan, ShardRouter, &Self)> {
+    pub(crate) fn build_sharded(&self, rules: &RuleSet) -> Result<ShardedEngine, BuildError> {
         let (
             KindOpts::Sharded {
                 shards,
@@ -806,7 +762,7 @@ impl EngineBuilder {
             Some(inner),
         ) = (self.opts, &self.inner)
         else {
-            return None;
+            return Err(self.not_a(EngineKind::Sharded));
         };
         let strategy = match (strategy, hash_dim) {
             (ShardStrategy::FieldHash(_), Some(dim)) => ShardStrategy::FieldHash(dim),
@@ -814,14 +770,7 @@ impl EngineBuilder {
         };
         let plan = shard::plan(rules, shards, strategy);
         let router = ShardRouter::from_plan(&plan, shards);
-        Some((plan, router, inner))
-    }
-
-    pub(crate) fn build_sharded(&self, rules: &RuleSet) -> Result<ShardedEngine, BuildError> {
-        let (plan, router, inner) = self
-            .sharded_parts(rules)
-            .ok_or_else(|| self.not_a(EngineKind::Sharded))?;
-        ShardedEngine::from_plan(plan, router, inner.clone())
+        ShardedEngine::from_plan(plan, router, (**inner).clone())
     }
 
     pub(crate) fn build_cached(&self, rules: &RuleSet) -> Result<CachedEngine, BuildError> {
@@ -839,8 +788,7 @@ impl EngineBuilder {
     /// Builds the snapshot-swap wrapper as its concrete type, so callers
     /// can take [`crate::SnapshotReader`]s ([`crate::SnapshotEngine::reader`])
     /// — the trait object returned by [`EngineBuilder::build`] cannot
-    /// hand those out. A `sharded:` inner is decomposed so updates
-    /// advance only the touched shard's line of copies.
+    /// hand those out.
     ///
     /// # Errors
     ///
@@ -851,29 +799,10 @@ impl EngineBuilder {
         let (EngineKind::Snapshot, Some(inner)) = (self.kind, &self.inner) else {
             return Err(self.not_a(EngineKind::Snapshot));
         };
-        // Decomposing skips the sharded node's own `build`, so a node
-        // that asks it to optimize is rebuilt whole instead.
-        let decomposable = inner.optimize == OptimizePolicy::Off;
-        match decomposable.then(|| inner.sharded_parts(rules)).flatten() {
-            Some((plan, router, per_shard)) => {
-                // The one branch that never passes the whole set through
-                // a `build`: twins in different shards would go unseen.
-                // The router keeps its own index from here on.
-                key_index(rules)?;
-                SnapshotEngine::from_sharded(plan, router, per_shard.clone())
-            }
-            None => {
-                // One index per build: the writer checks every later
-                // insert against the one the build's duplicate check made.
-                let (engine, keys) = inner.build_indexed(rules)?;
-                Ok(SnapshotEngine::from_single(
-                    rules,
-                    engine,
-                    keys,
-                    (**inner).clone(),
-                ))
-            }
-        }
+        // One index per build: the writer checks every later insert
+        // against the one the build's duplicate check made.
+        let (engine, keys) = inner.build_indexed(rules)?;
+        Ok(SnapshotEngine::new(rules, engine, keys, (**inner).clone()))
     }
 
     /// Builds the backend over a rule set.
@@ -884,9 +813,7 @@ impl EngineBuilder {
     /// option rule (see [`EngineBuilder::from_spec`]),
     /// [`BuildError::DuplicateRules`] when two rules have identical match
     /// conditions (checked up front on every backend),
-    /// [`BuildError::AuditRejected`] when
-    /// [`AuditPolicy::RejectErrors`] is set and the audit finds
-    /// error-level issues, [`BuildError::OptimizeFailed`] when
+    /// [`BuildError::OptimizeFailed`] when
     /// [`OptimizePolicy::Validated`] is set and the optimizer's output
     /// fails equivalence validation, and [`BuildError::Rejected`] when
     /// the backend cannot hold the set (provisioning limits, RFC entry
@@ -905,25 +832,6 @@ impl EngineBuilder {
         // On the set as given, before any optimization, so registry
         // semantics do not depend on the optimize policy.
         let keys = key_index(rules)?;
-        match self.audit {
-            AuditPolicy::Off => {}
-            AuditPolicy::Warn => {
-                let report = self.audit(rules);
-                for finding in &report.findings {
-                    eprintln!("audit: {finding}");
-                }
-            }
-            AuditPolicy::RejectErrors => {
-                let report = self.audit(rules);
-                if report.has_errors() {
-                    let errors: Vec<_> = report.at_severity(spc_analyze::Severity::Error).collect();
-                    return Err(BuildError::AuditRejected {
-                        errors: errors.len(),
-                        first: errors[0].message.clone(),
-                    });
-                }
-            }
-        }
         let engine: Box<dyn PacketClassifier> = match self.optimize {
             OptimizePolicy::Off => self.build_raw(rules)?,
             OptimizePolicy::Validated => {
@@ -1196,10 +1104,74 @@ mod tests {
         let engine = b.build_sharded(&rules).unwrap();
         assert!(matches!(engine.strategy(), ShardStrategy::FieldHash(_)));
 
-        // rf_bits flows through to configurable inner shards.
-        let b =
-            EngineBuilder::from_spec("sharded:inner=configurable-mbt,shards=2,rf_bits=13").unwrap();
+        // rf_bits reaches configurable inner shards through the inner spec.
+        let b = EngineBuilder::from_spec("sharded:inner=(configurable-mbt:rf_bits=13),shards=2")
+            .unwrap();
         assert!(b.build_sharded(&rules).is_ok());
+    }
+
+    #[test]
+    fn wrappers_do_not_forward_inner_keys() {
+        // The key is the inner engine's; the error shows where it goes,
+        // wherever `inner=` stands in the list.
+        for spec in [
+            "sharded:inner=configurable-mbt,shards=2,rf_bits=13",
+            "sharded:rf_bits=13,inner=configurable-mbt,shards=2",
+        ] {
+            let e = EngineBuilder::from_spec(spec);
+            assert!(
+                matches!(&e, Err(BuildError::ConfigError { option, reason })
+                    if option == "rf_bits=13"
+                        && reason.contains("inner=(configurable-mbt:rf_bits=13)")),
+                "{spec}: {e:?}"
+            );
+        }
+        // A key no part of the tree owns gets no such hint.
+        let e = EngineBuilder::from_spec("sharded:inner=linear,combine=probe");
+        assert!(
+            matches!(&e, Err(BuildError::ConfigError { reason, .. })
+                if reason.contains("unknown key") && !reason.contains("inner=(")),
+            "{e:?}"
+        );
+    }
+
+    #[test]
+    fn slot_counts_past_the_link_bound_are_errors() {
+        // Rounding 2^64 - 1 up overflows; 2^63 rounds to itself, past
+        // what 32-bit slot links (or the allocator) can address.
+        for spec in [
+            "cached:flows=18446744073709551615",
+            "tss:tables=18446744073709551615",
+            "cached:flows=9223372036854775808",
+            "tss:tables=9223372036854775808",
+        ] {
+            let e = EngineBuilder::from_spec(spec);
+            assert!(
+                matches!(
+                    e,
+                    Err(BuildError::BadOption { .. } | BuildError::ConfigError { .. })
+                ),
+                "{spec}: {e:?}"
+            );
+        }
+        // The typed path runs the same check at build time.
+        for (kind, opts) in [
+            (
+                EngineKind::Cached,
+                KindOpts::Cached {
+                    flows: MAX_SLOTS,
+                    megaflow: true,
+                },
+            ),
+            (EngineKind::TupleSpace, KindOpts::Tss { tables: MAX_SLOTS }),
+        ] {
+            let mut b = EngineBuilder::new(kind);
+            b.opts = opts;
+            let e = b.build(&rules()).map(|_| ());
+            assert!(matches!(e, Err(BuildError::ConfigError { .. })), "{kind}");
+        }
+        // Just below the bound still parses.
+        assert!(EngineBuilder::from_spec("cached:flows=2147483647").is_ok());
     }
 
     #[test]
@@ -1208,8 +1180,8 @@ mod tests {
             "sharded:shards=0",                     // no shards
             "sharded:hash_dim=dst_port",            // hash_dim without strategy=hash
             "sharded:strategy=prio,hash_dim=proto", // same, explicit prio
-            "sharded:inner=linear,rf_bits=14",      // rf_bits needs configurable inner
-            "sharded:inner=linear,combine=probe",   // combine likewise
+            "sharded:inner=(linear:rf_bits=14)",    // rf_bits needs configurable inner
+            "sharded:inner=(linear:combine=probe)", // combine likewise
         ] {
             assert!(
                 matches!(
@@ -1290,8 +1262,8 @@ mod tests {
             assert!(EngineBuilder::new(kind).build(&ok).is_ok(), "{kind}");
         }
         // Twins at priority extremes land in different bands, where no
-        // per-slice build sees both — `build_snapshot` called directly
-        // must still refuse them, as `build` on the same tree does.
+        // per-slice build sees both — both entry points must still
+        // refuse them, under a sharded inner and a single one.
         let mut split: RuleSet = (0..10u16)
             .map(|i| {
                 Rule::builder(Priority(10 + u32::from(i)))
@@ -1336,7 +1308,7 @@ mod tests {
     }
 
     #[test]
-    fn audit_policy_rejects_error_sets() {
+    fn audit_gate_rejects_error_sets() {
         // 9 distinct filters against a 4-slot Rule Filter: the audit
         // predicts overflow as an error before any engine is built.
         let rules: RuleSet = (0..9u16)
@@ -1347,30 +1319,25 @@ mod tests {
                     .build()
             })
             .collect();
-        let b = EngineBuilder::new(EngineKind::ConfigurableBst)
-            .with_rule_filter_bits(2)
-            .with_audit(crate::AuditPolicy::RejectErrors);
-        let e = b.build(&rules);
+        let b = EngineBuilder::new(EngineKind::ConfigurableBst).with_rule_filter_bits(2);
         assert!(
-            matches!(e, Err(BuildError::AuditRejected { errors, .. }) if errors >= 1),
-            "audit must reject the overflowing set"
+            b.audit(&rules).has_errors(),
+            "audit must flag the overflowing set"
         );
-        // The same build without the audit fails later, inside the
-        // engine, with a less specific capacity error.
-        let raw = EngineBuilder::new(EngineKind::ConfigurableBst)
-            .with_rule_filter_bits(2)
-            .build(&rules);
-        assert!(matches!(raw, Err(BuildError::Rejected { .. })));
-        // Warning-level findings (a shadowed rule) do not reject.
+        // Built anyway, the set fails later, inside the engine, with a
+        // less specific capacity error.
+        assert!(matches!(b.build(&rules), Err(BuildError::Rejected { .. })));
+        // Warning-level findings (a shadowed rule) are not errors.
         let shadowing = RuleSet::from_rules(vec![
             Rule::any(Priority(0)),
             Rule::builder(Priority(1))
                 .dst_port(PortRange::exact(80))
                 .build(),
         ]);
-        let b = EngineBuilder::new(EngineKind::ConfigurableBst)
-            .with_audit(crate::AuditPolicy::RejectErrors);
-        assert!(b.audit(&shadowing).max_severity() == Some(spc_analyze::Severity::Warning));
+        let b = EngineBuilder::new(EngineKind::ConfigurableBst);
+        let report = b.audit(&shadowing);
+        assert_eq!(report.max_severity(), Some(spc_analyze::Severity::Warning));
+        assert!(!report.has_errors());
         assert!(b.build(&shadowing).is_ok());
     }
 
@@ -1567,7 +1534,7 @@ mod tests {
 
     #[test]
     fn audit_judges_the_configurable_leaf_under_wrappers() {
-        // The 9-rule set of `audit_policy_rejects_error_sets`: it cannot
+        // The 9-rule set of `audit_gate_rejects_error_sets`: it cannot
         // fit a 4-slot Rule Filter, wrapped or not.
         let rules: RuleSet = (0..9u16)
             .map(|i| {
@@ -1585,11 +1552,6 @@ mod tests {
             let b = EngineBuilder::from_spec(spec).unwrap();
             assert_eq!(b.audit_limits(&rules).rule_filter_slots, 4, "{spec}");
             assert!(b.audit(&rules).has_errors(), "{spec}");
-            let e = b.with_audit(AuditPolicy::RejectErrors).build(&rules);
-            assert!(
-                matches!(e, Err(BuildError::AuditRejected { errors, .. }) if errors >= 1),
-                "{spec}: {e:?}"
-            );
         }
         // The leaf is judged as what it is: an MBT inner gets the limits
         // a bare MBT engine gets.
@@ -1680,9 +1642,8 @@ mod tests {
             assert_eq!(EngineBuilder::from_spec(&tree.to_string()), Ok(tree));
         }
         assert!(wrapped > 200, "the generator reaches wrapper nodes");
-        // The canonical form of a legacy forwarded spec keeps the key on
-        // the node that owns it.
-        let b = EngineBuilder::from_spec("sharded:rf_bits=13,inner=configurable-mbt,shards=2");
+        // The canonical form keeps the key on the node that owns it.
+        let b = EngineBuilder::from_spec("sharded:inner=configurable-mbt:rf_bits=13,shards=2");
         assert_eq!(
             b.unwrap().to_string(),
             "sharded:inner=(configurable-mbt:rf_bits=13),shards=2"

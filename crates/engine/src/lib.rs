@@ -37,8 +37,7 @@
 //!   publishes immutable rule-set snapshots that [`SnapshotReader`]s on
 //!   other threads classify against lock-free while `insert`/`remove`
 //!   atomically publish the next version, recycling the copies readers
-//!   have let go of (a `sharded:` inner is decomposed, so an update
-//!   advances only the touched shard's line of copies);
+//!   have let go of;
 //! * [`TupleSpaceEngine`] / [`SoftTcamEngine`] — the update-first
 //!   backends of `spc-tuplespace` behind the same trait: tuple-space
 //!   search (`"tss:tables=8"`) and a partitioned software TCAM
@@ -87,9 +86,7 @@ mod tuple;
 pub mod workload;
 
 pub use baseline::BaselineEngine;
-pub use builder::{
-    build_engine, legal_nesting, AuditPolicy, BuildError, EngineBuilder, OptimizePolicy,
-};
+pub use builder::{build_engine, legal_nesting, BuildError, EngineBuilder, OptimizePolicy};
 pub use cache::{CacheStats, CachedEngine};
 pub use configurable::ConfigurableEngine;
 pub use kind::EngineKind;

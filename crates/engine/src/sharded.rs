@@ -48,11 +48,10 @@ use crate::{
 };
 use spc_core::shard::{RouteTarget, ShardPlan, ShardRouter, ShardStrategy};
 use spc_types::{Header, Rule, RuleId, RuleSet};
-use std::borrow::Borrow;
 
 /// One shard: an inner engine plus the local→global rule-id map. Shared
-/// with the snapshot wrapper, whose published versions hold the same
-/// thing frozen behind an `Arc`.
+/// with the snapshot wrapper, whose published versions hold its whole
+/// inner engine as one of these, frozen behind an `Arc`.
 #[derive(Debug)]
 pub(crate) struct Shard {
     pub(crate) engine: Box<dyn PacketClassifier>,
@@ -101,44 +100,6 @@ impl Shard {
             },
             UpdateError::UnknownRule { id } => UpdateError::UnknownRule { id: global(id) },
             other => other,
-        }
-    }
-}
-
-/// Classifies against a shard list under `strategy`'s merge discipline
-/// — the one lookup loop behind [`ShardedEngine`] and the snapshot
-/// wrapper's published versions.
-pub(crate) fn classify_shards<S: Borrow<Shard>>(
-    strategy: ShardStrategy,
-    shards: &[S],
-    header: &Header,
-) -> Verdict {
-    let classify = |shard: &S| {
-        let shard: &Shard = shard.borrow();
-        shard.remap(shard.engine.classify(header))
-    };
-    match strategy {
-        // Bands are (priority, id)-ordered: the first band that hits
-        // holds the global HPMR, and later bands are never read.
-        ShardStrategy::PriorityBands => {
-            let mut reads = 0u32;
-            for shard in shards {
-                let mut v = classify(shard);
-                v.add_reads(reads);
-                if v.is_hit() {
-                    return v;
-                }
-                reads = v.mem_reads;
-            }
-            Verdict::miss(reads)
-        }
-        // Hash shards are unordered: query all, keep the best.
-        ShardStrategy::FieldHash(_) => {
-            let mut merged = Verdict::miss(0);
-            for shard in shards {
-                ShardedEngine::merge(&mut merged, &classify(shard));
-            }
-            merged
         }
     }
 }
@@ -261,9 +222,8 @@ impl ShardedEngine {
     /// `(priority, global rule id)` wins, memory reads accumulate (all
     /// shards are queried, so every shard's reads are real work). The
     /// merge is commutative and associative, which is what lets the
-    /// batch path fold chunks in arrival order. Crate-visible because
-    /// [`classify_shards`] serves the snapshot wrapper too.
-    pub(crate) fn merge(into: &mut Verdict, from: &Verdict) {
+    /// batch path fold chunks in arrival order.
+    fn merge(into: &mut Verdict, from: &Verdict) {
         into.add_reads(from.mem_reads);
         let wins = match (from.rule, into.rule) {
             (None, _) => false,
@@ -293,7 +253,31 @@ impl PacketClassifier for ShardedEngine {
     }
 
     fn classify(&self, header: &Header) -> Verdict {
-        classify_shards(self.strategy, &self.shards, header)
+        let classify = |shard: &Shard| shard.remap(shard.engine.classify(header));
+        match self.strategy {
+            // Bands are (priority, id)-ordered: the first band that hits
+            // holds the global HPMR, and later bands are never read.
+            ShardStrategy::PriorityBands => {
+                let mut reads = 0u32;
+                for shard in &self.shards {
+                    let mut v = classify(shard);
+                    v.add_reads(reads);
+                    if v.is_hit() {
+                        return v;
+                    }
+                    reads = v.mem_reads;
+                }
+                Verdict::miss(reads)
+            }
+            // Hash shards are unordered: query all, keep the best.
+            ShardStrategy::FieldHash(_) => {
+                let mut merged = Verdict::miss(0);
+                for shard in &self.shards {
+                    Self::merge(&mut merged, &classify(shard));
+                }
+                merged
+            }
+        }
     }
 
     /// Hash shards fan the batch out over one scoped pool worker per
@@ -322,9 +306,7 @@ impl PacketClassifier for ShardedEngine {
             return stats;
         }
         if self.strategy == ShardStrategy::PriorityBands {
-            return classify_each(headers, out, |h| {
-                classify_shards(self.strategy, &self.shards, h)
-            });
+            return classify_each(headers, out, |h| self.classify(h));
         }
 
         out.resize(headers.len(), Verdict::miss(0));

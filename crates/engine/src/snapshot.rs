@@ -31,11 +31,11 @@
 //!   fresh build is a copy that has missed nothing. The writer never
 //!   waits for a reader: a reader that pins an old snapshot keeps its
 //!   copy out of the pool's reach for as long as it likes.
-//! * **Sharded inners** (`snapshot:inner=(sharded:...)`) keep the
-//!   plan's partitioning on the writer side: an update advances *only
-//!   the touched shard's* line of copies and the next snapshot reuses
-//!   every untouched shard's `Arc` — publication cost scales with the
-//!   shard, not the rule set.
+//!
+//! The wrapper holds its inner as one engine, whatever it is: a
+//! `sharded:` inner is recycled and replayed like any other, its
+//! updates going through the sharded engine's own routed
+//! `insert`/`remove`.
 //!
 //! Consistency contract (what `tests/snapshot_consistency.rs`
 //! verifies): every verdict a reader observes equals the oracle verdict
@@ -58,12 +58,11 @@
 
 use crate::builder::KeyIndex;
 use crate::pipeline::BatchWorker;
-use crate::sharded::{classify_shards, report_for, Shard};
+use crate::sharded::{report_for, Shard};
 use crate::{
-    classify_each, BuildError, EngineBuilder, EngineKind, LookupStats, PacketClassifier,
-    UpdateError, UpdateReport, Verdict,
+    classify_each, EngineBuilder, EngineKind, LookupStats, PacketClassifier, UpdateError,
+    UpdateReport, Verdict,
 };
-use spc_core::shard::{RouteTarget, ShardPlan, ShardRouter, ShardStrategy};
 use spc_types::{Header, Rule, RuleId, RuleSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -71,10 +70,8 @@ use std::sync::{Arc, Mutex};
 /// One published, immutable rule-set version.
 #[derive(Debug)]
 struct Snapshot {
-    /// The shard engines, frozen (a single-inner snapshot is one shard).
-    shards: Vec<Arc<Shard>>,
-    /// `None` for a single inner; the merge discipline otherwise.
-    strategy: Option<ShardStrategy>,
+    /// The inner engine, frozen.
+    inner: Arc<Shard>,
     /// The writer epoch this snapshot was published at (0 = initial).
     epoch: u64,
     /// The report of the update that produced this snapshot.
@@ -87,13 +84,7 @@ impl Snapshot {
     /// Classifies against this version. Immutable and lock-free: safe
     /// from any number of threads concurrently.
     fn classify(&self, header: &Header) -> Verdict {
-        match self.strategy {
-            None => match self.shards.first() {
-                Some(s) => s.remap(s.engine.classify(header)),
-                None => Verdict::miss(0),
-            },
-            Some(strategy) => classify_shards(strategy, &self.shards, header),
-        }
+        self.inner.remap(self.inner.engine.classify(header))
     }
 }
 
@@ -160,7 +151,7 @@ impl SnapshotHandle {
 /// returns it.
 const MAX_LAG: usize = 16;
 
-/// Retired copies kept per line. `snapshot_churn`'s one reader, which
+/// Retired copies kept. `snapshot_churn`'s one reader, which
 /// refreshes after every insert, and the ledger's, which never
 /// refreshes, both circulate two retired copies beside the published
 /// one (`steady_state_publishes_never_rebuild` holds that); the third
@@ -170,7 +161,7 @@ const MAX_LAG: usize = 16;
 /// run-to-run spread of ±4 MB.
 const POOL_MAX: usize = 3;
 
-/// One successful update of a line, as a copy that missed it replays it.
+/// One successful update, as a copy that missed it replays it.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     /// The rule and the global id it was given.
@@ -221,26 +212,21 @@ impl Op {
     }
 }
 
-/// Maps a build failure into an update error.
-fn rejected(e: &BuildError) -> UpdateError {
-    UpdateError::Rejected {
-        reason: format!("snapshot rebuild failed: {e}"),
-    }
-}
-
-/// Builds one shard (or the single inner) over `live`, in load order:
-/// local id = position, mapped back to the global id beside it.
-fn build_shard(builder: &EngineBuilder, live: &[(RuleId, Rule)]) -> Result<Shard, UpdateError> {
+/// Builds a copy of the inner over `live`, in load order: local id =
+/// position, mapped back to the global id beside it.
+fn build_copy(builder: &EngineBuilder, live: &[(RuleId, Rule)]) -> Result<Shard, UpdateError> {
     let rules: RuleSet = live.iter().map(|&(_, r)| r).collect();
     Ok(Shard {
-        engine: builder.build(&rules).map_err(|e| rejected(&e))?,
+        engine: builder.build(&rules).map_err(|e| UpdateError::Rejected {
+            reason: format!("snapshot rebuild failed: {e}"),
+        })?,
         global_ids: live.iter().map(|&(g, _)| g).collect(),
     })
 }
 
-/// Writer-side history of one entry of `snaps` (the single inner, or
-/// one shard): the live rules it serves, and the retired copies of it
-/// the next update may recycle. Readers never see any of this.
+/// Writer-side history of the published copy: the live rules it
+/// serves, and the retired copies the next update may recycle. Readers
+/// never see any of this.
 #[derive(Debug, Default)]
 struct Line {
     /// Live rules with their global ids, in the load order of a fresh
@@ -295,9 +281,9 @@ impl Line {
         self.log.drain(..self.log.len() - missed);
     }
 
-    /// Brings a copy of this line to the version after `op` and swaps
-    /// it into `slot` (the writer's entry of `snaps`), retiring the copy
-    /// it replaces. Returns the inner's report of `op`, if it made one.
+    /// Brings a copy to the version after `op` and swaps it into `slot`
+    /// (the writer's published copy), retiring the copy it replaces.
+    /// Returns the inner's report of `op`, if it made one.
     ///
     /// An updatable inner takes the freshest free pooled copy, or — a
     /// copy that has missed nothing — a fresh build over the live
@@ -314,19 +300,19 @@ impl Line {
         if !slot.engine.supports_updates() {
             let mut next = self.live.clone();
             op.apply_to(&mut next);
-            *slot = Arc::new(build_shard(builder, &next)?);
+            *slot = Arc::new(build_copy(builder, &next)?);
             self.live = next;
             return Ok(None);
         }
         let copy = loop {
             let (at, mut copy) = match self.take_free() {
                 Some(free) => free,
-                None => (self.seq, build_shard(builder, &self.live)?),
+                None => (self.seq, build_copy(builder, &self.live)?),
             };
             let missed = &self.log[self.log.len() - (self.seq - at)..];
             let caught_up = missed.iter().try_for_each(|op| op.replay(&mut copy));
             if caught_up.is_err() {
-                // An op this line took failed on this copy (capacity
+                // An op the writer took failed on this copy (capacity
                 // depends on a copy's own history): drop it and let a
                 // staler copy, or the build, answer.
                 continue;
@@ -363,116 +349,64 @@ impl Line {
 #[derive(Debug)]
 pub struct SnapshotEngine {
     handle: Arc<SnapshotHandle>,
-    /// Builder for the single inner, or for each shard's inner.
+    /// Builder for the inner engine.
     inner_builder: EngineBuilder,
-    /// Routes updates to their owning shard; `None` for a single inner.
-    router: Option<ShardRouter>,
-    /// Single inner only (a router keeps its own): dimension projection
-    /// → global id of the live rules, the duplicate check of `insert`.
+    /// Dimension projection → global id of the live rules, the
+    /// duplicate check of `insert`.
     keys: KeyIndex,
-    /// Writer's working copy of the shard snaps; published snapshots
-    /// share these `Arc`s, so an update replaces only the shard it
-    /// touched.
-    snaps: Vec<Arc<Shard>>,
-    /// The history behind each entry of `snaps`.
-    lines: Vec<Line>,
-    /// Next global id to allocate (monotonic, never reused). A router
-    /// counts the same way; `insert` holds the two together.
+    /// Writer's working copy of the published inner; the published
+    /// snapshot shares this `Arc`.
+    snap: Arc<Shard>,
+    /// The history behind `snap`.
+    line: Line,
+    /// Next global id to allocate (monotonic, never reused).
     next_global: u32,
-    rules: usize,
     epoch: u64,
     report: Option<UpdateReport>,
 }
 
 impl SnapshotEngine {
-    /// Wraps a single inner engine (any non-sharded backend): `engine`
-    /// is `inner` built over `rules`, `keys` the projection index of
-    /// `rules` that build's duplicate check made.
-    pub(crate) fn from_single(
+    /// Wraps `engine`, which is `inner` built over `rules`; `keys` is
+    /// the projection index of `rules` that build's duplicate check
+    /// made.
+    pub(crate) fn new(
         rules: &RuleSet,
         engine: Box<dyn PacketClassifier>,
         keys: KeyIndex,
         inner: EngineBuilder,
     ) -> Self {
-        let global_ids: Vec<RuleId> = rules.iter().map(|(id, _)| id).collect();
         let live: Vec<(RuleId, Rule)> = rules.iter().map(|(id, r)| (id, *r)).collect();
-        let snaps = vec![Arc::new(Shard { engine, global_ids })];
-        Self::assemble(inner, None, keys, snaps, vec![Line::new(live)])
-    }
-
-    /// Wraps a sharded inner: one engine per plan slice, each with its
-    /// own line of copies. `per` is the builder for each shard's inner
-    /// engine (the sharded node's own inner node).
-    pub(crate) fn from_sharded(
-        plan: ShardPlan,
-        router: ShardRouter,
-        per: EngineBuilder,
-    ) -> Result<Self, BuildError> {
-        let mut snaps = Vec::with_capacity(plan.shards.len());
-        let mut lines = Vec::with_capacity(plan.shards.len());
-        for slice in plan.shards {
-            let engine = per.build(&slice.rules)?;
-            let live: Vec<(RuleId, Rule)> = slice
-                .rules
-                .iter()
-                .map(|(local, rule)| (slice.global_id(local), *rule))
-                .collect();
-            snaps.push(Arc::new(Shard {
-                engine,
-                global_ids: slice.global_ids,
-            }));
-            lines.push(Line::new(live));
-        }
-        Ok(Self::assemble(
-            per,
-            Some(router),
-            KeyIndex::new(),
-            snaps,
-            lines,
-        ))
-    }
-
-    fn assemble(
-        inner_builder: EngineBuilder,
-        router: Option<ShardRouter>,
-        keys: KeyIndex,
-        snaps: Vec<Arc<Shard>>,
-        lines: Vec<Line>,
-    ) -> Self {
-        let live = || lines.iter().flat_map(|line| &line.live);
-        let rules = live().count();
-        let next_global = live().map(|&(id, _)| id.0 + 1).max().unwrap_or(0);
+        let snap = Arc::new(Shard {
+            engine,
+            global_ids: live.iter().map(|&(id, _)| id).collect(),
+        });
         let initial = Arc::new(Snapshot {
-            shards: snaps.clone(),
-            strategy: router.as_ref().map(ShardRouter::strategy),
+            inner: Arc::clone(&snap),
             epoch: 0,
             report: None,
-            rules,
+            rules: live.len(),
         });
         SnapshotEngine {
             handle: Arc::new(SnapshotHandle::new(initial)),
-            inner_builder,
-            router,
+            inner_builder: inner,
             keys,
-            snaps,
-            lines,
-            next_global,
-            rules,
+            snap,
+            next_global: live.len() as u32,
+            line: Line::new(live),
             epoch: 0,
             report: None,
         }
     }
 
-    /// Publishes the writer's current shard snaps as the next snapshot.
+    /// Publishes the writer's current copy as the next snapshot.
     fn publish(&mut self, report: UpdateReport) {
         self.epoch += 1;
         self.report = Some(report);
         self.handle.publish(Arc::new(Snapshot {
-            shards: self.snaps.clone(),
-            strategy: self.router.as_ref().map(ShardRouter::strategy),
+            inner: Arc::clone(&self.snap),
             epoch: self.epoch,
             report: self.report,
-            rules: self.rules,
+            rules: self.line.live.len(),
         }));
     }
 
@@ -499,12 +433,6 @@ impl SnapshotEngine {
             .map(|_| Box::new(self.reader()) as Box<dyn BatchWorker>)
             .collect()
     }
-
-    /// How many shard engines the current snapshot holds (1 for a
-    /// single inner).
-    pub fn shard_count(&self) -> usize {
-        self.snaps.len()
-    }
 }
 
 impl PacketClassifier for SnapshotEngine {
@@ -517,7 +445,7 @@ impl PacketClassifier for SnapshotEngine {
     }
 
     fn rules(&self) -> usize {
-        self.rules
+        self.line.live.len()
     }
 
     fn classify(&self, header: &Header) -> Verdict {
@@ -532,9 +460,9 @@ impl PacketClassifier for SnapshotEngine {
     }
 
     fn memory_bits(&self) -> u64 {
-        // The published copies only: the model prices one device, and
+        // The published copy only: the model prices one device, and
         // the pooled copies are the controller's working memory.
-        self.snaps.iter().map(|s| s.engine.memory_bits()).sum()
+        self.snap.engine.memory_bits()
     }
 
     fn supports_updates(&self) -> bool {
@@ -545,79 +473,26 @@ impl PacketClassifier for SnapshotEngine {
     }
 
     fn insert(&mut self, rule: Rule) -> Result<RuleId, UpdateError> {
-        let k = match &mut self.router {
-            None => {
-                if let Some(&existing) = self.keys.get(&rule.dim_values()) {
-                    return Err(UpdateError::Duplicate { existing });
-                }
-                0
-            }
-            Some(router) => {
-                if let Some(existing) = router.duplicate_of(&rule) {
-                    return Err(UpdateError::Duplicate { existing });
-                }
-                match router.route(&rule) {
-                    RouteTarget::Existing(k) => k,
-                    RouteTarget::NewShard { slot } => {
-                        // Open the empty shard first so `lines` and
-                        // `snaps` stay parallel even if the update
-                        // below fails (an empty shard is harmless).
-                        let empty = build_shard(&self.inner_builder, &[])?;
-                        self.lines.push(Line::default());
-                        self.snaps.push(Arc::new(empty));
-                        router.register_shard(slot)
-                    }
-                }
-            }
-        };
-        let global = RuleId(self.next_global);
-        // The untouched shards' `Arc`s carry over unchanged — this swap
-        // is the only one the update publishes.
-        let raw = self.lines[k].advance(
-            &self.inner_builder,
-            &mut self.snaps[k],
-            Op::Insert(rule, global),
-        )?;
-        match &mut self.router {
-            Some(router) => {
-                // Local ids differ from copy to copy; the router gets the
-                // one a fresh build would give.
-                let local = RuleId(self.lines[k].live.len() as u32 - 1);
-                let allocated = router.record_insert(rule, k, local);
-                debug_assert_eq!(allocated, global);
-            }
-            None => {
-                self.keys.insert(rule.dim_values(), global);
-            }
+        if let Some(&existing) = self.keys.get(&rule.dim_values()) {
+            return Err(UpdateError::Duplicate { existing });
         }
+        let global = RuleId(self.next_global);
+        let op = Op::Insert(rule, global);
+        let raw = self.line.advance(&self.inner_builder, &mut self.snap, op)?;
+        self.keys.insert(rule.dim_values(), global);
         self.next_global += 1;
-        self.rules += 1;
         self.publish(report_for(raw, global));
         Ok(global)
     }
 
     fn remove(&mut self, id: RuleId) -> Result<(), UpdateError> {
-        let k = match &self.router {
-            None => Some(0),
-            Some(router) => router.location(id).map(|loc| loc.shard),
-        };
-        let found = k.and_then(|k| {
-            let &(_, rule) = self.lines[k].live.iter().find(|&&(g, _)| g == id)?;
-            Some((k, rule))
-        });
-        let Some((k, rule)) = found else {
+        let Some(&(_, rule)) = self.line.live.iter().find(|&&(g, _)| g == id) else {
             return Err(UpdateError::UnknownRule { id });
         };
-        let raw = self.lines[k].advance(&self.inner_builder, &mut self.snaps[k], Op::Remove(id))?;
-        match &mut self.router {
-            Some(router) => {
-                router.record_remove(id);
-            }
-            None => {
-                self.keys.remove(&rule.dim_values());
-            }
-        }
-        self.rules -= 1;
+        let raw = self
+            .line
+            .advance(&self.inner_builder, &mut self.snap, Op::Remove(id))?;
+        self.keys.remove(&rule.dim_values());
         self.publish(report_for(raw, id));
         Ok(())
     }
@@ -785,34 +660,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_inner_reuses_untouched_shard_arcs() {
-        let rules = base_rules(32);
-        let mut eng = snap(
-            "snapshot:inner=(sharded:inner=configurable-bst,shards=4)",
-            &rules,
-        );
-        assert_eq!(eng.shard_count(), 4);
-        let before: Vec<Arc<Shard>> = eng.snaps.clone();
-
-        let id = eng.insert(rule(1_000_000, 4000)).unwrap();
-        let changed: Vec<usize> = (0..4)
-            .filter(|&i| !Arc::ptr_eq(&before[i], &eng.snaps[i]))
-            .collect();
-        assert_eq!(changed.len(), 1, "exactly one shard rebuilt: {changed:?}");
-
-        let v = eng.classify(&probe(4000));
-        assert_eq!(v.rule, Some(id));
-
-        let before: Vec<Arc<Shard>> = eng.snaps.clone();
-        eng.remove(id).unwrap();
-        let changed: Vec<usize> = (0..4)
-            .filter(|&i| !Arc::ptr_eq(&before[i], &eng.snaps[i]))
-            .collect();
-        assert_eq!(changed.len(), 1, "exactly one shard rebuilt: {changed:?}");
-        assert!(!eng.classify(&probe(4000)).is_hit());
-    }
-
-    #[test]
     fn hash_sharded_and_cached_inners_agree_with_linear() {
         let rules = base_rules(24);
         let oracle = EngineBuilder::new(EngineKind::Linear)
@@ -927,7 +774,7 @@ mod tests {
             assert_eq!(fresh.update_epoch(), u64::from(op) + 1);
             assert_eq!(answers(|h| pinned.classify_current(h)), at_zero, "op {op}");
             assert_eq!(pinned.update_epoch(), 0);
-            let line = &eng.lines[0];
+            let line = &eng.line;
             assert!(line.pool.len() <= POOL_MAX, "op {op}: {}", line.pool.len());
             assert!(line.log.len() <= MAX_LAG, "op {op}");
             assert!(line.pool.iter().all(|&(at, _)| line.seq - at <= MAX_LAG));
@@ -939,16 +786,24 @@ mod tests {
     /// kept the slot of every insert it ever took. So in insert/remove
     /// cycles over `n` base rules, `n + 1` slots means "built just now".
     fn built_for_this_op(eng: &SnapshotEngine, n: usize) -> bool {
-        eng.snaps[0].global_ids.len() == n + 1
+        eng.snap.global_ids.len() == n + 1
     }
 
     #[test]
     fn steady_state_publishes_never_rebuild() {
         let rules = base_rules(16);
         // The benchmark's sequencing (the reader refreshes between an
-        // insert and its remove) and the ledger's (it never does).
-        for refreshing in [true, false] {
-            let mut eng = snap("snapshot:inner=configurable-bst", &rules);
+        // insert and its remove) and the ledger's (it never does), over
+        // the benchmark's inner and the compositions no workload runs:
+        // a sharded inner replays through the sharded engine's own
+        // routed updates.
+        let specs = [
+            "snapshot:inner=configurable-bst",
+            "snapshot:inner=(sharded:inner=configurable-bst,shards=4,strategy=hash)",
+            "snapshot:inner=(sharded:inner=configurable-bst,shards=4,strategy=prio)",
+        ];
+        for (spec, refreshing) in specs.into_iter().flat_map(|s| [(s, true), (s, false)]) {
+            let mut eng = snap(spec, &rules);
             let mut reader = eng.reader();
             for cycle in 0..12u16 {
                 let id = eng.insert(shadow(1001 + cycle)).unwrap();
@@ -960,19 +815,20 @@ mod tests {
                 let remove_built = built_for_this_op(&eng, rules.len());
                 match cycle {
                     // Nothing is pooled before the first publish.
-                    0 => assert!(insert_built, "refreshing={refreshing}"),
+                    0 => assert!(insert_built, "{spec} refreshing={refreshing}"),
                     1 => {}
                     _ => {
                         assert!(
                             !insert_built && !remove_built,
-                            "refreshing={refreshing} cycle {cycle}: steady state rebuilt"
+                            "{spec} refreshing={refreshing} cycle {cycle}: steady state rebuilt"
                         );
                         // What `POOL_MAX` was sized on.
-                        assert!(eng.lines[0].pool.len() <= 2, "cycle {cycle}");
+                        assert!(eng.line.pool.len() <= 2, "{spec} cycle {cycle}");
                     }
                 }
             }
-            assert_eq!(answers(|h| eng.classify(h)), oracle(&shadow_of(&rules)));
+            let want = oracle(&shadow_of(&rules));
+            assert_eq!(answers(|h| eng.classify(h)), want, "{spec}");
         }
     }
 
@@ -985,8 +841,8 @@ mod tests {
         for cycle in 0..10 * n as u16 {
             let id = eng.insert(shadow(1001 + cycle)).unwrap();
             eng.remove(id).unwrap();
-            let pooled = eng.lines[0].pool.iter().map(|(_, copy)| copy);
-            for copy in pooled.chain(&eng.snaps) {
+            let pooled = eng.line.pool.iter().map(|(_, copy)| copy);
+            for copy in pooled.chain([&eng.snap]) {
                 let slots = copy.global_ids.len();
                 assert!(slots <= bound, "cycle {cycle}: {slots} slots");
             }
@@ -1039,7 +895,8 @@ mod tests {
                 }
                 assert!(readers[0].refresh());
                 assert_eq!(answers(|h| eng.classify(h)), oracle(&live));
-                let free = eng.lines[0]
+                let free = eng
+                    .line
                     .pool
                     .iter_mut()
                     .any(|(_, copy)| Arc::get_mut(copy).is_some());

@@ -491,11 +491,11 @@ fn mutated_scenario_scripts_never_panic_the_parser() {
 
 #[test]
 fn mutated_spec_strings_never_panic_the_parser() {
-    // The repo's own spec strings, deepest nesting and legacy forwarded
-    // form included, as the mutation substrate.
+    // The repo's own spec strings, deepest nesting included, as the
+    // mutation substrate.
     let corpus = [
         "configurable-bst:rf_bits=14,combine=first",
-        "sharded:inner=configurable-mbt,shards=2,rf_bits=13",
+        "sharded:inner=(configurable-mbt:rf_bits=13),shards=2",
         "sharded:inner=(tss:tables=64),shards=8,strategy=hash,hash_dim=dst_port",
         "cached:inner=(sharded:inner=configurable-bst,shards=4),flows=8192,megaflow=off",
         "snapshot:inner=(sharded:inner=configurable-bst,shards=4,strategy=hash,hash_dim=dst_port)",
