@@ -180,11 +180,6 @@ impl OptimizedRuleSet {
             .flat_map(|p| p.removed.iter().copied())
             .collect()
     }
-
-    /// The original-set id behind an optimized id.
-    pub fn original_id(&self, optimized: RuleId) -> Option<RuleId> {
-        self.provenance.original(optimized)
-    }
 }
 
 /// Error from [`optimize`].
@@ -716,7 +711,7 @@ mod tests {
                 let got = opt
                     .rules
                     .classify(&h)
-                    .and_then(|(id, r)| opt.original_id(id).map(|orig| (orig, r.action)));
+                    .and_then(|(id, r)| opt.provenance.original(id).map(|orig| (orig, r.action)));
                 assert_eq!(want, got, "header {h}");
             }
         }

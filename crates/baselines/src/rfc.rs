@@ -244,11 +244,6 @@ impl Rfc {
         }
         EqTable { entries, classes }
     }
-
-    /// Distinct final equivalence classes.
-    pub fn final_classes(&self) -> usize {
-        self.table_f.classes.len()
-    }
 }
 
 impl Baseline for Rfc {

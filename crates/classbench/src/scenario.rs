@@ -42,7 +42,6 @@
 //! .unwrap();
 //! assert_eq!(script.total_headers(), 300);
 //! assert_eq!(script.total_inserts(), 12);
-//! assert_eq!(script.total_removes(), 6);
 //! let mut source = script
 //!     .source(&TraceGenerator::new().seed(7), &base, pool.rules())
 //!     .unwrap();
@@ -274,15 +273,6 @@ impl ScenarioScript {
         .min(u128::from(u64::MAX)) as u64
     }
 
-    /// Inserts the scenario will undo again.
-    pub fn total_removes(&self) -> u64 {
-        total(&self.program, |s| match s {
-            Stmt::Remove(n) => *n,
-            _ => 0,
-        })
-        .min(u128::from(u64::MAX)) as u64
-    }
-
     /// Binds the script to concrete inputs as a streaming
     /// [`ScenarioSource`]: classify traffic is sampled by `traffic` over
     /// `rules` (the base rule set), inserts draw from `pool` in order
@@ -481,7 +471,6 @@ mod tests {
                 .unwrap();
         assert_eq!(script.total_headers(), 20);
         assert_eq!(script.total_inserts(), 6);
-        assert_eq!(script.total_removes(), 2);
         let src = script
             .source(&TraceGenerator::new().seed(3), &base, pool.rules())
             .unwrap()
@@ -532,7 +521,6 @@ mod tests {
         let (base, pool) = base_and_pool();
         let script = ScenarioScript::parse("repeat 2 { repeat 3 { insert 1 } remove 3 }").unwrap();
         assert_eq!(script.total_inserts(), 6);
-        assert_eq!(script.total_removes(), 6);
         let events = drain(
             script
                 .source(&TraceGenerator::new(), &base, pool.rules())

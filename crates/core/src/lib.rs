@@ -25,7 +25,6 @@ mod labels;
 mod memory;
 mod pipeline;
 mod rulefilter;
-pub mod shard;
 
 pub use classifier::{Classification, Classifier, ClassifyScratch, Hit, UpdateReport};
 pub use config::{ArchConfig, CombineStrategy, IpAlg};
@@ -34,4 +33,3 @@ pub use labels::{InsertOutcome, LabelState, LabelTable, RemoveOutcome};
 pub use memory::{BlockUsage, MemoryReport, SharingReport};
 pub use pipeline::{LookupTiming, PHASE1_CYCLES, PHASE3_CYCLES, PHASE4_BASE_CYCLES};
 pub use rulefilter::{ProbeResult, RuleFilter, StoredRule};
-pub use shard::{RouteTarget, RuleLocation, ShardPlan, ShardRouter, ShardSlice, ShardStrategy};

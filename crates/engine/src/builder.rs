@@ -1,13 +1,13 @@
 //! Constructing any backend from an [`EngineKind`] or a config string.
 
 use crate::kind::ParseEngineKindError;
+use crate::shard::ShardStrategy;
 use crate::{BaselineEngine, CachedEngine, ConfigurableEngine, EngineKind, PacketClassifier};
 use crate::{ShardedEngine, SnapshotEngine, SoftTcamEngine, TupleSpaceEngine};
 use spc_analyze::{AnalyzerLimits, RuleSetReport};
 use spc_baselines::{
     Dcfl, HyperCuts, HyperCutsConfig, LinearSearch, OptionClassifier, OptionKind, Rfc,
 };
-use spc_core::shard::{self, ShardRouter, ShardStrategy};
 use spc_core::{ArchConfig, Classifier, CombineStrategy, IpAlg};
 use spc_types::{Dim, DimValue, RuleId, RuleSet, ALL_DIMS};
 use std::collections::HashMap;
@@ -768,9 +768,7 @@ impl EngineBuilder {
             (ShardStrategy::FieldHash(_), Some(dim)) => ShardStrategy::FieldHash(dim),
             _ => strategy,
         };
-        let plan = shard::plan(rules, shards, strategy);
-        let router = ShardRouter::from_plan(&plan, shards);
-        ShardedEngine::from_plan(plan, router, (**inner).clone())
+        ShardedEngine::new(rules, shards, strategy, (**inner).clone())
     }
 
     pub(crate) fn build_cached(&self, rules: &RuleSet) -> Result<CachedEngine, BuildError> {
@@ -1094,15 +1092,21 @@ mod tests {
         .unwrap();
         assert_eq!(b.kind(), EngineKind::Sharded);
         let engine = b.build_sharded(&rules).unwrap();
-        assert_eq!(engine.inner_kind(), EngineKind::Linear);
-        assert_eq!(engine.strategy(), ShardStrategy::FieldHash(Dim::DstPort));
-        assert!(engine.shard_count() <= 2);
+        assert_eq!(engine.shards[0].engine.kind(), EngineKind::Linear);
+        assert_eq!(
+            engine.router.strategy(),
+            ShardStrategy::FieldHash(Dim::DstPort)
+        );
+        assert!(engine.shards.len() <= 2);
         assert_eq!(engine.rules(), 2);
 
         // strategy=hash alone picks the default dimension.
         let b = EngineBuilder::from_spec("sharded:strategy=hash").unwrap();
         let engine = b.build_sharded(&rules).unwrap();
-        assert!(matches!(engine.strategy(), ShardStrategy::FieldHash(_)));
+        assert!(matches!(
+            engine.router.strategy(),
+            ShardStrategy::FieldHash(_)
+        ));
 
         // rf_bits reaches configurable inner shards through the inner spec.
         let b = EngineBuilder::from_spec("sharded:inner=(configurable-mbt:rf_bits=13),shards=2")
@@ -1225,7 +1229,7 @@ mod tests {
                 .unwrap()
                 .build_sharded(&rules);
             assert_eq!(
-                e.unwrap().strategy(),
+                e.unwrap().router.strategy(),
                 ShardStrategy::FieldHash(Dim::Proto),
                 "{spec}"
             );

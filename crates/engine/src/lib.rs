@@ -80,6 +80,7 @@ mod configurable;
 mod kind;
 mod optimized;
 pub mod pipeline;
+mod shard;
 mod sharded;
 pub mod snapshot;
 mod tuple;
@@ -101,8 +102,6 @@ pub use tuple::{
     DEFAULT_TSS_TABLES,
 };
 pub use workload::{run_scenario, ScenarioReport, WorkloadError};
-// Re-exported so callers can configure sharding without a spc-core dep.
-pub use spc_core::shard::ShardStrategy;
 // Re-exported so callers can read update-cost accounting
 // ([`PacketClassifier::last_update_report`]) without a spc-core dep.
 pub use spc_core::UpdateReport;

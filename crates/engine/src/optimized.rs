@@ -92,12 +92,6 @@ impl OptimizedEngine {
         }
     }
 
-    /// How many original rules the optimizer elided (still reported as
-    /// installed).
-    pub fn elided_rules(&self) -> usize {
-        self.elided.len()
-    }
-
     /// Translates one inner verdict into the original id space.
     fn remap_verdict(&self, v: Verdict) -> Verdict {
         match v.matched {

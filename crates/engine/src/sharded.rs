@@ -3,12 +3,12 @@
 //!
 //! The paper scales by replicating single-field engines in parallel
 //! hardware; [`ShardedEngine`] is the software analogue one level up:
-//! a [`spc_core::shard::ShardPlan`] splits the rule set (by priority
-//! band or field hash), one inner [`PacketClassifier`] is built per
-//! slice, and every lookup queries all shards, keeping the hit with the
-//! best `(priority, global rule id)`. Because each shard sees every
-//! header, correctness is independent of the partitioning strategy —
-//! the differential oracle enforces exactly that.
+//! the [`ShardRouter`] places every rule (by priority band or field
+//! hash), one inner [`PacketClassifier`] is built per shard, and every
+//! lookup queries all shards, keeping the hit with the best
+//! `(priority, global rule id)`. Because each shard sees every header,
+//! correctness is independent of the partitioning strategy — the
+//! differential oracle enforces exactly that.
 //!
 //! The strategy decides how a lookup walks the shards, single-shot and
 //! batch alike:
@@ -30,23 +30,22 @@
 //!
 //! When every inner engine supports the paper's §V.A fast incremental
 //! update (`sharded:inner=configurable-*`), so does the sharded engine:
-//! `insert`/`remove` route to the owning shard through a live
-//! [`ShardRouter`] — the hash strategy re-folds the rule's `hash_dim`
-//! projection through the same hwsim `HashUnit` the plan used (opening
-//! a fresh shard when a slot gains its first rule), and the priority
-//! band strategy places the rule in the band covering its
-//! `(priority, global id)` key. Every update is exactly one inner
+//! `insert`/`remove` go to the shard the same router names — the hash
+//! strategy re-folds the rule's `hash_dim` projection through the hwsim
+//! `HashUnit` (opening a fresh shard when a slot gains its first rule),
+//! and the priority band strategy places the rule in the band covering
+//! its `(priority, global id)` key. Every update is exactly one inner
 //! update: bands are never rebalanced, so a band that skewed churn
 //! outgrows is a load-balance wart, not a correctness problem.
 //! Global ids are allocated monotonically and never reused, so verdict
 //! merging and tie-breaks are unaffected by churn.
 
 use crate::pipeline::{self, BatchWorker};
+use crate::shard::{RouteTarget, RuleLocation, ShardRouter, ShardStrategy};
 use crate::{
     classify_each, BuildError, EngineBuilder, EngineKind, LookupStats, MatchHandle,
     PacketClassifier, UpdateError, UpdateReport, Verdict,
 };
-use spc_core::shard::{RouteTarget, ShardPlan, ShardRouter, ShardStrategy};
 use spc_types::{Header, Rule, RuleId, RuleSet};
 
 /// One shard: an inner engine plus the local→global rule-id map. Shared
@@ -59,6 +58,19 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
+    /// Builds `inner` over `rules` in their order: local id = position,
+    /// mapped back to the global id beside it.
+    pub(crate) fn build(
+        inner: &EngineBuilder,
+        rules: &[(RuleId, Rule)],
+    ) -> Result<Self, BuildError> {
+        let set: RuleSet = rules.iter().map(|&(_, r)| r).collect();
+        Ok(Shard {
+            engine: inner.build(&set)?,
+            global_ids: rules.iter().map(|&(g, _)| g).collect(),
+        })
+    }
+
     /// Rewrites a shard-local verdict into global rule-id space (both
     /// the shim `rule` field and the [`MatchHandle`] it mirrors).
     pub(crate) fn remap(&self, v: Verdict) -> Verdict {
@@ -119,21 +131,6 @@ pub(crate) fn report_for(raw: Option<UpdateReport>, rule_id: RuleId) -> UpdateRe
     }
 }
 
-/// Builds an empty inner engine for a shard churn creates after the
-/// initial plan — a hash slot gaining its first rule — with the
-/// provisioning every other shard got.
-fn empty_shard(inner: &EngineBuilder) -> Result<Shard, UpdateError> {
-    let engine = inner
-        .build(&RuleSet::new())
-        .map_err(|e| UpdateError::Rejected {
-            reason: e.to_string(),
-        })?;
-    Ok(Shard {
-        engine,
-        global_ids: Vec::new(),
-    })
-}
-
 /// A shard is one pool worker: the inner engine's amortised batch path,
 /// with every verdict remapped into global rule-id space on the way out.
 impl BatchWorker for Shard {
@@ -152,70 +149,42 @@ impl BatchWorker for Shard {
 ///
 /// Capability follows the engines actually built, not their registry
 /// kind: when every shard supports updates the incremental-update path
-/// (the paper's §V.A fast update, routed to the owning shard) is armed
-/// at build time, and shards churn creates later are built empty from
-/// the same inner builder.
+/// (the paper's §V.A fast update, routed to the owning shard) is live,
+/// and shards churn creates later are built from the same inner builder.
 #[derive(Debug)]
 pub struct ShardedEngine {
-    shards: Vec<Shard>,
-    strategy: ShardStrategy,
+    pub(crate) shards: Vec<Shard>,
     /// The spec-tree node every shard's engine is built from.
     inner: EngineBuilder,
-    rules: usize,
-    /// `Some` when every inner engine supports updates and the builder
-    /// armed the routed `insert`/`remove` path.
-    live: Option<ShardRouter>,
+    /// Where every live rule is, and where the next one goes.
+    pub(crate) router: ShardRouter,
     last_report: Option<UpdateReport>,
     epoch: u64,
 }
 
 impl ShardedEngine {
-    /// Builds one `inner` engine per slice of `plan` — each provisioned
-    /// for its own slice, so Rule Filter autosizing sees the shard's
-    /// rule count, not the global one — and merges them under the plan's
-    /// strategy. `router` is the plan's own
-    /// ([`ShardRouter::from_plan`]); it arms the update path the type's
-    /// docs describe when every shard supports updates.
-    pub(crate) fn from_plan(
-        plan: ShardPlan,
-        router: ShardRouter,
+    /// Places `rules` on at most `shards` shards under `strategy` and
+    /// builds one `inner` engine per shard — each provisioned for its
+    /// own rules, so Rule Filter autosizing sees the shard's rule count,
+    /// not the global one.
+    pub(crate) fn new(
+        rules: &RuleSet,
+        shards: usize,
+        strategy: ShardStrategy,
         inner: EngineBuilder,
     ) -> Result<Self, BuildError> {
-        let strategy = plan.strategy;
-        let mut shards = Vec::with_capacity(plan.shards.len());
-        for slice in plan.shards {
-            shards.push(Shard {
-                engine: inner.build(&slice.rules)?,
-                global_ids: slice.global_ids,
-            });
-        }
-        let rules = router.len();
-        let updatable = shards.iter().all(|s| s.engine.supports_updates());
+        let (router, placed) = ShardRouter::place(rules, shards, strategy);
+        let shards = placed
+            .iter()
+            .map(|rules| Shard::build(&inner, rules))
+            .collect::<Result<_, _>>()?;
         Ok(ShardedEngine {
             shards,
-            strategy,
             inner,
-            rules,
-            live: updatable.then_some(router),
+            router,
             last_report: None,
             epoch: 0,
         })
-    }
-
-    /// Number of shards actually built (empty slices are dropped by the
-    /// plan, so this can be below the requested count).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The partitioning strategy in force.
-    pub fn strategy(&self) -> ShardStrategy {
-        self.strategy
-    }
-
-    /// The registry kind of the inner engines.
-    pub fn inner_kind(&self) -> EngineKind {
-        self.inner.kind()
     }
 
     /// Folds `from` into `into`: the hit with the better
@@ -249,12 +218,12 @@ impl PacketClassifier for ShardedEngine {
     }
 
     fn rules(&self) -> usize {
-        self.rules
+        self.router.len()
     }
 
     fn classify(&self, header: &Header) -> Verdict {
         let classify = |shard: &Shard| shard.remap(shard.engine.classify(header));
-        match self.strategy {
+        match self.router.strategy() {
             // Bands are (priority, id)-ordered: the first band that hits
             // holds the global HPMR, and later bands are never read.
             ShardStrategy::PriorityBands => {
@@ -305,7 +274,7 @@ impl PacketClassifier for ShardedEngine {
             stats.hits = out.iter().filter(|v| v.is_hit()).count() as u64;
             return stats;
         }
-        if self.strategy == ShardStrategy::PriorityBands {
+        if self.router.strategy() == ShardStrategy::PriorityBands {
             return classify_each(headers, out, |h| self.classify(h));
         }
 
@@ -331,47 +300,59 @@ impl PacketClassifier for ShardedEngine {
         self.shards.iter().map(|s| s.engine.memory_bits()).sum()
     }
 
-    /// `true` when every inner engine supports updates — then the
-    /// routed update path was armed at build time.
+    /// `true` when every inner engine supports updates.
     fn supports_updates(&self) -> bool {
-        self.live.is_some()
+        self.shards.iter().all(|s| s.engine.supports_updates())
     }
 
     /// Routes the rule to its owning shard — the hash of its
     /// `hash_dim` projection, or the priority band covering its
-    /// `(priority, global id)` key — and installs it there, creating
-    /// the shard first if churn just opened it (an empty hash slot).
+    /// `(priority, global id)` key — and installs it there. A rule whose
+    /// hash slot no shard owns yet goes into a fresh shard, which joins
+    /// the engine only once the insert has succeeded.
     fn insert(&mut self, rule: Rule) -> Result<RuleId, UpdateError> {
         // A failed insert (unsupported, duplicate, inner rejection) must
         // leave the previous report and the epoch untouched — the epoch
         // bumps iff the report is replaced.
-        let name = self.name();
-        let router = self
-            .live
-            .as_mut()
-            .ok_or(UpdateError::Unsupported { engine: name })?;
+        if !self.supports_updates() {
+            return Err(UpdateError::Unsupported {
+                engine: self.name(),
+            });
+        }
         // The cross-shard mirror of the Rule Filter's duplicate-key
         // check: under priority bands the collision can live in a
         // different band, where no inner engine would see it.
-        if let Some(existing) = router.duplicate_of(&rule) {
+        if let Some(existing) = self.router.duplicate_of(&rule) {
             return Err(UpdateError::Duplicate { existing });
         }
-        let shard = match router.route(&rule) {
-            RouteTarget::Existing(shard) => shard,
+        // Inner errors carry shard-local ids; translate before they
+        // escape into the global-id API.
+        let (shard, local) = match self.router.route(&rule) {
+            RouteTarget::Existing(shard) => {
+                let owner = &mut self.shards[shard];
+                let local = owner
+                    .engine
+                    .insert(rule)
+                    .map_err(|e| owner.remap_error(e))?;
+                (shard, local)
+            }
             RouteTarget::NewShard { slot } => {
-                self.shards.push(empty_shard(&self.inner)?);
-                router.register_shard(slot)
+                let mut fresh =
+                    Shard::build(&self.inner, &[]).map_err(|e| UpdateError::Rejected {
+                        reason: e.to_string(),
+                    })?;
+                let local = fresh
+                    .engine
+                    .insert(rule)
+                    .map_err(|e| fresh.remap_error(e))?;
+                let shard = self.shards.len();
+                self.router.open_shard(slot, shard);
+                self.shards.push(fresh);
+                (shard, local)
             }
         };
-        let local = match self.shards[shard].engine.insert(rule) {
-            Ok(local) => local,
-            // Inner errors carry shard-local ids; translate before they
-            // escape into the global-id API.
-            Err(e) => return Err(self.shards[shard].remap_error(e)),
-        };
-        let global = router.record_insert(rule, shard, local);
+        let global = self.router.record_insert(rule, shard, local);
         self.shards[shard].set_global(local, global);
-        self.rules += 1;
         self.last_report = Some(report_for(
             self.shards[shard].engine.last_update_report(),
             global,
@@ -382,20 +363,20 @@ impl PacketClassifier for ShardedEngine {
 
     /// Removes a rule from the shard that owns its global id.
     fn remove(&mut self, id: RuleId) -> Result<(), UpdateError> {
-        let name = self.name();
-        let router = self
-            .live
-            .as_mut()
-            .ok_or(UpdateError::Unsupported { engine: name })?;
-        let (shard, local) = match router.location(id) {
-            Some(loc) => (loc.shard, loc.local),
-            None => return Err(UpdateError::UnknownRule { id }),
-        };
-        if let Err(e) = self.shards[shard].engine.remove(local) {
-            return Err(self.shards[shard].remap_error(e));
+        if !self.supports_updates() {
+            return Err(UpdateError::Unsupported {
+                engine: self.name(),
+            });
         }
-        router.record_remove(id);
-        self.rules -= 1;
+        let Some(&RuleLocation { shard, local, .. }) = self.router.location(id) else {
+            return Err(UpdateError::UnknownRule { id });
+        };
+        let owner = &mut self.shards[shard];
+        owner
+            .engine
+            .remove(local)
+            .map_err(|e| owner.remap_error(e))?;
+        self.router.record_remove(id);
         // Always replace the report on success (even if the inner
         // backend reported nothing) so the epoch/report pair moves
         // together.
@@ -609,38 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_rejection_survives_twin_churn() {
-        // Projection twins at priority extremes land in different bands
-        // (so the planned build succeeds); after one twin is removed the
-        // survivor must still be found by the duplicate check, and the
-        // id the error names must be the *global* id of a live rule.
-        let twin = |p: u32, tag: u16| {
-            Rule::builder(Priority(p))
-                .dst_port(PortRange::exact(900))
-                .proto(ProtoSpec::Exact(6))
-                .action(Action::Forward(tag))
-                .build()
-        };
-        let mut rs = rules(10);
-        let first = rs.push(twin(2, 1));
-        let second = rs.push(twin(5000, 2));
-        let mut e =
-            EngineBuilder::from_spec("sharded:inner=configurable-bst,shards=2,strategy=prio")
-                .unwrap()
-                .build_sharded(&rs)
-                .unwrap();
-        assert!(e.supports_updates());
-        e.remove(second).unwrap();
-        assert_eq!(
-            e.insert(twin(7000, 3)),
-            Err(UpdateError::Duplicate { existing: first }),
-            "duplicate check must survive twin removal and name the live global id"
-        );
-        let v = e.classify(&hdr(900));
-        assert_eq!(v.rule, Some(first), "the surviving twin still matches");
-    }
-
-    #[test]
     fn hash_insert_opens_empty_slot_as_new_shard() {
         // All 12 planned rules share proto 6; hashing on proto fills one
         // slot, so a fresh protocol value must open a new shard.
@@ -648,7 +597,7 @@ mod tests {
             "sharded:inner=configurable-bst,shards=8,strategy=hash,hash_dim=proto",
             12,
         );
-        let shards_before = e.shard_count();
+        let shards_before = e.shards.len();
         let mut opened = false;
         for proto in 0u8..30 {
             let r = Rule::builder(Priority(100 + u32::from(proto)))
@@ -661,7 +610,7 @@ mod tests {
             // Planned rules only match dst_port < 12 headers; port 999
             // headers resolve to the freshly inserted per-proto rule.
             assert_eq!(v.rule, Some(id), "proto {proto}");
-            opened |= e.shard_count() > shards_before;
+            opened |= e.shards.len() > shards_before;
         }
         assert!(opened, "some protocol value must land in an empty slot");
     }
@@ -669,7 +618,7 @@ mod tests {
     #[test]
     fn skewed_inserts_keep_band_order() {
         let mut e = updatable("sharded:inner=configurable-bst,shards=2,strategy=prio", 24);
-        let bands_before = e.shard_count();
+        let bands_before = e.shards.len();
         // Everything lands in the top band: priorities 0..24 already
         // exist, and these all beat them.
         let mut ids = Vec::new();
@@ -683,8 +632,8 @@ mod tests {
             ids.push(e.insert(r).unwrap());
             cycles.push(e.last_update_report().unwrap().hw_write_cycles);
         }
-        assert_eq!(e.shard_count(), bands_before, "bands are never rebalanced");
-        assert!(e.live.as_ref().unwrap().bands_ordered());
+        assert_eq!(e.shards.len(), bands_before, "bands are never rebalanced");
+        assert!(e.router.bands_ordered());
         // Every sharded insert is one inner update (§V.A): in modelled
         // cycles, none of the burst stands out from its median.
         let mut sorted = cycles.clone();
@@ -717,6 +666,93 @@ mod tests {
         e.classify_batch(&trace, &mut out);
         for (h, v) in trace.iter().zip(&out) {
             assert_eq!(*v, e.classify(h), "batch-vs-single (reads included) at {h}");
+        }
+    }
+
+    #[test]
+    fn huge_shard_counts_build_only_filled_shards() {
+        let rs = rules(6);
+        let check = |e: &mut dyn PacketClassifier, what: &str| {
+            assert_eq!(e.rules(), 6, "{what}");
+            for port in 0..6u16 {
+                assert_eq!(
+                    e.classify(&hdr(port)).rule,
+                    Some(RuleId(port.into())),
+                    "{what}"
+                );
+            }
+            let r = Rule::builder(Priority(0))
+                .dst_port(PortRange::exact(700))
+                .proto(ProtoSpec::Exact(17))
+                .build();
+            let id = e.insert(r).unwrap();
+            let h = Header::new([1, 2, 3, 4].into(), [5, 6, 7, 8].into(), 7, 700, 17);
+            assert_eq!(e.classify(&h).rule, Some(id), "{what}");
+        };
+        for n in [usize::MAX, 1 << 40] {
+            for strategy in ["prio", "hash"] {
+                let spec = format!("sharded:shards={n},strategy={strategy}");
+                let mut e = crate::build_engine(&spec, &rs).unwrap();
+                check(e.as_mut(), &spec);
+            }
+            let mut e = EngineBuilder::new(EngineKind::Sharded)
+                .with_shards(n)
+                .build(&rs)
+                .unwrap();
+            check(e.as_mut(), &format!("with_shards({n})"));
+        }
+    }
+
+    #[test]
+    fn failed_insert_into_a_fresh_hash_slot_leaves_nothing_behind() {
+        // Eight proto-6 rules fill one slot; a port range that expands to
+        // 30 TCAM entries fits no 16-entry shard, old or new.
+        let mut e = crate::build_engine(
+            "sharded:inner=(tcam:capacity=16,partitions=1),shards=8,strategy=hash,hash_dim=proto",
+            &rules(8),
+        )
+        .unwrap();
+        let fits = Rule::builder(Priority(50))
+            .dst_port(PortRange::exact(100))
+            .proto(ProtoSpec::Exact(6))
+            .build();
+        e.insert(fits).unwrap();
+        let probes: Vec<Header> = [hdr(3), hdr(100)]
+            .into_iter()
+            .chain((0u8..40).map(|p| Header::new([1; 4].into(), [2; 4].into(), 9, 3, p)))
+            .collect();
+        let observe = |e: &dyn PacketClassifier| {
+            let verdicts: Vec<Verdict> = probes.iter().map(|h| e.classify(h)).collect();
+            (
+                verdicts,
+                e.memory_bits(),
+                e.rules(),
+                e.update_epoch(),
+                e.last_update_report(),
+            )
+        };
+        let before = observe(e.as_ref());
+        for proto in 0u8..40 {
+            let wide = Rule::builder(Priority(60))
+                .src_port(PortRange::new(1, 65_534).unwrap())
+                .proto(ProtoSpec::Exact(proto))
+                .build();
+            let err = e.insert(wide).unwrap_err();
+            assert!(
+                matches!(err, UpdateError::Rejected { .. }),
+                "{proto}: {err}"
+            );
+            assert_eq!(observe(e.as_ref()), before, "after proto {proto}");
+        }
+        // The slots stayed free: a rule that fits still opens them.
+        for proto in 0u8..40 {
+            let r = Rule::builder(Priority(70))
+                .dst_port(PortRange::exact(9))
+                .proto(ProtoSpec::Exact(proto))
+                .build();
+            let id = e.insert(r).unwrap();
+            let h = Header::new([1; 4].into(), [2; 4].into(), 9, 9, proto);
+            assert_eq!(e.classify(&h).rule, Some(id), "proto {proto}");
         }
     }
 

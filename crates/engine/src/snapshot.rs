@@ -212,15 +212,10 @@ impl Op {
     }
 }
 
-/// Builds a copy of the inner over `live`, in load order: local id =
-/// position, mapped back to the global id beside it.
+/// Builds a copy of the inner over `live`, in load order.
 fn build_copy(builder: &EngineBuilder, live: &[(RuleId, Rule)]) -> Result<Shard, UpdateError> {
-    let rules: RuleSet = live.iter().map(|&(_, r)| r).collect();
-    Ok(Shard {
-        engine: builder.build(&rules).map_err(|e| UpdateError::Rejected {
-            reason: format!("snapshot rebuild failed: {e}"),
-        })?,
-        global_ids: live.iter().map(|&(g, _)| g).collect(),
+    Shard::build(builder, live).map_err(|e| UpdateError::Rejected {
+        reason: format!("snapshot rebuild failed: {e}"),
     })
 }
 

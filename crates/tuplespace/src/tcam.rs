@@ -231,11 +231,6 @@ impl SoftTcam {
         self.rules.is_empty()
     }
 
-    /// Occupied TCAM slots (expanded entries).
-    pub fn entry_count(&self) -> usize {
-        self.entries
-    }
-
     /// Provisioned slot capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -555,7 +550,6 @@ mod tests {
         }
         // The failed insert must leave the TCAM unchanged.
         assert!(tiny.is_empty());
-        assert_eq!(tiny.entry_count(), 0);
         let mut rules = RuleSet::new();
         rules.push(r);
         assert!(matches!(
@@ -575,7 +569,6 @@ mod tests {
                 .build();
             tcam.insert(r).unwrap();
         }
-        assert_eq!(tcam.entry_count(), 6);
         // Priority 0 sorts before everything: partition 0 is full (4
         // entries), so the insert must shift entries across partitions.
         let (_, up) = tcam

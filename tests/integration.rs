@@ -282,19 +282,50 @@ fn bst_interval_overflow_mid_patch_is_atomic_under_every_wrapper() {
 /// commit before the priority-box walk went struct-of-arrays (FW, whose
 /// wildcard-heavy lists make a lookup walk many boxes): every line that
 /// counts a modelled read or write was edited, none may count differently.
+///
+/// The four-shard rows were captured before the build's placement moved
+/// into the shard router. Every shard is a configurable engine provisioned
+/// for its own rules, so a rule that changes shards moves its reads, its
+/// bits and the cycles of the churn that lands beside it.
 #[test]
 fn modelled_costs_match_golden_constants() {
-    // (family, spec, Σ mem_reads, memory_bits, Σ hw_write_cycles over the churn)
+    // (family, leaf, then for the leaf, `shards=4,strategy=prio` and
+    // `shards=4,strategy=hash` over it: Σ mem_reads, memory_bits,
+    // Σ hw_write_cycles over the churn)
     // ACL's BST cycles are those of the delta flush (139 929 when every
     // flush rebuilt its dimension): 18 338 interval words moved by the
     // boundary shifts (9 090 inserting, 9 248 removing), 2 217 label-list
     // words (1 180 + 1 037: copies on a split and covered-list rewrites),
     // 2 port/protocol words, 32 Rule Filter words, and §V.A's 3 per update.
-    for (kind, leaf, reads, bits, cycles) in [
-        (FilterKind::Acl, "configurable-bst", 27_262, 81_890, 20_685),
-        (FilterKind::Acl, "configurable-mbt", 22_275, 437_302, 3_954),
-        (FilterKind::Fw, "configurable-bst", 248_912, 66_612, 9_492),
-        (FilterKind::Fw, "configurable-mbt", 244_537, 273_745, 2_932),
+    for (kind, leaf, costs, prio4, hash4) in [
+        (
+            FilterKind::Acl,
+            "configurable-bst",
+            (27_262, 81_890, 20_685),
+            (34_107, 106_290, 9_399),
+            (35_382, 87_246, 8_066),
+        ),
+        (
+            FilterKind::Acl,
+            "configurable-mbt",
+            (22_275, 437_302, 3_954),
+            (22_253, 837_345, 4_329),
+            (17_839, 743_369, 4_685),
+        ),
+        (
+            FilterKind::Fw,
+            "configurable-bst",
+            (248_912, 66_612, 9_492),
+            (154_099, 101_153, 5_442),
+            (106_807, 81_719, 4_526),
+        ),
+        (
+            FilterKind::Fw,
+            "configurable-mbt",
+            (244_537, 273_745, 2_932),
+            (143_908, 602_457, 3_156),
+            (91_963, 445_465, 3_352),
+        ),
     ] {
         let rules = gen(kind, 256, 21);
         let headers = trace(&rules, 256);
@@ -305,29 +336,35 @@ fn modelled_costs_match_golden_constants() {
                 .map(|h| u64::from(e.classify(h).mem_reads))
                 .sum()
         };
-        let mut engine = build_engine(leaf, &rules).unwrap();
-        assert_eq!(reads_of(engine.as_ref()), reads, "{kind} {leaf} reads");
-        assert_eq!(engine.memory_bits(), bits, "{kind} {leaf} bits");
+        let costs_of = |spec: &str| {
+            let mut engine = build_engine(spec, &rules).unwrap();
+            let (reads, bits) = (reads_of(engine.as_ref()), engine.memory_bits());
+            // §V.A: insert 16 fresh rules, then remove them again.
+            let mut spent = 0u64;
+            let mut ids = Vec::new();
+            for r in churn.rules() {
+                ids.push(engine.insert(*r).unwrap());
+                spent += engine.last_update_report().unwrap().hw_write_cycles;
+            }
+            for id in ids {
+                engine.remove(id).unwrap();
+                spent += engine.last_update_report().unwrap().hw_write_cycles;
+            }
+            (reads, bits, spent)
+        };
+        assert_eq!(costs_of(leaf), costs, "{kind} {leaf}");
         // Pass-through wrappers add nothing to the model.
         for spec in [
             format!("sharded:inner={leaf},shards=1"),
             format!("snapshot:inner=({leaf})"),
         ] {
             let wrapped = build_engine(&spec, &rules).unwrap();
-            assert_eq!(reads_of(wrapped.as_ref()), reads, "{kind} {spec} reads");
-            assert_eq!(wrapped.memory_bits(), bits, "{kind} {spec} bits");
+            assert_eq!(reads_of(wrapped.as_ref()), costs.0, "{kind} {spec} reads");
+            assert_eq!(wrapped.memory_bits(), costs.1, "{kind} {spec} bits");
         }
-        // §V.A: insert 16 fresh rules, then remove them again.
-        let mut spent = 0u64;
-        let mut ids = Vec::new();
-        for r in churn.rules() {
-            ids.push(engine.insert(*r).unwrap());
-            spent += engine.last_update_report().unwrap().hw_write_cycles;
+        for (strategy, want) in [("prio", prio4), ("hash", hash4)] {
+            let spec = format!("sharded:inner={leaf},shards=4,strategy={strategy}");
+            assert_eq!(costs_of(&spec), want, "{kind} {spec}");
         }
-        for id in ids {
-            engine.remove(id).unwrap();
-            spent += engine.last_update_report().unwrap().hw_write_cycles;
-        }
-        assert_eq!(spent, cycles, "{kind} {leaf} churn write cycles");
     }
 }
