@@ -29,12 +29,6 @@ impl<B: Baseline> BaselineEngine<B> {
             .collect();
         BaselineEngine { kind, inner, meta }
     }
-
-    /// The wrapped baseline, for algorithm-specific probes (tree depth,
-    /// class counts, ...).
-    pub fn baseline(&self) -> &B {
-        &self.inner
-    }
 }
 
 impl<B: fmt::Debug> fmt::Debug for BaselineEngine<B> {

@@ -1,7 +1,10 @@
 //! Constructing any backend from an [`EngineKind`] or a config string.
 
+use crate::cache::MAX_FLOWS;
 use crate::kind::ParseEngineKindError;
 use crate::shard::ShardStrategy;
+use crate::tcam::{MAX_CAPACITY, MAX_PARTITIONS};
+use crate::tss::MAX_TABLES;
 use crate::{BaselineEngine, CachedEngine, ConfigurableEngine, EngineKind, PacketClassifier};
 use crate::{ShardedEngine, SnapshotEngine, SoftTcamEngine, TupleSpaceEngine};
 use spc_analyze::{AnalyzerLimits, RuleSetReport};
@@ -15,11 +18,6 @@ use std::fmt;
 
 /// RFC phase-table entry cap (the Table I harness value).
 const RFC_ENTRY_CAP: u64 = 1 << 27;
-
-/// Exclusive bound on `flows=` and `tables=`: rounded up to a power of
-/// two, a count below it stays addressable by the flow cache's 32-bit
-/// slot links.
-const MAX_SLOTS: usize = 1 << 31;
 
 /// The single source of truth for engine-spec keys: the
 /// [`EngineBuilder::from_spec`] parser admits a key only if it is listed
@@ -450,11 +448,13 @@ impl EngineBuilder {
     /// The cached backend takes `flows=N` (microflow slots, rounded up
     /// to a power of two at build time) and `megaflow=on|off`. The
     /// tuple-space backend takes `tables=N` (per-tuple hash-slot hint,
-    /// rounded up to a power of two at build time); `flows` and
-    /// `tables` stay below 2³¹. The software TCAM
+    /// rounded up to a power of two at build time). The software TCAM
     /// takes `capacity=N` (provisioned slots) and `partitions=K`
-    /// (allocator partition count, at most one per slot). Every backend
-    /// takes `optimize=off|validated`.
+    /// (allocator partition count, at most one per slot). What is
+    /// allocated up front is bounded: `flows` ≤ 2²⁰, `tables` ≤ 2¹²,
+    /// `partitions` ≤ 2¹⁶, and `capacity` stays small enough for its
+    /// modelled bits to fit a `u64`. Every backend takes
+    /// `optimize=off|validated`.
     ///
     /// Every key is checked against the kind it is for: unknown keys,
     /// keys for another backend, and duplicated keys are hard
@@ -576,10 +576,10 @@ impl EngineBuilder {
             0 => config(format!("{key}=0"), &format!("{key} must be >= 1{why}")),
             _ => Ok(()),
         };
-        let linkable = |key: &str, n: usize| match n {
-            MAX_SLOTS.. => config(
+        let at_most = |key: &str, n: usize, max: u64, why: &str| match n as u64 {
+            n if n > max => config(
                 format!("{key}={n}"),
-                &format!("{key} must be below 2^31 (slot links are 32-bit)"),
+                &format!("{key} must be at most {max}{why}"),
             ),
             _ => Ok(()),
         };
@@ -600,18 +600,24 @@ impl EngineBuilder {
             }
             KindOpts::Cached { flows, .. } => {
                 at_least_one("flows", flows, " (the cache needs at least one slot)")?;
-                linkable("flows", flows)
+                let why = " (both layers are allocated up front)";
+                at_most("flows", flows, MAX_FLOWS as u64, why)
             }
             KindOpts::Tss { tables } => {
                 at_least_one("tables", tables, " (each tuple needs at least one slot)")?;
-                linkable("tables", tables)
+                let why = " (every tuple allocates its table up front)";
+                at_most("tables", tables, MAX_TABLES as u64, why)
             }
             KindOpts::Tcam {
                 capacity,
                 partitions,
             } => {
                 at_least_one("capacity", capacity, " (the TCAM needs at least one slot)")?;
+                let why = " (its modelled bits must fit a u64)";
+                at_most("capacity", capacity, MAX_CAPACITY, why)?;
                 at_least_one("partitions", partitions, "")?;
+                let why = " (every partition is allocated at build)";
+                at_most("partitions", partitions, MAX_PARTITIONS as u64, why)?;
                 if partitions > capacity {
                     return config(
                         format!("partitions={partitions}"),
@@ -1158,24 +1164,53 @@ mod tests {
                 "{spec}: {e:?}"
             );
         }
-        // The typed path runs the same check at build time.
-        for (kind, opts) in [
+        // Counts that fit the links but not memory, and a capacity whose
+        // modelled bits overflow a u64 (2^60, 2^40, 2^30, 2^30): each is
+        // a ConfigError on the spec path and, built from its options, on
+        // the typed path — before anything is allocated.
+        let (big, huge) = (1 << 30, 1 << 40);
+        for (spec, opts) in [
             (
-                EngineKind::Cached,
+                "tcam:capacity=1152921504606846976",
+                KindOpts::Tcam {
+                    capacity: 1 << 60,
+                    partitions: 8,
+                },
+            ),
+            (
+                "tcam:capacity=1099511627776,partitions=1099511627776",
+                KindOpts::Tcam {
+                    capacity: huge,
+                    partitions: huge,
+                },
+            ),
+            ("tss:tables=1073741824", KindOpts::Tss { tables: big }),
+            (
+                "cached:flows=1073741824",
                 KindOpts::Cached {
-                    flows: MAX_SLOTS,
+                    flows: big,
                     megaflow: true,
                 },
             ),
-            (EngineKind::TupleSpace, KindOpts::Tss { tables: MAX_SLOTS }),
         ] {
-            let mut b = EngineBuilder::new(kind);
+            let e = EngineBuilder::from_spec(spec);
+            assert!(
+                matches!(e, Err(BuildError::ConfigError { .. })),
+                "{spec}: {e:?}"
+            );
+            let mut b = EngineBuilder::from_spec(spec.split(':').next().unwrap()).unwrap();
             b.opts = opts;
             let e = b.build(&rules()).map(|_| ());
-            assert!(matches!(e, Err(BuildError::ConfigError { .. })), "{kind}");
+            assert!(matches!(e, Err(BuildError::ConfigError { .. })), "{spec}");
         }
-        // Just below the bound still parses.
-        assert!(EngineBuilder::from_spec("cached:flows=2147483647").is_ok());
+        // The bounds themselves still parse.
+        for spec in [
+            format!("cached:flows={MAX_FLOWS}"),
+            format!("tss:tables={MAX_TABLES}"),
+            format!("tcam:capacity={MAX_CAPACITY},partitions={MAX_PARTITIONS}"),
+        ] {
+            assert!(EngineBuilder::from_spec(&spec).is_ok(), "{spec}");
+        }
     }
 
     #[test]
@@ -1352,7 +1387,10 @@ mod tests {
         assert_eq!(b.kind(), EngineKind::Cached);
         let engine = b.build_cached(&rules).unwrap();
         assert_eq!(engine.inner().kind(), EngineKind::Linear);
-        assert!(!engine.has_megaflow());
+        // The cache's bits are its layers' 60-byte slots: one layer here.
+        let slot_bits = 60 * 8;
+        let cache_bits = |e: &CachedEngine| e.memory_bits() - e.inner().memory_bits();
+        assert_eq!(cache_bits(&engine), 128 * slot_bits);
 
         // Defaults: configurable-bst inner, megaflow on.
         let engine = EngineBuilder::from_spec("cached")
@@ -1360,7 +1398,7 @@ mod tests {
             .build_cached(&rules)
             .unwrap();
         assert_eq!(engine.inner().kind(), EngineKind::ConfigurableBst);
-        assert!(engine.has_megaflow());
+        assert_eq!(cache_bits(&engine), 2 * 4096 * slot_bits);
         assert!(engine.supports_updates());
 
         // A nested inner spec tunes the inner engine in place; parens

@@ -89,6 +89,11 @@ const LOG_BOUND: usize = 64;
 /// The "no slot" chain link.
 const NIL: u32 = u32::MAX;
 
+/// Largest `flows=` accepted. Both layers are allocated up front, 60
+/// bytes a slot, so at the bound the cache holds 120 MiB (60 MiB with
+/// `megaflow=off`); every slot stays addressable by the 32-bit links.
+pub(crate) const MAX_FLOWS: usize = 1 << 20;
+
 /// A position in the insert log. Narrow on purpose — it is stored in
 /// every slot; running out of positions forces the same sweep a full
 /// log does.
@@ -633,15 +638,6 @@ impl CachedEngine {
     /// The wrapped engine.
     pub fn inner(&self) -> &dyn PacketClassifier {
         &*self.inner
-    }
-
-    /// Whether the megaflow layer is enabled.
-    pub fn has_megaflow(&self) -> bool {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .mega
-            .is_some()
     }
 
     /// Snapshot of the cache counters.

@@ -6,8 +6,10 @@ use std::str::FromStr;
 /// Every classifier backend the workspace can construct.
 ///
 /// The two `Configurable*` entries are the paper's architecture under each
-/// `IPalg_s` setting; the rest are the Table I comparison algorithms.
-/// Parse one from a string (`"hypercuts"`, `"configurable-bst"`, ...) or
+/// `IPalg_s` setting. Six build-once comparison algorithms (Table I and
+/// linear search) follow, then the three wrappers, each holding an inner
+/// engine, and the two update-first designs the paper's §V.A update
+/// claim is measured against, each its own engine. Parse one from a string (`"hypercuts"`, `"configurable-bst"`, ...) or
 /// iterate [`EngineKind::ALL`] for a full sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {

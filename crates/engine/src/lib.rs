@@ -15,9 +15,9 @@
 //! * [`Verdict`] / [`LookupStats`] — one result vocabulary replacing the
 //!   `Classification` vs `BaselineResult` split;
 //! * [`EngineKind`] — the registry of all backends (the paper's
-//!   configurable architecture in both `IPalg_s` settings, the five
-//!   Table I comparators, and the [`ShardedEngine`] partitioned
-//!   multi-classifier);
+//!   configurable architecture in both `IPalg_s` settings, the six
+//!   build-once comparators, the two update-first backends, and the
+//!   three wrappers);
 //! * [`EngineBuilder`] — constructs any backend as
 //!   `Box<dyn PacketClassifier>` from an [`EngineKind`] or a config
 //!   string such as `"configurable-bst:rf_bits=14"`, enabling scenario
@@ -39,8 +39,8 @@
 //!   atomically publish the next version, recycling the copies readers
 //!   have let go of;
 //! * [`TupleSpaceEngine`] / [`SoftTcamEngine`] — the update-first
-//!   backends of `spc-tuplespace` behind the same trait: tuple-space
-//!   search (`"tss:tables=8"`) and a partitioned software TCAM
+//!   backends, each its own engine: tuple-space search
+//!   (`"tss:tables=8"`) and a partitioned software TCAM
 //!   (`"tcam:capacity=1048576,partitions=8"`), both with live
 //!   incremental updates priced in §V.A write cycles;
 //! * [`workload`] — engines driven from streaming
@@ -83,6 +83,8 @@ pub mod pipeline;
 mod shard;
 mod sharded;
 pub mod snapshot;
+mod tcam;
+mod tss;
 mod tuple;
 pub mod workload;
 
@@ -92,15 +94,11 @@ pub use cache::{CacheStats, CachedEngine};
 pub use configurable::ConfigurableEngine;
 pub use kind::EngineKind;
 pub use optimized::OptimizedEngine;
-pub use pipeline::{
-    BatchWorker, EngineSource, IngestConfig, IngestPipeline, PipelineError, SharedWorker,
-};
+pub use pipeline::{BatchWorker, EngineSource, IngestConfig, IngestPipeline, PipelineError};
 pub use sharded::ShardedEngine;
 pub use snapshot::{SnapshotEngine, SnapshotReader};
-pub use tuple::{
-    SoftTcamEngine, TupleSpaceEngine, DEFAULT_TCAM_CAPACITY, DEFAULT_TCAM_PARTITIONS,
-    DEFAULT_TSS_TABLES,
-};
+pub use tcam::{SoftTcamEngine, DEFAULT_TCAM_CAPACITY, DEFAULT_TCAM_PARTITIONS};
+pub use tss::{TupleSpaceEngine, DEFAULT_TSS_TABLES};
 pub use workload::{run_scenario, ScenarioReport, WorkloadError};
 // Re-exported so callers can read update-cost accounting
 // ([`PacketClassifier::last_update_report`]) without a spc-core dep.

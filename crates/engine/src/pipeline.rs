@@ -77,9 +77,10 @@ pub const DEFAULT_CHUNK: usize = 1024;
 /// chunk, so that per-worker stats fold correctly with `+`.
 ///
 /// Every `Box<dyn PacketClassifier>` is a `BatchWorker` (via its
-/// amortised `classify_batch`); so is a [`SharedWorker`] over an `Arc`'d
-/// engine, and so are `ShardedEngine`'s shards (which remap verdicts to
-/// global rule-id space on the way out).
+/// amortised `classify_batch`); so is each worker of an
+/// [`EngineSource::Shared`] pool over its `Arc`'d engine, and so are
+/// `ShardedEngine`'s shards (which remap verdicts to global rule-id space
+/// on the way out).
 pub trait BatchWorker: Send {
     /// Classifies `headers` into `out` (cleared first).
     fn process(&mut self, headers: &[Header], out: &mut Vec<Verdict>) -> LookupStats;
@@ -99,15 +100,7 @@ impl BatchWorker for Box<dyn PacketClassifier> {
 /// structure per worker. (A configurable engine's single-shot lookup
 /// works in a per-thread scratch, so each worker thread still reuses
 /// its buffers.)
-#[derive(Debug, Clone)]
-pub struct SharedWorker(Arc<dyn PacketClassifier>);
-
-impl SharedWorker {
-    /// Wraps a shared engine.
-    pub fn new(engine: Arc<dyn PacketClassifier>) -> Self {
-        SharedWorker(engine)
-    }
-}
+struct SharedWorker(Arc<dyn PacketClassifier>);
 
 impl BatchWorker for SharedWorker {
     fn process(&mut self, headers: &[Header], out: &mut Vec<Verdict>) -> LookupStats {

@@ -1,10 +1,18 @@
 //! A software model of a priority-ordered TCAM: mask/value entries
 //! scanned first-match, with a partitioned free-slot allocator whose
-//! shift-on-insert cost is surfaced per update.
+//! shift-on-insert cost is priced per update.
 
-use crate::TupleError;
-use spc_types::{Action, DimValue, Header, PortRange, Priority, ProtoSpec, Rule, RuleSet};
+use crate::tuple::verdict;
+use crate::{EngineKind, PacketClassifier, UpdateError, UpdateReport, Verdict};
+use spc_types::{DimValue, Header, Priority, ProtoSpec, Rule, RuleId, RuleSet};
 use std::collections::HashMap;
+
+/// Default provisioned TCAM slots (`tcam:capacity=`). ClassBench-style
+/// wide port ranges expand to up to ~900 entries per rule, so the
+/// default leaves headroom for ~1k worst-case or ~100k typical rules.
+pub const DEFAULT_TCAM_CAPACITY: usize = 1 << 20;
+/// Default allocator partition count (`tcam:partitions=`).
+pub const DEFAULT_TCAM_PARTITIONS: usize = 8;
 
 /// Bits one provisioned TCAM slot occupies: seven 16-bit value cells
 /// plus seven 16-bit mask cells.
@@ -12,66 +20,45 @@ const SLOT_BITS: u64 = 2 * 7 * 16;
 /// Bits per rule in the action/priority side table.
 const SIDE_BITS: u64 = 64;
 
-/// Cost accounting for one [`SoftTcam`] update, mapped by the engine
-/// layer onto a §V.A-style `UpdateReport`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TcamUpdate {
-    /// TCAM slots newly written with the rule's prefix expansion.
-    pub entries_added: u32,
-    /// Slots invalidated by a remove.
-    pub entries_removed: u32,
-    /// Pre-existing entries rewritten to open a slot at the insertion
-    /// point (the shift-on-insert cost a real TCAM pays).
-    pub entries_moved: u32,
-}
+/// Largest `capacity=` accepted. Slots are not allocated until filled,
+/// but [`SoftTcamEngine::memory_bits`] charges every provisioned one and
+/// every rule's side-table entry; a rule fills at least one slot, so at
+/// this bound that sum still fits a `u64`.
+pub(crate) const MAX_CAPACITY: u64 = u64::MAX / (SLOT_BITS + SIDE_BITS);
+/// Largest `partitions=` accepted. Each partition is one 24-byte list
+/// allocated at build, 1.5 MiB at the bound.
+pub(crate) const MAX_PARTITIONS: usize = 1 << 16;
 
 /// One TCAM slot: a ternary match (`value`/`mask` per 16-bit dimension
-/// cell) plus the identity of the rule it expands.
+/// cell) plus the identity of the rule it expands; the rule's action
+/// lives in the side table.
 ///
 /// Slots are kept sorted by `(priority, id, seq)`, so the first matching
 /// slot in a scan is the highest-priority matching rule with ties broken
 /// by lowest id — the registry-wide tie-break.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TcamEntry {
+#[derive(Debug, Clone)]
+struct TcamEntry {
     /// Priority of the expanded rule.
-    pub priority: Priority,
+    priority: Priority,
     /// Id of the expanded rule.
-    pub id: u32,
+    id: RuleId,
     /// Index of this entry within the rule's expansion (cross product of
     /// the two port-range prefix decompositions).
-    pub seq: u16,
+    seq: u16,
     /// Match value per dimension cell, in canonical dimension order.
-    pub value: [u16; 7],
+    value: [u16; 7],
     /// Care-bit mask per dimension cell (`query & mask == value` hits).
-    pub mask: [u16; 7],
-    /// Action of the expanded rule.
-    pub action: Action,
+    mask: [u16; 7],
 }
 
 impl TcamEntry {
-    fn key(&self) -> (Priority, u32, u16) {
+    fn key(&self) -> (Priority, RuleId, u16) {
         (self.priority, self.id, self.seq)
     }
 
     fn hits(&self, q: &[u16; 7]) -> bool {
         (0..7).all(|i| q[i] & self.mask[i] == self.value[i])
     }
-}
-
-/// Decomposes the inclusive port range `[lo, hi]` into the minimal
-/// greedy sequence of aligned `(value, mask)` prefix blocks — the
-/// classic range-to-prefix expansion a real TCAM requires (worst case
-/// `2·16 - 2` blocks per range).
-///
-/// ```
-/// use spc_tuplespace::port_prefixes;
-/// assert_eq!(port_prefixes(0, 65535), vec![(0, 0)]);
-/// assert_eq!(port_prefixes(80, 80), vec![(80, 0xffff)]);
-/// assert_eq!(port_prefixes(4, 7), vec![(4, 0xfffc)]);
-/// ```
-pub fn port_prefixes(lo: u16, hi: u16) -> Vec<(u16, u16)> {
-    debug_assert!(lo <= hi);
-    PortRange::new(lo, hi).map_or_else(|_| Vec::new(), |r| r.prefix_blocks().collect())
 }
 
 /// 16-bit care mask for a segment prefix length.
@@ -98,9 +85,10 @@ fn query_cells(h: &Header) -> [u16; 7] {
 }
 
 /// Expands one rule into its TCAM entries: segment prefixes verbatim,
-/// port ranges through [`PortRange::prefix_blocks`], protocol as an 8-bit exact
-/// cell or wildcard.
-fn expand(id: u32, rule: &Rule) -> Vec<TcamEntry> {
+/// port ranges through [`spc_types::PortRange::prefix_blocks`] (the
+/// classic range-to-prefix expansion, at most `2·16 - 2` blocks per
+/// range), protocol as an 8-bit exact cell or wildcard.
+fn expand(id: RuleId, rule: &Rule) -> Vec<TcamEntry> {
     let sp: Vec<(u16, u16)> = rule.src_port.prefix_blocks().collect();
     let dp: Vec<(u16, u16)> = rule.dst_port.prefix_blocks().collect();
     let (sh, sl) = rule.src_ip.segments();
@@ -127,7 +115,6 @@ fn expand(id: u32, rule: &Rule) -> Vec<TcamEntry> {
                     dm,
                     pm,
                 ],
-                action: rule.action,
             });
             seq += 1;
         }
@@ -135,39 +122,70 @@ fn expand(id: u32, rule: &Rule) -> Vec<TcamEntry> {
     out
 }
 
-/// A priority-ordered software TCAM with a partitioned slot allocator.
+/// A priority-ordered software TCAM with a partitioned slot allocator
+/// (`"tcam:capacity=1048576,partitions=8"`).
 ///
 /// The array of `capacity` slots is split into `partitions` equal
 /// chunks. Entries stay globally sorted by `(priority, id, seq)`; an
 /// insert that lands in a full partition ripples entries toward the
-/// nearest partition with a free slot, and the number of pre-existing
-/// entries rewritten is reported in [`TcamUpdate::entries_moved`] —
-/// partitioning bounds that worst case to roughly `capacity /
-/// partitions` per hop instead of the whole array.
+/// nearest partition with a free slot. Partitioning bounds that worst
+/// case to roughly `capacity / partitions` per hop instead of the whole
+/// array.
 ///
 /// Removes invalidate slots in place (one write per expanded entry, no
 /// compaction shift), modelling a TCAM's valid-bit clear.
 ///
+/// An update's [`UpdateReport`] counts one label per entry written or
+/// cleared, and one write cycle per slot written on top of §V.A's three:
+/// the rule's own entries, the entries shifted to make room (the
+/// shift-on-insert cost a real TCAM pays), and the valid-bit clears of a
+/// remove.
+///
 /// Ids are monotonic and never reused; the `n` rules of
-/// [`SoftTcam::build`] get ids `0..n` in rule-set order.
-#[derive(Debug, Clone)]
-pub struct SoftTcam {
+/// [`SoftTcamEngine::build`] get ids `0..n` in rule-set order.
+///
+/// ```
+/// use spc_engine::{PacketClassifier, SoftTcamEngine};
+/// use spc_types::{Header, PortRange, Priority, Rule, RuleSet};
+///
+/// let mut tcam = SoftTcamEngine::build(&RuleSet::new(), 64, 4).unwrap();
+/// // [4, 11] is two prefix blocks: 4/14 and 8/13.
+/// let id = tcam
+///     .insert(Rule::builder(Priority(1)).src_port(PortRange::new(4, 11).unwrap()).build())
+///     .unwrap();
+/// assert_eq!(tcam.last_update_report().unwrap().created_labels, 2);
+/// let h = Header::new([1, 2, 3, 4].into(), [5, 6, 7, 8].into(), 9, 80, 6);
+/// assert_eq!(tcam.classify(&h).rule, Some(id));
+/// ```
+#[derive(Debug)]
+pub struct SoftTcamEngine {
     parts: Vec<Vec<TcamEntry>>,
     part_cap: usize,
     capacity: usize,
     entries: usize,
-    rules: HashMap<u32, Rule>,
-    dupes: HashMap<[DimValue; 7], u32>,
+    rules: HashMap<RuleId, Rule>,
+    dupes: HashMap<[DimValue; 7], RuleId>,
     next_id: u32,
+    last_report: Option<UpdateReport>,
+    epoch: u64,
 }
 
-impl SoftTcam {
-    /// An empty TCAM with `capacity` slots in `partitions` chunks
-    /// (minimums 1 slot, 1 partition; at most one partition per slot).
-    pub fn new(capacity: usize, partitions: usize) -> Self {
+impl SoftTcamEngine {
+    /// Builds from a rule set (rule `i` gets id `i`) into `capacity`
+    /// slots split into `partitions` chunks (minimums 1 slot, 1
+    /// partition; at most one partition per slot), distributing the
+    /// expanded entries evenly across partitions so each keeps free
+    /// headroom for later inserts.
+    ///
+    /// # Errors
+    ///
+    /// [`UpdateError::Rejected`] when the expansion exceeds `capacity`,
+    /// [`UpdateError::Duplicate`] when two rules share all seven match
+    /// dimensions.
+    pub fn build(rules: &RuleSet, capacity: usize, partitions: usize) -> Result<Self, UpdateError> {
         let capacity = capacity.max(1);
         let partitions = partitions.clamp(1, capacity);
-        SoftTcam {
+        let mut tcam = SoftTcamEngine {
             parts: vec![Vec::new(); partitions],
             part_cap: capacity.div_ceil(partitions),
             capacity,
@@ -175,36 +193,21 @@ impl SoftTcam {
             rules: HashMap::new(),
             dupes: HashMap::new(),
             next_id: 0,
-        }
-    }
-
-    /// Builds from a rule set (rule `i` gets id `i`), distributing the
-    /// expanded entries evenly across partitions so each keeps free
-    /// headroom for later inserts.
-    ///
-    /// # Errors
-    ///
-    /// [`TupleError::CapacityExhausted`] when the expansion exceeds
-    /// `capacity`, [`TupleError::Duplicate`] when two rules share all
-    /// seven match dimensions.
-    pub fn build(rules: &RuleSet, capacity: usize, partitions: usize) -> Result<Self, TupleError> {
-        let mut tcam = SoftTcam::new(capacity, partitions);
+            last_report: None,
+            epoch: 0,
+        };
         let mut all = Vec::new();
-        for (rid, r) in rules.iter() {
-            let id = rid.0;
+        for (id, r) in rules.iter() {
             if let Some(&existing) = tcam.dupes.get(&r.dim_values()) {
-                return Err(TupleError::Duplicate { existing });
+                return Err(UpdateError::Duplicate { existing });
             }
             tcam.dupes.insert(r.dim_values(), id);
             tcam.rules.insert(id, *r);
             all.extend(expand(id, r));
-            tcam.next_id = tcam.next_id.max(id + 1);
+            tcam.next_id = tcam.next_id.max(id.0 + 1);
         }
         if all.len() > tcam.capacity {
-            return Err(TupleError::CapacityExhausted {
-                capacity: tcam.capacity,
-                needed: all.len(),
-            });
+            return Err(tcam.exhausted(all.len()));
         }
         all.sort_by_key(TcamEntry::key);
         tcam.entries = all.len();
@@ -221,117 +224,22 @@ impl SoftTcam {
         Ok(tcam)
     }
 
-    /// Installed rule count.
-    pub fn len(&self) -> usize {
-        self.rules.len()
+    /// Capacity exhaustion is an environment limit, not a protocol
+    /// error: a rejection, distinguishable from a duplicate so churn
+    /// loops can surface it.
+    fn exhausted(&self, needed: usize) -> UpdateError {
+        UpdateError::Rejected {
+            reason: format!(
+                "tcam capacity exhausted: need {needed} of {} slots",
+                self.capacity
+            ),
+        }
     }
 
-    /// Whether no rules are installed.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-    }
-
-    /// Provisioned slot capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of allocator partitions.
-    pub fn partitions(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// Bits the TCAM occupies: the full provisioned ternary array (a
-    /// hardware TCAM burns power and area on empty slots too) plus the
-    /// per-rule action side table.
-    pub fn memory_bits(&self) -> u64 {
-        self.capacity as u64 * SLOT_BITS + self.rules.len() as u64 * SIDE_BITS
-    }
-
-    /// Iterates `(id, rule)` over every installed rule, in no particular
-    /// order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &Rule)> {
+    /// Every installed `(id, rule)`, in no particular order.
+    #[cfg(test)]
+    fn iter(&self) -> impl Iterator<Item = (RuleId, &Rule)> {
         self.rules.iter().map(|(&id, r)| (id, r))
-    }
-
-    /// First-match scan: the highest-priority matching rule (ties broken
-    /// by lowest id) and the slots examined as the read cost.
-    pub fn lookup(&self, h: &Header) -> (Option<(u32, &Rule)>, u32) {
-        let q = query_cells(h);
-        let mut reads = 0u32;
-        for part in &self.parts {
-            for e in part {
-                reads = reads.saturating_add(1);
-                if e.hits(&q) {
-                    let Some(rule) = self.rules.get(&e.id) else {
-                        unreachable!("every slot belongs to an installed rule")
-                    };
-                    return (Some((e.id, rule)), reads.max(1));
-                }
-            }
-        }
-        (None, reads.max(1))
-    }
-
-    /// Installs one rule; returns its id and the update cost.
-    ///
-    /// # Errors
-    ///
-    /// [`TupleError::Duplicate`] when an identical 5-tuple is installed,
-    /// [`TupleError::CapacityExhausted`] when the expansion does not fit.
-    pub fn insert(&mut self, rule: Rule) -> Result<(u32, TcamUpdate), TupleError> {
-        if let Some(&existing) = self.dupes.get(&rule.dim_values()) {
-            return Err(TupleError::Duplicate { existing });
-        }
-        let id = self.next_id;
-        let new = expand(id, &rule);
-        let needed = self.entries + new.len();
-        if needed > self.capacity {
-            return Err(TupleError::CapacityExhausted {
-                capacity: self.capacity,
-                needed,
-            });
-        }
-        let mut up = TcamUpdate {
-            entries_added: new.len() as u32,
-            ..TcamUpdate::default()
-        };
-        for e in new {
-            up.entries_moved = up.entries_moved.saturating_add(self.place(e));
-        }
-        self.entries = needed;
-        self.dupes.insert(rule.dim_values(), id);
-        self.rules.insert(id, rule);
-        self.next_id += 1;
-        Ok((id, up))
-    }
-
-    /// Removes one rule by id, invalidating its slots in place; returns
-    /// the rule and the update cost.
-    ///
-    /// # Errors
-    ///
-    /// [`TupleError::UnknownRule`] when no rule has this id.
-    pub fn remove(&mut self, id: u32) -> Result<(Rule, TcamUpdate), TupleError> {
-        let rule = self
-            .rules
-            .remove(&id)
-            .ok_or(TupleError::UnknownRule { id })?;
-        self.dupes.remove(&rule.dim_values());
-        let mut removed = 0u32;
-        for part in &mut self.parts {
-            let before = part.len();
-            part.retain(|e| e.id != id);
-            removed += (before - part.len()) as u32;
-        }
-        self.entries -= removed as usize;
-        Ok((
-            rule,
-            TcamUpdate {
-                entries_removed: removed,
-                ..TcamUpdate::default()
-            },
-        ))
     }
 
     /// Owner partition and in-partition position for `e`: the first
@@ -440,13 +348,123 @@ impl SoftTcam {
     }
 }
 
+impl PacketClassifier for SoftTcamEngine {
+    fn kind(&self) -> EngineKind {
+        EngineKind::SoftTcam
+    }
+
+    fn name(&self) -> &'static str {
+        "Software TCAM"
+    }
+
+    fn rules(&self) -> usize {
+        self.rules.len()
+    }
+
+    /// First-match scan: the highest-priority matching rule (ties broken
+    /// by lowest id), costing one read per slot examined.
+    fn classify(&self, h: &Header) -> Verdict {
+        let q = query_cells(h);
+        let mut reads = 0u32;
+        for part in &self.parts {
+            for e in part {
+                reads = reads.saturating_add(1);
+                if e.hits(&q) {
+                    let Some(rule) = self.rules.get(&e.id) else {
+                        unreachable!("every slot belongs to an installed rule")
+                    };
+                    return verdict(Some((e.id, rule)), reads.max(1));
+                }
+            }
+        }
+        verdict(None, reads.max(1))
+    }
+
+    /// Bits the TCAM occupies: the full provisioned ternary array (a
+    /// hardware TCAM burns power and area on empty slots too) plus the
+    /// per-rule action side table.
+    fn memory_bits(&self) -> u64 {
+        self.capacity as u64 * SLOT_BITS + self.rules.len() as u64 * SIDE_BITS
+    }
+
+    fn supports_updates(&self) -> bool {
+        true
+    }
+
+    fn insert(&mut self, rule: Rule) -> Result<RuleId, UpdateError> {
+        // Same contract as every updating backend: a failed update
+        // leaves the report/epoch pair untouched.
+        if let Some(&existing) = self.dupes.get(&rule.dim_values()) {
+            return Err(UpdateError::Duplicate { existing });
+        }
+        let id = RuleId(self.next_id);
+        let new = expand(id, &rule);
+        let needed = self.entries + new.len();
+        if needed > self.capacity {
+            return Err(self.exhausted(needed));
+        }
+        let added = new.len() as u32;
+        let mut moved = 0u32;
+        for e in new {
+            moved = moved.saturating_add(self.place(e));
+        }
+        self.entries = needed;
+        self.dupes.insert(rule.dim_values(), id);
+        self.rules.insert(id, rule);
+        self.next_id += 1;
+        self.last_report = Some(UpdateReport {
+            rule_id: id,
+            created_labels: added,
+            freed_labels: 0,
+            hw_write_cycles: 3 + u64::from(added) + u64::from(moved),
+        });
+        self.epoch += 1;
+        Ok(id)
+    }
+
+    fn remove(&mut self, id: RuleId) -> Result<(), UpdateError> {
+        let rule = self
+            .rules
+            .remove(&id)
+            .ok_or(UpdateError::UnknownRule { id })?;
+        self.dupes.remove(&rule.dim_values());
+        let mut removed = 0u32;
+        for part in &mut self.parts {
+            let before = part.len();
+            part.retain(|e| e.id != id);
+            removed += (before - part.len()) as u32;
+        }
+        self.entries -= removed as usize;
+        self.last_report = Some(UpdateReport {
+            rule_id: id,
+            created_labels: 0,
+            freed_labels: removed,
+            hw_write_cycles: 3 + u64::from(removed),
+        });
+        self.epoch += 1;
+        Ok(())
+    }
+
+    fn last_update_report(&self) -> Option<UpdateReport> {
+        self.last_report
+    }
+
+    fn update_epoch(&self) -> u64 {
+        self.epoch
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use spc_classbench::{FilterKind, RuleSetGenerator, TraceGenerator};
     use spc_types::PortRange;
 
-    fn naive<'a>(rules: impl Iterator<Item = (u32, &'a Rule)>, h: &Header) -> Option<u32> {
+    fn empty(capacity: usize, partitions: usize) -> SoftTcamEngine {
+        SoftTcamEngine::build(&RuleSet::new(), capacity, partitions).unwrap()
+    }
+
+    fn naive<'a>(rules: impl Iterator<Item = (RuleId, &'a Rule)>, h: &Header) -> Option<RuleId> {
         rules
             .filter(|(_, r)| r.matches(h))
             .min_by_key(|&(id, r)| (r.priority, id))
@@ -454,52 +472,19 @@ mod tests {
     }
 
     #[test]
-    fn port_prefixes_cover_their_range_exactly() {
-        for (lo, hi) in [
-            (0u16, 65535u16),
-            (80, 80),
-            (1, 10),
-            (10, 1000),
-            (1000, 40000),
-            (1024, 65535),
-            (0, 1),
-            (65535, 65535),
-        ] {
-            let blocks = port_prefixes(lo, hi);
-            assert!(
-                blocks.len() <= 30,
-                "[{lo},{hi}] used {} blocks",
-                blocks.len()
-            );
-            for port in 0..=u16::MAX {
-                let covered = blocks.iter().any(|&(v, m)| port & m == v);
-                assert_eq!(
-                    covered,
-                    (lo..=hi).contains(&port),
-                    "[{lo},{hi}] wrong at port {port}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn agrees_with_linear_scan_on_generated_sets() {
         for kind in [FilterKind::Acl, FilterKind::Fw, FilterKind::Ipc] {
             let rules = RuleSetGenerator::new(kind, 300).seed(0xbead).generate();
-            let tcam = SoftTcam::build(&rules, 1 << 20, 8).unwrap();
-            assert_eq!(tcam.len(), rules.len());
+            let tcam = SoftTcamEngine::build(&rules, 1 << 20, 8).unwrap();
+            assert_eq!(tcam.rules(), rules.len());
             let trace = TraceGenerator::new()
                 .seed(0x5eed)
                 .match_fraction(0.7)
                 .generate(&rules, 400);
             for h in &trace {
-                let (hit, reads) = tcam.lookup(h);
-                assert!(reads >= 1);
-                assert_eq!(
-                    hit.map(|(id, _)| id),
-                    naive(tcam.iter(), h),
-                    "{kind:?} disagreed at {h}"
-                );
+                let v = tcam.classify(h);
+                assert!(v.mem_reads >= 1);
+                assert_eq!(v.rule, naive(tcam.iter(), h), "{kind:?} disagreed at {h}");
             }
         }
     }
@@ -509,9 +494,9 @@ mod tests {
         let rules = RuleSetGenerator::new(FilterKind::Fw, 120)
             .seed(7)
             .generate();
-        let mut tcam = SoftTcam::build(&rules, 1 << 18, 4).unwrap();
+        let mut tcam = SoftTcamEngine::build(&rules, 1 << 18, 4).unwrap();
         // Remove every third rule, insert replacements, re-check.
-        let ids: Vec<u32> = tcam.iter().map(|(id, _)| id).collect();
+        let ids: Vec<RuleId> = tcam.iter().map(|(id, _)| id).collect();
         for (i, id) in ids.iter().enumerate() {
             if i % 3 == 0 {
                 tcam.remove(*id).unwrap();
@@ -526,8 +511,7 @@ mod tests {
         }
         let trace = TraceGenerator::new().seed(11).generate(&rules, 300);
         for h in &trace {
-            let (hit, _) = tcam.lookup(h);
-            assert_eq!(hit.map(|(id, _)| id), naive(tcam.iter(), h), "at {h}");
+            assert_eq!(tcam.classify(h).rule, naive(tcam.iter(), h), "at {h}");
         }
     }
 
@@ -538,23 +522,20 @@ mod tests {
         let r = Rule::builder(Priority(0))
             .src_port(PortRange::new(1000, 40000).unwrap())
             .build();
-        let mut tiny = SoftTcam::new(4, 2);
+        let mut tiny = empty(4, 2);
         match tiny.insert(r) {
-            Err(TupleError::CapacityExhausted {
-                capacity: 4,
-                needed,
-            }) => {
-                assert!(needed > 4);
+            Err(UpdateError::Rejected { reason }) => {
+                assert!(reason.contains("of 4 slots"), "{reason}");
             }
-            other => panic!("expected CapacityExhausted, got {other:?}"),
+            other => panic!("expected Rejected, got {other:?}"),
         }
         // The failed insert must leave the TCAM unchanged.
-        assert!(tiny.is_empty());
+        assert_eq!((tiny.rules(), tiny.entries), (0, 0));
         let mut rules = RuleSet::new();
         rules.push(r);
         assert!(matches!(
-            SoftTcam::build(&rules, 4, 2),
-            Err(TupleError::CapacityExhausted { .. })
+            SoftTcamEngine::build(&rules, 4, 2),
+            Err(UpdateError::Rejected { .. })
         ));
     }
 
@@ -562,7 +543,7 @@ mod tests {
     fn full_partition_insert_ripples_and_reports_moves() {
         // Capacity 8 in 2 partitions of 4. Fill the first partition's
         // priority region, then insert a rule that must land in front.
-        let mut tcam = SoftTcam::new(8, 2);
+        let mut tcam = empty(8, 2);
         for p in 10..16u32 {
             let r = Rule::builder(Priority(p))
                 .dst_port(PortRange::exact(p as u16))
@@ -571,63 +552,84 @@ mod tests {
         }
         // Priority 0 sorts before everything: partition 0 is full (4
         // entries), so the insert must shift entries across partitions.
-        let (_, up) = tcam
-            .insert(
-                Rule::builder(Priority(0))
-                    .dst_port(PortRange::exact(99))
-                    .build(),
-            )
-            .unwrap();
-        assert_eq!(up.entries_added, 1);
-        assert!(up.entries_moved > 0, "full owner partition must shift");
+        tcam.insert(
+            Rule::builder(Priority(0))
+                .dst_port(PortRange::exact(99))
+                .build(),
+        )
+        .unwrap();
+        // §V.A's floor, the new entry, the four entries of partition 0
+        // shifted, its last carried into partition 1, and the two there
+        // shifted.
+        let up = tcam.last_update_report().unwrap();
+        assert_eq!(up.created_labels, 1);
+        assert_eq!(up.hw_write_cycles, 3 + 1 + 4 + 1 + 2);
         // Order is intact: the new top-priority rule wins its header.
         let h = Header::new([0; 4].into(), [0; 4].into(), 0, 99, 0);
-        let (hit, _) = tcam.lookup(&h);
-        assert_eq!(hit.map(|(_, r)| r.priority), Some(Priority(0)));
+        assert_eq!(tcam.classify(&h).priority, Some(Priority(0)));
     }
 
     #[test]
     fn remove_invalidates_in_place() {
-        let mut tcam = SoftTcam::new(64, 4);
+        let mut tcam = empty(64, 4);
         let wide = Rule::builder(Priority(1))
             .src_port(PortRange::new(4, 11).unwrap())
             .build();
-        let (id, up) = tcam.insert(wide).unwrap();
-        assert!(up.entries_added >= 2, "range [4,11] needs several blocks");
-        let (_, down) = tcam.remove(id).unwrap();
-        assert_eq!(down.entries_removed, up.entries_added);
-        assert_eq!(down.entries_moved, 0, "removes clear valid bits, no shift");
-        assert!(tcam.is_empty());
+        let id = tcam.insert(wide).unwrap();
+        let up = tcam.last_update_report().unwrap();
+        assert!(up.created_labels >= 2, "range [4,11] needs several blocks");
+        tcam.remove(id).unwrap();
+        let down = tcam.last_update_report().unwrap();
+        assert_eq!(down.freed_labels, up.created_labels);
+        // Removes clear valid bits, no shift.
+        assert_eq!(down.hw_write_cycles, 3 + u64::from(down.freed_labels));
+        assert_eq!(tcam.rules(), 0);
         assert!(matches!(
             tcam.remove(id),
-            Err(TupleError::UnknownRule { .. })
+            Err(UpdateError::UnknownRule { .. })
         ));
         // Ids are never reused.
-        let (id2, _) = tcam.insert(Rule::any(Priority(0))).unwrap();
+        let id2 = tcam.insert(Rule::any(Priority(0))).unwrap();
         assert!(id2 > id);
     }
 
     #[test]
     fn duplicate_filter_is_rejected() {
-        let mut tcam = SoftTcam::new(64, 4);
+        let mut tcam = empty(64, 4);
         let r = Rule::builder(Priority(3))
             .dst_port(PortRange::exact(443))
             .build();
-        let (id, _) = tcam.insert(r).unwrap();
+        let id = tcam.insert(r).unwrap();
         let mut dup = r;
         dup.priority = Priority(9);
         assert_eq!(
             tcam.insert(dup),
-            Err(TupleError::Duplicate { existing: id })
+            Err(UpdateError::Duplicate { existing: id })
         );
-        assert_eq!(tcam.len(), 1);
+        assert_eq!(tcam.rules(), 1);
     }
 
     #[test]
     fn memory_model_charges_provisioned_slots() {
-        let tcam = SoftTcam::new(1024, 8);
+        let tcam = empty(1024, 8);
         assert_eq!(tcam.memory_bits(), 1024 * SLOT_BITS);
-        assert_eq!(tcam.capacity(), 1024);
-        assert_eq!(tcam.partitions(), 8);
+        assert_eq!((tcam.capacity, tcam.parts.len()), (1024, 8));
+    }
+
+    #[test]
+    fn memory_bits_cannot_overflow_at_the_capacity_bound() {
+        // Nothing is allocated per slot, so the bound itself builds; its
+        // model, every rule's side-table entry included, is exact.
+        let capacity = usize::try_from(MAX_CAPACITY).unwrap();
+        let rules: RuleSet = (0..3u16)
+            .map(|p| {
+                Rule::builder(Priority(u32::from(p)))
+                    .dst_port(PortRange::exact(p))
+                    .build()
+            })
+            .collect();
+        let tcam = SoftTcamEngine::build(&rules, capacity, 1).unwrap();
+        assert_eq!(tcam.memory_bits(), MAX_CAPACITY * SLOT_BITS + 3 * SIDE_BITS);
+        assert!(MAX_CAPACITY.checked_mul(SLOT_BITS + SIDE_BITS).is_some());
     }
 }

@@ -1,9 +1,20 @@
-//! Tuple-space search: rules grouped by hash-mask signature, one
-//! open-addressed hash table per tuple, probed in best-priority order.
+//! Tuple-space search (Srinivasan, Suri & Varghese, SIGCOMM '99; the
+//! software path of Open vSwitch): rules grouped by hash-mask signature,
+//! one open-addressed hash table per tuple, probed in best-priority order.
 
-use crate::TupleError;
-use spc_types::{Header, MaskSummary, Priority, Rule, RuleSet};
+use crate::tuple::verdict;
+use crate::{EngineKind, PacketClassifier, UpdateError, UpdateReport, Verdict};
+use spc_types::{Header, MaskSummary, Priority, Rule, RuleId, RuleSet};
 use std::collections::HashMap;
+
+/// Default per-tuple hash-table slot hint (`tss:tables=`), rounded up to
+/// a power of two by the structure.
+pub const DEFAULT_TSS_TABLES: usize = 8;
+
+/// Largest `tables=` accepted. Every tuple opens with this many slots of
+/// 40 bytes, so at the bound a tuple costs 160 KiB before its first
+/// rule; a table grows past it only by doubling as it fills.
+pub(crate) const MAX_TABLES: usize = 1 << 12;
 
 /// Approximate storage of one installed rule (5-tuple + priority +
 /// action + id), for the memory model.
@@ -13,23 +24,10 @@ const SLOT_BITS: u64 = 64;
 /// One bucket's key — seven 16-bit masked query values.
 const KEY_BITS: u64 = 7 * 16;
 
-/// Cost accounting for one [`TupleSpace`] update, mapped by the engine
-/// layer onto a §V.A-style `UpdateReport`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TssUpdate {
-    /// An insert opened a tuple this signature did not have yet.
-    pub tuple_created: bool,
-    /// A remove emptied and freed the rule's tuple.
-    pub tuple_freed: bool,
-    /// Hash-table slots written: the touched bucket plus any slots moved
-    /// by a rehash (insert growth) or a backward-shift deletion.
-    pub slots_written: u32,
-}
-
 /// One installed rule inside a tuple's table.
 #[derive(Debug, Clone)]
 struct Entry {
-    id: u32,
+    id: RuleId,
     rule: Rule,
 }
 
@@ -56,7 +54,7 @@ fn hash_key(key: &[u16; 7]) -> u64 {
 /// Open-addressed (linear probing, backward-shift deletion) table of
 /// buckets. Power-of-two capacity, load kept under 3/4 so every probe
 /// chain ends at an empty slot.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Table {
     slots: Vec<Option<Bucket>>,
     buckets: usize,
@@ -132,7 +130,7 @@ impl Table {
 /// One tuple: every rule whose hash-mask signature equals `sig`, indexed
 /// by masked query value, plus the best (minimum) installed priority for
 /// probe-order pruning.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Tuple {
     sig: MaskSummary,
     table: Table,
@@ -156,7 +154,7 @@ impl Tuple {
     }
 }
 
-/// Tuple-space search over rule mask signatures.
+/// Tuple-space search over rule mask signatures (`"tss:tables=8"`).
 ///
 /// Rules with the same [`MaskSummary::hash_signature`] share a *tuple*;
 /// inside a tuple, masked equality of the seven query values is a
@@ -165,15 +163,20 @@ impl Tuple {
 /// in ascending best-priority order and the scan stops as soon as the
 /// current winner strictly outranks every remaining tuple.
 ///
+/// An update touches exactly one tuple's table plus the pruning index.
+/// Its [`UpdateReport`] counts one label for the rule itself plus one per
+/// tuple opened or freed, and a write cycle per hash slot written on top
+/// of §V.A's three.
+///
 /// Ids are monotonic and never reused; the `n` rules of
-/// [`TupleSpace::build`] get ids `0..n` in rule-set order.
+/// [`TupleSpaceEngine::build`] get ids `0..n` in rule-set order.
 ///
 /// ```
-/// use spc_tuplespace::TupleSpace;
-/// use spc_types::{Header, PortRange, Priority, ProtoSpec, Rule};
+/// use spc_engine::{PacketClassifier, TupleSpaceEngine};
+/// use spc_types::{Header, PortRange, Priority, ProtoSpec, Rule, RuleSet};
 ///
-/// let mut ts = TupleSpace::new(8);
-/// let (web, _) = ts
+/// let mut ts = TupleSpaceEngine::build(&RuleSet::new(), 8).unwrap();
+/// let web = ts
 ///     .insert(
 ///         Rule::builder(Priority(0))
 ///             .dst_port(PortRange::exact(80))
@@ -182,11 +185,11 @@ impl Tuple {
 ///     )
 ///     .unwrap();
 /// let h = Header::new([1, 2, 3, 4].into(), [5, 6, 7, 8].into(), 999, 80, 6);
-/// let (hit, _reads) = ts.lookup(&h);
-/// assert_eq!(hit.map(|(id, _)| id), Some(web));
+/// assert_eq!(ts.classify(&h).rule, Some(web));
+/// assert_eq!(ts.tuple_count(), 1);
 /// ```
-#[derive(Debug, Clone)]
-pub struct TupleSpace {
+#[derive(Debug)]
+pub struct TupleSpaceEngine {
     tuples: Vec<Option<Tuple>>,
     free: Vec<usize>,
     by_sig: HashMap<[u16; 7], usize>,
@@ -194,50 +197,38 @@ pub struct TupleSpace {
     /// pruning index the lookup walks.
     order: Vec<usize>,
     /// Rule id → (tuple index, bucket key).
-    locs: HashMap<u32, (usize, [u16; 7])>,
+    locs: HashMap<RuleId, (usize, [u16; 7])>,
     next_id: u32,
-    len: usize,
     slots_hint: usize,
+    last_report: Option<UpdateReport>,
+    epoch: u64,
 }
 
-impl TupleSpace {
-    /// An empty tuple space; `slots_hint` seeds each new tuple's table
-    /// capacity (rounded up to a power of two, minimum 4).
-    pub fn new(slots_hint: usize) -> Self {
-        TupleSpace {
+impl TupleSpaceEngine {
+    /// Builds from a rule set (rule `i` gets id `i`); `slots_hint` seeds
+    /// each new tuple's table capacity (rounded up to a power of two,
+    /// minimum 4).
+    ///
+    /// # Errors
+    ///
+    /// [`UpdateError::Duplicate`] when two rules share all seven match
+    /// dimensions.
+    pub fn build(rules: &RuleSet, slots_hint: usize) -> Result<Self, UpdateError> {
+        let mut ts = TupleSpaceEngine {
             tuples: Vec::new(),
             free: Vec::new(),
             by_sig: HashMap::new(),
             order: Vec::new(),
             locs: HashMap::new(),
             next_id: 0,
-            len: 0,
             slots_hint,
-        }
-    }
-
-    /// Builds from a rule set; rule `i` gets id `i`.
-    ///
-    /// # Errors
-    ///
-    /// [`TupleError::Duplicate`] when two rules share all seven match
-    /// dimensions.
-    pub fn build(rules: &RuleSet, slots_hint: usize) -> Result<Self, TupleError> {
-        let mut ts = TupleSpace::new(slots_hint);
+            last_report: None,
+            epoch: 0,
+        };
         for (_, r) in rules.iter() {
-            ts.insert(*r)?;
+            ts.install(*r)?;
         }
         Ok(ts)
-    }
-
-    /// Installed rule count.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no rules are installed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Number of live tuples (distinct hash-mask signatures).
@@ -245,22 +236,9 @@ impl TupleSpace {
         self.by_sig.len()
     }
 
-    /// Bits of memory the structure occupies in the hardware model:
-    /// slot headers, bucket keys and stored rules.
-    pub fn memory_bits(&self) -> u64 {
-        let mut bits = 0u64;
-        for t in self.tuples.iter().flatten() {
-            bits += t.table.slots.len() as u64 * SLOT_BITS;
-            for b in t.slots() {
-                bits += KEY_BITS + b.entries.len() as u64 * RULE_BITS;
-            }
-        }
-        bits
-    }
-
-    /// Iterates `(id, rule)` over every installed rule, in no particular
-    /// order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &Rule)> {
+    /// Every installed `(id, rule)`, in no particular order.
+    #[cfg(test)]
+    fn iter(&self) -> impl Iterator<Item = (RuleId, &Rule)> {
         self.tuples
             .iter()
             .flatten()
@@ -268,62 +246,14 @@ impl TupleSpace {
             .flat_map(|b| b.entries.iter().map(|e| (e.id, &e.rule)))
     }
 
-    /// The highest-priority matching rule (ties broken by lowest id) and
-    /// the memory reads the probe cost: one read per tuple descriptor,
-    /// probe step and bucket entry examined.
-    pub fn lookup(&self, h: &Header) -> (Option<(u32, &Rule)>, u32) {
-        let mut best: Option<(Priority, u32, &Rule)> = None;
-        let mut reads = 0u32;
-        for &ti in &self.order {
-            let Some(t) = self.tuples[ti].as_ref() else {
-                continue;
-            };
-            if let Some((bp, _, _)) = best {
-                // `order` ascends by best priority: once the winner
-                // strictly outranks this tuple's best, it outranks every
-                // remaining tuple. Equal priorities must still be probed
-                // (a lower id could win the tie).
-                if bp < t.best {
-                    break;
-                }
-            }
-            reads = reads.saturating_add(1);
-            let key = t.sig.masked_query(h);
-            let (slot, steps, found) = t.table.find_slot(&key);
-            reads = reads.saturating_add(steps);
-            if !found {
-                continue;
-            }
-            let Some(bucket) = t.slots_at(slot) else {
-                continue;
-            };
-            for e in &bucket.entries {
-                if let Some((bp, bid, _)) = best {
-                    // Entries ascend by (priority, id): stop once the
-                    // current winner beats everything left in the bucket.
-                    if (bp, bid) < (e.rule.priority, e.id) {
-                        break;
-                    }
-                }
-                reads = reads.saturating_add(1);
-                if e.rule.matches(h) {
-                    best = Some((e.rule.priority, e.id, &e.rule));
-                    break;
-                }
-            }
-        }
-        (best.map(|(_, id, r)| (id, r)), reads.max(1))
-    }
-
-    /// Installs one rule; returns its id and the update cost.
-    ///
-    /// # Errors
-    ///
-    /// [`TupleError::Duplicate`] when an identical 5-tuple is installed.
-    pub fn insert(&mut self, rule: Rule) -> Result<(u32, TssUpdate), TupleError> {
+    /// Installs one rule and prices it: §V.A's floor (2 data + 1 hash
+    /// cycle) plus every hash slot written, one label for the rule and
+    /// one for a tuple it opened.
+    fn install(&mut self, rule: Rule) -> Result<UpdateReport, UpdateError> {
         let sig = MaskSummary::hash_signature(&rule);
         let key = sig.masked_rule(&rule);
-        let mut up = TssUpdate::default();
+        let mut tuple_created = false;
+        let mut slots_written = 0u32;
 
         let ti = match self.by_sig.get(&sig.masks) {
             Some(&ti) => ti,
@@ -346,19 +276,19 @@ impl TupleSpace {
                 };
                 self.by_sig.insert(sig.masks, ti);
                 self.order.push(ti);
-                up.tuple_created = true;
+                tuple_created = true;
                 ti
             }
         };
 
-        let id = self.next_id;
+        let id = RuleId(self.next_id);
         let Some(t) = self.tuples[ti].as_mut() else {
             unreachable!("by_sig and free agree on live tuples")
         };
 
         // Grow before probing so the chain we write stays valid.
         if (t.table.buckets + 1) * 4 > t.table.slots.len() * 3 {
-            up.slots_written = up.slots_written.saturating_add(t.table.grow());
+            slots_written = slots_written.saturating_add(t.table.grow());
         }
         let (slot, _, found) = t.table.find_slot(&key);
         if found {
@@ -374,10 +304,10 @@ impl TupleSpace {
             {
                 // Roll back a tuple opened just for this rejected rule.
                 let existing = e.id;
-                if up.tuple_created {
+                if tuple_created {
                     self.drop_tuple(ti, &sig);
                 }
-                return Err(TupleError::Duplicate { existing });
+                return Err(UpdateError::Duplicate { existing });
             }
             let pos = bucket
                 .entries
@@ -390,57 +320,19 @@ impl TupleSpace {
             });
             t.table.buckets += 1;
         }
-        up.slots_written = up.slots_written.saturating_add(1);
+        slots_written = slots_written.saturating_add(1);
 
         t.rules += 1;
         t.best = t.best.min(rule.priority);
         self.next_id += 1;
-        self.len += 1;
         self.locs.insert(id, (ti, key));
         self.sort_order();
-        Ok((id, up))
-    }
-
-    /// Removes one rule by id; returns the rule and the update cost.
-    ///
-    /// # Errors
-    ///
-    /// [`TupleError::UnknownRule`] when no rule has this id.
-    pub fn remove(&mut self, id: u32) -> Result<(Rule, TssUpdate), TupleError> {
-        let (ti, key) = self
-            .locs
-            .remove(&id)
-            .ok_or(TupleError::UnknownRule { id })?;
-        let Some(t) = self.tuples[ti].as_mut() else {
-            unreachable!("locs points at a live tuple")
-        };
-        let mut up = TssUpdate::default();
-        let (slot, _, found) = t.table.find_slot(&key);
-        debug_assert!(found, "locs points at a live bucket");
-        let Some(bucket) = t.table.slots[slot].as_mut() else {
-            unreachable!("locs points at a live bucket")
-        };
-        let Some(pos) = bucket.entries.iter().position(|e| e.id == id) else {
-            unreachable!("locs points at a live entry")
-        };
-        let rule = bucket.entries.remove(pos).rule;
-        if bucket.entries.is_empty() {
-            up.slots_written = up.slots_written.saturating_add(t.table.erase_slot(slot));
-            t.table.buckets -= 1;
-        } else {
-            up.slots_written = up.slots_written.saturating_add(1);
-        }
-        t.rules -= 1;
-        self.len -= 1;
-        if t.rules == 0 {
-            let sig = t.sig;
-            self.drop_tuple(ti, &sig);
-            up.tuple_freed = true;
-        } else if rule.priority == t.best {
-            t.recompute_best();
-        }
-        self.sort_order();
-        Ok((rule, up))
+        Ok(UpdateReport {
+            rule_id: id,
+            created_labels: 1 + u32::from(tuple_created),
+            freed_labels: 0,
+            hw_write_cycles: 3 + u64::from(slots_written),
+        })
     }
 
     fn drop_tuple(&mut self, ti: usize, sig: &MaskSummary) {
@@ -457,9 +349,143 @@ impl TupleSpace {
     }
 }
 
-impl Tuple {
-    fn slots_at(&self, slot: usize) -> Option<&Bucket> {
-        self.table.slots[slot].as_ref()
+impl PacketClassifier for TupleSpaceEngine {
+    fn kind(&self) -> EngineKind {
+        EngineKind::TupleSpace
+    }
+
+    fn name(&self) -> &'static str {
+        "Tuple-space search"
+    }
+
+    fn rules(&self) -> usize {
+        self.locs.len()
+    }
+
+    /// The highest-priority matching rule (ties broken by lowest id),
+    /// costing one read per tuple descriptor, probe step and bucket entry
+    /// examined.
+    fn classify(&self, h: &Header) -> Verdict {
+        let mut best: Option<(Priority, RuleId, &Rule)> = None;
+        let mut reads = 0u32;
+        for &ti in &self.order {
+            let Some(t) = self.tuples[ti].as_ref() else {
+                continue;
+            };
+            if let Some((bp, _, _)) = best {
+                // `order` ascends by best priority: once the winner
+                // strictly outranks this tuple's best, it outranks every
+                // remaining tuple. Equal priorities must still be probed
+                // (a lower id could win the tie).
+                if bp < t.best {
+                    break;
+                }
+            }
+            reads = reads.saturating_add(1);
+            let key = t.sig.masked_query(h);
+            let (slot, steps, found) = t.table.find_slot(&key);
+            reads = reads.saturating_add(steps);
+            if !found {
+                continue;
+            }
+            let Some(bucket) = t.table.slots[slot].as_ref() else {
+                continue;
+            };
+            for e in &bucket.entries {
+                if let Some((bp, bid, _)) = best {
+                    // Entries ascend by (priority, id): stop once the
+                    // current winner beats everything left in the bucket.
+                    if (bp, bid) < (e.rule.priority, e.id) {
+                        break;
+                    }
+                }
+                reads = reads.saturating_add(1);
+                if e.rule.matches(h) {
+                    best = Some((e.rule.priority, e.id, &e.rule));
+                    break;
+                }
+            }
+        }
+        verdict(best.map(|(_, id, r)| (id, r)), reads.max(1))
+    }
+
+    /// Bits of memory in the hardware model: slot headers, bucket keys
+    /// and stored rules.
+    fn memory_bits(&self) -> u64 {
+        let mut bits = 0u64;
+        for t in self.tuples.iter().flatten() {
+            bits += t.table.slots.len() as u64 * SLOT_BITS;
+            for b in t.slots() {
+                bits += KEY_BITS + b.entries.len() as u64 * RULE_BITS;
+            }
+        }
+        bits
+    }
+
+    fn supports_updates(&self) -> bool {
+        true
+    }
+
+    fn insert(&mut self, rule: Rule) -> Result<RuleId, UpdateError> {
+        // A failed update must leave both the report and the epoch
+        // untouched: the epoch bumps iff the report is replaced.
+        let report = self.install(rule)?;
+        self.last_report = Some(report);
+        self.epoch += 1;
+        Ok(report.rule_id)
+    }
+
+    /// Removes one rule, pricing it like an insert: one label for the
+    /// rule and one for a tuple it emptied, §V.A's floor plus every slot
+    /// the backward shift wrote.
+    fn remove(&mut self, id: RuleId) -> Result<(), UpdateError> {
+        let (ti, key) = self
+            .locs
+            .remove(&id)
+            .ok_or(UpdateError::UnknownRule { id })?;
+        let Some(t) = self.tuples[ti].as_mut() else {
+            unreachable!("locs points at a live tuple")
+        };
+        let (slot, _, found) = t.table.find_slot(&key);
+        debug_assert!(found, "locs points at a live bucket");
+        let Some(bucket) = t.table.slots[slot].as_mut() else {
+            unreachable!("locs points at a live bucket")
+        };
+        let Some(pos) = bucket.entries.iter().position(|e| e.id == id) else {
+            unreachable!("locs points at a live entry")
+        };
+        let rule = bucket.entries.remove(pos).rule;
+        let slots_written = if bucket.entries.is_empty() {
+            t.table.buckets -= 1;
+            t.table.erase_slot(slot)
+        } else {
+            1
+        };
+        t.rules -= 1;
+        let tuple_freed = t.rules == 0;
+        if tuple_freed {
+            let sig = t.sig;
+            self.drop_tuple(ti, &sig);
+        } else if rule.priority == t.best {
+            t.recompute_best();
+        }
+        self.sort_order();
+        self.last_report = Some(UpdateReport {
+            rule_id: id,
+            created_labels: 0,
+            freed_labels: 1 + u32::from(tuple_freed),
+            hw_write_cycles: 3 + u64::from(slots_written),
+        });
+        self.epoch += 1;
+        Ok(())
+    }
+
+    fn last_update_report(&self) -> Option<UpdateReport> {
+        self.last_report
+    }
+
+    fn update_epoch(&self) -> u64 {
+        self.epoch
     }
 }
 
@@ -469,7 +495,11 @@ mod tests {
     use spc_classbench::{FilterKind, RuleSetGenerator, TraceGenerator};
     use spc_types::{Action, PortRange, Prefix, ProtoSpec};
 
-    fn naive<'a>(rules: impl Iterator<Item = (u32, &'a Rule)>, h: &Header) -> Option<u32> {
+    fn empty() -> TupleSpaceEngine {
+        TupleSpaceEngine::build(&RuleSet::new(), 4).unwrap()
+    }
+
+    fn naive<'a>(rules: impl Iterator<Item = (RuleId, &'a Rule)>, h: &Header) -> Option<RuleId> {
         rules
             .filter(|(_, r)| r.matches(h))
             .min_by_key(|&(id, r)| (r.priority, id))
@@ -480,47 +510,43 @@ mod tests {
     fn agrees_with_linear_scan_on_generated_sets() {
         for kind in [FilterKind::Acl, FilterKind::Fw, FilterKind::Ipc] {
             let rules = RuleSetGenerator::new(kind, 300).seed(0xbead).generate();
-            let ts = TupleSpace::build(&rules, 8).unwrap();
-            assert_eq!(ts.len(), rules.len());
+            let ts = TupleSpaceEngine::build(&rules, 8).unwrap();
+            assert_eq!(ts.rules(), rules.len());
             let trace = TraceGenerator::new()
                 .seed(0x5eed)
                 .match_fraction(0.7)
                 .generate(&rules, 400);
             for h in &trace {
-                let (hit, reads) = ts.lookup(h);
-                assert!(reads >= 1);
-                assert_eq!(
-                    hit.map(|(id, _)| id),
-                    naive(ts.iter(), h),
-                    "{kind:?} disagreed at {h}"
-                );
+                let v = ts.classify(h);
+                assert!(v.mem_reads >= 1);
+                assert_eq!(v.rule, naive(ts.iter(), h), "{kind:?} disagreed at {h}");
             }
         }
     }
 
     #[test]
     fn duplicate_is_detected_and_leaves_no_ghost_tuple() {
-        let mut ts = TupleSpace::new(4);
+        let mut ts = empty();
         let r = Rule::builder(Priority(0))
             .dst_port(PortRange::exact(80))
             .build();
-        let (id, up) = ts.insert(r).unwrap();
-        assert!(up.tuple_created);
+        let id = ts.insert(r).unwrap();
+        assert_eq!(ts.tuple_count(), 1);
         let mut dup = r;
         dup.priority = Priority(9); // priority is not part of the filter
         dup.action = Action::Forward(3);
-        assert_eq!(ts.insert(dup), Err(TupleError::Duplicate { existing: id }));
-        assert_eq!(ts.len(), 1);
+        assert_eq!(ts.insert(dup), Err(UpdateError::Duplicate { existing: id }));
+        assert_eq!(ts.rules(), 1);
         assert_eq!(ts.tuple_count(), 1);
         // A failed insert with a *fresh* signature must not leak a tuple.
         let mut other = Rule::builder(Priority(1))
             .proto(ProtoSpec::Exact(6))
             .build();
-        let (oid, _) = ts.insert(other).unwrap();
+        let oid = ts.insert(other).unwrap();
         other.priority = Priority(2);
         assert_eq!(
             ts.insert(other),
-            Err(TupleError::Duplicate { existing: oid })
+            Err(UpdateError::Duplicate { existing: oid })
         );
         assert_eq!(ts.tuple_count(), 2);
     }
@@ -531,13 +557,13 @@ mod tests {
         // port), then remove half in an order that exercises the
         // backward-shift deletion, and verify every survivor still
         // resolves.
-        let mut ts = TupleSpace::new(4);
+        let mut ts = empty();
         let mut ids = Vec::new();
         for p in 0..200u16 {
             let r = Rule::builder(Priority(u32::from(p)))
                 .dst_port(PortRange::exact(p))
                 .build();
-            ids.push(ts.insert(r).unwrap().0);
+            ids.push(ts.insert(r).unwrap());
         }
         assert_eq!(ts.tuple_count(), 1, "one signature, one tuple");
         for (i, &id) in ids.iter().enumerate() {
@@ -545,67 +571,64 @@ mod tests {
                 ts.remove(id).unwrap();
             }
         }
-        assert_eq!(ts.len(), 100);
+        assert_eq!(ts.rules(), 100);
         for p in 0..200u16 {
             let h = Header::new([0; 4].into(), [0; 4].into(), 1, p, 6);
-            let (hit, _) = ts.lookup(&h);
-            assert_eq!(hit.is_some(), p % 2 == 1, "port {p}");
+            assert_eq!(ts.classify(&h).is_hit(), p % 2 == 1, "port {p}");
         }
         assert!(matches!(
             ts.remove(ids[0]),
-            Err(TupleError::UnknownRule { .. })
+            Err(UpdateError::UnknownRule { .. })
         ));
     }
 
     #[test]
     fn one_distinct_mask_per_rule_degenerates_to_tuple_per_rule() {
         // 17 distinct source prefix lengths → 17 signatures → 17 tuples.
-        let mut ts = TupleSpace::new(4);
+        let mut ts = empty();
         for len in 0..=16u8 {
             let r = Rule::builder(Priority(u32::from(len)))
                 .src_ip(Prefix::masked(0x0a00_0000, len))
                 .build();
             ts.insert(r).unwrap();
         }
-        assert_eq!(ts.tuple_count(), ts.len());
+        assert_eq!(ts.tuple_count(), ts.rules());
         // Pruning still terminates correctly: the /16 rule has the worst
         // priority, the /0 the best (priority 0 wins everywhere).
         let h = Header::new([10, 0, 0, 1].into(), [1, 1, 1, 1].into(), 1, 1, 6);
-        let (hit, _) = ts.lookup(&h);
-        assert_eq!(hit.map(|(_, r)| r.priority), Some(Priority(0)));
+        assert_eq!(ts.classify(&h).priority, Some(Priority(0)));
     }
 
     #[test]
     fn pruning_respects_priority_ties_across_tuples() {
         // Two tuples with equal best priority: the lower id must win,
         // whichever tuple the probe order visits first.
-        let mut ts = TupleSpace::new(4);
-        let (a, _) = ts.insert(Rule::any(Priority(5))).unwrap();
-        let (_b, _) = ts
-            .insert(
-                Rule::builder(Priority(5))
-                    .proto(ProtoSpec::Exact(6))
-                    .build(),
-            )
-            .unwrap();
+        let mut ts = empty();
+        let a = ts.insert(Rule::any(Priority(5))).unwrap();
+        ts.insert(
+            Rule::builder(Priority(5))
+                .proto(ProtoSpec::Exact(6))
+                .build(),
+        )
+        .unwrap();
         let h = Header::new([1, 1, 1, 1].into(), [2, 2, 2, 2].into(), 1, 1, 6);
-        let (hit, _) = ts.lookup(&h);
-        assert_eq!(hit.map(|(id, _)| id), Some(a));
+        assert_eq!(ts.classify(&h).rule, Some(a));
     }
 
     #[test]
     fn update_costs_are_reported() {
-        let mut ts = TupleSpace::new(4);
-        let (id, up) = ts.insert(Rule::any(Priority(0))).unwrap();
-        assert!(up.tuple_created);
-        assert!(up.slots_written >= 1);
-        let (_, up) = ts.remove(id).unwrap();
-        assert!(up.tuple_freed);
-        assert!(up.slots_written >= 1);
-        assert!(ts.is_empty());
+        let mut ts = empty();
+        let id = ts.insert(Rule::any(Priority(0))).unwrap();
+        // The rule and the tuple it opened; §V.A's floor and one slot.
+        let up = ts.last_update_report().unwrap();
+        assert_eq!((up.created_labels, up.hw_write_cycles), (2, 4));
+        ts.remove(id).unwrap();
+        let down = ts.last_update_report().unwrap();
+        assert_eq!((down.freed_labels, down.hw_write_cycles), (2, 4));
+        assert_eq!(ts.rules(), 0);
         assert_eq!(ts.memory_bits(), 0);
         // Ids are never reused.
-        let (id2, _) = ts.insert(Rule::any(Priority(0))).unwrap();
+        let id2 = ts.insert(Rule::any(Priority(0))).unwrap();
         assert!(id2 > id);
     }
 }

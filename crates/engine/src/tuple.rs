@@ -1,42 +1,18 @@
-//! [`PacketClassifier`] adapters for the update-first backends of
-//! `spc-tuplespace`: tuple-space search and the software TCAM.
+//! What the two update-first backends — tuple-space search
+//! ([`crate::TupleSpaceEngine`]) and the software TCAM
+//! ([`crate::SoftTcamEngine`]) — share: the verdict of a lookup, and the
+//! tests that hold both to the trait's update contract.
 
-use crate::{EngineKind, MatchHandle, PacketClassifier, UpdateError, UpdateReport, Verdict};
-use spc_tuplespace::{SoftTcam, TcamUpdate, TssUpdate, TupleError, TupleSpace};
-use spc_types::{Header, MaskSummary, Rule, RuleId, RuleSet};
+use crate::{MatchHandle, Verdict};
+use spc_types::{MaskSummary, Rule, RuleId};
 
-/// Default per-tuple hash-table slot hint (`tss:tables=`), rounded up to
-/// a power of two by the structure.
-pub const DEFAULT_TSS_TABLES: usize = 8;
-/// Default provisioned TCAM slots (`tcam:capacity=`). ClassBench-style
-/// wide port ranges expand to up to ~900 entries per rule, so the
-/// default leaves headroom for ~1k worst-case or ~100k typical rules.
-pub const DEFAULT_TCAM_CAPACITY: usize = 1 << 20;
-/// Default allocator partition count (`tcam:partitions=`).
-pub const DEFAULT_TCAM_PARTITIONS: usize = 8;
-
-impl From<TupleError> for UpdateError {
-    fn from(e: TupleError) -> Self {
-        match e {
-            TupleError::Duplicate { existing } => UpdateError::Duplicate {
-                existing: RuleId(existing),
-            },
-            TupleError::UnknownRule { id } => UpdateError::UnknownRule { id: RuleId(id) },
-            // Capacity exhaustion is an environment limit, not a protocol
-            // error — keep it distinguishable from duplicates so churn
-            // loops can surface it.
-            TupleError::CapacityExhausted { capacity, needed } => UpdateError::Rejected {
-                reason: format!("tcam capacity exhausted: need {needed} of {capacity} slots"),
-            },
-        }
-    }
-}
-
-fn verdict(hit: Option<(u32, &Rule)>, reads: u32) -> Verdict {
+/// The verdict of a lookup that found `hit` (or nothing) for `reads`
+/// memory reads.
+pub(crate) fn verdict(hit: Option<(RuleId, &Rule)>, reads: u32) -> Verdict {
     match hit {
         Some((id, rule)) => Verdict::hit(
             MatchHandle {
-                id: RuleId(id),
+                id,
                 priority: rule.priority,
                 mask_summary: MaskSummary::of_rule(rule),
             },
@@ -47,228 +23,13 @@ fn verdict(hit: Option<(u32, &Rule)>, reads: u32) -> Verdict {
     }
 }
 
-/// Tuple-space search behind the unified API.
-///
-/// Wraps [`spc_tuplespace::TupleSpace`]: one hash table per mask
-/// signature, probed in best-priority order. Updates touch exactly one
-/// tuple's table plus the pruning index, and the per-update
-/// [`TssUpdate`] cost is surfaced as a §V.A-style [`UpdateReport`] —
-/// one label for the rule itself plus one per tuple opened or freed,
-/// and a write cycle per hash slot written.
-#[derive(Debug)]
-pub struct TupleSpaceEngine {
-    ts: TupleSpace,
-    last_report: Option<UpdateReport>,
-    epoch: u64,
-}
-
-impl TupleSpaceEngine {
-    /// Wraps an already-built tuple space.
-    pub fn new(ts: TupleSpace) -> Self {
-        TupleSpaceEngine {
-            ts,
-            last_report: None,
-            epoch: 0,
-        }
-    }
-
-    /// Builds from a rule set with the given per-tuple slot hint.
-    ///
-    /// # Errors
-    ///
-    /// [`UpdateError::Duplicate`] when two rules share all seven match
-    /// dimensions.
-    pub fn build(rules: &RuleSet, slots_hint: usize) -> Result<Self, UpdateError> {
-        Ok(TupleSpaceEngine::new(TupleSpace::build(rules, slots_hint)?))
-    }
-
-    /// The wrapped structure, for tuple-level instrumentation the
-    /// backend-agnostic trait does not expose.
-    pub fn tuple_space(&self) -> &TupleSpace {
-        &self.ts
-    }
-
-    fn report(id: u32, up: &TssUpdate, insert: bool) -> UpdateReport {
-        let tuples = u32::from(if insert {
-            up.tuple_created
-        } else {
-            up.tuple_freed
-        });
-        UpdateReport {
-            rule_id: RuleId(id),
-            created_labels: if insert { 1 + tuples } else { 0 },
-            freed_labels: if insert { 0 } else { 1 + tuples },
-            // §V.A floor (2 data + 1 hash) plus every hash slot written.
-            hw_write_cycles: 3 + u64::from(up.slots_written),
-        }
-    }
-}
-
-impl PacketClassifier for TupleSpaceEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::TupleSpace
-    }
-
-    fn name(&self) -> &'static str {
-        "Tuple-space search"
-    }
-
-    fn rules(&self) -> usize {
-        self.ts.len()
-    }
-
-    fn classify(&self, header: &Header) -> Verdict {
-        let (hit, reads) = self.ts.lookup(header);
-        verdict(hit, reads)
-    }
-
-    fn memory_bits(&self) -> u64 {
-        self.ts.memory_bits()
-    }
-
-    fn supports_updates(&self) -> bool {
-        true
-    }
-
-    fn insert(&mut self, rule: Rule) -> Result<RuleId, UpdateError> {
-        // A failed update must leave both the report and the epoch
-        // untouched: the epoch bumps iff the report is replaced.
-        let (id, up) = self.ts.insert(rule)?;
-        self.last_report = Some(Self::report(id, &up, true));
-        self.epoch += 1;
-        Ok(RuleId(id))
-    }
-
-    fn remove(&mut self, id: RuleId) -> Result<(), UpdateError> {
-        let (_, up) = self.ts.remove(id.0)?;
-        self.last_report = Some(Self::report(id.0, &up, false));
-        self.epoch += 1;
-        Ok(())
-    }
-
-    fn last_update_report(&self) -> Option<UpdateReport> {
-        self.last_report
-    }
-
-    fn update_epoch(&self) -> u64 {
-        self.epoch
-    }
-}
-
-/// The software TCAM behind the unified API.
-///
-/// Wraps [`spc_tuplespace::SoftTcam`]: a priority-ordered ternary array
-/// scanned first-match. The per-update [`TcamUpdate`] is surfaced as a
-/// [`UpdateReport`] whose write cycles are proportional to the entries
-/// the partitioned allocator had to move — the shift-on-insert cost a
-/// real TCAM pays.
-#[derive(Debug)]
-pub struct SoftTcamEngine {
-    tcam: SoftTcam,
-    last_report: Option<UpdateReport>,
-    epoch: u64,
-}
-
-impl SoftTcamEngine {
-    /// Wraps an already-built TCAM.
-    pub fn new(tcam: SoftTcam) -> Self {
-        SoftTcamEngine {
-            tcam,
-            last_report: None,
-            epoch: 0,
-        }
-    }
-
-    /// Builds from a rule set with the given slot capacity and
-    /// allocator partition count.
-    ///
-    /// # Errors
-    ///
-    /// [`UpdateError::Rejected`] when the prefix expansion exceeds
-    /// `capacity`, [`UpdateError::Duplicate`] on identical filters.
-    pub fn build(rules: &RuleSet, capacity: usize, partitions: usize) -> Result<Self, UpdateError> {
-        Ok(SoftTcamEngine::new(SoftTcam::build(
-            rules, capacity, partitions,
-        )?))
-    }
-
-    /// The wrapped structure, for slot-level instrumentation the
-    /// backend-agnostic trait does not expose.
-    pub fn tcam(&self) -> &SoftTcam {
-        &self.tcam
-    }
-
-    fn report(id: u32, up: &TcamUpdate) -> UpdateReport {
-        UpdateReport {
-            rule_id: RuleId(id),
-            created_labels: up.entries_added,
-            freed_labels: up.entries_removed,
-            // §V.A floor plus one cycle per slot written: the rule's own
-            // entries, the entries shifted to make room, and the
-            // valid-bit clears of a remove.
-            hw_write_cycles: 3
-                + u64::from(up.entries_added)
-                + u64::from(up.entries_moved)
-                + u64::from(up.entries_removed),
-        }
-    }
-}
-
-impl PacketClassifier for SoftTcamEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::SoftTcam
-    }
-
-    fn name(&self) -> &'static str {
-        "Software TCAM"
-    }
-
-    fn rules(&self) -> usize {
-        self.tcam.len()
-    }
-
-    fn classify(&self, header: &Header) -> Verdict {
-        let (hit, reads) = self.tcam.lookup(header);
-        verdict(hit, reads)
-    }
-
-    fn memory_bits(&self) -> u64 {
-        self.tcam.memory_bits()
-    }
-
-    fn supports_updates(&self) -> bool {
-        true
-    }
-
-    fn insert(&mut self, rule: Rule) -> Result<RuleId, UpdateError> {
-        // Same contract as every updating backend: failed updates leave
-        // the report/epoch pair untouched.
-        let (id, up) = self.tcam.insert(rule)?;
-        self.last_report = Some(Self::report(id, &up));
-        self.epoch += 1;
-        Ok(RuleId(id))
-    }
-
-    fn remove(&mut self, id: RuleId) -> Result<(), UpdateError> {
-        let (_, up) = self.tcam.remove(id.0)?;
-        self.last_report = Some(Self::report(id.0, &up));
-        self.epoch += 1;
-        Ok(())
-    }
-
-    fn last_update_report(&self) -> Option<UpdateReport> {
-        self.last_report
-    }
-
-    fn update_epoch(&self) -> u64 {
-        self.epoch
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use spc_types::{Action, PortRange, Priority, ProtoSpec};
+    use crate::{
+        PacketClassifier, SoftTcamEngine, TupleSpaceEngine, UpdateError, DEFAULT_TCAM_CAPACITY,
+        DEFAULT_TCAM_PARTITIONS, DEFAULT_TSS_TABLES,
+    };
+    use spc_types::{Action, Header, PortRange, Priority, ProtoSpec, Rule, RuleSet};
 
     fn web_rule(p: u32, port: u16) -> Rule {
         Rule::builder(Priority(p))
@@ -282,13 +43,14 @@ mod tests {
         Header::new([1, 2, 3, 4].into(), [5, 6, 7, 8].into(), 999, port, 6)
     }
 
+    fn tcam(capacity: usize, partitions: usize) -> SoftTcamEngine {
+        SoftTcamEngine::build(&RuleSet::new(), capacity, partitions).unwrap()
+    }
+
     fn engines() -> Vec<Box<dyn PacketClassifier>> {
         vec![
-            Box::new(TupleSpaceEngine::new(TupleSpace::new(DEFAULT_TSS_TABLES))),
-            Box::new(SoftTcamEngine::new(SoftTcam::new(
-                DEFAULT_TCAM_CAPACITY,
-                DEFAULT_TCAM_PARTITIONS,
-            ))),
+            Box::new(TupleSpaceEngine::build(&RuleSet::new(), DEFAULT_TSS_TABLES).unwrap()),
+            Box::new(tcam(DEFAULT_TCAM_CAPACITY, DEFAULT_TCAM_PARTITIONS)),
         ]
     }
 
@@ -354,7 +116,7 @@ mod tests {
 
     #[test]
     fn tcam_capacity_exhaustion_is_a_rejection() {
-        let mut e = SoftTcamEngine::new(SoftTcam::new(4, 2));
+        let mut e = tcam(4, 2);
         let wide = Rule::builder(Priority(0))
             .src_port(PortRange::new(1000, 40000).unwrap())
             .build();
@@ -372,7 +134,7 @@ mod tests {
     fn tcam_report_prices_the_shift() {
         // 8 slots in 2 partitions; fill partition 0, then force a
         // front insert and check the report's cycles include the moves.
-        let mut e = SoftTcamEngine::new(SoftTcam::new(8, 2));
+        let mut e = tcam(8, 2);
         for p in 10..16u32 {
             e.insert(web_rule(p, p as u16)).unwrap();
         }

@@ -174,6 +174,41 @@ mod tests {
     }
 
     #[test]
+    fn prefix_blocks_cover_their_range_exactly() {
+        let blocks = |lo, hi| -> Vec<(u16, u16)> {
+            PortRange::new(lo, hi).unwrap().prefix_blocks().collect()
+        };
+        assert_eq!(blocks(0, 65535), vec![(0, 0)]);
+        assert_eq!(blocks(80, 80), vec![(80, 0xffff)]);
+        assert_eq!(blocks(4, 7), vec![(4, 0xfffc)]);
+        for (lo, hi) in [
+            (0u16, 65535u16),
+            (80, 80),
+            (1, 10),
+            (10, 1000),
+            (1000, 40000),
+            (1024, 65535),
+            (0, 1),
+            (65535, 65535),
+        ] {
+            let blocks = blocks(lo, hi);
+            assert!(
+                blocks.len() <= 30,
+                "[{lo},{hi}] used {} blocks",
+                blocks.len()
+            );
+            for port in 0..=u16::MAX {
+                let covered = blocks.iter().any(|&(v, m)| port & m == v);
+                assert_eq!(
+                    covered,
+                    (lo..=hi).contains(&port),
+                    "[{lo},{hi}] wrong at port {port}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn display_matches_classbench_style() {
         assert_eq!(PortRange::new(0, 65535).unwrap().to_string(), "0 : 65535");
         assert_eq!(PortRange::exact(7812).to_string(), "7812 : 7812");

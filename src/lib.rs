@@ -11,14 +11,12 @@
 //! * [`core`] — the configurable classifier architecture itself
 //! * [`baselines`] — linear search, HyperCuts, RFC, DCFL comparators
 //! * [`engine`] — the unified [`engine::PacketClassifier`] API over all of
-//!   the above: one trait, batch lookups, a backend registry, and the
-//!   [`engine::CachedEngine`] flow verdict cache (microflow + megaflow)
-//!   that can wrap any backend
+//!   the above: one trait, batch lookups, a backend registry with the
+//!   update-first backends (tuple-space search, the software TCAM) of its
+//!   own, and the [`engine::CachedEngine`] flow verdict cache (microflow +
+//!   megaflow) that can wrap any backend
 //! * [`analyze`] — static rule-set analysis: shadowing, duplicates,
 //!   label-pressure and port-expansion findings ([`spc_analyze`])
-//! * [`tuplespace`] — the update-first structures behind the `tss:` and
-//!   `tcam:` registry backends: tuple-space search and the software TCAM
-//!   ([`spc_tuplespace`])
 //!
 //! # Quickstart
 //!
@@ -68,7 +66,6 @@ pub use spc_core as core;
 pub use spc_engine as engine;
 pub use spc_hwsim as hwsim;
 pub use spc_lookup as lookup;
-pub use spc_tuplespace as tuplespace;
 pub use spc_types as types;
 
 // The flow-cache vocabulary, re-exported at the root: what a verdict

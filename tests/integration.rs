@@ -287,6 +287,10 @@ fn bst_interval_overflow_mid_patch_is_atomic_under_every_wrapper() {
 /// into the shard router. Every shard is a configurable engine provisioned
 /// for its own rules, so a rule that changes shards moves its reads, its
 /// bits and the cycles of the churn that lands beside it.
+///
+/// The update-first rows were captured before tuple-space search and the
+/// software TCAM became their own engines: every lookup, slot placement
+/// and shift count moved, and none may count differently.
 #[test]
 fn modelled_costs_match_golden_constants() {
     // (family, leaf, then for the leaf, `shards=4,strategy=prio` and
@@ -329,28 +333,9 @@ fn modelled_costs_match_golden_constants() {
     ] {
         let rules = gen(kind, 256, 21);
         let headers = trace(&rules, 256);
-        let churn = gen(kind, 16, 22);
-        let reads_of = |e: &dyn PacketClassifier| -> u64 {
-            headers
-                .iter()
-                .map(|h| u64::from(e.classify(h).mem_reads))
-                .sum()
-        };
         let costs_of = |spec: &str| {
-            let mut engine = build_engine(spec, &rules).unwrap();
-            let (reads, bits) = (reads_of(engine.as_ref()), engine.memory_bits());
-            // §V.A: insert 16 fresh rules, then remove them again.
-            let mut spent = 0u64;
-            let mut ids = Vec::new();
-            for r in churn.rules() {
-                ids.push(engine.insert(*r).unwrap());
-                spent += engine.last_update_report().unwrap().hw_write_cycles;
-            }
-            for id in ids {
-                engine.remove(id).unwrap();
-                spent += engine.last_update_report().unwrap().hw_write_cycles;
-            }
-            (reads, bits, spent)
+            let [reads, bits, cycles, ..] = modelled_costs(kind, spec);
+            (reads, bits, cycles)
         };
         assert_eq!(costs_of(leaf), costs, "{kind} {leaf}");
         // Pass-through wrappers add nothing to the model.
@@ -359,7 +344,11 @@ fn modelled_costs_match_golden_constants() {
             format!("snapshot:inner=({leaf})"),
         ] {
             let wrapped = build_engine(&spec, &rules).unwrap();
-            assert_eq!(reads_of(wrapped.as_ref()), costs.0, "{kind} {spec} reads");
+            assert_eq!(
+                reads_of(wrapped.as_ref(), &headers),
+                costs.0,
+                "{kind} {spec} reads"
+            );
             assert_eq!(wrapped.memory_bits(), costs.1, "{kind} {spec} bits");
         }
         for (strategy, want) in [("prio", prio4), ("hash", hash4)] {
@@ -367,4 +356,52 @@ fn modelled_costs_match_golden_constants() {
             assert_eq!(costs_of(&spec), want, "{kind} {spec}");
         }
     }
+    // (family, backend: Σ mem_reads, memory_bits, then over the churn
+    // Σ hw_write_cycles, Σ created_labels, Σ freed_labels)
+    for (kind, spec, want) in [
+        (FilterKind::Acl, "tss", [55_415, 171_152, 128, 28, 28]),
+        (FilterKind::Acl, "tcam", [63_565, 234_897_344, 567, 16, 16]),
+        (FilterKind::Fw, "tss", [64_674, 193_536, 128, 30, 30]),
+        (
+            FilterKind::Fw,
+            "tcam",
+            [263_669, 234_897_408, 5_952, 55, 55],
+        ),
+    ] {
+        assert_eq!(modelled_costs(kind, spec), want, "{kind} {spec}");
+    }
+}
+
+/// Σ mem_reads over the trace of `kind`'s 256-rule set, `spec`'s
+/// memory_bits over that set, then over §V.A's churn — insert 16 fresh
+/// rules, remove them again — Σ hw_write_cycles, Σ created_labels and
+/// Σ freed_labels.
+fn modelled_costs(kind: FilterKind, spec: &str) -> [u64; 5] {
+    let rules = gen(kind, 256, 21);
+    let mut engine = build_engine(spec, &rules).unwrap();
+    let reads = reads_of(engine.as_ref(), &trace(&rules, 256));
+    let mut costs = [reads, engine.memory_bits(), 0, 0, 0];
+    let mut tally = |engine: &dyn PacketClassifier| {
+        let report = engine.last_update_report().unwrap();
+        costs[2] += report.hw_write_cycles;
+        costs[3] += u64::from(report.created_labels);
+        costs[4] += u64::from(report.freed_labels);
+    };
+    let mut ids = Vec::new();
+    for r in gen(kind, 16, 22).rules() {
+        ids.push(engine.insert(*r).unwrap());
+        tally(engine.as_ref());
+    }
+    for id in ids {
+        engine.remove(id).unwrap();
+        tally(engine.as_ref());
+    }
+    costs
+}
+
+fn reads_of(e: &dyn PacketClassifier, headers: &[Header]) -> u64 {
+    headers
+        .iter()
+        .map(|h| u64::from(e.classify(h).mem_reads))
+        .sum()
 }

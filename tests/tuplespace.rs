@@ -42,7 +42,7 @@ fn tss_one_tuple_per_rule_worst_case_stays_correct() {
 
     let engine = TupleSpaceEngine::build(&rules, 8).unwrap();
     assert_eq!(
-        engine.tuple_space().tuple_count(),
+        engine.tuple_count(),
         rules.len(),
         "every distinct mask signature must open its own tuple"
     );
