@@ -1,16 +1,18 @@
 //! Constructing any backend from an [`EngineKind`] or a config string.
 
 use crate::cache::MAX_FLOWS;
+use crate::dcfl::Dcfl;
+use crate::hypercuts::HyperCuts;
 use crate::kind::ParseEngineKindError;
+use crate::linear::LinearSearch;
+use crate::options::OptionClassifier;
+use crate::rfc::Rfc;
 use crate::shard::ShardStrategy;
 use crate::tcam::{MAX_CAPACITY, MAX_PARTITIONS};
 use crate::tss::MAX_TABLES;
-use crate::{BaselineEngine, CachedEngine, ConfigurableEngine, EngineKind, PacketClassifier};
+use crate::{CachedEngine, ConfigurableEngine, EngineKind, PacketClassifier};
 use crate::{ShardedEngine, SnapshotEngine, SoftTcamEngine, TupleSpaceEngine};
 use spc_analyze::{AnalyzerLimits, RuleSetReport};
-use spc_baselines::{
-    Dcfl, HyperCuts, HyperCutsConfig, LinearSearch, OptionClassifier, OptionKind, Rfc,
-};
 use spc_core::{ArchConfig, Classifier, CombineStrategy, IpAlg};
 use spc_types::{Dim, DimValue, RuleId, RuleSet, ALL_DIMS};
 use std::collections::HashMap;
@@ -821,7 +823,8 @@ impl EngineBuilder {
     /// [`OptimizePolicy::Validated`] is set and the optimizer's output
     /// fails equivalence validation, and [`BuildError::Rejected`] when
     /// the backend cannot hold the set (provisioning limits, RFC entry
-    /// cap).
+    /// cap, a field with more distinct values than DCFL's or Option 1/2's
+    /// labels can name).
     pub fn build(&self, rules: &RuleSet) -> Result<Box<dyn PacketClassifier>, BuildError> {
         Ok(self.build_indexed(rules)?.0)
     }
@@ -859,29 +862,15 @@ impl EngineBuilder {
             (EngineKind::ConfigurableMbt | EngineKind::ConfigurableBst, _) => {
                 Box::new(self.build_configurable(rules)?)
             }
-            (EngineKind::Linear, _) => {
-                Box::new(BaselineEngine::new(kind, LinearSearch::build(rules), rules))
-            }
-            (EngineKind::HyperCuts, _) => Box::new(BaselineEngine::new(
-                kind,
-                HyperCuts::build(rules, HyperCutsConfig::default()),
-                rules,
-            )),
+            (EngineKind::Linear, _) => Box::new(LinearSearch::build(rules)),
+            (EngineKind::HyperCuts, _) => Box::new(HyperCuts::build(rules)),
             (EngineKind::Rfc, _) => {
-                let rfc = Rfc::build(rules, RFC_ENTRY_CAP).map_err(|e| self.rejected(e))?;
-                Box::new(BaselineEngine::new(kind, rfc, rules))
+                Box::new(Rfc::build(rules, RFC_ENTRY_CAP).map_err(|e| self.rejected(e))?)
             }
-            (EngineKind::Dcfl, _) => Box::new(BaselineEngine::new(kind, Dcfl::build(rules), rules)),
-            (EngineKind::Option1, _) => Box::new(BaselineEngine::new(
-                kind,
-                OptionClassifier::build(rules, OptionKind::One),
-                rules,
-            )),
-            (EngineKind::Option2, _) => Box::new(BaselineEngine::new(
-                kind,
-                OptionClassifier::build(rules, OptionKind::Two),
-                rules,
-            )),
+            (EngineKind::Dcfl, _) => Box::new(Dcfl::build(rules).map_err(|e| self.rejected(e))?),
+            (EngineKind::Option1 | EngineKind::Option2, _) => {
+                Box::new(OptionClassifier::build(rules, kind).map_err(|e| self.rejected(e))?)
+            }
             (EngineKind::Sharded, _) => Box::new(self.build_sharded(rules)?),
             (EngineKind::Cached, _) => Box::new(self.build_cached(rules)?),
             (EngineKind::Snapshot, _) => Box::new(self.build_snapshot(rules)?),

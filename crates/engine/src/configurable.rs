@@ -1,11 +1,11 @@
 //! [`PacketClassifier`] for the paper's configurable architecture.
 
 use crate::{
-    classify_each, EngineKind, LookupStats, MatchHandle, PacketClassifier, UpdateError,
-    UpdateReport, Verdict,
+    classify_each, verdict, EngineKind, LookupStats, PacketClassifier, UpdateError, UpdateReport,
+    Verdict,
 };
 use spc_core::{Classification, Classifier, ClassifierError, ClassifyScratch, IpAlg};
-use spc_types::{Header, MaskSummary, Rule, RuleId};
+use spc_types::{Header, Rule, RuleId};
 
 /// The configurable label-based classifier behind the unified API.
 ///
@@ -49,18 +49,8 @@ impl ConfigurableEngine {
     }
 
     fn verdict(c: &Classification) -> Verdict {
-        match &c.hit {
-            Some(hit) => Verdict::hit(
-                MatchHandle {
-                    id: hit.rule_id,
-                    priority: hit.rule.priority,
-                    mask_summary: MaskSummary::of_rule(&hit.rule),
-                },
-                hit.rule.action,
-                c.total_reads(),
-            ),
-            None => Verdict::miss(c.total_reads()),
-        }
+        let hit = c.hit.as_ref().map(|h| (h.rule_id, &h.rule));
+        verdict(hit, c.total_reads())
     }
 }
 

@@ -11,9 +11,9 @@
 //! which this implementation models with power-of-two overprovisioning.
 
 use crate::fields::FieldFrontEnd;
-use crate::{Baseline, BaselineResult};
+use crate::{verdict, EngineKind, PacketClassifier, Verdict};
 use spc_lookup::{MbtConfig, SegTrieConfig};
-use spc_types::{Header, Priority, RuleId, RuleSet};
+use spc_types::{Header, Priority, Rule, RuleId, RuleSet};
 use std::collections::HashMap;
 
 /// An aggregation-network hash table: (left label, right label) → meta
@@ -41,41 +41,26 @@ impl AggTable {
 }
 
 /// The DCFL classifier (static build over a rule set).
-///
-/// ```
-/// use spc_baselines::{Dcfl, Baseline};
-/// use spc_types::{Rule, RuleSet, Priority, Header, PortRange, ProtoSpec};
-/// let rs = RuleSet::from_rules(vec![
-///     Rule::builder(Priority(0))
-///         .dst_port(PortRange::exact(80))
-///         .proto(ProtoSpec::Exact(6))
-///         .build(),
-/// ]);
-/// let dcfl = Dcfl::build(&rs);
-/// let h = Header::new([1, 1, 1, 1].into(), [2, 2, 2, 2].into(), 7, 80, 6);
-/// assert_eq!(dcfl.classify(&h).rule.unwrap().0, 0);
-/// ```
 #[derive(Debug)]
-pub struct Dcfl {
+pub(crate) struct Dcfl {
     fields: FieldFrontEnd,
     ag1: AggTable, // (sip, dip)
     ag2: AggTable, // (ag1, sport)
     ag3: AggTable, // (ag2, dport)
     /// (ag3 meta, proto label) → HPMR for that full combination.
     final_map: HashMap<(u32, u32), (Priority, RuleId)>,
+    /// The rules by id, for a hit's verdict.
+    rules: Vec<Rule>,
 }
 
 impl Dcfl {
     /// Preprocesses a rule set into field structures + aggregation network.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a field structure overflows its fixed provisioning
-    /// (tries sized generously above any ClassBench-scale set). The
-    /// Table I comparators are deliberately build-once research
-    /// artifacts; capacity overflow is a misconfiguration, not a
-    /// runtime condition to recover from.
-    pub fn build(rules: &RuleSet) -> Self {
+    /// The reason, when a field has more distinct values than its labels
+    /// can name or overflows its structure's provisioning.
+    pub(crate) fn build(rules: &RuleSet) -> Result<Self, String> {
         let cap = (rules.len() + 64).next_power_of_two();
         let mut me = Dcfl {
             fields: FieldFrontEnd::new(
@@ -87,10 +72,11 @@ impl Dcfl {
             ag2: AggTable::default(),
             ag3: AggTable::default(),
             final_map: HashMap::new(),
+            rules: rules.rules().to_vec(),
         };
         for (id, r) in rules.iter() {
             // DCFL labels carry no priority: the final table holds it.
-            let labels = me.fields.intern(r, Priority(0));
+            let labels = me.fields.intern(r, Priority(0))?;
             let [ls, ld, lsp, ldp, lpr] = labels.map(|l| u32::from(l.0));
             let m1 = me.ag1.intern((ls, ld));
             let m2 = me.ag2.intern((m1, lsp));
@@ -100,7 +86,7 @@ impl Dcfl {
                 *slot = (r.priority, id);
             }
         }
-        me
+        Ok(me)
     }
 
     fn final_memory_bits(&self) -> u64 {
@@ -110,12 +96,20 @@ impl Dcfl {
     }
 }
 
-impl Baseline for Dcfl {
+impl PacketClassifier for Dcfl {
+    fn kind(&self) -> EngineKind {
+        EngineKind::Dcfl
+    }
+
     fn name(&self) -> &'static str {
         "DCFL"
     }
 
-    fn classify(&self, h: &Header) -> BaselineResult {
+    fn rules(&self) -> usize {
+        self.rules.len()
+    }
+
+    fn classify(&self, h: &Header) -> Verdict {
         // Parallel field searches returning full label sets.
         let ([rs, rd, rsp, rdp, rpr], mut accesses) = self.fields.lookup(h);
         // Aggregation network: each candidate pair costs one probe.
@@ -157,10 +151,8 @@ impl Baseline for Dcfl {
                 }
             }
         }
-        BaselineResult {
-            rule: best.map(|(_, id)| id),
-            accesses,
-        }
+        let hit = best.map(|(_, id)| (id, &self.rules[id.0 as usize]));
+        verdict(hit, accesses)
     }
 
     fn memory_bits(&self) -> u64 {
@@ -175,42 +167,33 @@ impl Baseline for Dcfl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{fw_set, small_set, trace};
-    use crate::LinearSearch;
+    use crate::linear::testutil::{agrees_with_linear, avg_reads, fw_set, small_set};
+    use crate::linear::LinearSearch;
+    use spc_types::{PortRange, ProtoSpec};
 
     #[test]
     fn agrees_with_oracle_acl() {
         let rs = small_set();
-        let d = Dcfl::build(&rs);
-        let ls = LinearSearch::build(&rs);
-        for h in trace(&rs, 300) {
-            assert_eq!(d.classify(&h).rule, ls.classify(&h).rule, "header {h}");
-        }
+        agrees_with_linear(&Dcfl::build(&rs).unwrap(), &rs, 300);
     }
 
     #[test]
     fn agrees_with_oracle_fw() {
         let rs = fw_set();
-        let d = Dcfl::build(&rs);
-        let ls = LinearSearch::build(&rs);
-        for h in trace(&rs, 300) {
-            assert_eq!(d.classify(&h).rule, ls.classify(&h).rule, "header {h}");
-        }
+        agrees_with_linear(&Dcfl::build(&rs).unwrap(), &rs, 300);
     }
 
     #[test]
     fn accesses_far_below_linear() {
         let rs = small_set();
-        let d = Dcfl::build(&rs);
-        let ls = LinearSearch::build(&rs);
-        let t = trace(&rs, 100);
-        assert!(d.avg_accesses(&t) < ls.avg_accesses(&t) / 2.0);
+        let linear = avg_reads(&mut LinearSearch::build(&rs), &rs, 100);
+        assert!(avg_reads(&mut Dcfl::build(&rs).unwrap(), &rs, 100) < linear / 2.0);
     }
 
     #[test]
     fn memory_accounts_aggregation() {
         let rs = small_set();
-        let d = Dcfl::build(&rs);
+        let d = Dcfl::build(&rs).unwrap();
         assert!(d.memory_bits() > 0);
         assert!(d.ag1.memory_bits() > 0);
     }
@@ -218,10 +201,21 @@ mod tests {
     #[test]
     fn miss_on_unmatched_header() {
         let rs = small_set();
-        let d = Dcfl::build(&rs);
+        let d = Dcfl::build(&rs).unwrap();
         // src port 1..: ACL rules have wildcard sport, so pick a header
         // whose proto dimension can't match: protocol 200 is not in pools.
         let h = Header::new([9, 9, 9, 9].into(), [8, 8, 8, 8].into(), 1, 1, 200);
         assert_eq!(d.classify(&h).rule, rs.classify(&h).map(|(i, _)| i));
+    }
+
+    #[test]
+    fn one_rule_joins_through_the_network() {
+        let rs = RuleSet::from_rules(vec![Rule::builder(Priority(0))
+            .dst_port(PortRange::exact(80))
+            .proto(ProtoSpec::Exact(6))
+            .build()]);
+        let h = Header::new([1, 1, 1, 1].into(), [2, 2, 2, 2].into(), 7, 80, 6);
+        let v = Dcfl::build(&rs).unwrap().classify(&h);
+        assert_eq!(v.rule, Some(RuleId(0)));
     }
 }

@@ -3,33 +3,21 @@
 //!
 //! Each internal node cuts its hyper-region into equal cells along one or
 //! two chosen dimensions; rules replicate into every overlapping child,
-//! which is HyperCuts' characteristic memory/время trade-off (Table I: high
+//! which is HyperCuts' characteristic memory/time trade-off (Table I: high
 //! lookup access count, moderate memory; the paper's §II also cites the
 //! replication problem EffiCuts later attacks).
 
-use crate::{Baseline, BaselineResult};
+use crate::linear::RULE_WORDS;
+use crate::{verdict, EngineKind, PacketClassifier, Verdict};
 use spc_types::{Header, ProtoSpec, Rule, RuleId, RuleSet};
 
-/// Tuning parameters (names follow the original paper).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HyperCutsConfig {
-    /// Leaf bucket size: nodes with at most this many rules stop cutting.
-    pub binth: usize,
-    /// Space factor: a node may create up to `spfac × √n` children.
-    pub spfac: f64,
-    /// Hard recursion cap.
-    pub max_depth: u32,
-}
-
-impl Default for HyperCutsConfig {
-    fn default() -> Self {
-        HyperCutsConfig {
-            binth: 16,
-            spfac: 4.0,
-            max_depth: 32,
-        }
-    }
-}
+/// Leaf bucket size (the original paper's `binth`): nodes with at most
+/// this many rules stop cutting.
+const BINTH: usize = 16;
+/// Space factor (`spfac`): a node may create up to `SPFAC × √n` children.
+const SPFAC: f64 = 4.0;
+/// Hard recursion cap.
+const MAX_DEPTH: u32 = 32;
 
 /// The five classification dimensions as closed integer ranges.
 const DIMS: usize = 5;
@@ -73,37 +61,21 @@ enum Node {
 }
 
 /// The HyperCuts classifier.
-///
-/// ```
-/// use spc_baselines::{HyperCuts, Baseline};
-/// use spc_types::{Rule, RuleSet, Priority, Header, PortRange};
-/// let rs = RuleSet::from_rules(vec![
-///     Rule::builder(Priority(0)).dst_port(PortRange::exact(80)).build(),
-///     Rule::builder(Priority(1)).build(),
-/// ]);
-/// let hc = HyperCuts::build(&rs, Default::default());
-/// let h = Header::new([1, 1, 1, 1].into(), [2, 2, 2, 2].into(), 1, 80, 6);
-/// assert_eq!(hc.classify(&h).rule.unwrap().0, 0);
-/// ```
 #[derive(Debug)]
-pub struct HyperCuts {
+pub(crate) struct HyperCuts {
     nodes: Vec<Node>,
     root: u32,
-    depth: u32,
     rule_count: usize,
-    replicated_rules: u64,
 }
 
 impl HyperCuts {
     /// Builds the decision tree over a rule set.
-    pub fn build(rules: &RuleSet, config: HyperCutsConfig) -> Self {
+    pub(crate) fn build(rules: &RuleSet) -> Self {
         let all: Vec<(RuleId, Rule)> = rules.iter().map(|(id, r)| (id, *r)).collect();
         let mut hc = HyperCuts {
             nodes: Vec::new(),
             root: 0,
-            depth: 0,
             rule_count: all.len(),
-            replicated_rules: 0,
         };
         let region: [(u64, u64); DIMS] = [
             (0, u64::from(u32::MAX)),
@@ -112,7 +84,7 @@ impl HyperCuts {
             (0, 65535),
             (0, 255),
         ];
-        hc.root = hc.build_node(all, region, 0, &config);
+        hc.root = hc.build_node(all, region, 0);
         hc
     }
 
@@ -121,10 +93,8 @@ impl HyperCuts {
         rules: Vec<(RuleId, Rule)>,
         region: [(u64, u64); DIMS],
         depth: u32,
-        config: &HyperCutsConfig,
     ) -> u32 {
-        self.depth = self.depth.max(depth);
-        if rules.len() <= config.binth || depth >= config.max_depth {
+        if rules.len() <= BINTH || depth >= MAX_DEPTH {
             return self.push_leaf(rules);
         }
         // Heuristic: count distinct projected ranges per dimension, choose
@@ -150,7 +120,7 @@ impl HyperCuts {
             return self.push_leaf(rules);
         }
         // Budget children by spfac * sqrt(n); double cuts round-robin.
-        let budget = (config.spfac * (rules.len() as f64).sqrt()).max(2.0) as u64;
+        let budget = (SPFAC * (rules.len() as f64).sqrt()).max(2.0) as u64;
         let mut cut_bits: Vec<u32> = vec![0; chosen.len()];
         loop {
             let mut advanced = false;
@@ -253,7 +223,7 @@ impl HyperCuts {
                 };
                 child_region[c.dim] = (lo, hi);
             }
-            children.push(self.build_node(bucket, child_region, depth + 1, config));
+            children.push(self.build_node(bucket, child_region, depth + 1));
         }
         match &mut self.nodes[node_idx as usize] {
             Node::Inner { children: slot, .. } => *slot = children,
@@ -264,28 +234,25 @@ impl HyperCuts {
 
     fn push_leaf(&mut self, mut rules: Vec<(RuleId, Rule)>) -> u32 {
         rules.sort_by_key(|(id, r)| (r.priority, id.0));
-        self.replicated_rules += rules.len() as u64;
         self.nodes.push(Node::Leaf { rules });
         self.nodes.len() as u32 - 1
     }
-
-    /// Maximum tree depth.
-    pub fn depth(&self) -> u32 {
-        self.depth
-    }
-
-    /// Total rule entries across leaves (replication measure).
-    pub fn replicated_rules(&self) -> u64 {
-        self.replicated_rules
-    }
 }
 
-impl Baseline for HyperCuts {
+impl PacketClassifier for HyperCuts {
+    fn kind(&self) -> EngineKind {
+        EngineKind::HyperCuts
+    }
+
     fn name(&self) -> &'static str {
         "HyperCuts"
     }
 
-    fn classify(&self, h: &Header) -> BaselineResult {
+    fn rules(&self) -> usize {
+        self.rule_count
+    }
+
+    fn classify(&self, h: &Header) -> Verdict {
         let mut accesses = 0u32;
         let mut node = self.root;
         loop {
@@ -302,18 +269,12 @@ impl Baseline for HyperCuts {
                 }
                 Node::Leaf { rules } => {
                     for (id, rule) in rules {
-                        accesses += crate::linear::RULE_WORDS;
+                        accesses += RULE_WORDS;
                         if rule.matches(h) {
-                            return BaselineResult {
-                                rule: Some(*id),
-                                accesses,
-                            };
+                            return verdict(Some((*id, rule)), accesses);
                         }
                     }
-                    return BaselineResult {
-                        rule: None,
-                        accesses,
-                    };
+                    return verdict(None, accesses);
                 }
             }
         }
@@ -339,71 +300,66 @@ impl Baseline for HyperCuts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{fw_set, small_set, trace};
-    use crate::LinearSearch;
+    use crate::linear::testutil::{agrees_with_linear, avg_reads, fw_set, small_set};
+    use crate::linear::LinearSearch;
+    use spc_types::{PortRange, Priority};
 
     #[test]
     fn agrees_with_oracle_acl() {
         let rs = small_set();
-        let hc = HyperCuts::build(&rs, HyperCutsConfig::default());
-        let ls = LinearSearch::build(&rs);
-        for h in trace(&rs, 300) {
-            assert_eq!(hc.classify(&h).rule, ls.classify(&h).rule, "header {h}");
-        }
+        agrees_with_linear(&HyperCuts::build(&rs), &rs, 300);
     }
 
     #[test]
     fn agrees_with_oracle_fw() {
         let rs = fw_set();
-        let hc = HyperCuts::build(&rs, HyperCutsConfig::default());
-        let ls = LinearSearch::build(&rs);
-        for h in trace(&rs, 300) {
-            assert_eq!(hc.classify(&h).rule, ls.classify(&h).rule, "header {h}");
-        }
+        agrees_with_linear(&HyperCuts::build(&rs), &rs, 300);
     }
 
     #[test]
     fn tree_actually_cuts() {
         let rs = small_set();
-        let hc = HyperCuts::build(&rs, HyperCutsConfig::default());
-        assert!(hc.depth() >= 1);
+        let mut hc = HyperCuts::build(&rs);
+        assert!(matches!(hc.nodes[hc.root as usize], Node::Inner { .. }));
         assert!(hc.nodes.len() > 1);
         // Far fewer accesses than linear scan on average.
-        let t = trace(&rs, 100);
-        let ls = LinearSearch::build(&rs);
-        assert!(hc.avg_accesses(&t) < ls.avg_accesses(&t) / 2.0);
-    }
-
-    #[test]
-    fn binth_one_allowed() {
-        let rs = small_set();
-        let hc = HyperCuts::build(
-            &rs,
-            HyperCutsConfig {
-                binth: 1,
-                ..Default::default()
-            },
-        );
-        let ls = LinearSearch::build(&rs);
-        for h in trace(&rs, 100) {
-            assert_eq!(hc.classify(&h).rule, ls.classify(&h).rule);
-        }
+        let linear = avg_reads(&mut LinearSearch::build(&rs), &rs, 100);
+        assert!(avg_reads(&mut hc, &rs, 100) < linear / 2.0);
     }
 
     #[test]
     fn replication_counted() {
         let rs = small_set();
-        let hc = HyperCuts::build(&rs, HyperCutsConfig::default());
-        assert!(hc.replicated_rules() >= rs.len() as u64);
+        let hc = HyperCuts::build(&rs);
+        let leaf_entries: usize = hc
+            .nodes
+            .iter()
+            .map(|n| match n {
+                Node::Leaf { rules } => rules.len(),
+                Node::Inner { .. } => 0,
+            })
+            .sum();
+        assert!(leaf_entries >= rs.len());
         assert!(hc.memory_bits() > 0);
     }
 
     #[test]
     fn empty_ruleset() {
-        let rs = spc_types::RuleSet::new();
-        let hc = HyperCuts::build(&rs, HyperCutsConfig::default());
+        let hc = HyperCuts::build(&RuleSet::new());
         let r = hc.classify(&Header::default());
         assert!(r.rule.is_none());
-        assert_eq!(r.accesses, 1); // one (empty) leaf node read
+        assert_eq!(r.mem_reads, 1); // one (empty) leaf node read
+    }
+
+    #[test]
+    fn port_rule_beats_the_wildcard_below_it() {
+        let rs = RuleSet::from_rules(vec![
+            Rule::builder(Priority(0))
+                .dst_port(PortRange::exact(80))
+                .build(),
+            Rule::builder(Priority(1)).build(),
+        ]);
+        let h = Header::new([1, 1, 1, 1].into(), [2, 2, 2, 2].into(), 1, 80, 6);
+        assert_eq!(HyperCuts::build(&rs).classify(&h).rule, Some(RuleId(0)));
     }
 }

@@ -1,10 +1,9 @@
 //! # spc-engine — one API for every packet classifier in the workspace
 //!
-//! The workspace grew two parallel classifier APIs: the configurable
-//! architecture's `spc_core::Classifier::classify -> Classification` and
-//! the comparison algorithms' `spc_baselines::Baseline::classify ->
-//! BaselineResult`. Every harness, test and example had to glue them
-//! together by hand. This crate is the glue, done once:
+//! Every classifier the workspace measures — the paper's configurable
+//! architecture (`spc_core::Classifier`), the Table I comparators and the
+//! update-first backends — answers through one trait, so harnesses, tests
+//! and examples never need to know which algorithm they drive:
 //!
 //! * [`PacketClassifier`] — the unified trait: build-agnostic lookups
 //!   ([`PacketClassifier::classify`]), an amortised batch path
@@ -12,12 +11,13 @@
 //!   instrumentation, and an incremental-update capability probe
 //!   ([`PacketClassifier::supports_updates`] with
 //!   [`PacketClassifier::insert`] / [`PacketClassifier::remove`]);
-//! * [`Verdict`] / [`LookupStats`] — one result vocabulary replacing the
-//!   `Classification` vs `BaselineResult` split;
+//! * [`Verdict`] / [`LookupStats`] — one result vocabulary for every
+//!   backend;
 //! * [`EngineKind`] — the registry of all backends (the paper's
 //!   configurable architecture in both `IPalg_s` settings, the six
-//!   build-once comparators, the two update-first backends, and the
-//!   three wrappers);
+//!   build-once Table I comparators — linear search, HyperCuts, RFC,
+//!   DCFL, Option 1/2, each a private engine of this crate — the two
+//!   update-first backends, and the three wrappers);
 //! * [`EngineBuilder`] — constructs any backend as
 //!   `Box<dyn PacketClassifier>` from an [`EngineKind`] or a config
 //!   string such as `"configurable-bst:rf_bits=14"`, enabling scenario
@@ -73,22 +73,27 @@
 //! }
 //! ```
 
-mod baseline;
 mod builder;
 pub mod cache;
 mod configurable;
+mod dcfl;
+mod fields;
+mod hypercuts;
 mod kind;
+mod linear;
 mod optimized;
+mod options;
 pub mod pipeline;
+mod rfc;
 mod shard;
 mod sharded;
 pub mod snapshot;
 mod tcam;
 mod tss;
+#[cfg(test)]
 mod tuple;
 pub mod workload;
 
-pub use baseline::BaselineEngine;
 pub use builder::{build_engine, legal_nesting, BuildError, EngineBuilder, OptimizePolicy};
 pub use cache::{CacheStats, CachedEngine};
 pub use configurable::ConfigurableEngine;
@@ -441,6 +446,25 @@ pub trait PacketClassifier: fmt::Debug + Send + Sync {
     /// correct for them.
     fn update_epoch(&self) -> u64 {
         0
+    }
+}
+
+/// The verdict of a lookup that found `hit` (or nothing) for `reads`
+/// memory reads — the one place a leaf backend turns its matched rule
+/// into a [`MatchHandle`].
+#[inline]
+pub(crate) fn verdict(hit: Option<(RuleId, &Rule)>, reads: u32) -> Verdict {
+    match hit {
+        Some((id, rule)) => Verdict::hit(
+            MatchHandle {
+                id,
+                priority: rule.priority,
+                mask_summary: MaskSummary::of_rule(rule),
+            },
+            rule.action,
+            reads,
+        ),
+        None => Verdict::miss(reads),
     }
 }
 

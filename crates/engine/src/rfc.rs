@@ -9,10 +9,9 @@
 //! (Table I: 31.48 Mb versus HyperCuts' 5.96 Mb), which is exactly the
 //! behaviour this implementation reproduces and measures.
 
-use crate::{Baseline, BaselineResult};
-use spc_types::{Header, ProtoSpec, RuleId, RuleSet};
+use crate::{verdict, EngineKind, PacketClassifier, Verdict};
+use spc_types::{Header, Priority, ProtoSpec, Rule, RuleId, RuleSet};
 use std::collections::HashMap;
-use std::fmt;
 
 /// Rule membership bitset.
 type BitSet = Vec<u64>;
@@ -20,39 +19,6 @@ type BitSet = Vec<u64>;
 fn bitset_and(a: &BitSet, b: &BitSet) -> BitSet {
     a.iter().zip(b).map(|(x, y)| x & y).collect()
 }
-
-/// Error from RFC preprocessing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum RfcError {
-    /// A crossproduct table would exceed the configured entry budget —
-    /// RFC's memory explosion, surfaced instead of thrashing.
-    TableTooLarge {
-        /// The phase table that overflowed.
-        table: &'static str,
-        /// Entries it would need.
-        entries: u64,
-        /// The configured cap.
-        cap: u64,
-    },
-}
-
-impl fmt::Display for RfcError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RfcError::TableTooLarge {
-                table,
-                entries,
-                cap,
-            } => write!(
-                f,
-                "rfc phase table {table} needs {entries} entries, exceeding the {cap} cap"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for RfcError {}
 
 /// One chunk/phase table: value (or id pair) → class id, plus the class
 /// bitsets feeding the next phase.
@@ -80,20 +46,8 @@ impl EqTable {
 const CHUNK_SPACE: [usize; 7] = [1 << 16, 1 << 16, 1 << 16, 1 << 16, 1 << 16, 1 << 16, 1 << 8];
 
 /// The RFC classifier.
-///
-/// ```
-/// use spc_baselines::{Rfc, Baseline};
-/// use spc_types::{Rule, RuleSet, Priority, Header, PortRange};
-/// let rs = RuleSet::from_rules(vec![
-///     Rule::builder(Priority(0)).dst_port(PortRange::exact(80)).build(),
-/// ]);
-/// let rfc = Rfc::build(&rs, 1 << 24).unwrap();
-/// let hit = Header::new([1, 1, 1, 1].into(), [2, 2, 2, 2].into(), 1, 80, 6);
-/// assert_eq!(rfc.classify(&hit).rule.unwrap().0, 0);
-/// assert_eq!(rfc.classify(&hit).accesses, 13);
-/// ```
 #[derive(Debug)]
-pub struct Rfc {
+pub(crate) struct Rfc {
     phase0: Vec<EqTable>, // 7 chunk tables
     table_a: EqTable,     // (sip_hi, sip_lo)
     table_b: EqTable,     // (dip_hi, dip_lo)
@@ -102,6 +56,8 @@ pub struct Rfc {
     table_e: EqTable,     // (C, proto)
     table_f: EqTable,     // (D, E) final
     final_rules: Vec<Option<RuleId>>,
+    /// The rules by id, for a hit's verdict.
+    rules: Vec<Rule>,
 }
 
 impl Rfc {
@@ -109,22 +65,21 @@ impl Rfc {
     ///
     /// # Errors
     ///
-    /// [`RfcError::TableTooLarge`] when a crossproduct exceeds the cap.
-    pub fn build(rules: &RuleSet, entry_cap: u64) -> Result<Self, RfcError> {
+    /// The reason, when a crossproduct would exceed the cap — RFC's
+    /// memory explosion, surfaced instead of thrashing.
+    pub(crate) fn build(rules: &RuleSet, entry_cap: u64) -> Result<Self, String> {
         let words = rules.len().div_ceil(64).max(1);
         // Phase 0: per-chunk elementary-interval sweep.
         let mut phase0 = Vec::with_capacity(7);
         for chunk in 0..7 {
             phase0.push(Self::build_chunk(rules, chunk, words));
         }
-        let combine = |x: &EqTable, y: &EqTable, name: &'static str| -> Result<EqTable, RfcError> {
+        let combine = |x: &EqTable, y: &EqTable, name: &str| -> Result<EqTable, String> {
             let entries = x.classes.len() as u64 * y.classes.len() as u64;
             if entries > entry_cap {
-                return Err(RfcError::TableTooLarge {
-                    table: name,
-                    entries,
-                    cap: entry_cap,
-                });
+                return Err(format!(
+                    "rfc phase table {name} needs {entries} entries, exceeding the {entry_cap} cap"
+                ));
             }
             let mut table = Vec::with_capacity(entries as usize);
             let mut ids: HashMap<BitSet, u32> = HashMap::new();
@@ -151,13 +106,13 @@ impl Rfc {
         let table_e = combine(&table_c, &phase0[6], "E(ports,proto)")?;
         let table_f = combine(&table_d, &table_e, "F(final)")?;
         // Final classes -> HPMR.
-        let by_priority: Vec<(RuleId, spc_types::Priority)> =
+        let by_priority: Vec<(RuleId, Priority)> =
             rules.iter().map(|(id, r)| (id, r.priority)).collect();
         let final_rules = table_f
             .classes
             .iter()
             .map(|set| {
-                let mut best: Option<(spc_types::Priority, RuleId)> = None;
+                let mut best: Option<(Priority, RuleId)> = None;
                 for (i, (id, p)) in by_priority.iter().enumerate() {
                     if set[i / 64] >> (i % 64) & 1 == 1 {
                         let cand = (*p, *id);
@@ -178,6 +133,7 @@ impl Rfc {
             table_e,
             table_f,
             final_rules,
+            rules: rules.rules().to_vec(),
         })
     }
 
@@ -246,12 +202,20 @@ impl Rfc {
     }
 }
 
-impl Baseline for Rfc {
+impl PacketClassifier for Rfc {
+    fn kind(&self) -> EngineKind {
+        EngineKind::Rfc
+    }
+
     fn name(&self) -> &'static str {
         "RFC"
     }
 
-    fn classify(&self, h: &Header) -> BaselineResult {
+    fn rules(&self) -> usize {
+        self.rules.len()
+    }
+
+    fn classify(&self, h: &Header) -> Verdict {
         let v = [
             usize::from(h.sip_hi()),
             usize::from(h.sip_lo()),
@@ -271,10 +235,8 @@ impl Baseline for Rfc {
         let e = self.table_e.entries[cc * self.phase0[6].classes.len() + c[6]] as usize;
         let f = self.table_f.entries[d * self.table_e.classes.len() + e] as usize;
         // 7 phase-0 reads + 3 phase-1 + 2 phase-2 + 1 phase-3.
-        BaselineResult {
-            rule: self.final_rules[f],
-            accesses: 13,
-        }
+        let hit = self.final_rules[f].map(|id| (id, &self.rules[id.0 as usize]));
+        verdict(hit, 13)
     }
 
     fn memory_bits(&self) -> u64 {
@@ -292,27 +254,20 @@ impl Baseline for Rfc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{fw_set, small_set, trace};
-    use crate::LinearSearch;
+    use crate::linear::testutil::{agrees_with_linear, fw_set, small_set, trace};
+    use crate::linear::LinearSearch;
+    use spc_types::PortRange;
 
     #[test]
     fn agrees_with_oracle_acl() {
         let rs = small_set();
-        let rfc = Rfc::build(&rs, 1 << 26).unwrap();
-        let ls = LinearSearch::build(&rs);
-        for h in trace(&rs, 300) {
-            assert_eq!(rfc.classify(&h).rule, ls.classify(&h).rule, "header {h}");
-        }
+        agrees_with_linear(&Rfc::build(&rs, 1 << 26).unwrap(), &rs, 300);
     }
 
     #[test]
     fn agrees_with_oracle_fw() {
         let rs = fw_set();
-        let rfc = Rfc::build(&rs, 1 << 26).unwrap();
-        let ls = LinearSearch::build(&rs);
-        for h in trace(&rs, 300) {
-            assert_eq!(rfc.classify(&h).rule, ls.classify(&h).rule, "header {h}");
-        }
+        agrees_with_linear(&Rfc::build(&rs, 1 << 26).unwrap(), &rs, 300);
     }
 
     #[test]
@@ -320,7 +275,7 @@ mod tests {
         let rs = small_set();
         let rfc = Rfc::build(&rs, 1 << 26).unwrap();
         for h in trace(&rs, 20) {
-            assert_eq!(rfc.classify(&h).accesses, 13);
+            assert_eq!(rfc.classify(&h).mem_reads, 13);
         }
     }
 
@@ -337,8 +292,8 @@ mod tests {
     fn cap_enforced() {
         let rs = small_set();
         match Rfc::build(&rs, 64) {
-            Err(RfcError::TableTooLarge { .. }) => {}
-            other => panic!("expected table overflow, got {other:?}"),
+            Err(reason) => assert!(reason.contains("exceeding the 64 cap"), "{reason}"),
+            Ok(_) => panic!("expected table overflow"),
         }
     }
 
@@ -347,5 +302,17 @@ mod tests {
         let rs = RuleSet::new();
         let rfc = Rfc::build(&rs, 1 << 20).unwrap();
         assert!(rfc.classify(&Header::default()).rule.is_none());
+    }
+
+    #[test]
+    fn one_rule_hits_in_thirteen_reads() {
+        let rs = RuleSet::from_rules(vec![Rule::builder(Priority(0))
+            .dst_port(PortRange::exact(80))
+            .build()]);
+        let rfc = Rfc::build(&rs, 1 << 24).unwrap();
+        let hit = Header::new([1, 1, 1, 1].into(), [2, 2, 2, 2].into(), 1, 80, 6);
+        let v = rfc.classify(&hit);
+        assert_eq!(v.rule, Some(RuleId(0)));
+        assert_eq!(v.mem_reads, 13);
     }
 }

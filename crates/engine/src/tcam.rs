@@ -2,8 +2,7 @@
 //! scanned first-match, with a partitioned free-slot allocator whose
 //! shift-on-insert cost is priced per update.
 
-use crate::tuple::verdict;
-use crate::{EngineKind, PacketClassifier, UpdateError, UpdateReport, Verdict};
+use crate::{verdict, EngineKind, PacketClassifier, UpdateError, UpdateReport, Verdict};
 use spc_types::{DimValue, Header, Priority, ProtoSpec, Rule, RuleId, RuleSet};
 use std::collections::HashMap;
 

@@ -2,8 +2,7 @@
 //! software path of Open vSwitch): rules grouped by hash-mask signature,
 //! one open-addressed hash table per tuple, probed in best-priority order.
 
-use crate::tuple::verdict;
-use crate::{EngineKind, PacketClassifier, UpdateError, UpdateReport, Verdict};
+use crate::{verdict, EngineKind, PacketClassifier, UpdateError, UpdateReport, Verdict};
 use spc_types::{Header, MaskSummary, Priority, Rule, RuleId, RuleSet};
 use std::collections::HashMap;
 

@@ -1,27 +1,6 @@
-//! What the two update-first backends — tuple-space search
+//! The tests that hold both update-first backends — tuple-space search
 //! ([`crate::TupleSpaceEngine`]) and the software TCAM
-//! ([`crate::SoftTcamEngine`]) — share: the verdict of a lookup, and the
-//! tests that hold both to the trait's update contract.
-
-use crate::{MatchHandle, Verdict};
-use spc_types::{MaskSummary, Rule, RuleId};
-
-/// The verdict of a lookup that found `hit` (or nothing) for `reads`
-/// memory reads.
-pub(crate) fn verdict(hit: Option<(RuleId, &Rule)>, reads: u32) -> Verdict {
-    match hit {
-        Some((id, rule)) => Verdict::hit(
-            MatchHandle {
-                id,
-                priority: rule.priority,
-                mask_summary: MaskSummary::of_rule(rule),
-            },
-            rule.action,
-            reads,
-        ),
-        None => Verdict::miss(reads),
-    }
-}
+//! ([`crate::SoftTcamEngine`]) — to the trait's update contract.
 
 #[cfg(test)]
 mod tests {

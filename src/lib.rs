@@ -9,12 +9,12 @@
 //! * [`hwsim`] — memory-block / cycle / throughput hardware model
 //! * [`lookup`] — single-field lookup engines with the DCFL label method
 //! * [`core`] — the configurable classifier architecture itself
-//! * [`baselines`] — linear search, HyperCuts, RFC, DCFL comparators
 //! * [`engine`] — the unified [`engine::PacketClassifier`] API over all of
 //!   the above: one trait, batch lookups, a backend registry with the
-//!   update-first backends (tuple-space search, the software TCAM) of its
-//!   own, and the [`engine::CachedEngine`] flow verdict cache (microflow +
-//!   megaflow) that can wrap any backend
+//!   Table I comparators (linear search, HyperCuts, RFC, DCFL, Option 1/2)
+//!   and the update-first backends (tuple-space search, the software TCAM)
+//!   of its own, and the [`engine::CachedEngine`] flow verdict cache
+//!   (microflow + megaflow) that can wrap any backend
 //! * [`analyze`] — static rule-set analysis: shadowing, duplicates,
 //!   label-pressure and port-expansion findings ([`spc_analyze`])
 //!
@@ -60,7 +60,6 @@
 //! ```
 
 pub use spc_analyze as analyze;
-pub use spc_baselines as baselines;
 pub use spc_classbench as classbench;
 pub use spc_core as core;
 pub use spc_engine as engine;

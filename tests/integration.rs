@@ -291,6 +291,9 @@ fn bst_interval_overflow_mid_patch_is_atomic_under_every_wrapper() {
 /// The update-first rows were captured before tuple-space search and the
 /// software TCAM became their own engines: every lookup, slot placement
 /// and shift count moved, and none may count differently.
+///
+/// The Table I comparator rows were captured before the comparators
+/// stopped answering through an adapter and became engines themselves.
 #[test]
 fn modelled_costs_match_golden_constants() {
     // (family, leaf, then for the leaf, `shards=4,strategy=prio` and
@@ -369,6 +372,27 @@ fn modelled_costs_match_golden_constants() {
         ),
     ] {
         assert_eq!(modelled_costs(kind, spec), want, "{kind} {spec}");
+    }
+    // The build-once comparators have no churn: (family, backend,
+    // Σ mem_reads, memory_bits)
+    for (kind, spec, want) in [
+        (FilterKind::Acl, "linear", (116_010, 38_760)),
+        (FilterKind::Acl, "hypercuts", (4_554, 57_916)),
+        (FilterKind::Acl, "rfc", (3_328, 2_944_042)),
+        (FilterKind::Acl, "dcfl", (6_831, 1_256_389)),
+        (FilterKind::Acl, "option1", (10_586, 1_216_453)),
+        (FilterKind::Acl, "option2", (10_392, 2_881_424)),
+        (FilterKind::Fw, "linear", (110_760, 38_912)),
+        (FilterKind::Fw, "hypercuts", (4_410, 94_464)),
+        (FilterKind::Fw, "rfc", (3_328, 7_255_041)),
+        (FilterKind::Fw, "dcfl", (12_894, 787_482)),
+        (FilterKind::Fw, "option1", (111_170, 747_546)),
+        (FilterKind::Fw, "option2", (111_276, 1_511_214)),
+    ] {
+        let rules = gen(kind, 256, 21);
+        let engine = build_engine(spec, &rules).unwrap();
+        let reads = reads_of(engine.as_ref(), &trace(&rules, 256));
+        assert_eq!((reads, engine.memory_bits()), want, "{kind} {spec}");
     }
 }
 
