@@ -49,9 +49,9 @@
 //! cannot defend ([`OptimizeError::ValidationFailed`]). The id-preserving
 //! configuration ([`OptimizeConfig::id_preserving`]) additionally proves
 //! winner *identity* modulo the emitted [`ProvenanceMap`]
-//! ([`equivalence::check_mapped`]) — the contract `spc-engine`'s
-//! `optimize=validated` build path relies on to remap verdicts back into
-//! original rule-id space.
+//! ([`equivalence::check_mapped`]) — the contract a caller relies on
+//! when it builds an engine from the optimized set and maps each hit back
+//! into original rule-id space.
 
 mod analyze;
 pub mod equivalence;

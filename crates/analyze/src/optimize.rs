@@ -78,9 +78,12 @@ impl Default for OptimizeConfig {
 impl OptimizeConfig {
     /// The strongest pipeline that still preserves winner *identity*
     /// modulo provenance: range merging off, everything else on. An
-    /// engine built from this output can remap every verdict to the
-    /// exact rule id the original set would have reported —
-    /// `spc_engine`'s `OptimizePolicy::Validated` uses this config.
+    /// engine built from this output can map every hit back, through
+    /// [`OptimizedRuleSet::provenance`], to the exact rule id the
+    /// original set would have reported. Such an engine serves only this
+    /// set: renumbered priorities misorder later inserts, and elided
+    /// rules cannot come back when what shadowed them is removed — to
+    /// update, build from the original set.
     pub fn id_preserving() -> Self {
         OptimizeConfig {
             merge_ranges: false,

@@ -26,7 +26,7 @@ const RFC_ENTRY_CAP: u64 = 1 << 27;
 /// here and [`BuildError::BadOption`]'s `Display` derives its key list
 /// from it, so the error message cannot rot behind the grammar. Which
 /// backend a key belongs to is decided by the [`KindOpts`] variant that
-/// stores it (`inner` and `optimize` live on the [`EngineBuilder`] node).
+/// stores it (`inner` lives on the [`EngineBuilder`] node).
 const SPEC_KEYS: &[&str] = &[
     "rf_bits",
     "combine",
@@ -39,7 +39,6 @@ const SPEC_KEYS: &[&str] = &[
     "tables",
     "capacity",
     "partitions",
-    "optimize",
 ];
 
 /// Error from [`EngineBuilder`].
@@ -87,14 +86,6 @@ pub enum BuildError {
         /// The rule that repeats it.
         dup: RuleId,
     },
-    /// [`OptimizePolicy::Validated`] ran the rule-set optimizer and its
-    /// output failed equivalence validation against the original set —
-    /// an optimizer bug caught before any engine was built from the bad
-    /// rewrite.
-    OptimizeFailed {
-        /// The validation failure, witness included.
-        reason: String,
-    },
 }
 
 impl fmt::Display for BuildError {
@@ -122,32 +113,11 @@ impl fmt::Display for BuildError {
                     dup.0, first.0
                 )
             }
-            BuildError::OptimizeFailed { reason } => {
-                write!(f, "rule-set optimization failed validation: {reason}")
-            }
         }
     }
 }
 
 impl std::error::Error for BuildError {}
-
-/// Whether [`EngineBuilder::build`] runs the semantics-preserving
-/// rule-set optimizer before constructing the backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OptimizePolicy {
-    /// Build from the rule set as given (the default).
-    #[default]
-    Off,
-    /// Run `spc_analyze::optimize` with its id-preserving configuration
-    /// (duplicate coalescing, dead-rule elimination, priority
-    /// renumbering — no range merging), validate the output against the
-    /// original set with the equivalence checker, build the backend from
-    /// the optimized set, and wrap it in [`crate::OptimizedEngine`] so
-    /// every verdict, update report and error speaks the *original* id
-    /// space. Validation failure is [`BuildError::OptimizeFailed`] —
-    /// never a silently different engine.
-    Validated,
-}
 
 /// Whether `descendant` may appear anywhere below `ancestor` on a
 /// root-to-leaf path of a spec tree — the one table that decides wrapper
@@ -193,8 +163,8 @@ const DEFAULT_HASH_DIM: Dim = Dim::DipLo;
 /// The options of one spec-tree node: one variant per option-bearing
 /// backend family, holding exactly the spec keys that family owns.
 /// Registering a key means adding a field here, its arms in
-/// [`KindOpts::set`] / [`KindOpts::write_spec`], and its [`SPEC_KEYS`]
-/// row.
+/// [`KindOpts::set`] / [`KindOpts::write_spec`] (and [`KindOpts::check`]
+/// if it has a range), and its [`SPEC_KEYS`] row.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum KindOpts {
     /// Backends without options of their own.
@@ -252,19 +222,10 @@ impl KindOpts {
 
     /// Stores one `key=value` if `key` is one of this variant's:
     /// `Ok(false)` when it is not, `Err(())` when the value does not
-    /// parse. Range and cross-key rules are [`EngineBuilder::check`]'s.
+    /// parse. Range and cross-key rules are [`KindOpts::check`]'s.
     fn set(&mut self, key: &str, value: &str) -> Result<bool, ()> {
         fn num<T: std::str::FromStr>(value: &str) -> Result<T, ()> {
             value.parse().map_err(|_| ())
-        }
-        /// A slot count the structure rounds up to a power of two.
-        fn slots(key: &str, value: &str) -> Result<usize, ()> {
-            let n: usize = num(value)?;
-            let rounded = n.checked_next_power_of_two().ok_or(())?;
-            if n != 0 && rounded != n {
-                eprintln!("warning: {key}={n} is not a power of two; rounding up to {rounded}");
-            }
-            Ok(n)
         }
         match (self, key) {
             (KindOpts::Configurable { rf_bits, .. }, "rf_bits") => *rf_bits = Some(num(value)?),
@@ -287,7 +248,7 @@ impl KindOpts {
                 let dim = ALL_DIMS.into_iter().find(|d| d.to_string() == value);
                 *hash_dim = Some(dim.ok_or(())?);
             }
-            (KindOpts::Cached { flows, .. }, "flows") => *flows = slots(key, value)?,
+            (KindOpts::Cached { flows, .. }, "flows") => *flows = num(value)?,
             (KindOpts::Cached { megaflow, .. }, "megaflow") => {
                 *megaflow = match value {
                     "on" => true,
@@ -295,12 +256,80 @@ impl KindOpts {
                     _ => return Err(()),
                 };
             }
-            (KindOpts::Tss { tables }, "tables") => *tables = slots(key, value)?,
+            (KindOpts::Tss { tables }, "tables") => *tables = num(value)?,
             (KindOpts::Tcam { capacity, .. }, "capacity") => *capacity = num(value)?,
             (KindOpts::Tcam { partitions, .. }, "partitions") => *partitions = num(value)?,
             _ => return Ok(false),
         }
         Ok(true)
+    }
+
+    /// This node's range and cross-key rules: counts of at least one,
+    /// the bounds on what is allocated up front, and the keys that only
+    /// make sense together. Run once per node, as [`EngineBuilder::parse`]
+    /// finishes it.
+    fn check(&self) -> Result<(), BuildError> {
+        let config = |option: String, reason: &str| {
+            Err(BuildError::ConfigError {
+                option,
+                reason: reason.to_string(),
+            })
+        };
+        let at_least_one = |key: &str, n: usize, why: &str| match n {
+            0 => config(format!("{key}=0"), &format!("{key} must be >= 1{why}")),
+            _ => Ok(()),
+        };
+        let at_most = |key: &str, n: usize, max: u64, why: &str| match n as u64 {
+            n if n > max => config(
+                format!("{key}={n}"),
+                &format!("{key} must be at most {max}{why}"),
+            ),
+            _ => Ok(()),
+        };
+        match *self {
+            KindOpts::None | KindOpts::Configurable { .. } => Ok(()),
+            KindOpts::Sharded {
+                shards,
+                strategy,
+                hash_dim,
+            } => {
+                at_least_one("shards", shards, "")?;
+                match (strategy, hash_dim) {
+                    (ShardStrategy::PriorityBands, Some(dim)) => {
+                        config(format!("hash_dim={dim}"), "hash_dim requires strategy=hash")
+                    }
+                    _ => Ok(()),
+                }
+            }
+            KindOpts::Cached { flows, .. } => {
+                at_least_one("flows", flows, " (the cache needs at least one slot)")?;
+                let why = " (both layers are allocated up front)";
+                at_most("flows", flows, MAX_FLOWS as u64, why)
+            }
+            KindOpts::Tss { tables } => {
+                at_least_one("tables", tables, " (each tuple needs at least one slot)")?;
+                let why = " (every tuple allocates its table up front)";
+                at_most("tables", tables, MAX_TABLES as u64, why)
+            }
+            KindOpts::Tcam {
+                capacity,
+                partitions,
+            } => {
+                at_least_one("capacity", capacity, " (the TCAM needs at least one slot)")?;
+                let why = " (its modelled bits must fit a u64)";
+                at_most("capacity", capacity, MAX_CAPACITY, why)?;
+                at_least_one("partitions", partitions, "")?;
+                let why = " (every partition is allocated at build)";
+                at_most("partitions", partitions, MAX_PARTITIONS as u64, why)?;
+                if partitions > capacity {
+                    return config(
+                        format!("partitions={partitions}"),
+                        &format!("partitions must not exceed capacity ({capacity})"),
+                    );
+                }
+                Ok(())
+            }
+        }
     }
 
     /// Appends this variant's `key=value` pairs in the spelling
@@ -367,7 +396,6 @@ pub struct EngineBuilder {
     opts: KindOpts,
     /// The wrapped engine's builder: `Some` exactly on wrapper nodes.
     inner: Option<Box<EngineBuilder>>,
-    optimize: OptimizePolicy,
 }
 
 impl fmt::Display for EngineBuilder {
@@ -375,9 +403,6 @@ impl fmt::Display for EngineBuilder {
         let mut opts = Vec::new();
         opts.extend(self.inner.as_ref().map(|inner| format!("inner=({inner})")));
         self.opts.write_spec(&mut opts);
-        if self.optimize == OptimizePolicy::Validated {
-            opts.push("optimize=validated".to_string());
-        }
         write!(f, "{}", self.kind)?;
         if !opts.is_empty() {
             write!(f, ":{}", opts.join(","))?;
@@ -418,19 +443,18 @@ fn strip_parens(s: &str) -> &str {
 }
 
 impl EngineBuilder {
-    /// A builder for the given backend with default provisioning.
+    /// A builder for the given backend with default provisioning: the
+    /// tree [`EngineBuilder::from_spec`] parses from the bare kind name.
     ///
-    /// Every wrapper wraps `configurable-bst` until
-    /// [`EngineBuilder::with_inner`] (or `inner=`) says otherwise;
-    /// [`EngineKind::Sharded`] defaults to 4 shards split by priority
-    /// bands.
+    /// Every wrapper wraps `configurable-bst`; [`EngineKind::Sharded`]
+    /// defaults to 4 shards split by priority bands. Any other
+    /// provisioning is a spec string.
     pub fn new(kind: EngineKind) -> Self {
         let wraps = legal_nesting(kind, EngineKind::ConfigurableBst).is_ok();
         EngineBuilder {
             kind,
             opts: KindOpts::defaults(kind),
             inner: wraps.then(|| Box::new(Self::new(EngineKind::ConfigurableBst))),
-            optimize: OptimizePolicy::Off,
         }
     }
 
@@ -455,8 +479,7 @@ impl EngineBuilder {
     /// (allocator partition count, at most one per slot). What is
     /// allocated up front is bounded: `flows` ≤ 2²⁰, `tables` ≤ 2¹²,
     /// `partitions` ≤ 2¹⁶, and `capacity` stays small enough for its
-    /// modelled bits to fit a `u64`. Every backend takes
-    /// `optimize=off|validated`.
+    /// modelled bits to fit a `u64`.
     ///
     /// Every key is checked against the kind it is for: unknown keys,
     /// keys for another backend, and duplicated keys are hard
@@ -470,19 +493,27 @@ impl EngineBuilder {
     /// [`BuildError::UnknownKind`] for an unregistered backend name,
     /// [`BuildError::BadOption`] for malformed `key=value` text, and
     /// [`BuildError::ConfigError`] for unknown/duplicate/inconsistent
-    /// keys and illegal nesting.
+    /// keys, out-of-range counts and illegal nesting. A malformed option
+    /// anywhere in the string is reported before a range rule.
     pub fn from_spec(spec: &str) -> Result<Self, BuildError> {
-        let builder = Self::parse(spec, &[])?;
-        builder.check(&[])?;
-        Ok(builder)
+        let mut broken = None;
+        let builder = Self::parse(spec, &[], &mut broken)?;
+        broken.map_or(Ok(builder), Err)
     }
 
     /// Parses one node whose ancestors on the path are `ancestors`.
     /// Nesting legality is settled as soon as the node's kind is known,
     /// before any of its options (and so its own `inner=`) are read:
     /// the table, not a depth constant, bounds the recursion at three
-    /// wrappers and a leaf whatever the input.
-    fn parse(spec: &str, ancestors: &[EngineKind]) -> Result<Self, BuildError> {
+    /// wrappers and a leaf whatever the input. Once the node's list is
+    /// read, a break of its range rules ([`KindOpts::check`]) lands in
+    /// `broken`, replacing any from below, so the outermost broken node
+    /// is the one named.
+    fn parse(
+        spec: &str,
+        ancestors: &[EngineKind],
+        broken: &mut Option<BuildError>,
+    ) -> Result<Self, BuildError> {
         let (kind_str, opts) = spec.split_once(':').unwrap_or((spec, ""));
         let kind: EngineKind = kind_str
             .trim()
@@ -526,16 +557,8 @@ impl EngineBuilder {
                 )));
             }
             let stored = match key {
-                "optimize" => {
-                    b.optimize = match value {
-                        "off" => OptimizePolicy::Off,
-                        "validated" => OptimizePolicy::Validated,
-                        _ => return Err(bad()),
-                    };
-                    true
-                }
                 "inner" if b.inner.is_some() => {
-                    b.inner = Some(Box::new(Self::parse(strip_parens(value), &path)?));
+                    b.inner = Some(Box::new(Self::parse(strip_parens(value), &path, broken)?));
                     true
                 }
                 _ => b.opts.set(key, value).map_err(|()| bad())?,
@@ -557,123 +580,15 @@ impl EngineBuilder {
                 reason,
             });
         }
-        Ok(b)
-    }
-
-    /// Validates the tree below a node whose ancestors on the path are
-    /// `ancestors`: [`legal_nesting`] for every ancestor/descendant pair
-    /// and each node's range and cross-key rules. The one place those
-    /// rules live — [`EngineBuilder::from_spec`], [`EngineBuilder::build`]
-    /// and [`EngineBuilder::build_snapshot`] all call it, so the spec
-    /// path and the typed path cannot diverge.
-    fn check(&self, ancestors: &[EngineKind]) -> Result<(), BuildError> {
-        nest_under(ancestors, self.kind)?;
-        let config = |option: String, reason: &str| {
-            Err(BuildError::ConfigError {
-                option,
-                reason: reason.to_string(),
-            })
-        };
-        let at_least_one = |key: &str, n: usize, why: &str| match n {
-            0 => config(format!("{key}=0"), &format!("{key} must be >= 1{why}")),
-            _ => Ok(()),
-        };
-        let at_most = |key: &str, n: usize, max: u64, why: &str| match n as u64 {
-            n if n > max => config(
-                format!("{key}={n}"),
-                &format!("{key} must be at most {max}{why}"),
-            ),
-            _ => Ok(()),
-        };
-        match self.opts {
-            KindOpts::None | KindOpts::Configurable { .. } => Ok(()),
-            KindOpts::Sharded {
-                shards,
-                strategy,
-                hash_dim,
-            } => {
-                at_least_one("shards", shards, "")?;
-                match (strategy, hash_dim) {
-                    (ShardStrategy::PriorityBands, Some(dim)) => {
-                        config(format!("hash_dim={dim}"), "hash_dim requires strategy=hash")
-                    }
-                    _ => Ok(()),
-                }
-            }
-            KindOpts::Cached { flows, .. } => {
-                at_least_one("flows", flows, " (the cache needs at least one slot)")?;
-                let why = " (both layers are allocated up front)";
-                at_most("flows", flows, MAX_FLOWS as u64, why)
-            }
-            KindOpts::Tss { tables } => {
-                at_least_one("tables", tables, " (each tuple needs at least one slot)")?;
-                let why = " (every tuple allocates its table up front)";
-                at_most("tables", tables, MAX_TABLES as u64, why)
-            }
-            KindOpts::Tcam {
-                capacity,
-                partitions,
-            } => {
-                at_least_one("capacity", capacity, " (the TCAM needs at least one slot)")?;
-                let why = " (its modelled bits must fit a u64)";
-                at_most("capacity", capacity, MAX_CAPACITY, why)?;
-                at_least_one("partitions", partitions, "")?;
-                let why = " (every partition is allocated at build)";
-                at_most("partitions", partitions, MAX_PARTITIONS as u64, why)?;
-                if partitions > capacity {
-                    return config(
-                        format!("partitions={partitions}"),
-                        &format!("partitions must not exceed capacity ({capacity})"),
-                    );
-                }
-                Ok(())
-            }
-        }?;
-        match &self.inner {
-            Some(inner) => inner.check(&[ancestors, &[self.kind]].concat()),
-            None => Ok(()),
+        if let Err(e) = b.opts.check() {
+            *broken = Some(e);
         }
+        Ok(b)
     }
 
     /// The backend this builder constructs.
     pub fn kind(&self) -> EngineKind {
         self.kind
-    }
-
-    /// Overrides the Rule Filter address width (configurable backends;
-    /// a no-op on any other node — set it on the node passed to
-    /// [`EngineBuilder::with_inner`]).
-    pub fn with_rule_filter_bits(mut self, bits: u32) -> Self {
-        if let KindOpts::Configurable { rf_bits, .. } = &mut self.opts {
-            *rf_bits = Some(bits);
-        }
-        self
-    }
-
-    /// Sets the shard count (sharded backend; a no-op on any other
-    /// node). 0 is a [`BuildError::ConfigError`] at build time, as it is
-    /// from a spec.
-    pub fn with_shards(mut self, count: usize) -> Self {
-        if let KindOpts::Sharded { shards, .. } = &mut self.opts {
-            *shards = count;
-        }
-        self
-    }
-
-    /// Sets the builder of the engine this wrapper wraps (`sharded`,
-    /// `cached`, `snapshot`; default `configurable-bst`). Nesting the
-    /// [`legal_nesting`] table rejects — including any inner on a
-    /// non-wrapper — is a [`BuildError::ConfigError`] at build time.
-    pub fn with_inner(mut self, inner: EngineBuilder) -> Self {
-        self.inner = Some(Box::new(inner));
-        self
-    }
-
-    /// Sets whether [`EngineBuilder::build`] optimizes the rule set
-    /// first (spec key `optimize=off|validated`; any backend).
-    pub fn with_optimize(mut self, policy: OptimizePolicy) -> Self {
-        self.optimize = policy;
-        self
     }
 
     /// The analyzer limits matching what this builder would actually
@@ -801,7 +716,6 @@ impl EngineBuilder {
     /// As [`EngineBuilder::build`], plus [`BuildError::ConfigError`]
     /// when this is not a `snapshot` node.
     pub fn build_snapshot(&self, rules: &RuleSet) -> Result<SnapshotEngine, BuildError> {
-        self.check(&[])?;
         let (EngineKind::Snapshot, Some(inner)) = (self.kind, &self.inner) else {
             return Err(self.not_a(EngineKind::Snapshot));
         };
@@ -815,16 +729,12 @@ impl EngineBuilder {
     ///
     /// # Errors
     ///
-    /// [`BuildError::ConfigError`] when the tree breaks a nesting or
-    /// option rule (see [`EngineBuilder::from_spec`]),
     /// [`BuildError::DuplicateRules`] when two rules have identical match
-    /// conditions (checked up front on every backend),
-    /// [`BuildError::OptimizeFailed`] when
-    /// [`OptimizePolicy::Validated`] is set and the optimizer's output
-    /// fails equivalence validation, and [`BuildError::Rejected`] when
-    /// the backend cannot hold the set (provisioning limits, RFC entry
-    /// cap, a field with more distinct values than DCFL's or Option 1/2's
-    /// labels can name).
+    /// conditions (checked up front on every backend), and
+    /// [`BuildError::Rejected`] when the backend cannot hold the set
+    /// (provisioning limits, RFC entry cap, a field with more distinct
+    /// values than DCFL's or Option 1/2's labels can name). The tree
+    /// itself was checked when it was parsed.
     pub fn build(&self, rules: &RuleSet) -> Result<Box<dyn PacketClassifier>, BuildError> {
         Ok(self.build_indexed(rules)?.0)
     }
@@ -835,30 +745,9 @@ impl EngineBuilder {
         &self,
         rules: &RuleSet,
     ) -> Result<(Box<dyn PacketClassifier>, KeyIndex), BuildError> {
-        self.check(&[])?;
-        // On the set as given, before any optimization, so registry
-        // semantics do not depend on the optimize policy.
         let keys = key_index(rules)?;
-        let engine: Box<dyn PacketClassifier> = match self.optimize {
-            OptimizePolicy::Off => self.build_raw(rules)?,
-            OptimizePolicy::Validated => {
-                let opt =
-                    spc_analyze::optimize(rules, &spc_analyze::OptimizeConfig::id_preserving())
-                        .map_err(|e| BuildError::OptimizeFailed {
-                            reason: e.to_string(),
-                        })?;
-                let inner = self.build_raw(&opt.rules)?;
-                Box::new(crate::OptimizedEngine::new(inner, &opt, rules))
-            }
-        };
-        Ok((engine, keys))
-    }
-
-    /// The kind dispatch, after all set-level checks: builds the backend
-    /// from exactly the rules it is given.
-    fn build_raw(&self, rules: &RuleSet) -> Result<Box<dyn PacketClassifier>, BuildError> {
         let kind = self.kind;
-        Ok(match (kind, self.opts) {
+        let engine: Box<dyn PacketClassifier> = match (kind, self.opts) {
             (EngineKind::ConfigurableMbt | EngineKind::ConfigurableBst, _) => {
                 Box::new(self.build_configurable(rules)?)
             }
@@ -888,7 +777,8 @@ impl EngineBuilder {
             ),
             // `new` pairs every kind with its own options variant.
             (EngineKind::TupleSpace | EngineKind::SoftTcam, _) => return Err(self.not_a(kind)),
-        })
+        };
+        Ok((engine, keys))
     }
 }
 
@@ -939,7 +829,10 @@ mod tests {
         let rules = rules();
         let h = Header::new([9, 9, 9, 9].into(), [8, 8, 8, 8].into(), 1, 80, 6);
         for kind in EngineKind::ALL {
-            let e = EngineBuilder::new(kind).build(&rules).unwrap();
+            // The defaults are the tree the bare kind name parses to.
+            let b = EngineBuilder::new(kind);
+            assert_eq!(EngineBuilder::from_spec(&kind.to_string()), Ok(b.clone()));
+            let e = b.build(&rules).unwrap();
             assert_eq!(e.kind(), kind);
             assert_eq!(e.rules(), 2, "{kind}");
             assert_eq!(e.classify(&h).priority, Some(Priority(0)), "{kind}");
@@ -1036,6 +929,9 @@ mod tests {
             // Keys that went with the code they tuned.
             "sharded:skew=2",
             "sharded:strategy=prio,skew=1.5",
+            "configurable-bst:optimize=validated",
+            "linear:optimize=off",
+            "cached:inner=linear,optimize=validated",
         ] {
             let e = EngineBuilder::from_spec(spec);
             let unknown = matches!(
@@ -1136,61 +1032,26 @@ mod tests {
 
     #[test]
     fn slot_counts_past_the_link_bound_are_errors() {
-        // Rounding 2^64 - 1 up overflows; 2^63 rounds to itself, past
-        // what 32-bit slot links (or the allocator) can address.
+        // Counts past what 32-bit slot links (or the allocator) can
+        // address (2^64 - 1, 2^63), counts that fit the links but not
+        // memory (2^30), and capacities whose modelled bits overflow a
+        // u64 (2^60, 2^40): each is a ConfigError at parse, before any
+        // count is rounded up or anything is allocated.
         for spec in [
             "cached:flows=18446744073709551615",
             "tss:tables=18446744073709551615",
             "cached:flows=9223372036854775808",
             "tss:tables=9223372036854775808",
-        ] {
-            let e = EngineBuilder::from_spec(spec);
-            assert!(
-                matches!(
-                    e,
-                    Err(BuildError::BadOption { .. } | BuildError::ConfigError { .. })
-                ),
-                "{spec}: {e:?}"
-            );
-        }
-        // Counts that fit the links but not memory, and a capacity whose
-        // modelled bits overflow a u64 (2^60, 2^40, 2^30, 2^30): each is
-        // a ConfigError on the spec path and, built from its options, on
-        // the typed path — before anything is allocated.
-        let (big, huge) = (1 << 30, 1 << 40);
-        for (spec, opts) in [
-            (
-                "tcam:capacity=1152921504606846976",
-                KindOpts::Tcam {
-                    capacity: 1 << 60,
-                    partitions: 8,
-                },
-            ),
-            (
-                "tcam:capacity=1099511627776,partitions=1099511627776",
-                KindOpts::Tcam {
-                    capacity: huge,
-                    partitions: huge,
-                },
-            ),
-            ("tss:tables=1073741824", KindOpts::Tss { tables: big }),
-            (
-                "cached:flows=1073741824",
-                KindOpts::Cached {
-                    flows: big,
-                    megaflow: true,
-                },
-            ),
+            "tcam:capacity=1152921504606846976",
+            "tcam:capacity=1099511627776,partitions=1099511627776",
+            "tss:tables=1073741824",
+            "cached:flows=1073741824",
         ] {
             let e = EngineBuilder::from_spec(spec);
             assert!(
                 matches!(e, Err(BuildError::ConfigError { .. })),
                 "{spec}: {e:?}"
             );
-            let mut b = EngineBuilder::from_spec(spec.split(':').next().unwrap()).unwrap();
-            b.opts = opts;
-            let e = b.build(&rules()).map(|_| ());
-            assert!(matches!(e, Err(BuildError::ConfigError { .. })), "{spec}");
         }
         // The bounds themselves still parse.
         for spec in [
@@ -1233,12 +1094,6 @@ mod tests {
             EngineBuilder::from_spec("sharded:strategy=hash,hash_dim=warp"),
             Err(BuildError::BadOption { .. })
         ));
-        // The builder-method path runs the same check at build time
-        // (nesting, on both paths: tests/spec_tree.rs).
-        let e = EngineBuilder::new(EngineKind::Sharded)
-            .with_shards(0)
-            .build(&rules());
-        assert!(matches!(e, Err(BuildError::ConfigError { .. })));
     }
 
     #[test]
@@ -1347,7 +1202,7 @@ mod tests {
                     .build()
             })
             .collect();
-        let b = EngineBuilder::new(EngineKind::ConfigurableBst).with_rule_filter_bits(2);
+        let b = EngineBuilder::from_spec("configurable-bst:rf_bits=2").unwrap();
         assert!(
             b.audit(&rules).has_errors(),
             "audit must flag the overflowing set"
@@ -1425,6 +1280,17 @@ mod tests {
             }
             other => panic!("expected ConfigError, got {other}"),
         }
+        // A malformed option anywhere outranks a range rule below it, and
+        // of two broken nodes the outer one is named.
+        assert!(matches!(
+            EngineBuilder::from_spec("cached:inner=(tss:tables=0),flows=banana"),
+            Err(BuildError::BadOption { .. })
+        ));
+        let e = EngineBuilder::from_spec("cached:inner=(tss:tables=0),flows=0");
+        assert!(
+            matches!(&e, Err(BuildError::ConfigError { option, .. }) if option == "flows=0"),
+            "{e:?}"
+        );
         // Cache keys belong to the cached backend only; rf_bits does not
         // forward through the wrapper (tune the nested inner spec).
         for spec in [
@@ -1651,8 +1517,7 @@ mod tests {
                 }
             }
         };
-        let optimize = [OptimizePolicy::Off, OptimizePolicy::Validated][pick(2) as usize];
-        let mut node = EngineBuilder::new(kind).with_optimize(optimize);
+        let mut node = EngineBuilder::new(kind);
         node.opts = opts;
         if node.inner.is_some() {
             node.inner = Some(Box::new(random_tree(rng, &[ancestors, &[kind]].concat())));
@@ -1668,7 +1533,6 @@ mod tests {
         let mut wrapped = 0;
         for _ in 0..2000 {
             let tree = random_tree(&mut rng, &[]);
-            assert!(tree.check(&[]).is_ok(), "{tree}");
             wrapped += usize::from(tree.inner.is_some());
             assert_eq!(EngineBuilder::from_spec(&tree.to_string()), Ok(tree));
         }

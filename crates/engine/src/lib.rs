@@ -81,7 +81,6 @@ mod fields;
 mod hypercuts;
 mod kind;
 mod linear;
-mod optimized;
 mod options;
 pub mod pipeline;
 mod rfc;
@@ -94,11 +93,10 @@ mod tss;
 mod tuple;
 pub mod workload;
 
-pub use builder::{build_engine, legal_nesting, BuildError, EngineBuilder, OptimizePolicy};
+pub use builder::{build_engine, legal_nesting, BuildError, EngineBuilder};
 pub use cache::{CacheStats, CachedEngine};
 pub use configurable::ConfigurableEngine;
 pub use kind::EngineKind;
-pub use optimized::OptimizedEngine;
 pub use pipeline::{BatchWorker, EngineSource, IngestConfig, IngestPipeline, PipelineError};
 pub use sharded::ShardedEngine;
 pub use snapshot::{SnapshotEngine, SnapshotReader};

@@ -695,11 +695,6 @@ mod tests {
                 let mut e = crate::build_engine(&spec, &rs).unwrap();
                 check(e.as_mut(), &spec);
             }
-            let mut e = EngineBuilder::new(EngineKind::Sharded)
-                .with_shards(n)
-                .build(&rs)
-                .unwrap();
-            check(e.as_mut(), &format!("with_shards({n})"));
         }
     }
 

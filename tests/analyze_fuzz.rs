@@ -275,7 +275,6 @@ fn adversarial_sets_cross_check_analyzer_oracle_and_backends() {
 
 #[test]
 fn optimizer_round_trips_on_every_adversarial_set_and_backend() {
-    use spc::engine::OptimizePolicy;
     for i in 0..SETS {
         let seed = FUZZ_SEED + i as u64;
         let rules = adversarial_set(seed);
@@ -326,33 +325,30 @@ fn optimizer_round_trips_on_every_adversarial_set_and_backend() {
             }
         }
 
-        // Engine wiring: every registry backend built with
-        // optimize=validated returns the *unoptimized* linear oracle's
-        // verdict — original rule id, priority and action — on every
-        // grid header.
+        // Engine composition: every registry backend built from the
+        // id-preserving optimizer's output, each hit mapped back through
+        // the provenance map, returns the *unoptimized* linear oracle's
+        // rule id and action on every grid header.
+        let opt = optimize(&rules, &OptimizeConfig::id_preserving())
+            .unwrap_or_else(|e| panic!("seed {seed}: id-preserving optimizer failed: {e}"));
         let oracle = EngineBuilder::new(EngineKind::Linear)
             .build(&rules)
             .unwrap();
         for kind in EngineKind::ALL {
             let engine = EngineBuilder::new(kind)
-                .with_optimize(OptimizePolicy::Validated)
-                .build(&rules)
-                .unwrap_or_else(|e| panic!("seed {seed}: {kind} optimized build failed: {e}"));
-            assert_eq!(engine.rules(), rules.len(), "seed {seed}: {kind}");
+                .build(&opt.rules)
+                .unwrap_or_else(|e| panic!("seed {seed}: {kind} over the optimized set: {e}"));
             for h in &grid {
                 let want = oracle.classify(h);
-                let got = engine.classify(h);
+                let v = engine.classify(h);
                 assert_eq!(
-                    got.rule, want.rule,
-                    "seed {seed}: optimized {kind} id differs at {h}"
+                    v.rule.map(|id| opt.provenance.original(id).unwrap()),
+                    want.rule,
+                    "seed {seed}: {kind} over the optimized set, id at {h}"
                 );
                 assert_eq!(
-                    got.priority, want.priority,
-                    "seed {seed}: optimized {kind} priority at {h}"
-                );
-                assert_eq!(
-                    got.action, want.action,
-                    "seed {seed}: optimized {kind} action at {h}"
+                    v.action, want.action,
+                    "seed {seed}: {kind} over the optimized set, action at {h}"
                 );
             }
         }
@@ -500,7 +496,7 @@ fn mutated_spec_strings_never_panic_the_parser() {
         "cached:inner=(sharded:inner=configurable-bst,shards=4),flows=8192,megaflow=off",
         "snapshot:inner=(sharded:inner=configurable-bst,shards=4,strategy=hash,hash_dim=dst_port)",
         "snapshot:inner=(cached:inner=(sharded:inner=(tcam:capacity=4096,partitions=4)))",
-        "tcam:capacity=1024,partitions=4,optimize=validated",
+        "tcam:capacity=1024,partitions=4",
     ];
     let mut rng = StdRng::seed_from_u64(FUZZ_SEED ^ 0x5bec);
     for i in 0..400u64 {

@@ -13,7 +13,7 @@
 use spc::classbench::{FilterKind, RuleSetGenerator, TraceGenerator};
 use spc::core::{ArchConfig, Classifier, IpAlg};
 use spc::engine::UpdateError;
-use spc::engine::{build_engine, ConfigurableEngine, EngineBuilder, EngineKind, PacketClassifier};
+use spc::engine::{build_engine, ConfigurableEngine, EngineKind, PacketClassifier};
 use spc::types::{Action, Header, Prefix, Priority, Rule, RuleId, RuleSet};
 
 fn gen(kind: FilterKind, n: usize, seed: u64) -> RuleSet {
@@ -32,10 +32,7 @@ fn configurable_matches_oracle_all_kinds_both_algs() {
     for kind in [FilterKind::Acl, FilterKind::Fw, FilterKind::Ipc] {
         let rules = gen(kind, 700, 5);
         for engine_kind in [EngineKind::ConfigurableMbt, EngineKind::ConfigurableBst] {
-            let engine = EngineBuilder::new(engine_kind)
-                .with_rule_filter_bits(14)
-                .build(&rules)
-                .unwrap();
+            let engine = build_engine(&format!("{engine_kind}:rf_bits=14"), &rules).unwrap();
             for h in trace(&rules, 400) {
                 assert_eq!(
                     engine.classify(&h).rule,
@@ -81,10 +78,7 @@ fn spec_string_sweep_agrees_on_one_trace() {
 #[test]
 fn incremental_removal_tracks_oracle() {
     let rules = gen(FilterKind::Acl, 400, 3);
-    let mut engine = EngineBuilder::new(EngineKind::ConfigurableMbt)
-        .with_rule_filter_bits(14)
-        .build(&RuleSet::new())
-        .unwrap();
+    let mut engine = build_engine("configurable-mbt:rf_bits=14", &RuleSet::new()).unwrap();
     assert!(engine.supports_updates());
     let ids: Vec<RuleId> = rules
         .rules()

@@ -1,17 +1,11 @@
-//! End-to-end oracles for the optimizer layer (`spc::analyze`'s
-//! `optimize` + `equivalence` modules and the engine's
-//! `OptimizePolicy::Validated` wiring):
-//!
-//! * witness replay — when the equivalence checker says two sets
-//!   `Differs`, replaying the witness header through `LinearSearch`
-//!   engines built from each set must reproduce the checker's verdicts
-//!   exactly (the checker is a decision procedure, not a heuristic);
-//! * provenance under churn — a `with_optimize`d configurable/sharded
-//!   engine driven through a `ScenarioScript` must emit *original-space*
-//!   rule ids throughout, verdict-equivalent to an unoptimized oracle
-//!   rebuilt from scratch over the live rule set;
-//! * spec-string surface — `optimize=validated` parses on every spec
-//!   shape and rejects unknown values with a typed error.
+//! End-to-end oracle for the optimizer layer's decision procedure
+//! (`spc::analyze`'s `equivalence` module): when the equivalence checker
+//! says two sets `Differs`, replaying the witness header through
+//! `LinearSearch` engines built from each set must reproduce the
+//! checker's verdicts exactly (the checker is a decision procedure, not
+//! a heuristic). The optimizer's engine coverage — every backend built
+//! from an id-preserving optimized set, hits mapped back through the
+//! provenance map — is tier 4 of `tests/analyze_fuzz.rs`.
 
 // Integration-test support code (helpers outside #[test] fns are not
 // covered by clippy.toml's allow-unwrap-in-tests): a failed unwrap here
@@ -19,14 +13,9 @@
 // the behaviour we want.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use spc::analyze::{check, AnalyzerLimits, Equivalence, OptimizeConfig};
-use spc::classbench::{FilterKind, RuleSetGenerator, ScenarioScript, TraceGenerator};
-use spc::engine::{
-    build_engine, run_scenario, BuildError, EngineBuilder, EngineKind, OptimizePolicy,
-};
-use spc::types::{Action, PortRange, Priority, ProtoSpec, Rule, RuleId, RuleSet};
-
-const SEED: u64 = 0x0201_45bc;
+use spc::analyze::{check, AnalyzerLimits, Equivalence};
+use spc::engine::build_engine;
+use spc::types::{Action, PortRange, Priority, ProtoSpec, Rule, RuleSet};
 
 /// A checker `Differs` verdict is ground truth: the witness header,
 /// replayed through `LinearSearch` over each set, reproduces the
@@ -77,179 +66,4 @@ fn differs_witness_replays_through_linear_search() {
 
     // Sanity: a set always equals itself, exactly.
     assert!(check(&a, &a, &limits).is_equivalent());
-}
-
-/// Churn workload shared by the provenance tests: an ACL base with
-/// deliberately shadowed rules (so the optimizer elides something) and
-/// a foreign-family insert pool.
-fn churn_workload() -> (RuleSet, Vec<spc::types::Header>, TraceGenerator, Vec<Rule>) {
-    let generated = RuleSetGenerator::new(FilterKind::Acl, 160)
-        .seed(SEED)
-        .generate();
-    // Plant strict-subset clones at strictly worse priority: each is
-    // fully covered by its better-priority original, hence provably
-    // shadowed — so `OptimizePolicy::Validated` has real work to do and
-    // the elided-rule paths are exercised. The subsets differ in their
-    // 5-tuple (narrowed ports / pinned proto), so the builder's
-    // duplicate pre-check stays quiet.
-    let mut rules: Vec<Rule> = generated.rules().to_vec();
-    let mut seen: std::collections::HashSet<_> = rules.iter().map(Rule::dim_values).collect();
-    let clones: Vec<Rule> = rules
-        .iter()
-        .map(|r| {
-            let mut c = *r;
-            c.priority = Priority(c.priority.0 + 10_000);
-            c.src_port = PortRange::new(c.src_port.lo(), c.src_port.lo()).unwrap();
-            c.dst_port = PortRange::new(c.dst_port.lo(), c.dst_port.lo()).unwrap();
-            if c.proto == ProtoSpec::Any {
-                c.proto = ProtoSpec::Exact(6);
-            }
-            c
-        })
-        .filter(|c| seen.insert(c.dim_values()))
-        .take(24)
-        .collect();
-    assert!(clones.len() >= 24, "need 24 distinct shadowed clones");
-    rules.extend(clones);
-    let base = RuleSet::from_rules(rules);
-
-    let traffic = TraceGenerator::new()
-        .seed(SEED ^ 0xbeef)
-        .match_fraction(0.8)
-        .locality(0.25);
-    let probe = traffic.generate(&base, 400);
-
-    let pool: Vec<Rule> = RuleSetGenerator::new(FilterKind::Fw, 80)
-        .seed(SEED ^ 0x77)
-        .generate()
-        .rules()
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let mut r = *r;
-            r.priority = Priority(500 + 250 * (i as u32 % 4));
-            r
-        })
-        .collect();
-    (base, probe, traffic, pool)
-}
-
-/// The S3 oracle: churn an optimized engine through a scenario script
-/// and demand that every emitted id lives in the *original* id space —
-/// verdict-for-verdict equal to an unoptimized engine rebuilt from
-/// scratch over base + surviving inserts.
-#[test]
-fn optimized_engines_emit_original_ids_under_churn() {
-    let (base, probe, traffic, pool) = churn_workload();
-
-    // The optimizer must actually remove something here, or this test
-    // degenerates into `trace_replay`'s plain churn oracle.
-    let opt = spc::analyze::optimize(&base, &OptimizeConfig::id_preserving()).unwrap();
-    assert!(
-        opt.removed_rules() >= 24,
-        "expected the planted shadow clones to be elided, removed {}",
-        opt.removed_rules()
-    );
-
-    let script = ScenarioScript::parse("repeat 6 { insert 10; classify 50; remove 5 }").unwrap();
-    for spec in [
-        "configurable-bst:optimize=validated",
-        "configurable-mbt:optimize=validated",
-        "sharded:inner=configurable-bst,shards=2,strategy=prio,optimize=validated",
-        "sharded:inner=configurable-bst,shards=8,strategy=hash,optimize=validated",
-        // The update-first backends take the same validated-optimizer path.
-        "tss:optimize=validated",
-        "tcam:optimize=validated",
-    ] {
-        let mut engine = build_engine(spec, &base).unwrap();
-        // From the caller's view nothing was removed at build time.
-        assert_eq!(engine.rules(), base.len(), "{spec}: build-time rules()");
-
-        let mut source = script
-            .source(&traffic, &base, &pool)
-            .unwrap()
-            .with_chunk(32);
-        let mut verdicts = Vec::new();
-        let report = run_scenario(engine.as_mut(), &mut source, &mut verdicts)
-            .unwrap_or_else(|e| panic!("{spec}: scenario failed: {e}"));
-        assert_eq!(report.lookup.packets, 300, "{spec}");
-
-        // Every id emitted during the scenario is a valid original-space
-        // id: a base rule or one of the scenario's own inserts (ids are
-        // dense from 0 in allocation order on both sides).
-        let id_space = (base.len() as u64 + report.inserts) as u32;
-        for (i, v) in verdicts.iter().enumerate() {
-            if let Some(id) = v.rule {
-                assert!(
-                    id.0 < id_space,
-                    "{spec}: verdict {i} emitted {id}, outside the original id space \
-                     of {id_space} rules"
-                );
-            }
-        }
-
-        // Rebuild the reference over base + surviving inserts; its
-        // positional ids map back through `live` (both sides allocate
-        // ids in insertion order, so priority ties break identically).
-        let mut live: Vec<(RuleId, Rule)> = base.iter().map(|(id, r)| (id, *r)).collect();
-        live.extend(report.live_inserts.iter().copied());
-        assert_eq!(engine.rules(), live.len(), "{spec}: post-churn rules()");
-        let rules: RuleSet = live.iter().map(|&(_, r)| r).collect();
-        let mut reference = build_engine("linear", &rules).unwrap();
-        let (mut got, mut want) = (Vec::new(), Vec::new());
-        engine.classify_batch(&probe, &mut got);
-        reference.classify_batch(&probe, &mut want);
-        for ((h, w), g) in probe.iter().zip(&want).zip(&got) {
-            let want_global = w.rule.map(|pos| live[pos.0 as usize].0);
-            assert_eq!(g.rule, want_global, "{spec} vs rebuilt oracle at {h}");
-            assert_eq!(g.priority, w.priority, "{spec} priority at {h}");
-            assert_eq!(g.action, w.action, "{spec} action at {h}");
-        }
-
-        // Elided rules are still owned by the engine: removing one
-        // succeeds (synthetically) and shrinks the caller-visible count.
-        let shadowed = opt.removed_ids();
-        let victim = shadowed[0];
-        let before = engine.rules();
-        let epoch = engine.update_epoch();
-        engine
-            .remove(victim)
-            .unwrap_or_else(|e| panic!("{spec}: removing elided {victim} must succeed, got {e}"));
-        assert_eq!(engine.rules(), before - 1, "{spec}");
-        assert_eq!(engine.update_epoch(), epoch + 1, "{spec}: epoch bump");
-        let r = engine
-            .last_update_report()
-            .unwrap_or_else(|| panic!("{spec}: synthetic remove must publish a report"));
-        assert_eq!(r.rule_id, victim, "{spec}: report in original id space");
-    }
-}
-
-/// The spec-string surface: `optimize=` is accepted on every spec
-/// shape, bad values are rejected with the typed spec error, and the
-/// builder method agrees with the parsed form.
-#[test]
-fn optimize_spec_key_parses_everywhere() {
-    let rules = RuleSetGenerator::new(FilterKind::Ipc, 64)
-        .seed(SEED ^ 0xc)
-        .generate();
-    for spec in [
-        "linear:optimize=validated",
-        "rfc:optimize=off",
-        "cached:inner=linear,optimize=validated",
-    ] {
-        build_engine(spec, &rules).unwrap_or_else(|e| panic!("{spec}: {e}"));
-    }
-    assert!(matches!(
-        build_engine("linear:optimize=sometimes", &rules),
-        Err(BuildError::BadOption { .. })
-    ));
-
-    // Builder method and spec string build the same engine shape.
-    let a = EngineBuilder::new(EngineKind::Linear)
-        .with_optimize(OptimizePolicy::Validated)
-        .build(&rules)
-        .unwrap();
-    let b = build_engine("linear:optimize=validated", &rules).unwrap();
-    assert_eq!(a.name(), b.name());
-    assert_eq!(a.rules(), b.rules());
 }

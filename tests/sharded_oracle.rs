@@ -17,7 +17,7 @@ mod common;
 use common::{churn_against_rebuild, diff_against_rebuild, Churn};
 use rand::prelude::*;
 use spc::classbench::{FilterKind, RuleSetGenerator, TraceGenerator};
-use spc::engine::{build_engine, EngineBuilder, EngineKind, UpdateError};
+use spc::engine::{build_engine, EngineKind, UpdateError};
 use spc::types::{Header, Priority, ProtoSpec, Rule, RuleSet};
 
 const RULES: usize = 240;
@@ -280,8 +280,7 @@ fn churn_oracle_soft_tcam_inner() {
     churn_check("tcam", "hash", 2, false);
 }
 
-/// More shards than rules, empty rule sets, and the typed-builder path
-/// all behave.
+/// More shards than rules and empty rule sets both behave.
 #[test]
 fn sharded_degenerate_shapes() {
     let tiny: RuleSet = (0..3u16)
@@ -299,13 +298,4 @@ fn sharded_degenerate_shapes() {
     let empty = build_engine("sharded:inner=linear", &RuleSet::new()).unwrap();
     assert_eq!(empty.rules(), 0);
     assert!(!empty.classify(&h).is_hit());
-
-    // Typed-builder path behaves like the spec path.
-    let boxed = EngineBuilder::new(EngineKind::Sharded)
-        .with_inner(EngineBuilder::new(EngineKind::Linear))
-        .with_shards(2)
-        .build(&tiny)
-        .unwrap();
-    assert_eq!(boxed.kind(), EngineKind::Sharded);
-    assert_eq!(boxed.classify(&h).priority, Some(Priority(2)));
 }

@@ -3,9 +3,9 @@
 //! every ordering of the three wrappers, is either legal by
 //! `legal_nesting` — then it must parse, build, agree with `linear`,
 //! keep the `update_epoch` contract and, under `snapshot`, serve a
-//! reader through churn — or illegal — then both the spec path and the
-//! typed path must answer with a `ConfigError`. A backend or wrapper
-//! added to the registry is covered the moment it registers.
+//! reader through churn — or illegal — then the spec parser, the only
+//! way to describe a tree, must answer with a `ConfigError`. A backend
+//! or wrapper added to the registry is covered the moment it registers.
 
 // Integration-test support code (helpers outside #[test] fns are not
 // covered by clippy.toml's allow-unwrap-in-tests): a failed unwrap here
@@ -33,17 +33,6 @@ fn spec_of(path: &[EngineKind]) -> String {
         [] => String::new(),
         [leaf] => leaf.to_string(),
         [outer, rest @ ..] => format!("{outer}:inner=({})", spec_of(rest)),
-    }
-}
-
-/// The same tree through `new(..).with_inner(..)`.
-fn typed(path: &[EngineKind]) -> EngineBuilder {
-    let (&outer, rest) = path.split_first().unwrap();
-    let node = EngineBuilder::new(outer);
-    if rest.is_empty() {
-        node
-    } else {
-        node.with_inner(typed(rest))
     }
 }
 
@@ -165,7 +154,6 @@ fn nesting_matrix_follows_the_table() {
         let spec = spec_of(&path);
         if legal(&path) {
             let parsed = EngineBuilder::from_spec(&spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
-            assert_eq!(parsed, typed(&path), "{spec}: spec and typed trees differ");
             let mut engine = parsed
                 .build(&rules)
                 .unwrap_or_else(|e| panic!("{spec}: {e}"));
@@ -179,15 +167,11 @@ fn nesting_matrix_follows_the_table() {
             }
             built += 1;
         } else {
-            for (route, result) in [
-                ("spec", EngineBuilder::from_spec(&spec).map(|_| ())),
-                ("typed", typed(&path).build(&rules).map(|_| ())),
-            ] {
-                assert!(
-                    matches!(result, Err(BuildError::ConfigError { .. })),
-                    "{spec} via {route}: expected a ConfigError, got {result:?}"
-                );
-            }
+            let result = EngineBuilder::from_spec(&spec);
+            assert!(
+                matches!(result, Err(BuildError::ConfigError { .. })),
+                "{spec}: expected a ConfigError, got {result:?}"
+            );
             refused += 1;
         }
     }
