@@ -507,7 +507,10 @@ mod tests {
                 .dst_port(spc_types::PortRange::new(0, 100).unwrap())
                 .build(),
         ]);
-        let limits = AnalyzerLimits::default().with_probe_budget(1);
+        let limits = AnalyzerLimits {
+            probe_budget: 1,
+            ..AnalyzerLimits::default()
+        };
         let report = analyze_with(&rs, &limits);
         assert!(!report.exhaustive);
         assert_eq!(report.probe_budget, 1);

@@ -34,38 +34,13 @@
 //! `Reachable` verdict carries a concrete witness header. Over budget, the
 //! analyzer degrades to sound pairwise proofs and says so via
 //! [`RuleSetReport::exhaustive`]` == false`.
-//!
-//! # Equivalence and optimization
-//!
-//! The same elementary-interval argument decides whether two rule sets are
-//! behaviourally identical: [`equivalence::check`] sweeps the *union* grid
-//! of both sets' cut points and returns [`Equivalence::Equivalent`] (a
-//! proof), [`Equivalence::Differs`] (with a replayable witness header), or
-//! a sound [`Equivalence::Unknown`] when the probe budget runs out —
-//! never a false `Equivalent`. [`optimize()`] builds on it: an ordered
-//! pass pipeline (duplicate coalescing, dead-rule elimination, range
-//! merging, priority renumbering) that **validates its own output**
-//! against the input with the checker and refuses to return a set it
-//! cannot defend ([`OptimizeError::ValidationFailed`]). The id-preserving
-//! configuration ([`OptimizeConfig::id_preserving`]) additionally proves
-//! winner *identity* modulo the emitted [`ProvenanceMap`]
-//! ([`equivalence::check_mapped`]) — the contract a caller relies on
-//! when it builds an engine from the optimized set and maps each hit back
-//! into original rule-id space.
 
 mod analyze;
-pub mod equivalence;
 mod limits;
-pub mod optimize;
 mod probe;
 mod report;
 
 pub use analyze::{analyze, analyze_with, port_prefix_count};
-pub use equivalence::{check, check_mapped, Equivalence, MatchOutcome};
 pub use limits::AnalyzerLimits;
-pub use optimize::{
-    optimize, OptimizeConfig, OptimizeError, OptimizedRuleSet, PassKind, PassReport,
-};
 pub use probe::{candidate_values, grid_size, header_from_dims};
 pub use report::{Finding, FindingKind, Reachability, RuleSetReport, Severity, SpecLint};
-pub use spc_types::ProvenanceMap;

@@ -46,12 +46,6 @@ impl AnalyzerLimits {
             ..AnalyzerLimits::default()
         }
     }
-
-    /// Returns `self` with a different probe budget.
-    pub fn with_probe_budget(mut self, cells: usize) -> Self {
-        self.probe_budget = cells;
-        self
-    }
 }
 
 impl Default for AnalyzerLimits {

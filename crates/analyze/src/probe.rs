@@ -10,8 +10,8 @@
 //! representative header as witness.
 
 use crate::report::Reachability;
-use spc_types::{DimValue, Header, Ipv4, Priority, ProtoSpec, Rule, RuleId, RuleSet, ALL_DIMS};
-use std::ops::{ControlFlow, Range};
+use spc_types::{DimValue, Header, Ipv4, Priority, ProtoSpec, Rule, RuleSet, ALL_DIMS};
+use std::ops::ControlFlow;
 
 /// Inclusive query-value bounds of a rule's projection on one dimension.
 pub(crate) fn bounds(v: DimValue) -> (u16, u16) {
@@ -70,9 +70,9 @@ pub fn grid_size(cands: &[Vec<u16>; 7]) -> Option<usize> {
 pub(crate) struct Sweep {
     /// Per-rule verdicts, indexed by rule id.
     pub reachability: Vec<Reachability>,
-    /// Whether the full grid was examined (no `Unknown` verdicts).
+    /// Whether the full grid fit the budget (no `Unknown` verdicts).
     pub exhaustive: bool,
-    /// Cells the sweep accounted for, or corner probes the fallback made.
+    /// Cells the sweep visited, or corner probes the fallback made.
     pub probes: usize,
     /// Exact elementary-interval grid size, or `None` on overflow.
     pub grid: Option<usize>,
@@ -103,11 +103,10 @@ pub(crate) fn reachability(rules: &RuleSet, budget: usize) -> Sweep {
     }
 }
 
-/// The rule-bit universe a grid walk runs over: the rules of one or more
-/// sets laid end to end, one bit each (a set's rule `id` sits at the set's
-/// offset plus `id`).
+/// The rule-bit universe a grid walk runs over: one bit per rule of the
+/// set, rule `id` at bit `id`.
 pub(crate) struct Universe {
-    /// `(priority, id)` per bit — the HPM rank inside the rule's own set.
+    /// `(priority, id)` per bit — the HPM rank.
     rank: Vec<(Priority, u32)>,
     /// `u64` words per mask (at least one).
     words: usize,
@@ -116,8 +115,7 @@ pub(crate) struct Universe {
 }
 
 impl Universe {
-    pub(crate) fn new(cands: &[Vec<u16>; 7], sets: &[&RuleSet]) -> Self {
-        let rules: Vec<(RuleId, &Rule)> = sets.iter().flat_map(|set| set.iter()).collect();
+    pub(crate) fn new(cands: &[Vec<u16>; 7], rules: &RuleSet) -> Self {
         let words = rules.len().div_ceil(64).max(1);
         let masks = ALL_DIMS.map(|dim| {
             cands[dim.index()]
@@ -137,17 +135,15 @@ impl Universe {
         Universe { rank, words, masks }
     }
 
-    /// The best-ranked rule among the bits of `mask` that fall in `bits`
-    /// (one set's span of the universe), as a universe bit.
-    pub(crate) fn winner(&self, mask: &[u64], bits: Range<usize>) -> Option<usize> {
+    /// The best-ranked rule among the bits of `mask`, as its rule id.
+    pub(crate) fn winner(&self, mask: &[u64]) -> Option<usize> {
         let mut best: Option<usize> = None;
-        let words = bits.start / 64..bits.end.div_ceil(64);
-        for (w, &word) in mask.iter().enumerate().take(words.end).skip(words.start) {
+        for (w, &word) in mask.iter().enumerate() {
             let mut word = word;
             while word != 0 {
                 let i = w * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
-                if bits.contains(&i) && best.map_or(true, |b| self.rank[i] < self.rank[b]) {
+                if best.map_or(true, |b| self.rank[i] < self.rank[b]) {
                     best = Some(i);
                 }
             }
@@ -159,20 +155,14 @@ impl Universe {
 /// The one grid walk: depth-first over the product of `cands`, keeping per
 /// depth the running AND of the chosen values' rule masks, so the mask at
 /// a leaf is exactly the set of rules matching the cell. A prefix no rule
-/// survives is not descended: `pruned` is told how many cells lie below it
-/// (saturating) — they all miss. `leaf` receives each surviving cell's
-/// representative values and mask, and stops the walk by breaking.
+/// survives is not descended — every cell below it misses. `leaf` receives
+/// each surviving cell's representative values and mask, and stops the
+/// walk by breaking.
 pub(crate) fn walk_grid<B>(
     cands: &[Vec<u16>; 7],
     universe: &Universe,
     mut leaf: impl FnMut([u16; 7], &[u64]) -> ControlFlow<B>,
-    mut pruned: impl FnMut(usize),
 ) -> ControlFlow<B> {
-    // Suffix products of the remaining dimensions' candidate counts.
-    let mut subtree = [1usize; 8];
-    for d in (0..7).rev() {
-        subtree[d] = subtree[d + 1].saturating_mul(cands[d].len());
-    }
     // `partial[d]` is the AND over the values chosen for dimensions `< d`.
     let mut partial: Vec<Vec<u64>> = vec![vec![!0u64; universe.words]; 8];
     let mut vals = [0u16; 7];
@@ -203,7 +193,6 @@ pub(crate) fn walk_grid<B>(
         if any == 0 && !universe.rank.is_empty() {
             // No rule survives this prefix (an empty universe has nothing
             // to prune by: its one cell is visited).
-            pruned(subtree[d + 1]);
             idx[d] += 1;
         } else if d == 6 {
             leaf(vals, &partial[7])?;
@@ -219,27 +208,24 @@ pub(crate) fn walk_grid<B>(
 /// has one.
 fn exact_sweep(rules: &RuleSet, cands: &[Vec<u16>; 7], cells: usize) -> Sweep {
     let n = rules.len();
-    let universe = Universe::new(cands, &[rules]);
+    let universe = Universe::new(cands, rules);
     let mut reach: Vec<Option<Header>> = vec![None; n];
     let mut found = 0usize;
-    let _ = walk_grid(
-        cands,
-        &universe,
-        |vals, mask| {
-            if let Some(i) = universe.winner(mask, 0..n) {
-                if reach[i].is_none() {
-                    reach[i] = Some(header_from_dims(vals));
-                    found += 1;
-                }
+    let mut visited = 0usize;
+    let _ = walk_grid(cands, &universe, |vals, mask| {
+        visited += 1;
+        if let Some(i) = universe.winner(mask) {
+            if reach[i].is_none() {
+                reach[i] = Some(header_from_dims(vals));
+                found += 1;
             }
-            if found == n {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        },
-        |_| {},
-    );
+        }
+        if found == n {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    });
 
     let reachability = reach
         .into_iter()
@@ -251,7 +237,7 @@ fn exact_sweep(rules: &RuleSet, cands: &[Vec<u16>; 7], cells: usize) -> Sweep {
     Sweep {
         reachability,
         exhaustive: true,
-        probes: cells,
+        probes: visited,
         grid: Some(cells),
     }
 }
@@ -287,15 +273,53 @@ fn pairwise_fallback(rules: &RuleSet, grid: Option<usize>) -> Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spc_types::{PortRange, Prefix};
+    use spc_types::{PortRange, Prefix, RuleId};
+
+    /// One rule: source 10.0.0.0/8, destination ports 100–200.
+    fn prefix_and_range() -> RuleSet {
+        RuleSet::from_rules(vec![Rule::builder(Priority(0))
+            .src_ip(Prefix::parse("10.0.0.0/8").unwrap())
+            .dst_port(PortRange::new(100, 200).unwrap())
+            .build()])
+    }
+
+    /// Rule 0 (priority 0) covers everything; rule 1 is fully inside it.
+    fn covered_pair() -> RuleSet {
+        RuleSet::from_rules(vec![
+            Rule::any(Priority(0)),
+            Rule::builder(Priority(1))
+                .dst_port(PortRange::exact(80))
+                .build(),
+        ])
+    }
+
+    /// Two overlapping destination-port ranges.
+    fn overlapping_ports() -> RuleSet {
+        RuleSet::from_rules(vec![
+            Rule::builder(Priority(0))
+                .dst_port(PortRange::new(0, 100).unwrap())
+                .build(),
+            Rule::builder(Priority(1))
+                .dst_port(PortRange::new(50, 200).unwrap())
+                .build(),
+        ])
+    }
+
+    /// Every dimension constrained by some rule: nested and overlapping
+    /// prefixes on both addresses, overlapping port ranges, two protocols.
+    fn seven_dims() -> RuleSet {
+        spc_types::parse_ruleset(
+            "@10.1.0.0/16 192.168.1.0/24 1000 : 2000 80 : 80 0x06/0xFF\n\
+             @10.0.0.0/8 192.168.0.0/16 0 : 1500 0 : 1023 0x06/0xFF\n\
+             @10.1.2.0/24 192.168.1.128/25 1500 : 65535 53 : 53 0x11/0xFF\n\
+             @0.0.0.0/0 192.0.0.0/8 0 : 65535 50 : 60 0x00/0x00\n",
+        )
+        .unwrap()
+    }
 
     #[test]
     fn candidates_cover_rule_bounds() {
-        let rs = RuleSet::from_rules(vec![Rule::builder(Priority(0))
-            .src_ip(Prefix::parse("10.0.0.0/8").unwrap())
-            .dst_port(PortRange::new(100, 200).unwrap())
-            .build()]);
-        let c = candidate_values(&rs);
+        let c = candidate_values(&prefix_and_range());
         // sip_hi: 0, 0x0a00 (prefix first), 0x0b00 (last + 1).
         assert_eq!(c[0], vec![0, 0x0a00, 0x0b00]);
         // dst_port: 0, 100, 201.
@@ -315,13 +339,7 @@ mod tests {
 
     #[test]
     fn sweep_finds_witness_and_shadow() {
-        // Rule 0 (priority 0) covers everything; rule 1 is fully inside it.
-        let all = Rule::any(Priority(0));
-        let narrow = Rule::builder(Priority(1))
-            .dst_port(PortRange::exact(80))
-            .build();
-        let rs = RuleSet::from_rules(vec![all, narrow]);
-        let s = reachability(&rs, 1 << 17);
+        let s = reachability(&covered_pair(), 1 << 17);
         assert!(s.exhaustive);
         assert!(matches!(s.reachability[0], Reachability::Reachable { .. }));
         assert!(matches!(s.reachability[1], Reachability::Shadowed));
@@ -329,14 +347,7 @@ mod tests {
 
     #[test]
     fn sweep_witnesses_satisfy_oracle() {
-        let rs = RuleSet::from_rules(vec![
-            Rule::builder(Priority(0))
-                .dst_port(PortRange::new(0, 100).unwrap())
-                .build(),
-            Rule::builder(Priority(1))
-                .dst_port(PortRange::new(50, 200).unwrap())
-                .build(),
-        ]);
+        let rs = overlapping_ports();
         let s = reachability(&rs, 1 << 17);
         assert!(s.exhaustive);
         for (i, r) in s.reachability.iter().enumerate() {
@@ -351,14 +362,74 @@ mod tests {
 
     #[test]
     fn fallback_is_sound() {
-        let all = Rule::any(Priority(0));
-        let narrow = Rule::builder(Priority(1))
-            .dst_port(PortRange::exact(80))
-            .build();
-        let rs = RuleSet::from_rules(vec![all, narrow]);
-        let s = reachability(&rs, 0); // force the pairwise path
+        let s = reachability(&covered_pair(), 0); // force the pairwise path
         assert!(!s.exhaustive);
         assert!(matches!(s.reachability[0], Reachability::Reachable { .. }));
         assert!(matches!(s.reachability[1], Reachability::Shadowed));
+    }
+
+    #[test]
+    fn exact_sweep_counts_the_cells_it_visits() {
+        // Grid: dst_port ∈ {0, 80, 81}. Cell 0 finds r1, cell 80 finds r0,
+        // and with every rule witnessed the walk stops before cell 81.
+        let rs = RuleSet::from_rules(vec![
+            Rule::builder(Priority(0))
+                .dst_port(PortRange::exact(80))
+                .build(),
+            Rule::any(Priority(1)),
+        ]);
+        assert_eq!(grid_size(&candidate_values(&rs)), Some(3));
+        let report = crate::analyze(&rs);
+        assert!(report.exhaustive);
+        assert_eq!(report.probes, 2);
+    }
+
+    #[test]
+    fn walk_grid_visits_exactly_the_matched_cells() {
+        let sets = [
+            prefix_and_range(),
+            covered_pair(),
+            overlapping_ports(),
+            seven_dims(),
+            RuleSet::new(),
+        ];
+        for rules in &sets {
+            let cands = candidate_values(rules);
+            let universe = Universe::new(&cands, rules);
+            let mut visited = Vec::new();
+            let _ = walk_grid(&cands, &universe, |vals, mask| {
+                visited.push((vals, universe.winner(mask)));
+                ControlFlow::<()>::Continue(())
+            });
+
+            // Brute force: every cell of the candidate product, in the
+            // walk's order (last dimension fastest), through the oracle.
+            let mut want = Vec::new();
+            let mut idx = [0usize; 7];
+            'cells: loop {
+                let vals = ALL_DIMS.map(|d| cands[d.index()][idx[d.index()]]);
+                if let Some((id, _)) = rules.classify(&header_from_dims(vals)) {
+                    want.push((vals, Some(id.0 as usize)));
+                }
+                let mut d = 7;
+                loop {
+                    if d == 0 {
+                        break 'cells;
+                    }
+                    d -= 1;
+                    idx[d] += 1;
+                    if idx[d] < cands[d].len() {
+                        break;
+                    }
+                    idx[d] = 0;
+                }
+            }
+            if rules.is_empty() {
+                // Nothing to prune by: the one cell is visited, matching nothing.
+                assert_eq!(visited, vec![([0u16; 7], None)]);
+            } else {
+                assert_eq!(visited, want, "{} rules", rules.len());
+            }
+        }
     }
 }

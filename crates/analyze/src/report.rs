@@ -222,7 +222,8 @@ pub struct RuleSetReport {
     /// Whether the probe grid fit the budget, making the reachability
     /// verdicts exact (no [`Reachability::Unknown`] entries).
     pub exhaustive: bool,
-    /// Probe-grid cells examined by the reachability sweep, or corner
+    /// Probe-grid cells the reachability sweep visited (it skips cells no
+    /// rule matches and stops once every rule has a witness), or corner
     /// probes made by the pairwise fallback.
     pub probes: usize,
     /// The probe budget the analysis ran under.

@@ -35,7 +35,6 @@ mod header;
 mod mask;
 mod prefix;
 mod proto;
-mod provenance;
 mod range;
 mod rule;
 mod ruleset;
@@ -48,7 +47,6 @@ pub use header::Header;
 pub use mask::MaskSummary;
 pub use prefix::{Ipv4, Prefix, SegPrefix};
 pub use proto::ProtoSpec;
-pub use provenance::ProvenanceMap;
 pub use range::PortRange;
 pub use rule::{Priority, Rule, RuleBuilder, RuleId};
 pub use ruleset::{FieldUniques, RuleSet};

@@ -9,8 +9,8 @@
 //!    truncation, token garbage, deep nesting) must never panic the
 //!    parsers; they may only return errors.
 //! 2. **Differential backends** — every adversarial rule set builds on
-//!    all ten registry backends, and each backend returns LinearSearch's
-//!    verdict on every probe header.
+//!    every registry backend (`EngineKind::ALL`), and each backend
+//!    returns LinearSearch's verdict on every probe header.
 //! 3. **Analyzer cross-check** — `spc_analyze` predictions are compared
 //!    against observed behaviour: flagged-shadowed rules are never the
 //!    highest-priority match, exhaustive reports miss no dead rule, and
@@ -31,9 +31,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use rand::prelude::*;
-use spc::analyze::{
-    analyze, candidate_values, grid_size, optimize, OptimizeConfig, PassKind, Reachability,
-};
+use spc::analyze::{analyze, candidate_values, grid_size, Reachability};
 use spc::classbench::{PcapReader, PcapWriter, ScenarioScript, TraceEvent, TraceSource};
 use spc::core::{ArchConfig, Classifier};
 use spc::engine::{BuildError, EngineBuilder, EngineKind};
@@ -245,8 +243,8 @@ fn adversarial_sets_cross_check_analyzer_oracle_and_backends() {
             "seed {seed}: predicted distinct keys vs Rule Filter occupancy"
         );
 
-        // Differential: all ten registry backends agree with
-        // LinearSearch on every probe header of the grid.
+        // Differential: every registry backend (`EngineKind::ALL`) agrees
+        // with LinearSearch on every probe header of the grid.
         let oracle = EngineBuilder::new(EngineKind::Linear)
             .build(&rules)
             .unwrap();
@@ -271,88 +269,6 @@ fn adversarial_sets_cross_check_analyzer_oracle_and_backends() {
         exhaustive_sets >= SETS - 5,
         "only {exhaustive_sets}/{SETS} sets swept exhaustively; shrink the pools"
     );
-}
-
-#[test]
-fn optimizer_round_trips_on_every_adversarial_set_and_backend() {
-    for i in 0..SETS {
-        let seed = FUZZ_SEED + i as u64;
-        let rules = adversarial_set(seed);
-        let grid = grid_headers(&rules);
-
-        // Full pipeline (merging included): the optimized set gives every
-        // grid header the same *action* outcome as the original. The
-        // original's grid is a decision grid for the pair — every cut
-        // point the optimizer can produce (range unions, survivors) is
-        // already a cut point of the original set.
-        let opt = optimize(&rules, &OptimizeConfig::default())
-            .unwrap_or_else(|e| panic!("seed {seed}: optimizer failed validation: {e}"));
-        assert!(
-            opt.validation.is_equivalent(),
-            "seed {seed}: tiny pool grids must validate exhaustively, got {}",
-            opt.validation
-        );
-        for h in &grid {
-            let want = rules.classify(h).map(|(_, r)| r.action);
-            let got = opt.rules.classify(h).map(|(_, r)| r.action);
-            assert_eq!(got, want, "seed {seed}: optimized action differs at {h}");
-        }
-
-        // Every rule the duplicate/dead passes removed is independently
-        // condemned by the analyzer: a duplicate-rule or shadowed-rule
-        // finding names it. (Range-merge removals are exempt — absorbed
-        // rules are live, just action-redundant with their survivor.)
-        let report = analyze(&rules);
-        let condemned: std::collections::HashSet<RuleId> = report
-            .findings
-            .iter()
-            .filter(|f| matches!(f.kind.code(), "duplicate-rule" | "shadowed-rule"))
-            .flat_map(|f| f.rules.iter().copied())
-            .collect();
-        for pass in &opt.passes {
-            if matches!(
-                pass.pass,
-                PassKind::DuplicateCoalescing | PassKind::DeadRuleElimination
-            ) {
-                for id in &pass.removed {
-                    assert!(
-                        condemned.contains(id),
-                        "seed {seed}: optimizer removed {id} ({}) but the analyzer \
-                         does not flag it",
-                        pass.pass
-                    );
-                }
-            }
-        }
-
-        // Engine composition: every registry backend built from the
-        // id-preserving optimizer's output, each hit mapped back through
-        // the provenance map, returns the *unoptimized* linear oracle's
-        // rule id and action on every grid header.
-        let opt = optimize(&rules, &OptimizeConfig::id_preserving())
-            .unwrap_or_else(|e| panic!("seed {seed}: id-preserving optimizer failed: {e}"));
-        let oracle = EngineBuilder::new(EngineKind::Linear)
-            .build(&rules)
-            .unwrap();
-        for kind in EngineKind::ALL {
-            let engine = EngineBuilder::new(kind)
-                .build(&opt.rules)
-                .unwrap_or_else(|e| panic!("seed {seed}: {kind} over the optimized set: {e}"));
-            for h in &grid {
-                let want = oracle.classify(h);
-                let v = engine.classify(h);
-                assert_eq!(
-                    v.rule.map(|id| opt.provenance.original(id).unwrap()),
-                    want.rule,
-                    "seed {seed}: {kind} over the optimized set, id at {h}"
-                );
-                assert_eq!(
-                    v.action, want.action,
-                    "seed {seed}: {kind} over the optimized set, action at {h}"
-                );
-            }
-        }
-    }
 }
 
 #[test]
