@@ -110,15 +110,16 @@ impl BatchWorker for SharedWorker {
 
 /// A [`crate::SnapshotReader`] is a pool worker: it re-resolves the
 /// published snapshot **once per chunk**, then classifies the whole
-/// chunk against that one immutable version — so a chunk is never a
-/// torn mix of two rule-set versions, and writer churn becomes visible
-/// to the pool at chunk boundaries. Build a pool over readers with
+/// chunk against that one immutable version and lets go of it — so a
+/// chunk is never a torn mix of two rule-set versions, writer churn
+/// becomes visible to the pool at chunk boundaries, and an idle worker
+/// keeps no copy from the writer. Build a pool over readers with
 /// [`crate::SnapshotEngine::workers`] and
 /// [`IngestPipeline::from_workers`].
 impl BatchWorker for crate::SnapshotReader {
     fn process(&mut self, headers: &[Header], out: &mut Vec<Verdict>) -> LookupStats {
-        self.refresh();
-        classify_each(headers, out, |h| self.classify_current(h))
+        let snap = self.resolve();
+        classify_each(headers, out, |h| snap.classify(h))
     }
 }
 

@@ -11,12 +11,14 @@
 //! pointer" is a [`Mutex`]`<Arc<Snapshot>>` paired with an
 //! [`AtomicU64`] version counter — see below):
 //!
-//! * **Readers** ([`SnapshotReader`]) hold a cached `Arc` to the
-//!   current snapshot. On the steady-state path a classify is one
-//!   relaxed-free atomic version load plus a lookup in an immutable
-//!   structure — no lock is taken and the writer cannot block it. Only
-//!   when the version counter has moved does the reader briefly take
-//!   the publication lock to clone the new `Arc`.
+//! * **Readers** ([`SnapshotReader`]) pin a snapshot only while they
+//!   classify: one `classify`, or one `process` chunk. Between calls a
+//!   reader keeps a `Weak` to the version it last used. On the
+//!   steady-state path a classify is one `Acquire` version load, one
+//!   `Weak` upgrade and a lookup in an immutable structure — no lock is
+//!   taken and the writer cannot block it. Only when the version
+//!   counter has moved does the reader briefly take the publication
+//!   lock to clone the new `Arc`.
 //! * **The writer** (`insert`/`remove` through [`PacketClassifier`])
 //!   never mutates a published snapshot. The copy a publish replaces is
 //!   *retired* into a small pool together with the number of updates it
@@ -25,12 +27,15 @@
 //!   that no reader and no published snapshot can still see it —
 //!   replays the few ops it missed from a short log, applies the new
 //!   op and publishes the result with a single pointer swap under the
-//!   publication lock. An update costs a handful of the inner's own
-//!   §V.A updates, not a build. Only when nothing in the pool is free
+//!   publication lock. An update costs two of the inner's own §V.A
+//!   updates at steady state (see below), not a build. Only when nothing in the pool is free
 //!   does the writer build a fresh copy, which is the same code path: a
 //!   fresh build is a copy that has missed nothing. The writer never
-//!   waits for a reader: a reader that pins an old snapshot keeps its
-//!   copy out of the pool's reach for as long as it likes.
+//!   waits for a reader: a classify still in flight on an old snapshot
+//!   keeps that copy out of the pool's reach until it returns, and an
+//!   idle reader holds nothing. So at steady state the copy a publish
+//!   retired is free by the next update, which replays the one op it
+//!   missed.
 //!
 //! The wrapper holds its inner as one engine, whatever it is: a
 //! `sharded:` inner is recycled and replayed like any other, its
@@ -59,17 +64,15 @@
 use crate::builder::KeyIndex;
 use crate::pipeline::BatchWorker;
 use crate::sharded::{report_for, Shard};
-use crate::{
-    classify_each, EngineBuilder, EngineKind, LookupStats, PacketClassifier, UpdateError,
-    UpdateReport, Verdict,
-};
+use crate::{EngineBuilder, EngineKind, PacketClassifier, UpdateError, UpdateReport, Verdict};
 use spc_types::{Header, Rule, RuleId, RuleSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 /// One published, immutable rule-set version.
 #[derive(Debug)]
-struct Snapshot {
+pub(crate) struct Snapshot {
     /// The inner engine, frozen.
     inner: Arc<Shard>,
     /// The writer epoch this snapshot was published at (0 = initial).
@@ -83,7 +86,7 @@ struct Snapshot {
 impl Snapshot {
     /// Classifies against this version. Immutable and lock-free: safe
     /// from any number of threads concurrently.
-    fn classify(&self, header: &Header) -> Verdict {
+    pub(crate) fn classify(&self, header: &Header) -> Verdict {
         self.inner.remap(self.inner.engine.classify(header))
     }
 }
@@ -146,19 +149,20 @@ impl SnapshotHandle {
 /// (microseconds, against milliseconds for a build, so replaying is the
 /// cheaper way to the next version at any lag a small log can hold), but
 /// every pooled copy is a whole engine kept alive and every logged op a
-/// rule kept beside it. A copy this far behind belongs to a reader that
-/// stopped refreshing; letting it go costs one build if that reader ever
-/// returns it.
+/// rule kept beside it. A copy this far behind is pinned by a classify
+/// that has outlasted that many publishes; letting it go costs one build
+/// if that classify ever returns it.
 const MAX_LAG: usize = 16;
 
-/// Retired copies kept. `snapshot_churn`'s one reader, which
-/// refreshes after every insert, and the ledger's, which never
-/// refreshes, both circulate two retired copies beside the published
-/// one (`steady_state_publishes_never_rebuild` holds that); the third
-/// slot lets a straggler pin one without pushing a working copy out.
-/// Two pooled copies of the 4096-rule engine do not show in
-/// `host.rss_mb`: medians of six traced runs 50.6 → 50.9 MB, inside a
-/// run-to-run spread of ±4 MB.
+/// Retired copies kept. Readers pin a snapshot only while they
+/// classify, so at steady state the copy a publish retired is free by
+/// the next update and one retired copy circulates beside the published
+/// one (`steady_state_publishes_never_rebuild` holds that). The other
+/// two slots let classifies still in flight on other threads pin a copy
+/// or two without pushing the working copy out. The copy this saves over
+/// readers that pinned between calls (three circulated) barely shows in
+/// `snapshot_churn`'s `host.rss_mb`: medians of three traced runs on a
+/// 2-core container 53.4 → 50.8 MB, inside a spread of ±5 MB.
 const POOL_MAX: usize = 3;
 
 /// One successful update, as a copy that missed it replays it.
@@ -172,10 +176,14 @@ enum Op {
 
 impl Op {
     /// Applies the op to a live-rule mirror.
-    fn apply_to(self, live: &mut Vec<(RuleId, Rule)>) {
+    fn apply_to(self, live: &mut BTreeMap<RuleId, Rule>) {
         match self {
-            Op::Insert(rule, global) => live.push((global, rule)),
-            Op::Remove(global) => live.retain(|&(g, _)| g != global),
+            Op::Insert(rule, global) => {
+                live.insert(global, rule);
+            }
+            Op::Remove(global) => {
+                live.remove(&global);
+            }
         }
     }
 
@@ -212,9 +220,15 @@ impl Op {
     }
 }
 
-/// Builds a copy of the inner over `live`, in load order.
-fn build_copy(builder: &EngineBuilder, live: &[(RuleId, Rule)]) -> Result<Shard, UpdateError> {
-    Shard::build(builder, live).map_err(|e| UpdateError::Rejected {
+/// Builds a copy of the inner over `live`, in ascending global id: the
+/// load order, so ids number and priority ties break as in the first
+/// build.
+fn build_copy(
+    builder: &EngineBuilder,
+    live: &BTreeMap<RuleId, Rule>,
+) -> Result<Shard, UpdateError> {
+    let rules: Vec<(RuleId, Rule)> = live.iter().map(|(&g, &r)| (g, r)).collect();
+    Shard::build(builder, &rules).map_err(|e| UpdateError::Rejected {
         reason: format!("snapshot rebuild failed: {e}"),
     })
 }
@@ -224,9 +238,9 @@ fn build_copy(builder: &EngineBuilder, live: &[(RuleId, Rule)]) -> Result<Shard,
 /// never see any of this.
 #[derive(Debug, Default)]
 struct Line {
-    /// Live rules with their global ids, in the load order of a fresh
-    /// build.
-    live: Vec<(RuleId, Rule)>,
+    /// Live rules by global id; ascending id is the load order of a
+    /// fresh build.
+    live: BTreeMap<RuleId, Rule>,
     /// Successful updates so far: the version of the published copy.
     seq: usize,
     /// Retired copies, each with the `seq` it reflects, stalest first.
@@ -237,7 +251,7 @@ struct Line {
 }
 
 impl Line {
-    fn new(live: Vec<(RuleId, Rule)>) -> Self {
+    fn new(live: BTreeMap<RuleId, Rule>) -> Self {
         Line {
             live,
             ..Line::default()
@@ -336,7 +350,8 @@ impl Line {
 /// The engine value itself is the *writer*: `insert`/`remove` bring a
 /// copy no reader can see to the next version and publish it
 /// atomically. Classification through [`PacketClassifier::classify`]
-/// works (it reads the current snapshot), but the concurrent-serving
+/// works (it reads the writer's own copy, which is the published one,
+/// without the publication lock), but the concurrent-serving
 /// payoff comes from handing [`SnapshotReader`]s (see
 /// [`SnapshotEngine::reader`]) to other threads: readers classify
 /// against immutable snapshots and are never blocked by churn. See the
@@ -370,10 +385,10 @@ impl SnapshotEngine {
         keys: KeyIndex,
         inner: EngineBuilder,
     ) -> Self {
-        let live: Vec<(RuleId, Rule)> = rules.iter().map(|(id, r)| (id, *r)).collect();
+        let live: BTreeMap<RuleId, Rule> = rules.iter().map(|(id, r)| (id, *r)).collect();
         let snap = Arc::new(Shard {
             engine,
-            global_ids: live.iter().map(|&(id, _)| id).collect(),
+            global_ids: live.keys().copied().collect(),
         });
         let initial = Arc::new(Snapshot {
             inner: Arc::clone(&snap),
@@ -407,16 +422,19 @@ impl SnapshotEngine {
 
     /// A new concurrent reader over this engine's published snapshots.
     ///
-    /// Readers are cheap (two `Arc` clones) and independent: hand one
-    /// to each thread. Each reader observes publications in order and
-    /// its [`SnapshotReader::update_epoch`] is monotonic.
+    /// Readers are cheap (an `Arc` clone and a `Weak`) and independent:
+    /// hand one to each thread. Each reader observes publications in
+    /// order and its [`SnapshotReader::update_epoch`] is monotonic.
     pub fn reader(&self) -> SnapshotReader {
-        let cached = self.handle.load();
         let seen = self.handle.version();
+        let snap = self.handle.load();
         SnapshotReader {
             handle: Arc::clone(&self.handle),
-            cached,
+            last: Arc::downgrade(&snap),
             seen,
+            epoch: snap.epoch,
+            report: snap.report,
+            rules: snap.rules,
         }
     }
 
@@ -444,14 +462,8 @@ impl PacketClassifier for SnapshotEngine {
     }
 
     fn classify(&self, header: &Header) -> Verdict {
-        self.handle.load().classify(header)
-    }
-
-    fn classify_batch(&mut self, headers: &[Header], out: &mut Vec<Verdict>) -> LookupStats {
-        // Resolve the snapshot once: the whole batch is classified
-        // against one consistent rule-set version.
-        let snap = self.handle.load();
-        classify_each(headers, out, |h| snap.classify(h))
+        // `snap` is the published copy: no lock to reach it.
+        self.snap.remap(self.snap.engine.classify(header))
     }
 
     fn memory_bits(&self) -> u64 {
@@ -481,7 +493,7 @@ impl PacketClassifier for SnapshotEngine {
     }
 
     fn remove(&mut self, id: RuleId) -> Result<(), UpdateError> {
-        let Some(&(_, rule)) = self.line.live.iter().find(|&&(g, _)| g == id) else {
+        let Some(&rule) = self.line.live.get(&id) else {
             return Err(UpdateError::UnknownRule { id });
         };
         let raw = self
@@ -503,70 +515,81 @@ impl PacketClassifier for SnapshotEngine {
 
 /// A concurrent reader over a [`SnapshotEngine`]'s published snapshots.
 ///
-/// Clone-cheap and independent: each thread gets its own reader. The
-/// reader caches an `Arc` to the snapshot it last refreshed to;
-/// [`classify`](Self::classify) polls the version counter (one atomic
-/// load) and re-clones the `Arc` only when the writer has published —
-/// the steady state under no churn takes no lock at all.
+/// Clone-cheap and independent: each thread gets its own reader. A
+/// reader pins a snapshot only for the length of one
+/// [`classify`](Self::classify) or one [`BatchWorker::process`] chunk;
+/// between calls it keeps a `Weak` to the version it last used, plus
+/// that version's epoch, report and rule count by value. So an idle
+/// reader holds no copy the writer could recycle. Resolving the version
+/// is one atomic load of the version counter and one `Weak` upgrade
+/// while the writer has not published; only when it has does the reader
+/// take the publication lock to clone the new `Arc`.
 ///
-/// A refresh may land on a snapshot *newer* than the version counter
+/// A resolve may land on a snapshot *newer* than the version counter
 /// value it observed (the writer can publish between the counter load
 /// and the `Arc` clone); publications are totally ordered under the
-/// writer lock, so the cached snapshot — and therefore
-/// [`update_epoch`](Self::update_epoch) — still only ever moves
-/// forward.
+/// writer lock, so the version a reader resolves — and therefore
+/// [`update_epoch`](Self::update_epoch) — only ever moves forward.
 #[derive(Debug, Clone)]
 pub struct SnapshotReader {
     handle: Arc<SnapshotHandle>,
-    cached: Arc<Snapshot>,
+    /// The version last resolved. Not an `Arc`: an idle reader must not
+    /// keep its copy from the writer's pool.
+    last: Weak<Snapshot>,
+    /// The version counter `last` was loaded at.
     seen: u64,
+    epoch: u64,
+    report: Option<UpdateReport>,
+    rules: usize,
 }
 
 impl SnapshotReader {
-    /// Re-resolves the published snapshot if the writer has published
-    /// since the last refresh. Returns whether the cached snapshot
-    /// changed.
-    pub fn refresh(&mut self) -> bool {
+    /// The snapshot to answer the next call from: the last one, if the
+    /// writer has not published since and it is still alive (no lock),
+    /// else the current one (brief lock).
+    pub(crate) fn resolve(&mut self) -> Arc<Snapshot> {
         let v = self.handle.version();
         if v == self.seen {
-            return false;
+            if let Some(snap) = self.last.upgrade() {
+                return snap;
+            }
         }
-        let next = self.handle.load();
+        let snap = self.handle.load();
         self.seen = v;
-        if Arc::ptr_eq(&next, &self.cached) {
-            return false;
-        }
-        self.cached = next;
-        true
+        self.last = Arc::downgrade(&snap);
+        self.epoch = snap.epoch;
+        self.report = snap.report;
+        self.rules = snap.rules;
+        snap
     }
 
-    /// Refreshes, then classifies against the (now-)current snapshot.
+    /// Re-resolves the published snapshot. Returns whether the writer
+    /// published a version this reader had not used yet.
+    pub fn refresh(&mut self) -> bool {
+        let before = self.epoch;
+        self.resolve();
+        self.epoch != before
+    }
+
+    /// Classifies against the current snapshot.
     pub fn classify(&mut self, header: &Header) -> Verdict {
-        self.refresh();
-        self.cached.classify(header)
-    }
-
-    /// Classifies against the cached snapshot *without* refreshing —
-    /// the batch path: refresh once per chunk, then classify the whole
-    /// chunk against one consistent version.
-    pub fn classify_current(&self, header: &Header) -> Verdict {
-        self.cached.classify(header)
+        self.resolve().classify(header)
     }
 
     /// The epoch of the snapshot the last classify used (0 until the
     /// first publication reaches this reader). Non-decreasing.
     pub fn update_epoch(&self) -> u64 {
-        self.cached.epoch
+        self.epoch
     }
 
-    /// The report of the update that produced the cached snapshot.
+    /// The report of the update that produced the last snapshot used.
     pub fn last_update_report(&self) -> Option<UpdateReport> {
-        self.cached.report
+        self.report
     }
 
-    /// Live rule count in the cached snapshot.
+    /// Live rule count in the last snapshot used.
     pub fn rules(&self) -> usize {
-        self.cached.rules
+        self.rules
     }
 }
 
@@ -622,18 +645,62 @@ mod tests {
         assert_eq!(reader.update_epoch(), 2);
     }
 
+    /// Where a copy's engine lives: moving a `Shard` in or out of an
+    /// `Arc` leaves its boxed engine in place.
+    fn engine_addr(copy: &Shard) -> *const () {
+        std::ptr::from_ref(&*copy.engine).cast()
+    }
+
     #[test]
-    fn stale_readers_keep_their_snapshot_until_refresh() {
+    fn idle_readers_pin_nothing() {
         let rules = base_rules(4);
-        let mut eng = snap("snapshot:inner=linear", &rules);
-        let stale = eng.reader();
+        let mut eng = snap("snapshot:inner=configurable-bst", &rules);
+        let mut reader = eng.reader();
+        assert!(!reader.classify(&probe(4000)).is_hit());
+        assert_eq!(reader.update_epoch(), 0);
         let id = eng.insert(rule(50, 4000)).unwrap();
-        // No refresh: the old snapshot still answers, consistently.
-        assert!(!stale.classify_current(&probe(4000)).is_hit());
-        assert_eq!(stale.update_epoch(), 0);
-        let mut fresh = stale.clone();
-        assert_eq!(fresh.classify(&probe(4000)).rule, Some(id));
-        assert_eq!(fresh.update_epoch(), 1);
+        // The reader used epoch 0 but holds no `Arc` to it: the copy the
+        // publish retired is the pool's alone.
+        let (_, retired) = eng.line.pool.last().unwrap();
+        assert_eq!(Arc::strong_count(retired), 1);
+        let retired = engine_addr(retired);
+        // Until its next call the reader reports the version it used.
+        assert_eq!(reader.update_epoch(), 0);
+        let mut clone = reader.clone();
+        for r in [&mut reader, &mut clone] {
+            assert_eq!(r.classify(&probe(4000)).rule, Some(id));
+            assert_eq!(r.update_epoch(), 1);
+            assert_eq!(r.rules(), 5);
+            assert_eq!(r.last_update_report().unwrap().rule_id, id);
+        }
+        // The next update recycles the retired copy instead of building.
+        eng.insert(rule(51, 4001)).unwrap();
+        assert_eq!(engine_addr(&eng.snap), retired);
+    }
+
+    #[test]
+    fn a_poisoned_publication_lock_still_serves_and_publishes() {
+        let rules = base_rules(8);
+        let mut live = shadow_of(&rules);
+        let mut eng = snap("snapshot:inner=configurable-bst", &rules);
+        let mut reader = eng.reader();
+        let r = shadow(1010);
+        live.insert(eng.insert(r).unwrap(), r);
+        let handle = Arc::clone(&eng.handle);
+        let poisoner = std::thread::spawn(move || {
+            let _held = handle.current.lock().unwrap();
+            panic!("poisons the publication lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(eng.handle.current.is_poisoned());
+        // The reader's version moved, so it resolves through the lock.
+        assert_eq!(answers(|h| reader.classify(h)), oracle(&live));
+        assert_eq!(reader.update_epoch(), 1);
+        let r = shadow(1020);
+        live.insert(eng.insert(r).unwrap(), r);
+        assert_eq!(eng.update_epoch(), 2);
+        assert_eq!(answers(|h| reader.classify(h)), oracle(&live));
+        assert_eq!(reader.update_epoch(), 2);
     }
 
     #[test]
@@ -728,19 +795,23 @@ mod tests {
         .collect()
     }
 
-    /// `linear` over `live`, the test's own shadow of the installed
-    /// rules with the global ids the engine handed out.
-    fn oracle(live: &[(RuleId, Rule)]) -> Answers {
-        let set: RuleSet = live.iter().map(|&(_, r)| r).collect();
+    /// The test's own shadow of the installed rules, by the global ids
+    /// the engine handed out.
+    type Live = BTreeMap<RuleId, Rule>;
+
+    /// `linear` over `live`, loaded in ascending global id.
+    fn oracle(live: &Live) -> Answers {
+        let ids: Vec<RuleId> = live.keys().copied().collect();
+        let set: RuleSet = live.values().copied().collect();
         let linear = EngineBuilder::new(EngineKind::Linear).build(&set).unwrap();
         answers(|h| {
             let mut v = linear.classify(h);
-            v.rule = v.rule.map(|local| live[local.0 as usize].0);
+            v.rule = v.rule.map(|local| ids[local.0 as usize]);
             v
         })
     }
 
-    fn shadow_of(rules: &RuleSet) -> Vec<(RuleId, Rule)> {
+    fn shadow_of(rules: &RuleSet) -> Live {
         rules.iter().map(|(id, r)| (id, *r)).collect()
     }
 
@@ -749,7 +820,8 @@ mod tests {
         let rules = base_rules(24);
         let mut live = shadow_of(&rules);
         let mut eng = snap("snapshot:inner=configurable-bst", &rules);
-        let pinned = eng.reader();
+        // A batch still in flight on epoch 0.
+        let pinned = eng.handle.load();
         let mut fresh = eng.reader();
         let at_zero = oracle(&live);
         let mut churned = VecDeque::new();
@@ -758,17 +830,17 @@ mod tests {
             if op % 3 < 2 {
                 let r = shadow(1001 + op);
                 let id = eng.insert(r).unwrap();
-                live.push((id, r));
+                live.insert(id, r);
                 churned.push_back(id);
             } else {
                 let id = churned.pop_front().unwrap();
                 eng.remove(id).unwrap();
-                live.retain(|&(g, _)| g != id);
+                live.remove(&id);
             }
             assert_eq!(answers(|h| fresh.classify(h)), oracle(&live), "op {op}");
             assert_eq!(fresh.update_epoch(), u64::from(op) + 1);
-            assert_eq!(answers(|h| pinned.classify_current(h)), at_zero, "op {op}");
-            assert_eq!(pinned.update_epoch(), 0);
+            assert_eq!(answers(|h| pinned.classify(h)), at_zero, "op {op}");
+            assert_eq!(pinned.epoch, 0);
             let line = &eng.line;
             assert!(line.pool.len() <= POOL_MAX, "op {op}: {}", line.pool.len());
             assert!(line.log.len() <= MAX_LAG, "op {op}");
@@ -791,7 +863,8 @@ mod tests {
         // insert and its remove) and the ledger's (it never does), over
         // the benchmark's inner and the compositions no workload runs:
         // a sharded inner replays through the sharded engine's own
-        // routed updates.
+        // routed updates. Neither reader pins a copy between calls, so
+        // every steady-state update replays the one op its copy missed.
         let specs = [
             "snapshot:inner=configurable-bst",
             "snapshot:inner=(sharded:inner=configurable-bst,shards=4,strategy=hash)",
@@ -801,24 +874,27 @@ mod tests {
             let mut eng = snap(spec, &rules);
             let mut reader = eng.reader();
             for cycle in 0..12u16 {
+                let at = format!("{spec} refreshing={refreshing} cycle {cycle}");
                 let id = eng.insert(shadow(1001 + cycle)).unwrap();
                 let insert_built = built_for_this_op(&eng, rules.len());
+                let after_insert = (eng.line.log.len(), eng.line.pool.len());
                 if refreshing {
                     assert!(reader.refresh());
                 }
                 eng.remove(id).unwrap();
                 let remove_built = built_for_this_op(&eng, rules.len());
+                let after_remove = (eng.line.log.len(), eng.line.pool.len());
                 match cycle {
                     // Nothing is pooled before the first publish.
-                    0 => assert!(insert_built, "{spec} refreshing={refreshing}"),
+                    0 => assert!(insert_built, "{at}"),
                     1 => {}
                     _ => {
-                        assert!(
-                            !insert_built && !remove_built,
-                            "{spec} refreshing={refreshing} cycle {cycle}: steady state rebuilt"
-                        );
-                        // What `POOL_MAX` was sized on.
-                        assert!(eng.line.pool.len() <= 2, "{spec} cycle {cycle}");
+                        assert!(!insert_built && !remove_built, "{at}: steady state rebuilt");
+                        // One op to replay, one retired copy: what
+                        // `POOL_MAX` was sized on.
+                        for (log, pool) in [after_insert, after_remove] {
+                            assert!(log <= 1 && pool <= 1, "{at}: log {log}, pool {pool}");
+                        }
                     }
                 }
             }
@@ -845,18 +921,28 @@ mod tests {
         assert_eq!(answers(|h| eng.classify(h)), oracle(&shadow_of(&rules)));
     }
 
-    /// Everything a failed update must leave alone.
-    fn observe(eng: &SnapshotEngine, readers: &[SnapshotReader]) -> impl PartialEq + Debug {
-        let readers: Vec<_> = readers
+    /// Everything a failed update must leave alone: the writer, what a
+    /// reader has seen and what it would see next, and every pinned
+    /// version.
+    fn observe(
+        eng: &SnapshotEngine,
+        reader: &SnapshotReader,
+        pins: &[Arc<Snapshot>],
+    ) -> impl PartialEq + Debug {
+        let pins: Vec<_> = pins
             .iter()
-            .map(|r| (r.update_epoch(), answers(|h| r.classify_current(h))))
+            .map(|p| (p.epoch, answers(|h| p.classify(h))))
             .collect();
+        let mut next = reader.clone();
         (
             answers(|h| eng.classify(h)),
             eng.update_epoch(),
             eng.last_update_report(),
             eng.rules(),
-            readers,
+            reader.update_epoch(),
+            answers(|h| next.classify(h)),
+            next.update_epoch(),
+            pins,
         )
     }
 
@@ -868,27 +954,31 @@ mod tests {
         for pin_everything in [false, true] {
             let mut eng = snap("snapshot:inner=(configurable-bst:rf_bits=5)", &rules);
             let mut live = shadow_of(&rules);
-            // `readers[0]` follows the writer. The others, one per
-            // version, never refresh: they keep every retired copy out
-            // of the pool's reach, so each update builds afresh.
-            let mut readers = vec![eng.reader()];
+            // `reader` follows the writer. The pins, one per version,
+            // stand for batches still in flight: they keep every retired
+            // copy out of the pool's reach, so each update builds afresh.
+            let mut reader = eng.reader();
+            let mut pins = Vec::new();
             let mut full = None;
             for i in 0..40u16 {
                 if pin_everything {
-                    readers.push(eng.reader());
+                    pins.push(eng.handle.load());
                 }
-                let before = observe(&eng, &readers);
+                let before = observe(&eng, &reader, &pins);
                 let r = shadow(1001 + i);
                 match eng.insert(r) {
-                    Ok(id) => live.push((id, r)),
+                    Ok(id) => {
+                        live.insert(id, r);
+                    }
                     Err(e) => {
                         assert!(matches!(e, UpdateError::Rejected { .. }), "{e:?}");
-                        assert_eq!(observe(&eng, &readers), before, "capacity, insert {i}");
+                        let after = observe(&eng, &reader, &pins);
+                        assert_eq!(after, before, "capacity, insert {i}");
                         full = Some(r);
                         break;
                     }
                 }
-                assert!(readers[0].refresh());
+                assert!(reader.refresh());
                 assert_eq!(answers(|h| eng.classify(h)), oracle(&live));
                 let free = eng
                     .line
@@ -899,8 +989,8 @@ mod tests {
             }
             let full = full.expect("32 slots cannot hold 60 rules");
 
-            let before = observe(&eng, &readers);
-            let (dup_of, dup) = live[3];
+            let before = observe(&eng, &reader, &pins);
+            let (&dup_of, &dup) = live.iter().nth(3).unwrap();
             assert_eq!(
                 eng.insert(dup),
                 Err(UpdateError::Duplicate { existing: dup_of })
@@ -910,16 +1000,17 @@ mod tests {
                 Err(UpdateError::UnknownRule { id: RuleId(404) })
             );
             assert!(eng.insert(full).is_err(), "still full");
-            assert_eq!(observe(&eng, &readers), before);
-            assert!(!readers[0].refresh(), "nothing was published");
+            assert_eq!(observe(&eng, &reader, &pins), before);
+            assert!(!reader.refresh(), "nothing was published");
 
             // The next successful ops publish versions equal to linear.
-            let (gone, _) = live.remove(21);
+            let gone = *live.keys().nth(21).unwrap();
+            live.remove(&gone);
             eng.remove(gone).unwrap();
-            assert_eq!(answers(|h| readers[0].classify(h)), oracle(&live));
+            assert_eq!(answers(|h| reader.classify(h)), oracle(&live));
             let id = eng.insert(full).unwrap();
-            live.push((id, full));
-            assert_eq!(answers(|h| readers[0].classify(h)), oracle(&live));
+            live.insert(id, full);
+            assert_eq!(answers(|h| reader.classify(h)), oracle(&live));
             assert_eq!(eng.rules(), live.len());
 
             // The duplicate index follows the live set through both.
@@ -948,14 +1039,14 @@ mod tests {
             assert_eq!(answers(|h| reader.classify(h)), oracle(&live));
             let r = shadow(1001 + cycle);
             let id = eng.insert(r).unwrap();
-            live.push((id, r));
+            live.insert(id, r);
             // A cache hit is one wide read: count the verdicts the new
             // version answers from a cache it did not start cold with.
             let first_pass = GRID.map(|port| reader.classify(&probe(port)));
             warm_hits += first_pass.filter(|v| v.mem_reads == 1).count();
             assert_eq!(answers(|h| reader.classify(h)), oracle(&live), "{cycle}");
             eng.remove(id).unwrap();
-            live.pop();
+            live.remove(&id);
             assert_eq!(answers(|h| reader.classify(h)), oracle(&live), "{cycle}");
         }
         assert!(warm_hits > 0, "no recycled copy ever served from its cache");
