@@ -678,7 +678,7 @@ impl Classifier {
     ///
     /// # Panics
     ///
-    /// Panics (debug builds) if an engine reports pending updates — the
+    /// Panics if an engine reports pending updates, in every build — the
     /// public update paths always flush, so this indicates internal misuse.
     pub fn classify(&self, header: &Header) -> Classification {
         SCRATCH.with_borrow_mut(|scratch| self.classify_with(header, scratch))

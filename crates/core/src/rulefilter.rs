@@ -125,9 +125,8 @@ impl RuleFilter {
     /// Iterates over the installed rules, in slot order.
     ///
     /// This is a *software-controller* view, not a modelled hardware
-    /// operation (it returns no cost): it exists so wrappers can derive
-    /// per-rule metadata such as [`spc_types::MaskSummary`] from the
-    /// stored rules without re-reading the original rule set.
+    /// operation (it returns no cost): it lists the stored slots, keys
+    /// included, without re-reading the original rule set.
     pub fn iter(&self) -> impl Iterator<Item = &StoredRule> {
         (0..self.capacity()).filter_map(move |addr| match self.slots.read(addr) {
             Ok(Slot::Occupied(stored)) => Some(stored),

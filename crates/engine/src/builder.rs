@@ -1231,8 +1231,8 @@ mod tests {
         assert_eq!(b.kind(), EngineKind::Cached);
         let engine = b.build_cached(&rules).unwrap();
         assert_eq!(engine.inner().kind(), EngineKind::Linear);
-        // The cache's bits are its layers' 60-byte slots: one layer here.
-        let slot_bits = 60 * 8;
+        // The cache's bits are its layers' 44-byte slots: one layer here.
+        let slot_bits = 44 * 8;
         let cache_bits = |e: &CachedEngine| e.memory_bits() - e.inner().memory_bits();
         assert_eq!(cache_bits(&engine), 128 * slot_bits);
 

@@ -89,8 +89,8 @@ const LOG_BOUND: usize = 64;
 /// The "no slot" chain link.
 const NIL: u32 = u32::MAX;
 
-/// Largest `flows=` accepted. Both layers are allocated up front, 60
-/// bytes a slot, so at the bound the cache holds 120 MiB (60 MiB with
+/// Largest `flows=` accepted. Both layers are allocated up front, 44
+/// bytes a slot, so at the bound the cache holds 88 MiB (44 MiB with
 /// `megaflow=off`); every slot stays addressable by the 32-bit links.
 pub(crate) const MAX_FLOWS: usize = 1 << 20;
 
@@ -1049,8 +1049,8 @@ mod tests {
         // `memory_bits` is `size_of`-based: the verdict stored once buys
         // the stamp and the two links with room to spare (76 + 72 bytes
         // when a slot held a whole `Verdict`).
-        assert_eq!(std::mem::size_of::<Option<Slot<Header>>>(), 60);
-        assert_eq!(std::mem::size_of::<Option<Slot<[u16; 7]>>>(), 60);
+        assert_eq!(std::mem::size_of::<Option<Slot<Header>>>(), 44);
+        assert_eq!(std::mem::size_of::<Option<Slot<[u16; 7]>>>(), 44);
     }
 
     /// Fills an 8 192-slot table with `keys` (distinct) and returns how

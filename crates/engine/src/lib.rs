@@ -107,25 +107,21 @@ pub use workload::{run_scenario, ScenarioReport, WorkloadError};
 // ([`PacketClassifier::last_update_report`]) without a spc-core dep.
 pub use spc_core::UpdateReport;
 
-use spc_types::{Action, Header, MaskSummary, Priority, Rule, RuleId};
+use spc_types::{Action, Header, Priority, Rule, RuleId};
 use std::fmt;
 
-/// What a hit matched: the rule's identity plus the per-dimension
-/// wildcard summary of its filter — everything a flow cache needs to key
-/// and invalidate cached verdicts without re-reading the rule set.
+/// What a hit matched: the rule's identity and priority.
 ///
-/// Produced by every backend on a hit ([`Verdict::matched`]); the mask
-/// summary is derivable from the stored rule (the configurable
-/// architecture reads it off `spc_core::Classifier::rule_filter()`
-/// entries via [`MaskSummary::of_rule`]).
+/// Produced by every backend on a hit ([`Verdict::matched`]). A flow
+/// cache invalidates by `id`; it does not key on the matched rule's
+/// masks (that would be unsound, see `docs/flow_cache.md`), so the
+/// handle carries none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MatchHandle {
     /// The matched rule's id.
     pub id: RuleId,
     /// The matched rule's priority.
     pub priority: Priority,
-    /// Per-dimension care masks of the matched rule's filter.
-    pub mask_summary: MaskSummary,
 }
 
 /// The outcome of classifying one header, common to every backend.
@@ -142,8 +138,7 @@ pub struct Verdict {
     pub priority: Option<Priority>,
     /// Action of the matched rule.
     pub action: Option<Action>,
-    /// The full match handle behind `rule`/`priority`: id, priority and
-    /// the rule's per-dimension wildcard summary.
+    /// The full match handle behind `rule`/`priority`: id and priority.
     pub matched: Option<MatchHandle>,
     /// Memory words this lookup read in the backend's hardware model.
     pub mem_reads: u32,
@@ -457,7 +452,6 @@ pub(crate) fn verdict(hit: Option<(RuleId, &Rule)>, reads: u32) -> Verdict {
             MatchHandle {
                 id,
                 priority: rule.priority,
-                mask_summary: MaskSummary::of_rule(rule),
             },
             rule.action,
             reads,
@@ -491,6 +485,19 @@ mod tests {
     use super::*;
 
     #[test]
+    fn match_handle_is_id_and_priority() {
+        // Every hit builds one and every flow-cache slot stores one, and
+        // the cache's modelled bits are `size_of` its slots.
+        assert_eq!(std::mem::size_of::<MatchHandle>(), 8);
+    }
+
+    #[test]
+    fn verdict_is_forty_bytes() {
+        // Every batch output vector and pipeline chunk holds these.
+        assert_eq!(std::mem::size_of::<Verdict>(), 40);
+    }
+
+    #[test]
     fn verdict_constructors() {
         let m = Verdict::miss(7);
         assert!(!m.is_hit());
@@ -500,7 +507,6 @@ mod tests {
         let handle = MatchHandle {
             id: RuleId(4),
             priority: Priority(2),
-            mask_summary: MaskSummary::NONE,
         };
         let h = Verdict::hit(handle, Action::Drop, 3);
         assert!(h.is_hit());
@@ -518,7 +524,6 @@ mod tests {
             MatchHandle {
                 id: RuleId(0),
                 priority: Priority(1),
-                mask_summary: MaskSummary::NONE,
             },
             Action::Drop,
             6,

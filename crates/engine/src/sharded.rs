@@ -460,7 +460,6 @@ mod tests {
                 MatchHandle {
                     id: RuleId(rule),
                     priority: Priority(prio),
-                    mask_summary: spc_types::MaskSummary::NONE,
                 },
                 Action::Forward(rule as u16),
                 reads,

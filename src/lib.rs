@@ -68,8 +68,9 @@ pub use spc_lookup as lookup;
 pub use spc_types as types;
 
 // The flow-cache vocabulary, re-exported at the root: what a verdict
-// matched ([`MatchHandle`]) and the per-dimension wildcard summary it
-// carries ([`MaskSummary`]) are API surface for any downstream cache or
-// invalidation logic, not an engine-internal detail.
+// matched ([`MatchHandle`]) and the per-dimension wildcard summary whose
+// fold over a rule set keys a megaflow ([`MaskSummary`]) are API surface
+// for any downstream cache or invalidation logic, not an engine-internal
+// detail.
 pub use spc_engine::{CacheStats, CachedEngine, MatchHandle, SnapshotEngine, SnapshotReader};
 pub use spc_types::MaskSummary;

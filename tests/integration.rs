@@ -14,7 +14,7 @@ use spc::classbench::{FilterKind, RuleSetGenerator, TraceGenerator};
 use spc::core::{ArchConfig, Classifier, IpAlg};
 use spc::engine::UpdateError;
 use spc::engine::{build_engine, ConfigurableEngine, EngineKind, PacketClassifier};
-use spc::types::{Action, Header, Prefix, Priority, Rule, RuleId, RuleSet};
+use spc::types::{Action, Header, Prefix, Priority, ProtoSpec, Rule, RuleId, RuleSet};
 
 fn gen(kind: FilterKind, n: usize, seed: u64) -> RuleSet {
     RuleSetGenerator::new(kind, n).seed(seed).generate()
@@ -210,6 +210,52 @@ fn update_costs_are_small_and_reported() {
     assert!(max_cycles < 2_000, "worst insert cost {max_cycles} cycles");
 }
 
+/// Builds `leaf` over `rules` bare and under every serving wrapper
+/// (`sharded:` with `shards` shards), inserts `fits`, and checks that
+/// inserting `too_many` then fails as `Rejected` and leaves verdicts on
+/// `probes`, epoch, report and rule list exactly as they were. The engine
+/// goes on working: once `fits` is removed, `too_many` goes in and
+/// answers `probes[hit]`.
+fn assert_failed_insert_is_atomic(
+    leaf: &str,
+    shards: usize,
+    rules: &RuleSet,
+    (fits, too_many): (Rule, Rule),
+    probes: &[Header],
+    hit: usize,
+) {
+    let observe = |e: &dyn PacketClassifier| {
+        let verdicts: Vec<_> = probes.iter().map(|h| e.classify(h).matched()).collect();
+        (
+            verdicts,
+            e.update_epoch(),
+            e.last_update_report(),
+            e.rules(),
+        )
+    };
+    for spec in [
+        leaf.to_string(),
+        format!("snapshot:inner=({leaf})"),
+        format!("cached:inner=({leaf}),flows=64"),
+        format!("sharded:inner=({leaf}),shards={shards},strategy=hash"),
+    ] {
+        let mut engine = build_engine(&spec, rules).unwrap();
+        let last = engine.insert(fits).unwrap();
+        let before = observe(engine.as_ref());
+        assert!(
+            before.0.iter().any(Option::is_some),
+            "{spec}: probes all miss"
+        );
+        let e = engine.insert(too_many).unwrap_err();
+        assert!(matches!(e, UpdateError::Rejected { .. }), "{spec}: {e}");
+        assert_eq!(observe(engine.as_ref()), before, "{spec}");
+        engine.remove(last).unwrap();
+        let id = engine.insert(too_many).unwrap();
+        let matched = engine.classify(&probes[hit]).matched();
+        assert_eq!(matched.map(|m| m.id), Some(id), "{spec}");
+    }
+}
+
 /// The BST interval array running full in the middle of a patch, under
 /// every serving wrapper: the failed insert leaves verdicts, epoch,
 /// report and rule count as they were, and the engine goes on working.
@@ -225,7 +271,6 @@ fn bst_interval_overflow_mid_patch_is_atomic_under_every_wrapper() {
             .action(Action::Forward(i as u16))
             .build()
     };
-    let (fits, too_many) = (host(16_382), host(16_383));
     let rules: RuleSet = (0..16_382).map(host).collect();
     let probes: Vec<Header> = [0, 1, 2, 3, 32_766, 32_767, 32_768, 32_769]
         .into_iter()
@@ -239,36 +284,48 @@ fn bst_interval_overflow_mid_patch_is_atomic_under_every_wrapper() {
             )
         })
         .collect();
-    let observe = |e: &dyn PacketClassifier| {
-        let verdicts: Vec<_> = probes.iter().map(|h| e.classify(h).matched()).collect();
-        (
-            verdicts,
-            e.update_epoch(),
-            e.last_update_report(),
-            e.rules(),
-        )
+    let pair = (host(16_382), host(16_383));
+    assert_failed_insert_is_atomic("configurable-bst", 4, &rules, pair, &probes, 6);
+}
+
+/// The protocol label space running out: `ArchConfig::large()` gives the
+/// protocol dimension 4-bit labels, so a 17th distinct exact protocol has
+/// no label, bare and under every wrapper. One shard, because each shard
+/// has a label space of its own.
+#[test]
+fn protocol_label_exhaustion_is_atomic_under_every_wrapper() {
+    assert_eq!(ArchConfig::large().label_widths.proto, 4);
+    let proto = |p: u8| {
+        Rule::builder(Priority(u32::from(p)))
+            .proto(ProtoSpec::Exact(p))
+            .action(Action::Forward(u16::from(p)))
+            .build()
     };
-    for spec in [
-        "configurable-bst",
-        "snapshot:inner=configurable-bst",
-        "cached:inner=configurable-bst,flows=64",
-        "sharded:inner=configurable-bst,shards=4,strategy=hash",
-    ] {
-        let mut engine = build_engine(spec, &rules).unwrap();
-        let last = engine.insert(fits).unwrap();
-        let before = observe(engine.as_ref());
-        assert!(
-            before.0.iter().any(Option::is_some),
-            "{spec}: probes all miss"
-        );
-        let e = engine.insert(too_many).unwrap_err();
-        assert!(matches!(e, UpdateError::Rejected { .. }), "{spec}: {e}");
-        assert_eq!(observe(engine.as_ref()), before, "{spec}");
-        engine.remove(last).unwrap();
-        let id = engine.insert(too_many).unwrap();
-        let hit = engine.classify(&probes[6]).matched();
-        assert_eq!(hit.map(|m| m.id), Some(id), "{spec}");
-    }
+    let rules: RuleSet = (0..15).map(proto).collect();
+    let probes: Vec<Header> = (0..=17)
+        .map(|p| Header::new([10, 0, 0, 1].into(), [10, 0, 0, 2].into(), 5, 6, p))
+        .collect();
+    let pair = (proto(15), proto(16));
+    assert_failed_insert_is_atomic("configurable-bst", 1, &rules, pair, &probes, 16);
+}
+
+/// A full software TCAM: `capacity=N` holds N single-entry rules and
+/// refuses one more, bare and under every wrapper. One shard, because
+/// each shard provisions a capacity of its own.
+#[test]
+fn tcam_capacity_exhaustion_is_atomic_under_every_wrapper() {
+    let host = |i: u8| {
+        Rule::builder(Priority(u32::from(i)))
+            .dst_ip(Prefix::masked(0x0a00_0000 | u32::from(i), 32))
+            .action(Action::Forward(u16::from(i)))
+            .build()
+    };
+    let rules: RuleSet = (0..7).map(host).collect();
+    let probes: Vec<Header> = (0..=9)
+        .map(|i| Header::new([1; 4].into(), [10, 0, 0, i].into(), 5, 6, 17))
+        .collect();
+    let pair = (host(7), host(8));
+    assert_failed_insert_is_atomic("tcam:capacity=8", 1, &rules, pair, &probes, 8);
 }
 
 /// The by-value cost channel against constants captured at the commit
