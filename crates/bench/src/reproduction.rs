@@ -113,7 +113,12 @@ pub const SECTIONS: [Section; 11] = [
         inputs: "ACL, 5 000 rules requested; 2 000-header trace; every registry kind \
                  (`EngineKind::ALL`) built with `EngineBuilder::new(kind)` defaults.",
         notes: "The paper's table has the five baselines only. The configurable rows run \
-                the exact `combine=probe` default (see the note under Table VI).",
+                the exact `combine=probe` default (see the note under Table VI), which \
+                probes only the label combinations a rule can occupy: `Prefix::segments` \
+                gives an address either a short hi with the `/0` lo or a full `/16` hi \
+                with any lo, and each address's hi/lo lists are walked as one list of \
+                those pairs (the two model changes this needs are stated under Table V \
+                blocks).",
     },
     Section {
         name: "Table II",
@@ -148,11 +153,16 @@ pub const SECTIONS: [Section; 11] = [
         title: "per-block memory inventory behind Table V",
         inputs: "Same classifier as Table V.",
         notes: "`*/engine` is a dimension's MBT or BST structure, `*/labels` its label lists. \
-                Read against the paper's own per-block figure, Table V's +41 % sits in the \
+                Read against the paper's own per-block figure, Table V's +42 % sits in the \
                 four IP `*/engine` blocks alone: they provision 1 575 Kbit where Table VI \
-                gives the four MBTs 543 Kbit (+1 032 Kbit, more than the whole 867 Kbit \
-                gap), while the label memories, the port and protocol blocks and the Rule \
-                Filter come to 1 389 Kbit, 165 Kbit under what the paper's total leaves them.",
+                gives the four MBTs 543 Kbit (+1 032 Kbit, more than the whole 884 Kbit \
+                gap), while the label memories, the registers, the port and protocol blocks \
+                and the Rule Filter come to 1 405 Kbit, 149 Kbit under what the paper's \
+                total leaves them. Stated deviations, both for the shape-paired combine of \
+                Table I: an IP segment's `/0` value sits in a `*/wildcard` register (its \
+                label and a 16-bit priority, read at no memory access, one write per \
+                change) instead of in the engine, and every `sip_hi` / `dip_hi` label \
+                word is one bit wider, flagging a full `/16` value.",
     },
     Section {
         name: "Table VI",

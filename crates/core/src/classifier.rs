@@ -16,10 +16,10 @@ use crate::pipeline::LookupTiming;
 use crate::rulefilter::{RuleFilter, StoredRule};
 use spc_hwsim::HashUnit;
 use spc_lookup::{
-    FieldEngine, Label, LabelEntry, LabelList, LabelStore, MbtConfig, MultiBitTrie, PortRegisters,
-    ProtocolLut, RangeBst,
+    EngineError, FieldEngine, Label, LabelEntry, LabelList, LabelStore, MbtConfig, MultiBitTrie,
+    PortRegisters, ProtocolLut, RangeBst,
 };
-use spc_types::{Dim, Header, Priority, Rule, RuleId, ALL_DIMS, IP_SEG_DIMS};
+use spc_types::{Dim, DimValue, Header, Priority, Rule, RuleId, ALL_DIMS, IP_SEG_DIMS};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -32,6 +32,54 @@ struct DimUnit {
     engine: Box<dyn FieldEngine>,
     store: LabelStore,
     table: LabelTable,
+    /// IP segments: the wildcard register, the `/0` value's label at its
+    /// best priority while any rule uses it. A `/0` matches every query,
+    /// so it is held here instead of in every interval or root list of
+    /// the engine. Phase 2's list for the dimension is the engine's list
+    /// with this entry merged in at its priority; the combine reads the
+    /// two side by side instead of copying the entry into the list.
+    /// Like the port registers, it is read at no memory access.
+    wildcard: Option<LabelEntry>,
+    /// Write cycles the register has cost: one per change.
+    wildcard_writes: u64,
+    /// `sip_hi` / `dip_hi`: per label, whether its value is a full `/16`
+    /// — the flag bit every word of these label memories carries (empty
+    /// in the other dimensions).
+    full: Vec<bool>,
+}
+
+/// Whether `value` is a `/0` segment, which lives in its dimension's
+/// wildcard register and never in the engine.
+fn in_register(value: DimValue) -> bool {
+    matches!(value, DimValue::Seg(seg) if seg.is_any())
+}
+
+impl DimUnit {
+    /// Stores `value` under `entry`, new or re-prioritised: a `/0`
+    /// segment in the wildcard register, anything else in the engine.
+    fn put(&mut self, value: DimValue, entry: LabelEntry) -> Result<(), EngineError> {
+        let full = self.full.get_mut(usize::from(entry.label.0));
+        if let (DimValue::Seg(seg), Some(full)) = (value, full) {
+            *full = seg.len() == 16;
+        }
+        if in_register(value) {
+            self.wildcard = Some(entry);
+            self.wildcard_writes += 1;
+            return Ok(());
+        }
+        self.engine.insert(&mut self.store, value, entry)
+    }
+
+    /// Takes `value`, whose last user left, out of the register or the
+    /// engine.
+    fn drop_value(&mut self, value: DimValue, label: Label) {
+        if in_register(value) {
+            self.wildcard = None;
+            self.wildcard_writes += 1;
+        } else {
+            let _ = self.engine.remove(&mut self.store, value, label);
+        }
+    }
 }
 
 /// A classification hit.
@@ -89,21 +137,24 @@ struct Installed {
 /// Reusable working memory for [`Classifier::classify_with`].
 ///
 /// One lookup needs the seven phase-2 label lists plus (in
-/// [`CombineStrategy::PriorityProbe`] mode) priority-ordered copies of
-/// them and the partial keys of the box being walked. A caller that keeps
-/// one of these allocates nothing per lookup once the buffers have grown
-/// to the longest lists seen (the partial keys to their fixed bound);
-/// [`Classifier::classify`] keeps one per thread.
+/// [`CombineStrategy::PriorityProbe`] mode) the five priority-ordered
+/// lists the box walk runs over and the partial keys of the box being
+/// walked. A caller that keeps one of these allocates nothing per lookup
+/// once the buffers have grown to the longest lists seen (the partial
+/// keys to their fixed bound); [`Classifier::classify`] keeps one per
+/// thread.
 #[derive(Debug, Default)]
 pub struct ClassifyScratch {
     /// Phase-2 output: one label list per dimension, refilled in place
-    /// by `FieldEngine::lookup_into`.
+    /// by `FieldEngine::lookup_into` (an IP segment's wildcard register
+    /// beside it).
     lists: [LabelList; 7],
-    /// The lists as the priority box walks them: in `(priority, label)`
-    /// order — the port and protocol engines emit the paper's Table IV
-    /// hardware order instead — with every label shifted to its place in
-    /// the merged key.
-    placed: [Vec<Placed>; 7],
+    /// The lists the priority box walks, one per [`LEVELS`] entry: each
+    /// address's shape-valid hi/lo pairs, then the two ports and the
+    /// protocol, in `(priority, key bits)` order — the port and protocol
+    /// engines emit the paper's Table IV hardware order instead — with
+    /// every label shifted to its place in the merged key.
+    placed: [Vec<Placed>; LEVELS.len()],
     /// `BoxWalk::probe_box`'s two levels of partial keys.
     partial: [Partials; 2],
 }
@@ -116,13 +167,31 @@ struct Partials {
     states: Vec<u64>,
 }
 
-/// One label of a priority-ordered list, at its dimension's bit offset in
-/// the merged key: combining labels is an OR.
+/// One label (or hi/lo pair of labels) of a priority-ordered list, at its
+/// dimensions' bit offsets in the merged key: combining labels is an OR.
 #[derive(Debug, Clone, Copy)]
 struct Placed {
     priority: Priority,
     bits: u128,
 }
+
+impl Placed {
+    /// The pair of a hi label and a lo label: a rule stored under both
+    /// has a priority no better than either's.
+    fn pair(self, lo: Placed) -> Placed {
+        Placed {
+            priority: self.priority.max(lo.priority),
+            bits: self.bits | lo.bits,
+        }
+    }
+}
+
+/// The dimensions each level of the priority box walk covers, top of the
+/// merged key first. `Prefix::segments` gives every address one of two
+/// shapes — a short hi with the `/0` lo, or a full `/16` hi with any lo —
+/// so an address's hi and lo labels are walked as one list of the pairs a
+/// rule can occupy.
+const LEVELS: [Range<usize>; 5] = [0..2, 2..4, 4..5, 5..6, 6..7];
 
 impl ClassifyScratch {
     /// Creates empty scratch space.
@@ -148,8 +217,9 @@ const MAX_PARTIAL_KEYS: usize = 1024;
 
 /// Evaluates `$body` with `$absorb` bound to a `(state, key) -> state`
 /// closure absorbing the byte range `$bytes` of `key`. The key layouts
-/// absorb 0–3 bytes per level; each of those widths gets its own copy of
-/// `$body` with the rounds unrolled, a wider span the runtime-width loop.
+/// absorb 0, 1, 3, 4 or 5 bytes per level; each of those widths gets its
+/// own copy of `$body` with the rounds unrolled, any other the
+/// runtime-width loop.
 macro_rules! with_absorb {
     ($bytes:expr, |$absorb:ident| $body:expr) => {{
         let Range {
@@ -165,12 +235,16 @@ macro_rules! with_absorb {
                 let $absorb = |state, key| HashUnit::absorb_n::<1>(state, key, from);
                 $body
             }
-            2 => {
-                let $absorb = |state, key| HashUnit::absorb_n::<2>(state, key, from);
-                $body
-            }
             3 => {
                 let $absorb = |state, key| HashUnit::absorb_n::<3>(state, key, from);
+                $body
+            }
+            4 => {
+                let $absorb = |state, key| HashUnit::absorb_n::<4>(state, key, from);
+                $body
+            }
+            5 => {
+                let $absorb = |state, key| HashUnit::absorb_n::<5>(state, key, from);
                 $body
             }
             _ => {
@@ -181,9 +255,9 @@ macro_rules! with_absorb {
     }};
 }
 
-/// Expands `cur` by one dimension into `next`: every partial key ORed
-/// with every label, label-major, the hash state advanced over the bytes
-/// the label completes.
+/// Expands `cur` by one level into `next`: every partial key ORed with
+/// every label, label-major, the hash state advanced over the bytes the
+/// label completes.
 fn expand(
     labels: &[Placed],
     cur: &Partials,
@@ -210,10 +284,10 @@ fn expand(
 /// expanded in, and the running `(best hit, reads, combinations)` triple.
 struct BoxWalk<'a> {
     filter: &'a RuleFilter,
-    dims: &'a [Vec<Placed>; 7],
-    /// Per dimension, the key bytes the hash absorbs when its label
-    /// joins ([`Classifier::key_layout`]).
-    absorbs: [Range<usize>; 7],
+    levels: &'a [Vec<Placed>; LEVELS.len()],
+    /// Per level, the key bytes the hash absorbs when its label joins
+    /// ([`Classifier::key_layout`]).
+    absorbs: [Range<usize>; LEVELS.len()],
     partial: &'a mut [Partials; 2],
     best: Option<StoredRule>,
     reads: u32,
@@ -222,17 +296,17 @@ struct BoxWalk<'a> {
 
 impl BoxWalk<'_> {
     /// Probes every combination of the index box `ranges` (one index
-    /// range per dimension): the hash absorbs a key from its low byte up
-    /// and dimension 0 sits in the top bits, so what lies below it is
-    /// hashed once per combination of the other six. The box is expanded
-    /// last dimension first, each level turning every `(key bits so far,
-    /// hash state over the bytes they complete)` into one per label of
-    /// the next dimension up; the final step ORs a dimension-0 label in,
-    /// absorbs the bytes it touches and probes. Every loop runs over
-    /// labels outside and partial keys inside, with the absorb's width
-    /// fixed per level (`with_absorb!`); a home slot that is free costs
-    /// its one read without a [`RuleFilter::probe_at`].
-    fn probe_box(&mut self, ranges: &[Range<usize>; 7]) {
+    /// range per level): the hash absorbs a key from its low byte up and
+    /// level 0 sits in the top bits, so what lies below it is hashed once
+    /// per combination of the other levels. The box is expanded last
+    /// level first, each step turning every `(key bits so far, hash state
+    /// over the bytes they complete)` into one per label of the next
+    /// level up; the final step ORs a level-0 label in, absorbs the bytes
+    /// it touches and probes. Every loop runs over labels outside and
+    /// partial keys inside, with the absorb's width fixed per level
+    /// (`with_absorb!`); a home slot that is free costs its one read
+    /// without a [`RuleFilter::probe_at`].
+    fn probe_box(&mut self, ranges: &[Range<usize>; LEVELS.len()]) {
         if ranges.iter().any(Range::is_empty) {
             return;
         }
@@ -242,9 +316,9 @@ impl BoxWalk<'_> {
         if partial_keys > MAX_PARTIAL_KEYS {
             // Order is irrelevant, so a box is the sum of its halves.
             let mut widest = 1;
-            for d in 2..7 {
-                if ranges[d].len() > ranges[widest].len() {
-                    widest = d;
+            for l in 2..LEVELS.len() {
+                if ranges[l].len() > ranges[widest].len() {
+                    widest = l;
                 }
             }
             let Range { start, end } = ranges[widest];
@@ -261,15 +335,15 @@ impl BoxWalk<'_> {
         cur.keys.push(0);
         cur.states.clear();
         cur.states.push(HashUnit::SEED);
-        for d in (1..7).rev() {
-            let labels = &self.dims[d][ranges[d].clone()];
-            with_absorb!(self.absorbs[d].clone(), |absorb| {
+        for l in (1..LEVELS.len()).rev() {
+            let labels = &self.levels[l][ranges[l].clone()];
+            with_absorb!(self.absorbs[l].clone(), |absorb| {
                 expand(labels, cur, next, absorb);
             });
             std::mem::swap(cur, next);
         }
         let (filter, hash) = (self.filter, self.filter.hash_unit());
-        let labels = &self.dims[0][ranges[0].clone()];
+        let labels = &self.levels[0][ranges[0].clone()];
         let key_bytes = self.absorbs[0].end;
         let mut reads = 0;
         with_absorb!(self.absorbs[0].clone(), |absorb| {
@@ -336,6 +410,12 @@ impl Classifier {
                 engine: Self::make_engine(&config, dim),
                 store: Self::make_store(&config, dim),
                 table: LabelTable::new(Self::label_width(&config, dim)),
+                wildcard: None,
+                wildcard_writes: 0,
+                full: match dim {
+                    Dim::SipHi | Dim::DipHi => vec![false; 1 << config.label_widths.ip],
+                    _ => Vec::new(),
+                },
             })
             .collect();
         let rule_filter =
@@ -370,8 +450,11 @@ impl Classifier {
         }
     }
 
+    /// A dimension's label memory. A `sip_hi` / `dip_hi` word carries one
+    /// bit beside the label: whether its value is a full `/16`.
     fn make_store(config: &ArchConfig, dim: Dim) -> LabelStore {
         let (cap, width) = match dim {
+            Dim::SipHi | Dim::DipHi => (config.ip_label_entries, config.label_widths.ip + 1),
             d if d.is_ip_segment() => (config.ip_label_entries, config.label_widths.ip),
             Dim::Proto => (
                 1usize << config.label_widths.proto,
@@ -431,10 +514,11 @@ impl Classifier {
 
     /// `make_key`'s layout as the priority-box walk uses it: the bit each
     /// dimension's label starts at (dimension 6 at bit 0, dimension 0 on
-    /// top), and the key bytes the hash absorbs when that label joins a
-    /// partial key of the dimensions below it — the bytes under the next
-    /// dimension up's first byte, and for dimension 0 the rest of the key.
-    fn key_layout(&self) -> ([u32; 7], [Range<usize>; 7]) {
+    /// top), and per [`LEVELS`] entry the key bytes the hash absorbs when
+    /// that level's labels join a partial key of the levels below it —
+    /// the bytes under the next level up's first byte, and for level 0
+    /// the rest of the key.
+    fn key_layout(&self) -> ([u32; 7], [Range<usize>; LEVELS.len()]) {
         let widths = self.key_widths();
         let mut shifts = [0u32; 7];
         let mut key_bits = 0;
@@ -442,10 +526,10 @@ impl Classifier {
             shifts[d] = key_bits;
             key_bits += u32::from(widths[d]);
         }
-        let first_byte = |d: usize| (shifts[d] / 8) as usize;
-        let absorbs = std::array::from_fn(|d| match d {
+        let first_byte = |l: usize| (shifts[LEVELS[l].end - 1] / 8) as usize;
+        let absorbs = std::array::from_fn(|l| match l {
             0 => first_byte(0)..key_bits.div_ceil(8) as usize,
-            _ => first_byte(d)..first_byte(d - 1),
+            _ => first_byte(l)..first_byte(l - 1),
         });
         (shifts, absorbs)
     }
@@ -518,7 +602,7 @@ impl Classifier {
                     // protocol engines recompute their own list order
                     // internally (§IV.C.1).
                     let entry = LabelEntry::by_priority(label, rule.priority);
-                    if let Err(e) = unit.engine.insert(&mut unit.store, value, entry) {
+                    if let Err(e) = unit.put(value, entry) {
                         // Undo the table entry we just created.
                         unit.table.remove(&value, rule.priority);
                         result = Err(e.into());
@@ -538,7 +622,7 @@ impl Classifier {
                             .expect("just inserted")
                             .best_priority();
                         let entry = LabelEntry::by_priority(label, best);
-                        if let Err(e) = unit.engine.insert(&mut unit.store, value, entry) {
+                        if let Err(e) = unit.put(value, entry) {
                             unit.table.remove(&value, rule.priority);
                             result = Err(e.into());
                             break;
@@ -597,15 +681,14 @@ impl Classifier {
         for (unit, &value) in self.dims.iter_mut().zip(dim_values).take(upto) {
             match unit.table.remove(&value, priority) {
                 Some(RemoveOutcome::Freed { label }) => {
-                    let _ = unit.engine.remove(&mut unit.store, value, label);
+                    unit.drop_value(value, label);
                     freed += 1;
                 }
                 Some(RemoveOutcome::Dereferenced {
                     label,
                     new_best: Some(best),
                 }) => {
-                    let entry = LabelEntry::by_priority(label, best);
-                    let _ = unit.engine.insert(&mut unit.store, value, entry);
+                    let _ = unit.put(value, LabelEntry::by_priority(label, best));
                 }
                 _ => {}
             }
@@ -663,7 +746,7 @@ impl Classifier {
     fn write_cycles(&self) -> u64 {
         self.dims
             .iter()
-            .map(|u| u.engine.writes() + u.store.writes())
+            .map(|u| u.engine.writes() + u.store.writes() + u.wildcard_writes)
             .sum::<u64>()
             + self.rule_filter.writes()
     }
@@ -685,7 +768,7 @@ impl Classifier {
     }
 
     /// Classifies a header, reusing `scratch` for every intermediate
-    /// buffer (the label lists and their priority-ordered copies), so
+    /// buffer (the label lists and the lists the box walk runs over), so
     /// per-lookup allocations collapse to buffer clears. This is the hot
     /// path behind `spc-engine`'s `classify_batch`.
     ///
@@ -693,28 +776,28 @@ impl Classifier {
     ///
     /// As [`Classifier::classify`].
     // `lookup_into` only errors on unflushed engines (the update paths
-    // always flush), and `head()` runs after the `any_empty` early
-    // return proved every list is non-empty.
+    // always flush), and the head is taken after the `any_empty` early
+    // return proved every list or its wildcard register non-empty.
     #[allow(clippy::expect_used)]
     pub fn classify_with(&self, header: &Header, scratch: &mut ClassifyScratch) -> Classification {
         // Phase 2: parallel single-field lookups, each writing into the
-        // scratch's per-dimension list so nothing allocates after warm-up.
+        // scratch's per-dimension list so nothing allocates after warm-up;
+        // an IP segment's wildcard register is read beside its list.
         let mut engine_latency = 0u32;
         let mut engine_ii = 1u32;
         let mut engine_reads = 0u32;
         let mut any_empty = false;
-        for (i, &dim) in ALL_DIMS.iter().enumerate() {
-            let unit = &self.dims[i];
+        for (unit, list) in self.dims.iter().zip(&mut scratch.lists) {
             let cost = unit
                 .engine
-                .lookup_into(&unit.store, dim.query(header), &mut scratch.lists[i])
+                .lookup_into(&unit.store, unit.dim.query(header), list)
                 .expect("engines are flushed on every update path");
             engine_latency = engine_latency.max(cost.cycles);
             if !unit.engine.is_pipelined() {
                 engine_ii = engine_ii.max(cost.cycles);
             }
             engine_reads += cost.mem_reads;
-            any_empty |= scratch.lists[i].is_empty();
+            any_empty |= list.is_empty() && unit.wildcard.is_none();
         }
         if any_empty {
             // Some dimension matched nothing: no rule can match.
@@ -728,8 +811,14 @@ impl Classifier {
         }
         let (stored, rf_reads, combos) = match self.config.combine {
             CombineStrategy::FirstLabel => {
+                // A list's head, or its register's entry where that
+                // sorts first.
                 let labels: [Label; 7] = std::array::from_fn(|i| {
-                    scratch.lists[i].head().expect("checked non-empty").label
+                    let head = scratch.lists[i].head().into_iter();
+                    let head = head.chain(&self.dims[i].wildcard);
+                    head.min_by_key(|e| (e.order, e.label))
+                        .expect("checked non-empty")
+                        .label
                 });
                 let probe = self.rule_filter.probe(self.make_key(&labels));
                 (probe.hit, probe.reads, 1)
@@ -755,51 +844,74 @@ impl Classifier {
         }
     }
 
-    /// The exact combine: probes the *priority box* of the seven label
-    /// lists and returns its `(priority, id)`-best hit, the Rule Filter
-    /// reads it cost and the number of combinations probed. This is what
+    /// The exact combine: probes the *priority box* of the label lists
+    /// and returns its `(priority, id)`-best hit, the Rule Filter reads
+    /// it cost and the number of combinations probed. This is what
     /// hashing only the per-dimension heads approximates — the heads can
     /// belong to different rules while the HPMR sits deeper.
     ///
+    /// Only shape-valid combinations are candidates: `Prefix::segments`
+    /// stores an address either as a short hi with the `/0` lo or as a
+    /// full `/16` hi with any lo, so of an address's hi list `H` and lo
+    /// list `L` a rule can occupy only `{(F, x) : x ∈ L}`, with `F` the
+    /// one `/16` of `H` (the flag bit of its list word), and
+    /// `{(s, W) : s ∈ H short}`, with `W` the wildcard register's lo `/0`.
+    /// Each address is walked as that one list of pairs, a pair at the
+    /// worse of its two priorities.
+    ///
     /// A label's `priority` is the best priority among the rules using
-    /// it, so `bound(c) = max_d priority(c_d)` lower-bounds the priority
-    /// of any rule stored under combination `c`. With `p*` the HPMR's
-    /// priority, every hit that could win lies in the box
-    /// `E = {c : bound(c) <= p*}` (the whole lattice on a miss), and
-    /// nothing outside `E` need be probed. With every list in priority
-    /// order `{c : bound(c) <= t}` is an index box `[0, hi_d)` per
-    /// dimension, so `E` is walked as nested loops, one shell per distinct
+    /// it, so `bound(c) = max_d priority(c_d)` over the seven labels
+    /// lower-bounds the priority of any rule stored under combination
+    /// `c`. With `p*` the HPMR's priority, every hit that could win lies
+    /// in the box `E = {c : bound(c) <= p*}` (every combination on a
+    /// miss), and nothing outside `E` need be probed. With the five lists
+    /// in priority order `{c : bound(c) <= t}` is an index box `[0, hi_l)`
+    /// per list, so `E` is walked as nested loops, one shell per distinct
     /// bound `t` in ascending order, stopping at the first `t` that a hit
     /// already found beats. The result, the reads and the count depend on
     /// `E` alone, not on the order it is visited in.
     fn priority_probe(&self, scratch: &mut ClassifyScratch) -> (Option<StoredRule>, u32, u32) {
-        const IP: usize = IP_SEG_DIMS.len();
         let ClassifyScratch {
             lists,
             placed,
             partial,
         } = scratch;
         let (shifts, absorbs) = self.key_layout();
-        for (d, (placed, list)) in placed.iter_mut().zip(lists.iter()).enumerate() {
-            placed.clear();
-            placed.extend(list.entries().iter().map(|e| Placed {
-                priority: e.priority,
-                bits: u128::from(e.label.0) << shifts[d],
-            }));
-            if d >= IP {
-                placed.sort_unstable_by_key(|l| (l.priority, l.bits));
+        let place = |d: usize, e: &LabelEntry| Placed {
+            priority: e.priority,
+            bits: u128::from(e.label.0) << shifts[d],
+        };
+        for (level, dims) in placed.iter_mut().zip(LEVELS) {
+            level.clear();
+            if dims.len() == 1 {
+                let d = dims.start;
+                level.extend(lists[d].iter().map(|e| place(d, e)));
+            } else {
+                let (hi, lo) = (dims.start, dims.start + 1);
+                let full = &self.dims[hi].full;
+                let is_full = |e: &&LabelEntry| full[usize::from(e.label.0)];
+                let (hi_wild, lo_wild) = (&self.dims[hi].wildcard, &self.dims[lo].wildcard);
+                if let Some(f) = lists[hi].iter().find(is_full) {
+                    let f = place(hi, f);
+                    let los = lists[lo].iter().chain(lo_wild);
+                    level.extend(los.map(|x| f.pair(place(lo, x))));
+                }
+                if let Some(w) = lo_wild {
+                    let w = place(lo, w);
+                    let short = lists[hi].iter().filter(|e| !is_full(e)).chain(hi_wild);
+                    level.extend(short.map(|s| place(hi, s).pair(w)));
+                }
             }
+            level.sort_unstable_by_key(|l| (l.priority, l.bits));
         }
-        let dims: &[Vec<Placed>; 7] = placed;
-        debug_assert!(
-            dims[..IP].iter().all(|l| l
-                .windows(2)
-                .all(|w| (w[0].priority, w[0].bits) <= (w[1].priority, w[1].bits))),
-            "IP-segment engines must return their lists in (priority, label) order"
-        );
+        let levels: &[Vec<Placed>; LEVELS.len()] = placed;
+        if levels.iter().any(Vec::is_empty) {
+            // No rule can match, as with an empty dimension.
+            return (None, 0, 0);
+        }
         let mut walk = BoxWalk {
             filter: &self.rule_filter,
-            dims,
+            levels,
             absorbs,
             partial,
             best: None,
@@ -808,10 +920,9 @@ impl Classifier {
         };
         // `box(lo)` is probed; each round grows it to `box(hi)`, the
         // combinations of bound <= `t`. The first `t` is the all-heads
-        // combination's bound (`classify_with` returned early if any
-        // list is empty).
-        let mut lo = [0usize; 7];
-        let mut threshold = dims
+        // combination's bound.
+        let mut lo = [0usize; LEVELS.len()];
+        let mut threshold = levels
             .iter()
             .filter_map(|l| l.first())
             .map(|e| e.priority)
@@ -821,21 +932,21 @@ impl Classifier {
                 break; // every combination left is provably worse
             }
             let mut hi = lo;
-            for (h, list) in hi.iter_mut().zip(dims) {
+            for (h, list) in hi.iter_mut().zip(levels) {
                 *h += list[*h..].partition_point(|e| e.priority <= t);
             }
             // The shell `box(hi) \ box(lo)` as disjoint boxes: `pivot` is
-            // the first dimension whose index is at or past `lo`.
-            for pivot in 0..7 {
-                walk.probe_box(&std::array::from_fn(|d| match d.cmp(&pivot) {
-                    std::cmp::Ordering::Less => 0..lo[d],
-                    std::cmp::Ordering::Equal => lo[d]..hi[d],
-                    std::cmp::Ordering::Greater => 0..hi[d],
+            // the first level whose index is at or past `lo`.
+            for pivot in 0..LEVELS.len() {
+                walk.probe_box(&std::array::from_fn(|l| match l.cmp(&pivot) {
+                    std::cmp::Ordering::Less => 0..lo[l],
+                    std::cmp::Ordering::Equal => lo[l]..hi[l],
+                    std::cmp::Ordering::Greater => 0..hi[l],
                 }));
             }
             lo = hi;
             // The next bound up: the best priority just outside the box.
-            threshold = dims
+            threshold = levels
                 .iter()
                 .zip(lo)
                 .filter_map(|(list, i)| list.get(i))
@@ -884,7 +995,8 @@ impl Classifier {
             let mut engine = Self::make_engine(&self.config, dim);
             let mut store = Self::make_store(&self.config, dim);
             let unit = &mut self.dims[i];
-            for (value, state) in unit.table.iter() {
+            let stored = unit.table.iter().filter(|(value, _)| !in_register(**value));
+            for (value, state) in stored {
                 let entry = LabelEntry::by_priority(state.label, state.best_priority());
                 engine.insert(&mut store, *value, entry)?;
             }
@@ -909,6 +1021,15 @@ impl Classifier {
                 provisioned_bits: unit.store.provisioned_bits(),
                 used_bits: unit.store.used_bits(),
             });
+            if unit.dim.is_ip_segment() {
+                // The wildcard register: a label and a 16-bit priority.
+                let bits = u64::from(self.config.label_widths.ip) + 16;
+                blocks.push(BlockUsage {
+                    name: format!("{}/wildcard", unit.dim),
+                    provisioned_bits: bits,
+                    used_bits: if unit.wildcard.is_some() { bits } else { 0 },
+                });
+            }
         }
         blocks.push(BlockUsage {
             name: "rule_filter".to_string(),
@@ -941,7 +1062,8 @@ mod tests {
     use spc_classbench::{FilterKind, RuleSetGenerator, TraceGenerator};
     use spc_types::{Action, PortRange, Prefix, ProtoSpec, RuleSet};
 
-    /// The seven phase-2 label lists of `h`, as the engines return them.
+    /// The seven phase-2 label lists of `h`, as the engines and the
+    /// wildcard registers return them.
     fn label_lists(cls: &Classifier, h: &Header) -> Vec<LabelList> {
         cls.dims
             .iter()
@@ -950,27 +1072,51 @@ mod tests {
                 u.engine
                     .lookup_into(&u.store, u.dim.query(h), &mut list)
                     .unwrap();
+                if let Some(entry) = u.wildcard {
+                    list.insert(entry);
+                }
                 list
             })
             .collect()
     }
 
+    /// The segment prefix length of each live label of an IP dimension,
+    /// from the controller's label table.
+    fn seg_lens(cls: &Classifier, d: usize) -> HashMap<Label, u8> {
+        let lens = cls.dims[d].table.iter().map(|(value, state)| match value {
+            DimValue::Seg(seg) => (state.label, seg.len()),
+            other => panic!("{other:?} in an IP dimension"),
+        });
+        lens.collect()
+    }
+
     /// What `priority_probe` must return, from its specification alone:
-    /// probe the *whole* lattice of `h`'s seven lists, take `p*` from the
-    /// best hit, and report the `(priority, id)`-minimal hit, the reads
-    /// and the size of `E = {c : bound(c) <= p*}` (everything on a miss).
+    /// probe the *whole* lattice of `h`'s seven lists less the
+    /// combinations `Prefix::segments` never produces (an address whose
+    /// lo label is not `/0` while its hi is not a full `/16`), take `p*`
+    /// from the best hit, and report the `(priority, id)`-minimal hit,
+    /// the reads and the size of `E = {c : bound(c) <= p*}` (everything
+    /// on a miss).
     fn box_oracle(cls: &Classifier, h: &Header) -> (Option<(Priority, RuleId)>, u32, u32) {
         let lists = label_lists(cls, h);
         if lists.iter().any(LabelList::is_empty) {
             return (None, 0, 0);
         }
+        let lens: Vec<_> = (0..4).map(|d| seg_lens(cls, d)).collect();
+        let shape_valid = |combo: &[LabelEntry; 7]| {
+            [0, 2].iter().all(|&hi| {
+                lens[hi + 1][&combo[hi + 1].label] == 0 || lens[hi][&combo[hi].label] == 16
+            })
+        };
         let mut lattice = Vec::new(); // (bound, probe) per combination
         let mut idx = [0usize; 7];
         'lattice: loop {
             let combo: [LabelEntry; 7] = std::array::from_fn(|d| lists[d].entries()[idx[d]]);
             let bound = combo.iter().map(|e| e.priority).max().unwrap();
             let key = cls.make_key(&combo.map(|e| e.label));
-            lattice.push((bound, cls.rule_filter.probe(key)));
+            if shape_valid(&combo) {
+                lattice.push((bound, cls.rule_filter.probe(key)));
+            }
             for d in 0..7 {
                 idx[d] += 1;
                 if idx[d] < lists[d].len() {
@@ -1051,8 +1197,10 @@ mod tests {
 
     #[test]
     fn box_layouts_reach_every_fixed_absorb_width() {
-        // `with_absorb!` unrolls 0–3 bytes separately: an arm no layout
-        // of the oracle below reaches is an arm nothing checks.
+        // `with_absorb!` unrolls 0, 1, 3, 4 and 5 bytes separately: an
+        // arm no layout of the oracle below reaches is an arm nothing
+        // checks. The address pairs absorb 3–5 bytes, the ports 1 and
+        // the protocol 0.
         let mut widths = std::collections::BTreeSet::new();
         for (layout, config) in box_layouts() {
             let (_, absorbs) = Classifier::new(config).key_layout();
@@ -1060,10 +1208,10 @@ mod tests {
                 absorbs.windows(2).all(|w| w[1].end == w[0].start),
                 "{layout}: {absorbs:?} must tile the key from byte 0 up"
             );
-            assert_eq!(absorbs[6].start, 0, "{layout}");
+            assert_eq!(absorbs[LEVELS.len() - 1].start, 0, "{layout}");
             widths.extend(absorbs.iter().map(ExactSizeIterator::len));
         }
-        assert_eq!(widths.into_iter().collect::<Vec<_>>(), [0, 1, 2, 3]);
+        assert_eq!(widths.into_iter().collect::<Vec<_>>(), [0, 1, 3, 4, 5]);
     }
 
     #[test]
@@ -1093,17 +1241,17 @@ mod tests {
         shared_priorities: bool,
         what: &str,
     ) {
-        let mut rules = RuleSetGenerator::new(kind, 400).seed(11).generate();
-        let mut pool = RuleSetGenerator::new(kind, 64).seed(12).generate();
-        if shared_priorities {
-            // Eight rules per priority value: ties everywhere.
-            let tie = |r: &Rule| Rule {
-                priority: Priority(r.priority.0 / 8),
-                ..*r
-            };
-            rules = rules.rules().iter().map(tie).collect();
-            pool = pool.rules().iter().map(tie).collect();
-        }
+        let rules = RuleSetGenerator::new(kind, 400).seed(11).generate();
+        let pool = RuleSetGenerator::new(kind, 64).seed(12).generate();
+        // Priority 0 is left free for the wildcard rule below; with
+        // `shared_priorities`, eight rules per priority value: ties
+        // everywhere.
+        let shift = |r: &Rule| Rule {
+            priority: Priority(1 + r.priority.0 / if shared_priorities { 8 } else { 1 }),
+            ..*r
+        };
+        let rules: RuleSet = rules.rules().iter().map(shift).collect();
+        let pool: RuleSet = pool.rules().iter().map(shift).collect();
         // The paper's 2-bit protocol and 7-bit port label spaces hold
         // fewer values than a 400-rule set has: keep the rules that fit.
         let mut trial = Classifier::new(config.clone());
@@ -1138,6 +1286,58 @@ mod tests {
         }
         assert_eq!(inserted, 16, "{what}: pool too small");
         assert_matches_box_oracle(&cls, &trace, &format!("{what} after churn"));
+
+        // A rule with `/0` addresses that beats every other moves each
+        // wildcard register's priority up, and its removal moves it back.
+        let wild = rules
+            .rules()
+            .iter()
+            .map(|r| Rule {
+                priority: Priority(0),
+                src_ip: Prefix::ANY,
+                dst_ip: Prefix::ANY,
+                ..*r
+            })
+            .find_map(|r| cls.insert(r).ok())
+            .expect("a wildcard rule goes in");
+        for d in 0..4 {
+            let register = cls.dims[d].wildcard.expect("every /0 is live");
+            assert_eq!(register.priority, Priority(0), "{what}: dimension {d}");
+        }
+        assert_matches_box_oracle(&cls, &trace, &format!("{what} with a /0 rule"));
+        cls.remove(wild.rule_id).unwrap();
+        assert!(cls.dims[..4]
+            .iter()
+            .all(|u| u.wildcard.map_or(true, |e| e.priority > Priority(0))));
+        assert_matches_box_oracle(&cls, &trace, &format!("{what} without it"));
+    }
+
+    #[test]
+    fn first_label_heads_include_the_wildcard_register() {
+        // `combine=first` hashes the head of each phase-2 list, the
+        // wildcard register's entry merged in at its priority.
+        for kind in [FilterKind::Acl, FilterKind::Fw] {
+            for alg in [IpAlg::Bst, IpAlg::Mbt] {
+                let config = ArchConfig::large()
+                    .with_ip_alg(alg)
+                    .with_combine(CombineStrategy::FirstLabel);
+                let rules = RuleSetGenerator::new(kind, 200).seed(3).generate();
+                let mut cls = Classifier::new(config);
+                cls.load(&rules).unwrap();
+                for h in probe_trace(&rules, 4) {
+                    let lists = label_lists(&cls, &h);
+                    let want = lists.iter().all(|l| !l.is_empty()).then(|| {
+                        let heads: [Label; 7] =
+                            std::array::from_fn(|d| lists[d].head().unwrap().label);
+                        let probe = cls.rule_filter.probe(cls.make_key(&heads));
+                        (probe.hit.map(|s| s.id), probe.reads)
+                    });
+                    let c = cls.classify(&h);
+                    let got = (c.hit.map(|x| x.rule_id), c.rule_filter_reads);
+                    assert_eq!(got, want.unwrap_or((None, 0)), "{kind:?}/{alg:?}, {h}");
+                }
+            }
+        }
     }
 
     fn cfg() -> ArchConfig {
@@ -1358,7 +1558,9 @@ mod tests {
         let mut cls = Classifier::new(cfg());
         cls.insert(web_rule(0)).unwrap();
         let rep = cls.memory_report();
-        assert_eq!(rep.blocks.len(), 7 * 2 + 1);
+        // Engine and label memory per dimension, a wildcard register per
+        // IP segment, the Rule Filter.
+        assert_eq!(rep.blocks.len(), 7 * 2 + 4 + 1);
         assert!(rep.total_used() > 0);
         assert!(rep.total_provisioned() > rep.total_used());
         assert!(rep.blocks.iter().any(|b| b.name == "rule_filter"));
@@ -1468,5 +1670,161 @@ mod tests {
         let ids = cls.load(&rs).unwrap();
         assert_eq!(ids.len(), 50);
         assert_eq!(cls.len(), 50);
+    }
+
+    /// Each IP segment's wildcard register, `(label, priority)` while live.
+    fn registers(cls: &Classifier) -> Vec<Option<(Label, Priority)>> {
+        let live = |u: &DimUnit| u.wildcard.map(|e| (e.label, e.priority));
+        cls.dims[..4].iter().map(live).collect()
+    }
+
+    /// A rule over `/0` source addresses and the `/8` destination `100/8`
+    /// (so a `/0` destination lo too), any ports, protocol `proto`.
+    fn wild_rule(p: u32, proto: u8) -> Rule {
+        Rule::builder(Priority(p))
+            .dst_ip(Prefix::masked(100 << 24, 8))
+            .proto(ProtoSpec::Exact(proto))
+            .action(Action::Forward(proto.into()))
+            .build()
+    }
+
+    #[test]
+    fn wildcard_register_failed_improvement_is_atomic() {
+        // Priority 1 improves the /0 in three registers before the Rule
+        // Filter finds the 5-tuple taken.
+        let mut cls = Classifier::new(cfg());
+        cls.insert(wild_rule(5, 6)).unwrap();
+        let before = (observe(&cls), registers(&cls));
+        assert_eq!(registers(&cls).iter().flatten().count(), 3);
+        let e = cls.insert(wild_rule(1, 6)).unwrap_err();
+        assert!(matches!(e, ClassifierError::DuplicateKey { .. }), "{e}");
+        assert_eq!((observe(&cls), registers(&cls)), before);
+
+        // The paper's 2-bit protocol labels hold four values: a fifth
+        // fails in the last dimension, after the same three improvements.
+        for proto in [17, 1, 2] {
+            cls.insert(wild_rule(5, proto)).unwrap();
+        }
+        let before = (observe(&cls), registers(&cls));
+        let e = cls.insert(wild_rule(1, 47)).unwrap_err();
+        assert!(matches!(e, ClassifierError::Capacity { .. }), "{e}");
+        assert_eq!((observe(&cls), registers(&cls)), before);
+        // The improvement itself goes in once it fits.
+        let fits = Rule {
+            src_port: PortRange::exact(9),
+            ..wild_rule(1, 1)
+        };
+        cls.insert(fits).unwrap();
+        assert!(registers(&cls)
+            .iter()
+            .flatten()
+            .all(|&(_, p)| p == Priority(1)));
+    }
+
+    #[test]
+    fn wildcard_register_survives_ip_alg_switches() {
+        // /0 source addresses (both segments), /8 and /16 destinations
+        // (a /0 lo), /24 destinations (a full /16 hi).
+        let rules: RuleSet = (0..24u32)
+            .map(|i| {
+                let dst = match i % 3 {
+                    0 => Prefix::masked((100 + i) << 24, 8),
+                    1 => Prefix::masked((100 << 24) | (i << 16), 16),
+                    _ => Prefix::masked((100 << 24) | (i << 8), 24),
+                };
+                Rule::builder(Priority(i))
+                    .dst_ip(dst)
+                    .dst_port(PortRange::exact(i as u16))
+                    .build()
+            })
+            .collect();
+        let mut cls = Classifier::new(cfg());
+        cls.load(&rules).unwrap();
+        let headers: Vec<Header> = (0..24u32)
+            .flat_map(|i| {
+                [
+                    (100 + i) << 24,
+                    (100 << 24) | (i << 16) | 7,
+                    (100 << 24) | (i << 8),
+                ]
+                .map(|dst| Header::new([1, 2, 3, 4].into(), dst.into(), 5, i as u16, 6))
+            })
+            .collect();
+        let state = |cls: &Classifier| {
+            let verdicts: Vec<_> = headers.iter().map(|h| cls.classify(h)).collect();
+            (verdicts, cls.memory_report(), registers(cls))
+        };
+        let hits = |cls: &Classifier| -> Vec<_> {
+            headers
+                .iter()
+                .map(|h| cls.classify(h).hit.map(|x| x.rule_id))
+                .collect()
+        };
+        let mbt = state(&cls);
+        assert!(hits(&cls).iter().flatten().count() >= 24);
+        cls.set_ip_alg(IpAlg::Bst).unwrap();
+        let mut fresh = Classifier::new(cfg().with_ip_alg(IpAlg::Bst));
+        fresh.load(&rules).unwrap();
+        assert_eq!(hits(&cls), hits(&fresh));
+        assert_eq!(state(&cls), state(&fresh), "a reload is a fresh load");
+        cls.set_ip_alg(IpAlg::Mbt).unwrap();
+        assert_eq!(state(&cls), mbt);
+    }
+
+    #[test]
+    fn wildcard_register_holds_an_all_wildcard_set() {
+        let rules: RuleSet = (0..8u16)
+            .map(|i| {
+                Rule::builder(Priority(i.into()))
+                    .dst_port(PortRange::exact(i))
+                    .build()
+            })
+            .collect();
+        for alg in [IpAlg::Mbt, IpAlg::Bst] {
+            let mut cls = Classifier::new(cfg().with_ip_alg(alg));
+            cls.load(&rules).unwrap();
+            let report = cls.memory_report();
+            let used = |name: &str| {
+                report
+                    .blocks
+                    .iter()
+                    .find(|b| b.name == name)
+                    .unwrap()
+                    .used_bits
+            };
+            for dim in IP_SEG_DIMS {
+                assert_eq!(used(&format!("{dim}/labels")), 0, "{alg:?} {dim}");
+                assert_eq!(used(&format!("{dim}/wildcard")), 13 + 16, "{alg:?} {dim}");
+            }
+            let h = Header::new([1, 2, 3, 4].into(), [5, 6, 7, 8].into(), 9, 3, 6);
+            let c = cls.classify(&h);
+            assert_eq!(c.hit.unwrap().rule.priority, Priority(3), "{alg:?}");
+            assert_eq!(c.combos_probed, 1, "{alg:?}");
+        }
+    }
+
+    #[test]
+    fn full_flag_follows_a_recycled_label() {
+        // The `dip_hi` label of `100.1/16` is freed and handed to `/0`,
+        // which must not pass for a full `/16`: at the head of the hi
+        // list it would hide the `100.1` of the rule that matches.
+        let mut cls = Classifier::new(cfg());
+        let dst = |prefix: &str| Rule::builder(Priority(0)).dst_ip(Prefix::parse(prefix).unwrap());
+        let slash16 = cls.insert(dst("100.1.0.0/16").build()).unwrap().rule_id;
+        cls.remove(slash16).unwrap();
+        let web = dst("0.0.0.0/0").dst_port(PortRange::exact(80)).build();
+        cls.insert(web).unwrap();
+        let host = Rule {
+            priority: Priority(1),
+            ..dst("100.1.2.0/24").build()
+        };
+        let host = cls.insert(host).unwrap().rule_id;
+        let h = Header::new([1, 1, 1, 1].into(), [100, 1, 2, 3].into(), 5, 81, 6);
+        assert_eq!(cls.classify(&h).hit.map(|x| x.rule_id), Some(host));
+        assert_eq!(
+            box_oracle(&cls, &h).0,
+            Some((Priority(1), host)),
+            "the oracle agrees"
+        );
     }
 }

@@ -187,12 +187,14 @@ mod tests {
                 keys.push(k >> (128 - width));
             }
         }
-        // Every width a caller dispatches to a fixed-width absorb, by width.
-        let fixed: [fn(u64, u128, usize) -> u64; 4] = [
+        // Every fixed width up to the widest a caller dispatches, by width.
+        let fixed: [fn(u64, u128, usize) -> u64; 6] = [
             HashUnit::absorb_n::<0>,
             HashUnit::absorb_n::<1>,
             HashUnit::absorb_n::<2>,
             HashUnit::absorb_n::<3>,
+            HashUnit::absorb_n::<4>,
+            HashUnit::absorb_n::<5>,
         ];
         for addr_bits in [1, 13, 15, 32] {
             let h = HashUnit::new(addr_bits);
