@@ -13,7 +13,7 @@ use crate::error::ClassifierError;
 use crate::labels::{InsertOutcome, LabelTable, RemoveOutcome};
 use crate::memory::{BlockUsage, MemoryReport, SharingReport};
 use crate::pipeline::LookupTiming;
-use crate::rulefilter::{RuleFilter, StoredRule};
+use crate::rulefilter::{Hit, RuleFilter};
 use spc_hwsim::HashUnit;
 use spc_lookup::{
     EngineError, FieldEngine, Label, LabelEntry, LabelList, LabelStore, MbtConfig, MultiBitTrie,
@@ -80,15 +80,6 @@ impl DimUnit {
             let _ = self.engine.remove(&mut self.store, value, label);
         }
     }
-}
-
-/// A classification hit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Hit {
-    /// Id of the highest-priority matching rule.
-    pub rule_id: RuleId,
-    /// The rule itself (with action).
-    pub rule: Rule,
 }
 
 /// Full result of one classify, with hardware-model accounting.
@@ -289,7 +280,7 @@ struct BoxWalk<'a> {
     /// ([`Classifier::key_layout`]).
     absorbs: [Range<usize>; LEVELS.len()],
     partial: &'a mut [Partials; 2],
-    best: Option<StoredRule>,
+    best: Option<Hit>,
     reads: u32,
     combos: u32,
 }
@@ -357,10 +348,10 @@ impl BoxWalk<'_> {
                     }
                     let probe = filter.probe_at(home, key);
                     reads += probe.reads;
-                    if let Some(s) = probe.hit {
-                        let rank = |s: &StoredRule| (s.rule.priority, s.id.0);
-                        if self.best.map_or(true, |held| rank(&s) < rank(&held)) {
-                            self.best = Some(s);
+                    if let Some(hit) = probe.hit {
+                        let rank = |h: &Hit| (h.rule.priority, h.rule_id.0);
+                        if self.best.map_or(true, |held| rank(&hit) < rank(&held)) {
+                            self.best = Some(hit);
                         }
                     }
                 }
@@ -769,8 +760,7 @@ impl Classifier {
 
     /// Classifies a header, reusing `scratch` for every intermediate
     /// buffer (the label lists and the lists the box walk runs over), so
-    /// per-lookup allocations collapse to buffer clears. This is the hot
-    /// path behind `spc-engine`'s `classify_batch`.
+    /// per-lookup allocations collapse to buffer clears.
     ///
     /// # Panics
     ///
@@ -809,7 +799,7 @@ impl Classifier {
                 combos_probed: 0,
             };
         }
-        let (stored, rf_reads, combos) = match self.config.combine {
+        let (hit, rf_reads, combos) = match self.config.combine {
             CombineStrategy::FirstLabel => {
                 // A list's head, or its register's entry where that
                 // sorts first.
@@ -825,16 +815,10 @@ impl Classifier {
             }
             CombineStrategy::PriorityProbe => self.priority_probe(scratch),
         };
-        let hit = stored.map(|s| {
-            debug_assert!(
-                s.rule.matches(header),
-                "label-key hit must match the header"
-            );
-            Hit {
-                rule_id: s.id,
-                rule: s.rule,
-            }
-        });
+        debug_assert!(
+            hit.map_or(true, |h| h.rule.matches(header)),
+            "label-key hit must match the header"
+        );
         Classification {
             hit,
             timing: LookupTiming::new(engine_latency, engine_ii, rf_reads),
@@ -870,7 +854,7 @@ impl Classifier {
     /// bound `t` in ascending order, stopping at the first `t` that a hit
     /// already found beats. The result, the reads and the count depend on
     /// `E` alone, not on the order it is visited in.
-    fn priority_probe(&self, scratch: &mut ClassifyScratch) -> (Option<StoredRule>, u32, u32) {
+    fn priority_probe(&self, scratch: &mut ClassifyScratch) -> (Option<Hit>, u32, u32) {
         let ClassifyScratch {
             lists,
             placed,
@@ -1126,7 +1110,7 @@ mod tests {
             }
             break;
         }
-        let hit_of = |p: &ProbeResult| p.hit.map(|s| (s.rule.priority, s.id));
+        let hit_of = |p: &ProbeResult| p.hit.map(|h| (h.rule.priority, h.rule_id));
         let best = lattice.iter().filter_map(|(_, p)| hit_of(p)).min();
         let in_box = |bound: Priority| best.map_or(true, |(p_star, _)| bound <= p_star);
         let probed = lattice.iter().filter(|(bound, _)| in_box(*bound));
@@ -1330,7 +1314,7 @@ mod tests {
                         let heads: [Label; 7] =
                             std::array::from_fn(|d| lists[d].head().unwrap().label);
                         let probe = cls.rule_filter.probe(cls.make_key(&heads));
-                        (probe.hit.map(|s| s.id), probe.reads)
+                        (probe.hit.map(|h| h.rule_id), probe.reads)
                     });
                     let c = cls.classify(&h);
                     let got = (c.hit.map(|x| x.rule_id), c.rule_filter_reads);

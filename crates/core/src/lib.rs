@@ -26,10 +26,10 @@ mod memory;
 mod pipeline;
 mod rulefilter;
 
-pub use classifier::{Classification, Classifier, ClassifyScratch, Hit, UpdateReport};
+pub use classifier::{Classification, Classifier, ClassifyScratch, UpdateReport};
 pub use config::{ArchConfig, CombineStrategy, IpAlg};
 pub use error::ClassifierError;
 pub use labels::{InsertOutcome, LabelState, LabelTable, RemoveOutcome};
 pub use memory::{BlockUsage, MemoryReport, SharingReport};
 pub use pipeline::{LookupTiming, PHASE1_CYCLES, PHASE3_CYCLES, PHASE4_BASE_CYCLES};
-pub use rulefilter::{ProbeResult, RuleFilter, StoredRule};
+pub use rulefilter::{Hit, ProbeResult, RuleFilter};

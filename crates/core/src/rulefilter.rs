@@ -17,7 +17,7 @@ enum Slot {
     Empty,
     /// Deleted marker so probe chains stay intact.
     Tombstone,
-    Occupied(StoredRule),
+    Occupied(Stored),
 }
 
 impl Slot {
@@ -31,22 +31,31 @@ impl Slot {
     }
 }
 
-/// A stored rule with its label key.
+/// A classification hit: what a Rule Filter probe returns for a stored
+/// key, and what the lookup pipeline returns as the HPMR.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StoredRule {
+pub struct Hit {
+    /// Id of the matching rule.
+    pub rule_id: RuleId,
+    /// The rule itself (with priority and action).
+    pub rule: Rule,
+}
+
+/// An occupied Rule Filter slot: the hit, under the key a probe must
+/// present in full to get it back.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Stored {
     /// Merged label key (up to 128 bits; 68 in the paper configuration).
     pub key: u128,
-    /// The installed rule id.
-    pub id: RuleId,
-    /// The rule (including priority and action).
-    pub rule: Rule,
+    /// What a probe for `key` returns.
+    pub hit: Hit,
 }
 
 /// Result of a Rule Filter probe.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbeResult {
-    /// The matching stored rule, if the key was present.
-    pub hit: Option<StoredRule>,
+    /// The rule stored under the key, if the key was present.
+    pub hit: Option<Hit>,
     /// Memory words read while probing.
     pub reads: u32,
 }
@@ -127,7 +136,7 @@ impl RuleFilter {
     /// This is a *software-controller* view, not a modelled hardware
     /// operation (it returns no cost): it lists the stored slots, keys
     /// included, without re-reading the original rule set.
-    pub fn iter(&self) -> impl Iterator<Item = &StoredRule> {
+    pub fn iter(&self) -> impl Iterator<Item = &Stored> {
         (0..self.capacity()).filter_map(move |addr| match self.slots.read(addr) {
             Ok(Slot::Occupied(stored)) => Some(stored),
             _ => None,
@@ -165,13 +174,16 @@ impl RuleFilter {
                     first_free.get_or_insert(addr);
                 }
                 Slot::Occupied(s) if s.key == key => {
-                    return Err(ClassifierError::DuplicateKey { existing: s.id.0 });
+                    return Err(ClassifierError::DuplicateKey {
+                        existing: s.hit.rule_id.0,
+                    });
                 }
                 Slot::Occupied(_) => {}
             }
         }
         let target = first_free.ok_or(ClassifierError::RuleFilterFull)?;
-        self.set_slot(target, Slot::Occupied(StoredRule { key, id, rule }));
+        let hit = Hit { rule_id: id, rule };
+        self.set_slot(target, Slot::Occupied(Stored { key, hit }));
         self.live += 1;
         self.max_probe = self.max_probe.max(chain as u32);
         Ok(())
@@ -190,7 +202,7 @@ impl RuleFilter {
             match self.slots.read(addr).expect("address in range") {
                 Slot::Empty => break,
                 Slot::Occupied(s) if s.key == key => {
-                    let rule = s.rule;
+                    let rule = s.hit.rule;
                     self.set_slot(addr, Slot::Tombstone);
                     self.live -= 1;
                     return Ok(rule);
@@ -225,7 +237,7 @@ impl RuleFilter {
                     if let Slot::Occupied(s) = &slots[addr] {
                         if s.key == key {
                             return ProbeResult {
-                                hit: Some(*s),
+                                hit: Some(s.hit),
                                 reads,
                             };
                         }
@@ -280,7 +292,7 @@ mod tests {
         let mut f = RuleFilter::new(6, 68);
         f.insert(42, RuleId(0), rule(0)).unwrap();
         let p = f.probe(42);
-        assert_eq!(p.hit.unwrap().id, RuleId(0));
+        assert_eq!(p.hit.unwrap().rule_id, RuleId(0));
         assert!(p.reads >= 1);
         assert!(f.probe(43).hit.is_none());
         let r = f.remove(42, RuleId(0)).unwrap();
@@ -305,7 +317,7 @@ mod tests {
             f.insert(k, RuleId(k as u32), rule(k as u32)).unwrap();
         }
         for k in 0..6u128 {
-            assert_eq!(f.probe(k).hit.unwrap().id, RuleId(k as u32), "key {k}");
+            assert_eq!(f.probe(k).hit.unwrap().rule_id, RuleId(k as u32), "key {k}");
         }
         assert!(f.max_probe() >= 1);
     }
@@ -420,7 +432,7 @@ mod tests {
             f.insert(k, RuleId(k as u32), rule(0)).unwrap();
         }
         f.remove(2, RuleId(2)).unwrap();
-        let mut ids: Vec<u32> = f.iter().map(|s| s.id.0).collect();
+        let mut ids: Vec<u32> = f.iter().map(|s| s.hit.rule_id.0).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1, 3, 4]);
     }

@@ -1,26 +1,19 @@
 //! [`PacketClassifier`] for the paper's configurable architecture.
 
-use crate::{
-    classify_each, verdict, EngineKind, LookupStats, PacketClassifier, UpdateError, UpdateReport,
-    Verdict,
-};
-use spc_core::{Classification, Classifier, ClassifierError, ClassifyScratch, IpAlg};
+use crate::{verdict, EngineKind, PacketClassifier, UpdateError, UpdateReport, Verdict};
+use spc_core::{Classifier, ClassifierError, IpAlg};
 use spc_types::{Header, Rule, RuleId};
 
 /// The configurable label-based classifier behind the unified API.
 ///
 /// Wraps [`spc_core::Classifier`] in whichever `IPalg_s` mode the
-/// [`crate::EngineBuilder`] selected. This is the only registry backend
-/// with a live incremental-update path
-/// ([`PacketClassifier::supports_updates`] is `true`), and its
-/// [`PacketClassifier::classify_batch`] works in the engine's own
-/// [`ClassifyScratch`] and reports `combos_probed`; the `&self`
-/// single-shot path works in `spc-core`'s per-thread one. Neither
-/// allocates once warm.
+/// [`crate::EngineBuilder`] selected, with the paper's §V.A incremental
+/// update live ([`PacketClassifier::supports_updates`] is `true`).
+/// Every lookup, single-shot or batch, works in `spc-core`'s per-thread
+/// scratch, so none allocates once warm.
 #[derive(Debug)]
 pub struct ConfigurableEngine {
     cls: Classifier,
-    scratch: ClassifyScratch,
     last_report: Option<UpdateReport>,
     epoch: u64,
 }
@@ -30,7 +23,6 @@ impl ConfigurableEngine {
     pub fn new(cls: Classifier) -> Self {
         ConfigurableEngine {
             cls,
-            scratch: ClassifyScratch::new(),
             last_report: None,
             epoch: 0,
         }
@@ -46,11 +38,6 @@ impl ConfigurableEngine {
     /// Mutable access to the wrapped classifier.
     pub fn classifier_mut(&mut self) -> &mut Classifier {
         &mut self.cls
-    }
-
-    fn verdict(c: &Classification) -> Verdict {
-        let hit = c.hit.as_ref().map(|h| (h.rule_id, &h.rule));
-        verdict(hit, c.total_reads())
     }
 }
 
@@ -90,18 +77,9 @@ impl PacketClassifier for ConfigurableEngine {
     }
 
     fn classify(&self, header: &Header) -> Verdict {
-        Self::verdict(&self.cls.classify(header))
-    }
-
-    fn classify_batch(&mut self, headers: &[Header], out: &mut Vec<Verdict>) -> LookupStats {
-        let mut combos = 0u64;
-        let mut stats = classify_each(headers, out, |h| {
-            let c = self.cls.classify_with(h, &mut self.scratch);
-            combos = combos.saturating_add(u64::from(c.combos_probed));
-            Self::verdict(&c)
-        });
-        stats.combos_probed = combos;
-        stats
+        let c = self.cls.classify(header);
+        let hit = c.hit.as_ref().map(|h| (h.rule_id, &h.rule));
+        verdict(hit, c.total_reads())
     }
 
     fn memory_bits(&self) -> u64 {
@@ -217,7 +195,6 @@ mod tests {
         assert_eq!(out.len(), batch.len());
         assert_eq!(stats.packets, 5);
         assert_eq!(stats.hits, 4);
-        assert!(stats.combos_probed >= stats.hits);
         for (h, v) in batch.iter().zip(&out) {
             assert_eq!(
                 *v,

@@ -6,7 +6,7 @@
 //! and examples never need to know which algorithm they drive:
 //!
 //! * [`PacketClassifier`] — the unified trait: build-agnostic lookups
-//!   ([`PacketClassifier::classify`]), an amortised batch path
+//!   ([`PacketClassifier::classify`]), a batch path
 //!   ([`PacketClassifier::classify_batch`]), memory/access
 //!   instrumentation, and an incremental-update capability probe
 //!   ([`PacketClassifier::supports_updates`] with
@@ -128,18 +128,11 @@ pub struct MatchHandle {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Verdict {
     /// The Highest Priority Matching Rule, or `None` on a miss.
-    ///
-    /// Deprecated-style shim: prefer [`Verdict::matched`], which carries
-    /// the full [`MatchHandle`]. The bare field stays so existing
-    /// examples and harnesses keep compiling, and constructors keep it
-    /// consistent with `matched`.
     pub rule: Option<RuleId>,
-    /// Priority of the matched rule (shim; prefer [`Verdict::matched`]).
+    /// Priority of the matched rule.
     pub priority: Option<Priority>,
     /// Action of the matched rule.
     pub action: Option<Action>,
-    /// The full match handle behind `rule`/`priority`: id and priority.
-    pub matched: Option<MatchHandle>,
     /// Memory words this lookup read in the backend's hardware model.
     pub mem_reads: u32,
 }
@@ -148,24 +141,17 @@ impl Verdict {
     /// A miss that still cost `mem_reads` accesses.
     pub fn miss(mem_reads: u32) -> Self {
         Verdict {
-            rule: None,
-            priority: None,
-            action: None,
-            matched: None,
             mem_reads,
+            ..Verdict::default()
         }
     }
 
-    /// A hit, with the shim fields (`rule`, `priority`) and the
-    /// [`MatchHandle`] filled consistently from one source — backends
-    /// should build hits through this constructor so the pair can never
-    /// diverge.
+    /// A hit on `handle`'s rule.
     pub fn hit(handle: MatchHandle, action: Action, mem_reads: u32) -> Self {
         Verdict {
             rule: Some(handle.id),
             priority: Some(handle.priority),
             action: Some(action),
-            matched: Some(handle),
             mem_reads,
         }
     }
@@ -175,12 +161,12 @@ impl Verdict {
         self.rule.is_some()
     }
 
-    /// The match handle of a hit — rule id, priority and the rule's
-    /// per-dimension wildcard summary ([`None`] on a miss). This is the
-    /// accessor new code should use instead of the bare
-    /// `rule`/`priority` fields.
+    /// The match handle of a hit — rule id and priority ([`None`] on a
+    /// miss).
     pub fn matched(&self) -> Option<MatchHandle> {
-        self.matched
+        self.rule
+            .zip(self.priority)
+            .map(|(id, priority)| MatchHandle { id, priority })
     }
 
     /// Folds `reads` more memory reads into this verdict, saturating.
@@ -203,14 +189,6 @@ pub struct LookupStats {
     pub hits: u64,
     /// Total memory words read.
     pub mem_reads: u64,
-    /// Rule Filter combinations probed (configurable architecture only;
-    /// equals `packets` on the single-probe fast path, 0 for baselines).
-    pub combos_probed: u64,
-    /// Lookups served from a flow cache ([`CachedEngine`]; 0 elsewhere).
-    pub cache_hits: u64,
-    /// Lookups that fell through a flow cache to the inner engine
-    /// ([`CachedEngine`]; 0 elsewhere).
-    pub cache_misses: u64,
 }
 
 impl LookupStats {
@@ -241,17 +219,6 @@ impl LookupStats {
             self.hits as f64 / self.packets as f64
         }
     }
-
-    /// Fraction of lookups served from a flow cache (0 when no cache is
-    /// in the path).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let probes = self.cache_hits.saturating_add(self.cache_misses);
-        if probes == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / probes as f64
-        }
-    }
 }
 
 impl std::ops::Add for LookupStats {
@@ -263,9 +230,6 @@ impl std::ops::Add for LookupStats {
             packets: self.packets.saturating_add(rhs.packets),
             hits: self.hits.saturating_add(rhs.hits),
             mem_reads: self.mem_reads.saturating_add(rhs.mem_reads),
-            combos_probed: self.combos_probed.saturating_add(rhs.combos_probed),
-            cache_hits: self.cache_hits.saturating_add(rhs.cache_hits),
-            cache_misses: self.cache_misses.saturating_add(rhs.cache_misses),
         }
     }
 }
@@ -330,7 +294,7 @@ impl std::error::Error for UpdateError {}
 /// — so a built engine can serve concurrent readers;
 /// `Arc<dyn PacketClassifier>` behind [`pipeline::IngestPipeline`]'s
 /// shared mode relies on exactly this.
-/// Only the `&mut self` paths (batch scratch reuse, incremental updates)
+/// Only the `&mut self` paths (a wrapper's batch buffers, incremental updates)
 /// need exclusive access.
 ///
 /// # Example
@@ -342,7 +306,7 @@ impl std::error::Error for UpdateError {}
 /// let rules = RuleSet::from_rules(vec![Rule::any(Priority(0))]);
 /// let mut engine = build_engine("configurable-mbt", &rules).unwrap();
 /// let h = Header::new([1, 2, 3, 4].into(), [5, 6, 7, 8].into(), 9, 80, 6);
-/// // Single-shot lookups share `&self`; the batch path amortises scratch.
+/// // Single-shot lookups share `&self`; the batch path folds accounting.
 /// assert!(engine.classify(&h).is_hit());
 /// let mut verdicts = Vec::new();
 /// let stats = engine.classify_batch(&[h; 10], &mut verdicts);
@@ -365,8 +329,9 @@ pub trait PacketClassifier: fmt::Debug + Send + Sync {
     /// (which is cleared first) and returning aggregate accounting.
     ///
     /// The default implementation loops over [`PacketClassifier::classify`];
-    /// backends with per-lookup working memory override it to reuse
-    /// scratch buffers across the batch (see [`ConfigurableEngine`]).
+    /// wrappers override it where a batch changes the work: the flow
+    /// cache hands only its misses to the inner engine ([`CachedEngine`]),
+    /// and hash shards fan the batch out over one thread per shard.
     fn classify_batch(&mut self, headers: &[Header], out: &mut Vec<Verdict>) -> LookupStats {
         classify_each(headers, out, |h| self.classify(h))
     }
@@ -427,13 +392,11 @@ pub trait PacketClassifier: fmt::Debug + Send + Sync {
     /// **Contract:** the epoch starts at 0 and bumps by exactly one iff
     /// [`PacketClassifier::last_update_report`] is replaced — that is,
     /// only on a *successful* [`PacketClassifier::insert`] /
-    /// [`PacketClassifier::remove`]. Failed updates change neither. A
-    /// cache layered in front of the engine ([`CachedEngine`]) compares
-    /// the epoch it last synchronised with against this value: equal
-    /// means every cached verdict is still current; a mismatch means the
-    /// rule set changed underneath it and cached entries whose matched
-    /// rule appears in the report must be dropped (full flush as the
-    /// fallback when the delta cannot be attributed).
+    /// [`PacketClassifier::remove`]. Failed updates change neither.
+    /// Wrappers report their inner engine's epoch. None of them reads it
+    /// to stay coherent: a wrapper owns every update to its inner engine
+    /// ([`CachedEngine`] invalidates its entries inside its own
+    /// `insert` / `remove`), so nothing changes the rule set behind it.
     ///
     /// Build-once backends never update, so the default (constant 0) is
     /// correct for them.
@@ -492,9 +455,10 @@ mod tests {
     }
 
     #[test]
-    fn verdict_is_forty_bytes() {
-        // Every batch output vector and pipeline chunk holds these.
-        assert_eq!(std::mem::size_of::<Verdict>(), 40);
+    fn verdict_is_twenty_eight_bytes() {
+        // Every batch output vector and pipeline chunk holds these; the
+        // match is stored once, as `rule` / `priority`.
+        assert_eq!(std::mem::size_of::<Verdict>(), 28);
     }
 
     #[test]
@@ -510,7 +474,6 @@ mod tests {
         };
         let h = Verdict::hit(handle, Action::Drop, 3);
         assert!(h.is_hit());
-        // The shim fields can never diverge from the handle.
         assert_eq!(h.rule, Some(RuleId(4)));
         assert_eq!(h.priority, Some(Priority(2)));
         assert_eq!(h.matched(), Some(handle));
@@ -536,14 +499,12 @@ mod tests {
         let t = s + s;
         assert_eq!(t.packets, 4);
         assert_eq!(t.mem_reads, 32);
-        // A pegged counter saturates in every fold, rates included.
+        // A pegged counter saturates in every fold.
         let pegged = LookupStats {
-            cache_hits: u64::MAX,
-            cache_misses: 1,
+            mem_reads: u64::MAX,
             ..Default::default()
         };
-        assert!((pegged.cache_hit_rate() - 1.0).abs() < 1e-12);
-        assert_eq!((pegged + pegged).cache_hits, u64::MAX);
+        assert_eq!((pegged + pegged).mem_reads, u64::MAX);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::fields::FieldFrontEnd;
 use crate::{verdict, EngineKind, PacketClassifier, Verdict};
-use spc_core::{RuleFilter, StoredRule};
+use spc_core::{Hit, RuleFilter};
 use spc_lookup::{Label, MbtConfig, SegTrieConfig};
 use spc_types::{Header, RuleSet};
 
@@ -97,8 +97,8 @@ impl PacketClassifier for OptionClassifier {
 
     fn classify(&self, h: &Header) -> Verdict {
         let ([rs, rd, rsp, rdp, rpr], mut accesses) = self.fields.lookup(h);
-        let rank = |s: &StoredRule| (s.rule.priority, s.id);
-        let mut best: Option<StoredRule> = None;
+        let rank = |h: &Hit| (h.rule.priority, h.rule_id);
+        let mut best: Option<Hit> = None;
         for a in &rs {
             for b in &rd {
                 for c in &rsp {
@@ -107,9 +107,9 @@ impl PacketClassifier for OptionClassifier {
                             let key = make_key([a, b, c, d, e].map(|x| x.label));
                             let probe = self.filter.probe(key);
                             accesses += probe.reads;
-                            if let Some(s) = probe.hit {
-                                if best.map_or(true, |x| rank(&s) < rank(&x)) {
-                                    best = Some(s);
+                            if let Some(hit) = probe.hit {
+                                if best.map_or(true, |x| rank(&hit) < rank(&x)) {
+                                    best = Some(hit);
                                 }
                             }
                         }
@@ -117,7 +117,7 @@ impl PacketClassifier for OptionClassifier {
                 }
             }
         }
-        verdict(best.as_ref().map(|s| (s.id, &s.rule)), accesses)
+        verdict(best.as_ref().map(|h| (h.rule_id, &h.rule)), accesses)
     }
 
     fn memory_bits(&self) -> u64 {

@@ -20,9 +20,8 @@
 //! * [`EngineSource`] — how workers get an engine: one read-only engine
 //!   shared behind `Arc` (cheap in memory, but workers go through the
 //!   single-shot `classify` path), or one replica per worker (N× the
-//!   memory, but each worker runs its replica's own `classify_batch`,
-//!   with full batch accounting). See `docs/ingest_pipeline.md` for the
-//!   trade-off in numbers. A third shape rides on [`IngestPipeline::from_workers`]:
+//!   memory, but each worker runs its replica's own `classify_batch`).
+//!   See `docs/ingest_pipeline.md` for the trade-off in numbers. A third shape rides on [`IngestPipeline::from_workers`]:
 //!   [`crate::SnapshotReader`] workers over a live
 //!   [`crate::SnapshotEngine`], which re-resolve the published rule-set
 //!   snapshot once per chunk so the pool keeps serving lock-free while a
@@ -32,8 +31,9 @@
 //!   verdicts merge. It lives here so the sharded backend shares the
 //!   pool machinery instead of duplicating it.
 //!
-//! Per-worker [`LookupStats`] always fold with the `Copy + Add` impl;
-//! that contract is what lets every topology report one aggregate.
+//! An [`IngestPipeline`]'s per-worker [`LookupStats`] fold with the
+//! `Copy + Add` impl into one aggregate; [`broadcast_batch`] folds none,
+//! since every worker sees every header.
 //!
 //! # Example
 //!
@@ -77,7 +77,7 @@ pub const DEFAULT_CHUNK: usize = 1024;
 /// chunk, so that per-worker stats fold correctly with `+`.
 ///
 /// Every `Box<dyn PacketClassifier>` is a `BatchWorker` (via its
-/// amortised `classify_batch`); so is each worker of an
+/// `classify_batch`); so is each worker of an
 /// [`EngineSource::Shared`] pool over its `Arc`'d engine, and so are
 /// `ShardedEngine`'s shards (which remap verdicts to global rule-id space
 /// on the way out).
@@ -95,11 +95,10 @@ impl BatchWorker for Box<dyn PacketClassifier> {
 /// A worker that classifies through a shared read-only engine.
 ///
 /// The engine is behind `Arc`, so lookups go through the `&self`
-/// single-shot [`PacketClassifier::classify`] path — no
-/// `combos_probed` accounting, in exchange for not replicating the
-/// structure per worker. (A configurable engine's single-shot lookup
-/// works in a per-thread scratch, so each worker thread still reuses
-/// its buffers.)
+/// single-shot [`PacketClassifier::classify`] path, in exchange for
+/// not replicating the structure per worker. (A configurable engine's
+/// single-shot lookup works in a per-thread scratch, so each worker
+/// thread still reuses its buffers.)
 struct SharedWorker(Arc<dyn PacketClassifier>);
 
 impl BatchWorker for SharedWorker {
@@ -505,7 +504,8 @@ impl Drop for IngestPipeline {
 /// classifies every chunk of `headers`, and verdict chunks are folded
 /// into `out` through `merge` in arrival order (so `merge` must be
 /// commutative and associative — e.g. a best-`(priority, id)` fold).
-/// Returns the per-worker stats folded with `+`.
+/// The workers' own stats are dropped: every worker sees every header,
+/// so the caller counts the merged verdicts in `out` instead.
 ///
 /// This is `ShardedEngine`'s hash-strategy batch path, exposed so any
 /// set of heterogeneous engines can be queried-and-merged in parallel.
@@ -523,38 +523,34 @@ pub fn broadcast_batch<W, M>(
     out: &mut [Verdict],
     merge: M,
     chunk: usize,
-) -> LookupStats
-where
+) where
     W: BatchWorker,
     M: Fn(&mut Verdict, &Verdict),
 {
     assert!(!workers.is_empty(), "a broadcast needs >= 1 worker");
     assert!(out.len() >= headers.len(), "one merge slot per header");
     let chunk = chunk.max(1);
-    let (tx, rx) = mpsc::channel::<(usize, Vec<Verdict>, LookupStats)>();
-    let mut folded = LookupStats::default();
+    let (tx, rx) = mpsc::channel::<(usize, Vec<Verdict>)>();
     std::thread::scope(|scope| {
         for worker in workers.iter_mut() {
             let tx = tx.clone();
             scope.spawn(move || {
                 let mut buf = Vec::new();
                 for (ci, hunk) in headers.chunks(chunk).enumerate() {
-                    let stats = worker.process(hunk, &mut buf);
+                    worker.process(hunk, &mut buf);
                     // A send only fails if the receiver is gone, and the
                     // merge loop below outlives every worker.
-                    let _ = tx.send((ci * chunk, std::mem::take(&mut buf), stats));
+                    let _ = tx.send((ci * chunk, std::mem::take(&mut buf)));
                 }
             });
         }
         drop(tx);
-        while let Ok((offset, verdicts, stats)) = rx.recv() {
-            folded = folded + stats;
+        while let Ok((offset, verdicts)) = rx.recv() {
             for (slot, v) in out[offset..].iter_mut().zip(&verdicts) {
                 merge(slot, v);
             }
         }
     });
-    folded
 }
 
 #[cfg(test)]

@@ -17,11 +17,10 @@
 //!   hit kept. The batch path is [`pipeline::broadcast_batch`], the one
 //!   scoped topology of the shared [`crate::pipeline`] machinery: each
 //!   shard is one [`pipeline::BatchWorker`] (its inner engine's own
-//!   amortised `classify_batch`, so a configurable inner reuses its
-//!   [`spc_core::ClassifyScratch`] across the whole batch, plus the
-//!   local→global rule-id remap), every worker sees every chunk, and
-//!   remapped verdicts stream back to one merge loop. Shard structures
-//!   are smaller and (given cores) run concurrently.
+//!   `classify_batch` plus the local→global rule-id remap), every
+//!   worker sees every chunk, and remapped verdicts stream back to one
+//!   merge loop. Shard structures are smaller and (given cores) run
+//!   concurrently.
 //! * [`ShardStrategy::PriorityBands`] — a partition, not a machine:
 //!   bands are totally ordered by `(priority, global id)`, so a hit in
 //!   band `k` cannot be beaten by any later band and the lookup stops at
@@ -43,8 +42,8 @@
 use crate::pipeline::{self, BatchWorker};
 use crate::shard::{RouteTarget, RuleLocation, ShardRouter, ShardStrategy};
 use crate::{
-    classify_each, BuildError, EngineBuilder, EngineKind, LookupStats, MatchHandle,
-    PacketClassifier, UpdateError, UpdateReport, Verdict,
+    classify_each, BuildError, EngineBuilder, EngineKind, LookupStats, PacketClassifier,
+    UpdateError, UpdateReport, Verdict,
 };
 use spc_types::{Header, Rule, RuleId, RuleSet};
 
@@ -71,15 +70,10 @@ impl Shard {
         })
     }
 
-    /// Rewrites a shard-local verdict into global rule-id space (both
-    /// the shim `rule` field and the [`MatchHandle`] it mirrors).
+    /// Rewrites a shard-local verdict into global rule-id space.
     pub(crate) fn remap(&self, v: Verdict) -> Verdict {
         Verdict {
             rule: v.rule.map(|id| self.global_ids[id.0 as usize]),
-            matched: v.matched.map(|m| MatchHandle {
-                id: self.global_ids[m.id.0 as usize],
-                ..m
-            }),
             ..v
         }
     }
@@ -131,7 +125,7 @@ pub(crate) fn report_for(raw: Option<UpdateReport>, rule_id: RuleId) -> UpdateRe
     }
 }
 
-/// A shard is one pool worker: the inner engine's amortised batch path,
+/// A shard is one pool worker: the inner engine's batch path,
 /// with every verdict remapped into global rule-id space on the way out.
 impl BatchWorker for Shard {
     fn process(&mut self, headers: &[Header], out: &mut Vec<Verdict>) -> LookupStats {
@@ -203,7 +197,6 @@ impl ShardedEngine {
             into.rule = from.rule;
             into.priority = from.priority;
             into.action = from.action;
-            into.matched = from.matched;
         }
     }
 }
@@ -260,9 +253,6 @@ impl PacketClassifier for ShardedEngine {
     /// verdicts' reads — for hash shards that is every shard's reads for
     /// every header (N parallel hardware engines all do the work); for
     /// priority bands only the bands a header actually visited.
-    /// `combos_probed` is the per-shard fold on the hash path and 0 on
-    /// the band path, as on every `&self` lookup path (nothing in the
-    /// repository reads it from a sharded engine).
     fn classify_batch(&mut self, headers: &[Header], out: &mut Vec<Verdict>) -> LookupStats {
         out.clear();
         if headers.is_empty() {
@@ -279,7 +269,7 @@ impl PacketClassifier for ShardedEngine {
         }
 
         out.resize(headers.len(), Verdict::miss(0));
-        let folded = pipeline::broadcast_batch(
+        pipeline::broadcast_batch(
             &mut self.shards,
             headers,
             out,
@@ -290,9 +280,6 @@ impl PacketClassifier for ShardedEngine {
             packets: headers.len() as u64,
             hits: out.iter().filter(|v| v.is_hit()).count() as u64,
             mem_reads: out.iter().map(|v| u64::from(v.mem_reads)).sum(),
-            combos_probed: folded.combos_probed,
-            cache_hits: folded.cache_hits,
-            cache_misses: folded.cache_misses,
         }
     }
 
@@ -400,7 +387,7 @@ impl PacketClassifier for ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EngineBuilder;
+    use crate::{EngineBuilder, MatchHandle};
     use spc_types::{Action, PortRange, Priority, ProtoSpec, Rule, RuleSet};
 
     fn rules(n: u32) -> RuleSet {

@@ -134,8 +134,8 @@ impl ScenarioReport {
 }
 
 /// Drives one engine through a mixed classify/update workload,
-/// sequentially and in stream order: header chunks go through the
-/// amortised [`PacketClassifier::classify_batch`] (verdicts appended to
+/// sequentially and in stream order: header chunks go through
+/// [`PacketClassifier::classify_batch`] (verdicts appended to
 /// `verdicts`), insert events through [`PacketClassifier::insert`] with
 /// the engine-assigned [`RuleId`]s recorded, and remove events resolve
 /// the source's insert index through that record. Duplicate inserts —

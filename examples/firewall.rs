@@ -72,11 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("  {:<16} {misses} (default-drop)", "miss");
 
-    println!(
-        "\navg {:.1} memory reads/packet; {:.2} rule-filter combinations probed/packet",
-        stats.avg_mem_reads(),
-        stats.combos_probed as f64 / stats.packets as f64,
-    );
+    println!("\navg {:.1} memory reads/packet", stats.avg_mem_reads());
 
     // The capture round-trips: replayed traffic is the original trace.
     let original = workload.generate(&rules, 5_000);

@@ -8,7 +8,7 @@
 //!
 //! 1. sequential `classify_batch` on one engine (the baseline);
 //! 2. `IngestPipeline` over per-worker engine replicas (each worker runs
-//!    the amortised batch path with private scratch);
+//!    its own replica's batch path);
 //! 3. `IngestPipeline` over one shared read-only engine behind `Arc`
 //!    (lowest memory; workers use the single-shot lookup path);
 //!
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let builder = EngineBuilder::from_spec(SPEC)?;
     println!("{} rules ({SPEC}), {} headers", rules.len(), traffic.len());
 
-    // 1. Baseline: one engine, sequential amortised batch path.
+    // 1. Baseline: one engine, sequential batch path.
     let mut sequential = builder.build(&rules)?;
     let mut want: Vec<Verdict> = Vec::new();
     let t0 = Instant::now();

@@ -61,16 +61,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // The batch path reuses scratch buffers and aggregates accounting.
+    // The batch path aggregates accounting.
     let batch: Vec<Header> = packets.iter().cycle().take(4096).copied().collect();
     let mut verdicts = Vec::new();
     let stats = engine.classify_batch(&batch, &mut verdicts);
     println!(
-        "\nbatch of {}: {:.1}% hits, {:.2} memory reads/packet, {} rule-filter probes",
+        "\nbatch of {}: {:.1}% hits, {:.2} memory reads/packet",
         stats.packets,
         100.0 * stats.hit_rate(),
         stats.avg_mem_reads(),
-        stats.combos_probed,
     );
     println!(
         "engine memory: {} bits for {} rules",

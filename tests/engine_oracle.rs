@@ -54,6 +54,7 @@ fn check_family(kind: FilterKind) {
             );
             assert_eq!(got.priority, want.priority, "{engine_kind} priority at {h}");
             assert_eq!(got.action, want.action, "{engine_kind} action at {h}");
+            assert_eq!(got.matched(), want.matched(), "{engine_kind} handle at {h}");
             // And the single-shot path agrees with the batch path.
             let single = engine.classify(h);
             assert_eq!(

@@ -49,7 +49,7 @@ fn assert_verdicts_match(kind: EngineKind, got: &[Verdict], want: &[Verdict], ct
     if kind == EngineKind::Cached {
         assert_eq!(got.len(), want.len(), "{kind}: {ctx}: length");
         for (i, (g, w)) in got.iter().zip(want).enumerate() {
-            assert_eq!(g.matched, w.matched, "{kind}: {ctx}: packet {i}");
+            assert_eq!(g.matched(), w.matched(), "{kind}: {ctx}: packet {i}");
             assert_eq!(g.action, w.action, "{kind}: {ctx}: packet {i}");
         }
     } else {
