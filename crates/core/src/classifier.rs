@@ -129,11 +129,13 @@ struct Installed {
 ///
 /// One lookup needs the seven phase-2 label lists plus (in
 /// [`CombineStrategy::PriorityProbe`] mode) the five priority-ordered
-/// lists the box walk runs over and the partial keys of the box being
-/// walked. A caller that keeps one of these allocates nothing per lookup
-/// once the buffers have grown to the longest lists seen (the partial
-/// keys to their fixed bound); [`Classifier::classify`] keeps one per
-/// thread.
+/// lists the box walk runs over and its level products: the partial
+/// keys of levels `l..` inside the priority box, 24 bytes each. A level
+/// holds `∏_{j≥l} hi_j` of them, no more than the combinations the
+/// lookup probes, so a caller that keeps one of these allocates nothing
+/// per lookup once every buffer has grown to the largest box seen — and
+/// keeps that much: a 300 × 300-combination box leaves about 4 MB here.
+/// [`Classifier::classify`] keeps one per thread.
 #[derive(Debug, Default)]
 pub struct ClassifyScratch {
     /// Phase-2 output: one label list per dimension, refilled in place
@@ -146,16 +148,46 @@ pub struct ClassifyScratch {
     /// engines emit the paper's Table IV hardware order instead — with
     /// every label shifted to its place in the merged key.
     placed: [Vec<Placed>; LEVELS.len()],
-    /// `BoxWalk::probe_box`'s two levels of partial keys.
-    partial: [Partials; 2],
+    /// Per level `l`, the partial keys level `l`'s labels extend: those
+    /// of levels `l + 1..` inside the box walked so far (the last level
+    /// holds only the empty key).
+    below: [Partials; LEVELS.len()],
+    /// Partial keys the last box walk hashed.
+    hashed: usize,
 }
 
-/// One level of a box's expansion: partial merged keys and, at the same
-/// index, the hash state over the key bytes each one completes.
+/// Partial merged keys and, at the same index, the hash state over the
+/// key bytes each one completes.
 #[derive(Debug, Default)]
 struct Partials {
     keys: Vec<u128>,
     states: Vec<u64>,
+}
+
+impl Partials {
+    /// Appends every key of `keys` ORed with every label, label-major,
+    /// its state advanced over the bytes the label completes.
+    fn extend(
+        &mut self,
+        labels: &[Placed],
+        keys: &[u128],
+        states: &[u64],
+        absorb: impl Fn(u64, u128) -> u64,
+    ) {
+        let Partials {
+            keys: out,
+            states: out_states,
+        } = self;
+        out.reserve(labels.len() * keys.len());
+        out_states.reserve(labels.len() * keys.len());
+        for label in labels {
+            for (&key, &state) in keys.iter().zip(states) {
+                let key = key | label.bits;
+                out.push(key);
+                out_states.push(absorb(state, key));
+            }
+        }
+    }
 }
 
 /// One label (or hi/lo pair of labels) of a priority-ordered list, at its
@@ -202,10 +234,6 @@ fn pack_label(prefix: u128, width: u8, label: Label) -> u128 {
     (prefix << width) | u128::from(label.0)
 }
 
-/// The most partial keys [`BoxWalk::probe_box`] holds at once; a box
-/// with more combinations of its last six dimensions is probed in halves.
-const MAX_PARTIAL_KEYS: usize = 1024;
-
 /// Evaluates `$body` with `$absorb` bound to a `(state, key) -> state`
 /// closure absorbing the byte range `$bytes` of `key`. The key layouts
 /// absorb 0, 1, 3, 4 or 5 bytes per level; each of those widths gets its
@@ -246,120 +274,41 @@ macro_rules! with_absorb {
     }};
 }
 
-/// Expands `cur` by one level into `next`: every partial key ORed with
-/// every label, label-major, the hash state advanced over the bytes the
-/// label completes.
-fn expand(
+/// Probes every level-0 label ORed onto every partial key of `keys`,
+/// the last key bytes absorbed, and returns the `(priority, id)`-best of
+/// `best` and the hits found with the Rule Filter reads they cost. A
+/// home slot that is free costs its one read without a
+/// [`RuleFilter::probe_at`].
+fn probe_keys(
+    filter: &RuleFilter,
+    key_bytes: usize,
     labels: &[Placed],
-    cur: &Partials,
-    next: &mut Partials,
+    keys: &[u128],
+    states: &[u64],
     absorb: impl Fn(u64, u128) -> u64,
-) {
-    let Partials { keys, states } = next;
-    keys.clear();
-    states.clear();
+    mut best: Option<Hit>,
+) -> (Option<Hit>, u32) {
+    let hash = filter.hash_unit();
+    let mut reads = 0;
     for label in labels {
-        let start = keys.len();
-        keys.extend(cur.keys.iter().map(|&key| key | label.bits));
-        states.extend(
-            keys[start..]
-                .iter()
-                .zip(&cur.states)
-                .map(|(&key, &state)| absorb(state, key)),
-        );
-    }
-}
-
-/// The accumulating state of one [`Classifier::priority_probe`]: the
-/// priority-ordered lists, the key layout, the scratch partial keys are
-/// expanded in, and the running `(best hit, reads, combinations)` triple.
-struct BoxWalk<'a> {
-    filter: &'a RuleFilter,
-    levels: &'a [Vec<Placed>; LEVELS.len()],
-    /// Per level, the key bytes the hash absorbs when its label joins
-    /// ([`Classifier::key_layout`]).
-    absorbs: [Range<usize>; LEVELS.len()],
-    partial: &'a mut [Partials; 2],
-    best: Option<Hit>,
-    reads: u32,
-    combos: u32,
-}
-
-impl BoxWalk<'_> {
-    /// Probes every combination of the index box `ranges` (one index
-    /// range per level): the hash absorbs a key from its low byte up and
-    /// level 0 sits in the top bits, so what lies below it is hashed once
-    /// per combination of the other levels. The box is expanded last
-    /// level first, each step turning every `(key bits so far, hash state
-    /// over the bytes they complete)` into one per label of the next
-    /// level up; the final step ORs a level-0 label in, absorbs the bytes
-    /// it touches and probes. Every loop runs over labels outside and
-    /// partial keys inside, with the absorb's width fixed per level
-    /// (`with_absorb!`); a home slot that is free costs its one read
-    /// without a [`RuleFilter::probe_at`].
-    fn probe_box(&mut self, ranges: &[Range<usize>; LEVELS.len()]) {
-        if ranges.iter().any(Range::is_empty) {
-            return;
-        }
-        let partial_keys = ranges[1..]
-            .iter()
-            .fold(1usize, |n, r| n.saturating_mul(r.len()));
-        if partial_keys > MAX_PARTIAL_KEYS {
-            // Order is irrelevant, so a box is the sum of its halves.
-            let mut widest = 1;
-            for l in 2..LEVELS.len() {
-                if ranges[l].len() > ranges[widest].len() {
-                    widest = l;
+        for (&key, &state) in keys.iter().zip(states) {
+            let key = key | label.bits;
+            let home = hash.finish(absorb(state, key), key_bytes);
+            if filter.is_free(home) {
+                reads += 1;
+                continue;
+            }
+            let probe = filter.probe_at(home, key);
+            reads += probe.reads;
+            if let Some(hit) = probe.hit {
+                let rank = |h: &Hit| (h.rule.priority, h.rule_id.0);
+                if best.map_or(true, |held| rank(&hit) < rank(&held)) {
+                    best = Some(hit);
                 }
             }
-            let Range { start, end } = ranges[widest];
-            let mid = start + (end - start) / 2;
-            for half in [start..mid, mid..end] {
-                let mut ranges = ranges.clone();
-                ranges[widest] = half;
-                self.probe_box(&ranges);
-            }
-            return;
         }
-        let [cur, next] = &mut *self.partial;
-        cur.keys.clear();
-        cur.keys.push(0);
-        cur.states.clear();
-        cur.states.push(HashUnit::SEED);
-        for l in (1..LEVELS.len()).rev() {
-            let labels = &self.levels[l][ranges[l].clone()];
-            with_absorb!(self.absorbs[l].clone(), |absorb| {
-                expand(labels, cur, next, absorb);
-            });
-            std::mem::swap(cur, next);
-        }
-        let (filter, hash) = (self.filter, self.filter.hash_unit());
-        let labels = &self.levels[0][ranges[0].clone()];
-        let key_bytes = self.absorbs[0].end;
-        let mut reads = 0;
-        with_absorb!(self.absorbs[0].clone(), |absorb| {
-            for label in labels {
-                for (&key, &state) in cur.keys.iter().zip(&cur.states) {
-                    let key = key | label.bits;
-                    let home = hash.finish(absorb(state, key), key_bytes);
-                    if filter.is_free(home) {
-                        reads += 1;
-                        continue;
-                    }
-                    let probe = filter.probe_at(home, key);
-                    reads += probe.reads;
-                    if let Some(hit) = probe.hit {
-                        let rank = |h: &Hit| (h.rule.priority, h.rule_id.0);
-                        if self.best.map_or(true, |held| rank(&hit) < rank(&held)) {
-                            self.best = Some(hit);
-                        }
-                    }
-                }
-            }
-        });
-        self.reads += reads;
-        self.combos += (cur.keys.len() * labels.len()) as u32;
     }
+    (best, reads)
 }
 
 /// The configurable label-based packet classifier.
@@ -850,15 +799,29 @@ impl Classifier {
     /// in the box `E = {c : bound(c) <= p*}` (every combination on a
     /// miss), and nothing outside `E` need be probed. With the five lists
     /// in priority order `{c : bound(c) <= t}` is an index box `[0, hi_l)`
-    /// per list, so `E` is walked as nested loops, one shell per distinct
-    /// bound `t` in ascending order, stopping at the first `t` that a hit
-    /// already found beats. The result, the reads and the count depend on
-    /// `E` alone, not on the order it is visited in.
+    /// per list, so `E` is walked one shell `box(hi) \ box(lo)` per
+    /// distinct bound `t` in ascending order, stopping at the first `t`
+    /// that a hit already found beats. The result, the reads and the
+    /// count depend on `E` alone, not on the order it is visited in.
+    ///
+    /// The hash absorbs a key from its low byte up and level 0 sits in
+    /// the top bits, so the walk keeps, per level `l >= 1`, the *level
+    /// product* `P_l`: every partial key of levels `l..` inside the box
+    /// with its hash state, append-only within a lookup. A shell grows
+    /// the levels from the last up: level `k`'s new labels `N_k` extend
+    /// all of `P_{k+1}` into `P_k`, the new partial keys extend through
+    /// the old ranges `[0, lo_l)` of the levels above, and reaching level
+    /// 0 they are probed against its old labels; level 0's new labels
+    /// are probed against all of `P_1` last. Those pieces tile the shell,
+    /// so every partial key is hashed once and every combination of `E`
+    /// probed once. Every loop runs over labels outside and partial keys
+    /// inside, with the absorb's width fixed per level (`with_absorb!`).
     fn priority_probe(&self, scratch: &mut ClassifyScratch) -> (Option<Hit>, u32, u32) {
         let ClassifyScratch {
             lists,
             placed,
-            partial,
+            below,
+            hashed,
         } = scratch;
         let (shifts, absorbs) = self.key_layout();
         let place = |d: usize, e: &LabelEntry| Placed {
@@ -889,19 +852,20 @@ impl Classifier {
             level.sort_unstable_by_key(|l| (l.priority, l.bits));
         }
         let levels: &[Vec<Placed>; LEVELS.len()] = placed;
+        *hashed = 0;
         if levels.iter().any(Vec::is_empty) {
             // No rule can match, as with an empty dimension.
             return (None, 0, 0);
         }
-        let mut walk = BoxWalk {
-            filter: &self.rule_filter,
-            levels,
-            absorbs,
-            partial,
-            best: None,
-            reads: 0,
-            combos: 0,
-        };
+        for partials in below.iter_mut() {
+            partials.keys.clear();
+            partials.states.clear();
+        }
+        let last = &mut below[LEVELS.len() - 1];
+        last.keys.push(0);
+        last.states.push(HashUnit::SEED);
+        let (filter, key_bytes) = (&self.rule_filter, absorbs[0].end);
+        let (mut best, mut reads, mut combos): (Option<Hit>, _, _) = (None, 0, 0);
         // `box(lo)` is probed; each round grows it to `box(hi)`, the
         // combinations of bound <= `t`. The first `t` is the all-heads
         // combination's bound.
@@ -912,21 +876,42 @@ impl Classifier {
             .map(|e| e.priority)
             .max();
         while let Some(t) = threshold {
-            if walk.best.is_some_and(|s| s.rule.priority < t) {
+            if best.is_some_and(|s| s.rule.priority < t) {
                 break; // every combination left is provably worse
             }
             let mut hi = lo;
             for (h, list) in hi.iter_mut().zip(levels) {
                 *h += list[*h..].partition_point(|e| e.priority <= t);
             }
-            // The shell `box(hi) \ box(lo)` as disjoint boxes: `pivot` is
-            // the first level whose index is at or past `lo`.
-            for pivot in 0..LEVELS.len() {
-                walk.probe_box(&std::array::from_fn(|l| match l.cmp(&pivot) {
-                    std::cmp::Ordering::Less => 0..lo[l],
-                    std::cmp::Ordering::Equal => lo[l]..hi[l],
-                    std::cmp::Ordering::Greater => 0..hi[l],
-                }));
+            // The shell's piece led by level `k`: its new labels, the
+            // levels after it whole, the levels before it at `lo`.
+            for k in (0..LEVELS.len()).rev() {
+                let (mut labels, mut from) = (lo[k]..hi[k], 0..below[k].keys.len());
+                for l in (0..=k).rev() {
+                    if labels.is_empty() || from.is_empty() {
+                        break;
+                    }
+                    let labels_l = &levels[l][labels];
+                    if l == 0 {
+                        let (keys, states) = (&below[0].keys[from.clone()], &below[0].states[from]);
+                        with_absorb!(absorbs[0].clone(), |absorb| {
+                            let probed =
+                                probe_keys(filter, key_bytes, labels_l, keys, states, absorb, best);
+                            best = probed.0;
+                            reads += probed.1;
+                        });
+                        combos += (keys.len() * labels_l.len()) as u32;
+                        break;
+                    }
+                    let (into, src) = below.split_at_mut(l);
+                    let (into, src) = (&mut into[l - 1], &src[0]);
+                    let start = into.keys.len();
+                    with_absorb!(absorbs[l].clone(), |absorb| {
+                        into.extend(labels_l, &src.keys[from.clone()], &src.states[from], absorb);
+                    });
+                    *hashed += into.keys.len() - start;
+                    (labels, from) = (0..lo[l - 1], start..into.keys.len());
+                }
             }
             lo = hi;
             // The next bound up: the best priority just outside the box.
@@ -937,7 +922,7 @@ impl Classifier {
                 .map(|e| e.priority)
                 .min();
         }
-        (walk.best, walk.reads, walk.combos)
+        (best, reads, combos)
     }
 
     /// Switches the IP lookup algorithm at run time (the `IPalg_s`
@@ -1198,8 +1183,13 @@ mod tests {
         assert_eq!(widths.into_iter().collect::<Vec<_>>(), [0, 1, 3, 4, 5]);
     }
 
-    #[test]
-    fn priority_probe_walks_exactly_the_priority_box() {
+    /// A check of the walk over one classifier and its trace.
+    type BoxCheck = fn(&Classifier, &[Header], &str);
+
+    /// Runs `check` over the box oracle's matrix: every key layout,
+    /// family and `IpAlg`, with distinct and shared priorities, each
+    /// before and after churn and with a `/0` rule in and out.
+    fn for_box_matrix(check: BoxCheck) {
         for (layout, config) in box_layouts() {
             for kind in [FilterKind::Acl, FilterKind::Fw, FilterKind::Ipc] {
                 for alg in [IpAlg::Bst, IpAlg::Mbt] {
@@ -1207,11 +1197,12 @@ mod tests {
                         let what = format!(
                             "{layout}/{kind:?}/{alg:?}/shared_priorities={shared_priorities}"
                         );
-                        walks_the_box_before_and_after_churn(
+                        check_before_and_after_churn(
                             config.clone().with_ip_alg(alg),
                             kind,
                             shared_priorities,
                             &what,
+                            check,
                         );
                     }
                 }
@@ -1219,11 +1210,71 @@ mod tests {
         }
     }
 
-    fn walks_the_box_before_and_after_churn(
+    #[test]
+    fn priority_probe_walks_exactly_the_priority_box() {
+        for_box_matrix(assert_matches_box_oracle);
+    }
+
+    #[test]
+    fn priority_probe_hashes_each_partial_key_once() {
+        for_box_matrix(assert_hashes_each_partial_key_once);
+    }
+
+    /// With `hi_j` the entries of placed level `j` at or better than the
+    /// HPMR's priority (the whole list on a miss), the walk ends at the
+    /// box `∏_j [0, hi_j)`: it must have probed each of its combinations
+    /// once and hashed each partial key of each level product `P_l`
+    /// (`l >= 1`) once — `Σ_l ∏_{j≥l} hi_j` in all, however many shells
+    /// the box grew in.
+    fn assert_hashes_each_partial_key_once(cls: &Classifier, trace: &[Header], what: &str) {
+        let mut scratch = ClassifyScratch::new();
+        let mut multi_shell = 0;
+        for h in trace {
+            let c = cls.classify_with(h, &mut scratch);
+            if c.combos_probed == 0 {
+                continue;
+            }
+            let p_star = c.hit.map(|x| x.rule.priority);
+            let in_box = |e: &&Placed| p_star.map_or(true, |p| e.priority <= p);
+            let hi: Vec<usize> = scratch
+                .placed
+                .iter()
+                .map(|level| level.iter().filter(in_box).count())
+                .collect();
+            let products = (1..LEVELS.len()).map(|l| hi[l..].iter().product::<usize>());
+            assert_eq!(
+                scratch.hashed,
+                products.sum::<usize>(),
+                "{what}, header {h}"
+            );
+            assert_eq!(
+                c.combos_probed as usize,
+                hi.iter().product::<usize>(),
+                "{what}, header {h}"
+            );
+            // Shells: the distinct bounds from the all-heads one up.
+            let first = scratch.placed.iter().map(|level| level[0].priority).max();
+            let bounds: std::collections::BTreeSet<_> = scratch
+                .placed
+                .iter()
+                .flat_map(|level| level.iter().filter(in_box))
+                .map(|e| e.priority)
+                .filter(|&p| Some(p) >= first)
+                .collect();
+            multi_shell += usize::from(bounds.len() > 1);
+        }
+        assert!(
+            multi_shell > 0,
+            "{what}: no box grows in more than one shell"
+        );
+    }
+
+    fn check_before_and_after_churn(
         config: ArchConfig,
         kind: FilterKind,
         shared_priorities: bool,
         what: &str,
+        check: BoxCheck,
     ) {
         let rules = RuleSetGenerator::new(kind, 400).seed(11).generate();
         let pool = RuleSetGenerator::new(kind, 64).seed(12).generate();
@@ -1249,7 +1300,7 @@ mod tests {
         let mut cls = Classifier::new(config);
         let mut live = cls.load(&rules).unwrap();
         let trace = probe_trace(&rules, 5);
-        assert_matches_box_oracle(&cls, &trace, what);
+        check(&cls, &trace, what);
 
         // 32-rule churn: 16 out, 16 (non-duplicate) in.
         let mut rng = StdRng::seed_from_u64(13);
@@ -1269,7 +1320,7 @@ mod tests {
             }
         }
         assert_eq!(inserted, 16, "{what}: pool too small");
-        assert_matches_box_oracle(&cls, &trace, &format!("{what} after churn"));
+        check(&cls, &trace, &format!("{what} after churn"));
 
         // A rule with `/0` addresses that beats every other moves each
         // wildcard register's priority up, and its removal moves it back.
@@ -1288,12 +1339,12 @@ mod tests {
             let register = cls.dims[d].wildcard.expect("every /0 is live");
             assert_eq!(register.priority, Priority(0), "{what}: dimension {d}");
         }
-        assert_matches_box_oracle(&cls, &trace, &format!("{what} with a /0 rule"));
+        check(&cls, &trace, &format!("{what} with a /0 rule"));
         cls.remove(wild.rule_id).unwrap();
         assert!(cls.dims[..4]
             .iter()
             .all(|u| u.wildcard.map_or(true, |e| e.priority > Priority(0))));
-        assert_matches_box_oracle(&cls, &trace, &format!("{what} without it"));
+        check(&cls, &trace, &format!("{what} without it"));
     }
 
     #[test]
@@ -1341,12 +1392,11 @@ mod tests {
         Header::new(src.into(), [99, 99, 99, 99].into(), 5000, dport, proto)
     }
 
-    #[test]
-    fn priority_probe_survives_wide_label_lists() {
-        // More than 256 labels in one dimension: combination indices must
-        // not be limited to u8. The only fully matching rule sits at list
-        // index 299 of two dimensions and is the worst-priority one, so
-        // proving it is the HPMR takes the whole lattice.
+    /// A classifier whose two port dimensions each return 300 labels for
+    /// its header: the only fully matching rule sits at list index 299 of
+    /// both and is the worst-priority one, so proving it is the HPMR takes
+    /// the whole 300 × 300 lattice.
+    fn wide_lists() -> (Classifier, Header) {
         let mut cls = Classifier::new(ArchConfig::large());
         let n: u16 = 300;
         for i in 0..n {
@@ -1360,11 +1410,52 @@ mod tests {
             cls.insert(r).unwrap();
         }
         let h = Header::new([1, 1, 1, 1].into(), [2, 2, 2, 2].into(), 1000, 2000, 6);
+        (cls, h)
+    }
+
+    #[test]
+    fn priority_probe_survives_wide_label_lists() {
+        // More than 256 labels in one dimension: combination indices must
+        // not be limited to u8.
+        let (cls, h) = wide_lists();
         let c = cls.classify(&h);
-        assert_eq!(c.hit.unwrap().rule.priority, Priority(u32::from(n) - 1));
+        assert_eq!(c.hit.unwrap().rule.priority, Priority(299));
         let lattice: usize = label_lists(&cls, &h).iter().map(LabelList::len).product();
         assert_eq!(lattice, 300 * 300);
         assert_eq!(c.combos_probed as usize, lattice);
+    }
+
+    #[test]
+    fn priority_probe_scratch_carries_nothing_between_lookups() {
+        // The level products a lookup leaves in its scratch — 300 × 300
+        // partial keys after the wide box — must never reach the next
+        // lookup, whichever of a wide and an ordinary box comes first.
+        let (wide, wide_h) = wide_lists();
+        let rules = RuleSetGenerator::new(FilterKind::Acl, 400)
+            .seed(21)
+            .generate();
+        let mut acl = Classifier::new(ArchConfig::large());
+        acl.load(&rules).unwrap();
+        let trace = probe_trace(&rules, 22);
+        let fresh =
+            |cls: &Classifier, h: &Header| cls.classify_with(h, &mut ClassifyScratch::new());
+        let want_wide = fresh(&wide, &wide_h);
+        let want: Vec<_> = trace.iter().map(|h| fresh(&acl, h)).collect();
+        let mut scratch = ClassifyScratch::new();
+        for round in 0..2 {
+            assert_eq!(
+                wide.classify_with(&wide_h, &mut scratch),
+                want_wide,
+                "round {round}"
+            );
+            for (h, want) in trace.iter().zip(&want) {
+                assert_eq!(
+                    &acl.classify_with(h, &mut scratch),
+                    want,
+                    "round {round}, {h}"
+                );
+            }
+        }
     }
 
     #[test]
