@@ -266,6 +266,9 @@ struct FlowTable<K> {
     /// Slots the update paths looked at (chain walks, sweeps, clears).
     #[cfg(test)]
     visited: u64,
+    /// Lookups of a key ([`FlowTable::get`] calls).
+    #[cfg(test)]
+    probed: u64,
 }
 
 impl<K: FlowKey> FlowTable<K> {
@@ -281,6 +284,8 @@ impl<K: FlowKey> FlowTable<K> {
             invalidated: 0,
             #[cfg(test)]
             visited: 0,
+            #[cfg(test)]
+            probed: 0,
         }
     }
 
@@ -364,6 +369,10 @@ impl<K: FlowKey> FlowTable<K> {
     /// Probes for `key`; a hit that is still current sets the reference
     /// bit and returns the cached verdict.
     fn get(&mut self, key: &K, log: &InsertLog) -> Option<Verdict> {
+        #[cfg(test)]
+        {
+            self.probed += 1;
+        }
         let home = self.home(key);
         for i in 0..PROBE_WINDOW {
             let idx = (home + i) & self.mask;
@@ -700,7 +709,7 @@ impl PacketClassifier for CachedEngine {
         verdict
     }
 
-    /// Two-pass batch: probe every header, batch only the misses into
+    /// Two-pass batch: probe the headers, batch only the misses into
     /// the inner engine's batch path, then merge and populate. A
     /// repeat of a flow that is *already pending* in the miss list is
     /// deduplicated — it never reaches the inner engine and is served as
@@ -708,33 +717,73 @@ impl PacketClassifier for CachedEngine {
     /// cache still amortises a high-locality batch. With flow locality
     /// most headers never reach the inner engine — this is where the
     /// cache's throughput win comes from.
+    ///
+    /// A run of equal headers (a packet train) costs one probe: the
+    /// headers after the first take its answer — a copy of its hit, or
+    /// its place in the miss list. That is exact, because nothing a batch
+    /// does between two probes changes what a probe finds: updates take
+    /// `&mut self`, installs wait for the second pass, and the first
+    /// probe of the run already restamped, marked or freed the slots it
+    /// found. Verdicts, stats and the slots left behind are those of
+    /// probing every header.
     fn classify_batch(&mut self, headers: &[Header], out: &mut Vec<Verdict>) -> LookupStats {
         out.clear();
+        out.reserve(headers.len());
         let state = self
             .state
             .get_mut()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        out.resize(headers.len(), Verdict::miss(0));
         self.miss_idx.clear();
         self.miss_headers.clear();
         self.pending.clear();
         self.dups.clear();
-        let mut stats = LookupStats::default();
-        for (i, h) in headers.iter().enumerate() {
+        // The hits this pass serves. Every header it serves is one read,
+        // so they and the headers left over for the inner engine are all
+        // its stats.
+        let mut hits = 0u64;
+        let mut i = 0;
+        while let Some(h) = headers.get(i) {
+            let first = i;
+            i += 1;
             if let Some(v) = state.probe(h) {
-                out[i] = v;
-                stats.absorb(&v);
-            } else if let Some(&m) = self.pending.get(h) {
-                // Already queued for the inner engine this batch: the
-                // repeat resolves here instead of costing a second
-                // inner lookup.
-                self.dups.push((i, m));
+                debug_assert_eq!(v.mem_reads, 1, "a cache hit is one read");
+                let hit = u64::from(v.is_hit());
+                out.push(v);
+                hits += hit;
+                while headers.get(i) == Some(h) {
+                    out.push(v);
+                    hits += hit;
+                    i += 1;
+                }
             } else {
-                self.pending.insert(*h, self.miss_headers.len());
-                self.miss_idx.push(i);
-                self.miss_headers.push(*h);
+                // A placeholder the second pass overwrites.
+                out.push(Verdict::miss(0));
+                let m = if let Some(&m) = self.pending.get(h) {
+                    // Already queued for the inner engine this batch: the
+                    // repeat resolves here instead of costing a second
+                    // inner lookup.
+                    self.dups.push((first, m));
+                    m
+                } else {
+                    let m = self.miss_headers.len();
+                    self.pending.insert(*h, m);
+                    self.miss_idx.push(first);
+                    self.miss_headers.push(*h);
+                    m
+                };
+                while headers.get(i) == Some(h) {
+                    out.push(Verdict::miss(0));
+                    self.dups.push((i, m));
+                    i += 1;
+                }
             }
         }
+        let served = (headers.len() - self.miss_headers.len() - self.dups.len()) as u64;
+        let mut stats = LookupStats {
+            packets: served,
+            hits,
+            mem_reads: served,
+        };
 
         if !self.miss_headers.is_empty() {
             let inner_stats = self
@@ -876,6 +925,20 @@ mod tests {
         fn visited(&self) -> u64 {
             let state = self.state.lock().unwrap();
             state.micro.visited + state.mega.as_ref().map_or(0, |m| m.visited)
+        }
+
+        /// Headers looked up in the cache so far: every probe starts in
+        /// the microflow layer.
+        fn probed(&self) -> u64 {
+            self.state.lock().unwrap().micro.probed
+        }
+
+        /// Every slot of both layers and the log, printed: two engines
+        /// that print the same serve the next batch the same.
+        fn slot_state(&self) -> String {
+            let state = self.state.lock().unwrap();
+            let mega = state.mega.as_ref().map(|m| &m.slots);
+            format!("{:?} {mega:?} {:?}", state.micro.slots, state.log)
         }
     }
 
@@ -1037,6 +1100,182 @@ mod tests {
             .proto(ProtoSpec::Exact(6))
             .action(Action::Drop)
             .build()
+    }
+
+    /// Serves `batch` on `train` and the batch with each run collapsed
+    /// to its first header on `collapsed`, and holds `train` to the
+    /// collapsed batch with every repeat given its run's verdict at one
+    /// read — verdicts, stats and the slots left behind — to one probe
+    /// per run, and to the uncached inner engine. Returns the repeats.
+    fn serve_train(
+        train: &mut CachedEngine,
+        collapsed: &mut CachedEngine,
+        batch: &[Header],
+    ) -> u64 {
+        let mut firsts = batch.to_vec();
+        firsts.dedup();
+        let probed = train.probed();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let got_stats = train.classify_batch(batch, &mut got);
+        let mut want_stats = collapsed.classify_batch(&firsts, &mut want);
+        let mut expanded: Vec<Verdict> = Vec::new();
+        let mut first = want.iter();
+        for (i, h) in batch.iter().enumerate() {
+            if i > 0 && batch[i - 1] == *h {
+                let v = Verdict {
+                    mem_reads: 1,
+                    ..expanded[i - 1]
+                };
+                want_stats.absorb(&v);
+                expanded.push(v);
+            } else {
+                expanded.extend(first.next());
+            }
+        }
+        assert_eq!(got, expanded, "verdicts");
+        assert_eq!(got_stats, want_stats, "lookup stats");
+        let folded = got.iter().fold(LookupStats::default(), |mut s, v| {
+            s.absorb(v);
+            s
+        });
+        assert_eq!(got_stats, folded, "stats of the verdicts returned");
+        assert_eq!(
+            train.probed() - probed,
+            firsts.len() as u64,
+            "one probe per run"
+        );
+        assert_eq!(
+            train.slot_state(),
+            collapsed.slot_state(),
+            "slots left behind"
+        );
+        for (h, v) in batch.iter().zip(&got) {
+            let truth = train.inner().classify(h);
+            assert_eq!(
+                (v.matched(), v.action),
+                (truth.matched(), truth.action),
+                "{h}"
+            );
+        }
+        (batch.len() - firsts.len()) as u64
+    }
+
+    /// `h` with one of its five fields changed.
+    fn nudge(h: Header, field: usize) -> Header {
+        match field {
+            0 => Header {
+                src_ip: (h.src_ip.0 ^ 1).into(),
+                ..h
+            },
+            1 => Header {
+                dst_ip: (h.dst_ip.0 ^ 1).into(),
+                ..h
+            },
+            2 => Header {
+                src_port: h.src_port ^ 1,
+                ..h
+            },
+            3 => Header {
+                dst_port: h.dst_port ^ 1,
+                ..h
+            },
+            _ => Header {
+                proto: h.proto ^ 1,
+                ..h
+            },
+        }
+    }
+
+    /// A rule over one destination port and `hdr`'s source /16,
+    /// outranking every base rule of that port.
+    fn shadow_rule(port: u16) -> Rule {
+        Rule {
+            src_ip: Prefix::parse("1.2.0.0/16").unwrap(),
+            ..port_rule(port)
+        }
+    }
+
+    #[test]
+    fn batch_serves_a_packet_train_with_one_probe() {
+        for megaflow in [true, false] {
+            let rs = rules(16);
+            let build = || {
+                let inner = build_engine("configurable-bst", &rs).unwrap();
+                CachedEngine::new(inner, 64, megaflow, rs.rules())
+            };
+            let (mut train, mut collapsed) = (build(), build());
+            let mut repeats = 0;
+            let mut serve =
+                |train: &mut CachedEngine, collapsed: &mut CachedEngine, batch: &[Header]| {
+                    repeats += serve_train(train, collapsed, batch);
+                    let (got, want) = (train.cache_stats(), collapsed.cache_stats());
+                    assert_eq!(
+                        got,
+                        CacheStats {
+                            hits: want.hits + repeats,
+                            ..want
+                        }
+                    );
+                };
+            let run = |port: u16, len: usize| std::iter::repeat(hdr(port)).take(len);
+
+            // Runs on a cold cache: eight rule hits and a miss (700),
+            // each run's first header missing.
+            let cold: Vec<Header> = [0, 1, 2, 3, 4, 5, 6, 7, 700]
+                .into_iter()
+                .zip(1..)
+                .flat_map(|(port, len)| run(port, len % 3 + 1))
+                .collect();
+            serve(&mut train, &mut collapsed, &cold);
+            // Port 3's slots are outdated by a rule nobody looked up yet.
+            for e in [&mut train, &mut collapsed] {
+                e.insert(shadow_rule(3)).unwrap();
+            }
+
+            let mut batch: Vec<Header> = Vec::new();
+            // Warm hits (700 a cached miss) in runs of every length from
+            // 1 to 20.
+            let warm = [0, 1, 2, 4, 5, 6, 7, 700];
+            for len in 1..=20 {
+                batch.extend(run(warm[len % 8], len));
+            }
+            // The outdated slot: the run's first header drops it and
+            // misses. Then cold runs, a hit and a miss, each seen again
+            // apart from its first run (through the pending list).
+            for (port, len) in [(3, 5), (11, 3), (900, 7), (11, 2), (3, 2)] {
+                batch.extend(run(port, len));
+            }
+            // Near-duplicates, each one field away from the header before
+            // it: after a warm hit, then after a pending miss.
+            for start in [hdr(1), hdr(13)] {
+                let mut h = start;
+                for field in 0..5 {
+                    batch.extend(std::iter::repeat(h).take(1 + field % 2));
+                    h = nudge(h, field);
+                }
+                batch.push(h);
+            }
+            batch.extend(run(5, 4));
+            serve(&mut train, &mut collapsed, &batch);
+            assert!(
+                train.cache_stats().invalidations > 0,
+                "the outdated slot was found"
+            );
+
+            // A follow-up batch opens with the header that closed the last
+            // one, after an insert that changes its verdict: nothing of
+            // the previous batch's run may answer for it.
+            for e in [&mut train, &mut collapsed] {
+                e.insert(shadow_rule(5)).unwrap();
+            }
+            let follow: Vec<Header> = [(5, 4), (3, 2), (0, 1), (900, 3), (5, 1)]
+                .into_iter()
+                .flat_map(|(port, len)| run(port, len))
+                .collect();
+            serve(&mut train, &mut collapsed, &follow);
+            assert!(repeats > 200, "{repeats}");
+            train.check_invariants(&(0..18).map(RuleId).collect::<Vec<_>>());
+        }
     }
 
     #[test]

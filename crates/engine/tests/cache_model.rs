@@ -1,7 +1,8 @@
 //! Stateful model test of the flow cache: a [`CachedEngine`] driven
 //! through a seeded interleaving of single-shot and batch lookups (with
-//! in-batch repeats), inserts, removes, duplicate inserts and removes of
-//! unknown ids (which must fail and change nothing), a fold-tightening
+//! in-batch repeats: packet trains and one-field near-duplicates),
+//! inserts, removes, duplicate inserts and removes of unknown ids
+//! (which must fail and change nothing), a fold-tightening
 //! insert, more live inserts than the insert log holds, and — at the
 //! small table sizes — constant eviction, is held after every step to an
 //! uncached `linear` engine built from scratch over the rules that are
@@ -77,6 +78,32 @@ fn pool(seed: u64) -> Vec<Rule> {
         .collect()
 }
 
+/// `h` one bit away in one of its five fields.
+fn nudge(h: Header, field: usize) -> Header {
+    match field {
+        0 => Header {
+            src_ip: (h.src_ip.0 ^ 1).into(),
+            ..h
+        },
+        1 => Header {
+            dst_ip: (h.dst_ip.0 ^ 1).into(),
+            ..h
+        },
+        2 => Header {
+            src_port: h.src_port ^ 1,
+            ..h
+        },
+        3 => Header {
+            dst_port: h.dst_port ^ 1,
+            ..h
+        },
+        _ => Header {
+            proto: h.proto ^ 1,
+            ..h
+        },
+    }
+}
+
 #[test]
 fn churned_cache_matches_an_uncached_engine_over_the_live_rules() {
     const BASE: usize = 40;
@@ -135,11 +162,18 @@ fn churned_cache_matches_an_uncached_engine_over_the_live_rules() {
                             assert_eq!(flushed, u64::from(megaflow), "{what}");
                         }
                         0..=1 => {
-                            // Random picks, each twice in one batch.
-                            let picks: Vec<Header> = (0..12)
-                                .map(|_| trace[rng.gen_range(0..trace.len())])
-                                .flat_map(|h| [h, h])
-                                .collect();
+                            // Random picks in trains of one to eight, some
+                            // followed by a train of a near-duplicate.
+                            let mut picks = Vec::new();
+                            for _ in 0..12 {
+                                let h = trace[rng.gen_range(0..trace.len())];
+                                picks.extend(std::iter::repeat(h).take(rng.gen_range(1..=8)));
+                                if rng.gen_bool(0.5) {
+                                    let twin = nudge(h, rng.gen_range(0..5));
+                                    picks
+                                        .extend(std::iter::repeat(twin).take(rng.gen_range(1..=8)));
+                                }
+                            }
                             m.assert_matches_uncached(&picks, &what);
                         }
                         2 if !m.live.is_empty() => {
