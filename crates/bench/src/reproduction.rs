@@ -338,7 +338,7 @@ fn table1(out: &mut Cells) {
             EngineKind::Option2 => (Some(31.33), Some(6.36)),
             _ => (None, None),
         };
-        let name = engine.name();
+        let name = engine.kind().title();
         out.count(name, STORED, rules.len() as u64, None);
         out.put(name, avg, stats.avg_mem_reads(), paper_avg);
         out.count(name, worst, u64::from(worst_reads), None);

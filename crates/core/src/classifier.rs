@@ -714,8 +714,8 @@ impl Classifier {
     /// # Panics
     ///
     /// As [`Classifier::classify`].
-    // `lookup_into` only errors on unflushed engines (the update paths
-    // always flush), and the head is taken after the `any_empty` early
+    // `lookup_into`'s only error is `Dirty`, a BST's between an update and
+    // its flush, and every update path flushes before it returns; the head is taken after the `any_empty` early
     // return proved every list or its wildcard register non-empty.
     #[allow(clippy::expect_used)]
     pub fn classify_with(&self, header: &Header, scratch: &mut ClassifyScratch) -> Classification {

@@ -844,12 +844,16 @@ mod tests {
             // build-once inners are rebuilt wholesale per update. The
             // tuple-space and software-TCAM backends are update-first by
             // design.
-            let expected = kind.is_configurable()
-                || kind == EngineKind::Sharded
-                || kind == EngineKind::Cached
-                || kind == EngineKind::Snapshot
-                || kind == EngineKind::TupleSpace
-                || kind == EngineKind::SoftTcam;
+            let expected = matches!(
+                kind,
+                EngineKind::ConfigurableMbt
+                    | EngineKind::ConfigurableBst
+                    | EngineKind::Sharded
+                    | EngineKind::Cached
+                    | EngineKind::Snapshot
+                    | EngineKind::TupleSpace
+                    | EngineKind::SoftTcam
+            );
             assert_eq!(e.supports_updates(), expected, "{kind}");
         }
     }

@@ -591,9 +591,9 @@ impl CacheStats {
 /// inner engine (populating both layers on the way back). Cache hits
 /// cost `mem_reads = 1`. Updates route through the wrapper to the inner
 /// engine and invalidate affected entries (see the module docs for the
-/// protocol); the wrapper delegates epoch/report accounting to the
-/// inner engine so the [`PacketClassifier::update_epoch`] contract holds
-/// through the cache.
+/// protocol); the wrapper delegates report accounting to the inner
+/// engine, so a failed update leaves the inner's report in place through
+/// the cache too.
 #[derive(Debug)]
 pub struct CachedEngine {
     inner: Box<dyn PacketClassifier>,
@@ -671,10 +671,6 @@ impl CachedEngine {
 impl PacketClassifier for CachedEngine {
     fn kind(&self) -> EngineKind {
         EngineKind::Cached
-    }
-
-    fn name(&self) -> &'static str {
-        "Cached"
     }
 
     fn rules(&self) -> usize {
@@ -835,9 +831,9 @@ impl PacketClassifier for CachedEngine {
     }
 
     fn insert(&mut self, rule: Rule) -> Result<RuleId, UpdateError> {
-        // A failed inner insert changes nothing (no epoch bump, no
-        // report replacement — the inner backend guarantees it), so the
-        // cache stays valid untouched.
+        // A failed inner insert changes nothing (no report replacement
+        // — the inner backend guarantees it), so the cache stays valid
+        // untouched.
         let id = self.inner.insert(rule)?;
         let flushed = self
             .state
@@ -860,10 +856,6 @@ impl PacketClassifier for CachedEngine {
 
     fn last_update_report(&self) -> Option<UpdateReport> {
         self.inner.last_update_report()
-    }
-
-    fn update_epoch(&self) -> u64 {
-        self.inner.update_epoch()
     }
 }
 

@@ -15,7 +15,6 @@ use spc_types::{Header, Rule, RuleId};
 pub struct ConfigurableEngine {
     cls: Classifier,
     last_report: Option<UpdateReport>,
-    epoch: u64,
 }
 
 impl ConfigurableEngine {
@@ -24,7 +23,6 @@ impl ConfigurableEngine {
         ConfigurableEngine {
             cls,
             last_report: None,
-            epoch: 0,
         }
     }
 
@@ -65,13 +63,6 @@ impl PacketClassifier for ConfigurableEngine {
         }
     }
 
-    fn name(&self) -> &'static str {
-        match self.cls.config().ip_alg {
-            IpAlg::Mbt => "Configurable (MBT)",
-            IpAlg::Bst => "Configurable (BST)",
-        }
-    }
-
     fn rules(&self) -> usize {
         self.cls.len()
     }
@@ -91,27 +82,20 @@ impl PacketClassifier for ConfigurableEngine {
     }
 
     fn insert(&mut self, rule: Rule) -> Result<RuleId, UpdateError> {
-        // A failed update must leave both the report and the epoch
-        // untouched: the epoch bumps iff the report is replaced.
+        // A failed update must leave the report untouched.
         let report = self.cls.insert(rule)?;
         self.last_report = Some(report);
-        self.epoch += 1;
         Ok(report.rule_id)
     }
 
     fn remove(&mut self, id: RuleId) -> Result<(), UpdateError> {
         let (_, report) = self.cls.remove(id)?;
         self.last_report = Some(report);
-        self.epoch += 1;
         Ok(())
     }
 
     fn last_update_report(&self) -> Option<UpdateReport> {
         self.last_report
-    }
-
-    fn update_epoch(&self) -> u64 {
-        self.epoch
     }
 }
 
@@ -157,15 +141,10 @@ mod tests {
         assert_eq!(ins.rule_id, id);
         assert_eq!(ins.created_labels, 7);
         assert!(ins.hw_write_cycles >= 3, "§V.A floor: 2 data + 1 hash");
-        // A failed update leaves the previous report and epoch intact:
-        // the epoch/report pair must move together.
-        let epoch_before = e.update_epoch();
-        assert_eq!(epoch_before, 1, "one successful insert so far");
+        // A failed update leaves the previous report intact.
         assert!(e.insert(web_rule(1, 80)).is_err());
         assert_eq!(e.last_update_report(), Some(ins));
-        assert_eq!(e.update_epoch(), epoch_before);
         e.remove(id).unwrap();
-        assert_eq!(e.update_epoch(), epoch_before + 1);
         let del = e.last_update_report().expect("remove must report");
         assert_eq!(del.rule_id, id);
         assert_eq!(del.freed_labels, 7);

@@ -101,10 +101,6 @@ impl PacketClassifier for Dcfl {
         EngineKind::Dcfl
     }
 
-    fn name(&self) -> &'static str {
-        "DCFL"
-    }
-
     fn rules(&self) -> usize {
         self.rules.len()
     }

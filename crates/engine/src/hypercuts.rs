@@ -244,10 +244,6 @@ impl PacketClassifier for HyperCuts {
         EngineKind::HyperCuts
     }
 
-    fn name(&self) -> &'static str {
-        "HyperCuts"
-    }
-
     fn rules(&self) -> usize {
         self.rule_count
     }

@@ -110,13 +110,24 @@ impl EngineKind {
         }
     }
 
-    /// Whether this is the paper's configurable architecture (and hence
-    /// supports fast incremental updates).
-    pub fn is_configurable(self) -> bool {
-        matches!(
-            self,
-            EngineKind::ConfigurableMbt | EngineKind::ConfigurableBst
-        )
+    /// Display title: the paper's table row where there is one
+    /// (`"Configurable (MBT)"`, `"HyperCuts"`, ...).
+    pub fn title(self) -> &'static str {
+        match self {
+            EngineKind::ConfigurableMbt => "Configurable (MBT)",
+            EngineKind::ConfigurableBst => "Configurable (BST)",
+            EngineKind::Linear => "LinearSearch",
+            EngineKind::HyperCuts => "HyperCuts",
+            EngineKind::Rfc => "RFC",
+            EngineKind::Dcfl => "DCFL",
+            EngineKind::Option1 => "Option 1",
+            EngineKind::Option2 => "Option 2",
+            EngineKind::Sharded => "Sharded",
+            EngineKind::Cached => "Cached",
+            EngineKind::Snapshot => "Snapshot",
+            EngineKind::TupleSpace => "Tuple-space search",
+            EngineKind::SoftTcam => "Software TCAM",
+        }
     }
 }
 

@@ -30,9 +30,8 @@
 //!   ([`pipeline::broadcast_batch`]);
 //! * [`cache`] — the flow verdict cache: [`CachedEngine`] wraps any
 //!   backend with an exact-match microflow table plus an optional
-//!   masked megaflow layer, kept coherent with incremental updates
-//!   through the [`PacketClassifier::update_epoch`] /
-//!   [`PacketClassifier::last_update_report`] contract;
+//!   masked megaflow layer, kept coherent with incremental updates by
+//!   owning them: its `insert` / `remove` invalidate its own entries;
 //! * [`snapshot`] — snapshot-swap concurrent serving: [`SnapshotEngine`]
 //!   publishes immutable rule-set snapshots that [`SnapshotReader`]s on
 //!   other threads classify against lock-free while `insert`/`remove`
@@ -313,11 +312,9 @@ impl std::error::Error for UpdateError {}
 /// assert_eq!(stats.hits, 10);
 /// ```
 pub trait PacketClassifier: fmt::Debug + Send + Sync {
-    /// Which registry entry this engine is.
+    /// Which registry entry this engine is; its display title is
+    /// [`EngineKind::title`].
     fn kind(&self) -> EngineKind;
-
-    /// Display name (matches the paper's table rows where applicable).
-    fn name(&self) -> &'static str;
 
     /// Installed rule count.
     fn rules(&self) -> usize;
@@ -356,7 +353,7 @@ pub trait PacketClassifier: fmt::Debug + Send + Sync {
     fn insert(&mut self, rule: Rule) -> Result<RuleId, UpdateError> {
         let _ = rule;
         Err(UpdateError::Unsupported {
-            engine: self.name(),
+            engine: self.kind().title(),
         })
     }
 
@@ -369,7 +366,7 @@ pub trait PacketClassifier: fmt::Debug + Send + Sync {
     fn remove(&mut self, id: RuleId) -> Result<(), UpdateError> {
         let _ = id;
         Err(UpdateError::Unsupported {
-            engine: self.name(),
+            engine: self.kind().title(),
         })
     }
 
@@ -380,28 +377,10 @@ pub trait PacketClassifier: fmt::Debug + Send + Sync {
     ///
     /// `None` before the first successful update and on build-once
     /// backends. A *failed* insert/remove leaves the previous report in
-    /// place — the report and [`PacketClassifier::update_epoch`] move
-    /// together, so a reader that saw the epoch advance can always fetch
-    /// the report that advanced it.
+    /// place; a successful one replaces it with a report naming the
+    /// op's rule id.
     fn last_update_report(&self) -> Option<UpdateReport> {
         None
-    }
-
-    /// Monotonic update-generation counter.
-    ///
-    /// **Contract:** the epoch starts at 0 and bumps by exactly one iff
-    /// [`PacketClassifier::last_update_report`] is replaced — that is,
-    /// only on a *successful* [`PacketClassifier::insert`] /
-    /// [`PacketClassifier::remove`]. Failed updates change neither.
-    /// Wrappers report their inner engine's epoch. None of them reads it
-    /// to stay coherent: a wrapper owns every update to its inner engine
-    /// ([`CachedEngine`] invalidates its entries inside its own
-    /// `insert` / `remove`), so nothing changes the rule set behind it.
-    ///
-    /// Build-once backends never update, so the default (constant 0) is
-    /// correct for them.
-    fn update_epoch(&self) -> u64 {
-        0
     }
 }
 

@@ -34,10 +34,6 @@ impl PacketClassifier for LinearSearch {
         EngineKind::Linear
     }
 
-    fn name(&self) -> &'static str {
-        "LinearSearch"
-    }
-
     fn rules(&self) -> usize {
         self.rules.len()
     }
@@ -92,8 +88,8 @@ pub(crate) mod testutil {
         let ls = LinearSearch::build(rules);
         for h in trace(rules, n) {
             let (got, want) = (engine.classify(&h), ls.classify(&h));
-            assert_eq!(got.matched(), want.matched(), "{} at {h}", engine.name());
-            assert_eq!(got.action, want.action, "{} at {h}", engine.name());
+            assert_eq!(got.matched(), want.matched(), "{} at {h}", engine.kind());
+            assert_eq!(got.action, want.action, "{} at {h}", engine.kind());
         }
     }
 
@@ -161,7 +157,7 @@ mod tests {
     #[test]
     fn verdicts_are_enriched() {
         let e = LinearSearch::build(&tiny_set());
-        assert_eq!(e.name(), "LinearSearch");
+        assert_eq!(e.kind().title(), "LinearSearch");
         assert_eq!(e.rules(), 2);
         let h = Header::new([1, 1, 1, 1].into(), [2, 2, 2, 2].into(), 5, 80, 6);
         let v = e.classify(&h);

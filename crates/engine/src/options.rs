@@ -83,14 +83,6 @@ impl PacketClassifier for OptionClassifier {
         self.kind
     }
 
-    fn name(&self) -> &'static str {
-        if self.kind == EngineKind::Option1 {
-            "Option 1"
-        } else {
-            "Option 2"
-        }
-    }
-
     fn rules(&self) -> usize {
         self.filter.len()
     }
@@ -150,8 +142,8 @@ mod tests {
         let rs = small_set();
         let o1 = OptionClassifier::build(&rs, EngineKind::Option1).unwrap();
         let o2 = OptionClassifier::build(&rs, EngineKind::Option2).unwrap();
-        assert_eq!(o1.name(), "Option 1");
-        assert_eq!(o2.name(), "Option 2");
+        assert_eq!(o1.kind().title(), "Option 1");
+        assert_eq!(o2.kind().title(), "Option 2");
         assert_eq!(o1.kind(), EngineKind::Option1);
         assert_eq!(o2.kind(), EngineKind::Option2);
         assert!(o1.memory_bits() > 0 && o2.memory_bits() > 0);

@@ -207,10 +207,6 @@ impl PacketClassifier for Rfc {
         EngineKind::Rfc
     }
 
-    fn name(&self) -> &'static str {
-        "RFC"
-    }
-
     fn rules(&self) -> usize {
         self.rules.len()
     }

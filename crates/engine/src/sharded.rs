@@ -153,7 +153,6 @@ pub struct ShardedEngine {
     /// Where every live rule is, and where the next one goes.
     pub(crate) router: ShardRouter,
     last_report: Option<UpdateReport>,
-    epoch: u64,
 }
 
 impl ShardedEngine {
@@ -177,7 +176,6 @@ impl ShardedEngine {
             inner,
             router,
             last_report: None,
-            epoch: 0,
         })
     }
 
@@ -204,10 +202,6 @@ impl ShardedEngine {
 impl PacketClassifier for ShardedEngine {
     fn kind(&self) -> EngineKind {
         EngineKind::Sharded
-    }
-
-    fn name(&self) -> &'static str {
-        "Sharded"
     }
 
     fn rules(&self) -> usize {
@@ -299,11 +293,10 @@ impl PacketClassifier for ShardedEngine {
     /// the engine only once the insert has succeeded.
     fn insert(&mut self, rule: Rule) -> Result<RuleId, UpdateError> {
         // A failed insert (unsupported, duplicate, inner rejection) must
-        // leave the previous report and the epoch untouched — the epoch
-        // bumps iff the report is replaced.
+        // leave the previous report untouched.
         if !self.supports_updates() {
             return Err(UpdateError::Unsupported {
-                engine: self.name(),
+                engine: self.kind().title(),
             });
         }
         // The cross-shard mirror of the Rule Filter's duplicate-key
@@ -344,7 +337,6 @@ impl PacketClassifier for ShardedEngine {
             self.shards[shard].engine.last_update_report(),
             global,
         ));
-        self.epoch += 1;
         Ok(global)
     }
 
@@ -352,7 +344,7 @@ impl PacketClassifier for ShardedEngine {
     fn remove(&mut self, id: RuleId) -> Result<(), UpdateError> {
         if !self.supports_updates() {
             return Err(UpdateError::Unsupported {
-                engine: self.name(),
+                engine: self.kind().title(),
             });
         }
         let Some(&RuleLocation { shard, local, .. }) = self.router.location(id) else {
@@ -364,23 +356,17 @@ impl PacketClassifier for ShardedEngine {
             .remove(local)
             .map_err(|e| owner.remap_error(e))?;
         self.router.record_remove(id);
-        // Always replace the report on success (even if the inner
-        // backend reported nothing) so the epoch/report pair moves
-        // together.
+        // Always replace the report on success, even if the inner
+        // backend reported nothing.
         self.last_report = Some(report_for(
             self.shards[shard].engine.last_update_report(),
             id,
         ));
-        self.epoch += 1;
         Ok(())
     }
 
     fn last_update_report(&self) -> Option<UpdateReport> {
         self.last_report
-    }
-
-    fn update_epoch(&self) -> u64 {
-        self.epoch
     }
 }
 
@@ -704,13 +690,7 @@ mod tests {
             .collect();
         let observe = |e: &dyn PacketClassifier| {
             let verdicts: Vec<Verdict> = probes.iter().map(|h| e.classify(h)).collect();
-            (
-                verdicts,
-                e.memory_bits(),
-                e.rules(),
-                e.update_epoch(),
-                e.last_update_report(),
-            )
+            (verdicts, e.memory_bits(), e.rules(), e.last_update_report())
         };
         let before = observe(e.as_ref());
         for proto in 0u8..40 {

@@ -75,7 +75,8 @@ use std::sync::{Arc, Mutex, Weak};
 pub(crate) struct Snapshot {
     /// The inner engine, frozen.
     inner: Arc<Shard>,
-    /// The writer epoch this snapshot was published at (0 = initial).
+    /// The writer's `Line::seq` when this snapshot was published (0 =
+    /// initial).
     epoch: u64,
     /// The report of the update that produced this snapshot.
     report: Option<UpdateReport>,
@@ -241,7 +242,8 @@ struct Line {
     /// Live rules by global id; ascending id is the load order of a
     /// fresh build.
     live: BTreeMap<RuleId, Rule>,
-    /// Successful updates so far: the version of the published copy.
+    /// Successful updates so far: the version of the published copy,
+    /// and the epoch its snapshot is stamped with.
     seq: usize,
     /// Retired copies, each with the `seq` it reflects, stalest first.
     /// At most [`POOL_MAX`], none more than [`MAX_LAG`] behind.
@@ -311,6 +313,7 @@ impl Line {
             op.apply_to(&mut next);
             *slot = Arc::new(build_copy(builder, &next)?);
             self.live = next;
+            self.seq += 1;
             return Ok(None);
         }
         let copy = loop {
@@ -371,7 +374,6 @@ pub struct SnapshotEngine {
     line: Line,
     /// Next global id to allocate (monotonic, never reused).
     next_global: u32,
-    epoch: u64,
     report: Option<UpdateReport>,
 }
 
@@ -403,18 +405,16 @@ impl SnapshotEngine {
             snap,
             next_global: live.len() as u32,
             line: Line::new(live),
-            epoch: 0,
             report: None,
         }
     }
 
     /// Publishes the writer's current copy as the next snapshot.
     fn publish(&mut self, report: UpdateReport) {
-        self.epoch += 1;
         self.report = Some(report);
         self.handle.publish(Arc::new(Snapshot {
             inner: Arc::clone(&self.snap),
-            epoch: self.epoch,
+            epoch: self.line.seq as u64,
             report: self.report,
             rules: self.line.live.len(),
         }));
@@ -451,10 +451,6 @@ impl SnapshotEngine {
 impl PacketClassifier for SnapshotEngine {
     fn kind(&self) -> EngineKind {
         EngineKind::Snapshot
-    }
-
-    fn name(&self) -> &'static str {
-        "Snapshot"
     }
 
     fn rules(&self) -> usize {
@@ -506,10 +502,6 @@ impl PacketClassifier for SnapshotEngine {
 
     fn last_update_report(&self) -> Option<UpdateReport> {
         self.report
-    }
-
-    fn update_epoch(&self) -> u64 {
-        self.epoch
     }
 }
 
@@ -633,14 +625,14 @@ mod tests {
         assert!(!reader.classify(&probe(4000)).is_hit());
 
         let id = eng.insert(rule(100, 4000)).unwrap();
-        assert_eq!(eng.update_epoch(), 1);
+        assert_eq!(eng.line.seq, 1);
         assert_eq!(eng.last_update_report().unwrap().rule_id, id);
         let v = reader.classify(&probe(4000));
         assert_eq!(v.rule, Some(id));
         assert_eq!(reader.update_epoch(), 1);
 
         eng.remove(id).unwrap();
-        assert_eq!(eng.update_epoch(), 2);
+        assert_eq!(eng.line.seq, 2);
         assert!(!reader.classify(&probe(4000)).is_hit());
         assert_eq!(reader.update_epoch(), 2);
     }
@@ -698,7 +690,7 @@ mod tests {
         assert_eq!(reader.update_epoch(), 1);
         let r = shadow(1020);
         live.insert(eng.insert(r).unwrap(), r);
-        assert_eq!(eng.update_epoch(), 2);
+        assert_eq!(eng.line.seq, 2);
         assert_eq!(answers(|h| reader.classify(h)), oracle(&live));
         assert_eq!(reader.update_epoch(), 2);
     }
@@ -707,7 +699,7 @@ mod tests {
     fn failed_updates_do_not_publish() {
         let rules = base_rules(6);
         let mut eng = snap("snapshot:inner=configurable-bst", &rules);
-        let before_epoch = eng.update_epoch();
+        let before_seq = eng.line.seq;
         let before = eng.last_update_report();
 
         let dup = eng.insert(rule(999, 1002)).unwrap_err();
@@ -715,7 +707,7 @@ mod tests {
         let unknown = eng.remove(RuleId(404)).unwrap_err();
         assert!(matches!(unknown, UpdateError::UnknownRule { id } if id == RuleId(404)));
 
-        assert_eq!(eng.update_epoch(), before_epoch);
+        assert_eq!(eng.line.seq, before_seq);
         assert_eq!(eng.last_update_report(), before);
         let reader = eng.reader();
         assert_eq!(reader.update_epoch(), 0);
@@ -759,6 +751,10 @@ mod tests {
         let report = eng.last_update_report().unwrap();
         assert_eq!(report.rule_id, id);
         assert_eq!(report.hw_write_cycles, 0);
+        // A wholesale build is a version like a replayed one.
+        eng.remove(id).unwrap();
+        assert_eq!(eng.line.seq, 2);
+        assert_eq!(eng.reader().update_epoch(), 2);
     }
 
     #[test]
@@ -936,7 +932,7 @@ mod tests {
         let mut next = reader.clone();
         (
             answers(|h| eng.classify(h)),
-            eng.update_epoch(),
+            eng.line.seq,
             eng.last_update_report(),
             eng.rules(),
             reader.update_epoch(),

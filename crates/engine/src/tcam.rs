@@ -166,7 +166,6 @@ pub struct SoftTcamEngine {
     dupes: HashMap<[DimValue; 7], RuleId>,
     next_id: u32,
     last_report: Option<UpdateReport>,
-    epoch: u64,
 }
 
 impl SoftTcamEngine {
@@ -193,7 +192,6 @@ impl SoftTcamEngine {
             dupes: HashMap::new(),
             next_id: 0,
             last_report: None,
-            epoch: 0,
         };
         let mut all = Vec::new();
         for (id, r) in rules.iter() {
@@ -352,10 +350,6 @@ impl PacketClassifier for SoftTcamEngine {
         EngineKind::SoftTcam
     }
 
-    fn name(&self) -> &'static str {
-        "Software TCAM"
-    }
-
     fn rules(&self) -> usize {
         self.rules.len()
     }
@@ -392,7 +386,7 @@ impl PacketClassifier for SoftTcamEngine {
 
     fn insert(&mut self, rule: Rule) -> Result<RuleId, UpdateError> {
         // Same contract as every updating backend: a failed update
-        // leaves the report/epoch pair untouched.
+        // leaves the report untouched.
         if let Some(&existing) = self.dupes.get(&rule.dim_values()) {
             return Err(UpdateError::Duplicate { existing });
         }
@@ -417,7 +411,6 @@ impl PacketClassifier for SoftTcamEngine {
             freed_labels: 0,
             hw_write_cycles: 3 + u64::from(added) + u64::from(moved),
         });
-        self.epoch += 1;
         Ok(id)
     }
 
@@ -440,16 +433,11 @@ impl PacketClassifier for SoftTcamEngine {
             freed_labels: removed,
             hw_write_cycles: 3 + u64::from(removed),
         });
-        self.epoch += 1;
         Ok(())
     }
 
     fn last_update_report(&self) -> Option<UpdateReport> {
         self.last_report
-    }
-
-    fn update_epoch(&self) -> u64 {
-        self.epoch
     }
 }
 

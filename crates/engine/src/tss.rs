@@ -200,7 +200,6 @@ pub struct TupleSpaceEngine {
     next_id: u32,
     slots_hint: usize,
     last_report: Option<UpdateReport>,
-    epoch: u64,
 }
 
 impl TupleSpaceEngine {
@@ -222,7 +221,6 @@ impl TupleSpaceEngine {
             next_id: 0,
             slots_hint,
             last_report: None,
-            epoch: 0,
         };
         for (_, r) in rules.iter() {
             ts.install(*r)?;
@@ -353,10 +351,6 @@ impl PacketClassifier for TupleSpaceEngine {
         EngineKind::TupleSpace
     }
 
-    fn name(&self) -> &'static str {
-        "Tuple-space search"
-    }
-
     fn rules(&self) -> usize {
         self.locs.len()
     }
@@ -426,11 +420,9 @@ impl PacketClassifier for TupleSpaceEngine {
     }
 
     fn insert(&mut self, rule: Rule) -> Result<RuleId, UpdateError> {
-        // A failed update must leave both the report and the epoch
-        // untouched: the epoch bumps iff the report is replaced.
+        // A failed update must leave the report untouched.
         let report = self.install(rule)?;
         self.last_report = Some(report);
-        self.epoch += 1;
         Ok(report.rule_id)
     }
 
@@ -475,16 +467,11 @@ impl PacketClassifier for TupleSpaceEngine {
             freed_labels: 1 + u32::from(tuple_freed),
             hw_write_cycles: 3 + u64::from(slots_written),
         });
-        self.epoch += 1;
         Ok(())
     }
 
     fn last_update_report(&self) -> Option<UpdateReport> {
         self.last_report
-    }
-
-    fn update_epoch(&self) -> u64 {
-        self.epoch
     }
 }
 

@@ -8,7 +8,7 @@ mod tests {
         PacketClassifier, SoftTcamEngine, TupleSpaceEngine, UpdateError, DEFAULT_TCAM_CAPACITY,
         DEFAULT_TCAM_PARTITIONS, DEFAULT_TSS_TABLES,
     };
-    use spc_types::{Action, Header, PortRange, Priority, ProtoSpec, Rule, RuleSet};
+    use spc_types::{Action, Header, PortRange, Priority, ProtoSpec, Rule, RuleId, RuleSet};
 
     fn web_rule(p: u32, port: u16) -> Rule {
         Rule::builder(Priority(p))
@@ -36,11 +36,11 @@ mod tests {
     #[test]
     fn update_roundtrip_through_trait() {
         for mut e in engines() {
-            assert!(e.supports_updates(), "{}", e.name());
+            assert!(e.supports_updates(), "{}", e.kind());
             let id = e.insert(web_rule(0, 80)).unwrap();
             assert_eq!(e.rules(), 1);
             let v = e.classify(&hdr(80));
-            assert_eq!(v.rule, Some(id), "{}", e.name());
+            assert_eq!(v.rule, Some(id), "{}", e.kind());
             assert_eq!(v.action, Some(Action::Forward(1)));
             assert!(v.mem_reads > 0);
             e.remove(id).unwrap();
@@ -50,28 +50,28 @@ mod tests {
     }
 
     #[test]
-    fn epoch_and_report_move_together() {
+    fn failed_updates_leave_the_report() {
         for mut e in engines() {
-            assert_eq!(e.update_epoch(), 0);
             assert!(e.last_update_report().is_none());
             let id = e.insert(web_rule(0, 80)).unwrap();
             let ins = e.last_update_report().expect("insert must report");
             assert_eq!(ins.rule_id, id);
-            assert!(ins.created_labels >= 1, "{}", e.name());
+            assert!(ins.created_labels >= 1, "{}", e.kind());
             assert!(ins.hw_write_cycles >= 3, "§V.A floor: 2 data + 1 hash");
-            assert_eq!(e.update_epoch(), 1);
-            // A duplicate is rejected and leaves the pair untouched.
+            // A duplicate or an unknown id is rejected and leaves the
+            // report untouched.
             assert!(matches!(
                 e.insert(web_rule(5, 80)),
                 Err(UpdateError::Duplicate { .. })
             ));
             assert_eq!(e.last_update_report(), Some(ins));
-            assert_eq!(e.update_epoch(), 1);
+            assert!(e.remove(RuleId(404)).is_err());
+            assert_eq!(e.last_update_report(), Some(ins));
             e.remove(id).unwrap();
             let del = e.last_update_report().expect("remove must report");
+            assert_eq!(del.rule_id, id);
             assert!(del.freed_labels >= 1);
             assert!(del.hw_write_cycles >= 3);
-            assert_eq!(e.update_epoch(), 2);
         }
     }
 
@@ -86,9 +86,9 @@ mod tests {
             let stats = e.classify_batch(&batch, &mut out);
             assert_eq!(out.len(), batch.len());
             assert_eq!(stats.packets, 5);
-            assert_eq!(stats.hits, 4, "{}", e.name());
+            assert_eq!(stats.hits, 4, "{}", e.kind());
             for (h, v) in batch.iter().zip(&out) {
-                assert_eq!(*v, e.classify(h), "{}: batch != single at {h}", e.name());
+                assert_eq!(*v, e.classify(h), "{}: batch != single at {h}", e.kind());
             }
         }
     }
@@ -105,8 +105,10 @@ mod tests {
             }
             other => panic!("expected Rejected, got {other:?}"),
         }
-        assert_eq!(e.update_epoch(), 0, "failed insert must not bump epoch");
-        assert!(e.last_update_report().is_none());
+        assert!(
+            e.last_update_report().is_none(),
+            "failed insert must not report"
+        );
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! or more logged changes than the array has words to patch — and what a
 //! flush falls back to when a patch does not fit.
 
-use crate::engine::{EngineError, EngineKind, FieldEngine, LookupCost};
+use crate::engine::{EngineError, FieldEngine, LookupCost};
 use crate::label::{Label, LabelEntry, LabelList};
 use crate::store::{LabelStore, ListPtr};
 use spc_hwsim::MemoryBlock;
@@ -136,26 +136,27 @@ impl RangeBst {
     /// The rightmost interval whose start is `<= query` and the words the
     /// binary search read to find it. Interval 0 starts at 0, so on a
     /// non-empty array the search always lands somewhere.
-    fn locate(&self, query: u16) -> Result<(usize, u32), EngineError> {
+    fn locate(&self, query: u16) -> (usize, u32) {
+        let words = self.intervals.as_slice();
         let mut reads = 0u32;
         // Invariant: every start below `lo` is <= query, none from `hi` on.
-        let (mut lo, mut hi) = (0usize, self.intervals.len());
+        let (mut lo, mut hi) = (0usize, words.len());
         while lo < hi {
             let mid = (lo + hi) / 2;
             reads += 1;
-            if self.intervals.read(mid)?.start <= query {
+            if words[mid].start <= query {
                 lo = mid + 1;
             } else {
                 hi = mid;
             }
         }
-        Ok((lo.saturating_sub(1), reads))
+        (lo.saturating_sub(1), reads)
     }
 
     /// Makes `at` an interval start: the interval it falls in is split
     /// there, the new upper half taking a copy of its list.
     fn split(&mut self, store: &mut LabelStore, at: u16) -> Result<(), EngineError> {
-        let (i, _) = self.locate(at)?;
+        let (i, _) = self.locate(at);
         let below = *self.intervals.read(i)?;
         if below.start != at {
             let list = store.copy_list(below.list)?;
@@ -168,12 +169,12 @@ impl RangeBst {
     /// Drops the boundary at `at` if the lists either side of it have
     /// become equal, freeing the upper one.
     fn merge(&mut self, store: &mut LabelStore, at: u16) -> Result<(), EngineError> {
-        let (i, _) = self.locate(at)?;
+        let (i, _) = self.locate(at);
         if i == 0 {
             return Ok(());
         }
         let (below, above) = (*self.intervals.read(i - 1)?, *self.intervals.read(i)?);
-        if above.start == at && store.lists_equal(below.list, above.list)? {
+        if above.start == at && store.lists_equal(below.list, above.list) {
             store.free_list(above.list)?;
             self.intervals.shift_remove(i)?;
         }
@@ -192,8 +193,8 @@ impl RangeBst {
                 self.split(store, at)?;
             }
         }
-        let (first, _) = self.locate(prefix.first())?;
-        let (last, _) = self.locate(prefix.last())?;
+        let (first, _) = self.locate(prefix.first());
+        let (last, _) = self.locate(prefix.last());
         for i in first..=last {
             let list = self.intervals.read(i)?.list;
             match delta {
@@ -265,7 +266,7 @@ impl RangeBst {
                     break;
                 }
             }
-            let ptr = store.alloc_list()?;
+            let ptr = store.alloc_list();
             for (_, entry) in &stack {
                 store.insert(ptr, *entry)?;
             }
@@ -276,10 +277,6 @@ impl RangeBst {
 }
 
 impl FieldEngine for RangeBst {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Bst
-    }
-
     fn insert(
         &mut self,
         _store: &mut LabelStore,
@@ -356,10 +353,10 @@ impl FieldEngine for RangeBst {
                 cycles: 1,
             });
         }
-        let (i, reads) = self.locate(query)?;
+        let (i, reads) = self.locate(query);
         // One sorted run into an empty list: the invariant holds as-is.
         let list_reads = store
-            .read_all_into(self.intervals.read(i)?.list, out)?
+            .read_all_into(self.intervals.as_slice()[i].list, out)
             .max(1);
         Ok(LookupCost {
             mem_reads: reads + list_reads,

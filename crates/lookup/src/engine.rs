@@ -12,34 +12,6 @@ use spc_hwsim::MemoryError;
 use spc_types::DimValue;
 use std::fmt;
 
-/// Which algorithm an engine implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EngineKind {
-    /// Multi-bit trie (pipelined, fast).
-    Mbt,
-    /// Balanced binary search tree over elementary intervals.
-    Bst,
-    /// Multi-level segment trie (range decomposition).
-    SegmentTrie,
-    /// Parallel match registers (ports).
-    PortRegisters,
-    /// Direct 256-entry lookup table (protocol).
-    ProtocolLut,
-}
-
-impl fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            EngineKind::Mbt => "mbt",
-            EngineKind::Bst => "bst",
-            EngineKind::SegmentTrie => "segment-trie",
-            EngineKind::PortRegisters => "port-registers",
-            EngineKind::ProtocolLut => "protocol-lut",
-        };
-        f.write_str(s)
-    }
-}
-
 /// Result of one engine lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LookupResult {
@@ -152,10 +124,11 @@ impl From<LabelError> for EngineError {
 /// the words a lookup reads come back by value in [`LookupCost`] — so a
 /// built engine is immutable data that many threads can query at once
 /// (the ingest-pipeline's shared-engine mode relies on this).
+///
+/// Updates answer with typed errors (a full block, a foreign value, an
+/// absent pair). A lookup has one: [`EngineError::Dirty`] from an engine
+/// with unflushed updates.
 pub trait FieldEngine: fmt::Debug + Send + Sync {
-    /// The algorithm this engine implements.
-    fn kind(&self) -> EngineKind;
-
     /// Adds (or re-prioritises) a labelled field value.
     ///
     /// Engines treat this as an upsert: inserting an existing
@@ -212,8 +185,10 @@ pub trait FieldEngine: fmt::Debug + Send + Sync {
     ///
     /// # Errors
     ///
-    /// [`EngineError::Dirty`] when updates are pending and the engine
-    /// requires a [`FieldEngine::flush`] first.
+    /// Only [`EngineError::Dirty`], which only [`crate::RangeBst`]
+    /// returns, between an update and its [`FieldEngine::flush`]. Every
+    /// other read is in range by construction, so a flushed engine's
+    /// lookup cannot fail; the `Result` is for that one case.
     fn lookup_into(
         &self,
         store: &LabelStore,
@@ -277,7 +252,6 @@ mod tests {
 
     #[test]
     fn display_strings() {
-        assert_eq!(EngineKind::Mbt.to_string(), "mbt");
         assert!(EngineError::NotFound.to_string().contains("not present"));
         assert!(EngineError::Dirty.to_string().contains("unflushed"));
         assert!(EngineError::ValueKind { expected: "seg" }

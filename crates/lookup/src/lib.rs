@@ -7,8 +7,8 @@
 //! * [`MultiBitTrie`] — fixed-stride trie with prefix expansion (5/5/6 for
 //!   a segment; also the 32-bit "Option 1/2" tries of Table I): the shared
 //!   stride trie plus a prefix front end and a wildcard register;
-//! * [`RangeBst`] — balanced BST over elementary intervals, software
-//!   rebuilt on update (memory-lean IP algorithm);
+//! * [`RangeBst`] — balanced BST over elementary intervals, balanced in
+//!   software and patched on flush (memory-lean IP algorithm);
 //! * [`SegmentTrie`] — multi-level trie with canonical range decomposition
 //!   (port engine of the Table I options): the shared stride trie plus a
 //!   port-range front end;
@@ -27,6 +27,11 @@
 //! select signal can swap algorithms without touching label storage
 //! (§IV.C.2), and from label allocation, which belongs to the software
 //! controller (Fig 4, implemented in `spc-core`).
+//!
+//! Only updates can fail for want of room or a wrong value. A lookup
+//! reads addresses that exist by construction, so the one error it can
+//! return is [`EngineError::Dirty`]: a [`RangeBst`] between an update
+//! and its flush.
 
 mod bst;
 mod engine;
@@ -39,7 +44,7 @@ mod store;
 mod trie;
 
 pub use bst::RangeBst;
-pub use engine::{EngineError, EngineKind, FieldEngine, LookupCost, LookupResult};
+pub use engine::{EngineError, FieldEngine, LookupCost, LookupResult};
 pub use label::{Label, LabelAllocator, LabelEntry, LabelError, LabelList, LabelWidths};
 pub use mbt::{MbtConfig, MultiBitTrie};
 pub use portregs::PortRegisters;

@@ -16,7 +16,7 @@
 //! is *width-generic*: the same type implements the 32-bit, 5-level tries
 //! evaluated as "Option 1/2" in Table I.
 
-use crate::engine::{EngineError, EngineKind, FieldEngine, LookupCost, LookupResult};
+use crate::engine::{EngineError, FieldEngine, LookupCost, LookupResult};
 use crate::label::{Label, LabelEntry, LabelList};
 use crate::store::{LabelStore, ListPtr};
 use crate::trie::{Geometry, StrideTrie};
@@ -140,7 +140,7 @@ impl MultiBitTrie {
         if len == 0 {
             let ptr = match self.wildcard {
                 Some(p) => p,
-                None => *self.wildcard.insert(store.alloc_list()?),
+                None => *self.wildcard.insert(store.alloc_list()),
             };
             store.insert(ptr, entry)?;
             return Ok(());
@@ -172,43 +172,27 @@ impl MultiBitTrie {
             .remove(store, self.prefix_range(value, len), label)
     }
 
-    /// Looks up a full-width key, collecting label lists along the path.
-    ///
-    /// # Errors
-    ///
-    /// Never fails for in-range keys; `Result` mirrors the trait.
-    pub fn lookup_key(&self, store: &LabelStore, key: u32) -> Result<LookupResult, EngineError> {
+    /// Looks up a full-width key (bits above the key width are
+    /// ignored), collecting label lists along the path.
+    pub fn lookup_key(&self, store: &LabelStore, key: u32) -> LookupResult {
         let mut labels = LabelList::new();
-        let cost = self.lookup_key_into(store, key, &mut labels)?;
-        Ok(LookupResult {
+        let cost = self.lookup_key_into(store, key, &mut labels);
+        LookupResult {
             labels,
             mem_reads: cost.mem_reads,
             cycles: cost.cycles,
-        })
+        }
     }
 
     /// As [`MultiBitTrie::lookup_key`], but writing into a caller-owned
     /// list (cleared first) so batch callers pay no per-lookup
     /// allocation.
-    ///
-    /// # Errors
-    ///
-    /// As [`MultiBitTrie::lookup_key`].
-    pub fn lookup_key_into(
-        &self,
-        store: &LabelStore,
-        key: u32,
-        out: &mut LabelList,
-    ) -> Result<LookupCost, EngineError> {
+    pub fn lookup_key_into(&self, store: &LabelStore, key: u32, out: &mut LabelList) -> LookupCost {
         self.trie.lookup(store, key, self.wildcard, out)
     }
 }
 
 impl FieldEngine for MultiBitTrie {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Mbt
-    }
-
     fn insert(
         &mut self,
         store: &mut LabelStore,
@@ -240,7 +224,7 @@ impl FieldEngine for MultiBitTrie {
         query: u16,
         out: &mut LabelList,
     ) -> Result<LookupCost, EngineError> {
-        self.lookup_key_into(store, u32::from(query), out)
+        Ok(self.lookup_key_into(store, u32::from(query), out))
     }
 
     fn provisioned_bits(&self) -> u64 {
@@ -291,11 +275,11 @@ mod tests {
         mbt.insert_prefix(&mut s, 0xa000, 4, entry(1, 10)).unwrap();
         mbt.insert_prefix(&mut s, 0xa200, 9, entry(2, 5)).unwrap();
         mbt.insert_prefix(&mut s, 0xa234, 16, entry(3, 20)).unwrap();
-        let r = mbt.lookup_key(&s, 0xa234).unwrap();
+        let r = mbt.lookup_key(&s, 0xa234);
         let ids: Vec<u16> = r.labels.iter().map(|e| e.label.0).collect();
         assert_eq!(ids, vec![2, 1, 3]); // sorted by priority 5,10,20
                                         // Non-matching key sees only the /4.
-        let r2 = mbt.lookup_key(&s, 0xa900).unwrap();
+        let r2 = mbt.lookup_key(&s, 0xa900);
         let ids2: Vec<u16> = r2.labels.iter().map(|e| e.label.0).collect();
         assert_eq!(ids2, vec![1]);
     }
@@ -306,7 +290,7 @@ mod tests {
         let mut mbt = MultiBitTrie::new(MbtConfig::segment_paper(8));
         mbt.insert_prefix(&mut s, 0, 0, entry(9, 1)).unwrap();
         for q in [0u32, 0xffff, 0x8000] {
-            let r = mbt.lookup_key(&s, q).unwrap();
+            let r = mbt.lookup_key(&s, q);
             assert!(r.labels.contains(Label(9)));
         }
     }
@@ -322,22 +306,18 @@ mod tests {
             .unwrap();
         assert!(mbt
             .lookup_key(&s, u32::from(p.first()))
-            .unwrap()
             .labels
             .contains(Label(4)));
         assert!(mbt
             .lookup_key(&s, u32::from(p.last()))
-            .unwrap()
             .labels
             .contains(Label(4)));
         assert!(!mbt
             .lookup_key(&s, u32::from(p.first().wrapping_sub(1)))
-            .unwrap()
             .labels
             .contains(Label(4)));
         assert!(!mbt
             .lookup_key(&s, u32::from(p.last().wrapping_add(1)))
-            .unwrap()
             .labels
             .contains(Label(4)));
     }
@@ -348,7 +328,7 @@ mod tests {
         let mut mbt = MultiBitTrie::new(MbtConfig::segment_paper(8));
         mbt.insert_prefix(&mut s, 0xa000, 4, entry(1, 1)).unwrap();
         mbt.remove_prefix(&mut s, 0xa000, 4, Label(1)).unwrap();
-        assert!(mbt.lookup_key(&s, 0xa000).unwrap().labels.is_empty());
+        assert!(mbt.lookup_key(&s, 0xa000).labels.is_empty());
         assert!(matches!(
             mbt.remove_prefix(&mut s, 0xa000, 4, Label(1)),
             Err(EngineError::NotFound)
@@ -372,23 +352,13 @@ mod tests {
         mbt.insert_prefix(&mut s, 0xa000, 8, entry(1, 50)).unwrap();
         mbt.insert_prefix(&mut s, 0xa000, 4, entry(2, 10)).unwrap();
         assert_eq!(
-            mbt.lookup_key(&s, 0xa0ff)
-                .unwrap()
-                .labels
-                .head()
-                .unwrap()
-                .label,
+            mbt.lookup_key(&s, 0xa0ff).labels.head().unwrap().label,
             Label(2)
         );
         // Label 1's value gains a higher-priority user.
         mbt.insert_prefix(&mut s, 0xa000, 8, entry(1, 1)).unwrap();
         assert_eq!(
-            mbt.lookup_key(&s, 0xa0ff)
-                .unwrap()
-                .labels
-                .head()
-                .unwrap()
-                .label,
+            mbt.lookup_key(&s, 0xa0ff).labels.head().unwrap().label,
             Label(1)
         );
     }
@@ -415,15 +385,15 @@ mod tests {
         let mut mbt = MultiBitTrie::new(MbtConfig::segment_paper(8));
         mbt.insert_prefix(&mut s, 0xa000, 8, entry(1, 1)).unwrap();
         // Level-0 slot, level-1 slot, its one-label list.
-        assert_eq!(mbt.lookup_key(&s, 0xa0ff).unwrap().mem_reads, 3);
+        assert_eq!(mbt.lookup_key(&s, 0xa0ff).mem_reads, 3);
         // A second label on the same value is one more list word; the
         // wildcard list adds its own.
         mbt.insert_prefix(&mut s, 0xa000, 8, entry(2, 2)).unwrap();
-        assert_eq!(mbt.lookup_key(&s, 0xa0ff).unwrap().mem_reads, 4);
+        assert_eq!(mbt.lookup_key(&s, 0xa0ff).mem_reads, 4);
         mbt.insert_prefix(&mut s, 0, 0, entry(3, 3)).unwrap();
-        assert_eq!(mbt.lookup_key(&s, 0xa0ff).unwrap().mem_reads, 5);
+        assert_eq!(mbt.lookup_key(&s, 0xa0ff).mem_reads, 5);
         // Off the stored path only the root slot (and the wildcard) is read.
-        assert_eq!(mbt.lookup_key(&s, 0x1234).unwrap().mem_reads, 2);
+        assert_eq!(mbt.lookup_key(&s, 0x1234).mem_reads, 2);
     }
 
     #[test]
@@ -434,10 +404,10 @@ mod tests {
             .unwrap();
         mbt.insert_prefix(&mut s, 0x0a0b0c00, 24, entry(2, 2))
             .unwrap();
-        let r = mbt.lookup_key(&s, 0x0a0b0c0d).unwrap();
+        let r = mbt.lookup_key(&s, 0x0a0b0c0d);
         assert_eq!(r.labels.len(), 2);
         assert_eq!(r.cycles, 10); // 5 levels * 2
-        let r2 = mbt.lookup_key(&s, 0x0b000000).unwrap();
+        let r2 = mbt.lookup_key(&s, 0x0b000000);
         assert!(r2.labels.is_empty());
     }
 

@@ -8,7 +8,7 @@
 //! output order is B, C, A. The whole lookup takes two clock cycles
 //! (compare + encode, §V.B) and no block-memory accesses.
 
-use crate::engine::{EngineError, EngineKind, FieldEngine, LookupCost};
+use crate::engine::{EngineError, FieldEngine, LookupCost};
 use crate::label::{Label, LabelEntry, LabelList};
 use crate::store::LabelStore;
 use spc_types::{DimValue, PortRange};
@@ -79,10 +79,6 @@ impl PortRegisters {
 }
 
 impl FieldEngine for PortRegisters {
-    fn kind(&self) -> EngineKind {
-        EngineKind::PortRegisters
-    }
-
     fn insert(
         &mut self,
         _store: &mut LabelStore,

@@ -7,7 +7,7 @@
 //! Protocol lookup is determined by the exact matching value"). Lookup is
 //! a single clock cycle (§V.B).
 
-use crate::engine::{EngineError, EngineKind, FieldEngine, LookupCost};
+use crate::engine::{EngineError, FieldEngine, LookupCost};
 use crate::label::{Label, LabelEntry, LabelList};
 use crate::store::LabelStore;
 use spc_hwsim::MemoryBlock;
@@ -67,10 +67,6 @@ impl Default for ProtocolLut {
 }
 
 impl FieldEngine for ProtocolLut {
-    fn kind(&self) -> EngineKind {
-        EngineKind::ProtocolLut
-    }
-
     fn insert(
         &mut self,
         _store: &mut LabelStore,
@@ -133,10 +129,10 @@ impl FieldEngine for ProtocolLut {
         out: &mut LabelList,
     ) -> Result<LookupCost, EngineError> {
         out.clear();
-        if query <= 0xff {
-            if let Some(e) = self.table.read(usize::from(query))? {
-                out.insert(*e);
-            }
+        // Words 0..=255 exist from construction: only a query past
+        // 0xff misses the table.
+        if let Some(&Some(e)) = self.table.as_slice().get(usize::from(query)) {
+            out.insert(e);
         }
         if let Some(e) = self.any {
             out.insert(e);

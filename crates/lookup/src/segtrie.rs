@@ -10,7 +10,7 @@
 //! this front end adds is the [`PortRange`] as the key range and the
 //! 16-bit geometries of the two Table I options.
 
-use crate::engine::{EngineError, EngineKind, FieldEngine, LookupCost};
+use crate::engine::{EngineError, FieldEngine, LookupCost};
 use crate::label::{Label, LabelEntry, LabelList};
 use crate::store::LabelStore;
 use crate::trie::{Geometry, StrideTrie};
@@ -126,10 +126,6 @@ impl SegmentTrie {
 }
 
 impl FieldEngine for SegmentTrie {
-    fn kind(&self) -> EngineKind {
-        EngineKind::SegmentTrie
-    }
-
     fn insert(
         &mut self,
         store: &mut LabelStore,
@@ -160,7 +156,7 @@ impl FieldEngine for SegmentTrie {
         query: u16,
         out: &mut LabelList,
     ) -> Result<LookupCost, EngineError> {
-        self.trie.lookup(store, u32::from(query), None, out)
+        Ok(self.trie.lookup(store, u32::from(query), None, out))
     }
 
     fn provisioned_bits(&self) -> u64 {

@@ -111,19 +111,15 @@ impl LabelStore {
     }
 
     /// Allocates a new, empty list, reusing a freed pointer if there is
-    /// one.
-    ///
-    /// # Errors
-    ///
-    /// None: entries are the bounded resource, and the lists alive are
-    /// bounded by the structure that points at them (one per trie node or
-    /// BST interval, each a word of a block with its own capacity). The
-    /// `Result` is the signature every engine already calls through.
-    pub fn alloc_list(&mut self) -> Result<ListPtr, StoreError> {
-        Ok(self.free.pop().unwrap_or_else(|| {
+    /// one. Cannot fail: entries are the bounded resource, and the lists
+    /// alive are bounded by the structure that points at them (one per
+    /// trie node or BST interval, each a word of a block with its own
+    /// capacity).
+    pub fn alloc_list(&mut self) -> ListPtr {
+        self.free.pop().unwrap_or_else(|| {
             self.lists.push(LabelList::new());
             ListPtr(self.lists.len() as u32 - 1)
-        }))
+        })
     }
 
     /// Allocates a list holding a copy of the list at `src`, charging the
@@ -133,16 +129,16 @@ impl LabelStore {
     /// use spc_lookup::{Label, LabelEntry, LabelStore};
     /// use spc_types::Priority;
     /// let mut s = LabelStore::new("dip_lo", 8, 13);
-    /// let a = s.alloc_list().unwrap();
+    /// let a = s.alloc_list();
     /// s.insert(a, LabelEntry::by_priority(Label(1), Priority(1))).unwrap();
     /// s.insert(a, LabelEntry::by_priority(Label(2), Priority(2))).unwrap();
     /// let before = s.writes();
     /// let b = s.copy_list(a).unwrap();
-    /// assert!(s.lists_equal(a, b).unwrap());
+    /// assert!(s.lists_equal(a, b));
     /// assert_eq!((s.writes() - before, s.entries_used()), (2, 4));
     /// s.free_list(b).unwrap();
     /// assert_eq!(s.entries_used(), 2);
-    /// assert_eq!(s.alloc_list().unwrap(), b); // the pointer is recycled
+    /// assert_eq!(s.alloc_list(), b); // the pointer is recycled
     /// ```
     ///
     /// # Errors
@@ -157,8 +153,8 @@ impl LabelStore {
         }
         self.entries_used += copy.len();
         self.writes += copy.len() as u64;
-        let ptr = self.alloc_list()?;
-        *self.list_mut(ptr)? = copy;
+        let ptr = self.alloc_list();
+        self.lists[ptr.0 as usize] = copy;
         Ok(ptr)
     }
 
@@ -181,11 +177,12 @@ impl LabelStore {
     /// Whether two lists hold the same entries in the same order
     /// (controller-side inspection).
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// [`StoreError::BadPtr`] on a dangling pointer.
-    pub fn lists_equal(&self, a: ListPtr, b: ListPtr) -> Result<bool, StoreError> {
-        Ok(self.list(a)? == self.list(b)?)
+    /// On a dangling pointer: every pointer an engine holds came from
+    /// this store.
+    pub fn lists_equal(&self, a: ListPtr, b: ListPtr) -> bool {
+        self.lists[a.0 as usize] == self.lists[b.0 as usize]
     }
 
     fn full(&self) -> StoreError {
@@ -262,28 +259,18 @@ impl LabelStore {
     /// `FieldEngine::lookup_into`. Appending to a non-empty `out` breaks
     /// its sort invariant until the caller restores it, which is why
     /// both this method's mutation primitive and the restore are
-    /// crate-internal.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::BadPtr`] on a dangling pointer.
-    pub(crate) fn read_all_into(
-        &self,
-        ptr: ListPtr,
-        out: &mut LabelList,
-    ) -> Result<u32, StoreError> {
-        let list = self.list(ptr)?;
+    /// crate-internal. Panics on a dangling pointer, as
+    /// [`LabelStore::lists_equal`].
+    pub(crate) fn read_all_into(&self, ptr: ListPtr, out: &mut LabelList) -> u32 {
+        let list = &self.lists[ptr.0 as usize];
         out.append_run(list.entries());
-        Ok(list.len() as u32)
+        list.len() as u32
     }
 
-    /// Length of a list (controller-side inspection).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::BadPtr`] on a dangling pointer.
-    pub fn len(&self, ptr: ListPtr) -> Result<usize, StoreError> {
-        Ok(self.list(ptr)?.len())
+    /// Length of a list (controller-side inspection). Panics on a
+    /// dangling pointer, as [`LabelStore::lists_equal`].
+    pub fn len(&self, ptr: ListPtr) -> usize {
+        self.lists[ptr.0 as usize].len()
     }
 
     /// Clears every list (BST software rebuild). Keeps the write count.
@@ -327,13 +314,13 @@ mod tests {
     #[test]
     fn alloc_insert_read() {
         let mut s = LabelStore::new("sip_hi", 100, 13);
-        let p = s.alloc_list().unwrap();
+        let p = s.alloc_list();
         s.insert(p, entry(2, 20)).unwrap();
         s.insert(p, entry(1, 10)).unwrap();
         let mut all = LabelList::new();
-        assert_eq!(s.read_all_into(p, &mut all).unwrap(), 2);
+        assert_eq!(s.read_all_into(p, &mut all), 2);
         assert_eq!(all.head().unwrap().label, Label(1));
-        assert_eq!(s.len(p).unwrap(), 2);
+        assert_eq!(s.len(p), 2);
         assert_eq!(s.entries_used(), 2);
         assert_eq!(s.used_bits(), 26);
     }
@@ -341,7 +328,7 @@ mod tests {
     #[test]
     fn capacity_enforced() {
         let mut s = LabelStore::new("tiny", 1, 7);
-        let p = s.alloc_list().unwrap();
+        let p = s.alloc_list();
         s.insert(p, entry(1, 1)).unwrap();
         assert!(matches!(
             s.insert(p, entry(2, 2)),
@@ -354,18 +341,18 @@ mod tests {
     #[test]
     fn remove_frees_entries() {
         let mut s = LabelStore::new("x", 10, 7);
-        let p = s.alloc_list().unwrap();
+        let p = s.alloc_list();
         s.insert(p, entry(1, 1)).unwrap();
         assert!(s.remove(p, Label(1)).unwrap());
         assert!(!s.remove(p, Label(1)).unwrap());
         assert_eq!(s.entries_used(), 0);
-        assert_eq!(s.len(p).unwrap(), 0);
+        assert_eq!(s.len(p), 0);
     }
 
     #[test]
     fn accounting_charges_rewrites() {
         let mut s = LabelStore::new("x", 10, 7);
-        let p = s.alloc_list().unwrap();
+        let p = s.alloc_list();
         s.insert(p, entry(1, 1)).unwrap(); // 1 write
         s.insert(p, entry(2, 2)).unwrap(); // list len 2 -> 2 writes
         assert_eq!(s.writes(), 3);
@@ -378,7 +365,7 @@ mod tests {
     #[test]
     fn list_life_cycle_copies_frees_and_recycles() {
         let mut s = LabelStore::new("x", 5, 7);
-        let a = s.alloc_list().unwrap();
+        let a = s.alloc_list();
         for (id, p) in [(1, 10), (2, 20)] {
             s.insert(a, entry(id, p)).unwrap();
         }
@@ -386,10 +373,10 @@ mod tests {
         let b = s.copy_list(a).unwrap();
         assert_eq!(s.writes() - w, 2, "a copy writes the list's length");
         assert_eq!(s.entries_used(), 4);
-        assert!(s.lists_equal(a, b).unwrap());
+        assert!(s.lists_equal(a, b));
         s.insert(b, entry(3, 5)).unwrap();
-        assert!(!s.lists_equal(a, b).unwrap());
-        assert_eq!(s.len(a).unwrap(), 2, "the source is untouched");
+        assert!(!s.lists_equal(a, b));
+        assert_eq!(s.len(a), 2, "the source is untouched");
 
         // 5 of 5 entries used: a third copy of `a` does not fit, and
         // leaves nothing behind.
@@ -399,9 +386,9 @@ mod tests {
 
         s.free_list(b).unwrap();
         assert_eq!((s.writes(), s.entries_used()), (w, 2), "freeing is free");
-        assert_eq!(s.alloc_list().unwrap(), b, "freed pointers are reused");
-        assert_eq!(s.len(b).unwrap(), 0, "and come back empty");
-        assert_ne!(s.alloc_list().unwrap(), b);
+        assert_eq!(s.alloc_list(), b, "freed pointers are reused");
+        assert_eq!(s.len(b), 0, "and come back empty");
+        assert_ne!(s.alloc_list(), b);
         assert!(matches!(
             s.free_list(ListPtr(9)),
             Err(StoreError::BadPtr { .. })
@@ -410,17 +397,13 @@ mod tests {
             s.copy_list(ListPtr(9)),
             Err(StoreError::BadPtr { .. })
         ));
-        assert!(matches!(
-            s.lists_equal(a, ListPtr(9)),
-            Err(StoreError::BadPtr { .. })
-        ));
     }
 
     #[test]
     fn bad_ptr_reported() {
         let mut s = LabelStore::new("x", 10, 7);
         assert!(matches!(
-            s.len(ListPtr(3)),
+            s.copy_list(ListPtr(3)),
             Err(StoreError::BadPtr { ptr: 3, .. })
         ));
         // The mutable path builds the same error (lazily).
@@ -436,13 +419,13 @@ mod tests {
     #[test]
     fn clear_resets_usage() {
         let mut s = LabelStore::new("x", 10, 7);
-        let p = s.alloc_list().unwrap();
+        let p = s.alloc_list();
         s.insert(p, entry(1, 1)).unwrap();
-        let q = s.alloc_list().unwrap();
+        let q = s.alloc_list();
         s.free_list(q).unwrap();
         s.clear();
         assert_eq!(s.entries_used(), 0);
-        assert!(s.len(p).is_err());
-        assert_eq!(s.alloc_list().unwrap(), p, "no freed pointer survives");
+        assert!(s.copy_list(p).is_err(), "no list survives");
+        assert_eq!(s.alloc_list(), p, "no freed pointer survives");
     }
 }

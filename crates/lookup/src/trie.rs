@@ -235,7 +235,7 @@ impl StrideTrie {
             let ptr = match slot.list {
                 Some(p) => p,
                 None => {
-                    let p = store.alloc_list()?;
+                    let p = store.alloc_list();
                     slot.list = Some(p);
                     block.write(addr, slot)?;
                     p
@@ -271,7 +271,9 @@ impl StrideTrie {
     /// Fills `out` (cleared first) with every label list on the root-to-
     /// leaf path of `key`, in list order, and prices the reads. `register`
     /// is a list beside the trie that matches every key — the MBT's
-    /// wildcard — read ahead of the walk when it holds anything.
+    /// wildcard — read ahead of the walk when it holds anything. Cannot
+    /// fail: an index is a chunk of the key under a node this trie
+    /// allocated, every slot of which exists.
     // Inlined into each front end's `lookup_into`, as each had its own
     // copy of this loop: a field lookup is tens of ns and a call shows.
     #[inline]
@@ -281,22 +283,22 @@ impl StrideTrie {
         key: u32,
         register: Option<ListPtr>,
         out: &mut LabelList,
-    ) -> Result<LookupCost, EngineError> {
+    ) -> LookupCost {
         out.clear();
         let (mut reads, mut runs) = (0u32, 0u32);
         if let Some(ptr) = register {
-            if store.len(ptr)? > 0 {
-                reads += store.read_all_into(ptr, out)?;
+            if store.len(ptr) > 0 {
+                reads += store.read_all_into(ptr, out);
                 runs += 1;
             }
         }
         let mut node = 0u32;
         for level in 0..self.num_levels() {
             let idx = (key >> self.shifts[level]) as usize & ((1 << self.strides[level]) - 1);
-            let slot = *self.levels[level].read(self.slot_addr(level, node, idx))?;
+            let slot = self.levels[level].as_slice()[self.slot_addr(level, node, idx)];
             reads += 1;
             if let Some(ptr) = slot.list {
-                reads += store.read_all_into(ptr, out)?;
+                reads += store.read_all_into(ptr, out);
                 runs += 1;
             }
             match slot.child {
@@ -309,10 +311,10 @@ impl StrideTrie {
             // invariant without allocating.
             out.restore_sorted();
         }
-        Ok(LookupCost {
+        LookupCost {
             mem_reads: reads,
             cycles: self.latency_cycles(),
-        })
+        }
     }
 
     pub(crate) fn provisioned_bits(&self) -> u64 {

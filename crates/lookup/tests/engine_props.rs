@@ -12,11 +12,12 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use rand::prelude::*;
+use spc_classbench::{FilterKind, RuleSetGenerator};
 use spc_lookup::{
-    FieldEngine, Label, LabelEntry, LabelStore, MbtConfig, MultiBitTrie, PortRegisters,
-    ProtocolLut, RangeBst, SegTrieConfig, SegmentTrie,
+    EngineError, FieldEngine, Label, LabelEntry, LabelList, LabelStore, MbtConfig, MultiBitTrie,
+    PortRegisters, ProtocolLut, RangeBst, SegTrieConfig, SegmentTrie,
 };
-use spc_types::{DimValue, PortRange, Priority, ProtoSpec, SegPrefix};
+use spc_types::{Dim, DimValue, PortRange, Priority, ProtoSpec, RuleSet, SegPrefix};
 use std::collections::BTreeSet;
 
 const CASES: u64 = 64;
@@ -326,7 +327,7 @@ fn mbt_ip32_matches_reference_at_the_key_space_edges() {
                 .filter(|&(i, &(value, len))| live(i) && (key ^ value) >> (32 - len) == 0)
                 .map(|(i, _)| i as u16)
                 .collect();
-            let got = mbt.lookup_key(store, key).unwrap();
+            let got = mbt.lookup_key(store, key);
             assert_eq!(got_labels(&got.labels), want, "key={key:#x}");
         }
     };
@@ -469,5 +470,98 @@ fn bst_delta_matches_rebuild() {
             t.flush_and_check(&mut rng, &format!("case {case} draining"));
         }
         assert_eq!((t.bst.used_bits(), t.store.entries_used()), (0, 0));
+    }
+}
+
+/// `dim`'s distinct values in `rules`, each labelled in first-seen order
+/// at the priority of its first rule.
+fn distinct_entries(rules: &RuleSet, dim: Dim) -> Vec<(DimValue, LabelEntry)> {
+    let mut seen: Vec<DimValue> = Vec::new();
+    let mut out = Vec::new();
+    for rule in rules.rules() {
+        let value = rule.dim_value(dim);
+        if !seen.contains(&value) {
+            let label = Label(seen.len() as u16);
+            out.push((value, LabelEntry::by_priority(label, rule.priority)));
+            seen.push(value);
+        }
+    }
+    out
+}
+
+/// A field lookup's only error is `Dirty`: each of the five engines,
+/// loaded with a generated ACL and FW set's distinct values and flushed,
+/// answers `Ok` on all 65 536 queries of its domain, and a BST with one
+/// unflushed insert answers exactly `Err(Dirty)` on all of them.
+#[test]
+fn flushed_engines_answer_every_query() {
+    type Make = fn() -> (Box<dyn FieldEngine>, LabelStore);
+    fn ip_store() -> LabelStore {
+        LabelStore::new("ip", 1 << 20, 13)
+    }
+    fn port_store() -> LabelStore {
+        LabelStore::new("port", 1 << 18, 13)
+    }
+    let engines: [(&str, &[Dim], Make); 5] = [
+        (
+            "mbt",
+            &[Dim::SipHi, Dim::SipLo, Dim::DipHi, Dim::DipLo],
+            || {
+                let mbt = MultiBitTrie::new(MbtConfig::segment_paper(4096));
+                (Box::new(mbt), ip_store())
+            },
+        ),
+        (
+            "bst",
+            &[Dim::SipHi, Dim::SipLo, Dim::DipHi, Dim::DipLo],
+            || (Box::new(RangeBst::new(8192)), ip_store()),
+        ),
+        ("segtrie", &[Dim::SrcPort, Dim::DstPort], || {
+            let trie = SegmentTrie::new(SegTrieConfig::four_level(1 << 12));
+            (Box::new(trie), port_store())
+        }),
+        ("portregs", &[Dim::SrcPort, Dim::DstPort], || {
+            (Box::new(PortRegisters::new(4096)), port_store())
+        }),
+        ("protolut", &[Dim::Proto], || {
+            (
+                Box::new(ProtocolLut::new()),
+                LabelStore::new("proto", 16, 4),
+            )
+        }),
+    ];
+    let mut list = LabelList::new();
+    for kind in [FilterKind::Acl, FilterKind::Fw] {
+        let rules = RuleSetGenerator::new(kind, 1024).seed(39).generate();
+        for (name, dims, make) in engines {
+            for &dim in dims {
+                let at = format!("{kind:?} {name} {dim:?}");
+                let (mut engine, mut store) = make();
+                for (value, entry) in distinct_entries(&rules, dim) {
+                    engine.insert(&mut store, value, entry).unwrap();
+                }
+                engine.flush(&mut store).unwrap();
+                let mut matched = 0u32;
+                for q in 0..=u16::MAX {
+                    let cost = engine.lookup_into(&store, q, &mut list);
+                    assert!(cost.is_ok(), "{at} q={q:#x}: {cost:?}");
+                    matched += u32::from(!list.is_empty());
+                }
+                assert!(matched > 0, "{at}: no query matched anything");
+            }
+        }
+        // One insert behind its flush: every query is refused as dirty.
+        let (mut bst, mut store) = (RangeBst::new(8192), ip_store());
+        for (value, entry) in distinct_entries(&rules, Dim::DipLo) {
+            bst.insert(&mut store, value, entry).unwrap();
+        }
+        bst.flush(&mut store).unwrap();
+        let extra = LabelEntry::by_priority(Label(8000), Priority(0));
+        let value = DimValue::Seg(SegPrefix::masked(0x1234, 16));
+        bst.insert(&mut store, value, extra).unwrap();
+        for q in 0..=u16::MAX {
+            let got = bst.lookup_into(&store, q, &mut list);
+            assert_eq!(got, Err(EngineError::Dirty), "{kind:?} q={q:#x}");
+        }
     }
 }

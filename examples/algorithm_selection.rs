@@ -55,7 +55,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut verdicts = Vec::new();
         let stats = engine.classify_batch(&trace, &mut verdicts);
         println!("== {} ==", app.name);
-        println!("   controller choice: {}  ({})", engine.name(), app.why);
+        println!(
+            "   controller choice: {}  ({})",
+            engine.kind().title(),
+            app.why
+        );
         println!("   spec string:       {}", app.spec);
         println!("   rules installed:   {}", engine.rules());
         println!(

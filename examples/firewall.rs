@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "firewall with {} rules loaded on {}",
         engine.rules(),
-        engine.name()
+        engine.kind().title()
     );
 
     // "Capture" the traffic at the tap: stream 5 000 synthetic headers

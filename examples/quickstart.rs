@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     for r in rules {
         let id = engine.insert(r)?;
-        println!("installed {id} on {}", engine.name());
+        println!("installed {id} on {}", engine.kind().title());
     }
 
     let packets = [

@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .map(|r| engine.insert(*r))
         .collect::<Result<_, _>>()?;
-    println!("installed {} rules on {}", ids.len(), engine.name());
+    println!("installed {} rules on {}", ids.len(), engine.kind().title());
 
     // Flow churn as a declarative scenario: five bursts of 60 flow
     // installs, each followed by a 400-packet classify window and the
@@ -95,9 +95,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "verdicts identical across the switch; cost {:.1} -> {:.1} memory reads/packet ({})",
         stats_mbt.avg_mem_reads(),
         stats_bst.avg_mem_reads(),
-        engine.name(),
+        engine.kind().title(),
     );
     engine.classifier_mut().set_ip_alg(IpAlg::Mbt)?;
-    println!("switched back to {} for line-rate lookups", engine.name());
+    println!(
+        "switched back to {} for line-rate lookups",
+        engine.kind().title()
+    );
     Ok(())
 }

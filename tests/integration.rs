@@ -213,7 +213,7 @@ fn update_costs_are_small_and_reported() {
 /// Builds `leaf` over `rules` bare and under every serving wrapper
 /// (`sharded:` with `shards` shards), inserts `fits`, and checks that
 /// inserting `too_many` then fails as `Rejected` and leaves verdicts on
-/// `probes`, epoch, report and rule list exactly as they were. The engine
+/// `probes`, report and rule list exactly as they were. The engine
 /// goes on working: once `fits` is removed, `too_many` goes in and
 /// answers `probes[hit]`.
 fn assert_failed_insert_is_atomic(
@@ -226,12 +226,7 @@ fn assert_failed_insert_is_atomic(
 ) {
     let observe = |e: &dyn PacketClassifier| {
         let verdicts: Vec<_> = probes.iter().map(|h| e.classify(h).matched()).collect();
-        (
-            verdicts,
-            e.update_epoch(),
-            e.last_update_report(),
-            e.rules(),
-        )
+        (verdicts, e.last_update_report(), e.rules())
     };
     for spec in [
         leaf.to_string(),
@@ -257,8 +252,8 @@ fn assert_failed_insert_is_atomic(
 }
 
 /// The BST interval array running full in the middle of a patch, under
-/// every serving wrapper: the failed insert leaves verdicts, epoch,
-/// report and rule count as they were, and the engine goes on working.
+/// every serving wrapper: the failed insert leaves verdicts, report and
+/// rule count as they were, and the engine goes on working.
 #[test]
 fn bst_interval_overflow_mid_patch_is_atomic_under_every_wrapper() {
     // Host routes on every other value of the source's high segment: two

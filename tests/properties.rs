@@ -214,7 +214,7 @@ fn insert_remove_roundtrip_restores_behaviour() {
 
 /// A deterministic rule with a unique priority and dst-port, so inserts
 /// of distinct `p` never collide as duplicate 5-tuples.
-fn epoch_rule(p: u32) -> Rule {
+fn update_rule(p: u32) -> Rule {
     Rule::builder(Priority(p))
         .dst_port(PortRange::exact(2000 + (p % 30000) as u16))
         .proto(ProtoSpec::Exact(6))
@@ -222,14 +222,13 @@ fn epoch_rule(p: u32) -> Rule {
         .build()
 }
 
-/// The `update_epoch` contract across every updatable backend,
-/// including the failed-update paths: the epoch starts at 0, bumps by
-/// exactly one *iff* `last_update_report()` is replaced (successful
-/// insert/remove), and is left untouched — along with the report — by
-/// every rejected update.
+/// The update-report contract across every updatable backend,
+/// including the failed-update paths: a successful insert/remove
+/// replaces `last_update_report()` with a report naming the op's rule
+/// id, and every rejected update leaves it as it was.
 #[test]
-fn update_epoch_bumps_iff_report_replaced() {
-    let base: RuleSet = (0..20).map(epoch_rule).collect();
+fn failed_updates_leave_the_report() {
+    let base: RuleSet = (0..20).map(update_rule).collect();
     for spec in [
         "configurable-mbt",
         "configurable-bst",
@@ -257,25 +256,22 @@ fn update_epoch_bumps_iff_report_replaced() {
             .build(&base)
             .unwrap_or_else(|err| panic!("{spec}: {err}"));
         assert!(e.supports_updates(), "{spec}");
-        assert_eq!(e.update_epoch(), 0, "{spec}: epoch starts at 0");
         assert!(e.last_update_report().is_none(), "{spec}");
 
-        // Successful insert: +1, report replaced and keyed to the id.
-        let id = e.insert(epoch_rule(500)).unwrap();
-        assert_eq!(e.update_epoch(), 1, "{spec}");
+        // Successful insert: report replaced and keyed to the id.
+        let id = e.insert(update_rule(500)).unwrap();
         let r1 = e.last_update_report().expect(spec);
         assert_eq!(r1.rule_id, id, "{spec}");
 
-        // Failed insert (duplicate 5-tuple): neither bumps nor replaces.
+        // Failed insert (duplicate 5-tuple): the report stays.
         assert!(
             matches!(
-                e.insert(epoch_rule(500)),
+                e.insert(update_rule(500)),
                 Err(UpdateError::Duplicate { .. })
             ),
             "{spec}"
         );
-        assert_eq!(e.update_epoch(), 1, "{spec}: failed insert must not bump");
-        assert_eq!(e.last_update_report(), Some(r1), "{spec}");
+        assert_eq!(e.last_update_report(), Some(r1), "{spec}: failed insert");
 
         // Failed remove (unknown id): same.
         assert!(
@@ -285,38 +281,37 @@ fn update_epoch_bumps_iff_report_replaced() {
             ),
             "{spec}"
         );
-        assert_eq!(e.update_epoch(), 1, "{spec}: failed remove must not bump");
-        assert_eq!(e.last_update_report(), Some(r1), "{spec}");
+        assert_eq!(e.last_update_report(), Some(r1), "{spec}: failed remove");
 
-        // Successful remove: +1, report replaced.
+        // Successful remove: report replaced.
         e.remove(id).unwrap_or_else(|err| panic!("{spec}: {err}"));
-        assert_eq!(e.update_epoch(), 2, "{spec}");
         let r2 = e.last_update_report().expect(spec);
         assert_eq!(r2.rule_id, id, "{spec}");
 
         // Double remove: rejected, untouched.
         assert!(e.remove(id).is_err(), "{spec}");
-        assert_eq!(e.update_epoch(), 2, "{spec}: double remove must not bump");
-        assert_eq!(e.last_update_report(), Some(r2), "{spec}");
+        assert_eq!(e.last_update_report(), Some(r2), "{spec}: double remove");
 
-        // Monotonic +1 per success across a burst.
-        let before = e.update_epoch();
-        for (i, p) in (600..616).enumerate() {
-            e.insert(epoch_rule(p)).unwrap();
-            assert_eq!(
-                e.update_epoch(),
-                before + i as u64 + 1,
-                "{spec}: exactly one per op"
-            );
+        // Every success of a burst replaces the report with its own;
+        // the duplicate after each leaves that one in place.
+        for p in 600..616 {
+            let id = e.insert(update_rule(p)).unwrap();
+            let report = e.last_update_report().expect(spec);
+            assert_eq!(report.rule_id, id, "{spec}: one report per op");
+            assert!(e.insert(update_rule(p)).is_err(), "{spec}");
+            assert_eq!(e.last_update_report(), Some(report), "{spec}");
         }
     }
 
-    // Build-once backends: updates are Unsupported and the epoch is
-    // pinned at 0 with no report, no matter how often they are poked.
+    // Build-once backends: updates are Unsupported and there is no
+    // report, no matter how often they are poked.
     for spec in [
         "linear",
         "hypercuts",
         "rfc",
+        "dcfl",
+        "option1",
+        "option2",
         "sharded:inner=linear,shards=2",
     ] {
         let mut e = EngineBuilder::from_spec(spec)
@@ -327,12 +322,15 @@ fn update_epoch_bumps_iff_report_replaced() {
         for _ in 0..3 {
             assert!(
                 matches!(
-                    e.insert(epoch_rule(700)),
+                    e.insert(update_rule(700)),
                     Err(UpdateError::Unsupported { .. })
                 ),
                 "{spec}"
             );
-            assert_eq!(e.update_epoch(), 0, "{spec}");
+            assert!(
+                matches!(e.remove(RuleId(0)), Err(UpdateError::Unsupported { .. })),
+                "{spec}"
+            );
             assert!(e.last_update_report().is_none(), "{spec}");
         }
     }

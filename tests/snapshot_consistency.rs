@@ -6,8 +6,9 @@
 //! successful update it recomputes, from a shadow rule list, the oracle
 //! verdict of every probe and appends that vector — so entry `e` of the
 //! log is the ground truth for the rule-set version with
-//! `update_epoch() == e`. Readers record, for every classify, the
-//! `(probe, epoch, verdict)` triple the snapshot reader reported.
+//! `SnapshotReader::update_epoch() == e`. Readers record, for every
+//! classify, the `(probe, epoch, verdict)` triple the snapshot reader
+//! reported.
 //!
 //! "Consistent" then means exactly (see `docs/concurrency.md`):
 //!
@@ -154,7 +155,8 @@ fn check_spec(spec: &str) {
             let verdicts: Vec<Trimmed> = probes.iter().map(|h| oracle(&live, h)).collect();
             let mut log = log.lock().unwrap();
             log.push(verdicts);
-            assert_eq!(log.len() as u64 - 1, engine.update_epoch(), "{spec}");
+            let published = engine.reader().update_epoch();
+            assert_eq!(log.len() as u64 - 1, published, "{spec}");
             drop(log);
             thread::yield_now();
         }

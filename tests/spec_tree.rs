@@ -2,7 +2,7 @@
 //! by a hand-kept list: every ordered pair of `EngineKind::ALL`, and
 //! every ordering of the three wrappers, is either legal by
 //! `legal_nesting` — then it must parse, build, agree with `linear`,
-//! keep the `update_epoch` contract and, under `snapshot`, serve a
+//! keep the update-report contract and, under `snapshot`, serve a
 //! reader through churn — or illegal — then the spec parser, the only
 //! way to describe a tree, must answer with a `ConfigError`. A backend
 //! or wrapper added to the registry is covered the moment it registers.
@@ -68,28 +68,27 @@ fn probe_rule() -> Rule {
         .build()
 }
 
-/// The `update_epoch` contract in brief (`tests/properties.rs` holds
-/// the long form): +1 exactly when the report is replaced.
-fn epoch_smoke(spec: &str, e: &mut dyn PacketClassifier) {
-    assert_eq!(e.update_epoch(), 0, "{spec}");
+/// The update-report contract in brief (`tests/properties.rs` holds
+/// the long form): a successful update replaces the report with one
+/// naming its rule, a failed one leaves it.
+fn report_smoke(spec: &str, e: &mut dyn PacketClassifier) {
+    assert_eq!(e.last_update_report(), None, "{spec}");
     if !e.supports_updates() {
         assert!(
             matches!(e.insert(probe_rule()), Err(UpdateError::Unsupported { .. })),
             "{spec}"
         );
-        assert_eq!(e.update_epoch(), 0, "{spec}");
+        assert_eq!(e.last_update_report(), None, "{spec}");
         return;
     }
     let id = e.insert(probe_rule()).unwrap();
-    assert_eq!(e.update_epoch(), 1, "{spec}");
     let report = e.last_update_report().expect(spec);
     assert_eq!(report.rule_id, id, "{spec}");
     assert!(e.insert(probe_rule()).is_err(), "{spec}: duplicate");
     assert!(e.remove(RuleId(9_999_999)).is_err(), "{spec}: unknown id");
-    assert_eq!(e.update_epoch(), 1, "{spec}: failed updates must not bump");
     assert_eq!(e.last_update_report(), Some(report), "{spec}");
     e.remove(id).unwrap();
-    assert_eq!(e.update_epoch(), 2, "{spec}");
+    assert_eq!(e.last_update_report().expect(spec).rule_id, id, "{spec}");
 }
 
 /// The snapshot writer under a refreshing reader: eight alternating
@@ -106,7 +105,7 @@ fn snapshot_churn_smoke(spec: &str, builder: &EngineBuilder, rules: &RuleSet, tr
     flows.dedup();
     let mut churned = Vec::new();
     for step in 0..8 {
-        if step % 2 == 0 {
+        let id = if step % 2 == 0 {
             let (port, proto) = flows[step * flows.len() / 8];
             let rule = Rule::builder(Priority(0))
                 .dst_port(PortRange::exact(port))
@@ -118,13 +117,16 @@ fn snapshot_churn_smoke(spec: &str, builder: &EngineBuilder, rules: &RuleSet, tr
                 .unwrap_or_else(|e| panic!("{spec}: {e}"));
             live.push((id, rule));
             churned.push(id);
+            id
         } else {
             // Oldest first, so a rule outlives the insert after it.
             let id = churned.remove(0);
             writer.remove(id).unwrap_or_else(|e| panic!("{spec}: {e}"));
             live.retain(|&(g, _)| g != id);
-        }
-        assert_eq!(writer.update_epoch(), step as u64 + 1, "{spec}");
+            id
+        };
+        let report = writer.last_update_report().expect(spec);
+        assert_eq!(report.rule_id, id, "{spec} step {step}");
         let set: RuleSet = live.iter().map(|&(_, r)| r).collect();
         let oracle = EngineBuilder::new(EngineKind::Linear).build(&set).unwrap();
         for h in trace {
@@ -133,7 +135,8 @@ fn snapshot_churn_smoke(spec: &str, builder: &EngineBuilder, rules: &RuleSet, tr
             assert_eq!(got.rule, want_id, "{spec} step {step} at {h}");
             assert_eq!(got.action, want.action, "{spec} step {step} at {h}");
         }
-        assert_eq!(reader.update_epoch(), writer.update_epoch(), "{spec}");
+        assert_eq!(reader.update_epoch(), step as u64 + 1, "{spec}");
+        assert_eq!(reader.last_update_report(), Some(report), "{spec}");
     }
 }
 
@@ -161,7 +164,7 @@ fn nesting_matrix_follows_the_table() {
             for h in &trace {
                 assert_eq!(engine.classify(h).rule, oracle.classify(h).rule, "{spec}");
             }
-            epoch_smoke(&spec, engine.as_mut());
+            report_smoke(&spec, engine.as_mut());
             if path[0] == EngineKind::Snapshot {
                 snapshot_churn_smoke(&spec, &parsed, &rules, &trace);
             }

@@ -85,12 +85,16 @@ fn tcam_capacity_exhaustion_is_typed_on_both_paths() {
 
     // Same rule against a live engine that is already near-full.
     let mut engine = SoftTcamEngine::build(&RuleSet::new(), 4, 2).unwrap();
-    let before = engine.update_epoch();
+    let before = engine.last_update_report();
     match engine.insert(wide.rules()[0]) {
         Err(UpdateError::Rejected { reason }) => assert!(reason.contains("capacity"), "{reason}"),
         other => panic!("expected typed Rejected, got {other:?}"),
     }
-    assert_eq!(engine.update_epoch(), before, "failed insert must not bump");
+    assert_eq!(
+        engine.last_update_report(),
+        before,
+        "failed insert must not report"
+    );
 }
 
 /// Scripted churn oracle: drive inserts/removes from a seeded script
