@@ -489,8 +489,14 @@ impl Classifier {
         self.insert_inner(rule, false)
     }
 
-    /// Bulk-loads a rule set, deferring the BST push-down to one final
-    /// flush — the software controller's batch programming path.
+    /// Bulk-loads a rule set — the software controller's batch
+    /// programming path. Two pieces of bookkeeping are done once for the
+    /// batch instead of once per rule: the BST push-down (one final
+    /// flush), and each label's priority multiset (the rules' priorities
+    /// gather in per-label runs that one settle step sorts and counts
+    /// before that flush). What the hardware is written, and in which
+    /// order labels are allocated, is what one [`Classifier::insert`]
+    /// per rule would do.
     ///
     /// # Errors
     ///
@@ -502,15 +508,15 @@ impl Classifier {
     pub fn load(&mut self, rules: &spc_types::RuleSet) -> Result<Vec<RuleId>, ClassifierError> {
         let first_id = self.next_id;
         let mut ids = Vec::with_capacity(rules.len());
-        let loaded = rules
-            .rules()
-            .iter()
-            .try_for_each(|rule| {
-                ids.push(self.insert_inner(*rule, true)?.rule_id);
-                Ok(())
-            })
-            .and_then(|()| self.flush_engines());
-        if let Err(e) = loaded {
+        self.rules.reserve(rules.len());
+        let inserted = rules.rules().iter().try_for_each(|rule| {
+            ids.push(self.insert_inner(*rule, true)?.rule_id);
+            Ok(())
+        });
+        for unit in &mut self.dims {
+            unit.table.settle();
+        }
+        if let Err(e) = inserted.and_then(|()| self.flush_engines()) {
             for id in ids {
                 let _ = self.uninstall(id);
             }
@@ -522,10 +528,9 @@ impl Classifier {
         Ok(ids)
     }
 
-    // The lone `expect` reads back a label-table entry in the same arm
-    // that proved it exists (`InsertOutcome::Referenced`), so it cannot
-    // be absent.
-    #[allow(clippy::expect_used)]
+    /// Installs one rule; with `defer` (a [`Classifier::load`]) the
+    /// engines are not flushed and the label tables only queue the
+    /// rule's priority, both left to the caller.
     fn insert_inner(&mut self, rule: Rule, defer: bool) -> Result<UpdateReport, ClassifierError> {
         let id = RuleId(self.next_id);
         let writes_before = self.write_cycles();
@@ -536,45 +541,33 @@ impl Classifier {
         let mut result: Result<(), ClassifierError> = Ok(());
         for (i, unit) in self.dims.iter_mut().enumerate() {
             let value = dim_values[i];
-            match unit.table.insert(value, rule.priority) {
+            // A new label, or one whose best priority this rule now is,
+            // is (re)stored at the rule's priority. Priority order for
+            // every dimension: the port and protocol engines recompute
+            // their own list order internally (§IV.C.1).
+            let (label, store) = match unit.table.insert_with(value, rule.priority, defer) {
                 Ok(InsertOutcome::Created { label }) => {
-                    // Priority order for every dimension: the port and
-                    // protocol engines recompute their own list order
-                    // internally (§IV.C.1).
-                    let entry = LabelEntry::by_priority(label, rule.priority);
-                    if let Err(e) = unit.put(value, entry) {
-                        // Undo the table entry we just created.
-                        unit.table.remove(&value, rule.priority);
-                        result = Err(e.into());
-                        break;
-                    }
                     created += 1;
-                    labels[i] = label;
+                    (label, true)
                 }
                 Ok(InsertOutcome::Referenced {
                     label,
                     priority_improved,
-                }) => {
-                    if priority_improved {
-                        let best = unit
-                            .table
-                            .get(&value)
-                            .expect("just inserted")
-                            .best_priority();
-                        let entry = LabelEntry::by_priority(label, best);
-                        if let Err(e) = unit.put(value, entry) {
-                            unit.table.remove(&value, rule.priority);
-                            result = Err(e.into());
-                            break;
-                        }
-                    }
-                    labels[i] = label;
-                }
+                }) => (label, priority_improved),
                 Err(e) => {
                     result = Err(spc_lookup::EngineError::from(e).into());
                     break;
                 }
+            };
+            if store {
+                if let Err(e) = unit.put(value, LabelEntry::by_priority(label, rule.priority)) {
+                    // Undo this dimension's table entry.
+                    unit.table.remove(&value, rule.priority);
+                    result = Err(e.into());
+                    break;
+                }
             }
+            labels[i] = label;
             completed = i + 1;
         }
         if let Err(e) = result {
@@ -1729,6 +1722,133 @@ mod tests {
             cls.remove(id).unwrap();
             cls.insert(slash8_rule(0)).unwrap();
         }
+    }
+
+    /// The controller's bookkeeping and the hardware it programmed: each
+    /// table's value → (label, refcount, best priority), the memory
+    /// report and the Rule Filter's slots.
+    fn controller_state(cls: &Classifier) -> impl PartialEq + std::fmt::Debug {
+        let tables: Vec<std::collections::BTreeMap<_, _>> = cls
+            .dims
+            .iter()
+            .map(|u| {
+                let entries = u.table.iter();
+                let entries = entries.map(|(v, s)| (*v, (s.label, s.refcount, s.best_priority())));
+                entries.collect()
+            })
+            .collect();
+        let filter: Vec<_> = cls.rule_filter().iter().copied().collect();
+        (tables, cls.memory_report(), filter)
+    }
+
+    /// Loads `batches` one after another into one classifier, inserts
+    /// their rules one by one into another, and holds the two equal:
+    /// the bookkeeping, the lookups, then every removal.
+    fn assert_load_equals_inserts(config: &ArchConfig, batches: &[RuleSet], what: &str) {
+        let mut loaded = Classifier::new(config.clone());
+        let mut ids = Vec::new();
+        for batch in batches {
+            ids.extend(loaded.load(batch).unwrap());
+        }
+        let mut inserted = Classifier::new(config.clone());
+        let rules: Vec<Rule> = batches.iter().flat_map(|b| b.rules().to_vec()).collect();
+        for (rule, &id) in rules.iter().zip(&ids) {
+            assert_eq!(inserted.insert(*rule).unwrap().rule_id, id, "{what}");
+        }
+        assert_eq!(
+            controller_state(&loaded),
+            controller_state(&inserted),
+            "{what}"
+        );
+        let trace = probe_trace(&rules.iter().copied().collect(), 5);
+        for h in &trace {
+            assert_eq!(
+                loaded.classify(h),
+                inserted.classify(h),
+                "{what}, header {h}"
+            );
+        }
+        let mut rng = StdRng::seed_from_u64(17);
+        while !ids.is_empty() {
+            let id = ids.swap_remove(rng.gen_range(0..ids.len()));
+            let step = format!("{what}, removing {id:?}");
+            assert_eq!(loaded.remove(id), inserted.remove(id), "{step}");
+            for h in trace.iter().take(8) {
+                assert_eq!(
+                    loaded.classify(h),
+                    inserted.classify(h),
+                    "{step}, header {h}"
+                );
+            }
+        }
+        assert_eq!(
+            controller_state(&loaded),
+            controller_state(&inserted),
+            "{what}"
+        );
+        assert_eq!(loaded.live_labels(), [0; 7], "{what}");
+    }
+
+    #[test]
+    fn load_matches_one_insert_per_rule() {
+        for kind in [FilterKind::Acl, FilterKind::Fw, FilterKind::Ipc] {
+            let generated = RuleSetGenerator::new(kind, 200).seed(21).generate();
+            for alg in [IpAlg::Bst, IpAlg::Mbt] {
+                let config = ArchConfig::large().with_ip_alg(alg);
+                // Shared priorities put up to eight users on one priority
+                // of a label: multiset counts above one.
+                for shared_priorities in [false, true] {
+                    let shift = |r: &Rule| Rule {
+                        priority: Priority(r.priority.0 / if shared_priorities { 8 } else { 1 }),
+                        ..*r
+                    };
+                    let rules: Vec<Rule> = generated.rules().iter().map(shift).collect();
+                    let what = format!("{kind:?}/{alg:?}/shared_priorities={shared_priorities}");
+                    let set: RuleSet = rules.iter().copied().collect();
+                    assert_load_equals_inserts(&config, &[set], &what);
+                    // Worst priority first: every run arrives unsorted.
+                    let reversed: RuleSet = rules.iter().rev().copied().collect();
+                    assert_load_equals_inserts(&config, &[reversed], &format!("{what}, reversed"));
+                    // A second load merges into the first one's multisets.
+                    let (a, b) = rules.split_at(rules.len() / 2);
+                    let halves = [a, b].map(|h| h.iter().copied().collect::<RuleSet>());
+                    assert_load_equals_inserts(&config, &halves, &format!("{what}, two loads"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn load_failing_mid_rule_on_a_label_put_rolls_back() {
+        // Four port registers: the batch's third rule brings a fifth
+        // destination port, whose `put` fails after the rule's first five
+        // dimensions took their labels — some fresh, some shared with
+        // rules installed before the load or earlier in it.
+        let tight = ArchConfig {
+            port_registers: 4,
+            ..ArchConfig::large()
+        };
+        let rule = |p: u32, src: u32, port: u16| {
+            Rule::builder(Priority(p))
+                .src_ip(Prefix::masked(src << 24, 8))
+                .dst_port(PortRange::exact(port))
+                .build()
+        };
+        let mut cls = Classifier::new(tight);
+        let kept = [rule(5, 10, 80), rule(9, 11, 443)].map(|r| cls.insert(r).unwrap().rule_id);
+        let before = (observe(&cls), controller_state(&cls));
+        let batch: RuleSet = [rule(3, 10, 22), rule(7, 12, 25), rule(1, 10, 8080)]
+            .into_iter()
+            .collect();
+        let e = cls.load(&batch).unwrap_err();
+        assert!(matches!(e, ClassifierError::Capacity { .. }), "{e}");
+        assert_eq!((observe(&cls), controller_state(&cls)), before);
+        // Nothing of the batch lingers in a multiset: the kept rules
+        // leave every label free.
+        for id in kept {
+            cls.remove(id).unwrap();
+        }
+        assert_eq!(cls.live_labels(), [0; 7]);
     }
 
     #[test]

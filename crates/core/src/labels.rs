@@ -9,37 +9,62 @@
 
 use spc_lookup::{Label, LabelAllocator, LabelError};
 use spc_types::{DimValue, Priority};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
 /// Controller state for one label.
+///
+/// The users' priorities are a multiset beside a cached best, so reading
+/// the best never walks the multiset. Under a bulk load
+/// ([`Classifier::load`](crate::Classifier::load)) each user's priority
+/// joins a pending run instead, which the table's settle step at the end
+/// of the load turns into multiset counts in one sorted pass; a remove
+/// settles the state it touches first.
 #[derive(Debug, Clone)]
 pub struct LabelState {
     /// The hardware label.
     pub label: Label,
     /// How many installed rules use this field value.
     pub refcount: usize,
-    /// Multiset of user priorities (key = priority value, value = count);
-    /// the best priority is the first key.
+    /// Best (numerically smallest) priority among users.
+    best: Priority,
+    /// Multiset of user priorities (key = priority value, value = count),
+    /// less those still in `pending`.
     priorities: BTreeMap<u32, usize>,
+    /// Priorities of users a deferred insert added, in arrival order.
+    pending: Vec<u32>,
 }
 
 impl LabelState {
-    /// Best (numerically smallest) priority among users.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on a state with no users — the label table
-    /// removes a state the moment its refcount reaches zero, so a live
-    /// state always holds at least one priority.
-    #[allow(clippy::expect_used)] // liveness invariant documented above
+    /// Best (numerically smallest) priority among users. A live state
+    /// always has one: the table removes a state the moment its refcount
+    /// reaches zero.
     pub fn best_priority(&self) -> Priority {
-        Priority(
-            *self
-                .priorities
-                .keys()
-                .next()
-                .expect("non-empty while referenced"),
-        )
+        self.best
+    }
+
+    /// Folds the pending run into the multiset: sorted, counted per
+    /// priority, and bulk-built when the multiset is empty.
+    fn settle(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let mut run = std::mem::take(&mut self.pending);
+        run.sort_unstable();
+        let mut counts: Vec<(u32, usize)> = Vec::new();
+        for priority in run {
+            match counts.last_mut() {
+                Some((last, n)) if *last == priority => *n += 1,
+                _ => counts.push((priority, 1)),
+            }
+        }
+        if self.priorities.is_empty() {
+            self.priorities = counts.into_iter().collect();
+        } else {
+            for (priority, n) in counts {
+                *self.priorities.entry(priority).or_insert(0) += n;
+            }
+        }
     }
 }
 
@@ -88,7 +113,10 @@ pub enum RemoveOutcome {
     },
 }
 
-/// One dimension's label table.
+/// One dimension's label table: field value → [`LabelState`], and the
+/// allocator its labels come from. A single-rule insert or remove keeps
+/// each state's priority multiset current; a bulk load queues priorities
+/// in the states' pending runs and settles them once at its end.
 #[derive(Debug)]
 pub struct LabelTable {
     map: HashMap<DimValue, LabelState>,
@@ -135,35 +163,59 @@ impl LabelTable {
         value: DimValue,
         priority: Priority,
     ) -> Result<InsertOutcome, LabelError> {
-        if let Some(state) = self.map.get_mut(&value) {
-            let old_best = state.best_priority();
-            state.refcount += 1;
+        self.insert_with(value, priority, false)
+    }
+
+    /// [`LabelTable::insert`]; with `defer`, the priority joins the
+    /// label's pending run until the next [`LabelTable::settle`].
+    pub(crate) fn insert_with(
+        &mut self,
+        value: DimValue,
+        priority: Priority,
+        defer: bool,
+    ) -> Result<InsertOutcome, LabelError> {
+        let (state, created) = match self.map.entry(value) {
+            Entry::Occupied(e) => (e.into_mut(), false),
+            Entry::Vacant(e) => {
+                let state = LabelState {
+                    label: self.alloc.alloc()?,
+                    refcount: 0,
+                    best: priority,
+                    priorities: BTreeMap::new(),
+                    pending: Vec::new(),
+                };
+                (e.insert(state), true)
+            }
+        };
+        state.refcount += 1;
+        if defer {
+            state.pending.push(priority.0);
+        } else {
             *state.priorities.entry(priority.0).or_insert(0) += 1;
-            let improved = priority.beats(old_best);
-            return Ok(InsertOutcome::Referenced {
-                label: state.label,
-                priority_improved: improved,
-            });
         }
-        let label = self.alloc.alloc()?;
-        let mut priorities = BTreeMap::new();
-        priorities.insert(priority.0, 1);
-        self.map.insert(
-            value,
-            LabelState {
-                label,
-                refcount: 1,
-                priorities,
-            },
-        );
-        Ok(InsertOutcome::Created { label })
+        if created {
+            return Ok(InsertOutcome::Created { label: state.label });
+        }
+        let improved = priority.beats(state.best);
+        if improved {
+            state.best = priority;
+        }
+        Ok(InsertOutcome::Referenced {
+            label: state.label,
+            priority_improved: improved,
+        })
+    }
+
+    /// Folds every label's pending run into its priority multiset.
+    pub(crate) fn settle(&mut self) {
+        self.map.values_mut().for_each(LabelState::settle);
     }
 
     /// Releases one use of `value` at `priority`. Returns `None` when the
     /// value was not registered (controller bug or double delete).
     pub fn remove(&mut self, value: &DimValue, priority: Priority) -> Option<RemoveOutcome> {
         let state = self.map.get_mut(value)?;
-        let old_best = state.best_priority();
+        state.settle();
         match state.priorities.get_mut(&priority.0) {
             Some(n) if *n > 0 => {
                 *n -= 1;
@@ -180,10 +232,13 @@ impl LabelTable {
             self.alloc.free(label);
             return Some(RemoveOutcome::Freed { label });
         }
-        let new_best = state.best_priority();
+        let old_best = state.best;
+        if let Some(&best) = state.priorities.keys().next() {
+            state.best = Priority(best);
+        }
         Some(RemoveOutcome::Dereferenced {
             label: state.label,
-            new_best: (new_best != old_best).then_some(new_best),
+            new_best: (state.best != old_best).then_some(state.best),
         })
     }
 }
@@ -191,7 +246,48 @@ impl LabelTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spc_types::{PortRange, SegPrefix};
+    use spc_classbench::{FilterKind, RuleSetGenerator};
+    use spc_types::{PortRange, Rule, SegPrefix};
+    use std::collections::HashSet;
+    use std::hash::{Hash, Hasher};
+
+    /// The words a value's `Hash` writes.
+    fn hashed_words(value: DimValue) -> Vec<u64> {
+        struct Capture(Vec<u64>);
+        impl Hasher for Capture {
+            fn finish(&self) -> u64 {
+                0
+            }
+            fn write(&mut self, bytes: &[u8]) {
+                panic!("a DimValue writes whole words, not {bytes:?}");
+            }
+            fn write_u64(&mut self, word: u64) {
+                self.0.push(word);
+            }
+        }
+        let mut capture = Capture(Vec::new());
+        value.hash(&mut capture);
+        capture.0
+    }
+
+    #[test]
+    fn value_words_are_distinct_over_generated_sets() {
+        // The table keys on a value's one hashed word: two values a
+        // generated set holds apart must not share it.
+        for kind in [FilterKind::Acl, FilterKind::Fw, FilterKind::Ipc] {
+            let rules = RuleSetGenerator::new(kind, 4096).seed(3).generate();
+            let values: HashSet<DimValue> =
+                rules.rules().iter().flat_map(Rule::dim_values).collect();
+            let words: HashSet<u64> = values
+                .iter()
+                .map(|&v| match hashed_words(v)[..] {
+                    [word] => word,
+                    ref words => panic!("{v:?} wrote {words:?}"),
+                })
+                .collect();
+            assert_eq!(words.len(), values.len(), "{kind:?}");
+        }
+    }
 
     fn seg(v: u16, l: u8) -> DimValue {
         DimValue::Seg(SegPrefix::masked(v, l))

@@ -694,12 +694,19 @@ impl EngineBuilder {
         ShardedEngine::new(rules, shards, strategy, (**inner).clone())
     }
 
-    pub(crate) fn build_cached(&self, rules: &RuleSet) -> Result<CachedEngine, BuildError> {
+    /// The flow cache over its inner built from `rules`; `keys` is the
+    /// set's projection index when the caller made one, handed on to the
+    /// inner (a `snapshot:` keeps it).
+    pub(crate) fn build_cached(
+        &self,
+        rules: &RuleSet,
+        keys: Option<KeyIndex>,
+    ) -> Result<CachedEngine, BuildError> {
         let (KindOpts::Cached { flows, megaflow }, Some(inner)) = (self.opts, &self.inner) else {
             return Err(self.not_a(EngineKind::Cached));
         };
         Ok(CachedEngine::new(
-            inner.build(rules)?,
+            inner.build_unchecked(rules, keys)?,
             flows.next_power_of_two(),
             megaflow,
             rules.rules(),
@@ -716,12 +723,19 @@ impl EngineBuilder {
     /// As [`EngineBuilder::build`], plus [`BuildError::ConfigError`]
     /// when this is not a `snapshot` node.
     pub fn build_snapshot(&self, rules: &RuleSet) -> Result<SnapshotEngine, BuildError> {
+        if self.kind != EngineKind::Snapshot {
+            return Err(self.not_a(EngineKind::Snapshot));
+        }
+        self.snapshot_over(rules, key_index(rules)?)
+    }
+
+    /// The snapshot writer over `rules`, whose projection index `keys`
+    /// is: the writer checks every later insert against it.
+    fn snapshot_over(&self, rules: &RuleSet, keys: KeyIndex) -> Result<SnapshotEngine, BuildError> {
         let (EngineKind::Snapshot, Some(inner)) = (self.kind, &self.inner) else {
             return Err(self.not_a(EngineKind::Snapshot));
         };
-        // One index per build: the writer checks every later insert
-        // against the one the build's duplicate check made.
-        let (engine, keys) = inner.build_indexed(rules)?;
+        let engine = inner.build_unchecked(rules, None)?;
         Ok(SnapshotEngine::new(rules, engine, keys, (**inner).clone()))
     }
 
@@ -730,22 +744,26 @@ impl EngineBuilder {
     /// # Errors
     ///
     /// [`BuildError::DuplicateRules`] when two rules have identical match
-    /// conditions (checked up front on every backend), and
-    /// [`BuildError::Rejected`] when the backend cannot hold the set
+    /// conditions — checked up front, once per build, on every backend —
+    /// and [`BuildError::Rejected`] when the backend cannot hold the set
     /// (provisioning limits, RFC entry cap, a field with more distinct
     /// values than DCFL's or Option 1/2's labels can name). The tree
     /// itself was checked when it was parsed.
     pub fn build(&self, rules: &RuleSet) -> Result<Box<dyn PacketClassifier>, BuildError> {
-        Ok(self.build_indexed(rules)?.0)
+        let keys = key_index(rules)?;
+        self.build_unchecked(rules, Some(keys))
     }
 
-    /// [`EngineBuilder::build`], handing back beside the engine the
-    /// projection index its duplicate check made of `rules`.
-    fn build_indexed(
+    /// [`EngineBuilder::build`] without the duplicate check, over a set
+    /// known to be duplicate-free: the root's checked set, a shard's
+    /// slice of one, or the live rules of a snapshot writer. `keys` is
+    /// the set's projection index if the root made one; it goes down the
+    /// `cached:` chain to the one node that keeps it, a `snapshot:`.
+    pub(crate) fn build_unchecked(
         &self,
         rules: &RuleSet,
-    ) -> Result<(Box<dyn PacketClassifier>, KeyIndex), BuildError> {
-        let keys = key_index(rules)?;
+        keys: Option<KeyIndex>,
+    ) -> Result<Box<dyn PacketClassifier>, BuildError> {
         let kind = self.kind;
         let engine: Box<dyn PacketClassifier> = match (kind, self.opts) {
             (EngineKind::ConfigurableMbt | EngineKind::ConfigurableBst, _) => {
@@ -761,8 +779,16 @@ impl EngineBuilder {
                 Box::new(OptionClassifier::build(rules, kind).map_err(|e| self.rejected(e))?)
             }
             (EngineKind::Sharded, _) => Box::new(self.build_sharded(rules)?),
-            (EngineKind::Cached, _) => Box::new(self.build_cached(rules)?),
-            (EngineKind::Snapshot, _) => Box::new(self.build_snapshot(rules)?),
+            (EngineKind::Cached, _) => Box::new(self.build_cached(rules, keys)?),
+            // Only a root or a `cached:` chain from it reaches a snapshot
+            // (`legal_nesting`), and both hand the index down.
+            (EngineKind::Snapshot, _) => {
+                let keys = match keys {
+                    Some(keys) => keys,
+                    None => key_index(rules)?,
+                };
+                Box::new(self.snapshot_over(rules, keys)?)
+            }
             (EngineKind::TupleSpace, KindOpts::Tss { tables }) => {
                 Box::new(TupleSpaceEngine::build(rules, tables).map_err(|e| self.rejected(e))?)
             }
@@ -778,7 +804,7 @@ impl EngineBuilder {
             // `new` pairs every kind with its own options variant.
             (EngineKind::TupleSpace | EngineKind::SoftTcam, _) => return Err(self.not_a(kind)),
         };
-        Ok((engine, keys))
+        Ok(engine)
     }
 }
 
@@ -790,7 +816,9 @@ pub(crate) type KeyIndex = HashMap<[DimValue; 7], RuleId>;
 /// backend or on none. A set without any comes back as its index:
 /// dimension projection → rule id.
 fn key_index(rules: &RuleSet) -> Result<KeyIndex, BuildError> {
-    let mut first_seen = KeyIndex::new();
+    #[cfg(test)]
+    tests::KEY_INDEXES.with(|n| n.set(n.get() + 1));
+    let mut first_seen = KeyIndex::with_capacity(rules.len());
     for (id, rule) in rules.iter() {
         if let Some(first) = first_seen.insert(rule.dim_values(), id) {
             return Err(BuildError::DuplicateRules { first, dup: id });
@@ -812,6 +840,43 @@ pub fn build_engine(spec: &str, rules: &RuleSet) -> Result<Box<dyn PacketClassif
 mod tests {
     use super::*;
     use spc_types::{Action, Header, PortRange, Priority, ProtoSpec, Rule};
+
+    thread_local! {
+        /// `key_index` calls on this thread: a build runs on its caller's.
+        pub(super) static KEY_INDEXES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// `key_index` calls while `f` runs.
+    fn key_indexes<T>(f: impl FnOnce() -> T) -> usize {
+        KEY_INDEXES.set(0);
+        f();
+        KEY_INDEXES.get()
+    }
+
+    /// A `configurable-bst` leaf, each wrapper over it, and every legal
+    /// depth-2 nesting of two wrappers over it.
+    fn wrapped_specs() -> Vec<String> {
+        let wrap = |kind: EngineKind, inner: &str| match kind {
+            EngineKind::Sharded => format!("sharded:inner=({inner}),shards=2,strategy=prio"),
+            _ => format!("{kind}:inner=({inner})"),
+        };
+        let leaf = "configurable-bst";
+        let wrappers = [
+            EngineKind::Sharded,
+            EngineKind::Cached,
+            EngineKind::Snapshot,
+        ];
+        let mut specs = vec![leaf.to_string()];
+        specs.extend(wrappers.map(|w| wrap(w, leaf)));
+        for outer in wrappers {
+            for inner in wrappers {
+                if legal_nesting(outer, inner).is_ok() {
+                    specs.push(wrap(outer, &wrap(inner, leaf)));
+                }
+            }
+        }
+        specs
+    }
 
     fn rules() -> RuleSet {
         RuleSet::from_rules(vec![
@@ -1169,14 +1234,50 @@ mod tests {
             first: RuleId(10),
             dup: RuleId(11),
         });
-        for spec in [
-            "snapshot:inner=(sharded:inner=configurable-bst,shards=2,strategy=prio)",
-            "snapshot:inner=(configurable-bst)",
-        ] {
-            let b = EngineBuilder::from_spec(spec).unwrap();
+        for spec in wrapped_specs() {
+            let b = EngineBuilder::from_spec(&spec).unwrap();
             assert_eq!(b.build(&split).map(|_| ()), twins, "{spec}");
-            assert_eq!(b.build_snapshot(&split).map(|_| ()), twins, "{spec}");
+            if b.kind() == EngineKind::Snapshot {
+                assert_eq!(b.build_snapshot(&split).map(|_| ()), twins, "{spec}");
+            }
         }
+    }
+
+    #[test]
+    fn every_build_indexes_its_set_once() {
+        // Only the root checks for duplicates; a `cached:` inner, each
+        // shard and a snapshot copy build over a set known to be clean.
+        let rules: RuleSet = (0..8u16)
+            .map(|i| {
+                Rule::builder(Priority(u32::from(i)))
+                    .dst_port(PortRange::exact(i))
+                    .build()
+            })
+            .collect();
+        let specs = wrapped_specs();
+        assert_eq!(specs.len(), 9, "{specs:?}");
+        for spec in &specs {
+            let b = EngineBuilder::from_spec(spec).unwrap();
+            assert_eq!(key_indexes(|| b.build(&rules).unwrap()), 1, "{spec}");
+            if b.kind() == EngineKind::Snapshot {
+                let n = key_indexes(|| b.build_snapshot(&rules).unwrap());
+                assert_eq!(n, 1, "{spec}");
+            }
+        }
+        // A snapshot writer over a build-once inner rebuilds its copy on
+        // every update, and checks the update against its own index.
+        let mut writer = EngineBuilder::from_spec("snapshot:inner=linear")
+            .unwrap()
+            .build_snapshot(&rules)
+            .unwrap();
+        let extra = Rule::builder(Priority(99))
+            .dst_port(PortRange::exact(99))
+            .build();
+        let n = key_indexes(|| {
+            let id = writer.insert(extra).unwrap();
+            writer.remove(id).unwrap();
+        });
+        assert_eq!(n, 0);
     }
 
     #[test]
@@ -1233,7 +1334,7 @@ mod tests {
         let rules = rules();
         let b = EngineBuilder::from_spec("cached:inner=linear,flows=128,megaflow=off").unwrap();
         assert_eq!(b.kind(), EngineKind::Cached);
-        let engine = b.build_cached(&rules).unwrap();
+        let engine = b.build_cached(&rules, None).unwrap();
         assert_eq!(engine.inner().kind(), EngineKind::Linear);
         // The cache's bits are its layers' 44-byte slots: one layer here.
         let slot_bits = 44 * 8;
@@ -1243,7 +1344,7 @@ mod tests {
         // Defaults: configurable-bst inner, megaflow on.
         let engine = EngineBuilder::from_spec("cached")
             .unwrap()
-            .build_cached(&rules)
+            .build_cached(&rules, None)
             .unwrap();
         assert_eq!(engine.inner().kind(), EngineKind::ConfigurableBst);
         assert_eq!(cache_bits(&engine), 2 * 4096 * slot_bits);
@@ -1254,13 +1355,13 @@ mod tests {
         let engine =
             EngineBuilder::from_spec("cached:inner=(sharded:inner=linear,shards=2),flows=64")
                 .unwrap()
-                .build_cached(&rules)
+                .build_cached(&rules, None)
                 .unwrap();
         assert_eq!(engine.inner().kind(), EngineKind::Sharded);
         // Colon-style nested options work without parens when comma-free.
         let engine = EngineBuilder::from_spec("cached:inner=configurable-mbt:rf_bits=14")
             .unwrap()
-            .build_cached(&rules)
+            .build_cached(&rules, None)
             .unwrap();
         assert_eq!(engine.inner().kind(), EngineKind::ConfigurableMbt);
     }

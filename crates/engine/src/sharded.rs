@@ -58,14 +58,16 @@ pub(crate) struct Shard {
 
 impl Shard {
     /// Builds `inner` over `rules` in their order: local id = position,
-    /// mapped back to the global id beside it.
+    /// mapped back to the global id beside it. `rules` is a slice of a
+    /// set the build already checked, or a snapshot writer's live rules,
+    /// so it holds no duplicates and is not checked again.
     pub(crate) fn build(
         inner: &EngineBuilder,
         rules: &[(RuleId, Rule)],
     ) -> Result<Self, BuildError> {
         let set: RuleSet = rules.iter().map(|&(_, r)| r).collect();
         Ok(Shard {
-            engine: inner.build(&set)?,
+            engine: inner.build_unchecked(&set, None)?,
             global_ids: rules.iter().map(|&(g, _)| g).collect(),
         })
     }

@@ -7,6 +7,7 @@
 
 use crate::{Header, PortRange, ProtoSpec, SegPrefix};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// One of the seven lookup dimensions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -98,7 +99,11 @@ impl fmt::Display for Dim {
 ///
 /// This is the unit the label method tags: two rules whose projections onto
 /// a dimension are equal share that dimension's label (paper §III.C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+///
+/// A value hashes as one packed word (see [`Hash`] below): the label
+/// tables probe by it once per rule and dimension, and the derived
+/// per-field hash cost several hasher writes each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DimValue {
     /// A 16-bit segment prefix (IP dimensions).
     Seg(SegPrefix),
@@ -108,7 +113,28 @@ pub enum DimValue {
     Proto(ProtoSpec),
 }
 
+/// One hasher write per value: `DimValue::packed`, which is injective,
+/// so values hash equal exactly when they are equal.
+impl Hash for DimValue {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.packed());
+    }
+}
+
 impl DimValue {
+    /// The value as one word: the variant in bits 62–63, then a segment's
+    /// value and length, a range's lo and hi, or a protocol's exact flag
+    /// and number — every field at its own bits, so distinct values give
+    /// distinct words.
+    fn packed(self) -> u64 {
+        match self {
+            DimValue::Seg(s) => (u64::from(s.value()) << 8) | u64::from(s.len()),
+            DimValue::Port(r) => (1 << 62) | (u64::from(r.lo()) << 16) | u64::from(r.hi()),
+            DimValue::Proto(ProtoSpec::Any) => 2 << 62,
+            DimValue::Proto(ProtoSpec::Exact(p)) => (2 << 62) | (1 << 8) | u64::from(p),
+        }
+    }
+
     /// Whether the 16-bit query value matches this field value.
     pub fn matches(self, q: u16) -> bool {
         match self {
@@ -204,6 +230,74 @@ mod tests {
         assert!(DimValue::Port(PortRange::ANY).is_any());
         assert!(DimValue::Proto(ProtoSpec::Any).is_any());
         assert!(!DimValue::Proto(ProtoSpec::Exact(0)).is_any());
+    }
+
+    /// A value's hash under a fixed (unkeyed) hasher.
+    fn hash_of(v: DimValue) -> u64 {
+        use std::hash::BuildHasher;
+        std::hash::BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default()
+            .hash_one(v)
+    }
+
+    /// The values the packing must keep apart: every segment prefix of
+    /// every length, every exact port and the port edges, every protocol.
+    fn value_sweep() -> Vec<DimValue> {
+        let segs = (0..=16u8).flat_map(|len| {
+            (0..1u32 << len).map(move |v| SegPrefix::masked((v << (16 - len)) as u16, len))
+        });
+        let edges = [
+            PortRange::ANY,
+            PortRange::new(0, 1).unwrap(),
+            PortRange::new(0, 65534).unwrap(),
+            PortRange::new(1, 65535).unwrap(),
+            PortRange::new(65534, 65535).unwrap(),
+            PortRange::new(1024, 65535).unwrap(),
+            PortRange::new(0, 1023).unwrap(),
+        ];
+        let ports = (0..=u16::MAX).map(PortRange::exact).chain(edges);
+        let protos = std::iter::once(ProtoSpec::Any).chain((0..=u8::MAX).map(ProtoSpec::Exact));
+        segs.map(DimValue::Seg)
+            .chain(ports.map(DimValue::Port))
+            .chain(protos.map(DimValue::Proto))
+            .collect()
+    }
+
+    #[test]
+    fn equal_values_hash_equal() {
+        for v in value_sweep().into_iter().step_by(97) {
+            // A copy rebuilt from the value's fields, not the same bits.
+            let twin = match v {
+                DimValue::Seg(s) => DimValue::Seg(SegPrefix::new(s.value(), s.len()).unwrap()),
+                DimValue::Port(r) => DimValue::Port(PortRange::new(r.lo(), r.hi()).unwrap()),
+                DimValue::Proto(p) => DimValue::Proto(p),
+            };
+            assert_eq!(v, twin);
+            assert_eq!(hash_of(v), hash_of(twin), "{v:?}");
+        }
+    }
+
+    #[test]
+    fn packed_words_are_distinct_for_distinct_values() {
+        let values = value_sweep();
+        let edges = [
+            DimValue::Seg(SegPrefix::ANY),
+            DimValue::Seg(SegPrefix::masked(0xffff, 0)),
+            DimValue::Seg(SegPrefix::exact(0)),
+            DimValue::Seg(SegPrefix::exact(0xffff)),
+            DimValue::Port(PortRange::ANY),
+            DimValue::Port(PortRange::exact(0)),
+            DimValue::Port(PortRange::exact(65535)),
+            DimValue::Proto(ProtoSpec::Any),
+            DimValue::Proto(ProtoSpec::Exact(0)),
+            DimValue::Proto(ProtoSpec::Exact(255)),
+        ];
+        assert!(edges.iter().all(|e| values.contains(e)));
+        let distinct: std::collections::HashSet<DimValue> = values.iter().copied().collect();
+        assert_eq!(distinct.len(), values.len(), "the sweep repeats a value");
+        let mut words: Vec<u64> = values.iter().map(|v| v.packed()).collect();
+        words.sort_unstable();
+        words.dedup();
+        assert_eq!(words.len(), values.len(), "two values share a word");
     }
 
     #[test]
