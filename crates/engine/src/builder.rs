@@ -35,7 +35,6 @@ const SPEC_KEYS: &[&str] = &[
     "strategy",
     "hash_dim",
     "flows",
-    "megaflow",
     "tables",
     "capacity",
     "partitions",
@@ -185,7 +184,7 @@ enum KindOpts {
         hash_dim: Option<Dim>,
     },
     /// `cached`.
-    Cached { flows: usize, megaflow: bool },
+    Cached { flows: usize },
     /// `tss`.
     Tss { tables: usize },
     /// `tcam`.
@@ -205,10 +204,7 @@ impl KindOpts {
                 strategy: ShardStrategy::PriorityBands,
                 hash_dim: None,
             },
-            EngineKind::Cached => KindOpts::Cached {
-                flows: 4096,
-                megaflow: true,
-            },
+            EngineKind::Cached => KindOpts::Cached { flows: 4096 },
             EngineKind::TupleSpace => KindOpts::Tss {
                 tables: crate::DEFAULT_TSS_TABLES,
             },
@@ -248,14 +244,7 @@ impl KindOpts {
                 let dim = ALL_DIMS.into_iter().find(|d| d.to_string() == value);
                 *hash_dim = Some(dim.ok_or(())?);
             }
-            (KindOpts::Cached { flows, .. }, "flows") => *flows = num(value)?,
-            (KindOpts::Cached { megaflow, .. }, "megaflow") => {
-                *megaflow = match value {
-                    "on" => true,
-                    "off" => false,
-                    _ => return Err(()),
-                };
-            }
+            (KindOpts::Cached { flows }, "flows") => *flows = num(value)?,
             (KindOpts::Tss { tables }, "tables") => *tables = num(value)?,
             (KindOpts::Tcam { capacity, .. }, "capacity") => *capacity = num(value)?,
             (KindOpts::Tcam { partitions, .. }, "partitions") => *partitions = num(value)?,
@@ -301,9 +290,9 @@ impl KindOpts {
                     _ => Ok(()),
                 }
             }
-            KindOpts::Cached { flows, .. } => {
+            KindOpts::Cached { flows } => {
                 at_least_one("flows", flows, " (the cache needs at least one slot)")?;
-                let why = " (both layers are allocated up front)";
+                let why = " (the table is allocated up front)";
                 at_most("flows", flows, MAX_FLOWS as u64, why)
             }
             KindOpts::Tss { tables } => {
@@ -355,10 +344,7 @@ impl KindOpts {
                 }
                 out.extend(hash_dim.map(|dim| format!("hash_dim={dim}")));
             }
-            KindOpts::Cached { flows, megaflow } => {
-                out.push(format!("flows={flows}"));
-                out.push(format!("megaflow={}", if megaflow { "on" } else { "off" }));
-            }
+            KindOpts::Cached { flows } => out.push(format!("flows={flows}")),
             KindOpts::Tss { tables } => out.push(format!("tables={tables}")),
             KindOpts::Tcam {
                 capacity,
@@ -471,10 +457,10 @@ impl EngineBuilder {
     /// The sharded backend also takes `shards=N`, `strategy=prio|hash`
     /// and `hash_dim=<dimension>` (e.g. `dst_port`; refines
     /// `strategy=hash`).
-    /// The cached backend takes `flows=N` (microflow slots, rounded up
-    /// to a power of two at build time) and `megaflow=on|off`. The
-    /// tuple-space backend takes `tables=N` (per-tuple hash-slot hint,
-    /// rounded up to a power of two at build time). The software TCAM
+    /// The cached backend takes `flows=N` (flow-table slots, rounded up
+    /// to a power of two at build time). The tuple-space backend takes
+    /// `tables=N` (per-tuple hash-slot hint, rounded up to a power of two
+    /// at build time). The software TCAM
     /// takes `capacity=N` (provisioned slots) and `partitions=K`
     /// (allocator partition count, at most one per slot). What is
     /// allocated up front is bounded: `flows` ≤ 2²⁰, `tables` ≤ 2¹²,
@@ -702,14 +688,14 @@ impl EngineBuilder {
         rules: &RuleSet,
         keys: Option<KeyIndex>,
     ) -> Result<CachedEngine, BuildError> {
-        let (KindOpts::Cached { flows, megaflow }, Some(inner)) = (self.opts, &self.inner) else {
+        let (KindOpts::Cached { flows }, Some(inner)) = (self.opts, &self.inner) else {
             return Err(self.not_a(EngineKind::Cached));
         };
         Ok(CachedEngine::new(
             inner.build_unchecked(rules, keys)?,
             flows.next_power_of_two(),
-            megaflow,
-            rules.rules(),
+            false,
+            [],
         ))
     }
 
@@ -1332,22 +1318,22 @@ mod tests {
     #[test]
     fn cached_spec_options_reach_the_engine() {
         let rules = rules();
-        let b = EngineBuilder::from_spec("cached:inner=linear,flows=128,megaflow=off").unwrap();
+        let b = EngineBuilder::from_spec("cached:inner=linear,flows=128").unwrap();
         assert_eq!(b.kind(), EngineKind::Cached);
         let engine = b.build_cached(&rules, None).unwrap();
         assert_eq!(engine.inner().kind(), EngineKind::Linear);
-        // The cache's bits are its layers' 44-byte slots: one layer here.
+        // The cache's bits are its table's 44-byte slots.
         let slot_bits = 44 * 8;
         let cache_bits = |e: &CachedEngine| e.memory_bits() - e.inner().memory_bits();
         assert_eq!(cache_bits(&engine), 128 * slot_bits);
 
-        // Defaults: configurable-bst inner, megaflow on.
+        // Defaults: configurable-bst inner, 4 096 slots.
         let engine = EngineBuilder::from_spec("cached")
             .unwrap()
             .build_cached(&rules, None)
             .unwrap();
         assert_eq!(engine.inner().kind(), EngineKind::ConfigurableBst);
-        assert_eq!(cache_bits(&engine), 2 * 4096 * slot_bits);
+        assert_eq!(cache_bits(&engine), 4096 * slot_bits);
         assert!(engine.supports_updates());
 
         // A nested inner spec tunes the inner engine in place; parens
@@ -1397,15 +1383,21 @@ mod tests {
             "{e:?}"
         );
         // Cache keys belong to the cached backend only; rf_bits does not
-        // forward through the wrapper (tune the nested inner spec).
+        // forward through the wrapper (tune the nested inner spec), and
+        // `megaflow` is no key at all.
         for spec in [
             "linear:flows=64",
             "sharded:megaflow=on",
             "cached:rf_bits=14",
             "cached:megaflow=sideways",
+            "cached:megaflow=on",
+            "cached:megaflow=off",
         ] {
             assert!(
-                EngineBuilder::from_spec(spec).is_err(),
+                matches!(
+                    EngineBuilder::from_spec(spec),
+                    Err(BuildError::ConfigError { .. })
+                ),
                 "{spec} must be rejected"
             );
         }
@@ -1609,7 +1601,6 @@ mod tests {
             }
             KindOpts::Cached { .. } => KindOpts::Cached {
                 flows: 1 << pick(14),
-                megaflow: pick(2) == 0,
             },
             KindOpts::Tss { .. } => KindOpts::Tss {
                 tables: 1 << pick(8),

@@ -32,9 +32,8 @@ pub enum EngineKind {
     /// Partitioned multi-classifier: N inner engines over rule-set
     /// shards, verdicts merged by priority (see `ShardedEngine`).
     Sharded,
-    /// Flow verdict cache in front of any inner backend: exact-match
-    /// microflow table plus an optional masked megaflow layer (see
-    /// `CachedEngine`).
+    /// Flow verdict cache in front of any inner backend: one
+    /// exact-match flow table (see `CachedEngine`).
     Cached,
     /// Snapshot-swap concurrent-serving wrapper: readers classify
     /// against an immutable published snapshot while updates rebuild

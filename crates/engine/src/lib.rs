@@ -29,9 +29,9 @@
 //!   hash-strategy batch path runs on the same machinery
 //!   ([`pipeline::broadcast_batch`]);
 //! * [`cache`] — the flow verdict cache: [`CachedEngine`] wraps any
-//!   backend with an exact-match microflow table plus an optional
-//!   masked megaflow layer, kept coherent with incremental updates by
-//!   owning them: its `insert` / `remove` invalidate its own entries;
+//!   backend with an exact-match flow table, kept coherent with
+//!   incremental updates by owning them: its `insert` / `remove`
+//!   invalidate its own entries;
 //! * [`snapshot`] — snapshot-swap concurrent serving: [`SnapshotEngine`]
 //!   publishes immutable rule-set snapshots that [`SnapshotReader`]s on
 //!   other threads classify against lock-free while `insert`/`remove`

@@ -2,8 +2,8 @@
 //! through a seeded interleaving of single-shot and batch lookups (with
 //! in-batch repeats: packet trains and one-field near-duplicates),
 //! inserts, removes, duplicate inserts and removes of unknown ids
-//! (which must fail and change nothing), a fold-tightening
-//! insert, more live inserts than the insert log holds, and — at the
+//! (which must fail and change nothing), the first rule to look at a
+//! source port, more live inserts than the insert log holds, and — at the
 //! small table sizes — constant eviction, is held after every step to an
 //! uncached `linear` engine built from scratch over the rules that are
 //! live. Whatever the update path leaves behind — an entry its removed
@@ -61,8 +61,8 @@ impl Model {
 }
 
 /// ACL rules with distinct 5-tuples, none of which looks at the source
-/// port — so the one rule the test inserts that does is guaranteed to
-/// tighten the fold mask.
+/// port — so the one rule the test inserts that does splits flows every
+/// other rule treats alike.
 fn pool(seed: u64) -> Vec<Rule> {
     let mut seen = HashSet::new();
     RuleSetGenerator::new(FilterKind::Acl, 400)
@@ -111,121 +111,110 @@ fn churned_cache_matches_an_uncached_engine_over_the_live_rules() {
     let mut seed = 0;
     for inner in ["configurable-bst", "sharded:inner=(tss),shards=2"] {
         for flows in [8, 64, 8192] {
-            for megaflow in [true, false] {
-                seed += 1;
-                let config = format!("{inner} flows={flows} megaflow={megaflow}");
-                let pool = pool(seed);
-                let trace = TraceGenerator::new()
-                    .seed(seed)
-                    .match_fraction(0.9)
-                    .generate(&pool.iter().copied().collect(), 96);
-                // Priorities are kept distinct (base rules on multiples
-                // of 1024, every insert off them by its own step), so no
-                // verdict hangs on how a backend breaks a tie.
-                let base: RuleSet = (0..)
-                    .zip(&pool[..BASE])
-                    .map(|(i, r)| Rule {
-                        priority: Priority(i * 1024),
-                        ..*r
-                    })
-                    .collect();
-                let mut spare = pool[BASE..].to_vec();
-                let mut m = Model {
-                    cached: CachedEngine::new(
-                        build_engine(inner, &base).unwrap(),
-                        flows,
-                        megaflow,
-                        base.rules(),
-                    ),
-                    live: base.iter().map(|(id, r)| (id, *r)).collect(),
-                    lookups: 0,
-                };
-                let mut rng = StdRng::seed_from_u64(0xcac4e + seed);
-                let mut peak_inserted = 0;
-                m.assert_matches_uncached(&trace, &format!("{config} loaded"));
+            seed += 1;
+            let config = format!("{inner} flows={flows}");
+            let pool = pool(seed);
+            let trace = TraceGenerator::new()
+                .seed(seed)
+                .match_fraction(0.9)
+                .generate(&pool.iter().copied().collect(), 96);
+            // Priorities are kept distinct (base rules on multiples
+            // of 1024, every insert off them by its own step), so no
+            // verdict hangs on how a backend breaks a tie.
+            let base: RuleSet = (0..)
+                .zip(&pool[..BASE])
+                .map(|(i, r)| Rule {
+                    priority: Priority(i * 1024),
+                    ..*r
+                })
+                .collect();
+            let mut spare = pool[BASE..].to_vec();
+            let mut m = Model {
+                cached: CachedEngine::new(build_engine(inner, &base).unwrap(), flows, false, []),
+                live: base.iter().map(|(id, r)| (id, *r)).collect(),
+                lookups: 0,
+            };
+            let mut rng = StdRng::seed_from_u64(0xcac4e + seed);
+            let mut peak_inserted = 0;
+            m.assert_matches_uncached(&trace, &format!("{config} loaded"));
 
-                for step in 0..STEPS {
-                    let what = format!("{config} step {step}");
-                    let priority = Priority(rng.gen_range(0..BASE as u32) * 1024 + 1 + step);
-                    match rng.gen_range(0..16) {
-                        // The first rule to look at a source port, onto
-                        // a warm cache: every megaflow key goes stale.
-                        _ if step == STEPS / 4 => {
-                            let before = m.cached.cache_stats().flushes;
-                            let rule = Rule {
-                                priority,
-                                src_port: PortRange::exact(trace[0].src_port),
-                                ..spare.pop().unwrap()
-                            };
-                            m.live.push((m.cached.insert(rule).unwrap(), rule));
-                            let flushed = m.cached.cache_stats().flushes - before;
-                            assert_eq!(flushed, u64::from(megaflow), "{what}");
-                        }
-                        0..=1 => {
-                            // Random picks in trains of one to eight, some
-                            // followed by a train of a near-duplicate.
-                            let mut picks = Vec::new();
-                            for _ in 0..12 {
-                                let h = trace[rng.gen_range(0..trace.len())];
-                                picks.extend(std::iter::repeat(h).take(rng.gen_range(1..=8)));
-                                if rng.gen_bool(0.5) {
-                                    let twin = nudge(h, rng.gen_range(0..5));
-                                    picks
-                                        .extend(std::iter::repeat(twin).take(rng.gen_range(1..=8)));
-                                }
-                            }
-                            m.assert_matches_uncached(&picks, &what);
-                        }
-                        2 if !m.live.is_empty() => {
-                            // A live rule's 5-tuple under another priority.
-                            let (existing, rule) = m.live[rng.gen_range(0..m.live.len())];
-                            let twin = Rule { priority, ..rule };
-                            assert_eq!(
-                                m.cached.insert(twin),
-                                Err(UpdateError::Duplicate { existing }),
-                                "{what}"
-                            );
-                        }
-                        3 => {
-                            let id = RuleId(u32::MAX - step);
-                            assert_eq!(
-                                m.cached.remove(id),
-                                Err(UpdateError::UnknownRule { id }),
-                                "{what}"
-                            );
-                        }
-                        4..=6 if !m.live.is_empty() => {
-                            let (id, rule) = m.live.remove(rng.gen_range(0..m.live.len()));
-                            m.cached.remove(id).unwrap();
-                            spare.push(rule);
-                        }
-                        _ if !spare.is_empty() => {
-                            let at = rng.gen_range(0..spare.len());
-                            let rule = Rule {
-                                priority,
-                                ..spare.swap_remove(at)
-                            };
-                            m.live.push((m.cached.insert(rule).unwrap(), rule));
-                        }
-                        _ => {}
+            for step in 0..STEPS {
+                let what = format!("{config} step {step}");
+                let priority = Priority(rng.gen_range(0..BASE as u32) * 1024 + 1 + step);
+                match rng.gen_range(0..16) {
+                    // The first rule to look at a source port, onto
+                    // a warm cache.
+                    _ if step == STEPS / 4 => {
+                        let rule = Rule {
+                            priority,
+                            src_port: PortRange::exact(trace[0].src_port),
+                            ..spare.pop().unwrap()
+                        };
+                        m.live.push((m.cached.insert(rule).unwrap(), rule));
                     }
-                    assert_eq!(m.cached.rules(), m.live.len(), "{what}");
-                    // Ids are handed out in order and never reused, so the
-                    // base set holds the first `BASE` of them.
-                    let inserted = m.live.iter().filter(|(id, _)| id.0 >= BASE as u32);
-                    peak_inserted = peak_inserted.max(inserted.count());
-                    m.assert_matches_uncached(&trace, &what);
+                    0..=1 => {
+                        // Random picks in trains of one to eight, some
+                        // followed by a train of a near-duplicate.
+                        let mut picks = Vec::new();
+                        for _ in 0..12 {
+                            let h = trace[rng.gen_range(0..trace.len())];
+                            picks.extend(std::iter::repeat(h).take(rng.gen_range(1..=8)));
+                            if rng.gen_bool(0.5) {
+                                let twin = nudge(h, rng.gen_range(0..5));
+                                picks.extend(std::iter::repeat(twin).take(rng.gen_range(1..=8)));
+                            }
+                        }
+                        m.assert_matches_uncached(&picks, &what);
+                    }
+                    2 if !m.live.is_empty() => {
+                        // A live rule's 5-tuple under another priority.
+                        let (existing, rule) = m.live[rng.gen_range(0..m.live.len())];
+                        let twin = Rule { priority, ..rule };
+                        assert_eq!(
+                            m.cached.insert(twin),
+                            Err(UpdateError::Duplicate { existing }),
+                            "{what}"
+                        );
+                    }
+                    3 => {
+                        let id = RuleId(u32::MAX - step);
+                        assert_eq!(
+                            m.cached.remove(id),
+                            Err(UpdateError::UnknownRule { id }),
+                            "{what}"
+                        );
+                    }
+                    4..=6 if !m.live.is_empty() => {
+                        let (id, rule) = m.live.remove(rng.gen_range(0..m.live.len()));
+                        m.cached.remove(id).unwrap();
+                        spare.push(rule);
+                    }
+                    _ if !spare.is_empty() => {
+                        let at = rng.gen_range(0..spare.len());
+                        let rule = Rule {
+                            priority,
+                            ..spare.swap_remove(at)
+                        };
+                        m.live.push((m.cached.insert(rule).unwrap(), rule));
+                    }
+                    _ => {}
                 }
-
-                let stats = m.cached.cache_stats();
-                println!("{config}: {stats:?}, {peak_inserted} inserted rules live at the peak");
-                assert_eq!(stats.hits + stats.misses, m.lookups, "{config}");
-                assert!(stats.invalidations > 0, "{config}: {stats:?}");
-                assert_eq!(stats.evictions > 0, flows < trace.len(), "{config}");
-                // `LOG_BOUND` in `src/cache.rs`: the log overflowed and
-                // the cache lived through its sweep.
-                assert!(peak_inserted > 64, "{config}: {peak_inserted}");
+                assert_eq!(m.cached.rules(), m.live.len(), "{what}");
+                // Ids are handed out in order and never reused, so the
+                // base set holds the first `BASE` of them.
+                let inserted = m.live.iter().filter(|(id, _)| id.0 >= BASE as u32);
+                peak_inserted = peak_inserted.max(inserted.count());
+                m.assert_matches_uncached(&trace, &what);
             }
+
+            let stats = m.cached.cache_stats();
+            println!("{config}: {stats:?}, {peak_inserted} inserted rules live at the peak");
+            assert_eq!(stats.hits + stats.misses, m.lookups, "{config}");
+            assert!(stats.invalidations > 0, "{config}: {stats:?}");
+            assert_eq!(stats.evictions > 0, flows < trace.len(), "{config}");
+            // `LOG_BOUND` in `src/cache.rs`: the log overflowed and
+            // the cache lived through its sweep.
+            assert!(peak_inserted > 64, "{config}: {peak_inserted}");
         }
     }
 }

@@ -1,27 +1,11 @@
-//! Per-dimension wildcard masks — the flow-cache vocabulary.
+//! Per-dimension wildcard masks — the tuple-space vocabulary.
 //!
-//! A [`MaskSummary`] compresses a rule's seven dimension projections into
-//! seven 16-bit *care masks*: a set bit means the rule examines that query
-//! bit, a clear bit means the rule is wildcard there. Two headers whose
-//! masked queries agree under a rule's summary are indistinguishable to
-//! that rule — which is what lets a megaflow cache serve one verdict to a
-//! whole masked flow class.
-//!
-//! Per dimension:
-//!
-//! * **IP segments** — the 16-bit prefix mask (`len` leading ones). Prefix
-//!   masks are nested, so OR-folding summaries keeps the longest mask.
-//! * **Ports** — `0x0000` for the full wildcard range, `0xFFFF` otherwise:
-//!   an arbitrary `[lo, hi]` range has no single bitmask, so any
-//!   constrained range demands port equality. Conservative, never wrong.
-//! * **Protocol** — `0x0000` for [`crate::ProtoSpec::Any`], `0x00FF` for an
-//!   exact value (queries are zero-extended to 16 bits).
-//!
-//! Folding every installed rule's summary with [`MaskSummary::or`] yields a
-//! *global* summary that covers each rule's: headers equal under the fold
-//! are equal under every rule's own mask, hence receive the same
-//! highest-priority-match verdict (see `docs/flow_cache.md` for the
-//! argument).
+//! A [`MaskSummary`] holds seven 16-bit *care masks*, one per lookup
+//! dimension: a set bit is a query bit examined, a clear bit is wildcard.
+//! [`MaskSummary::hash_signature`] gives a rule the masks under which its
+//! match condition is masked equality; rules with one signature share a
+//! tuple, whose key for a header is [`MaskSummary::masked_query`] and for
+//! a rule [`MaskSummary::masked_rule`].
 
 use crate::{Dim, DimValue, Header, Rule, ALL_DIMS};
 use std::fmt;
@@ -36,46 +20,8 @@ pub struct MaskSummary {
 }
 
 impl MaskSummary {
-    /// The all-wildcard summary (no bit examined in any dimension).
-    pub const NONE: MaskSummary = MaskSummary { masks: [0; 7] };
-
-    /// The summary of one rule's seven dimension projections.
-    pub fn of_rule(rule: &Rule) -> Self {
-        let mut masks = [0u16; 7];
-        for (i, dim) in ALL_DIMS.iter().enumerate() {
-            masks[i] = dim_care_mask(rule.dim_value(*dim));
-        }
-        MaskSummary { masks }
-    }
-
-    /// Bitwise OR per dimension: the summary that covers both inputs.
-    #[must_use]
-    pub fn or(self, other: MaskSummary) -> Self {
-        let mut masks = self.masks;
-        for (m, o) in masks.iter_mut().zip(other.masks) {
-            *m |= o;
-        }
-        MaskSummary { masks }
-    }
-
-    /// OR-folds the summaries of every rule in `rules`, starting from
-    /// [`MaskSummary::NONE`].
-    pub fn fold<'a>(rules: impl IntoIterator<Item = &'a Rule>) -> Self {
-        rules
-            .into_iter()
-            .fold(MaskSummary::NONE, |acc, r| acc.or(MaskSummary::of_rule(r)))
-    }
-
-    /// Whether every bit `other` examines is also examined by `self`
-    /// (per dimension). When a fold covers a rule's summary, headers
-    /// equal under the fold are equal under the rule's own masks.
-    pub fn covers(self, other: MaskSummary) -> bool {
-        self.masks.iter().zip(other.masks).all(|(&m, o)| m & o == o)
-    }
-
     /// The header's seven query values ANDed with the care masks — the
-    /// megaflow cache key: two headers with equal masked queries under a
-    /// covering summary are classified identically.
+    /// key a header probes a tuple with.
     pub fn masked_query(self, h: &Header) -> [u16; 7] {
         let mut q = [0u16; 7];
         for (i, dim) in ALL_DIMS.iter().enumerate() {
@@ -90,11 +36,9 @@ impl MaskSummary {
     }
 
     /// The *hash-mask* signature of a rule: the per-dimension masks under
-    /// which the rule's match condition **is** masked equality, unlike
-    /// [`MaskSummary::of_rule`] whose port convention is merely
-    /// conservative. IP segments keep their prefix masks and an exact
-    /// port or protocol demands full equality, but a proper port *range*
-    /// gets mask `0x0000` — an arbitrary `[lo, hi]` has no bitmask, so
+    /// which the rule's match condition **is** masked equality. IP
+    /// segments keep their prefix masks and an exact port or protocol
+    /// demands full equality, but a proper port *range* gets mask `0x0000` — an arbitrary `[lo, hi]` has no bitmask, so
     /// the dimension is excluded from the key and must be re-verified
     /// after a key hit. This is the tuple-space grouping signature
     /// (Srinivasan–Suri–Varghese): for every header `h` that matches
@@ -144,34 +88,6 @@ impl MaskSummary {
         }
         q
     }
-
-    /// Whether no dimension examines any bit (the summary of a
-    /// match-everything rule, or of an empty fold).
-    pub fn is_none(self) -> bool {
-        self == MaskSummary::NONE
-    }
-}
-
-/// The care mask of one dimension projection (see the module docs for
-/// the per-kind conventions).
-fn dim_care_mask(v: DimValue) -> u16 {
-    match v {
-        DimValue::Seg(s) => prefix_mask16(s.len()),
-        DimValue::Port(r) => {
-            if r.is_any() {
-                0
-            } else {
-                0xFFFF
-            }
-        }
-        DimValue::Proto(p) => {
-            if p.is_any() {
-                0
-            } else {
-                0x00FF
-            }
-        }
-    }
 }
 
 /// `len` leading ones in a 16-bit mask.
@@ -211,66 +127,17 @@ mod tests {
     }
 
     #[test]
-    fn of_rule_per_dimension() {
-        let m = MaskSummary::of_rule(&rule());
-        // /8 constrains only the high source segment's first 8 bits.
-        assert_eq!(m.mask(Dim::SipHi), 0xff00);
-        assert_eq!(m.mask(Dim::SipLo), 0x0000);
-        // /24 pins the high destination segment and 8 bits of the low.
-        assert_eq!(m.mask(Dim::DipHi), 0xffff);
-        assert_eq!(m.mask(Dim::DipLo), 0xff00);
-        assert_eq!(m.mask(Dim::SrcPort), 0x0000, "ANY range examines nothing");
-        assert_eq!(m.mask(Dim::DstPort), 0xffff, "exact port wants equality");
-        assert_eq!(m.mask(Dim::Proto), 0x00ff);
-    }
-
-    #[test]
-    fn any_rule_is_none() {
-        assert!(MaskSummary::of_rule(&Rule::any(Priority(3))).is_none());
-        assert!(MaskSummary::NONE.is_none());
-        assert!(!MaskSummary::of_rule(&rule()).is_none());
-    }
-
-    #[test]
-    fn port_ranges_are_conservative() {
-        let ranged = Rule::builder(Priority(0))
-            .src_port(PortRange::new(1024, 2047).unwrap())
-            .build();
-        // A proper range has no exact bitmask: demand full equality.
-        assert_eq!(MaskSummary::of_rule(&ranged).mask(Dim::SrcPort), 0xffff);
-    }
-
-    #[test]
-    fn or_and_covers() {
-        let a = MaskSummary::of_rule(&rule());
-        let b = MaskSummary::of_rule(
-            &Rule::builder(Priority(1))
-                .src_ip(Prefix::parse("10.1.0.0/16").unwrap())
-                .build(),
-        );
-        let f = a.or(b);
-        assert!(f.covers(a) && f.covers(b));
-        assert!(!b.covers(a), "/8 examines port+proto bits /16 does not");
-        assert_eq!(
-            f.mask(Dim::SipHi),
-            0xffff,
-            "nested prefix masks fold to the longest"
-        );
-        assert_eq!(MaskSummary::fold([rule()].iter()), a);
-        assert_eq!(MaskSummary::fold(std::iter::empty()), MaskSummary::NONE);
-    }
-
-    #[test]
     fn masked_query_equality_implies_identical_match() {
-        // Headers equal under a covering fold match exactly the same rules.
+        // A rule without a proper port range matches headers equal under
+        // its signature alike.
         let r = rule();
-        let fold = MaskSummary::of_rule(&r).or(MaskSummary::of_rule(&Rule::any(Priority(9))));
+        let sig = MaskSummary::hash_signature(&r);
         let h1 = Header::new([10, 5, 5, 5].into(), [192, 168, 1, 7].into(), 1000, 80, 6);
         let h2 = Header::new([10, 9, 9, 9].into(), [192, 168, 1, 200].into(), 2000, 80, 6);
-        assert_eq!(fold.masked_query(&h1), fold.masked_query(&h2));
+        assert_eq!(sig.masked_query(&h1), sig.masked_query(&h2));
         assert_eq!(r.matches(&h1), r.matches(&h2));
         let h3 = Header::new([11, 5, 5, 5].into(), [192, 168, 1, 7].into(), 1000, 80, 6);
-        assert_ne!(fold.masked_query(&h1), fold.masked_query(&h3));
+        assert_ne!(sig.masked_query(&h1), sig.masked_query(&h3));
     }
 
     #[test]
@@ -286,8 +153,6 @@ mod tests {
         assert_eq!(sig.mask(Dim::SrcPort), 0x0000, "a range has no bitmask");
         assert_eq!(sig.mask(Dim::DstPort), 0xffff, "exact port is equality");
         assert_eq!(sig.mask(Dim::Proto), 0x00ff);
-        // of_rule stays conservative where hash_signature must be exact.
-        assert_eq!(MaskSummary::of_rule(&ranged).mask(Dim::SrcPort), 0xffff);
     }
 
     #[test]
@@ -321,7 +186,7 @@ mod tests {
 
     #[test]
     fn display_is_seven_slashed_hex_fields() {
-        let s = MaskSummary::of_rule(&rule()).to_string();
+        let s = MaskSummary::hash_signature(&rule()).to_string();
         assert_eq!(s.split('/').count(), 7);
         assert!(s.contains("ff00"));
     }

@@ -14,7 +14,7 @@
 //!   Table I comparators (linear search, HyperCuts, RFC, DCFL, Option 1/2)
 //!   and the update-first backends (tuple-space search, the software TCAM)
 //!   of its own, and the [`engine::CachedEngine`] flow verdict cache
-//!   (microflow + megaflow) that can wrap any backend
+//!   (an exact-match flow table) that can wrap any backend
 //! * [`analyze`] — static rule-set analysis: shadowing, duplicates,
 //!   label-pressure and port-expansion findings ([`spc_analyze`])
 //!
@@ -68,9 +68,9 @@ pub use spc_lookup as lookup;
 pub use spc_types as types;
 
 // The flow-cache vocabulary, re-exported at the root: what a verdict
-// matched ([`MatchHandle`]) and the per-dimension wildcard summary whose
-// fold over a rule set keys a megaflow ([`MaskSummary`]) are API surface
-// for any downstream cache or invalidation logic, not an engine-internal
+// matched ([`MatchHandle`]) and the per-dimension wildcard masks a
+// tuple-space key is taken under ([`MaskSummary`]) are API surface for
+// any downstream cache or invalidation logic, not an engine-internal
 // detail.
 pub use spc_engine::{CacheStats, CachedEngine, MatchHandle, SnapshotEngine, SnapshotReader};
 pub use spc_types::MaskSummary;

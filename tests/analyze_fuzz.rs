@@ -409,7 +409,7 @@ fn mutated_spec_strings_never_panic_the_parser() {
         "configurable-bst:rf_bits=14,combine=first",
         "sharded:inner=(configurable-mbt:rf_bits=13),shards=2",
         "sharded:inner=(tss:tables=64),shards=8,strategy=hash,hash_dim=dst_port",
-        "cached:inner=(sharded:inner=configurable-bst,shards=4),flows=8192,megaflow=off",
+        "cached:inner=(sharded:inner=configurable-bst,shards=4),flows=8192",
         "snapshot:inner=(sharded:inner=configurable-bst,shards=4,strategy=hash,hash_dim=dst_port)",
         "snapshot:inner=(cached:inner=(sharded:inner=(tcam:capacity=4096,partitions=4)))",
         "tcam:capacity=1024,partitions=4",

@@ -114,12 +114,8 @@ fn cached_matches_inner_ipc() {
 }
 
 #[test]
-fn cached_matches_inner_without_megaflow() {
-    check_family(
-        FilterKind::Acl,
-        "linear",
-        "cached:inner=linear,flows=512,megaflow=off",
-    );
+fn cached_matches_a_linear_inner() {
+    check_family(FilterKind::Acl, "linear", "cached:inner=linear,flows=512");
 }
 
 /// Every registry backend works as the inner engine (recursive caching
@@ -171,7 +167,7 @@ fn scenario_churn_matches_rebuilt_oracle() {
     let script = ScenarioScript::parse("repeat 6 { insert 12; classify 50; remove 6 }").unwrap();
     for spec in [
         "cached:inner=configurable-bst,flows=512",
-        "cached:inner=configurable-bst,flows=16,megaflow=off",
+        "cached:inner=configurable-bst,flows=16",
         "cached:inner=(sharded:inner=configurable-bst,shards=2),flows=128",
     ] {
         let mut engine = build_engine(spec, &base).unwrap();
@@ -281,7 +277,7 @@ fn eviction_under_capacity_is_a_performance_problem_only() {
     let (rules, trace) = workload(FilterKind::Acl);
     let reference = build_engine("linear", &rules).unwrap();
     let inner = build_engine("configurable-bst", &rules).unwrap();
-    // 8 microflow slots against hundreds of live flows: constant churn.
+    // 8 flow-table slots against hundreds of live flows: constant churn.
     let engine = CachedEngine::new(inner, 8, false, rules.rules());
     for round in 0..3 {
         for h in &trace {
