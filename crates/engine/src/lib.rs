@@ -88,8 +88,6 @@ mod sharded;
 pub mod snapshot;
 mod tcam;
 mod tss;
-#[cfg(test)]
-mod tuple;
 pub mod workload;
 
 pub use builder::{build_engine, legal_nesting, BuildError, EngineBuilder};

@@ -445,7 +445,7 @@ impl PacketClassifier for SoftTcamEngine {
 mod tests {
     use super::*;
     use spc_classbench::{FilterKind, RuleSetGenerator, TraceGenerator};
-    use spc_types::PortRange;
+    use spc_types::{Action, PortRange};
 
     fn empty(capacity: usize, partitions: usize) -> SoftTcamEngine {
         SoftTcamEngine::build(&RuleSet::new(), capacity, partitions).unwrap()
@@ -554,6 +554,29 @@ mod tests {
         // Order is intact: the new top-priority rule wins its header.
         let h = Header::new([0; 4].into(), [0; 4].into(), 0, 99, 0);
         assert_eq!(tcam.classify(&h).priority, Some(Priority(0)));
+    }
+
+    #[test]
+    fn tcam_report_prices_the_shift() {
+        // 8 slots in 2 partitions; fill partition 0, then force a
+        // front insert and check the report's cycles include the moves.
+        let web_rule = |p: u32, port: u16| {
+            Rule::builder(Priority(p))
+                .dst_port(PortRange::exact(port))
+                .proto(ProtoSpec::Exact(6))
+                .action(Action::Forward(1))
+                .build()
+        };
+        let mut e = empty(8, 2);
+        for p in 10..16u32 {
+            e.insert(web_rule(p, p as u16)).unwrap();
+        }
+        e.insert(web_rule(0, 9999)).unwrap();
+        let rep = e.last_update_report().expect("insert must report");
+        assert!(
+            rep.hw_write_cycles > 3 + 1,
+            "shift cost must surface: {rep:?}"
+        );
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Differential oracles for the flow verdict cache
-//! (`spc::engine::CachedEngine`, spec `cached:inner=<spec>,...`):
+//! (`spc::engine::CachedEngine`, spec `cached:inner=<spec>,...`). Every
+//! cached tree's static agreement with `linear` — every inner, every
+//! ClassBench family, cold and warm — is `tests/compositions.rs`'s;
+//! this suite holds what is the cache's own:
 //!
-//! * the cached engine must agree with its own *uncached* inner engine
-//!   verdict-for-verdict — for every registry backend as the inner, for
-//!   every ClassBench family, on the single-shot and batch paths alike
-//!   (cost annotations aside: a cache hit reports `mem_reads = 1`);
 //! * under churn — `ScenarioScript` insert/remove interleaved with
 //!   classification, and a hand-rolled insert/remove loop with
 //!   checkpoints — the cache must stay coherent with an oracle *rebuilt
@@ -24,7 +23,7 @@ mod common;
 use common::{churn_against_rebuild, Churn};
 use rand::prelude::*;
 use spc::classbench::{FilterKind, RuleSetGenerator, ScenarioScript, TraceGenerator};
-use spc::engine::{build_engine, run_scenario, EngineKind, PacketClassifier, Verdict};
+use spc::engine::{build_engine, run_scenario, PacketClassifier, Verdict};
 use spc::types::{Header, Priority, Rule, RuleId, RuleSet};
 use spc::CachedEngine;
 
@@ -50,95 +49,6 @@ fn assert_same_outcome(got: &Verdict, want: &Verdict, ctx: &dyn std::fmt::Displa
     assert_eq!(got.rule, want.rule, "{ctx}");
     assert_eq!(got.priority, want.priority, "{ctx}");
     assert_eq!(got.action, want.action, "{ctx}");
-}
-
-/// Cached-vs-uncached differential over one family and one inner spec,
-/// twice over the trace (cold pass populates, warm pass serves from the
-/// cache — both must agree with the uncached reference).
-fn check_family(family: FilterKind, inner: &str, cached_spec: &str) {
-    let (rules, trace) = workload(family);
-    let mut reference = build_engine(inner, &rules).unwrap();
-    let mut want = Vec::new();
-    reference.classify_batch(&trace, &mut want);
-
-    let mut engine = build_engine(cached_spec, &rules)
-        .unwrap_or_else(|e| panic!("{cached_spec} must build on {family:?}: {e}"));
-    assert_eq!(engine.kind(), EngineKind::Cached, "{cached_spec}");
-    assert_eq!(engine.rules(), rules.len(), "{cached_spec}");
-    for pass in ["cold", "warm"] {
-        let mut got = Vec::new();
-        let stats = engine.classify_batch(&trace, &mut got);
-        assert_eq!(stats.packets, trace.len() as u64, "{cached_spec} {pass}");
-        for ((h, w), g) in trace.iter().zip(&want).zip(&got) {
-            assert_same_outcome(
-                g,
-                w,
-                &format!("{cached_spec} vs {inner} on {family:?} {pass} at {h}"),
-            );
-            let single = engine.classify(h);
-            assert_same_outcome(&single, w, &format!("{cached_spec} single {pass} at {h}"));
-        }
-        assert_eq!(
-            stats.mem_reads,
-            got.iter().map(|v| u64::from(v.mem_reads)).sum::<u64>(),
-            "{cached_spec} {pass}: folded reads equal per-verdict sums"
-        );
-    }
-}
-
-#[test]
-fn cached_matches_inner_acl() {
-    check_family(
-        FilterKind::Acl,
-        "configurable-bst",
-        "cached:inner=configurable-bst,flows=512",
-    );
-}
-
-#[test]
-fn cached_matches_inner_fw() {
-    check_family(
-        FilterKind::Fw,
-        "configurable-bst",
-        "cached:inner=configurable-bst,flows=512",
-    );
-}
-
-#[test]
-fn cached_matches_inner_ipc() {
-    check_family(
-        FilterKind::Ipc,
-        "configurable-bst",
-        "cached:inner=configurable-bst,flows=512",
-    );
-}
-
-#[test]
-fn cached_matches_a_linear_inner() {
-    check_family(FilterKind::Acl, "linear", "cached:inner=linear,flows=512");
-}
-
-/// Every registry backend works as the inner engine (recursive caching
-/// is rejected by the builder; everything else — including a sharded
-/// inner — must agree with its uncached self).
-#[test]
-fn cached_accepts_any_registry_inner() {
-    let (rules, trace) = workload(FilterKind::Acl);
-    for inner in EngineKind::ALL {
-        if inner == EngineKind::Cached {
-            continue;
-        }
-        let spec = format!("cached:inner={inner},flows=256");
-        let mut engine =
-            build_engine(&spec, &rules).unwrap_or_else(|e| panic!("{spec} must build: {e}"));
-        let mut reference = build_engine(inner.as_str(), &rules).unwrap();
-        let (mut got, mut want) = (Vec::new(), Vec::new());
-        engine.classify_batch(&trace, &mut got);
-        reference.classify_batch(&trace, &mut want);
-        for ((h, w), g) in trace.iter().zip(&want).zip(&got) {
-            assert_same_outcome(g, w, &format!("{spec} vs {inner} at {h}"));
-        }
-    }
 }
 
 /// Scenario churn through the wrapper, checked against an oracle rebuilt

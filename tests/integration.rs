@@ -45,37 +45,6 @@ fn configurable_matches_oracle_all_kinds_both_algs() {
 }
 
 #[test]
-fn spec_string_sweep_agrees_on_one_trace() {
-    // The CLI-style entry point: every backend built from its config
-    // string, compared over one batch through the unified API.
-    let rules = gen(FilterKind::Acl, 500, 9);
-    let t = trace(&rules, 400);
-    let oracle = build_engine("linear", &rules).unwrap();
-    let want: Vec<Option<RuleId>> = t.iter().map(|h| oracle.classify(h).rule).collect();
-    for spec in [
-        "configurable-mbt:rf_bits=14",
-        "configurable-bst:rf_bits=14",
-        "hypercuts",
-        "rfc",
-        "dcfl",
-    ] {
-        let mut engine = build_engine(spec, &rules).unwrap();
-        let mut verdicts = Vec::new();
-        let stats = engine.classify_batch(&t, &mut verdicts);
-        assert_eq!(stats.packets, t.len() as u64, "{spec}");
-        assert_eq!(
-            stats.hits,
-            want.iter().filter(|w| w.is_some()).count() as u64,
-            "{spec}"
-        );
-        for ((h, want), got) in t.iter().zip(&want).zip(&verdicts) {
-            assert_eq!(got.rule, *want, "{spec}@{h}");
-        }
-        assert!(stats.mem_reads > 0, "{spec} must account its reads");
-    }
-}
-
-#[test]
 fn incremental_removal_tracks_oracle() {
     let rules = gen(FilterKind::Acl, 400, 3);
     let mut engine = build_engine("configurable-mbt:rf_bits=14", &RuleSet::new()).unwrap();

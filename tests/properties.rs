@@ -12,7 +12,7 @@
 use rand::prelude::*;
 use spc::engine::{EngineBuilder, EngineKind, PacketClassifier, UpdateError, Verdict};
 use spc::types::{
-    Action, Header, PortRange, Prefix, Priority, ProtoSpec, Rule, RuleId, RuleSet, SegPrefix,
+    Action, Header, PortRange, Prefix, Priority, ProtoSpec, Rule, RuleSet, SegPrefix,
 };
 
 fn rand_prefix(rng: &mut StdRng) -> Prefix {
@@ -209,130 +209,6 @@ fn insert_remove_roundtrip_restores_behaviour() {
             let _ = engine.insert(*r);
         }
         assert_eq!(priority_of(&engine.classify(&h)), before, "case {case}");
-    }
-}
-
-/// A deterministic rule with a unique priority and dst-port, so inserts
-/// of distinct `p` never collide as duplicate 5-tuples.
-fn update_rule(p: u32) -> Rule {
-    Rule::builder(Priority(p))
-        .dst_port(PortRange::exact(2000 + (p % 30000) as u16))
-        .proto(ProtoSpec::Exact(6))
-        .action(Action::Forward(p as u16))
-        .build()
-}
-
-/// The update-report contract across every updatable backend,
-/// including the failed-update paths: a successful insert/remove
-/// replaces `last_update_report()` with a report naming the op's rule
-/// id, and every rejected update leaves it as it was.
-#[test]
-fn failed_updates_leave_the_report() {
-    let base: RuleSet = (0..20).map(update_rule).collect();
-    for spec in [
-        "configurable-mbt",
-        "configurable-bst",
-        "sharded:inner=configurable-bst,shards=2,strategy=prio",
-        "sharded:inner=configurable-mbt,shards=2,strategy=hash",
-        "cached:inner=configurable-bst,flows=64",
-        "snapshot:inner=configurable-bst",
-        "snapshot:inner=linear",
-        "snapshot:inner=(sharded:inner=configurable-bst,shards=2)",
-        "snapshot:inner=(cached:inner=configurable-bst,flows=64)",
-        // The update-first backends, bare and under every wrapper.
-        "tss",
-        "tss:tables=16",
-        "tcam",
-        "tcam:capacity=65536,partitions=4",
-        "snapshot:inner=tss",
-        "snapshot:inner=tcam",
-        "cached:inner=tss,flows=64",
-        "cached:inner=tcam,flows=64",
-        "sharded:inner=tss,shards=2,strategy=prio",
-        "sharded:inner=tcam,shards=2,strategy=hash",
-    ] {
-        let mut e = EngineBuilder::from_spec(spec)
-            .unwrap()
-            .build(&base)
-            .unwrap_or_else(|err| panic!("{spec}: {err}"));
-        assert!(e.supports_updates(), "{spec}");
-        assert!(e.last_update_report().is_none(), "{spec}");
-
-        // Successful insert: report replaced and keyed to the id.
-        let id = e.insert(update_rule(500)).unwrap();
-        let r1 = e.last_update_report().expect(spec);
-        assert_eq!(r1.rule_id, id, "{spec}");
-
-        // Failed insert (duplicate 5-tuple): the report stays.
-        assert!(
-            matches!(
-                e.insert(update_rule(500)),
-                Err(UpdateError::Duplicate { .. })
-            ),
-            "{spec}"
-        );
-        assert_eq!(e.last_update_report(), Some(r1), "{spec}: failed insert");
-
-        // Failed remove (unknown id): same.
-        assert!(
-            matches!(
-                e.remove(RuleId(9_999)),
-                Err(UpdateError::UnknownRule { .. })
-            ),
-            "{spec}"
-        );
-        assert_eq!(e.last_update_report(), Some(r1), "{spec}: failed remove");
-
-        // Successful remove: report replaced.
-        e.remove(id).unwrap_or_else(|err| panic!("{spec}: {err}"));
-        let r2 = e.last_update_report().expect(spec);
-        assert_eq!(r2.rule_id, id, "{spec}");
-
-        // Double remove: rejected, untouched.
-        assert!(e.remove(id).is_err(), "{spec}");
-        assert_eq!(e.last_update_report(), Some(r2), "{spec}: double remove");
-
-        // Every success of a burst replaces the report with its own;
-        // the duplicate after each leaves that one in place.
-        for p in 600..616 {
-            let id = e.insert(update_rule(p)).unwrap();
-            let report = e.last_update_report().expect(spec);
-            assert_eq!(report.rule_id, id, "{spec}: one report per op");
-            assert!(e.insert(update_rule(p)).is_err(), "{spec}");
-            assert_eq!(e.last_update_report(), Some(report), "{spec}");
-        }
-    }
-
-    // Build-once backends: updates are Unsupported and there is no
-    // report, no matter how often they are poked.
-    for spec in [
-        "linear",
-        "hypercuts",
-        "rfc",
-        "dcfl",
-        "option1",
-        "option2",
-        "sharded:inner=linear,shards=2",
-    ] {
-        let mut e = EngineBuilder::from_spec(spec)
-            .unwrap()
-            .build(&base)
-            .unwrap();
-        assert!(!e.supports_updates(), "{spec}");
-        for _ in 0..3 {
-            assert!(
-                matches!(
-                    e.insert(update_rule(700)),
-                    Err(UpdateError::Unsupported { .. })
-                ),
-                "{spec}"
-            );
-            assert!(
-                matches!(e.remove(RuleId(0)), Err(UpdateError::Unsupported { .. })),
-                "{spec}"
-            );
-            assert!(e.last_update_report().is_none(), "{spec}");
-        }
     }
 }
 

@@ -3,8 +3,8 @@
 //! verdicts of the unsharded inner engine — same rule id, priority and
 //! action — for every shard count, both partitioning strategies, and
 //! every ClassBench family, on the single-shot and batch paths alike.
-//! (The general registry oracle in `tests/engine_oracle.rs` already
-//! sweeps the sharded default config; this suite sweeps its knobs.)
+//! (`tests/compositions.rs` holds every sharded tree, over every inner,
+//! at its default and one alternate point; this suite sweeps its knobs.)
 
 // Integration-test support code (helpers outside #[test] fns are not
 // covered by clippy.toml's allow-unwrap-in-tests): a failed unwrap here
@@ -17,7 +17,7 @@ mod common;
 use common::{churn_against_rebuild, diff_against_rebuild, Churn};
 use rand::prelude::*;
 use spc::classbench::{FilterKind, RuleSetGenerator, TraceGenerator};
-use spc::engine::{build_engine, EngineKind, UpdateError};
+use spc::engine::{build_engine, UpdateError};
 use spc::types::{Header, Priority, ProtoSpec, Rule, RuleSet};
 
 const RULES: usize = 240;
@@ -82,38 +82,6 @@ fn sharded_matches_inner_fw() {
 #[test]
 fn sharded_matches_inner_ipc() {
     check_family(FilterKind::Ipc, "configurable-bst");
-}
-
-#[test]
-fn sharded_matches_linear_inner_acl() {
-    check_family(FilterKind::Acl, "linear");
-}
-
-/// Any registry backend works as the inner engine.
-#[test]
-fn sharded_accepts_any_registry_inner() {
-    let (rules, trace) = workload(FilterKind::Acl);
-    for inner in EngineKind::ALL {
-        if inner == EngineKind::Sharded || inner == EngineKind::Snapshot {
-            // Recursive sharding is rejected by the builder, and the
-            // snapshot wrapper nests outside a sharded engine, never
-            // inside one (its readers serve concurrently; a shard is a
-            // single-writer component).
-            continue;
-        }
-        let spec = format!("sharded:inner={inner},shards=2");
-        let mut engine =
-            build_engine(&spec, &rules).unwrap_or_else(|e| panic!("{spec} must build: {e}"));
-        let mut reference = build_engine(inner.as_str(), &rules).unwrap();
-        let (mut got, mut want) = (Vec::new(), Vec::new());
-        engine.classify_batch(&trace, &mut got);
-        reference.classify_batch(&trace, &mut want);
-        for ((h, w), g) in trace.iter().zip(&want).zip(&got) {
-            assert_eq!(g.rule, w.rule, "{spec} vs {inner} at {h}");
-            assert_eq!(g.priority, w.priority, "{spec} priority at {h}");
-            assert_eq!(g.action, w.action, "{spec} action at {h}");
-        }
-    }
 }
 
 /// Seeded property test: arbitrary rule sets (including equal priorities

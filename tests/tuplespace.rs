@@ -1,7 +1,7 @@
 //! Integration oracles for the update-first backends: tuple-space
 //! search (`tss:`) and the software TCAM (`tcam:`) — pathological
-//! shapes, typed capacity errors, and scripted churn against a
-//! linear-search rebuild, bare and under the snapshot/cached wrappers.
+//! shapes and typed capacity errors. Churn against a linear-search
+//! rebuild, bare and under every wrapper, is `tests/compositions.rs`'s.
 
 // Integration-test support code (helpers outside #[test] fns are not
 // covered by clippy.toml's allow-unwrap-in-tests): a failed unwrap here
@@ -9,11 +9,7 @@
 // the behaviour we want.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-mod common;
-
-use common::{churn_against_rebuild, Churn};
-use rand::prelude::*;
-use spc::classbench::{FilterKind, RuleSetGenerator, TraceGenerator};
+use spc::classbench::TraceGenerator;
 use spc::engine::{
     build_engine, BuildError, EngineBuilder, PacketClassifier, SoftTcamEngine, TupleSpaceEngine,
     UpdateError,
@@ -95,43 +91,4 @@ fn tcam_capacity_exhaustion_is_typed_on_both_paths() {
         before,
         "failed insert must not report"
     );
-}
-
-/// Scripted churn oracle: drive inserts/removes from a seeded script
-/// and, at every checkpoint, demand verdict-for-verdict agreement with
-/// a linear-search engine rebuilt from the live rules — for both
-/// backends, bare and under `snapshot:` / `cached:`.
-#[test]
-fn tss_and_tcam_survive_churn_bare_and_wrapped() {
-    let base = RuleSetGenerator::new(FilterKind::Acl, 150)
-        .seed(SEED)
-        .generate();
-    let pool = RuleSetGenerator::new(FilterKind::Fw, 120)
-        .seed(SEED ^ 0x77)
-        .generate();
-
-    for spec in [
-        "tss",
-        "tcam",
-        "snapshot:inner=tss",
-        "snapshot:inner=tcam",
-        "cached:inner=tss,flows=64",
-        "cached:inner=tcam,flows=64",
-    ] {
-        let churn = Churn {
-            spec,
-            reference: "linear",
-            ops: 120,
-            check_every: 30,
-            seed: SEED ^ 0xc4,
-            probe: None,
-        };
-        churn_against_rebuild(
-            &churn,
-            &base,
-            &pool,
-            |rng| Priority(rng.gen_range(0..50_000)),
-            |_| {},
-        );
-    }
 }
