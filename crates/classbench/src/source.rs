@@ -2,10 +2,10 @@
 //!
 //! The paper evaluates its configurable architecture under *workloads* —
 //! synthetic ClassBench-style traces (Tables VI/VII) and
-//! controller-driven update bursts (§V.A). A workload used to be a
-//! materialised `Vec<Header>`; this module replaces that with a streaming
-//! trait so the same consumers (the `spc-engine` ingest pipeline, the
-//! bench binaries, the differential-oracle tests) can be driven by
+//! controller-driven update bursts (§V.A). A workload here is a stream
+//! of events pulled in bounded chunks, not a materialised `Vec<Header>`,
+//! so the same consumers (the `spc-engine` ingest pipeline, the bench
+//! binaries, the differential-oracle tests) can be driven by
 //!
 //! * synthetic traces, generated lazily ([`SyntheticTrace`], from
 //!   [`crate::TraceGenerator::stream`]);

@@ -587,8 +587,9 @@ impl CachedEngine {
         }
     }
 
-    /// The wrapped engine.
-    pub fn inner(&self) -> &dyn PacketClassifier {
+    /// The wrapped engine; tests hold a cache to it.
+    #[cfg(test)]
+    pub(crate) fn inner(&self) -> &dyn PacketClassifier {
         &*self.inner
     }
 

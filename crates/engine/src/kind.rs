@@ -36,8 +36,9 @@ pub enum EngineKind {
     /// exact-match flow table (see `CachedEngine`).
     Cached,
     /// Snapshot-swap concurrent-serving wrapper: readers classify
-    /// against an immutable published snapshot while updates rebuild
-    /// and atomically publish the next one (see `SnapshotEngine`).
+    /// against an immutable published snapshot while an update is
+    /// replayed onto a recycled copy that is then atomically published;
+    /// only a build-once inner is rebuilt (see `SnapshotEngine`).
     Snapshot,
     /// Tuple-space search: rules grouped by mask signature into one
     /// hash table per tuple, probed in best-priority order; an update
@@ -84,28 +85,6 @@ impl EngineKind {
             EngineKind::Snapshot => "snapshot",
             EngineKind::TupleSpace => "tss",
             EngineKind::SoftTcam => "tcam",
-        }
-    }
-
-    /// Accepted alternative spellings, beyond the canonical
-    /// [`EngineKind::as_str`] name. [`FromStr`] is derived from this
-    /// table plus the canonical names — extend it here, never in the
-    /// parser.
-    pub fn aliases(self) -> &'static [&'static str] {
-        match self {
-            EngineKind::ConfigurableMbt => &["configurable_mbt", "mbt"],
-            EngineKind::ConfigurableBst => &["configurable_bst", "bst"],
-            EngineKind::Linear => &["linear-search"],
-            EngineKind::HyperCuts => &[],
-            EngineKind::Rfc => &[],
-            EngineKind::Dcfl => &[],
-            EngineKind::Option1 => &["option-1"],
-            EngineKind::Option2 => &["option-2"],
-            EngineKind::Sharded => &[],
-            EngineKind::Cached => &[],
-            EngineKind::Snapshot => &[],
-            EngineKind::TupleSpace => &["tuple-space", "tuplespace"],
-            EngineKind::SoftTcam => &["soft-tcam"],
         }
     }
 
@@ -160,10 +139,9 @@ impl FromStr for EngineKind {
     type Err = ParseEngineKindError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let lower = s.to_ascii_lowercase();
         EngineKind::ALL
             .into_iter()
-            .find(|k| k.as_str() == lower || k.aliases().contains(&lower.as_str()))
+            .find(|k| k.as_str() == s)
             .ok_or_else(|| ParseEngineKindError {
                 input: s.to_string(),
             })
@@ -179,22 +157,6 @@ mod tests {
         for kind in EngineKind::ALL {
             assert_eq!(kind.as_str().parse::<EngineKind>().unwrap(), kind);
         }
-    }
-
-    #[test]
-    fn aliases_and_case() {
-        assert_eq!(
-            "MBT".parse::<EngineKind>().unwrap(),
-            EngineKind::ConfigurableMbt
-        );
-        assert_eq!(
-            "HyperCuts".parse::<EngineKind>().unwrap(),
-            EngineKind::HyperCuts
-        );
-        assert_eq!(
-            "option-2".parse::<EngineKind>().unwrap(),
-            EngineKind::Option2
-        );
     }
 
     #[test]
@@ -243,28 +205,10 @@ mod tests {
     }
 
     #[test]
-    fn aliases_parse_and_never_shadow_canonical_names() {
-        let mut spellings: Vec<&str> = Vec::new();
-        for kind in EngineKind::ALL {
-            spellings.push(kind.as_str());
-            for a in kind.aliases() {
-                assert_eq!(a.parse::<EngineKind>().unwrap(), kind, "alias {a}");
-                spellings.push(a);
-            }
-        }
-        let n = spellings.len();
-        spellings.sort_unstable();
-        spellings.dedup();
-        assert_eq!(spellings.len(), n, "a spelling maps to two kinds");
-    }
-
-    #[test]
     fn new_backends_parse() {
         for (s, k) in [
             ("tss", EngineKind::TupleSpace),
-            ("tuple-space", EngineKind::TupleSpace),
             ("tcam", EngineKind::SoftTcam),
-            ("soft-tcam", EngineKind::SoftTcam),
         ] {
             assert_eq!(s.parse::<EngineKind>().unwrap(), k);
         }

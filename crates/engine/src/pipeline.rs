@@ -2,10 +2,8 @@
 //!
 //! The paper motivates a *configurable* classifier because SDN workloads
 //! stress different parameters — lookup speed, rule capacity, update
-//! rate. The workspace's only high-throughput driver used to be the
-//! worker pool buried inside `ShardedEngine::classify_batch`; this
-//! module lifts that machinery out so **any** [`PacketClassifier`] can
-//! be fed from a header stream:
+//! rate. This module feeds **any** [`PacketClassifier`] from a header
+//! stream at high throughput, through worker pools:
 //!
 //! * [`BatchWorker`] — the unit of parallel work: something that turns a
 //!   header chunk into verdicts plus [`LookupStats`]. Every boxed engine

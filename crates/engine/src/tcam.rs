@@ -2,6 +2,7 @@
 //! scanned first-match, with a partitioned free-slot allocator whose
 //! shift-on-insert cost is priced per update.
 
+use crate::tss::{care_mask, header_cells};
 use crate::{verdict, EngineKind, PacketClassifier, UpdateError, UpdateReport, Verdict};
 use spc_types::{DimValue, Header, Priority, ProtoSpec, Rule, RuleId, RuleSet};
 use std::collections::HashMap;
@@ -60,29 +61,6 @@ impl TcamEntry {
     }
 }
 
-/// 16-bit care mask for a segment prefix length.
-fn seg_mask(len: u8) -> u16 {
-    if len == 0 {
-        0
-    } else {
-        u16::MAX << (16 - len)
-    }
-}
-
-/// The seven 16-bit query cells of a header, in canonical dimension
-/// order.
-fn query_cells(h: &Header) -> [u16; 7] {
-    [
-        h.sip_hi(),
-        h.sip_lo(),
-        h.dip_hi(),
-        h.dip_lo(),
-        h.src_port,
-        h.dst_port,
-        u16::from(h.proto),
-    ]
-}
-
 /// Expands one rule into its TCAM entries: segment prefixes verbatim,
 /// port ranges through [`spc_types::PortRange::prefix_blocks`] (the
 /// classic range-to-prefix expansion, at most `2·16 - 2` blocks per
@@ -106,10 +84,10 @@ fn expand(id: RuleId, rule: &Rule) -> Vec<TcamEntry> {
                 seq,
                 value: [sh.value(), sl.value(), dh.value(), dl.value(), sv, dv, pv],
                 mask: [
-                    seg_mask(sh.len()),
-                    seg_mask(sl.len()),
-                    seg_mask(dh.len()),
-                    seg_mask(dl.len()),
+                    care_mask(sh),
+                    care_mask(sl),
+                    care_mask(dh),
+                    care_mask(dl),
                     sm,
                     dm,
                     pm,
@@ -357,7 +335,7 @@ impl PacketClassifier for SoftTcamEngine {
     /// First-match scan: the highest-priority matching rule (ties broken
     /// by lowest id), costing one read per slot examined.
     fn classify(&self, h: &Header) -> Verdict {
-        let q = query_cells(h);
+        let q = header_cells(h);
         let mut reads = 0u32;
         for part in &self.parts {
             for e in part {

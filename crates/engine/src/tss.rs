@@ -3,7 +3,9 @@
 //! one open-addressed hash table per tuple, probed in best-priority order.
 
 use crate::{verdict, EngineKind, PacketClassifier, UpdateError, UpdateReport, Verdict};
-use spc_types::{Header, MaskSummary, Priority, Rule, RuleId, RuleSet};
+use spc_types::{
+    DimValue, Header, Priority, ProtoSpec, Rule, RuleId, RuleSet, SegPrefix, ALL_DIMS,
+};
 use std::collections::HashMap;
 
 /// Default per-tuple hash-table slot hint (`tss:tables=`), rounded up to
@@ -38,6 +40,56 @@ struct Entry {
 struct Bucket {
     key: [u16; 7],
     entries: Vec<Entry>,
+}
+
+/// The 16-bit care mask of a segment prefix: its leading `seg.len()`
+/// bits set.
+pub(crate) fn care_mask(seg: SegPrefix) -> u16 {
+    u16::MAX.checked_shl(16 - u32::from(seg.len())).unwrap_or(0)
+}
+
+/// A header's seven 16-bit query cells, in [`ALL_DIMS`] order.
+pub(crate) fn header_cells(h: &Header) -> [u16; 7] {
+    ALL_DIMS.map(|dim| dim.query(h))
+}
+
+/// A rule's *hash-mask* signature: one 16-bit care mask per dimension
+/// ([`ALL_DIMS`] order), under which the rule's match condition **is**
+/// masked equality. IP segments keep their prefix masks and an exact
+/// port or protocol demands full equality, but a proper port *range*
+/// gets mask `0x0000` — an arbitrary `[lo, hi]` has no bitmask, so the
+/// dimension is left out of the key and re-verified after a key hit.
+/// For every header `h` that matches `rule`,
+/// `sig.masked_query(&header_cells(&h)) == sig.masked_rule(&rule)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Signature([u16; 7]);
+
+impl Signature {
+    fn of(rule: &Rule) -> Self {
+        Signature(ALL_DIMS.map(|dim| match rule.dim_value(dim) {
+            DimValue::Seg(s) => care_mask(s),
+            DimValue::Port(r) if r.is_exact() => 0xFFFF,
+            DimValue::Proto(ProtoSpec::Exact(_)) => 0x00FF,
+            DimValue::Port(_) | DimValue::Proto(ProtoSpec::Any) => 0,
+        }))
+    }
+
+    /// The rule's key in its tuple: each dimension's canonical value
+    /// (prefix value, range low bound, protocol number) under the care
+    /// mask.
+    fn masked_rule(self, rule: &Rule) -> [u16; 7] {
+        self.masked_query(&ALL_DIMS.map(|dim| match rule.dim_value(dim) {
+            DimValue::Seg(s) => s.value(),
+            DimValue::Port(r) => r.lo(),
+            DimValue::Proto(ProtoSpec::Exact(n)) => u16::from(n),
+            DimValue::Proto(ProtoSpec::Any) => 0,
+        }))
+    }
+
+    /// The key a header with query cells `cells` probes the tuple with.
+    fn masked_query(self, cells: &[u16; 7]) -> [u16; 7] {
+        std::array::from_fn(|i| cells[i] & self.0[i])
+    }
 }
 
 /// FNV-1a over the seven masked 16-bit query values.
@@ -131,7 +183,7 @@ impl Table {
 /// probe-order pruning.
 #[derive(Debug)]
 struct Tuple {
-    sig: MaskSummary,
+    sig: Signature,
     table: Table,
     rules: usize,
     best: Priority,
@@ -155,7 +207,7 @@ impl Tuple {
 
 /// Tuple-space search over rule mask signatures (`"tss:tables=8"`).
 ///
-/// Rules with the same [`MaskSummary::hash_signature`] share a *tuple*;
+/// Rules with the same hash-mask signature share a *tuple*;
 /// inside a tuple, masked equality of the seven query values is a
 /// necessary condition for a match (exact for every non-range
 /// dimension), so each tuple is one hash-table probe. Tuples are probed
@@ -191,7 +243,7 @@ impl Tuple {
 pub struct TupleSpaceEngine {
     tuples: Vec<Option<Tuple>>,
     free: Vec<usize>,
-    by_sig: HashMap<[u16; 7], usize>,
+    by_sig: HashMap<Signature, usize>,
     /// Live tuple indices sorted by `(best priority, index)` — the
     /// pruning index the lookup walks.
     order: Vec<usize>,
@@ -247,12 +299,12 @@ impl TupleSpaceEngine {
     /// cycle) plus every hash slot written, one label for the rule and
     /// one for a tuple it opened.
     fn install(&mut self, rule: Rule) -> Result<UpdateReport, UpdateError> {
-        let sig = MaskSummary::hash_signature(&rule);
+        let sig = Signature::of(&rule);
         let key = sig.masked_rule(&rule);
         let mut tuple_created = false;
         let mut slots_written = 0u32;
 
-        let ti = match self.by_sig.get(&sig.masks) {
+        let ti = match self.by_sig.get(&sig) {
             Some(&ti) => ti,
             None => {
                 let t = Tuple {
@@ -271,7 +323,7 @@ impl TupleSpaceEngine {
                         self.tuples.len() - 1
                     }
                 };
-                self.by_sig.insert(sig.masks, ti);
+                self.by_sig.insert(sig, ti);
                 self.order.push(ti);
                 tuple_created = true;
                 ti
@@ -302,7 +354,7 @@ impl TupleSpaceEngine {
                 // Roll back a tuple opened just for this rejected rule.
                 let existing = e.id;
                 if tuple_created {
-                    self.drop_tuple(ti, &sig);
+                    self.drop_tuple(ti, sig);
                 }
                 return Err(UpdateError::Duplicate { existing });
             }
@@ -332,8 +384,8 @@ impl TupleSpaceEngine {
         })
     }
 
-    fn drop_tuple(&mut self, ti: usize, sig: &MaskSummary) {
-        self.by_sig.remove(&sig.masks);
+    fn drop_tuple(&mut self, ti: usize, sig: Signature) {
+        self.by_sig.remove(&sig);
         self.order.retain(|&i| i != ti);
         self.tuples[ti] = None;
         self.free.push(ti);
@@ -359,6 +411,7 @@ impl PacketClassifier for TupleSpaceEngine {
     /// costing one read per tuple descriptor, probe step and bucket entry
     /// examined.
     fn classify(&self, h: &Header) -> Verdict {
+        let cells = header_cells(h);
         let mut best: Option<(Priority, RuleId, &Rule)> = None;
         let mut reads = 0u32;
         for &ti in &self.order {
@@ -375,7 +428,7 @@ impl PacketClassifier for TupleSpaceEngine {
                 }
             }
             reads = reads.saturating_add(1);
-            let key = t.sig.masked_query(h);
+            let key = t.sig.masked_query(&cells);
             let (slot, steps, found) = t.table.find_slot(&key);
             reads = reads.saturating_add(steps);
             if !found {
@@ -456,7 +509,7 @@ impl PacketClassifier for TupleSpaceEngine {
         let tuple_freed = t.rules == 0;
         if tuple_freed {
             let sig = t.sig;
-            self.drop_tuple(ti, &sig);
+            self.drop_tuple(ti, sig);
         } else if rule.priority == t.best {
             t.recompute_best();
         }
@@ -478,8 +531,9 @@ impl PacketClassifier for TupleSpaceEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spc_classbench::{FilterKind, RuleSetGenerator, TraceGenerator};
-    use spc_types::{Action, PortRange, Prefix, ProtoSpec};
+    use rand::{rngs::StdRng, SeedableRng};
+    use spc_classbench::{sample_matching_header, FilterKind, RuleSetGenerator, TraceGenerator};
+    use spc_types::{Action, Dim, PortRange, Prefix};
 
     fn empty() -> TupleSpaceEngine {
         TupleSpaceEngine::build(&RuleSet::new(), 4).unwrap()
@@ -490,6 +544,106 @@ mod tests {
             .filter(|(_, r)| r.matches(h))
             .min_by_key(|&(id, r)| (r.priority, id))
             .map(|(id, _)| id)
+    }
+
+    fn key(sig: Signature, h: &Header) -> [u16; 7] {
+        sig.masked_query(&header_cells(h))
+    }
+
+    #[test]
+    fn masked_query_equality_implies_identical_match() {
+        // A rule without a proper port range matches headers equal under
+        // its signature alike.
+        let r = Rule::builder(Priority(0))
+            .src_ip(Prefix::parse("10.0.0.0/8").unwrap())
+            .dst_ip(Prefix::parse("192.168.1.0/24").unwrap())
+            .dst_port(PortRange::exact(80))
+            .proto(ProtoSpec::Exact(6))
+            .action(Action::Drop)
+            .build();
+        let sig = Signature::of(&r);
+        let h1 = Header::new([10, 5, 5, 5].into(), [192, 168, 1, 7].into(), 1000, 80, 6);
+        let h2 = Header::new([10, 9, 9, 9].into(), [192, 168, 1, 200].into(), 2000, 80, 6);
+        assert_eq!(key(sig, &h1), key(sig, &h2));
+        assert_eq!(r.matches(&h1), r.matches(&h2));
+        let h3 = Header::new([11, 5, 5, 5].into(), [192, 168, 1, 7].into(), 1000, 80, 6);
+        assert_ne!(key(sig, &h1), key(sig, &h3));
+    }
+
+    #[test]
+    fn hash_signature_excludes_proper_ranges() {
+        let ranged = Rule::builder(Priority(0))
+            .src_ip(Prefix::parse("10.0.0.0/8").unwrap())
+            .src_port(PortRange::new(1024, 2047).unwrap())
+            .dst_port(PortRange::exact(80))
+            .proto(ProtoSpec::Exact(17))
+            .build();
+        let Signature(masks) = Signature::of(&ranged);
+        assert_eq!(masks[Dim::SipHi.index()], 0xff00);
+        assert_eq!(
+            masks[Dim::SrcPort.index()],
+            0x0000,
+            "a range has no bitmask"
+        );
+        assert_eq!(
+            masks[Dim::DstPort.index()],
+            0xffff,
+            "exact port is equality"
+        );
+        assert_eq!(masks[Dim::Proto.index()], 0x00ff);
+    }
+
+    /// `h` with bit `b` of its 104-bit 5-tuple flipped.
+    fn flip(h: Header, b: u32) -> Header {
+        let mut n = h;
+        match b {
+            0..=31 => n.src_ip = (h.src_ip.0 ^ (1 << b)).into(),
+            32..=63 => n.dst_ip = (h.dst_ip.0 ^ (1 << (b - 32))).into(),
+            64..=79 => n.src_port ^= 1 << (b - 64),
+            80..=95 => n.dst_port ^= 1 << (b - 80),
+            _ => n.proto ^= 1 << (b - 96),
+        }
+        n
+    }
+
+    /// Every rule of generated ACL, FW and IPC sets, against trace
+    /// headers that match it: each keys to the rule's slot. The one-bit
+    /// neighbours of those headers hold the signature exact as well — a
+    /// neighbour keys to the slot exactly when it still matches the rule
+    /// with its proper ranges widened to wildcards (the dimensions the
+    /// key leaves out), so a care mask a bit short or a bit long fails.
+    #[test]
+    fn masked_rule_equals_masked_query_of_matching_headers() {
+        let mut rng = StdRng::seed_from_u64(0x51a);
+        for kind in [FilterKind::Acl, FilterKind::Fw, FilterKind::Ipc] {
+            let rules = RuleSetGenerator::new(kind, 300).seed(0xbead).generate();
+            let trace = TraceGenerator::new()
+                .seed(0x5eed)
+                .match_fraction(1.0)
+                .locality(0.0)
+                .generate(&rules, 1000);
+            for (_, r) in rules.iter() {
+                let sig = Signature::of(r);
+                let slot = sig.masked_rule(r);
+                let mut keyed = *r;
+                for port in [&mut keyed.src_port, &mut keyed.dst_port] {
+                    if !port.is_exact() {
+                        *port = PortRange::ANY;
+                    }
+                }
+                let matching = trace.iter().filter(|h| r.matches(h)).take(8).copied();
+                for h in matching.chain([sample_matching_header(r, &mut rng)]) {
+                    assert_eq!(key(sig, &h), slot, "{kind:?}: {h} must key to {r}");
+                    for n in (0..104).map(|b| flip(h, b)) {
+                        assert_eq!(
+                            key(sig, &n) == slot,
+                            keyed.matches(&n),
+                            "{kind:?}: {n}, one bit from {h}, against {r}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -51,11 +51,6 @@ impl ClockDomain {
         self.freq_mhz
     }
 
-    /// Cycle time in nanoseconds.
-    pub fn cycle_ns(self) -> f64 {
-        1_000.0 / self.freq_mhz
-    }
-
     /// Packet lookups per second given `cycles_per_packet` (the initiation
     /// interval for pipelined engines, the full latency otherwise).
     ///
@@ -109,12 +104,6 @@ mod tests {
         let clk = ClockDomain::stratix_v();
         assert!(clk.throughput_gbps(1.0, 100) > 100.0);
         assert!((clk.lookups_per_sec(1.0) / 1e6 - 133.51).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cycle_time() {
-        let clk = ClockDomain::new(100.0);
-        assert!((clk.cycle_ns() - 10.0).abs() < 1e-12);
     }
 
     #[test]

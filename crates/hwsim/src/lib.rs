@@ -13,15 +13,16 @@
 //!   same way the paper does (§V.C);
 //! * [`HashUnit`] — the hardware hash that folds the merged 68-bit label key
 //!   into a Rule Filter address (§IV.A, §IV.C.1);
-//! * [`SharedRegion`] — the Fig 5 memory-sharing multiplexer between the MBT
-//!   level-2 block and the BST node memory;
 //! * [`ResourceReport`] — the Table V synthesis summary.
+//!
+//! Fig 5's memory sharing (the MBT level-2 block doubling as BST node
+//! memory) is arithmetic over whole engines, so it lives with them, in
+//! `spc_core::SharingReport`.
 
 mod clock;
 mod hash;
 mod mem;
 mod resources;
-mod share;
 
 pub use clock::{ClockDomain, MIN_PACKET_BYTES, STRATIX_V_FMAX_MHZ};
 pub use hash::HashUnit;
@@ -29,4 +30,3 @@ pub use mem::{MemoryBlock, MemoryError};
 pub use resources::{
     ResourceReport, STRATIX_V_MEM_BITS, STRATIX_V_TOTAL_ALMS, STRATIX_V_TOTAL_PINS,
 };
-pub use share::{ShareSelect, SharedRegion};

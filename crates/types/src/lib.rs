@@ -32,7 +32,6 @@ mod dim;
 mod error;
 mod fmt_classbench;
 mod header;
-mod mask;
 mod prefix;
 mod proto;
 mod range;
@@ -44,7 +43,6 @@ pub use dim::{Dim, DimValue, ALL_DIMS, IP_SEG_DIMS};
 pub use error::TypeError;
 pub use fmt_classbench::{parse_ruleset, write_ruleset};
 pub use header::Header;
-pub use mask::MaskSummary;
 pub use prefix::{Ipv4, Prefix, SegPrefix};
 pub use proto::ProtoSpec;
 pub use range::PortRange;

@@ -68,9 +68,6 @@ pub use spc_lookup as lookup;
 pub use spc_types as types;
 
 // The flow-cache vocabulary, re-exported at the root: what a verdict
-// matched ([`MatchHandle`]) and the per-dimension wildcard masks a
-// tuple-space key is taken under ([`MaskSummary`]) are API surface for
-// any downstream cache or invalidation logic, not an engine-internal
-// detail.
+// matched ([`MatchHandle`]) is API surface for any downstream cache or
+// invalidation logic, not an engine-internal detail.
 pub use spc_engine::{CacheStats, CachedEngine, MatchHandle, SnapshotEngine, SnapshotReader};
-pub use spc_types::MaskSummary;
