@@ -213,8 +213,9 @@ pub const SECTIONS: [Section; 11] = [
                 above it are structural writes for new labels; label reuse is the share \
                 of the 7 per-rule field lookups that found one. The BST rows are the delta \
                 the software-balanced tree pushes down (§IV.C): the interval words a new or \
-                dropped boundary shifts in the sorted array, and a rewrite of each label \
-                list the prefix covers.",
+                dropped boundary shifts in the sorted array, which floats in its block so \
+                that the shorter side of the split moves, and a rewrite of each label list \
+                the prefix covers.",
     },
 ];
 

@@ -190,14 +190,13 @@ struct Tuple {
 }
 
 impl Tuple {
-    fn recompute_best(&mut self) {
-        let mut best = Priority(u32::MAX);
-        for b in self.slots() {
-            for e in &b.entries {
-                best = best.min(e.rule.priority);
-            }
-        }
-        self.best = best;
+    /// The best priority of the rules the tuple holds.
+    fn installed_best(&self) -> Priority {
+        self.slots()
+            .flat_map(|b| &b.entries)
+            .map(|e| e.rule.priority)
+            .min()
+            .unwrap_or(Priority(u32::MAX))
     }
 
     fn slots(&self) -> impl Iterator<Item = &Bucket> {
@@ -324,7 +323,8 @@ impl TupleSpaceEngine {
                     }
                 };
                 self.by_sig.insert(sig, ti);
-                self.order.push(ti);
+                let (Ok(pos) | Err(pos)) = self.order_pos(rule.priority, ti);
+                self.order.insert(pos, ti);
                 tuple_created = true;
                 ti
             }
@@ -372,10 +372,10 @@ impl TupleSpaceEngine {
         slots_written = slots_written.saturating_add(1);
 
         t.rules += 1;
-        t.best = t.best.min(rule.priority);
+        let best = t.best.min(rule.priority);
         self.next_id += 1;
         self.locs.insert(id, (ti, key));
-        self.sort_order();
+        self.reorder(ti, best);
         Ok(UpdateReport {
             rule_id: id,
             created_labels: 1 + u32::from(tuple_created),
@@ -386,15 +386,45 @@ impl TupleSpaceEngine {
 
     fn drop_tuple(&mut self, ti: usize, sig: Signature) {
         self.by_sig.remove(&sig);
-        self.order.retain(|&i| i != ti);
+        self.order.remove(self.order_index(ti));
         self.tuples[ti] = None;
         self.free.push(ti);
     }
 
-    fn sort_order(&mut self) {
-        let tuples = &self.tuples;
+    fn tuple(&self, ti: usize) -> &Tuple {
+        let Some(t) = self.tuples[ti].as_ref() else {
+            unreachable!("order and locs point at live tuples")
+        };
+        t
+    }
+
+    /// Where `(best, ti)` sits in `order` (`Ok`), or would (`Err`).
+    fn order_pos(&self, best: Priority, ti: usize) -> Result<usize, usize> {
         self.order
-            .sort_by_key(|&i| (tuples[i].as_ref().map_or(u32::MAX, |t| t.best.0), i));
+            .binary_search_by_key(&(best, ti), |&i| (self.tuple(i).best, i))
+    }
+
+    /// Where live tuple `ti` sits in `order`.
+    fn order_index(&self, ti: usize) -> usize {
+        let Ok(i) = self.order_pos(self.tuple(ti).best, ti) else {
+            unreachable!("every live tuple is in order")
+        };
+        i
+    }
+
+    /// Gives live tuple `ti` the best priority `best` and moves it from
+    /// its old place in `order` to its new one, re-sorting nothing else.
+    fn reorder(&mut self, ti: usize, best: Priority) {
+        if self.tuple(ti).best == best {
+            return;
+        }
+        self.order.remove(self.order_index(ti));
+        let Some(t) = self.tuples[ti].as_mut() else {
+            unreachable!("order and locs point at live tuples")
+        };
+        t.best = best;
+        let (Ok(to) | Err(to)) = self.order_pos(best, ti);
+        self.order.insert(to, ti);
     }
 }
 
@@ -511,9 +541,9 @@ impl PacketClassifier for TupleSpaceEngine {
             let sig = t.sig;
             self.drop_tuple(ti, sig);
         } else if rule.priority == t.best {
-            t.recompute_best();
+            let best = t.installed_best();
+            self.reorder(ti, best);
         }
-        self.sort_order();
         self.last_report = Some(UpdateReport {
             rule_id: id,
             created_labels: 0,
@@ -531,7 +561,7 @@ impl PacketClassifier for TupleSpaceEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, SeedableRng};
+    use rand::{rngs::StdRng, Rng as _, SeedableRng};
     use spc_classbench::{sample_matching_header, FilterKind, RuleSetGenerator, TraceGenerator};
     use spc_types::{Action, Dim, PortRange, Prefix};
 
@@ -689,6 +719,42 @@ mod tests {
             Err(UpdateError::Duplicate { existing: oid })
         );
         assert_eq!(ts.tuple_count(), 2);
+    }
+
+    /// `order` is what a full sort of the live tuples by `(best, index)`
+    /// gives, and each tuple's `best` is that of the rules it holds.
+    fn assert_order_is_a_full_sort(ts: &TupleSpaceEngine, what: &str) {
+        let mut want: Vec<usize> = ts.by_sig.values().copied().collect();
+        want.sort_by_key(|&i| (ts.tuple(i).best, i));
+        assert_eq!(ts.order, want, "{what}");
+        for &i in &ts.order {
+            let t = ts.tuple(i);
+            assert_eq!(t.best, t.installed_best(), "{what}: tuple {i}");
+        }
+    }
+
+    #[test]
+    fn order_is_a_full_sort_after_every_update() {
+        let mut rng = StdRng::seed_from_u64(0x02de);
+        for kind in [FilterKind::Acl, FilterKind::Fw] {
+            let rules = RuleSetGenerator::new(kind, 400).seed(0x5047).generate();
+            let pool: Vec<Rule> = rules.iter().map(|(_, r)| *r).collect();
+            let mut ts = empty();
+            // (id, pool index) of the live rules; pool indices not live.
+            let mut live: Vec<(RuleId, usize)> = Vec::new();
+            let mut idle: Vec<usize> = (0..pool.len()).collect();
+            for step in 0..2000 {
+                if !idle.is_empty() && (live.is_empty() || rng.gen_bool(0.55)) {
+                    let k = idle.swap_remove(rng.gen_range(0..idle.len()));
+                    live.push((ts.insert(pool[k]).unwrap(), k));
+                } else {
+                    let (id, k) = live.swap_remove(rng.gen_range(0..live.len()));
+                    ts.remove(id).unwrap();
+                    idle.push(k);
+                }
+                assert_order_is_a_full_sort(&ts, &format!("{kind} step {step}"));
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! * [`MemoryBlock`] — a block RAM with fixed geometry (words × word width)
 //!   that stores the actual simulator data and counts every word written
 //!   (reads are counted by the lookup that makes them and returned by value);
+//!   a sorted array in it floats from a base register, so an insert or a
+//!   remove moves the shorter side of the array;
 //! * [`ClockDomain`] — converts cycles/packet into lookups/s and Gbps the
 //!   same way the paper does (§V.C);
 //! * [`HashUnit`] — the hardware hash that folds the merged 68-bit label key

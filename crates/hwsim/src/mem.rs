@@ -57,6 +57,20 @@ impl std::error::Error for MemoryError {}
 /// need `&mut self` already and are tallied in [`MemoryBlock::writes`], the
 /// raw material of the §V.A update-cost report.
 ///
+/// The live words are one contiguous run of physical words that starts at
+/// a private *base register* (the physical address of logical word 0).
+/// Every address the API takes or returns is logical, so a reader sees
+/// the same `len()` words in the same order wherever the run sits. A
+/// block that only [`alloc`](MemoryBlock::alloc)s keeps its base at 0; a
+/// sorted array placed mid-block by
+/// [`clear_centred`](MemoryBlock::clear_centred) floats, so that
+/// [`shift_insert`](MemoryBlock::shift_insert) and
+/// [`shift_remove`](MemoryBlock::shift_remove) move whichever side of the
+/// split is shorter. The base is control state of the kind of the
+/// word-count register a search needs, one adder in the address path
+/// and no memory word, so [`MemoryBlock::used_bits`] and
+/// [`MemoryBlock::capacity_bits`] do not count it.
+///
 /// ```
 /// use spc_hwsim::MemoryBlock;
 /// let mut m: MemoryBlock<u32> = MemoryBlock::new("l1", 32, 24);
@@ -70,7 +84,11 @@ pub struct MemoryBlock<T> {
     name: String,
     words: usize,
     width_bits: u32,
+    /// The live words in logical order: logical address `a` is physical
+    /// word `base + a`.
     data: Vec<T>,
+    /// Physical address of logical word 0.
+    base: usize,
     writes: u64,
 }
 
@@ -82,6 +100,7 @@ impl<T> MemoryBlock<T> {
             words,
             width_bits,
             data: Vec::new(),
+            base: 0,
             writes: 0,
         }
     }
@@ -126,18 +145,18 @@ impl<T> MemoryBlock<T> {
         self.words - self.data.len()
     }
 
-    /// Appends a word, returning its address.
+    /// Appends a word, returning its address: a
+    /// [`shift_insert`](MemoryBlock::shift_insert) at the end, which
+    /// charges the one word written while a free word follows the array
+    /// (always, at base 0).
     ///
     /// # Errors
     ///
     /// Returns [`MemoryError::Full`] when the block is at capacity.
     pub fn alloc(&mut self, value: T) -> Result<usize, MemoryError> {
-        if self.data.len() >= self.words {
-            return Err(self.full());
-        }
-        self.writes += 1;
-        self.data.push(value);
-        Ok(self.data.len() - 1)
+        let addr = self.data.len();
+        self.shift_insert(addr, value)?;
+        Ok(addr)
     }
 
     /// Reads the word at `addr` (the caller counts the access).
@@ -173,9 +192,13 @@ impl<T> MemoryBlock<T> {
         }
     }
 
-    /// Inserts a word at `addr`, moving the words from `addr` on one
-    /// address up — how a sorted array takes a new element. Charges one
-    /// write per word moved plus one for the new word.
+    /// Inserts a word at `addr` — how a sorted array takes a new element —
+    /// moving one side of the split one word outward: the prefix
+    /// `[0, addr)` down into the word below the base, or the suffix
+    /// `[addr, len)` up into the word past the end. The shorter side moves
+    /// (the suffix on a tie); when the word next to it is the block's
+    /// edge, the other side moves instead. Charges one write per word
+    /// moved plus one for the new word.
     ///
     /// ```
     /// use spc_hwsim::MemoryBlock;
@@ -183,7 +206,9 @@ impl<T> MemoryBlock<T> {
     /// for v in [10, 30, 40] {
     ///     m.alloc(v).unwrap();
     /// }
-    /// m.shift_insert(1, 20).unwrap(); // moves 30 and 40, writes 20
+    /// // The array starts at word 0, so the prefix has no room: 30 and
+    /// // 40 move up, and 20 is written.
+    /// m.shift_insert(1, 20).unwrap();
     /// assert_eq!(m.writes(), 3 + 3);
     /// assert_eq!(*m.read(1).unwrap(), 20);
     /// assert_eq!(*m.read(3).unwrap(), 40);
@@ -191,44 +216,70 @@ impl<T> MemoryBlock<T> {
     ///
     /// # Errors
     ///
-    /// [`MemoryError::Full`] when the block is at capacity,
+    /// [`MemoryError::Full`] when the block is at capacity (only then: a
+    /// block that is not full has a free word on one side),
     /// [`MemoryError::OutOfBounds`] when `addr` is past the first free
-    /// word; the block and its write count are untouched either way.
+    /// word; the block, its base and its write count are untouched either
+    /// way.
     pub fn shift_insert(&mut self, addr: usize, value: T) -> Result<(), MemoryError> {
-        if self.data.len() >= self.words {
+        let len = self.data.len();
+        if len >= self.words {
             return Err(self.full());
         }
-        if addr > self.data.len() {
+        if addr > len {
             return Err(self.out_of_bounds(addr));
         }
-        self.writes += (self.data.len() - addr) as u64 + 1;
+        let (prefix, suffix) = (addr, len - addr);
+        let room_above = self.base + len < self.words;
+        // Not full: if the suffix has no room above, the prefix has some
+        // below.
+        let moved = if self.base > 0 && (prefix < suffix || !room_above) {
+            self.base -= 1;
+            prefix
+        } else {
+            suffix
+        };
+        self.writes += moved as u64 + 1;
         self.data.insert(addr, value);
         Ok(())
     }
 
-    /// Removes the word at `addr`, moving the words after it one address
-    /// down, and returns it. Charges one write per word moved.
+    /// Removes the word at `addr` and returns it, closing the gap from
+    /// the shorter side: the prefix `[0, addr)` moves up one word (the
+    /// base with it) or the suffix `(addr, len)` down one (the suffix on
+    /// a tie). Charges one write per word moved.
     ///
     /// ```
     /// use spc_hwsim::MemoryBlock;
     /// let mut m: MemoryBlock<u32> = MemoryBlock::new("sorted", 8, 16);
-    /// for v in [10, 20, 30] {
+    /// for v in [10, 20, 30, 40] {
     ///     m.alloc(v).unwrap();
     /// }
-    /// assert_eq!(m.shift_remove(0).unwrap(), 10); // moves 20 and 30
-    /// assert_eq!(m.writes(), 3 + 2);
+    /// assert_eq!(m.shift_remove(1).unwrap(), 20); // 10 moves up, not 30 and 40 down
+    /// assert_eq!(m.writes(), 4 + 1);
+    /// assert_eq!(m.shift_remove(2).unwrap(), 40); // the last word: nothing moves
+    /// assert_eq!(m.writes(), 4 + 1);
+    /// assert_eq!(*m.read(0).unwrap(), 10);
     /// assert_eq!(m.len(), 2);
     /// ```
     ///
     /// # Errors
     ///
-    /// [`MemoryError::OutOfBounds`] for unallocated addresses; the block
-    /// and its write count are untouched.
+    /// [`MemoryError::OutOfBounds`] for unallocated addresses; the block,
+    /// its base and its write count are untouched.
     pub fn shift_remove(&mut self, addr: usize) -> Result<T, MemoryError> {
-        if addr >= self.data.len() {
+        let len = self.data.len();
+        if addr >= len {
             return Err(self.out_of_bounds(addr));
         }
-        self.writes += (self.data.len() - addr - 1) as u64;
+        let (prefix, suffix) = (addr, len - addr - 1);
+        let moved = if prefix < suffix {
+            self.base += 1;
+            prefix
+        } else {
+            suffix
+        };
+        self.writes += moved as u64;
         Ok(self.data.remove(addr))
     }
 
@@ -248,9 +299,13 @@ impl<T> MemoryBlock<T> {
     }
 
     /// Clears content (e.g. software rebuild), keeping geometry and the
-    /// write count.
-    pub fn clear(&mut self) {
+    /// write count, and places the next `len` words allocated mid-block,
+    /// from physical word `(words − len) / 2`, so that a sorted array
+    /// rebuilt there has free words on both sides to shift into. Charges
+    /// nothing: each word is written once wherever it goes.
+    pub fn clear_centred(&mut self, len: usize) {
         self.data.clear();
+        self.base = self.words.saturating_sub(len) / 2;
     }
 
     /// Words written since construction (allocations included). Callers
@@ -309,20 +364,261 @@ mod tests {
             m.alloc(v).unwrap();
         }
         let w = m.writes();
-        m.shift_insert(2, 15).unwrap(); // 20 and 30 move, 15 is written
+        // At base 0 the prefix has no free word below it, so the suffix
+        // moves even where it is the longer side.
+        m.shift_insert(2, 15).unwrap(); // 20 and 30 move up, 15 is written
         assert_eq!(m.writes() - w, 2 + 1);
         m.shift_insert(5, 40).unwrap(); // at the end: nothing moves
         assert_eq!(m.writes() - w, 3 + 1);
-        let all: Vec<u32> = (0..m.len()).map(|a| *m.read(a).unwrap()).collect();
-        assert_eq!(all, vec![0, 10, 15, 20, 30, 40]);
+        assert_eq!(m.as_slice(), [0, 10, 15, 20, 30, 40]);
 
         let w = m.writes();
-        assert_eq!(m.shift_remove(1).unwrap(), 10); // four words move down
-        assert_eq!(m.writes() - w, 4);
+        assert_eq!(m.shift_remove(1).unwrap(), 10); // 0 moves up, not four words down
+        assert_eq!(m.writes() - w, 1);
         assert_eq!(m.shift_remove(4).unwrap(), 40); // the last word: none
-        assert_eq!(m.writes() - w, 4);
-        let all: Vec<u32> = (0..m.len()).map(|a| *m.read(a).unwrap()).collect();
-        assert_eq!(all, vec![0, 15, 20, 30]);
+        assert_eq!(m.writes() - w, 1);
+        assert_eq!(m.as_slice(), [0, 15, 20, 30]);
+
+        // At base 1 there is a free word on each side, so the shorter
+        // prefix moves down.
+        let w = m.writes();
+        m.shift_insert(1, 5).unwrap(); // 0 moves down, 5 is written
+        assert_eq!(m.writes() - w, 1 + 1);
+        assert_eq!(m.as_slice(), [0, 5, 15, 20, 30]);
+    }
+
+    #[test]
+    fn clear_centred_places_the_array_mid_block() {
+        let mut m: MemoryBlock<u32> = MemoryBlock::new("b", 9, 8);
+        m.clear_centred(4);
+        for v in [10, 20, 30, 40] {
+            m.alloc(v).unwrap();
+        }
+        assert_eq!((m.base, m.writes()), (2, 4), "words 2..6, one write each");
+        m.shift_insert(1, 15).unwrap(); // 10 moves down, 15 is written
+        m.shift_insert(4, 35).unwrap(); // 40 moves up, 35 is written
+        assert_eq!(m.writes(), 4 + 2 + 2);
+        assert_eq!(m.as_slice(), [10, 15, 20, 30, 35, 40]);
+        assert_eq!(m.used_bits(), 6 * 8, "the base register is no memory word");
+        m.clear_centred(9);
+        assert_eq!((m.base, m.len()), (0, 0));
+    }
+
+    /// splitmix64: a seeded stream for the layout property below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// The block's physical words, each shift applied as the word moves
+    /// it charges, one slot over into a slot that must be free.
+    struct Shadow {
+        slots: Vec<Option<u32>>,
+        writes: u64,
+    }
+
+    impl Shadow {
+        fn put(&mut self, at: usize, value: Option<u32>) {
+            let slot = self
+                .slots
+                .get_mut(at)
+                .expect("a word moved past the block's edge");
+            assert!(slot.is_none(), "a move overwrote the live word at {at}");
+            *slot = value;
+            self.writes += 1;
+        }
+
+        fn mv(&mut self, from: usize, to: usize) {
+            let value = self.slots[from].take();
+            assert!(value.is_some(), "moved the free word {from}");
+            self.put(to, value);
+        }
+
+        fn live(&self) -> (usize, Vec<u32>) {
+            let first = self.slots.iter().position(Option::is_some);
+            let live: Vec<u32> = self.slots.iter().flatten().copied().collect();
+            let first = first.unwrap_or(0);
+            let run = &self.slots[first..first + live.len()];
+            assert!(run.iter().all(Option::is_some), "the live words have a gap");
+            (first, live)
+        }
+    }
+
+    /// Counts of the cases the property must have met to mean anything.
+    #[derive(Default)]
+    struct Seen {
+        prefix_moves: usize,
+        forced_suffix: usize,
+        forced_prefix: usize,
+        full: usize,
+    }
+
+    /// A block, its shadow, and the seeded stream that drives both.
+    struct Trial {
+        m: MemoryBlock<u32>,
+        sh: Shadow,
+        rng: Rng,
+        next: u32,
+        seen: Seen,
+    }
+
+    impl Trial {
+        /// Empties the block, to refill from word 0 (as a block that only
+        /// allocates does) or from mid-block (as a rebuild places its
+        /// array).
+        fn restart(&mut self) {
+            let words = self.m.words;
+            let len = if self.rng.below(2) == 0 {
+                words
+            } else {
+                self.rng.below(words + 1)
+            };
+            self.m.clear_centred(len);
+            self.sh.slots.fill(None);
+        }
+
+        /// One insert or remove on the block and, by the side its base
+        /// register says moved, on the shadow; then the block must be
+        /// the shadow's live run, charged the words the shadow wrote,
+        /// having moved the cheaper side that had room.
+        fn step(&mut self) {
+            let Trial {
+                m, sh, rng, seen, ..
+            } = self;
+            let (base, len, writes) = (m.base, m.len(), m.writes());
+            let before = m.as_slice().to_vec();
+            sh.writes = 0;
+            let insert = len == 0 || rng.below(2) == 0;
+            // One address in eight past the valid range.
+            let span = if insert { len + 1 } else { len };
+            let addr = if rng.below(8) == 0 {
+                span
+            } else {
+                rng.below(span)
+            };
+            let ok = if insert {
+                self.next += 1;
+                let value = self.next;
+                match m.shift_insert(addr, value) {
+                    Ok(()) => {
+                        let (prefix, suffix) = (addr + 1, len - addr + 1);
+                        let (below, above) = (base > 0, base + len < m.words);
+                        if m.base + 1 == base {
+                            seen.prefix_moves += 1;
+                            seen.forced_prefix += usize::from(prefix > suffix);
+                            assert!(below && (prefix < suffix || !above), "prefix moved");
+                            for a in 0..addr {
+                                sh.mv(base + a, base + a - 1);
+                            }
+                            sh.put(base - 1 + addr, Some(value));
+                        } else {
+                            assert_eq!(m.base, base, "the base moves by at most one");
+                            seen.forced_suffix += usize::from(suffix > prefix);
+                            assert!(above && (suffix <= prefix || !below), "suffix moved");
+                            for a in (addr..len).rev() {
+                                sh.mv(base + a, base + a + 1);
+                            }
+                            sh.put(base + addr, Some(value));
+                        }
+                        true
+                    }
+                    Err(MemoryError::Full { .. }) => {
+                        assert_eq!(len, m.words, "Full only when every word is live");
+                        seen.full += 1;
+                        false
+                    }
+                    Err(MemoryError::OutOfBounds { .. }) => {
+                        assert!(len < m.words && addr > len);
+                        false
+                    }
+                }
+            } else {
+                match m.shift_remove(addr) {
+                    Ok(value) => {
+                        assert_eq!(value, before[addr]);
+                        assert_eq!(sh.slots[base + addr].take(), Some(value));
+                        let (prefix, suffix) = (addr, len - addr - 1);
+                        if m.base == base + 1 {
+                            seen.prefix_moves += 1;
+                            assert!(prefix < suffix, "prefix moved");
+                            for a in (0..addr).rev() {
+                                sh.mv(base + a, base + a + 1);
+                            }
+                        } else {
+                            assert_eq!(m.base, base, "the base moves by at most one");
+                            assert!(suffix <= prefix, "suffix moved");
+                            for a in addr + 1..len {
+                                sh.mv(base + a, base + a - 1);
+                            }
+                        }
+                        true
+                    }
+                    Err(e) => {
+                        assert!(addr >= len, "{e}");
+                        false
+                    }
+                }
+            };
+            if !ok {
+                assert_eq!(
+                    (m.base, m.writes()),
+                    (base, writes),
+                    "a failed shift is untouched"
+                );
+                assert_eq!(m.as_slice(), before);
+            }
+            assert_eq!(
+                m.writes() - writes,
+                sh.writes,
+                "charged == words the shadow wrote"
+            );
+            let (first, live) = sh.live();
+            if !live.is_empty() {
+                assert_eq!(first, m.base, "the live run starts at the base");
+            }
+            assert_eq!(live, m.as_slice(), "the live run is the array in order");
+        }
+    }
+
+    #[test]
+    fn every_shift_is_a_realisable_move_of_the_cheaper_side() {
+        let mut seen = Seen::default();
+        for (seed, words) in [(1, 1), (2, 2), (3, 3), (4, 5), (5, 8), (6, 16), (7, 33)] {
+            let mut t = Trial {
+                m: MemoryBlock::new("b", words, 8),
+                sh: Shadow {
+                    slots: vec![None; words],
+                    writes: 0,
+                },
+                rng: Rng(seed),
+                next: 0,
+                seen,
+            };
+            for round in 0..400 {
+                if round % 50 == 0 {
+                    t.restart();
+                }
+                t.step();
+            }
+            seen = t.seen;
+        }
+        assert!(seen.prefix_moves > 0, "the array floated");
+        assert!(
+            seen.forced_suffix > 0,
+            "a shorter prefix at word 0 made the suffix move"
+        );
+        assert!(
+            seen.forced_prefix > 0,
+            "a shorter suffix at the top made the prefix move"
+        );
+        assert!(seen.full > 0, "an insert into a full block was refused");
     }
 
     #[test]
@@ -346,15 +642,14 @@ mod tests {
             Err(MemoryError::Full { .. })
         ));
         assert_eq!(m.writes() - w, 1, "only the alloc was charged");
-        let all: Vec<u32> = (0..m.len()).map(|a| *m.read(a).unwrap()).collect();
-        assert_eq!(all, vec![1, 2, 3]);
+        assert_eq!(m.as_slice(), [1, 2, 3]);
     }
 
     #[test]
     fn clear_keeps_geometry() {
         let mut m: MemoryBlock<u32> = MemoryBlock::new("b", 4, 8);
         m.alloc(1).unwrap();
-        m.clear();
+        m.clear_centred(4);
         assert!(m.is_empty());
         assert_eq!(m.words(), 4);
     }

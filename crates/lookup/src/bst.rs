@@ -16,10 +16,10 @@
 //! controller's prefix map and log the change, [`FieldEngine::flush`]
 //! pushes it down, and lookups in between return [`EngineError::Dirty`].
 //! What is pushed down is the *delta*. A new prefix splits at most two
-//! intervals — each split copies the split interval's list and shifts the
-//! array's suffix up one word — and enters the list of every interval it
+//! intervals — each split copies the split interval's list and opens a
+//! word in the sorted array — and enters the list of every interval it
 //! covers; a removed prefix leaves those lists, and each of its two
-//! boundaries goes (suffix shifted down) when the lists either side have
+//! boundaries goes (its word closed up) when the lists either side have
 //! become equal; a re-prioritised label is rewritten in the lists it sits
 //! in. A boundary exists exactly where some prefix starts or ends, and
 //! the label of that prefix is in the list on one side only, so the array
@@ -27,6 +27,15 @@
 //! same reads, same bits. The rebuild is the bulk path — an empty array,
 //! or more logged changes than the array has words to patch — and what a
 //! flush falls back to when a patch does not fit.
+//!
+//! The array *floats* in its block: the rebuild places it mid-block, and
+//! the block's base register (the physical address of interval 0, see
+//! [`MemoryBlock`]) lets a boundary opened or closed move whichever side
+//! of the array is shorter, down or up one word, instead of the whole
+//! suffix. The search reads logical addresses, so its reads do not
+//! change; in hardware the base is one adder in the address path. It is
+//! control state like the interval count the search already needs, not
+//! a memory word, so `used_bits` and `provisioned_bits` do not count it.
 
 use crate::engine::{EngineError, FieldEngine, LookupCost};
 use crate::label::{Label, LabelEntry, LabelList};
@@ -217,22 +226,25 @@ impl RangeBst {
     /// Rebuilds the interval array and every list from `values`: the bulk
     /// path, and the reference the patched array is held to.
     fn rebuild(&mut self, store: &mut LabelStore) -> Result<(), EngineError> {
-        self.intervals.clear();
         store.clear();
-        if self.values.is_empty() {
-            return Ok(());
-        }
-        // Elementary interval boundaries.
-        let mut bounds: Vec<u32> = vec![0];
+        // Elementary interval boundaries: none for an empty map, else the
+        // first interval starts at 0.
+        let mut bounds: Vec<u32> = Vec::new();
         for &(value, len) in self.values.keys() {
             let p = SegPrefix::masked(value, len);
             bounds.push(u32::from(p.first()));
             bounds.push(u32::from(p.last()) + 1);
         }
+        if !bounds.is_empty() {
+            bounds.push(0);
+        }
         bounds.retain(|b| *b <= u32::from(u16::MAX));
         bounds.sort_unstable();
         bounds.dedup();
         let starts: Vec<u16> = bounds.iter().map(|b| *b as u16).collect();
+        // Mid-block, with free words on both sides for the patches to
+        // shift into.
+        self.intervals.clear_centred(starts.len());
         if starts.len() > self.intervals.words() {
             return Err(EngineError::Capacity {
                 what: format!(
