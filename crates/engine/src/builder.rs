@@ -8,8 +8,7 @@ use crate::linear::LinearSearch;
 use crate::options::OptionClassifier;
 use crate::rfc::Rfc;
 use crate::shard::ShardStrategy;
-use crate::tcam::{MAX_CAPACITY, MAX_PARTITIONS};
-use crate::tss::MAX_TABLES;
+use crate::tcam::MAX_CAPACITY;
 use crate::{CachedEngine, ConfigurableEngine, EngineKind, PacketClassifier};
 use crate::{ShardedEngine, SnapshotEngine, SoftTcamEngine, TupleSpaceEngine};
 use spc_analyze::{AnalyzerLimits, RuleSetReport};
@@ -28,16 +27,7 @@ const RFC_ENTRY_CAP: u64 = 1 << 27;
 /// backend a key belongs to is decided by the [`KindOpts`] variant that
 /// stores it (`inner` lives on the [`EngineBuilder`] node).
 const SPEC_KEYS: &[&str] = &[
-    "rf_bits",
-    "combine",
-    "inner",
-    "shards",
-    "strategy",
-    "hash_dim",
-    "flows",
-    "tables",
-    "capacity",
-    "partitions",
+    "rf_bits", "combine", "inner", "shards", "strategy", "hash_dim", "flows", "capacity",
 ];
 
 /// Error from [`EngineBuilder`].
@@ -185,10 +175,8 @@ enum KindOpts {
     },
     /// `cached`.
     Cached { flows: usize },
-    /// `tss`.
-    Tss { tables: usize },
     /// `tcam`.
-    Tcam { capacity: usize, partitions: usize },
+    Tcam { capacity: usize },
 }
 
 impl KindOpts {
@@ -205,12 +193,8 @@ impl KindOpts {
                 hash_dim: None,
             },
             EngineKind::Cached => KindOpts::Cached { flows: 4096 },
-            EngineKind::TupleSpace => KindOpts::Tss {
-                tables: crate::DEFAULT_TSS_TABLES,
-            },
             EngineKind::SoftTcam => KindOpts::Tcam {
                 capacity: crate::DEFAULT_TCAM_CAPACITY,
-                partitions: crate::DEFAULT_TCAM_PARTITIONS,
             },
             _ => KindOpts::None,
         }
@@ -245,9 +229,7 @@ impl KindOpts {
                 *hash_dim = Some(dim.ok_or(())?);
             }
             (KindOpts::Cached { flows }, "flows") => *flows = num(value)?,
-            (KindOpts::Tss { tables }, "tables") => *tables = num(value)?,
-            (KindOpts::Tcam { capacity, .. }, "capacity") => *capacity = num(value)?,
-            (KindOpts::Tcam { partitions, .. }, "partitions") => *partitions = num(value)?,
+            (KindOpts::Tcam { capacity }, "capacity") => *capacity = num(value)?,
             _ => return Ok(false),
         }
         Ok(true)
@@ -295,28 +277,10 @@ impl KindOpts {
                 let why = " (the table is allocated up front)";
                 at_most("flows", flows, MAX_FLOWS as u64, why)
             }
-            KindOpts::Tss { tables } => {
-                at_least_one("tables", tables, " (each tuple needs at least one slot)")?;
-                let why = " (every tuple allocates its table up front)";
-                at_most("tables", tables, MAX_TABLES as u64, why)
-            }
-            KindOpts::Tcam {
-                capacity,
-                partitions,
-            } => {
+            KindOpts::Tcam { capacity } => {
                 at_least_one("capacity", capacity, " (the TCAM needs at least one slot)")?;
                 let why = " (its modelled bits must fit a u64)";
-                at_most("capacity", capacity, MAX_CAPACITY, why)?;
-                at_least_one("partitions", partitions, "")?;
-                let why = " (every partition is allocated at build)";
-                at_most("partitions", partitions, MAX_PARTITIONS as u64, why)?;
-                if partitions > capacity {
-                    return config(
-                        format!("partitions={partitions}"),
-                        &format!("partitions must not exceed capacity ({capacity})"),
-                    );
-                }
-                Ok(())
+                at_most("capacity", capacity, MAX_CAPACITY, why)
             }
         }
     }
@@ -345,14 +309,7 @@ impl KindOpts {
                 out.extend(hash_dim.map(|dim| format!("hash_dim={dim}")));
             }
             KindOpts::Cached { flows } => out.push(format!("flows={flows}")),
-            KindOpts::Tss { tables } => out.push(format!("tables={tables}")),
-            KindOpts::Tcam {
-                capacity,
-                partitions,
-            } => {
-                out.push(format!("capacity={capacity}"));
-                out.push(format!("partitions={partitions}"));
-            }
+            KindOpts::Tcam { capacity } => out.push(format!("capacity={capacity}")),
         }
     }
 }
@@ -452,20 +409,16 @@ impl EngineBuilder {
     /// wrappers — `sharded`, `cached`, `snapshot` — take `inner=<spec>`,
     /// a *full* nested spec (default `configurable-bst`); parenthesise
     /// it when it contains commas, e.g.
-    /// `cached:inner=(sharded:inner=(tss:tables=64),shards=4),flows=8192`.
+    /// `cached:inner=(sharded:inner=(tcam:capacity=4096),shards=4),flows=8192`.
     /// Nesting is decided by [`legal_nesting`] for every pair on a path.
     /// The sharded backend also takes `shards=N`, `strategy=prio|hash`
     /// and `hash_dim=<dimension>` (e.g. `dst_port`; refines
     /// `strategy=hash`).
     /// The cached backend takes `flows=N` (flow-table slots, rounded up
-    /// to a power of two at build time). The tuple-space backend takes
-    /// `tables=N` (per-tuple hash-slot hint, rounded up to a power of two
-    /// at build time). The software TCAM
-    /// takes `capacity=N` (provisioned slots) and `partitions=K`
-    /// (allocator partition count, at most one per slot). What is
-    /// allocated up front is bounded: `flows` ≤ 2²⁰, `tables` ≤ 2¹²,
-    /// `partitions` ≤ 2¹⁶, and `capacity` stays small enough for its
-    /// modelled bits to fit a `u64`.
+    /// to a power of two at build time, at most 2²⁰: the table is
+    /// allocated up front). The software TCAM takes `capacity=N`
+    /// (provisioned slots, small enough for its modelled bits to fit a
+    /// `u64`).
     ///
     /// Every key is checked against the kind it is for: unknown keys,
     /// keys for another backend, and duplicated keys are hard
@@ -680,19 +633,13 @@ impl EngineBuilder {
         ShardedEngine::new(rules, shards, strategy, (**inner).clone())
     }
 
-    /// The flow cache over its inner built from `rules`; `keys` is the
-    /// set's projection index when the caller made one, handed on to the
-    /// inner (a `snapshot:` keeps it).
-    pub(crate) fn build_cached(
-        &self,
-        rules: &RuleSet,
-        keys: Option<KeyIndex>,
-    ) -> Result<CachedEngine, BuildError> {
+    /// The flow cache over its inner built from `rules`.
+    pub(crate) fn build_cached(&self, rules: &RuleSet) -> Result<CachedEngine, BuildError> {
         let (KindOpts::Cached { flows }, Some(inner)) = (self.opts, &self.inner) else {
             return Err(self.not_a(EngineKind::Cached));
         };
         Ok(CachedEngine::new(
-            inner.build_unchecked(rules, keys)?,
+            inner.build_unchecked(rules)?,
             flows.next_power_of_two(),
             false,
             [],
@@ -712,17 +659,18 @@ impl EngineBuilder {
         if self.kind != EngineKind::Snapshot {
             return Err(self.not_a(EngineKind::Snapshot));
         }
-        self.snapshot_over(rules, key_index(rules)?)
+        key_index(rules)?;
+        self.snapshot_over(rules)
     }
 
-    /// The snapshot writer over `rules`, whose projection index `keys`
-    /// is: the writer checks every later insert against it.
-    fn snapshot_over(&self, rules: &RuleSet, keys: KeyIndex) -> Result<SnapshotEngine, BuildError> {
+    /// The snapshot writer over `rules`, a set known to be
+    /// duplicate-free.
+    fn snapshot_over(&self, rules: &RuleSet) -> Result<SnapshotEngine, BuildError> {
         let (EngineKind::Snapshot, Some(inner)) = (self.kind, &self.inner) else {
             return Err(self.not_a(EngineKind::Snapshot));
         };
-        let engine = inner.build_unchecked(rules, None)?;
-        Ok(SnapshotEngine::new(rules, engine, keys, (**inner).clone()))
+        let engine = inner.build_unchecked(rules)?;
+        Ok(SnapshotEngine::new(rules, engine, (**inner).clone()))
     }
 
     /// Builds the backend over a rule set.
@@ -736,19 +684,16 @@ impl EngineBuilder {
     /// values than DCFL's or Option 1/2's labels can name). The tree
     /// itself was checked when it was parsed.
     pub fn build(&self, rules: &RuleSet) -> Result<Box<dyn PacketClassifier>, BuildError> {
-        let keys = key_index(rules)?;
-        self.build_unchecked(rules, Some(keys))
+        key_index(rules)?;
+        self.build_unchecked(rules)
     }
 
     /// [`EngineBuilder::build`] without the duplicate check, over a set
     /// known to be duplicate-free: the root's checked set, a shard's
-    /// slice of one, or the live rules of a snapshot writer. `keys` is
-    /// the set's projection index if the root made one; it goes down the
-    /// `cached:` chain to the one node that keeps it, a `snapshot:`.
+    /// slice of one, or the live rules of a snapshot writer.
     pub(crate) fn build_unchecked(
         &self,
         rules: &RuleSet,
-        keys: Option<KeyIndex>,
     ) -> Result<Box<dyn PacketClassifier>, BuildError> {
         let kind = self.kind;
         let engine: Box<dyn PacketClassifier> = match (kind, self.opts) {
@@ -765,30 +710,16 @@ impl EngineBuilder {
                 Box::new(OptionClassifier::build(rules, kind).map_err(|e| self.rejected(e))?)
             }
             (EngineKind::Sharded, _) => Box::new(self.build_sharded(rules)?),
-            (EngineKind::Cached, _) => Box::new(self.build_cached(rules, keys)?),
-            // Only a root or a `cached:` chain from it reaches a snapshot
-            // (`legal_nesting`), and both hand the index down.
-            (EngineKind::Snapshot, _) => {
-                let keys = match keys {
-                    Some(keys) => keys,
-                    None => key_index(rules)?,
-                };
-                Box::new(self.snapshot_over(rules, keys)?)
+            (EngineKind::Cached, _) => Box::new(self.build_cached(rules)?),
+            (EngineKind::Snapshot, _) => Box::new(self.snapshot_over(rules)?),
+            (EngineKind::TupleSpace, _) => {
+                Box::new(TupleSpaceEngine::build(rules).map_err(|e| self.rejected(e))?)
             }
-            (EngineKind::TupleSpace, KindOpts::Tss { tables }) => {
-                Box::new(TupleSpaceEngine::build(rules, tables).map_err(|e| self.rejected(e))?)
+            (EngineKind::SoftTcam, KindOpts::Tcam { capacity }) => {
+                Box::new(SoftTcamEngine::build(rules, capacity).map_err(|e| self.rejected(e))?)
             }
-            (
-                EngineKind::SoftTcam,
-                KindOpts::Tcam {
-                    capacity,
-                    partitions,
-                },
-            ) => Box::new(
-                SoftTcamEngine::build(rules, capacity, partitions).map_err(|e| self.rejected(e))?,
-            ),
             // `new` pairs every kind with its own options variant.
-            (EngineKind::TupleSpace | EngineKind::SoftTcam, _) => return Err(self.not_a(kind)),
+            (EngineKind::SoftTcam, _) => return Err(self.not_a(kind)),
         };
         Ok(engine)
     }
@@ -799,9 +730,8 @@ pub(crate) type KeyIndex = HashMap<[DimValue; 7], RuleId>;
 
 /// Duplicate 5-tuples are unrepresentable on the configurable
 /// architecture; reject them uniformly so a set either builds on every
-/// backend or on none. A set without any comes back as its index:
-/// dimension projection → rule id.
-fn key_index(rules: &RuleSet) -> Result<KeyIndex, BuildError> {
+/// backend or on none, by indexing the set's projections once.
+fn key_index(rules: &RuleSet) -> Result<(), BuildError> {
     #[cfg(test)]
     tests::KEY_INDEXES.with(|n| n.set(n.get() + 1));
     let mut first_seen = KeyIndex::with_capacity(rules.len());
@@ -810,7 +740,7 @@ fn key_index(rules: &RuleSet) -> Result<KeyIndex, BuildError> {
             return Err(BuildError::DuplicateRules { first, dup: id });
         }
     }
-    Ok(first_seen)
+    Ok(())
 }
 
 /// One-shot convenience: parse a spec and build over a rule set.
@@ -987,6 +917,8 @@ mod tests {
             "configurable-bst:optimize=validated",
             "linear:optimize=off",
             "cached:inner=linear,optimize=validated",
+            "tss:tables=8",
+            "tcam:partitions=8",
         ] {
             let e = EngineBuilder::from_spec(spec);
             let unknown = matches!(
@@ -1090,16 +1022,12 @@ mod tests {
         // Counts past what 32-bit slot links (or the allocator) can
         // address (2^64 - 1, 2^63), counts that fit the links but not
         // memory (2^30), and capacities whose modelled bits overflow a
-        // u64 (2^60, 2^40): each is a ConfigError at parse, before any
-        // count is rounded up or anything is allocated.
+        // u64 (2^60): each is a ConfigError at parse, before any count is
+        // rounded up or anything is allocated.
         for spec in [
             "cached:flows=18446744073709551615",
-            "tss:tables=18446744073709551615",
             "cached:flows=9223372036854775808",
-            "tss:tables=9223372036854775808",
             "tcam:capacity=1152921504606846976",
-            "tcam:capacity=1099511627776,partitions=1099511627776",
-            "tss:tables=1073741824",
             "cached:flows=1073741824",
         ] {
             let e = EngineBuilder::from_spec(spec);
@@ -1111,8 +1039,7 @@ mod tests {
         // The bounds themselves still parse.
         for spec in [
             format!("cached:flows={MAX_FLOWS}"),
-            format!("tss:tables={MAX_TABLES}"),
-            format!("tcam:capacity={MAX_CAPACITY},partitions={MAX_PARTITIONS}"),
+            format!("tcam:capacity={MAX_CAPACITY}"),
         ] {
             assert!(EngineBuilder::from_spec(&spec).is_ok(), "{spec}");
         }
@@ -1251,7 +1178,7 @@ mod tests {
             }
         }
         // A snapshot writer over a build-once inner rebuilds its copy on
-        // every update, and checks the update against its own index.
+        // every update, and checks the update against its live rules.
         let mut writer = EngineBuilder::from_spec("snapshot:inner=linear")
             .unwrap()
             .build_snapshot(&rules)
@@ -1320,7 +1247,7 @@ mod tests {
         let rules = rules();
         let b = EngineBuilder::from_spec("cached:inner=linear,flows=128").unwrap();
         assert_eq!(b.kind(), EngineKind::Cached);
-        let engine = b.build_cached(&rules, None).unwrap();
+        let engine = b.build_cached(&rules).unwrap();
         assert_eq!(engine.inner().kind(), EngineKind::Linear);
         // The cache's bits are its table's 44-byte slots.
         let slot_bits = 44 * 8;
@@ -1330,7 +1257,7 @@ mod tests {
         // Defaults: configurable-bst inner, 4 096 slots.
         let engine = EngineBuilder::from_spec("cached")
             .unwrap()
-            .build_cached(&rules, None)
+            .build_cached(&rules)
             .unwrap();
         assert_eq!(engine.inner().kind(), EngineKind::ConfigurableBst);
         assert_eq!(cache_bits(&engine), 4096 * slot_bits);
@@ -1341,13 +1268,13 @@ mod tests {
         let engine =
             EngineBuilder::from_spec("cached:inner=(sharded:inner=linear,shards=2),flows=64")
                 .unwrap()
-                .build_cached(&rules, None)
+                .build_cached(&rules)
                 .unwrap();
         assert_eq!(engine.inner().kind(), EngineKind::Sharded);
         // Colon-style nested options work without parens when comma-free.
         let engine = EngineBuilder::from_spec("cached:inner=configurable-mbt:rf_bits=14")
             .unwrap()
-            .build_cached(&rules, None)
+            .build_cached(&rules)
             .unwrap();
         assert_eq!(engine.inner().kind(), EngineKind::ConfigurableMbt);
     }
@@ -1374,10 +1301,10 @@ mod tests {
         // A malformed option anywhere outranks a range rule below it, and
         // of two broken nodes the outer one is named.
         assert!(matches!(
-            EngineBuilder::from_spec("cached:inner=(tss:tables=0),flows=banana"),
+            EngineBuilder::from_spec("cached:inner=(tcam:capacity=0),flows=banana"),
             Err(BuildError::BadOption { .. })
         ));
-        let e = EngineBuilder::from_spec("cached:inner=(tss:tables=0),flows=0");
+        let e = EngineBuilder::from_spec("cached:inner=(tcam:capacity=0),flows=0");
         assert!(
             matches!(&e, Err(BuildError::ConfigError { option, .. }) if option == "flows=0"),
             "{e:?}"
@@ -1406,12 +1333,16 @@ mod tests {
     #[test]
     fn tuplespace_and_tcam_spec_options_reach_the_engine() {
         let rules = rules();
-        let e = build_engine("tss:tables=16", &rules).unwrap();
+        let e = build_engine("tss", &rules).unwrap();
         assert_eq!(e.kind(), EngineKind::TupleSpace);
         assert!(e.supports_updates());
-        let e = build_engine("tcam:capacity=1024,partitions=4", &rules).unwrap();
+        let e = build_engine("tcam:capacity=1024", &rules).unwrap();
         assert_eq!(e.kind(), EngineKind::SoftTcam);
         assert!(e.supports_updates());
+        // The TCAM's bits price every provisioned slot: the capacity
+        // arrived.
+        let small = build_engine("tcam:capacity=512", &rules).unwrap();
+        assert!(e.memory_bits() > small.memory_bits());
         // Both compose as wrapper inners and under sharding.
         for spec in [
             "cached:inner=tss,flows=64",
@@ -1427,38 +1358,21 @@ mod tests {
 
     #[test]
     fn tuplespace_and_tcam_spec_errors_are_typed() {
-        // Malformed values are BadOption.
-        for spec in ["tss:tables=lots", "tcam:capacity=big", "tcam:partitions=x"] {
-            assert!(
-                matches!(
-                    EngineBuilder::from_spec(spec),
-                    Err(BuildError::BadOption { .. })
-                ),
-                "{spec} must be BadOption"
-            );
-        }
-        // Out-of-range and inconsistent values are ConfigError.
-        for spec in [
-            "tss:tables=0",
-            "tcam:capacity=0",
-            "tcam:partitions=0",
-            "tcam:capacity=4,partitions=8",
-            "tcam:partitions=8,capacity=4", // key order must not matter
-        ] {
-            assert!(
-                matches!(
-                    EngineBuilder::from_spec(spec),
-                    Err(BuildError::ConfigError { .. })
-                ),
-                "{spec} must be ConfigError"
-            );
-        }
+        // A malformed value is BadOption, an out-of-range one ConfigError.
+        assert!(matches!(
+            EngineBuilder::from_spec("tcam:capacity=big"),
+            Err(BuildError::BadOption { .. })
+        ));
+        assert!(matches!(
+            EngineBuilder::from_spec("tcam:capacity=0"),
+            Err(BuildError::ConfigError { .. })
+        ));
         // Each backend's keys belong to it alone.
         for spec in [
-            "tcam:tables=8",
+            "tcam:flows=8",
             "tss:capacity=64",
-            "linear:partitions=2",
-            "sharded:inner=tss,tables=8",
+            "linear:capacity=2",
+            "sharded:inner=tcam,capacity=8",
         ] {
             assert!(
                 matches!(
@@ -1473,7 +1387,7 @@ mod tests {
         let wide = RuleSet::from_rules(vec![Rule::builder(Priority(0))
             .src_port(PortRange::new(1000, 40000).unwrap())
             .build()]);
-        let e = EngineBuilder::from_spec("tcam:capacity=4,partitions=2")
+        let e = EngineBuilder::from_spec("tcam:capacity=4")
             .unwrap()
             .build(&wide);
         assert!(
@@ -1522,7 +1436,7 @@ mod tests {
             let e = EngineBuilder::from_spec(spec);
             assert!(matches!(e, Err(BuildError::ConfigError { .. })), "{spec}");
         }
-        let ok = "cached:inner=(snapshot:inner=(sharded:inner=(tss:tables=64),shards=2))";
+        let ok = "cached:inner=(snapshot:inner=(sharded:inner=(tcam:capacity=4096),shards=2))";
         assert_eq!(build_engine(ok, &rules()).unwrap().rules(), 2);
     }
 
@@ -1602,16 +1516,9 @@ mod tests {
             KindOpts::Cached { .. } => KindOpts::Cached {
                 flows: 1 << pick(14),
             },
-            KindOpts::Tss { .. } => KindOpts::Tss {
-                tables: 1 << pick(8),
+            KindOpts::Tcam { .. } => KindOpts::Tcam {
+                capacity: 1 + pick(5000) as usize,
             },
-            KindOpts::Tcam { .. } => {
-                let partitions = 1 + pick(8) as usize;
-                KindOpts::Tcam {
-                    capacity: partitions + pick(5000) as usize,
-                    partitions,
-                }
-            }
         };
         let mut node = EngineBuilder::new(kind);
         node.opts = opts;

@@ -39,8 +39,8 @@
 //!   have let go of;
 //! * [`TupleSpaceEngine`] / [`SoftTcamEngine`] — the update-first
 //!   backends, each its own engine: tuple-space search
-//!   (`"tss:tables=8"`) and a partitioned software TCAM
-//!   (`"tcam:capacity=1048576,partitions=8"`), both with live
+//!   (`"tss"`) and a partitioned software TCAM
+//!   (`"tcam:capacity=1048576"`), both with live
 //!   incremental updates priced in §V.A write cycles;
 //! * [`workload`] — engines driven from streaming
 //!   [`spc_classbench::TraceSource`] workloads: classify-only streams
@@ -97,8 +97,8 @@ pub use kind::EngineKind;
 pub use pipeline::{BatchWorker, EngineSource, IngestConfig, IngestPipeline, PipelineError};
 pub use sharded::ShardedEngine;
 pub use snapshot::{SnapshotEngine, SnapshotReader};
-pub use tcam::{SoftTcamEngine, DEFAULT_TCAM_CAPACITY, DEFAULT_TCAM_PARTITIONS};
-pub use tss::{TupleSpaceEngine, DEFAULT_TSS_TABLES};
+pub use tcam::{SoftTcamEngine, DEFAULT_TCAM_CAPACITY};
+pub use tss::TupleSpaceEngine;
 pub use workload::{run_scenario, ScenarioReport, WorkloadError};
 // Re-exported so callers can read update-cost accounting
 // ([`PacketClassifier::last_update_report`]) without a spc-core dep.

@@ -67,7 +67,7 @@ impl Shard {
     ) -> Result<Self, BuildError> {
         let set: RuleSet = rules.iter().map(|&(_, r)| r).collect();
         Ok(Shard {
-            engine: inner.build_unchecked(&set, None)?,
+            engine: inner.build_unchecked(&set)?,
             global_ids: rules.iter().map(|&(g, _)| g).collect(),
         })
     }
@@ -677,7 +677,7 @@ mod tests {
         // Eight proto-6 rules fill one slot; a port range that expands to
         // 30 TCAM entries fits no 16-entry shard, old or new.
         let mut e = crate::build_engine(
-            "sharded:inner=(tcam:capacity=16,partitions=1),shards=8,strategy=hash,hash_dim=proto",
+            "sharded:inner=(tcam:capacity=16),shards=8,strategy=hash,hash_dim=proto",
             &rules(8),
         )
         .unwrap();

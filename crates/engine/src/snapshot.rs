@@ -61,7 +61,6 @@
 //! hardware write cycles — the build happens in software, off the fast
 //! path. Either way the snapshot wrapper itself is *always* updatable.
 
-use crate::builder::KeyIndex;
 use crate::pipeline::BatchWorker;
 use crate::sharded::{report_for, Shard};
 use crate::{EngineBuilder, EngineKind, PacketClassifier, UpdateError, UpdateReport, Verdict};
@@ -298,10 +297,12 @@ impl Line {
     ///
     /// An updatable inner takes the freshest free pooled copy, or — a
     /// copy that has missed nothing — a fresh build over the live
-    /// rules, replays what the copy missed and then `op` itself. A
-    /// build-once inner has no update to replay through: the next
-    /// version is built wholesale. On `Err` nothing was published and
-    /// the line reads as before.
+    /// rules, replays what the copy missed and then `op` itself; the
+    /// copy's own update refuses a duplicate, as it refuses a rule that
+    /// does not fit. A build-once inner has no update to replay through:
+    /// the next version is built wholesale, once no live rule has the
+    /// inserted rule's match conditions. On `Err` nothing was published
+    /// and the line reads as before.
     fn advance(
         &mut self,
         builder: &EngineBuilder,
@@ -309,6 +310,13 @@ impl Line {
         op: Op,
     ) -> Result<Option<UpdateReport>, UpdateError> {
         if !slot.engine.supports_updates() {
+            if let Op::Insert(rule, _) = op {
+                let dims = rule.dim_values();
+                let twin = self.live.iter().find(|(_, r)| r.dim_values() == dims);
+                if let Some((&existing, _)) = twin {
+                    return Err(UpdateError::Duplicate { existing });
+                }
+            }
             let mut next = self.live.clone();
             op.apply_to(&mut next);
             *slot = Arc::new(build_copy(builder, &next)?);
@@ -364,9 +372,6 @@ pub struct SnapshotEngine {
     handle: Arc<SnapshotHandle>,
     /// Builder for the inner engine.
     inner_builder: EngineBuilder,
-    /// Dimension projection → global id of the live rules, the
-    /// duplicate check of `insert`.
-    keys: KeyIndex,
     /// Writer's working copy of the published inner; the published
     /// snapshot shares this `Arc`.
     snap: Arc<Shard>,
@@ -378,13 +383,10 @@ pub struct SnapshotEngine {
 }
 
 impl SnapshotEngine {
-    /// Wraps `engine`, which is `inner` built over `rules`; `keys` is
-    /// the projection index of `rules` that build's duplicate check
-    /// made.
+    /// Wraps `engine`, which is `inner` built over `rules`.
     pub(crate) fn new(
         rules: &RuleSet,
         engine: Box<dyn PacketClassifier>,
-        keys: KeyIndex,
         inner: EngineBuilder,
     ) -> Self {
         let live: BTreeMap<RuleId, Rule> = rules.iter().map(|(id, r)| (id, *r)).collect();
@@ -401,7 +403,6 @@ impl SnapshotEngine {
         SnapshotEngine {
             handle: Arc::new(SnapshotHandle::new(initial)),
             inner_builder: inner,
-            keys,
             snap,
             next_global: live.len() as u32,
             line: Line::new(live),
@@ -476,26 +477,21 @@ impl PacketClassifier for SnapshotEngine {
     }
 
     fn insert(&mut self, rule: Rule) -> Result<RuleId, UpdateError> {
-        if let Some(&existing) = self.keys.get(&rule.dim_values()) {
-            return Err(UpdateError::Duplicate { existing });
-        }
         let global = RuleId(self.next_global);
         let op = Op::Insert(rule, global);
         let raw = self.line.advance(&self.inner_builder, &mut self.snap, op)?;
-        self.keys.insert(rule.dim_values(), global);
         self.next_global += 1;
         self.publish(report_for(raw, global));
         Ok(global)
     }
 
     fn remove(&mut self, id: RuleId) -> Result<(), UpdateError> {
-        let Some(&rule) = self.line.live.get(&id) else {
+        if !self.line.live.contains_key(&id) {
             return Err(UpdateError::UnknownRule { id });
-        };
+        }
         let raw = self
             .line
             .advance(&self.inner_builder, &mut self.snap, Op::Remove(id))?;
-        self.keys.remove(&rule.dim_values());
         self.publish(report_for(raw, id));
         Ok(())
     }
@@ -1009,7 +1005,7 @@ mod tests {
             assert_eq!(answers(|h| reader.classify(h)), oracle(&live));
             assert_eq!(eng.rules(), live.len());
 
-            // The duplicate index follows the live set through both.
+            // The duplicate check follows the live set through both.
             eng.remove(id).unwrap();
             let again = eng.insert(full).unwrap();
             assert_eq!(

@@ -11,8 +11,8 @@ use std::collections::HashMap;
 /// wide port ranges expand to up to ~900 entries per rule, so the
 /// default leaves headroom for ~1k worst-case or ~100k typical rules.
 pub const DEFAULT_TCAM_CAPACITY: usize = 1 << 20;
-/// Default allocator partition count (`tcam:partitions=`).
-pub const DEFAULT_TCAM_PARTITIONS: usize = 8;
+/// Allocator partitions, at most one per slot.
+const PARTITIONS: usize = 8;
 
 /// Bits one provisioned TCAM slot occupies: seven 16-bit value cells
 /// plus seven 16-bit mask cells.
@@ -25,9 +25,6 @@ const SIDE_BITS: u64 = 64;
 /// every rule's side-table entry; a rule fills at least one slot, so at
 /// this bound that sum still fits a `u64`.
 pub(crate) const MAX_CAPACITY: u64 = u64::MAX / (SLOT_BITS + SIDE_BITS);
-/// Largest `partitions=` accepted. Each partition is one 24-byte list
-/// allocated at build, 1.5 MiB at the bound.
-pub(crate) const MAX_PARTITIONS: usize = 1 << 16;
 
 /// One TCAM slot: a ternary match (`value`/`mask` per 16-bit dimension
 /// cell) plus the identity of the rule it expands; the rule's action
@@ -100,14 +97,14 @@ fn expand(id: RuleId, rule: &Rule) -> Vec<TcamEntry> {
 }
 
 /// A priority-ordered software TCAM with a partitioned slot allocator
-/// (`"tcam:capacity=1048576,partitions=8"`).
+/// (`"tcam:capacity=1048576"`).
 ///
-/// The array of `capacity` slots is split into `partitions` equal
-/// chunks. Entries stay globally sorted by `(priority, id, seq)`; an
-/// insert that lands in a full partition ripples entries toward the
-/// nearest partition with a free slot. Partitioning bounds that worst
-/// case to roughly `capacity / partitions` per hop instead of the whole
-/// array.
+/// The array of `capacity` slots is split into eight equal chunks (one
+/// per slot below eight slots). Entries stay globally sorted by
+/// `(priority, id, seq)`; an insert that lands in a full partition
+/// ripples entries toward the nearest partition with a free slot.
+/// Partitioning bounds that worst case to roughly `capacity / 8` per hop
+/// instead of the whole array.
 ///
 /// Removes invalidate slots in place (one write per expanded entry, no
 /// compaction shift), modelling a TCAM's valid-bit clear.
@@ -125,7 +122,7 @@ fn expand(id: RuleId, rule: &Rule) -> Vec<TcamEntry> {
 /// use spc_engine::{PacketClassifier, SoftTcamEngine};
 /// use spc_types::{Header, PortRange, Priority, Rule, RuleSet};
 ///
-/// let mut tcam = SoftTcamEngine::build(&RuleSet::new(), 64, 4).unwrap();
+/// let mut tcam = SoftTcamEngine::build(&RuleSet::new(), 64).unwrap();
 /// // [4, 11] is two prefix blocks: 4/14 and 8/13.
 /// let id = tcam
 ///     .insert(Rule::builder(Priority(1)).src_port(PortRange::new(4, 11).unwrap()).build())
@@ -148,19 +145,18 @@ pub struct SoftTcamEngine {
 
 impl SoftTcamEngine {
     /// Builds from a rule set (rule `i` gets id `i`) into `capacity`
-    /// slots split into `partitions` chunks (minimums 1 slot, 1
-    /// partition; at most one partition per slot), distributing the
-    /// expanded entries evenly across partitions so each keeps free
-    /// headroom for later inserts.
+    /// slots (at least 1) split into eight partitions (at most one per
+    /// slot), distributing the expanded entries evenly across partitions
+    /// so each keeps free headroom for later inserts.
     ///
     /// # Errors
     ///
     /// [`UpdateError::Rejected`] when the expansion exceeds `capacity`,
     /// [`UpdateError::Duplicate`] when two rules share all seven match
     /// dimensions.
-    pub fn build(rules: &RuleSet, capacity: usize, partitions: usize) -> Result<Self, UpdateError> {
+    pub fn build(rules: &RuleSet, capacity: usize) -> Result<Self, UpdateError> {
         let capacity = capacity.max(1);
-        let partitions = partitions.clamp(1, capacity);
+        let partitions = PARTITIONS.min(capacity);
         let mut tcam = SoftTcamEngine {
             parts: vec![Vec::new(); partitions],
             part_cap: capacity.div_ceil(partitions),
@@ -425,8 +421,8 @@ mod tests {
     use spc_classbench::{FilterKind, RuleSetGenerator, TraceGenerator};
     use spc_types::{Action, PortRange};
 
-    fn empty(capacity: usize, partitions: usize) -> SoftTcamEngine {
-        SoftTcamEngine::build(&RuleSet::new(), capacity, partitions).unwrap()
+    fn empty(capacity: usize) -> SoftTcamEngine {
+        SoftTcamEngine::build(&RuleSet::new(), capacity).unwrap()
     }
 
     fn naive<'a>(rules: impl Iterator<Item = (RuleId, &'a Rule)>, h: &Header) -> Option<RuleId> {
@@ -440,7 +436,7 @@ mod tests {
     fn agrees_with_linear_scan_on_generated_sets() {
         for kind in [FilterKind::Acl, FilterKind::Fw, FilterKind::Ipc] {
             let rules = RuleSetGenerator::new(kind, 300).seed(0xbead).generate();
-            let tcam = SoftTcamEngine::build(&rules, 1 << 20, 8).unwrap();
+            let tcam = SoftTcamEngine::build(&rules, 1 << 20).unwrap();
             assert_eq!(tcam.rules(), rules.len());
             let trace = TraceGenerator::new()
                 .seed(0x5eed)
@@ -459,7 +455,7 @@ mod tests {
         let rules = RuleSetGenerator::new(FilterKind::Fw, 120)
             .seed(7)
             .generate();
-        let mut tcam = SoftTcamEngine::build(&rules, 1 << 18, 4).unwrap();
+        let mut tcam = SoftTcamEngine::build(&rules, 1 << 18).unwrap();
         // Remove every third rule, insert replacements, re-check.
         let ids: Vec<RuleId> = tcam.iter().map(|(id, _)| id).collect();
         for (i, id) in ids.iter().enumerate() {
@@ -487,7 +483,7 @@ mod tests {
         let r = Rule::builder(Priority(0))
             .src_port(PortRange::new(1000, 40000).unwrap())
             .build();
-        let mut tiny = empty(4, 2);
+        let mut tiny = empty(4);
         match tiny.insert(r) {
             Err(UpdateError::Rejected { reason }) => {
                 assert!(reason.contains("of 4 slots"), "{reason}");
@@ -499,16 +495,16 @@ mod tests {
         let mut rules = RuleSet::new();
         rules.push(r);
         assert!(matches!(
-            SoftTcamEngine::build(&rules, 4, 2),
+            SoftTcamEngine::build(&rules, 4),
             Err(UpdateError::Rejected { .. })
         ));
     }
 
     #[test]
     fn full_partition_insert_ripples_and_reports_moves() {
-        // Capacity 8 in 2 partitions of 4. Fill the first partition's
+        // Capacity 32 in 8 partitions of 4. Fill the first partition's
         // priority region, then insert a rule that must land in front.
-        let mut tcam = empty(8, 2);
+        let mut tcam = empty(32);
         for p in 10..16u32 {
             let r = Rule::builder(Priority(p))
                 .dst_port(PortRange::exact(p as u16))
@@ -536,7 +532,7 @@ mod tests {
 
     #[test]
     fn tcam_report_prices_the_shift() {
-        // 8 slots in 2 partitions; fill partition 0, then force a
+        // 32 slots in 8 partitions; fill partition 0, then force a
         // front insert and check the report's cycles include the moves.
         let web_rule = |p: u32, port: u16| {
             Rule::builder(Priority(p))
@@ -545,7 +541,7 @@ mod tests {
                 .action(Action::Forward(1))
                 .build()
         };
-        let mut e = empty(8, 2);
+        let mut e = empty(32);
         for p in 10..16u32 {
             e.insert(web_rule(p, p as u16)).unwrap();
         }
@@ -559,7 +555,7 @@ mod tests {
 
     #[test]
     fn remove_invalidates_in_place() {
-        let mut tcam = empty(64, 4);
+        let mut tcam = empty(64);
         let wide = Rule::builder(Priority(1))
             .src_port(PortRange::new(4, 11).unwrap())
             .build();
@@ -583,7 +579,7 @@ mod tests {
 
     #[test]
     fn duplicate_filter_is_rejected() {
-        let mut tcam = empty(64, 4);
+        let mut tcam = empty(64);
         let r = Rule::builder(Priority(3))
             .dst_port(PortRange::exact(443))
             .build();
@@ -599,7 +595,7 @@ mod tests {
 
     #[test]
     fn memory_model_charges_provisioned_slots() {
-        let tcam = empty(1024, 8);
+        let tcam = empty(1024);
         assert_eq!(tcam.memory_bits(), 1024 * SLOT_BITS);
         assert_eq!((tcam.capacity, tcam.parts.len()), (1024, 8));
     }
@@ -616,7 +612,7 @@ mod tests {
                     .build()
             })
             .collect();
-        let tcam = SoftTcamEngine::build(&rules, capacity, 1).unwrap();
+        let tcam = SoftTcamEngine::build(&rules, capacity).unwrap();
         assert_eq!(tcam.memory_bits(), MAX_CAPACITY * SLOT_BITS + 3 * SIDE_BITS);
         assert!(MAX_CAPACITY.checked_mul(SLOT_BITS + SIDE_BITS).is_some());
     }

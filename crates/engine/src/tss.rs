@@ -8,14 +8,8 @@ use spc_types::{
 };
 use std::collections::HashMap;
 
-/// Default per-tuple hash-table slot hint (`tss:tables=`), rounded up to
-/// a power of two by the structure.
-pub const DEFAULT_TSS_TABLES: usize = 8;
-
-/// Largest `tables=` accepted. Every tuple opens with this many slots of
-/// 40 bytes, so at the bound a tuple costs 160 KiB before its first
-/// rule; a table grows past it only by doubling as it fills.
-pub(crate) const MAX_TABLES: usize = 1 << 12;
+/// Hash slots a new tuple's table opens with; it doubles as it fills.
+const TABLE_SLOTS: usize = 8;
 
 /// Approximate storage of one installed rule (5-tuple + priority +
 /// action + id), for the memory model.
@@ -112,10 +106,9 @@ struct Table {
 }
 
 impl Table {
-    fn new(slots_hint: usize) -> Self {
-        let cap = slots_hint.max(4).next_power_of_two();
+    fn new() -> Self {
         Table {
-            slots: vec![None; cap],
+            slots: vec![None; TABLE_SLOTS],
             buckets: 0,
         }
     }
@@ -204,7 +197,7 @@ impl Tuple {
     }
 }
 
-/// Tuple-space search over rule mask signatures (`"tss:tables=8"`).
+/// Tuple-space search over rule mask signatures (`"tss"`).
 ///
 /// Rules with the same hash-mask signature share a *tuple*;
 /// inside a tuple, masked equality of the seven query values is a
@@ -225,7 +218,7 @@ impl Tuple {
 /// use spc_engine::{PacketClassifier, TupleSpaceEngine};
 /// use spc_types::{Header, PortRange, Priority, ProtoSpec, Rule, RuleSet};
 ///
-/// let mut ts = TupleSpaceEngine::build(&RuleSet::new(), 8).unwrap();
+/// let mut ts = TupleSpaceEngine::build(&RuleSet::new()).unwrap();
 /// let web = ts
 ///     .insert(
 ///         Rule::builder(Priority(0))
@@ -249,20 +242,17 @@ pub struct TupleSpaceEngine {
     /// Rule id → (tuple index, bucket key).
     locs: HashMap<RuleId, (usize, [u16; 7])>,
     next_id: u32,
-    slots_hint: usize,
     last_report: Option<UpdateReport>,
 }
 
 impl TupleSpaceEngine {
-    /// Builds from a rule set (rule `i` gets id `i`); `slots_hint` seeds
-    /// each new tuple's table capacity (rounded up to a power of two,
-    /// minimum 4).
+    /// Builds from a rule set (rule `i` gets id `i`).
     ///
     /// # Errors
     ///
     /// [`UpdateError::Duplicate`] when two rules share all seven match
     /// dimensions.
-    pub fn build(rules: &RuleSet, slots_hint: usize) -> Result<Self, UpdateError> {
+    pub fn build(rules: &RuleSet) -> Result<Self, UpdateError> {
         let mut ts = TupleSpaceEngine {
             tuples: Vec::new(),
             free: Vec::new(),
@@ -270,7 +260,6 @@ impl TupleSpaceEngine {
             order: Vec::new(),
             locs: HashMap::new(),
             next_id: 0,
-            slots_hint,
             last_report: None,
         };
         for (_, r) in rules.iter() {
@@ -308,7 +297,7 @@ impl TupleSpaceEngine {
             None => {
                 let t = Tuple {
                     sig,
-                    table: Table::new(self.slots_hint),
+                    table: Table::new(),
                     rules: 0,
                     best: rule.priority,
                 };
@@ -335,29 +324,30 @@ impl TupleSpaceEngine {
             unreachable!("by_sig and free agree on live tuples")
         };
 
-        // Grow before probing so the chain we write stays valid.
-        if (t.table.buckets + 1) * 4 > t.table.slots.len() * 3 {
-            slots_written = slots_written.saturating_add(t.table.grow());
-        }
         let (slot, _, found) = t.table.find_slot(&key);
+        // Identical dim_values always share signature and key, so this
+        // bucket-local scan is a complete duplicate check. It runs before
+        // the table may grow, so a refused rule leaves the table as it
+        // was (and, sharing its signature, never opened the tuple).
+        let duplicate = t.table.slots[slot].as_ref().and_then(|b| {
+            b.entries
+                .iter()
+                .find(|e| e.rule.dim_values() == rule.dim_values())
+        });
+        if let Some(e) = duplicate {
+            return Err(UpdateError::Duplicate { existing: e.id });
+        }
+        // Grow before writing so the chain we write stays valid.
+        let slot = if (t.table.buckets + 1) * 4 > t.table.slots.len() * 3 {
+            slots_written = slots_written.saturating_add(t.table.grow());
+            t.table.find_slot(&key).0
+        } else {
+            slot
+        };
         if found {
             let Some(bucket) = t.table.slots[slot].as_mut() else {
                 unreachable!("find_slot reported a live bucket")
             };
-            // Identical dim_values always share signature and key, so
-            // this bucket-local scan is a complete duplicate check.
-            if let Some(e) = bucket
-                .entries
-                .iter()
-                .find(|e| e.rule.dim_values() == rule.dim_values())
-            {
-                // Roll back a tuple opened just for this rejected rule.
-                let existing = e.id;
-                if tuple_created {
-                    self.drop_tuple(ti, sig);
-                }
-                return Err(UpdateError::Duplicate { existing });
-            }
             let pos = bucket
                 .entries
                 .partition_point(|e| (e.rule.priority, e.id) < (rule.priority, id));
@@ -566,7 +556,7 @@ mod tests {
     use spc_types::{Action, Dim, PortRange, Prefix};
 
     fn empty() -> TupleSpaceEngine {
-        TupleSpaceEngine::build(&RuleSet::new(), 4).unwrap()
+        TupleSpaceEngine::build(&RuleSet::new()).unwrap()
     }
 
     fn naive<'a>(rules: impl Iterator<Item = (RuleId, &'a Rule)>, h: &Header) -> Option<RuleId> {
@@ -680,7 +670,7 @@ mod tests {
     fn agrees_with_linear_scan_on_generated_sets() {
         for kind in [FilterKind::Acl, FilterKind::Fw, FilterKind::Ipc] {
             let rules = RuleSetGenerator::new(kind, 300).seed(0xbead).generate();
-            let ts = TupleSpaceEngine::build(&rules, 8).unwrap();
+            let ts = TupleSpaceEngine::build(&rules).unwrap();
             assert_eq!(ts.rules(), rules.len());
             let trace = TraceGenerator::new()
                 .seed(0x5eed)
@@ -719,6 +709,44 @@ mod tests {
             Err(UpdateError::Duplicate { existing: oid })
         );
         assert_eq!(ts.tuple_count(), 2);
+    }
+
+    #[test]
+    fn a_refused_duplicate_leaves_a_full_table_as_it_was() {
+        // Six one-port rules fill one tuple's 8 slots to the 3/4 load
+        // threshold: a seventh bucket would double the table first.
+        let mut ts = empty();
+        let rules: Vec<Rule> = (0..6u16)
+            .map(|p| {
+                Rule::builder(Priority(u32::from(p)))
+                    .dst_port(PortRange::exact(p))
+                    .build()
+            })
+            .collect();
+        for &r in &rules {
+            ts.insert(r).unwrap();
+        }
+        let report = ts.last_update_report();
+        // 8 slot headers and 6 one-rule buckets.
+        let bits = 8 * SLOT_BITS + 6 * (KEY_BITS + RULE_BITS);
+        assert_eq!(ts.memory_bits(), bits);
+        assert_eq!(
+            ts.insert(rules[3]),
+            Err(UpdateError::Duplicate {
+                existing: RuleId(3)
+            })
+        );
+        assert_eq!(ts.memory_bits(), bits, "the table did not grow");
+        assert_eq!((ts.rules(), ts.last_update_report()), (6, report));
+        // A rule that does join still grows it.
+        let r = Rule::builder(Priority(9))
+            .dst_port(PortRange::exact(9))
+            .build();
+        ts.insert(r).unwrap();
+        assert_eq!(
+            ts.memory_bits(),
+            16 * SLOT_BITS + 7 * (KEY_BITS + RULE_BITS)
+        );
     }
 
     /// `order` is what a full sort of the live tuples by `(best, index)`

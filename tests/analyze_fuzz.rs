@@ -408,11 +408,11 @@ fn mutated_spec_strings_never_panic_the_parser() {
     let corpus = [
         "configurable-bst:rf_bits=14,combine=first",
         "sharded:inner=(configurable-mbt:rf_bits=13),shards=2",
-        "sharded:inner=(tss:tables=64),shards=8,strategy=hash,hash_dim=dst_port",
+        "sharded:inner=(tcam:capacity=64),shards=8,strategy=hash,hash_dim=dst_port",
         "cached:inner=(sharded:inner=configurable-bst,shards=4),flows=8192",
         "snapshot:inner=(sharded:inner=configurable-bst,shards=4,strategy=hash,hash_dim=dst_port)",
-        "snapshot:inner=(cached:inner=(sharded:inner=(tcam:capacity=4096,partitions=4)))",
-        "tcam:capacity=1024,partitions=4",
+        "snapshot:inner=(cached:inner=(sharded:inner=(tcam:capacity=4096),shards=4),flows=64)",
+        "tcam:capacity=1024",
     ];
     let mut rng = StdRng::seed_from_u64(FUZZ_SEED ^ 0x5bec);
     for i in 0..400u64 {

@@ -21,8 +21,7 @@ fn alternate_opts(kind: EngineKind) -> Option<&'static str> {
     match kind {
         EngineKind::Sharded => Some("shards=2,strategy=hash"),
         EngineKind::Cached => Some("flows=16"),
-        EngineKind::TupleSpace => Some("tables=16"),
-        EngineKind::SoftTcam => Some("capacity=65536,partitions=4"),
+        EngineKind::SoftTcam => Some("capacity=65536"),
         _ => None,
     }
 }

@@ -39,12 +39,12 @@ const SEED: u64 = 20_14;
 /// nodes). Updatable: the 4 leaves that update in place under any of
 /// the 12 stacks (48), and the 6 build-once leaves under the 7 stacks
 /// that hold `snapshot` (42) — 90. The alternate profile moves every
-/// tree that holds `sharded`, `cached`, `tss` or `tcam`: all but the 8
-/// other leaves bare or under `snapshot` alone (16), so 120 + 104 =
-/// 224 trees; 10 of the 16 are updatable (the 2 configurable leaves
-/// either way, the 6 build-once ones under `snapshot`), so 90 + 80 =
-/// 170. Every spec parses, its `Display` round-trips to an equal tree,
-/// and no two trees are the same.
+/// tree that holds `sharded`, `cached` or `tcam`: all but the 9 other
+/// leaves bare or under `snapshot` alone (18), so 120 + 102 = 222
+/// trees; 12 of the 18 are updatable (the 2 configurable leaves and
+/// `tss` either way, the 6 build-once ones under `snapshot`), so
+/// 90 + 78 = 168. Every spec parses, its `Display` round-trips to an
+/// equal tree, and no two trees are the same.
 #[test]
 fn the_generator_covers_the_nesting_table() {
     let paths = legal_paths();
@@ -53,10 +53,10 @@ fn the_generator_covers_the_nesting_table() {
         .collect();
     assert_eq!(by_nodes, [10, 30, 50, 30], "legal paths by node count");
     let trees = trees();
-    assert_eq!(trees.len(), 224);
+    assert_eq!(trees.len(), 222);
     let updatable = |trees: &[Tree]| trees.iter().filter(|t| t.updatable()).count();
     assert_eq!(updatable(&trees[..paths.len()]), 90, "at defaults");
-    assert_eq!(updatable(&trees), 170, "with the alternate profile");
+    assert_eq!(updatable(&trees), 168, "with the alternate profile");
     let mut canonical = std::collections::HashSet::new();
     for tree in &trees {
         let spec = &tree.spec;
@@ -178,9 +178,11 @@ fn update_header(p: u32) -> Header {
 /// Check 2: on an updatable tree a successful insert or remove replaces
 /// `last_update_report()` with a report naming the op's rule at the
 /// cost the tree owes (an insert in place writes a label, a remove
-/// frees one), and every rejected update leaves it as it was; the rule
-/// serves its header while it is live. A build-once tree answers every
-/// update `Unsupported` and never reports.
+/// frees one); a duplicate is refused naming the rule it repeats, and
+/// every rejected update leaves the report, the modelled bits and the
+/// rule count as they were. The rule serves its header while it is
+/// live. A build-once tree answers every update `Unsupported` and never
+/// reports.
 #[test]
 fn every_legal_tree_keeps_the_update_report_contract() {
     let base: RuleSet = (0..20).map(update_rule).collect();
@@ -210,6 +212,11 @@ fn every_legal_tree_keeps_the_update_report_contract() {
     }
 }
 
+/// What a rejected update must leave as it was.
+fn kept(e: &dyn PacketClassifier) -> impl PartialEq + std::fmt::Debug {
+    (e.last_update_report(), e.memory_bits(), e.rules())
+}
+
 fn report_contract(spec: &str, e: &mut dyn PacketClassifier, in_place: bool, base: usize) {
     // Successful insert: report replaced and keyed to the id.
     let id = e.insert(update_rule(500)).unwrap();
@@ -225,14 +232,15 @@ fn report_contract(spec: &str, e: &mut dyn PacketClassifier, in_place: bool, bas
         "{spec}"
     );
 
-    // Failed insert (duplicate 5-tuple): the report stays.
-    assert!(
-        matches!(
-            e.insert(update_rule(500)),
-            Err(UpdateError::Duplicate { .. })
-        ),
+    // Failed insert (duplicate 5-tuple): refused naming the rule it
+    // repeats, and nothing moves.
+    let before = kept(e);
+    assert_eq!(
+        e.insert(update_rule(500)),
+        Err(UpdateError::Duplicate { existing: id }),
         "{spec}"
     );
+    assert_eq!(kept(e), before, "{spec}: failed insert");
     assert_eq!(e.last_update_report(), Some(r1), "{spec}: failed insert");
 
     // Failed remove (unknown id): same.
@@ -243,7 +251,7 @@ fn report_contract(spec: &str, e: &mut dyn PacketClassifier, in_place: bool, bas
         ),
         "{spec}"
     );
-    assert_eq!(e.last_update_report(), Some(r1), "{spec}: failed remove");
+    assert_eq!(kept(e), before, "{spec}: failed remove");
 
     // Successful remove: report replaced, the rule gone.
     e.remove(id).unwrap_or_else(|err| panic!("{spec}: {err}"));
@@ -255,20 +263,29 @@ fn report_contract(spec: &str, e: &mut dyn PacketClassifier, in_place: bool, bas
     assert!(!e.classify(&update_header(500)).is_hit(), "{spec}");
 
     // Double remove: rejected, untouched.
+    let before = kept(e);
     assert!(
         matches!(e.remove(id), Err(UpdateError::UnknownRule { .. })),
         "{spec}"
     );
+    assert_eq!(kept(e), before, "{spec}: double remove");
     assert_eq!(e.last_update_report(), Some(r2), "{spec}: double remove");
 
     // Every success of a burst replaces the report with its own; the
-    // duplicate after each leaves that one in place.
+    // duplicate after each names it and leaves everything in place. The
+    // burst runs tables past their growth thresholds, so a duplicate
+    // meets a full one.
     for p in 600..616 {
         let id = e.insert(update_rule(p)).unwrap();
         let report = e.last_update_report().expect(spec);
         assert_eq!(report.rule_id, id, "{spec}: one report per op");
-        assert!(e.insert(update_rule(p)).is_err(), "{spec}");
-        assert_eq!(e.last_update_report(), Some(report), "{spec}");
+        let before = kept(e);
+        assert_eq!(
+            e.insert(update_rule(p)),
+            Err(UpdateError::Duplicate { existing: id }),
+            "{spec}: burst {p}"
+        );
+        assert_eq!(kept(e), before, "{spec}: burst {p}");
     }
 }
 
@@ -329,9 +346,12 @@ fn churn_rebuilt_trees_against_a_rebuild() {
 /// Check 3, concurrently served: on every snapshot-rooted tree at its
 /// defaults, a refreshing reader follows eight alternating insert /
 /// remove steps, each rule shadowing a traced flow, and every verdict it
-/// gives is held to `linear` over the live set. Inners that update in
-/// place put the writer's recycle path under every such kind; build-once
-/// inners keep its rebuild path honest.
+/// gives is held to `linear` over the live set. Each inserted rule is
+/// then inserted again: the writer refuses it naming the live rule and
+/// publishes nothing. Inners that update in place put the writer's
+/// recycle path under every such kind (the caught-up copy's own insert
+/// refuses the duplicate); build-once inners keep its rebuild path
+/// honest.
 #[test]
 fn snapshot_readers_follow_the_writer_on_every_rooted_tree() {
     let rules = RuleSetGenerator::new(FilterKind::Acl, 60)
@@ -357,7 +377,7 @@ fn snapshot_readers_follow_the_writer_on_every_rooted_tree() {
         let mut live: Vec<(RuleId, Rule)> = rules.iter().map(|(id, r)| (id, *r)).collect();
         let mut churned = Vec::new();
         for step in 0..8 {
-            let id = if step % 2 == 0 {
+            let (id, inserted) = if step % 2 == 0 {
                 let (port, proto) = flows[step * flows.len() / 8];
                 let rule = Rule::builder(Priority(0))
                     .dst_port(PortRange::exact(port))
@@ -369,13 +389,13 @@ fn snapshot_readers_follow_the_writer_on_every_rooted_tree() {
                     .unwrap_or_else(|e| panic!("{spec}: {e}"));
                 live.push((id, rule));
                 churned.push(id);
-                id
+                (id, Some(rule))
             } else {
                 // Oldest first, so a rule outlives the insert after it.
                 let id = churned.remove(0);
                 writer.remove(id).unwrap_or_else(|e| panic!("{spec}: {e}"));
                 live.retain(|&(g, _)| g != id);
-                id
+                (id, None)
             };
             let report = writer.last_update_report().expect(&spec);
             assert_eq!(report.rule_id, id, "{spec} step {step}");
@@ -389,6 +409,17 @@ fn snapshot_readers_follow_the_writer_on_every_rooted_tree() {
             }
             assert_eq!(reader.update_epoch(), step as u64 + 1, "{spec}");
             assert_eq!(reader.last_update_report(), Some(report), "{spec}");
+            if let Some(rule) = inserted {
+                assert_eq!(
+                    writer.insert(rule),
+                    Err(UpdateError::Duplicate { existing: id }),
+                    "{spec} step {step}"
+                );
+                assert!(!reader.refresh(), "{spec} step {step}: nothing published");
+                assert_eq!(reader.update_epoch(), step as u64 + 1, "{spec}");
+                assert_eq!(reader.last_update_report(), Some(report), "{spec}");
+                assert_eq!(writer.last_update_report(), Some(report), "{spec}");
+            }
         }
     }
 }

@@ -55,7 +55,7 @@ fn readme_specs_parse_and_round_trip() {
 }
 
 /// A sharded node's inner is a full spec like any other wrapper's:
-/// tss/tcam shards are tunable, and the options reach the engines.
+/// tcam shards are tunable, and the options reach the engines.
 #[test]
 fn sharded_inner_takes_a_full_spec() {
     let rules: RuleSet = (0..40u16)
@@ -65,18 +65,18 @@ fn sharded_inner_takes_a_full_spec() {
                 .build()
         })
         .collect();
+    // A TCAM prices every provisioned slot, so each shard's capacity
+    // shows in the bits.
     let roomy =
-        spc::engine::build_engine("sharded:inner=(tss:tables=64),shards=2", &rules).unwrap();
-    let tight = spc::engine::build_engine("sharded:inner=(tss:tables=4),shards=2", &rules).unwrap();
+        spc::engine::build_engine("sharded:inner=(tcam:capacity=4096),shards=2", &rules).unwrap();
+    let tight =
+        spc::engine::build_engine("sharded:inner=(tcam:capacity=64),shards=2", &rules).unwrap();
     assert!(roomy.supports_updates());
     assert!(
         roomy.memory_bits() > tight.memory_bits(),
-        "tables= must reach the shard engines"
+        "capacity= must reach the shard engines"
     );
     // A 2-slot TCAM per shard cannot hold 20 rules: the capacity arrived.
-    let e = spc::engine::build_engine(
-        "sharded:inner=(tcam:capacity=2,partitions=1),shards=2",
-        &rules,
-    );
+    let e = spc::engine::build_engine("sharded:inner=(tcam:capacity=2),shards=2", &rules);
     assert!(matches!(e, Err(BuildError::Rejected { .. })), "{e:?}");
 }

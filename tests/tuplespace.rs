@@ -36,7 +36,7 @@ fn tss_one_tuple_per_rule_worst_case_stays_correct() {
         })
         .collect();
 
-    let engine = TupleSpaceEngine::build(&rules, 8).unwrap();
+    let engine = TupleSpaceEngine::build(&rules).unwrap();
     assert_eq!(
         engine.tuple_count(),
         rules.len(),
@@ -68,7 +68,7 @@ fn tcam_capacity_exhaustion_is_typed_on_both_paths() {
             .build(),
     )
     .collect();
-    match EngineBuilder::from_spec("tcam:capacity=4,partitions=2")
+    match EngineBuilder::from_spec("tcam:capacity=4")
         .unwrap()
         .build(&wide)
     {
@@ -80,7 +80,7 @@ fn tcam_capacity_exhaustion_is_typed_on_both_paths() {
     }
 
     // Same rule against a live engine that is already near-full.
-    let mut engine = SoftTcamEngine::build(&RuleSet::new(), 4, 2).unwrap();
+    let mut engine = SoftTcamEngine::build(&RuleSet::new(), 4).unwrap();
     let before = engine.last_update_report();
     match engine.insert(wide.rules()[0]) {
         Err(UpdateError::Rejected { reason }) => assert!(reason.contains("capacity"), "{reason}"),
