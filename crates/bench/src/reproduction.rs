@@ -118,7 +118,17 @@ pub const SECTIONS: [Section; 11] = [
                 gives an address either a short hi with the `/0` lo or a full `/16` hi \
                 with any lo, and each address's hi/lo lists are walked as one list of \
                 those pairs (the two model changes this needs are stated under Table V \
-                blocks).",
+                blocks). A Rule Filter read is one aligned bucket of 8 slots, a wide word \
+                of ganged block RAMs (8 × 126 = 1 008 bits at `ArchConfig::large()`, \
+                8 × 116 = 928 at `paper_prototype()`), and a probe costs the buckets its \
+                chain touches. Homes, writes and provisioned bits stay per slot, so no bits \
+                or cycles figure depends on the bucket. This redefined the modelled read, \
+                which had been one slot per chain step: every reads figure with a Rule \
+                Filter share fell with it (Configurable BST 285.62 → 253.38 here, Table \
+                VI's MBT row 1.33 → 1.04). It is a change of model, not a faster \
+                implementation: on `spc_benchmark`'s `acl_lookup` it moved reads per \
+                lookup 254.50 → 231.86 while wall-clock lookups/s went 399.0 K → \
+                372.8 K (medians of six alternating runs each, 2-core container).",
     },
     Section {
         name: "Table II",

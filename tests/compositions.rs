@@ -1,13 +1,15 @@
 //! The composition oracle: every spec tree `legal_nesting` admits,
 //! generated from `EngineKind::ALL` at default options and again at each
-//! kind's alternate point (`common::trees`), held to four checks:
+//! kind's alternate point (`common::trees`), held to five checks:
 //!
 //! 1. static agreement with `linear` on ACL, FW and IPC sets, cold and
 //!    warm, batch and single-shot;
 //! 2. the update-report contract, or `Unsupported` for a build-once tree;
 //! 3. seeded churn against a `linear` rebuild, and a snapshot reader
 //!    following the writer on every snapshot-rooted tree;
-//! 4. a `ConfigError` for every path the table refuses.
+//! 4. a `ConfigError` for every path the table refuses;
+//! 5. on every configurable tree, long distinct-key churn against the
+//!    same spec built fresh: equal verdicts, reads within a stated bound.
 //!
 //! A backend or wrapper is covered the moment it registers.
 
@@ -434,6 +436,81 @@ fn every_illegal_path_is_a_config_error() {
         assert!(
             matches!(result, Err(BuildError::ConfigError { .. })),
             "{spec}: expected a ConfigError, got {result:?}"
+        );
+    }
+}
+
+/// Check 5: every generated updatable tree whose leaf is a configurable
+/// engine, that leaf's Rule Filter pinned to `2^RF_BITS` slots, after
+/// `PAIRS` pairs of distinct-key churn (remove a random live rule, insert
+/// a rule from a second generator seed), held to the same spec built
+/// fresh over the live set: equal verdicts on a fixed trace, and modelled
+/// reads on it at most 1.25x the fresh build's. Under a `sharded:` node
+/// that places by priority band the bound is 2x: bands are never
+/// rebalanced, so the churned shards hold other rules than the fresh
+/// build's (1.5x here on `configurable-mbt`). A Rule Filter that leaves a
+/// deleted marker in every freed slot reads 2.8-76x the fresh build on
+/// every tree without a `snapshot:` node.
+#[test]
+fn churned_configurable_trees_cost_what_a_fresh_build_does() {
+    const RF_BITS: u32 = 8;
+    const PAIRS: usize = 1_500;
+    let base = RuleSetGenerator::new(FilterKind::Acl, 64)
+        .seed(SEED)
+        .generate();
+    let pool = RuleSetGenerator::new(FilterKind::Acl, PAIRS)
+        .seed(SEED ^ 0x5a)
+        .generate();
+    let configurable = trees().into_iter().filter(|t| {
+        matches!(
+            t.leaf(),
+            EngineKind::ConfigurableMbt | EngineKind::ConfigurableBst
+        )
+    });
+    for tree in configurable {
+        let leaf = tree.leaf().to_string();
+        let spec = tree
+            .spec
+            .replacen(&leaf, &format!("{leaf}:rf_bits={RF_BITS}"), 1);
+        let mut engine = build_engine(&spec, &base).unwrap_or_else(|e| panic!("{spec}: {e}"));
+        // `(global id, rule)` in insertion order, as `churn_against_rebuild` keeps it.
+        let mut live: Vec<(RuleId, Rule)> = base.iter().map(|(id, r)| (id, *r)).collect();
+        let mut rng = StdRng::seed_from_u64(SEED ^ 0x50a4);
+        for &rule in pool.rules() {
+            let (gone, _) = live.remove(rng.gen_range(0..live.len()));
+            engine
+                .remove(gone)
+                .unwrap_or_else(|e| panic!("{spec}: remove {gone}: {e}"));
+            match engine.insert(rule) {
+                Ok(id) => live.push((id, rule)),
+                // The pool repeats a live rule's match fields.
+                Err(UpdateError::Duplicate { .. }) => {}
+                Err(e) => panic!("{spec}: insert: {e}"),
+            }
+        }
+        let rules: RuleSet = live.iter().map(|&(_, r)| r).collect();
+        let trace = TraceGenerator::new()
+            .seed(SEED ^ 0x7ace)
+            .match_fraction(0.85)
+            .generate(&rules, 200);
+        let mut fresh = build_engine(&spec, &rules).unwrap_or_else(|e| panic!("{spec}: {e}"));
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        engine.classify_batch(&trace, &mut got);
+        fresh.classify_batch(&trace, &mut want);
+        for ((h, g), w) in trace.iter().zip(&got).zip(&want) {
+            let w = Verdict {
+                rule: w.rule.map(|pos| live[pos.0 as usize].0),
+                ..*w
+            };
+            assert_eq!(outcome(g), outcome(&w), "{spec}: churned vs fresh at {h}");
+        }
+        let reads = |vs: &[Verdict]| vs.iter().map(|v| u64::from(v.mem_reads)).sum::<u64>();
+        let (churned, rebuilt) = (reads(&got), reads(&want));
+        let banded = tree.path.contains(&EngineKind::Sharded) && !spec.contains("strategy=hash");
+        let (num, den) = if banded { (2, 1) } else { (5, 4) };
+        assert!(
+            churned * den <= rebuilt * num,
+            "{spec}: churned reads {churned} vs fresh {rebuilt}, bound {num}/{den}"
         );
     }
 }
