@@ -3,11 +3,11 @@
 //! Rules live in a hash-addressed memory: the seven dimension labels are
 //! merged into a 68-bit key, folded by the hardware [`spc_hwsim::HashUnit`]
 //! into an address, and collisions are resolved by linear probing with the
-//! full key stored alongside the rule for rejection. A removal closes its
-//! gap by shifting the rest of the run back (Knuth's Algorithm R), so no
-//! deleted marker ever lengthens a chain. The same unit serves update
-//! (rule insert = 2 data cycles + 1 hash cycle, §V.A) and lookup
-//! (phase 4).
+//! full key stored alongside the rule for rejection. The memory is a
+//! [`ProbeTable`], so a removal closes its gap by shifting the rest of the
+//! run back and no deleted marker ever lengthens a chain. The same unit
+//! serves update (rule insert = 2 data cycles + 1 hash cycle, §V.A) and
+//! lookup (phase 4).
 //!
 //! The memory is read one aligned bucket of `BUCKET` slots per access,
 //! a wide word of ganged block RAMs: a probe costs the buckets its chain
@@ -16,15 +16,8 @@
 //! per slot.
 
 use crate::ClassifierError;
-use spc_hwsim::{HashUnit, MemoryBlock};
+use spc_hwsim::{HashUnit, Probe, ProbeTable};
 use spc_types::{Rule, RuleId};
-
-/// One Rule Filter slot.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Slot {
-    Empty,
-    Occupied(Stored),
-}
 
 /// A classification hit: what a Rule Filter probe returns for a stored
 /// key, and what the lookup pipeline returns as the HPMR.
@@ -63,15 +56,8 @@ pub struct ProbeResult {
 /// in the software controller (a label-key hit already proves the match).
 #[derive(Debug)]
 pub struct RuleFilter {
-    slots: MemoryBlock<Slot>,
-    /// One flag per slot, set while it is `Slot::Occupied`, so a probe
-    /// learns that a slot is free without pulling the slot's own cache
-    /// line. Derived data: the model prices `slots` only.
-    occupied: Vec<bool>,
+    table: ProbeTable<Stored>,
     hash: HashUnit,
-    live: usize,
-    /// Longest probe sequence seen on insert, in slots.
-    max_probe: u32,
 }
 
 const RULE_BODY_BITS: u32 = 48;
@@ -89,50 +75,29 @@ fn bucket_reads(home: usize, steps: usize) -> u32 {
     ((home % BUCKET + steps - 1) / BUCKET + 1) as u32
 }
 
-// Every slot address is a home address plus a step, masked down to the
-// block's address width, so `read`/`write` cannot see an out-of-range
-// address; `new` pre-allocates exactly `words` slots, so `alloc` cannot
-// overflow the provisioned block.
-#[allow(clippy::expect_used)]
 impl RuleFilter {
     /// Creates a filter with `2^addr_bits` slots and a `key_bits`-wide key
     /// field per word.
     pub fn new(addr_bits: u32, key_bits: u32) -> Self {
-        let words = 1usize << addr_bits;
-        let mut slots = MemoryBlock::new("rule_filter", words, key_bits + RULE_BODY_BITS);
-        for _ in 0..words {
-            slots.alloc(Slot::Empty).expect("provisioned");
-        }
-        // What lets `probe_at` index with `& (words - 1)` and nothing else.
-        assert_eq!(slots.len(), words, "one slot per address");
         RuleFilter {
-            slots,
-            occupied: vec![false; words],
+            table: ProbeTable::new("rule_filter", 1 << addr_bits, key_bits + RULE_BODY_BITS),
             hash: HashUnit::new(addr_bits),
-            live: 0,
-            max_probe: 0,
         }
     }
 
     /// Installed rule count.
     pub fn len(&self) -> usize {
-        self.live
+        self.table.len()
     }
 
     /// Whether no rules are installed.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.table.is_empty()
     }
 
     /// Slot capacity.
     pub fn capacity(&self) -> usize {
-        self.slots.words()
-    }
-
-    /// Longest insert-time probe chain observed, in slots (a probe is
-    /// charged the buckets such a chain touches).
-    pub fn max_probe(&self) -> u32 {
-        self.max_probe
+        self.table.capacity()
     }
 
     /// Iterates over the installed rules, in slot order.
@@ -141,17 +106,7 @@ impl RuleFilter {
     /// operation (it returns no cost): it lists the stored slots, keys
     /// included, without re-reading the original rule set.
     pub fn iter(&self) -> impl Iterator<Item = &Stored> {
-        (0..self.capacity()).filter_map(move |addr| match self.slots.read(addr) {
-            Ok(Slot::Occupied(stored)) => Some(stored),
-            _ => None,
-        })
-    }
-
-    /// Writes one slot and its occupancy flag together — the only place
-    /// either changes after construction, so the mirror cannot drift.
-    fn set_slot(&mut self, addr: usize, slot: Slot) {
-        self.occupied[addr] = matches!(slot, Slot::Occupied(_));
-        self.slots.write(addr, slot).expect("address in range");
+        self.table.iter()
     }
 
     /// Inserts a rule under its label key.
@@ -161,27 +116,17 @@ impl RuleFilter {
     /// [`ClassifierError::DuplicateKey`] if the key is already installed;
     /// [`ClassifierError::RuleFilterFull`] if no slot is free.
     pub fn insert(&mut self, key: u128, id: RuleId, rule: Rule) -> Result<(), ClassifierError> {
-        let home = self.hash.fold(key);
-        let mask = self.capacity() - 1;
-        for i in 0..self.capacity() {
-            let addr = (home + i) & mask;
-            match self.slots.read(addr).expect("address in range") {
-                Slot::Empty => {
-                    let hit = Hit { rule_id: id, rule };
-                    self.set_slot(addr, Slot::Occupied(Stored { key, hit }));
-                    self.live += 1;
-                    self.max_probe = self.max_probe.max(i as u32 + 1);
-                    return Ok(());
-                }
-                Slot::Occupied(s) if s.key == key => {
-                    return Err(ClassifierError::DuplicateKey {
-                        existing: s.hit.rule_id.0,
-                    });
-                }
-                Slot::Occupied(_) => {}
+        match self.table.find(self.hash.fold(key), |s| s.key == key).0 {
+            Probe::Free(addr) => {
+                let hit = Hit { rule_id: id, rule };
+                self.table.put(addr, Stored { key, hit });
+                Ok(())
             }
+            Probe::Hit(_, s) => Err(ClassifierError::DuplicateKey {
+                existing: s.hit.rule_id.0,
+            }),
+            Probe::Lap => Err(ClassifierError::RuleFilterFull),
         }
-        Err(ClassifierError::RuleFilterFull)
     }
 
     /// Removes the rule stored under `key`.
@@ -190,47 +135,11 @@ impl RuleFilter {
     ///
     /// [`ClassifierError::UnknownRule`] when the key is absent.
     pub fn remove(&mut self, key: u128, id: RuleId) -> Result<Rule, ClassifierError> {
-        let home = self.hash.fold(key);
-        let mask = self.capacity() - 1;
-        for i in 0..self.capacity() {
-            let addr = (home + i) & mask;
-            match self.slots.read(addr).expect("address in range") {
-                Slot::Empty => break,
-                Slot::Occupied(s) if s.key == key => {
-                    let rule = s.hit.rule;
-                    self.erase(addr);
-                    self.live -= 1;
-                    return Ok(rule);
-                }
-                Slot::Occupied(_) => {}
-            }
+        let hash = self.hash;
+        match self.table.find(hash.fold(key), |s| s.key == key).0 {
+            Probe::Hit(addr, _) => Ok(self.table.erase(addr, |s| hash.fold(s.key)).hit.rule),
+            _ => Err(ClassifierError::UnknownRule { id: id.0 }),
         }
-        Err(ClassifierError::UnknownRule { id: id.0 })
-    }
-
-    /// Empties slot `hole` and closes the gap (Knuth, TAOCP vol. 3,
-    /// §6.4, Algorithm R): each later entry of the run whose probe path
-    /// crosses the hole moves into it, leaving its own slot as the next
-    /// hole. The walk ends at an empty slot, or after one lap of a full
-    /// table. Every moved word is one write, and so is the empty slot
-    /// left at the end.
-    fn erase(&mut self, mut hole: usize) {
-        let mask = self.capacity() - 1;
-        let mut at = hole;
-        for _ in 1..self.capacity() {
-            at = (at + 1) & mask;
-            let Slot::Occupied(s) = *self.slots.read(at).expect("address in range") else {
-                break;
-            };
-            // `s` may fill the hole iff the cyclic distance from its home
-            // to `at` covers the hole's distance to `at`.
-            let home = self.hash.fold(s.key);
-            if at.wrapping_sub(home) & mask >= at.wrapping_sub(hole) & mask {
-                self.set_slot(hole, Slot::Occupied(s));
-                hole = at;
-            }
-        }
-        self.set_slot(hole, Slot::Empty);
     }
 
     /// Probes for a key (phase 4 of the lookup pipeline): the key is
@@ -245,28 +154,13 @@ impl RuleFilter {
     /// [`RuleFilter::hash_unit`] already — the priority-box walk, which
     /// shares hash state between neighbouring keys.
     pub(crate) fn probe_at(&self, home: usize, key: u128) -> ProbeResult {
-        let slots = self.slots.as_slice();
-        let mask = slots.len() - 1;
-        for i in 0..slots.len() {
-            let addr = (home + i) & mask;
-            if !self.occupied[addr] {
-                return ProbeResult {
-                    hit: None,
-                    reads: bucket_reads(home, i + 1),
-                };
-            }
-            if let Slot::Occupied(s) = &slots[addr] {
-                if s.key == key {
-                    return ProbeResult {
-                        hit: Some(s.hit),
-                        reads: bucket_reads(home, i + 1),
-                    };
-                }
-            }
-        }
+        let (probe, steps) = self.table.find(home, |s| s.key == key);
         ProbeResult {
-            hit: None,
-            reads: bucket_reads(home, slots.len()),
+            hit: match probe {
+                Probe::Hit(_, s) => Some(s.hit),
+                _ => None,
+            },
+            reads: bucket_reads(home, steps),
         }
     }
 
@@ -274,7 +168,7 @@ impl RuleFilter {
     /// after its one read without finding anything — what most of the
     /// priority-box walk's probes learn, from the occupancy flag alone.
     pub(crate) fn is_free(&self, addr: usize) -> bool {
-        !self.occupied[addr]
+        self.table.is_free(addr)
     }
 
     /// The unit that turns a key into its home address.
@@ -284,18 +178,18 @@ impl RuleFilter {
 
     /// Provisioned bits of the rule memory.
     pub fn provisioned_bits(&self) -> u64 {
-        self.slots.capacity_bits()
+        self.table.block().capacity_bits()
     }
 
     /// Bits occupied by live rules.
     pub fn used_bits(&self) -> u64 {
-        self.live as u64 * u64::from(self.slots.width_bits())
+        self.len() as u64 * u64::from(self.table.block().width_bits())
     }
 
     /// Rule words written since construction (the pre-allocated empty
     /// slots included); [`crate::Classifier`] takes deltas of it.
     pub(crate) fn writes(&self) -> u64 {
-        self.slots.writes()
+        self.table.block().writes()
     }
 }
 
@@ -341,7 +235,6 @@ mod tests {
         for k in 0..6u128 {
             assert_eq!(f.probe(k).hit.unwrap().rule_id, RuleId(k as u32), "key {k}");
         }
-        assert!(f.max_probe() >= 1);
     }
 
     #[test]
@@ -367,12 +260,10 @@ mod tests {
         for k in 1..4u128 {
             assert!(f.probe(k).hit.is_some(), "key {k} lost after removal");
         }
-        // The run shifted back over key 0's slot: the one freed slot reads
-        // `Slot::Empty`, and a later insert takes it.
-        let slots = f.slots.as_slice();
-        let free: Vec<usize> = (0..slots.len())
-            .filter(|&a| slots[a] == Slot::Empty)
-            .collect();
+        // The run shifted back over key 0's slot: the one freed slot holds
+        // no word, and a later insert takes it.
+        let slots = f.table.block().as_slice();
+        let free: Vec<usize> = (0..slots.len()).filter(|&a| slots[a].is_none()).collect();
         assert_eq!(free.len(), 1);
         f.insert(9, RuleId(9), rule(0)).unwrap();
         assert_eq!(f.len(), 4);
@@ -424,12 +315,8 @@ mod tests {
             }
             assert_eq!(f.len(), live.len());
             for addr in 0..f.capacity() {
-                let slot = f.slots.read(addr).unwrap();
-                assert_eq!(
-                    f.occupied[addr],
-                    matches!(slot, Slot::Occupied(_)),
-                    "step {step}, slot {addr}"
-                );
+                let slot = f.table.block().read(addr).unwrap();
+                assert_eq!(f.is_free(addr), slot.is_none(), "step {step}, slot {addr}");
             }
             assert_eq!(f.probe(key).hit.is_some(), live.contains(&key));
             for k in 0..96u128 {
@@ -460,10 +347,10 @@ mod tests {
                 bucket = Some(addr / BUCKET);
                 reads += 1;
             }
-            match f.slots.read(addr).unwrap() {
-                Slot::Empty => break,
-                Slot::Occupied(s) if s.key == key => return (Some(s.hit), reads),
-                Slot::Occupied(_) => {}
+            match &f.table.block().as_slice()[addr] {
+                None => break,
+                Some(s) if s.key == key => return (Some(s.hit), reads),
+                Some(_) => {}
             }
         }
         (None, reads)

@@ -3,6 +3,7 @@
 //! one open-addressed hash table per tuple, probed in best-priority order.
 
 use crate::{verdict, EngineKind, PacketClassifier, UpdateError, UpdateReport, Verdict};
+use spc_hwsim::{Probe, ProbeTable};
 use spc_types::{
     DimValue, Header, Priority, ProtoSpec, Rule, RuleId, RuleSet, SegPrefix, ALL_DIMS,
 };
@@ -86,89 +87,26 @@ impl Signature {
     }
 }
 
-/// FNV-1a over the seven masked 16-bit query values.
-fn hash_key(key: &[u16; 7]) -> u64 {
+/// A key's home in its tuple's table: FNV-1a over the seven masked
+/// 16-bit query values (the table takes it modulo its size).
+fn home(key: &[u16; 7]) -> usize {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &v in key {
         h ^= u64::from(v);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    h
+    h as usize
 }
 
-/// Open-addressed (linear probing, backward-shift deletion) table of
-/// buckets. Power-of-two capacity, load kept under 3/4 so every probe
-/// chain ends at an empty slot.
-#[derive(Debug)]
-struct Table {
-    slots: Vec<Option<Bucket>>,
-    buckets: usize,
+/// A tuple's table of buckets: its load stays under 3/4, so every probe
+/// chain ends at a free slot.
+fn table(slots: usize) -> ProbeTable<Bucket> {
+    ProbeTable::new("tuple", slots, SLOT_BITS as u32)
 }
 
-impl Table {
-    fn new() -> Self {
-        Table {
-            slots: vec![None; TABLE_SLOTS],
-            buckets: 0,
-        }
-    }
-
-    /// Walks the probe chain for `key`: the matching slot, or the empty
-    /// slot that terminates the chain. Returns `(slot, probe_steps,
-    /// found)`.
-    fn find_slot(&self, key: &[u16; 7]) -> (usize, u32, bool) {
-        let mask = self.slots.len() - 1;
-        let mut i = (hash_key(key) as usize) & mask;
-        let mut steps = 1u32;
-        loop {
-            match &self.slots[i] {
-                Some(b) if b.key == *key => return (i, steps, true),
-                None => return (i, steps, false),
-                Some(_) => {
-                    i = (i + 1) & mask;
-                    steps = steps.saturating_add(1);
-                }
-            }
-        }
-    }
-
-    /// Doubles the capacity and reinserts every bucket; returns the
-    /// number of slots written.
-    fn grow(&mut self) -> u32 {
-        let old = std::mem::replace(&mut self.slots, vec![None; 0]);
-        self.slots = vec![None; old.len() * 2];
-        let mut moved = 0u32;
-        for b in old.into_iter().flatten() {
-            let (i, _, _) = self.find_slot(&b.key);
-            self.slots[i] = Some(b);
-            moved = moved.saturating_add(1);
-        }
-        moved
-    }
-
-    /// Removes slot `i` and backward-shifts the tail of its probe chain
-    /// so that no chain crosses an artificial hole (no tombstones).
-    /// Returns slots written.
-    fn erase_slot(&mut self, mut i: usize) -> u32 {
-        let mask = self.slots.len() - 1;
-        self.slots[i] = None;
-        let mut written = 1u32;
-        let mut j = (i + 1) & mask;
-        while let Some(b) = self.slots[j].take() {
-            let home = (hash_key(&b.key) as usize) & mask;
-            // `b` may move into the hole at `i` iff `i` lies on its
-            // probe path, i.e. the cyclic distance home→j covers i→j.
-            if j.wrapping_sub(home) & mask >= j.wrapping_sub(i) & mask {
-                self.slots[i] = Some(b);
-                written = written.saturating_add(1);
-                i = j;
-            } else {
-                self.slots[j] = Some(b);
-            }
-            j = (j + 1) & mask;
-        }
-        written
-    }
+/// Where `key`'s bucket is in `table`, or would go.
+fn find<'a>(table: &'a ProbeTable<Bucket>, key: &[u16; 7]) -> (Probe<'a, Bucket>, usize) {
+    table.find(home(key), |b| b.key == *key)
 }
 
 /// One tuple: every rule whose hash-mask signature equals `sig`, indexed
@@ -177,7 +115,7 @@ impl Table {
 #[derive(Debug)]
 struct Tuple {
     sig: Signature,
-    table: Table,
+    table: ProbeTable<Bucket>,
     rules: usize,
     best: Priority,
 }
@@ -185,15 +123,12 @@ struct Tuple {
 impl Tuple {
     /// The best priority of the rules the tuple holds.
     fn installed_best(&self) -> Priority {
-        self.slots()
+        self.table
+            .iter()
             .flat_map(|b| &b.entries)
             .map(|e| e.rule.priority)
             .min()
             .unwrap_or(Priority(u32::MAX))
-    }
-
-    fn slots(&self) -> impl Iterator<Item = &Bucket> {
-        self.table.slots.iter().flatten()
     }
 }
 
@@ -279,7 +214,7 @@ impl TupleSpaceEngine {
         self.tuples
             .iter()
             .flatten()
-            .flat_map(Tuple::slots)
+            .flat_map(|t| t.table.iter())
             .flat_map(|b| b.entries.iter().map(|e| (e.id, &e.rule)))
     }
 
@@ -290,14 +225,13 @@ impl TupleSpaceEngine {
         let sig = Signature::of(&rule);
         let key = sig.masked_rule(&rule);
         let mut tuple_created = false;
-        let mut slots_written = 0u32;
 
         let ti = match self.by_sig.get(&sig) {
             Some(&ti) => ti,
             None => {
                 let t = Tuple {
                     sig,
-                    table: Table::new(),
+                    table: table(TABLE_SLOTS),
                     rules: 0,
                     best: rule.priority,
                 };
@@ -324,42 +258,47 @@ impl TupleSpaceEngine {
             unreachable!("by_sig and free agree on live tuples")
         };
 
-        let (slot, _, found) = t.table.find_slot(&key);
         // Identical dim_values always share signature and key, so this
         // bucket-local scan is a complete duplicate check. It runs before
         // the table may grow, so a refused rule leaves the table as it
         // was (and, sharing its signature, never opened the tuple).
-        let duplicate = t.table.slots[slot].as_ref().and_then(|b| {
-            b.entries
-                .iter()
-                .find(|e| e.rule.dim_values() == rule.dim_values())
-        });
-        if let Some(e) = duplicate {
-            return Err(UpdateError::Duplicate { existing: e.id });
+        if let Probe::Hit(_, b) = find(&t.table, &key).0 {
+            let dims = rule.dim_values();
+            if let Some(e) = b.entries.iter().find(|e| e.rule.dim_values() == dims) {
+                return Err(UpdateError::Duplicate { existing: e.id });
+            }
         }
-        // Grow before writing so the chain we write stays valid.
-        let slot = if (t.table.buckets + 1) * 4 > t.table.slots.len() * 3 {
-            slots_written = slots_written.saturating_add(t.table.grow());
-            t.table.find_slot(&key).0
-        } else {
-            slot
-        };
-        if found {
-            let Some(bucket) = t.table.slots[slot].as_mut() else {
-                unreachable!("find_slot reported a live bucket")
-            };
-            let pos = bucket
-                .entries
-                .partition_point(|e| (e.rule.priority, e.id) < (rule.priority, id));
-            bucket.entries.insert(pos, Entry { id, rule });
-        } else {
-            t.table.slots[slot] = Some(Bucket {
-                key,
-                entries: vec![Entry { id, rule }],
-            });
-            t.table.buckets += 1;
+        // Grow before writing so the chain we write stays valid: each
+        // bucket is put into a table of twice the slots, whose empty fill
+        // is no update's write.
+        let mut written = t.table.block().writes();
+        if (t.table.len() + 1) * 4 > t.table.capacity() * 3 {
+            let grown = table(t.table.capacity() * 2);
+            written = grown.block().writes();
+            for b in std::mem::replace(&mut t.table, grown).into_entries() {
+                let Probe::Free(slot) = find(&t.table, &b.key).0 else {
+                    unreachable!("a grown table has room for every bucket")
+                };
+                t.table.put(slot, b);
+            }
         }
-        slots_written = slots_written.saturating_add(1);
+        match find(&t.table, &key).0 {
+            Probe::Hit(slot, _) => t.table.update(slot, |b| {
+                let pos = b
+                    .entries
+                    .partition_point(|e| (e.rule.priority, e.id) < (rule.priority, id));
+                b.entries.insert(pos, Entry { id, rule });
+            }),
+            Probe::Free(slot) => t.table.put(
+                slot,
+                Bucket {
+                    key,
+                    entries: vec![Entry { id, rule }],
+                },
+            ),
+            Probe::Lap => unreachable!("the load stays under 3/4"),
+        }
+        let written = t.table.block().writes() - written;
 
         t.rules += 1;
         let best = t.best.min(rule.priority);
@@ -370,7 +309,7 @@ impl TupleSpaceEngine {
             rule_id: id,
             created_labels: 1 + u32::from(tuple_created),
             freed_labels: 0,
-            hw_write_cycles: 3 + u64::from(slots_written),
+            hw_write_cycles: 3 + written,
         })
     }
 
@@ -448,13 +387,9 @@ impl PacketClassifier for TupleSpaceEngine {
                 }
             }
             reads = reads.saturating_add(1);
-            let key = t.sig.masked_query(&cells);
-            let (slot, steps, found) = t.table.find_slot(&key);
-            reads = reads.saturating_add(steps);
-            if !found {
-                continue;
-            }
-            let Some(bucket) = t.table.slots[slot].as_ref() else {
+            let (probe, steps) = find(&t.table, &t.sig.masked_query(&cells));
+            reads = reads.saturating_add(steps as u32);
+            let Probe::Hit(_, bucket) = probe else {
                 continue;
             };
             for e in &bucket.entries {
@@ -480,8 +415,8 @@ impl PacketClassifier for TupleSpaceEngine {
     fn memory_bits(&self) -> u64 {
         let mut bits = 0u64;
         for t in self.tuples.iter().flatten() {
-            bits += t.table.slots.len() as u64 * SLOT_BITS;
-            for b in t.slots() {
+            bits += t.table.capacity() as u64 * SLOT_BITS;
+            for b in t.table.iter() {
                 bits += KEY_BITS + b.entries.len() as u64 * RULE_BITS;
             }
         }
@@ -510,21 +445,22 @@ impl PacketClassifier for TupleSpaceEngine {
         let Some(t) = self.tuples[ti].as_mut() else {
             unreachable!("locs points at a live tuple")
         };
-        let (slot, _, found) = t.table.find_slot(&key);
-        debug_assert!(found, "locs points at a live bucket");
-        let Some(bucket) = t.table.slots[slot].as_mut() else {
+        let Probe::Hit(slot, bucket) = find(&t.table, &key).0 else {
             unreachable!("locs points at a live bucket")
         };
-        let Some(pos) = bucket.entries.iter().position(|e| e.id == id) else {
-            unreachable!("locs points at a live entry")
-        };
-        let rule = bucket.entries.remove(pos).rule;
-        let slots_written = if bucket.entries.is_empty() {
-            t.table.buckets -= 1;
-            t.table.erase_slot(slot)
+        let last = bucket.entries.len() == 1;
+        let written = t.table.block().writes();
+        let rule = if last {
+            t.table.erase(slot, |b| home(&b.key)).entries[0].rule
         } else {
-            1
+            t.table.update(slot, |b| {
+                let Some(pos) = b.entries.iter().position(|e| e.id == id) else {
+                    unreachable!("locs points at a live entry")
+                };
+                b.entries.remove(pos).rule
+            })
         };
+        let written = t.table.block().writes() - written;
         t.rules -= 1;
         let tuple_freed = t.rules == 0;
         if tuple_freed {
@@ -538,7 +474,7 @@ impl PacketClassifier for TupleSpaceEngine {
             rule_id: id,
             created_labels: 0,
             freed_labels: 1 + u32::from(tuple_freed),
-            hw_write_cycles: 3 + u64::from(slots_written),
+            hw_write_cycles: 3 + written,
         });
         Ok(())
     }
@@ -864,5 +800,95 @@ mod tests {
         // Ids are never reused.
         let id2 = ts.insert(Rule::any(Priority(0))).unwrap();
         assert!(id2 > id);
+    }
+
+    /// Churns a `kind` set of 1 024 rules with remove / insert pairs, the
+    /// inserts drawn from `pairs` rules of a second generator seed (a
+    /// rule that repeats a live one is refused and skipped). Returns the
+    /// engine, the live `(id, rule)`s and the summed write cycles of the
+    /// successful updates.
+    fn churned(kind: FilterKind, pairs: usize) -> (TupleSpaceEngine, Vec<(RuleId, Rule)>, u64) {
+        let base = RuleSetGenerator::new(kind, 1024).seed(0x0c4e).generate();
+        let pool = RuleSetGenerator::new(kind, pairs).seed(0x0c4f).generate();
+        let mut ts = TupleSpaceEngine::build(&base).unwrap();
+        let mut live: Vec<(RuleId, Rule)> = base.iter().map(|(id, r)| (id, *r)).collect();
+        let mut rng = StdRng::seed_from_u64(0x50a4);
+        let mut cycles = 0u64;
+        let mut charge = |ts: &TupleSpaceEngine| {
+            cycles += ts.last_update_report().unwrap().hw_write_cycles;
+        };
+        for &rule in pool.rules() {
+            let (gone, _) = live.swap_remove(rng.gen_range(0..live.len()));
+            ts.remove(gone).unwrap();
+            charge(&ts);
+            match ts.insert(rule) {
+                Ok(id) => {
+                    charge(&ts);
+                    live.push((id, rule));
+                }
+                Err(UpdateError::Duplicate { .. }) => {}
+                Err(e) => panic!("{kind}: insert: {e}"),
+            }
+        }
+        (ts, live, cycles)
+    }
+
+    /// Σ modelled reads of `ts` over a fixed trace of `rules`.
+    fn trace_reads(ts: &TupleSpaceEngine, rules: &RuleSet) -> (Vec<Option<RuleId>>, u64) {
+        let trace = TraceGenerator::new()
+            .seed(0x7ace)
+            .match_fraction(0.85)
+            .generate(rules, 1000);
+        let verdicts: Vec<Verdict> = trace.iter().map(|h| ts.classify(h)).collect();
+        (
+            verdicts.iter().map(|v| v.rule).collect(),
+            verdicts.iter().map(|v| u64::from(v.mem_reads)).sum(),
+        )
+    }
+
+    #[test]
+    fn churn_costs_are_pinned() {
+        // Golden `(Σ write cycles, memory bits, Σ trace reads)`: every
+        // slot a put, an update, an erase's backward shift or a table's
+        // growth writes, every table size, and every probe chain.
+        for (kind, want) in [
+            (FilterKind::Acl, (8_800, 613_728, 535_186)),
+            (FilterKind::Fw, (8_363, 720_896, 861_361)),
+            (FilterKind::Ipc, (8_668, 683_152, 382_783)),
+        ] {
+            let (ts, live, cycles) = churned(kind, 1024);
+            let rules: RuleSet = live.iter().map(|&(_, r)| r).collect();
+            let (_, reads) = trace_reads(&ts, &rules);
+            assert_eq!((cycles, ts.memory_bits(), reads), want, "{kind}");
+        }
+    }
+
+    #[test]
+    fn churned_tables_cost_what_a_fresh_build_does() {
+        // 30 000 pairs leave each tuple's table at the size its largest
+        // population grew it to; reads and bits stay within 5/4 of a
+        // fresh build of the live set.
+        for kind in [FilterKind::Acl, FilterKind::Fw] {
+            let (ts, live, _) = churned(kind, 30_000);
+            let rules: RuleSet = live.iter().map(|&(_, r)| r).collect();
+            let fresh = TupleSpaceEngine::build(&rules).unwrap();
+            let (got, churned_reads) = trace_reads(&ts, &rules);
+            let (want, fresh_reads) = trace_reads(&fresh, &rules);
+            // The fresh build numbers the live rules by position.
+            let want: Vec<_> = want
+                .iter()
+                .map(|w| w.map(|pos| live[pos.0 as usize].0))
+                .collect();
+            assert_eq!(got, want, "{kind}: verdicts");
+            let (bits, fresh_bits) = (ts.memory_bits(), fresh.memory_bits());
+            assert!(
+                churned_reads * 4 <= fresh_reads * 5,
+                "{kind}: reads {churned_reads} vs {fresh_reads}"
+            );
+            assert!(
+                bits * 4 <= fresh_bits * 5,
+                "{kind}: bits {bits} vs {fresh_bits}"
+            );
+        }
     }
 }

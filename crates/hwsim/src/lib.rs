@@ -11,6 +11,9 @@
 //!   (reads are counted by the lookup that makes them and returned by value);
 //!   a sorted array in it floats from a base register, so an insert or a
 //!   remove moves the shorter side of the array;
+//! * [`ProbeTable`] — a linear-probe hash table in one block, whose
+//!   removal shifts the rest of its run back (the Rule Filter's memory and
+//!   each tuple-space table);
 //! * [`ClockDomain`] — converts cycles/packet into lookups/s and Gbps the
 //!   same way the paper does (§V.C);
 //! * [`HashUnit`] — the hardware hash that folds the merged 68-bit label key
@@ -24,11 +27,13 @@
 mod clock;
 mod hash;
 mod mem;
+mod probe;
 mod resources;
 
 pub use clock::{ClockDomain, MIN_PACKET_BYTES, STRATIX_V_FMAX_MHZ};
 pub use hash::HashUnit;
 pub use mem::{MemoryBlock, MemoryError};
+pub use probe::{Probe, ProbeTable};
 pub use resources::{
     ResourceReport, STRATIX_V_MEM_BITS, STRATIX_V_TOTAL_ALMS, STRATIX_V_TOTAL_PINS,
 };

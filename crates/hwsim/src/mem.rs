@@ -192,6 +192,23 @@ impl<T> MemoryBlock<T> {
         }
     }
 
+    /// Takes the word at `addr` out, leaving `T::default()`, for a word on
+    /// its way to another address: charges nothing, since the word it
+    /// lands in is charged.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemoryError::OutOfBounds`] for unallocated addresses.
+    pub(crate) fn take(&mut self, addr: usize) -> Result<T, MemoryError>
+    where
+        T: Default,
+    {
+        match self.data.get_mut(addr) {
+            Some(slot) => Ok(std::mem::take(slot)),
+            None => Err(self.out_of_bounds(addr)),
+        }
+    }
+
     /// Inserts a word at `addr` — how a sorted array takes a new element —
     /// moving one side of the split one word outward: the prefix
     /// `[0, addr)` down into the word below the base, or the suffix
@@ -313,6 +330,12 @@ impl<T> MemoryBlock<T> {
     pub fn writes(&self) -> u64 {
         self.writes
     }
+
+    /// The allocated words in address order, out of a block being
+    /// replaced.
+    pub(crate) fn into_words(self) -> Vec<T> {
+        self.data
+    }
 }
 
 #[cfg(test)]
@@ -340,6 +363,16 @@ mod tests {
         assert_eq!(*m.read(a0).unwrap(), 20);
         assert_eq!(m.writes(), 3); // 2 allocs + 1 write
         assert_eq!(m.used_bits(), 16);
+    }
+
+    #[test]
+    fn take_charges_nothing() {
+        let mut m: MemoryBlock<Option<u32>> = MemoryBlock::new("b", 2, 8);
+        m.alloc(Some(7)).unwrap();
+        assert_eq!(m.take(0), Ok(Some(7)));
+        assert_eq!((m.as_slice(), m.writes()), (&[None][..], 1));
+        assert!(matches!(m.take(1), Err(MemoryError::OutOfBounds { .. })));
+        assert_eq!(m.writes(), 1);
     }
 
     #[test]
