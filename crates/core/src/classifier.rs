@@ -228,12 +228,6 @@ thread_local! {
     static SCRATCH: RefCell<ClassifyScratch> = RefCell::new(ClassifyScratch::new());
 }
 
-/// Appends one `width`-bit label to a partial merged key.
-fn pack_label(prefix: u128, width: u8, label: Label) -> u128 {
-    debug_assert!(u32::from(label.0) < (1u32 << width), "label exceeds width");
-    (prefix << width) | u128::from(label.0)
-}
-
 /// Evaluates `$body` with `$absorb` bound to a `(state, key) -> state`
 /// closure absorbing the byte range `$bytes` of `key`. The key layouts
 /// absorb 0, 1, 3, 4 or 5 bytes per level; each of those widths gets its
@@ -276,29 +270,20 @@ macro_rules! with_absorb {
 
 /// Probes every level-0 label ORed onto every partial key of `keys`,
 /// the last key bytes absorbed, and returns the `(priority, id)`-best of
-/// `best` and the hits found with the Rule Filter reads they cost. A
-/// home slot that is free costs its one read without a
-/// [`RuleFilter::probe_at`].
+/// `best` and the hits found with the Rule Filter reads they cost.
 fn probe_keys(
     filter: &RuleFilter,
-    key_bytes: usize,
     labels: &[Placed],
     keys: &[u128],
     states: &[u64],
     absorb: impl Fn(u64, u128) -> u64,
     mut best: Option<Hit>,
 ) -> (Option<Hit>, u32) {
-    let hash = filter.hash_unit();
     let mut reads = 0;
     for label in labels {
         for (&key, &state) in keys.iter().zip(states) {
             let key = key | label.bits;
-            let home = hash.finish(absorb(state, key), key_bytes);
-            if filter.is_free(home) {
-                reads += 1;
-                continue;
-            }
-            let probe = filter.probe_at(home, key);
+            let probe = filter.probe_absorbed(absorb(state, key), key);
             reads += probe.reads;
             if let Some(hit) = probe.hit {
                 let rank = |h: &Hit| (h.rule.priority, h.rule_id.0);
@@ -336,6 +321,11 @@ pub struct Classifier {
     config: ArchConfig,
     dims: Vec<DimUnit>,
     rule_filter: RuleFilter,
+    /// Per [`LEVELS`] entry, the key bytes the hash absorbs when that
+    /// level's labels join a partial key of the levels below it: the
+    /// bytes under the next level up's first byte, and for level 0 the
+    /// rest of the key.
+    absorbs: [Range<usize>; LEVELS.len()],
     rules: HashMap<u32, Installed>,
     next_id: u32,
 }
@@ -358,12 +348,18 @@ impl Classifier {
                 },
             })
             .collect();
-        let rule_filter =
-            RuleFilter::new(config.rule_filter_addr_bits, config.label_widths.key_bits());
+        let widths = ALL_DIMS.map(|dim| Self::label_width(&config, dim));
+        let rule_filter = RuleFilter::new(config.rule_filter_addr_bits, &widths);
+        let first_byte = |l: usize| (rule_filter.shift(LEVELS[l].end - 1) / 8) as usize;
+        let absorbs = std::array::from_fn(|l| match l {
+            0 => first_byte(0)..rule_filter.key_bytes(),
+            _ => first_byte(l)..first_byte(l - 1),
+        });
         Classifier {
             config,
             dims,
             rule_filter,
+            absorbs,
             rules: HashMap::new(),
             next_id: 0,
         }
@@ -437,43 +433,6 @@ impl Classifier {
         &self.rule_filter
     }
 
-    /// Label width per dimension, in [`ALL_DIMS`] (key-concatenation) order.
-    fn key_widths(&self) -> [u8; 7] {
-        let w = self.config.label_widths;
-        [w.ip, w.ip, w.ip, w.ip, w.port, w.port, w.proto]
-    }
-
-    /// Packs the seven dimension labels into the merged hash key
-    /// (68 bits in the paper configuration, §IV.C.1).
-    fn make_key(&self, labels: &[Label; 7]) -> u128 {
-        labels
-            .iter()
-            .zip(self.key_widths())
-            .fold(0, |key, (&label, width)| pack_label(key, width, label))
-    }
-
-    /// `make_key`'s layout as the priority-box walk uses it: the bit each
-    /// dimension's label starts at (dimension 6 at bit 0, dimension 0 on
-    /// top), and per [`LEVELS`] entry the key bytes the hash absorbs when
-    /// that level's labels join a partial key of the levels below it —
-    /// the bytes under the next level up's first byte, and for level 0
-    /// the rest of the key.
-    fn key_layout(&self) -> ([u32; 7], [Range<usize>; LEVELS.len()]) {
-        let widths = self.key_widths();
-        let mut shifts = [0u32; 7];
-        let mut key_bits = 0;
-        for d in (0..7).rev() {
-            shifts[d] = key_bits;
-            key_bits += u32::from(widths[d]);
-        }
-        let first_byte = |l: usize| (shifts[LEVELS[l].end - 1] / 8) as usize;
-        let absorbs = std::array::from_fn(|l| match l {
-            0 => first_byte(0)..key_bits.div_ceil(8) as usize,
-            _ => first_byte(l)..first_byte(l - 1),
-        });
-        (shifts, absorbs)
-    }
-
     /// Installs a rule (Fig 4's incremental update).
     ///
     /// # Errors
@@ -490,13 +449,14 @@ impl Classifier {
     }
 
     /// Bulk-loads a rule set — the software controller's batch
-    /// programming path. Two pieces of bookkeeping are done once for the
-    /// batch instead of once per rule: the BST push-down (one final
-    /// flush), and each label's priority multiset (the rules' priorities
-    /// gather in per-label runs that one settle step sorts and counts
-    /// before that flush). What the hardware is written, and in which
-    /// order labels are allocated, is what one [`Classifier::insert`]
-    /// per rule would do.
+    /// programming path. The BST push-down is done once for the batch
+    /// (one final flush) instead of once per rule. What the hardware is
+    /// written, and in which order labels are allocated, is what one
+    /// [`Classifier::insert`] per rule would do. Each label's priority
+    /// multiset is settled on the label's next remove, as after any
+    /// insert (see [`LabelTable::insert`]), so the first remove of a
+    /// widely shared label after a load sorts the priorities the load
+    /// queued for it.
     ///
     /// # Errors
     ///
@@ -513,9 +473,6 @@ impl Classifier {
             ids.push(self.insert_inner(*rule, true)?.rule_id);
             Ok(())
         });
-        for unit in &mut self.dims {
-            unit.table.settle();
-        }
         if let Err(e) = inserted.and_then(|()| self.flush_engines()) {
             for id in ids {
                 let _ = self.uninstall(id);
@@ -529,8 +486,7 @@ impl Classifier {
     }
 
     /// Installs one rule; with `defer` (a [`Classifier::load`]) the
-    /// engines are not flushed and the label tables only queue the
-    /// rule's priority, both left to the caller.
+    /// engines are not flushed, which is left to the caller.
     fn insert_inner(&mut self, rule: Rule, defer: bool) -> Result<UpdateReport, ClassifierError> {
         let id = RuleId(self.next_id);
         let writes_before = self.write_cycles();
@@ -545,7 +501,7 @@ impl Classifier {
             // is (re)stored at the rule's priority. Priority order for
             // every dimension: the port and protocol engines recompute
             // their own list order internally (§IV.C.1).
-            let (label, store) = match unit.table.insert_with(value, rule.priority, defer) {
+            let (label, store) = match unit.table.insert(value, rule.priority) {
                 Ok(InsertOutcome::Created { label }) => {
                     created += 1;
                     (label, true)
@@ -575,7 +531,7 @@ impl Classifier {
             let _ = self.flush_engines();
             return Err(e);
         }
-        let key = self.make_key(&labels);
+        let key = self.rule_filter.key(&labels);
         if let Err(e) = self.rule_filter.insert(key, id, rule) {
             self.release_labels(&dim_values, rule.priority, 7);
             let _ = self.flush_engines();
@@ -752,7 +708,7 @@ impl Classifier {
                         .expect("checked non-empty")
                         .label
                 });
-                let probe = self.rule_filter.probe(self.make_key(&labels));
+                let probe = self.rule_filter.probe(self.rule_filter.key(&labels));
                 (probe.hit, probe.reads, 1)
             }
             CombineStrategy::PriorityProbe => self.priority_probe(scratch),
@@ -816,7 +772,8 @@ impl Classifier {
             below,
             hashed,
         } = scratch;
-        let (shifts, absorbs) = self.key_layout();
+        let (filter, absorbs) = (&self.rule_filter, &self.absorbs);
+        let shifts: [u32; 7] = std::array::from_fn(|d| filter.shift(d));
         let place = |d: usize, e: &LabelEntry| Placed {
             priority: e.priority,
             bits: u128::from(e.label.0) << shifts[d],
@@ -857,7 +814,6 @@ impl Classifier {
         let last = &mut below[LEVELS.len() - 1];
         last.keys.push(0);
         last.states.push(HashUnit::SEED);
-        let (filter, key_bytes) = (&self.rule_filter, absorbs[0].end);
         let (mut best, mut reads, mut combos): (Option<Hit>, _, _) = (None, 0, 0);
         // `box(lo)` is probed; each round grows it to `box(hi)`, the
         // combinations of bound <= `t`. The first `t` is the all-heads
@@ -888,8 +844,7 @@ impl Classifier {
                     if l == 0 {
                         let (keys, states) = (&below[0].keys[from.clone()], &below[0].states[from]);
                         with_absorb!(absorbs[0].clone(), |absorb| {
-                            let probed =
-                                probe_keys(filter, key_bytes, labels_l, keys, states, absorb, best);
+                            let probed = probe_keys(filter, labels_l, keys, states, absorb, best);
                             best = probed.0;
                             reads += probed.1;
                         });
@@ -1007,11 +962,10 @@ impl Classifier {
             self.config.mbt_leaf_nodes,
         )));
         let bst: Box<dyn FieldEngine> = Box::new(RangeBst::new(self.config.bst_max_intervals));
-        let rule_word = u64::from(self.config.label_widths.key_bits()) + 48;
         SharingReport::new(
             4 * mbt.provisioned_bits(),
             4 * bst.provisioned_bits(),
-            rule_word,
+            u64::from(self.rule_filter.word_bits()),
         )
     }
 }
@@ -1075,7 +1029,7 @@ mod tests {
         'lattice: loop {
             let combo: [LabelEntry; 7] = std::array::from_fn(|d| lists[d].entries()[idx[d]]);
             let bound = combo.iter().map(|e| e.priority).max().unwrap();
-            let key = cls.make_key(&combo.map(|e| e.label));
+            let key = cls.rule_filter.key(&combo.map(|e| e.label));
             if shape_valid(&combo) {
                 lattice.push((bound, cls.rule_filter.probe(key)));
             }
@@ -1165,7 +1119,7 @@ mod tests {
         // the protocol 0.
         let mut widths = std::collections::BTreeSet::new();
         for (layout, config) in box_layouts() {
-            let (_, absorbs) = Classifier::new(config).key_layout();
+            let absorbs = Classifier::new(config).absorbs;
             assert!(
                 absorbs.windows(2).all(|w| w[1].end == w[0].start),
                 "{layout}: {absorbs:?} must tile the key from byte 0 up"
@@ -1357,7 +1311,7 @@ mod tests {
                     let want = lists.iter().all(|l| !l.is_empty()).then(|| {
                         let heads: [Label; 7] =
                             std::array::from_fn(|d| lists[d].head().unwrap().label);
-                        let probe = cls.rule_filter.probe(cls.make_key(&heads));
+                        let probe = cls.rule_filter.probe(cls.rule_filter.key(&heads));
                         (probe.hit.map(|h| h.rule_id), probe.reads)
                     });
                     let c = cls.classify(&h);

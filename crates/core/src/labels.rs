@@ -15,11 +15,12 @@ use std::collections::{BTreeMap, HashMap};
 /// Controller state for one label.
 ///
 /// The users' priorities are a multiset beside a cached best, so reading
-/// the best never walks the multiset. Under a bulk load
-/// ([`Classifier::load`](crate::Classifier::load)) each user's priority
-/// joins a pending run instead, which the table's settle step at the end
-/// of the load turns into multiset counts in one sorted pass; a remove
-/// settles the state it touches first.
+/// the best never walks the multiset. An insert only queues its user's
+/// priority in a pending run; a remove settles the state it touches
+/// first, turning the run into multiset counts in one sorted pass. So a
+/// bulk load ([`Classifier::load`](crate::Classifier::load)) builds no
+/// multiset, and the first remove of a label that many rules share
+/// after one sorts all their priorities.
 #[derive(Debug, Clone)]
 pub struct LabelState {
     /// The hardware label.
@@ -31,7 +32,8 @@ pub struct LabelState {
     /// Multiset of user priorities (key = priority value, value = count),
     /// less those still in `pending`.
     priorities: BTreeMap<u32, usize>,
-    /// Priorities of users a deferred insert added, in arrival order.
+    /// Priorities of users inserted since the last settle, in arrival
+    /// order.
     pending: Vec<u32>,
 }
 
@@ -43,28 +45,19 @@ impl LabelState {
         self.best
     }
 
-    /// Folds the pending run into the multiset: sorted, counted per
-    /// priority, and bulk-built when the multiset is empty.
+    /// Folds the pending run into the multiset: sorted, then one count
+    /// per distinct priority. The run keeps its buffer for the inserts
+    /// after it, so an insert and a remove of one rule allocate nothing
+    /// here once a label has seen a user.
     fn settle(&mut self) {
-        if self.pending.is_empty() {
-            return;
+        self.pending.sort_unstable();
+        let mut rest = &self.pending[..];
+        while let [priority, ..] = *rest {
+            let n = rest.partition_point(|&p| p == priority);
+            *self.priorities.entry(priority).or_insert(0) += n;
+            rest = &rest[n..];
         }
-        let mut run = std::mem::take(&mut self.pending);
-        run.sort_unstable();
-        let mut counts: Vec<(u32, usize)> = Vec::new();
-        for priority in run {
-            match counts.last_mut() {
-                Some((last, n)) if *last == priority => *n += 1,
-                _ => counts.push((priority, 1)),
-            }
-        }
-        if self.priorities.is_empty() {
-            self.priorities = counts.into_iter().collect();
-        } else {
-            for (priority, n) in counts {
-                *self.priorities.entry(priority).or_insert(0) += n;
-            }
-        }
+        self.pending.clear();
     }
 }
 
@@ -114,9 +107,8 @@ pub enum RemoveOutcome {
 }
 
 /// One dimension's label table: field value → [`LabelState`], and the
-/// allocator its labels come from. A single-rule insert or remove keeps
-/// each state's priority multiset current; a bulk load queues priorities
-/// in the states' pending runs and settles them once at its end.
+/// allocator its labels come from. An insert queues its priority in the
+/// state's pending run; a remove settles that run before it counts.
 #[derive(Debug)]
 pub struct LabelTable {
     map: HashMap<DimValue, LabelState>,
@@ -152,7 +144,9 @@ impl LabelTable {
         self.map.iter()
     }
 
-    /// Registers a rule's use of `value` at `priority` (Fig 4).
+    /// Registers a rule's use of `value` at `priority` (Fig 4). The
+    /// priority joins the label's pending run, which the label's next
+    /// remove settles.
     ///
     /// # Errors
     ///
@@ -162,17 +156,6 @@ impl LabelTable {
         &mut self,
         value: DimValue,
         priority: Priority,
-    ) -> Result<InsertOutcome, LabelError> {
-        self.insert_with(value, priority, false)
-    }
-
-    /// [`LabelTable::insert`]; with `defer`, the priority joins the
-    /// label's pending run until the next [`LabelTable::settle`].
-    pub(crate) fn insert_with(
-        &mut self,
-        value: DimValue,
-        priority: Priority,
-        defer: bool,
     ) -> Result<InsertOutcome, LabelError> {
         let (state, created) = match self.map.entry(value) {
             Entry::Occupied(e) => (e.into_mut(), false),
@@ -188,11 +171,7 @@ impl LabelTable {
             }
         };
         state.refcount += 1;
-        if defer {
-            state.pending.push(priority.0);
-        } else {
-            *state.priorities.entry(priority.0).or_insert(0) += 1;
-        }
+        state.pending.push(priority.0);
         if created {
             return Ok(InsertOutcome::Created { label: state.label });
         }
@@ -204,11 +183,6 @@ impl LabelTable {
             label: state.label,
             priority_improved: improved,
         })
-    }
-
-    /// Folds every label's pending run into its priority multiset.
-    pub(crate) fn settle(&mut self) {
-        self.map.values_mut().for_each(LabelState::settle);
     }
 
     /// Releases one use of `value` at `priority`. Returns `None` when the

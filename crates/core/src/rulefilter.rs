@@ -1,13 +1,20 @@
 //! The Rule Filter memory block (paper §III.D, §IV.C.1).
 //!
-//! Rules live in a hash-addressed memory: the seven dimension labels are
-//! merged into a 68-bit key, folded by the hardware [`spc_hwsim::HashUnit`]
-//! into an address, and collisions are resolved by linear probing with the
-//! full key stored alongside the rule for rejection. The memory is a
+//! Rules live in a hash-addressed memory: the dimension labels are merged
+//! into one key, folded by the hardware [`spc_hwsim::HashUnit`] into an
+//! address, and collisions are resolved by linear probing with the full
+//! key stored alongside the rule for rejection. The memory is a
 //! [`ProbeTable`], so a removal closes its gap by shifting the rest of the
 //! run back and no deleted marker ever lengthens a chain. The same unit
 //! serves update (rule insert = 2 data cycles + 1 hash cycle, §V.A) and
 //! lookup (phase 4).
+//!
+//! The filter owns the key layout: its caller names each field's label
+//! width once, and the filter packs labels into keys ([`RuleFilter::key`]),
+//! places a label for a caller that merges keys itself
+//! ([`RuleFilter::shift`]), sizes its words and finishes every hash. The
+//! paper's instance is seven labels at 13/13/13/13/7/7/2 bits, a 68-bit
+//! key; the Table I options use five at 13/13/13/13/4.
 //!
 //! The memory is read one aligned bucket of `BUCKET` slots per access,
 //! a wide word of ganged block RAMs: a probe costs the buckets its chain
@@ -17,6 +24,7 @@
 
 use crate::ClassifierError;
 use spc_hwsim::{HashUnit, Probe, ProbeTable};
+use spc_lookup::Label;
 use spc_types::{Rule, RuleId};
 
 /// A classification hit: what a Rule Filter probe returns for a stored
@@ -58,6 +66,11 @@ pub struct ProbeResult {
 pub struct RuleFilter {
     table: ProbeTable<Stored>,
     hash: HashUnit,
+    /// Per field, the bit its label starts at and its width; the last
+    /// field sits at bit 0.
+    fields: Vec<(u32, u8)>,
+    /// Bytes of a key the hash absorbs: every byte a label reaches.
+    key_bytes: usize,
 }
 
 const RULE_BODY_BITS: u32 = 48;
@@ -76,13 +89,58 @@ fn bucket_reads(home: usize, steps: usize) -> u32 {
 }
 
 impl RuleFilter {
-    /// Creates a filter with `2^addr_bits` slots and a `key_bits`-wide key
-    /// field per word.
-    pub fn new(addr_bits: u32, key_bits: u32) -> Self {
-        RuleFilter {
-            table: ProbeTable::new("rule_filter", 1 << addr_bits, key_bits + RULE_BODY_BITS),
-            hash: HashUnit::new(addr_bits),
+    /// Creates a filter with `2^addr_bits` slots whose key merges one
+    /// label per entry of `widths`, each that many bits wide, the first
+    /// field on top.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= addr_bits <= 32`, or if the widths add up to
+    /// more than 128 bits.
+    pub fn new(addr_bits: u32, widths: &[u8]) -> Self {
+        let hash = HashUnit::new(addr_bits);
+        let mut fields = vec![(0, 0); widths.len()];
+        let mut key_bits = 0u32;
+        for (field, &width) in fields.iter_mut().zip(widths).rev() {
+            *field = (key_bits, width);
+            key_bits += u32::from(width);
         }
+        assert!(key_bits <= 128, "a {key_bits}-bit key does not fit a u128");
+        RuleFilter {
+            table: ProbeTable::new("rule_filter", hash.slots(), key_bits + RULE_BODY_BITS),
+            hash,
+            fields,
+            key_bytes: key_bits.div_ceil(8) as usize,
+        }
+    }
+
+    /// Packs one label per field into the merged key (68 bits in the
+    /// paper configuration, §IV.C.1).
+    pub fn key(&self, labels: &[Label]) -> u128 {
+        debug_assert_eq!(labels.len(), self.fields.len(), "one label per field");
+        labels
+            .iter()
+            .zip(&self.fields)
+            .fold(0, |key, (label, &(shift, width))| {
+                debug_assert!(u32::from(label.0) < (1u32 << width), "label exceeds width");
+                key | u128::from(label.0) << shift
+            })
+    }
+
+    /// The bit `field`'s label starts at in the merged key: a caller
+    /// merging keys itself ORs `u128::from(label.0) << shift(field)`.
+    pub fn shift(&self, field: usize) -> u32 {
+        self.fields[field].0
+    }
+
+    /// Bytes of a key the hash absorbs (`key bits / 8`, rounded up).
+    pub(crate) fn key_bytes(&self) -> usize {
+        self.key_bytes
+    }
+
+    /// Bits of one rule word: the key and the rule body.
+    pub(crate) fn word_bits(&self) -> u32 {
+        self.table.block().width_bits()
     }
 
     /// Installed rule count.
@@ -150,10 +208,26 @@ impl RuleFilter {
         self.probe_at(self.hash.fold(key), key)
     }
 
-    /// [`RuleFilter::probe`] for a caller that has `key`'s address from
-    /// [`RuleFilter::hash_unit`] already — the priority-box walk, which
-    /// shares hash state between neighbouring keys.
-    pub(crate) fn probe_at(&self, home: usize, key: u128) -> ProbeResult {
+    /// [`RuleFilter::probe`] for a caller that has absorbed `key`'s low
+    /// bytes into `state` already (through [`HashUnit::absorb`] from
+    /// [`HashUnit::SEED`]) — the priority-box walk, which shares hash
+    /// state between neighbouring keys. A free home, what most of the
+    /// walk's probes find, costs its one read from the occupancy flag
+    /// alone, before any chain walk.
+    #[inline]
+    pub(crate) fn probe_absorbed(&self, state: u64, key: u128) -> ProbeResult {
+        let home = self.hash.finish(state, self.key_bytes);
+        if self.table.is_free(home) {
+            return ProbeResult {
+                hit: None,
+                reads: 1,
+            };
+        }
+        self.probe_at(home, key)
+    }
+
+    /// A probe from `key`'s home slot.
+    fn probe_at(&self, home: usize, key: u128) -> ProbeResult {
         let (probe, steps) = self.table.find(home, |s| s.key == key);
         ProbeResult {
             hit: match probe {
@@ -164,18 +238,6 @@ impl RuleFilter {
         }
     }
 
-    /// Whether slot `addr` is empty, so that a probe starting there ends
-    /// after its one read without finding anything — what most of the
-    /// priority-box walk's probes learn, from the occupancy flag alone.
-    pub(crate) fn is_free(&self, addr: usize) -> bool {
-        self.table.is_free(addr)
-    }
-
-    /// The unit that turns a key into its home address.
-    pub(crate) fn hash_unit(&self) -> HashUnit {
-        self.hash
-    }
-
     /// Provisioned bits of the rule memory.
     pub fn provisioned_bits(&self) -> u64 {
         self.table.block().capacity_bits()
@@ -183,7 +245,7 @@ impl RuleFilter {
 
     /// Bits occupied by live rules.
     pub fn used_bits(&self) -> u64 {
-        self.len() as u64 * u64::from(self.table.block().width_bits())
+        self.len() as u64 * u64::from(self.word_bits())
     }
 
     /// Rule words written since construction (the pre-allocated empty
@@ -199,13 +261,32 @@ mod tests {
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use spc_types::Priority;
 
+    /// The paper's seven label widths: a 68-bit key.
+    const PAPER: [u8; 7] = [13, 13, 13, 13, 7, 7, 2];
+
     fn rule(p: u32) -> Rule {
         Rule::any(Priority(p))
     }
 
     #[test]
+    fn key_packs_the_first_field_on_top() {
+        let f = RuleFilter::new(4, &PAPER);
+        let shifts: Vec<u32> = (0..PAPER.len()).map(|d| f.shift(d)).collect();
+        assert_eq!(shifts, [55, 42, 29, 16, 9, 2, 0]);
+        let top = [8191, 0, 0, 0, 0, 0, 0].map(Label);
+        assert_eq!(f.key(&top), 8191 << 55);
+        let widest = [8191, 8191, 8191, 8191, 127, 127, 3].map(Label);
+        assert_eq!(f.key(&widest), (1 << 68) - 1);
+        assert_eq!((f.key_bytes(), f.word_bits()), (9, 68 + 48));
+        // Table I's options: four 13-bit labels and a 4-bit protocol.
+        let options = RuleFilter::new(4, &[13, 13, 13, 13, 4]);
+        assert_eq!(options.key(&[1, 0, 0, 0, 2].map(Label)), 1 << 43 | 2);
+        assert_eq!((options.key_bytes(), options.word_bits()), (7, 56 + 48));
+    }
+
+    #[test]
     fn insert_probe_remove() {
-        let mut f = RuleFilter::new(6, 68);
+        let mut f = RuleFilter::new(6, &PAPER);
         f.insert(42, RuleId(0), rule(0)).unwrap();
         let p = f.probe(42);
         assert_eq!(p.hit.unwrap().rule_id, RuleId(0));
@@ -218,7 +299,7 @@ mod tests {
 
     #[test]
     fn duplicate_key_rejected() {
-        let mut f = RuleFilter::new(6, 68);
+        let mut f = RuleFilter::new(6, &PAPER);
         f.insert(7, RuleId(0), rule(0)).unwrap();
         assert!(matches!(
             f.insert(7, RuleId(1), rule(1)),
@@ -228,7 +309,7 @@ mod tests {
 
     #[test]
     fn collisions_probe_through() {
-        let mut f = RuleFilter::new(3, 68); // 8 slots force collisions
+        let mut f = RuleFilter::new(3, &PAPER); // 8 slots force collisions
         for k in 0..6u128 {
             f.insert(k, RuleId(k as u32), rule(k as u32)).unwrap();
         }
@@ -239,7 +320,7 @@ mod tests {
 
     #[test]
     fn full_filter_errors() {
-        let mut f = RuleFilter::new(2, 68);
+        let mut f = RuleFilter::new(2, &PAPER);
         for k in 0..4u128 {
             f.insert(k, RuleId(k as u32), rule(0)).unwrap();
         }
@@ -251,7 +332,7 @@ mod tests {
 
     #[test]
     fn removal_keeps_displaced_keys_reachable() {
-        let mut f = RuleFilter::new(2, 68); // 4 slots: heavy collisions
+        let mut f = RuleFilter::new(2, &PAPER); // 4 slots: heavy collisions
         for k in 0..4u128 {
             f.insert(k, RuleId(k as u32), rule(0)).unwrap();
         }
@@ -267,7 +348,7 @@ mod tests {
         assert_eq!(free.len(), 1);
         f.insert(9, RuleId(9), rule(0)).unwrap();
         assert_eq!(f.len(), 4);
-        assert!(!f.is_free(free[0]));
+        assert!(!f.table.is_free(free[0]));
         assert!((1..4u128).chain([9]).all(|k| f.probe(k).hit.is_some()));
     }
 
@@ -277,10 +358,13 @@ mod tests {
         // remove-heavy phases: the filter fills, drains, and shifts runs
         // back on every removal, and failed operations of all three
         // kinds occur.
-        let mut f = RuleFilter::new(6, 68);
+        let mut f = RuleFilter::new(6, &PAPER);
         let mut rng = StdRng::seed_from_u64(17);
         let mut live: Vec<u128> = Vec::new();
         let (mut duplicate, mut full, mut unknown) = (0, 0, 0);
+        // Probes from an absorbed state that found a free home, walked a
+        // chain past the last slot, hit, and missed.
+        let (mut free_homes, mut wrapped, mut hits, mut misses) = (0, 0, 0, 0);
         for step in 0..2000u32 {
             let key = u128::from(rng.gen_range(0..96u32));
             let installed = live.contains(&key);
@@ -316,14 +400,29 @@ mod tests {
             assert_eq!(f.len(), live.len());
             for addr in 0..f.capacity() {
                 let slot = f.table.block().read(addr).unwrap();
-                assert_eq!(f.is_free(addr), slot.is_none(), "step {step}, slot {addr}");
+                assert_eq!(
+                    f.table.is_free(addr),
+                    slot.is_none(),
+                    "step {step}, slot {addr}"
+                );
             }
             assert_eq!(f.probe(key).hit.is_some(), live.contains(&key));
+            // The walk's probe, handed the state over the key's bytes,
+            // answers what a probe that folds the key itself does.
             for k in 0..96u128 {
-                assert_eq!(f.probe_at(f.hash.fold(k), k), f.probe(k), "key {k}");
+                let state = HashUnit::absorb(HashUnit::SEED, k, 0, f.key_bytes());
+                let probe = f.probe_absorbed(state, k);
+                assert_eq!(probe, f.probe(k), "step {step}, key {k}");
+                let home = f.hash.fold(k);
+                let steps = f.table.find(home, |s| s.key == k).1;
+                free_homes += usize::from(f.table.is_free(home));
+                wrapped += usize::from(home + steps > f.capacity());
+                hits += usize::from(probe.hit.is_some());
+                misses += usize::from(probe.hit.is_none());
             }
         }
         assert!(duplicate > 0 && full > 0 && unknown > 0);
+        assert!(free_homes > 0 && wrapped > 0 && hits > 0 && misses > 0);
     }
 
     /// The first keys of `0..` whose home is `home`, in order.
@@ -359,7 +458,7 @@ mod tests {
     #[test]
     fn a_probe_costs_the_buckets_its_chain_touches() {
         // 64 slots, 8 buckets. A free home: one read.
-        let mut f = RuleFilter::new(6, 68);
+        let mut f = RuleFilter::new(6, &PAPER);
         assert_eq!(f.probe(keys_homed_at(&f, 5, 1)[0]).reads, 1);
         // Three keys homed at slot 2 sit in 2, 3 and 4: one bucket.
         for k in keys_homed_at(&f, 2, 3) {
@@ -387,7 +486,7 @@ mod tests {
         assert_eq!(reads, [1, 2, 2, 2]);
         // Below one bucket the table is a single word: even a full lap
         // of a full 4-slot table is one read.
-        let mut tiny = RuleFilter::new(2, 68);
+        let mut tiny = RuleFilter::new(2, &PAPER);
         for k in 0..4u128 {
             tiny.insert(k, RuleId(0), rule(0)).unwrap();
         }
@@ -400,7 +499,7 @@ mod tests {
         // every present and absent key's charge equals the walk's.
         let mut rng = StdRng::seed_from_u64(46);
         for round in 0..40 {
-            let mut f = RuleFilter::new(rng.gen_range(4..=8), 68);
+            let mut f = RuleFilter::new(rng.gen_range(4..=8), &PAPER);
             let universe = 2 * f.capacity() as u64;
             let fill = rng.gen_range(1..=f.capacity());
             let mut live = Vec::new();
@@ -439,7 +538,7 @@ mod tests {
     fn churned_filter_misses_cost_what_a_fresh_one_does() {
         // 1 024 live keys over 4 096 slots; each pair removes a random
         // live key and inserts one never seen before.
-        let mut f = RuleFilter::new(12, 68);
+        let mut f = RuleFilter::new(12, &PAPER);
         let mut rng = StdRng::seed_from_u64(11);
         let mut live: Vec<u128> = (0..1024).collect();
         for &k in &live {
@@ -451,7 +550,7 @@ mod tests {
             f.insert(fresh, RuleId(0), rule(0)).unwrap();
             live.push(fresh);
         }
-        let mut rebuilt = RuleFilter::new(12, 68);
+        let mut rebuilt = RuleFilter::new(12, &PAPER);
         for &k in &live {
             rebuilt.insert(k, RuleId(0), rule(0)).unwrap();
         }
@@ -475,7 +574,7 @@ mod tests {
 
     #[test]
     fn remove_unknown() {
-        let mut f = RuleFilter::new(4, 68);
+        let mut f = RuleFilter::new(4, &PAPER);
         assert!(matches!(
             f.remove(5, RuleId(1)),
             Err(ClassifierError::UnknownRule { id: 1 })
@@ -484,7 +583,7 @@ mod tests {
 
     #[test]
     fn bits_accounting() {
-        let f = RuleFilter::new(13, 68);
+        let f = RuleFilter::new(13, &PAPER);
         assert_eq!(f.capacity(), 8192);
         assert_eq!(f.provisioned_bits(), 8192 * (68 + 48));
         assert_eq!(f.used_bits(), 0);
@@ -492,7 +591,7 @@ mod tests {
 
     #[test]
     fn iter_yields_live_rules_without_charging_accesses() {
-        let mut f = RuleFilter::new(4, 68);
+        let mut f = RuleFilter::new(4, &PAPER);
         for k in 0..5u128 {
             f.insert(k, RuleId(k as u32), rule(0)).unwrap();
         }

@@ -20,6 +20,10 @@ use std::fmt;
 /// RFC phase-table entry cap (the Table I harness value).
 const RFC_ENTRY_CAP: u64 = 1 << 27;
 
+/// The widest Rule Filter address, `rf_bits=` or auto-sized: the filter
+/// allocates its 2^bits slots up front.
+const MAX_RF_BITS: u32 = 22;
+
 /// The single source of truth for engine-spec keys: the
 /// [`EngineBuilder::from_spec`] parser admits a key only if it is listed
 /// here and [`BuildError::BadOption`]'s `Display` derives its key list
@@ -258,7 +262,16 @@ impl KindOpts {
             _ => Ok(()),
         };
         match *self {
-            KindOpts::None | KindOpts::Configurable { .. } => Ok(()),
+            KindOpts::None | KindOpts::Configurable { rf_bits: None, .. } => Ok(()),
+            KindOpts::Configurable {
+                rf_bits: Some(bits),
+                ..
+            } => {
+                let bits = bits as usize;
+                at_least_one("rf_bits", bits, " (the hash unit needs an address bit)")?;
+                let why = " (the table is allocated up front)";
+                at_most("rf_bits", bits, MAX_RF_BITS.into(), why)
+            }
             KindOpts::Sharded {
                 shards,
                 strategy,
@@ -405,7 +418,8 @@ impl EngineBuilder {
     /// `:key=value[,key=value...]` options.
     ///
     /// Configurable backends take `rf_bits=N` (Rule Filter address
-    /// width) and `combine=first|probe` (phase-3 strategy). The three
+    /// width, 1 to 22: the table is allocated up front) and
+    /// `combine=first|probe` (phase-3 strategy). The three
     /// wrappers — `sharded`, `cached`, `snapshot` — take `inner=<spec>`,
     /// a *full* nested spec (default `configurable-bst`); parenthesise
     /// it when it contains commas, e.g.
@@ -581,7 +595,7 @@ impl EngineBuilder {
             // Auto-size the Rule Filter to keep hash-probe chains short:
             // at least 4x the rule count, within the large() default.
             let mut bits = cfg.rule_filter_addr_bits;
-            while (1usize << bits) < rules.len().saturating_mul(4) && bits < 22 {
+            while (1usize << bits) < rules.len().saturating_mul(4) && bits < MAX_RF_BITS {
                 bits += 1;
             }
             cfg.rule_filter_addr_bits = bits;
@@ -1022,13 +1036,18 @@ mod tests {
         // Counts past what 32-bit slot links (or the allocator) can
         // address (2^64 - 1, 2^63), counts that fit the links but not
         // memory (2^30), and capacities whose modelled bits overflow a
-        // u64 (2^60): each is a ConfigError at parse, before any count is
-        // rounded up or anything is allocated.
+        // u64 (2^60), and Rule Filter widths of no address bit, of 2^23
+        // slots and past the word (the first and the last panic in the
+        // filter's constructor): each is a ConfigError at parse, before
+        // any count is rounded up or anything is allocated.
         for spec in [
             "cached:flows=18446744073709551615",
             "cached:flows=9223372036854775808",
             "tcam:capacity=1152921504606846976",
             "cached:flows=1073741824",
+            "configurable-bst:rf_bits=0",
+            "configurable-mbt:rf_bits=23",
+            "configurable-mbt:rf_bits=64",
         ] {
             let e = EngineBuilder::from_spec(spec);
             assert!(
@@ -1040,6 +1059,8 @@ mod tests {
         for spec in [
             format!("cached:flows={MAX_FLOWS}"),
             format!("tcam:capacity={MAX_CAPACITY}"),
+            "configurable-bst:rf_bits=1".to_string(),
+            format!("configurable-mbt:rf_bits={MAX_RF_BITS}"),
         ] {
             assert!(EngineBuilder::from_spec(&spec).is_ok(), "{spec}");
         }

@@ -25,6 +25,10 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 
+/// Label bits per field, in [`FieldFrontEnd::intern`]'s order: what each
+/// label memory stores and what Option 1/2's key packs.
+pub(crate) const LABEL_WIDTHS: [u8; 5] = [13, 13, 13, 13, 4];
+
 /// One field: its engine, its label memory and the value → label map.
 #[derive(Debug)]
 pub(crate) struct Field<E, V> {
@@ -108,20 +112,21 @@ impl FieldFrontEnd {
     /// Empty engines of the given geometries; label stores are named
     /// `{name}/sip` … `{name}/proto`.
     pub(crate) fn new(name: &str, mbt_cfg: MbtConfig, seg_cfg: SegTrieConfig) -> Self {
+        let [sip, dip, sport, dport, proto] = LABEL_WIDTHS;
         let store =
             |field, entries, bits| LabelStore::new(format!("{name}/{field}"), entries, bits);
         FieldFrontEnd {
             sip: Field::new(
                 MultiBitTrie::new(mbt_cfg.clone()),
-                store("sip", 1 << 20, 13),
+                store("sip", 1 << 20, sip),
             ),
-            dip: Field::new(MultiBitTrie::new(mbt_cfg), store("dip", 1 << 20, 13)),
+            dip: Field::new(MultiBitTrie::new(mbt_cfg), store("dip", 1 << 20, dip)),
             sport: Field::new(
                 SegmentTrie::new(seg_cfg.clone()),
-                store("sport", 1 << 18, 13),
+                store("sport", 1 << 18, sport),
             ),
-            dport: Field::new(SegmentTrie::new(seg_cfg), store("dport", 1 << 18, 13)),
-            proto: Field::new(ProtocolLut::new(), store("proto", 16, 4)),
+            dport: Field::new(SegmentTrie::new(seg_cfg), store("dport", 1 << 18, dport)),
+            proto: Field::new(ProtocolLut::new(), store("proto", 16, proto)),
         }
     }
 

@@ -7,12 +7,15 @@
 //!
 //! Both use the label method and resolve the HPMR by probing the label
 //! cross-product against a hashed rule memory — the approach this paper
-//! then hardens into the configurable segment architecture.
+//! then hardens into the configurable segment architecture. The memory
+//! is the paper's [`RuleFilter`] over the front end's five label widths
+//! (a 56-bit key): the filter packs, hashes and prices the key, as it
+//! does the configurable classifier's.
 
-use crate::fields::FieldFrontEnd;
+use crate::fields::{FieldFrontEnd, LABEL_WIDTHS};
 use crate::{verdict, EngineKind, PacketClassifier, Verdict};
 use spc_core::{Hit, RuleFilter};
-use spc_lookup::{Label, MbtConfig, SegTrieConfig};
+use spc_lookup::{MbtConfig, SegTrieConfig};
 use spc_types::{Header, RuleSet};
 
 /// A Table I option classifier (static build).
@@ -22,16 +25,6 @@ pub(crate) struct OptionClassifier {
     kind: EngineKind,
     fields: FieldFrontEnd,
     filter: RuleFilter,
-}
-
-/// Key layout: 13+13+13+13+4 = 56 bits, in the front end's field order;
-/// each field is as wide as the labels the front end hands out.
-fn make_key([sip, dip, sp, dp, pr]: [Label; 5]) -> u128 {
-    let mut k = 0u128;
-    for (l, w) in [(sip, 13u32), (dip, 13), (sp, 13), (dp, 13), (pr, 4)] {
-        k = (k << w) | u128::from(l.0);
-    }
-    k
 }
 
 impl OptionClassifier {
@@ -64,14 +57,14 @@ impl OptionClassifier {
                     .next_power_of_two()
                     .trailing_zeros())
                 .max(6),
-                56,
+                &LABEL_WIDTHS,
             ),
         };
         for (id, r) in rules.iter() {
             // A label is as good as the first rule that brought its value.
             let labels = me.fields.intern(r, r.priority)?;
             me.filter
-                .insert(make_key(labels), id, *r)
+                .insert(me.filter.key(&labels), id, *r)
                 .map_err(|e| format!("rule filter: {e}"))?;
         }
         Ok(me)
@@ -96,7 +89,7 @@ impl PacketClassifier for OptionClassifier {
                 for c in &rsp {
                     for d in &rdp {
                         for e in &rpr {
-                            let key = make_key([a, b, c, d, e].map(|x| x.label));
+                            let key = self.filter.key(&[a, b, c, d, e].map(|x| x.label));
                             let probe = self.filter.probe(key);
                             accesses += probe.reads;
                             if let Some(hit) = probe.hit {
