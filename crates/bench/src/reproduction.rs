@@ -128,7 +128,11 @@ pub const SECTIONS: [Section; 11] = [
                 VI's MBT row 1.33 → 1.04). It is a change of model, not a faster \
                 implementation: on `spc_benchmark`'s `acl_lookup` it moved reads per \
                 lookup 254.50 → 231.86 while wall-clock lookups/s went 399.0 K → \
-                372.8 K (medians of six alternating runs each, 2-core container).",
+                372.8 K (medians of six alternating runs each, 2-core container). \
+                Since then the walk returns on the first hit whose priority is its \
+                shell's bound while no two live rules share a priority, and probes \
+                each shell newest first: fewer probes under the same model, not a \
+                model change (Configurable BST 253.38 → 224.12, MBT 223.59 → 194.33).",
     },
     Section {
         name: "Table II",

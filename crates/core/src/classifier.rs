@@ -21,6 +21,7 @@ use spc_lookup::{
 };
 use spc_types::{Dim, DimValue, Header, Priority, Rule, RuleId, ALL_DIMS, IP_SEG_DIMS};
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -125,14 +126,48 @@ struct Installed {
     key: u128,
 }
 
+/// Live rules per priority value: controller state beside the installed
+/// rules. The datapath sees one signal of it, like `IPalg_s`: whether no
+/// two live rules share a priority (`shared == 0`), which lets the box
+/// walk return on the first hit that meets its shell's bound.
+#[derive(Debug, Default)]
+struct PriorityCounts {
+    counts: HashMap<Priority, u32>,
+    /// Priority values more than one live rule holds.
+    shared: usize,
+}
+
+impl PriorityCounts {
+    fn add(&mut self, priority: Priority) {
+        let count = self.counts.entry(priority).or_insert(0);
+        *count += 1;
+        if *count == 2 {
+            self.shared += 1;
+        }
+    }
+
+    fn remove(&mut self, priority: Priority) {
+        if let Entry::Occupied(mut count) = self.counts.entry(priority) {
+            *count.get_mut() -= 1;
+            match *count.get() {
+                0 => {
+                    count.remove();
+                }
+                1 => self.shared -= 1,
+                _ => {}
+            }
+        }
+    }
+}
+
 /// Reusable working memory for [`Classifier::classify_with`].
 ///
 /// One lookup needs the seven phase-2 label lists plus (in
 /// [`CombineStrategy::PriorityProbe`] mode) the five priority-ordered
 /// lists the box walk runs over and its level products: the partial
 /// keys of levels `l..` inside the priority box, 24 bytes each. A level
-/// holds `∏_{j≥l} hi_j` of them, no more than the combinations the
-/// lookup probes, so a caller that keeps one of these allocates nothing
+/// holds `∏_{j≥l} hi_j` of them, no more than the box's combinations,
+/// so a caller that keeps one of these allocates nothing
 /// per lookup once every buffer has grown to the largest box seen — and
 /// keeps that much: a 300 × 300-combination box leaves about 4 MB here.
 /// [`Classifier::classify`] keeps one per thread.
@@ -144,9 +179,9 @@ pub struct ClassifyScratch {
     lists: [LabelList; 7],
     /// The lists the priority box walks, one per [`LEVELS`] entry: each
     /// address's shape-valid hi/lo pairs, then the two ports and the
-    /// protocol, in `(priority, key bits)` order — the port and protocol
-    /// engines emit the paper's Table IV hardware order instead — with
-    /// every label shifted to its place in the merged key.
+    /// protocol, in `(priority, min, key bits)` order — the port and
+    /// protocol engines emit the paper's Table IV hardware order instead —
+    /// with every label shifted to its place in the merged key.
     placed: [Vec<Placed>; LEVELS.len()],
     /// Per level `l`, the partial keys level `l`'s labels extend: those
     /// of levels `l + 1..` inside the box walked so far (the last level
@@ -194,7 +229,12 @@ impl Partials {
 /// dimensions' bit offsets in the merged key: combining labels is an OR.
 #[derive(Debug, Clone, Copy)]
 struct Placed {
+    /// The worse of the label priorities: no rule stored under this
+    /// entry beats it.
     priority: Priority,
+    /// The better of the label priorities (`priority` for one label).
+    /// It orders the pairs one `priority` holds without label ids.
+    min: Priority,
     bits: u128,
 }
 
@@ -204,6 +244,7 @@ impl Placed {
     fn pair(self, lo: Placed) -> Placed {
         Placed {
             priority: self.priority.max(lo.priority),
+            min: self.min.min(lo.min),
             bits: self.bits | lo.bits,
         }
     }
@@ -268,34 +309,6 @@ macro_rules! with_absorb {
     }};
 }
 
-/// Probes every level-0 label ORed onto every partial key of `keys`,
-/// the last key bytes absorbed, and returns the `(priority, id)`-best of
-/// `best` and the hits found with the Rule Filter reads they cost.
-fn probe_keys(
-    filter: &RuleFilter,
-    labels: &[Placed],
-    keys: &[u128],
-    states: &[u64],
-    absorb: impl Fn(u64, u128) -> u64,
-    mut best: Option<Hit>,
-) -> (Option<Hit>, u32) {
-    let mut reads = 0;
-    for label in labels {
-        for (&key, &state) in keys.iter().zip(states) {
-            let key = key | label.bits;
-            let probe = filter.probe_absorbed(absorb(state, key), key);
-            reads += probe.reads;
-            if let Some(hit) = probe.hit {
-                let rank = |h: &Hit| (h.rule.priority, h.rule_id.0);
-                if best.map_or(true, |held| rank(&hit) < rank(&held)) {
-                    best = Some(hit);
-                }
-            }
-        }
-    }
-    (best, reads)
-}
-
 /// The configurable label-based packet classifier.
 ///
 /// ```
@@ -327,6 +340,7 @@ pub struct Classifier {
     /// rest of the key.
     absorbs: [Range<usize>; LEVELS.len()],
     rules: HashMap<u32, Installed>,
+    priorities: PriorityCounts,
     next_id: u32,
 }
 
@@ -361,6 +375,7 @@ impl Classifier {
             rule_filter,
             absorbs,
             rules: HashMap::new(),
+            priorities: PriorityCounts::default(),
             next_id: 0,
         }
     }
@@ -416,6 +431,13 @@ impl Classifier {
         self.rules.is_empty()
     }
 
+    /// Priority values more than one live rule holds. While it is 0 the
+    /// exact combine returns on the first hit that meets its shell's
+    /// bound; otherwise it probes each shell whole to break the ties.
+    pub fn shared_priorities(&self) -> usize {
+        self.priorities.shared
+    }
+
     /// Live label count per dimension, in [`ALL_DIMS`] order (Table II's
     /// unique-field counts as seen by the hardware).
     pub fn live_labels(&self) -> [usize; 7] {
@@ -469,6 +491,7 @@ impl Classifier {
         let first_id = self.next_id;
         let mut ids = Vec::with_capacity(rules.len());
         self.rules.reserve(rules.len());
+        self.priorities.counts.reserve(rules.len());
         let inserted = rules.rules().iter().try_for_each(|rule| {
             ids.push(self.insert_inner(*rule, true)?.rule_id);
             Ok(())
@@ -546,6 +569,7 @@ impl Classifier {
             }
         }
         self.rules.insert(id.0, Installed { rule, key });
+        self.priorities.add(rule.priority);
         self.next_id += 1;
         Ok(UpdateReport {
             rule_id: id,
@@ -617,6 +641,7 @@ impl Classifier {
         let rule = installed.rule;
         let freed = self.release_labels(&rule.dim_values(), rule.priority, 7);
         self.rules.remove(&id.0);
+        self.priorities.remove(rule.priority);
         Ok((rule, freed))
     }
 
@@ -750,21 +775,31 @@ impl Classifier {
     /// in priority order `{c : bound(c) <= t}` is an index box `[0, hi_l)`
     /// per list, so `E` is walked one shell `box(hi) \ box(lo)` per
     /// distinct bound `t` in ascending order, stopping at the first `t`
-    /// that a hit already found beats. The result, the reads and the
-    /// count depend on `E` alone, not on the order it is visited in.
+    /// that a hit already found beats. A rule's priority is never better
+    /// than its combination's bound, so a hit at exactly `t` is the HPMR
+    /// unless another live rule shares `t`: while no two live rules share
+    /// a priority (the controller's one "priorities distinct" signal) the
+    /// walk returns on that hit, and each shell is probed newest first so
+    /// that it comes early. The result depends on `E` alone; the reads
+    /// and the count depend on the visit order too, which is a function
+    /// of the label priorities (ties broken by `Placed::min`, then by the
+    /// key bits, which only a shell probed whole ever meets), so a churned
+    /// classifier probes what a fresh load of its rules does.
     ///
     /// The hash absorbs a key from its low byte up and level 0 sits in
     /// the top bits, so the walk keeps, per level `l >= 1`, the *level
     /// product* `P_l`: every partial key of levels `l..` inside the box
     /// with its hash state, append-only within a lookup. A shell grows
-    /// the levels from the last up: level `k`'s new labels `N_k` extend
-    /// all of `P_{k+1}` into `P_k`, the new partial keys extend through
-    /// the old ranges `[0, lo_l)` of the levels above, and reaching level
-    /// 0 they are probed against its old labels; level 0's new labels
-    /// are probed against all of `P_1` last. Those pieces tile the shell,
-    /// so every partial key is hashed once and every combination of `E`
-    /// probed once. Every loop runs over labels outside and partial keys
-    /// inside, with the absorb's width fixed per level (`with_absorb!`).
+    /// the levels from the last up to level 1: level `k`'s new labels
+    /// `N_k` extend all of `P_{k+1}` into `P_k`, and the new partial keys
+    /// extend through the old ranges `[0, lo_l)` of the levels above it.
+    /// Those pieces tile the shell's part of `P_1`, so every partial key
+    /// is hashed once. Level 0 then closes the shell from its last label
+    /// to its first: a new one (`[lo_0, hi_0)`) is probed against all of
+    /// `P_1`, an old one against the partial keys this shell appended,
+    /// each run of keys last to first — every combination of the shell
+    /// once. Every loop runs over labels outside and partial keys inside,
+    /// with the absorb's width fixed per level (`with_absorb!`).
     fn priority_probe(&self, scratch: &mut ClassifyScratch) -> (Option<Hit>, u32, u32) {
         let ClassifyScratch {
             lists,
@@ -776,6 +811,7 @@ impl Classifier {
         let shifts: [u32; 7] = std::array::from_fn(|d| filter.shift(d));
         let place = |d: usize, e: &LabelEntry| Placed {
             priority: e.priority,
+            min: e.priority,
             bits: u128::from(e.label.0) << shifts[d],
         };
         for (level, dims) in placed.iter_mut().zip(LEVELS) {
@@ -799,7 +835,7 @@ impl Classifier {
                     level.extend(short.map(|s| place(hi, s).pair(w)));
                 }
             }
-            level.sort_unstable_by_key(|l| (l.priority, l.bits));
+            level.sort_unstable_by_key(|l| (l.priority, l.min, l.bits));
         }
         let levels: &[Vec<Placed>; LEVELS.len()] = placed;
         *hashed = 0;
@@ -815,6 +851,9 @@ impl Classifier {
         last.keys.push(0);
         last.states.push(HashUnit::SEED);
         let (mut best, mut reads, mut combos): (Option<Hit>, _, _) = (None, 0, 0);
+        let rank = |h: &Hit| (h.rule.priority, h.rule_id.0);
+        // A hit at the shell's bound is the HPMR only if no rule ties it.
+        let distinct = self.priorities.shared == 0;
         // `box(lo)` is probed; each round grows it to `box(hi)`, the
         // combinations of bound <= `t`. The first `t` is the all-heads
         // combination's bound.
@@ -832,28 +871,19 @@ impl Classifier {
             for (h, list) in hi.iter_mut().zip(levels) {
                 *h += list[*h..].partition_point(|e| e.priority <= t);
             }
-            // The shell's piece led by level `k`: its new labels, the
-            // levels after it whole, the levels before it at `lo`.
-            for k in (0..LEVELS.len()).rev() {
+            // The shell's piece led by level `k >= 1`: its new labels,
+            // the levels after it whole, the levels before it down to 1
+            // at `lo`.
+            let appended = below[0].keys.len();
+            for k in (1..LEVELS.len()).rev() {
                 let (mut labels, mut from) = (lo[k]..hi[k], 0..below[k].keys.len());
-                for l in (0..=k).rev() {
+                for l in (1..=k).rev() {
                     if labels.is_empty() || from.is_empty() {
-                        break;
-                    }
-                    let labels_l = &levels[l][labels];
-                    if l == 0 {
-                        let (keys, states) = (&below[0].keys[from.clone()], &below[0].states[from]);
-                        with_absorb!(absorbs[0].clone(), |absorb| {
-                            let probed = probe_keys(filter, labels_l, keys, states, absorb, best);
-                            best = probed.0;
-                            reads += probed.1;
-                        });
-                        combos += (keys.len() * labels_l.len()) as u32;
                         break;
                     }
                     let (into, src) = below.split_at_mut(l);
                     let (into, src) = (&mut into[l - 1], &src[0]);
-                    let start = into.keys.len();
+                    let (labels_l, start) = (&levels[l][labels], into.keys.len());
                     with_absorb!(absorbs[l].clone(), |absorb| {
                         into.extend(labels_l, &src.keys[from.clone()], &src.states[from], absorb);
                     });
@@ -861,6 +891,28 @@ impl Classifier {
                     (labels, from) = (0..lo[l - 1], start..into.keys.len());
                 }
             }
+            // Level 0 closes the shell, newest first: a new label meets
+            // all of `P_1`, an old one only the keys this shell appended.
+            let Partials { keys, states } = &below[0];
+            let stop = distinct.then_some(t);
+            with_absorb!(absorbs[0].clone(), |absorb| {
+                for (i, label) in levels[0][..hi[0]].iter().enumerate().rev() {
+                    let from = if i < lo[0] { appended } else { 0 };
+                    for (&key, &state) in keys[from..].iter().zip(&states[from..]).rev() {
+                        let key = key | label.bits;
+                        let probe = filter.probe_absorbed(absorb(state, key), key);
+                        reads += probe.reads;
+                        combos += 1;
+                        let Some(hit) = probe.hit else { continue };
+                        if Some(hit.rule.priority) == stop {
+                            return (Some(hit), reads, combos);
+                        }
+                        if best.map_or(true, |held| rank(&hit) < rank(&held)) {
+                            best = Some(hit);
+                        }
+                    }
+                }
+            });
             lo = hi;
             // The next bound up: the best priority just outside the box.
             threshold = levels
@@ -1006,17 +1058,38 @@ mod tests {
         lens.collect()
     }
 
-    /// What `priority_probe` must return, from its specification alone:
-    /// probe the *whole* lattice of `h`'s seven lists less the
+    /// What `priority_probe` owes a header, from its specification alone.
+    #[derive(Debug)]
+    struct BoxTruth {
+        /// The `(priority, id)`-minimal hit.
+        best: Option<(Priority, RuleId)>,
+        /// The reads and the size of `E = {c : bound(c) <= p*}`
+        /// (everything on a miss).
+        reads: u32,
+        combos: u32,
+        /// The combinations of `E` at its greatest bound: the last shell.
+        last_shell: u32,
+        /// Whether the walk may return inside the last shell: the HPMR's
+        /// combination is bounded by its own priority and no two live
+        /// rules share a priority.
+        may_stop: bool,
+    }
+
+    /// Probes the *whole* lattice of `h`'s seven lists less the
     /// combinations `Prefix::segments` never produces (an address whose
-    /// lo label is not `/0` while its hi is not a full `/16`), take `p*`
-    /// from the best hit, and report the `(priority, id)`-minimal hit,
-    /// the reads and the size of `E = {c : bound(c) <= p*}` (everything
-    /// on a miss).
-    fn box_oracle(cls: &Classifier, h: &Header) -> (Option<(Priority, RuleId)>, u32, u32) {
+    /// lo label is not `/0` while its hi is not a full `/16`), takes `p*`
+    /// from the best hit and measures `E` against it.
+    fn box_oracle(cls: &Classifier, h: &Header) -> BoxTruth {
         let lists = label_lists(cls, h);
+        let mut truth = BoxTruth {
+            best: None,
+            reads: 0,
+            combos: 0,
+            last_shell: 0,
+            may_stop: false,
+        };
         if lists.iter().any(LabelList::is_empty) {
-            return (None, 0, 0);
+            return truth;
         }
         let lens: Vec<_> = (0..4).map(|d| seg_lens(cls, d)).collect();
         let shape_valid = |combo: &[LabelEntry; 7]| {
@@ -1043,24 +1116,53 @@ mod tests {
             break;
         }
         let hit_of = |p: &ProbeResult| p.hit.map(|h| (h.rule.priority, h.rule_id));
-        let best = lattice.iter().filter_map(|(_, p)| hit_of(p)).min();
-        let in_box = |bound: Priority| best.map_or(true, |(p_star, _)| bound <= p_star);
-        let probed = lattice.iter().filter(|(bound, _)| in_box(*bound));
-        let (reads, combos) = probed.fold((0, 0), |(r, c), (_, p)| (r + p.reads, c + 1));
-        (best, reads, combos)
+        truth.best = lattice.iter().filter_map(|(_, p)| hit_of(p)).min();
+        let in_box = |bound: Priority| truth.best.map_or(true, |(p_star, _)| bound <= p_star);
+        let probed: Vec<_> = lattice.iter().filter(|(bound, _)| in_box(*bound)).collect();
+        truth.reads = probed.iter().map(|(_, p)| p.reads).sum();
+        truth.combos = probed.len() as u32;
+        let top = probed.iter().map(|(bound, _)| *bound).max();
+        truth.last_shell = probed.iter().filter(|(b, _)| Some(*b) == top).count() as u32;
+        let mut priorities = std::collections::HashSet::new();
+        let distinct = cls
+            .rules
+            .values()
+            .all(|i| priorities.insert(i.rule.priority));
+        if let Some((p_star, _)) = truth.best {
+            let hpmr = probed.iter().find(|(_, p)| hit_of(p) == truth.best);
+            truth.may_stop = distinct && hpmr.is_some_and(|(bound, _)| *bound == p_star);
+        }
+        truth
     }
 
-    fn assert_matches_box_oracle(cls: &Classifier, trace: &[Header], what: &str) {
+    /// Holds the walk to the oracle: the verdict always; `E` exactly
+    /// where the walk cannot stop early (a miss, a tie anywhere, or an
+    /// HPMR bounded below its priority); otherwise every shell before
+    /// the last probed whole, part of the last, and no read outside `E`.
+    /// Returns how many headers stopped early.
+    fn assert_matches_box_oracle(cls: &Classifier, trace: &[Header], what: &str) -> usize {
         let mut scratch = ClassifyScratch::new();
-        let (mut hits, mut full_lattice_misses) = (0, 0);
+        let (mut hits, mut full_lattice_misses, mut early) = (0, 0, 0);
         for h in trace {
             let c = cls.classify_with(h, &mut scratch);
-            let got = (
+            let truth = box_oracle(cls, h);
+            let what = format!("{what}, header {h}: {truth:?}");
+            assert_eq!(
                 c.hit.map(|x| (x.rule.priority, x.rule_id)),
-                c.rule_filter_reads,
-                c.combos_probed,
+                truth.best,
+                "{what}"
             );
-            assert_eq!(got, box_oracle(cls, h), "{what}, header {h}");
+            let (reads, combos) = (c.rule_filter_reads, c.combos_probed);
+            if truth.may_stop {
+                assert!(truth.combos - truth.last_shell < combos, "{what}: {combos}");
+                assert!(
+                    combos <= truth.combos && reads <= truth.reads,
+                    "{what}: {c:?}"
+                );
+                early += usize::from(combos < truth.combos);
+            } else {
+                assert_eq!((reads, combos), (truth.reads, truth.combos), "{what}");
+            }
             hits += usize::from(c.hit.is_some());
             full_lattice_misses += usize::from(c.hit.is_none() && c.combos_probed > 0);
         }
@@ -1069,6 +1171,7 @@ mod tests {
             full_lattice_misses > 0,
             "{what}: trace never misses past phase 2"
         );
+        early
     }
 
     /// Headers of `rules`' own trace plus ones that get through phase 2
@@ -1130,12 +1233,14 @@ mod tests {
         assert_eq!(widths.into_iter().collect::<Vec<_>>(), [0, 1, 3, 4, 5]);
     }
 
-    /// A check of the walk over one classifier and its trace.
-    type BoxCheck = fn(&Classifier, &[Header], &str);
+    /// A check of the walk over one classifier and its trace, returning
+    /// how many of its headers the walk answered before the end of `E`.
+    type BoxCheck = fn(&Classifier, &[Header], &str) -> usize;
 
     /// Runs `check` over the box oracle's matrix: every key layout,
     /// family and `IpAlg`, with distinct and shared priorities, each
-    /// before and after churn and with a `/0` rule in and out.
+    /// before and after churn and with a `/0` rule in and out. Each cell
+    /// with distinct priorities must see the walk stop early.
     fn for_box_matrix(check: BoxCheck) {
         for (layout, config) in box_layouts() {
             for kind in [FilterKind::Acl, FilterKind::Fw, FilterKind::Ipc] {
@@ -1144,13 +1249,14 @@ mod tests {
                         let what = format!(
                             "{layout}/{kind:?}/{alg:?}/shared_priorities={shared_priorities}"
                         );
-                        check_before_and_after_churn(
+                        let early = check_before_and_after_churn(
                             config.clone().with_ip_alg(alg),
                             kind,
                             shared_priorities,
                             &what,
                             check,
                         );
+                        assert!(shared_priorities || early > 0, "{what}: no early stop");
                     }
                 }
             }
@@ -1168,14 +1274,18 @@ mod tests {
     }
 
     /// With `hi_j` the entries of placed level `j` at or better than the
-    /// HPMR's priority (the whole list on a miss), the walk ends at the
-    /// box `∏_j [0, hi_j)`: it must have probed each of its combinations
-    /// once and hashed each partial key of each level product `P_l`
-    /// (`l >= 1`) once — `Σ_l ∏_{j≥l} hi_j` in all, however many shells
-    /// the box grew in.
-    fn assert_hashes_each_partial_key_once(cls: &Classifier, trace: &[Header], what: &str) {
+    /// HPMR's priority (the whole list on a miss), the walk ends in the
+    /// box `∏_j [0, hi_j)`: it must have probed no more than its
+    /// combinations and hashed each partial key of each level product
+    /// `P_l` (`l >= 1`) once — `Σ_l ∏_{j≥l} hi_j` in all, however many
+    /// shells the box grew in and wherever the last one stopped.
+    fn assert_hashes_each_partial_key_once(
+        cls: &Classifier,
+        trace: &[Header],
+        what: &str,
+    ) -> usize {
         let mut scratch = ClassifyScratch::new();
-        let mut multi_shell = 0;
+        let (mut multi_shell, mut early) = (0, 0);
         for h in trace {
             let c = cls.classify_with(h, &mut scratch);
             if c.combos_probed == 0 {
@@ -1194,11 +1304,9 @@ mod tests {
                 products.sum::<usize>(),
                 "{what}, header {h}"
             );
-            assert_eq!(
-                c.combos_probed as usize,
-                hi.iter().product::<usize>(),
-                "{what}, header {h}"
-            );
+            let combos = hi.iter().product::<usize>();
+            assert!(c.combos_probed as usize <= combos, "{what}, header {h}");
+            early += usize::from((c.combos_probed as usize) < combos);
             // Shells: the distinct bounds from the all-heads one up.
             let first = scratch.placed.iter().map(|level| level[0].priority).max();
             let bounds: std::collections::BTreeSet<_> = scratch
@@ -1214,6 +1322,7 @@ mod tests {
             multi_shell > 0,
             "{what}: no box grows in more than one shell"
         );
+        early
     }
 
     fn check_before_and_after_churn(
@@ -1222,7 +1331,7 @@ mod tests {
         shared_priorities: bool,
         what: &str,
         check: BoxCheck,
-    ) {
+    ) -> usize {
         let rules = RuleSetGenerator::new(kind, 400).seed(11).generate();
         let pool = RuleSetGenerator::new(kind, 64).seed(12).generate();
         // Priority 0 is left free for the wildcard rule below; with
@@ -1247,7 +1356,7 @@ mod tests {
         let mut cls = Classifier::new(config);
         let mut live = cls.load(&rules).unwrap();
         let trace = probe_trace(&rules, 5);
-        check(&cls, &trace, what);
+        let mut early = check(&cls, &trace, what);
 
         // 32-rule churn: 16 out, 16 (non-duplicate) in.
         let mut rng = StdRng::seed_from_u64(13);
@@ -1267,7 +1376,7 @@ mod tests {
             }
         }
         assert_eq!(inserted, 16, "{what}: pool too small");
-        check(&cls, &trace, &format!("{what} after churn"));
+        early += check(&cls, &trace, &format!("{what} after churn"));
 
         // A rule with `/0` addresses that beats every other moves each
         // wildcard register's priority up, and its removal moves it back.
@@ -1286,12 +1395,12 @@ mod tests {
             let register = cls.dims[d].wildcard.expect("every /0 is live");
             assert_eq!(register.priority, Priority(0), "{what}: dimension {d}");
         }
-        check(&cls, &trace, &format!("{what} with a /0 rule"));
+        early += check(&cls, &trace, &format!("{what} with a /0 rule"));
         cls.remove(wild.rule_id).unwrap();
         assert!(cls.dims[..4]
             .iter()
             .all(|u| u.wildcard.map_or(true, |e| e.priority > Priority(0))));
-        check(&cls, &trace, &format!("{what} without it"));
+        early + check(&cls, &trace, &format!("{what} without it"))
     }
 
     #[test]
@@ -1340,15 +1449,23 @@ mod tests {
     }
 
     /// A classifier whose two port dimensions each return 300 labels for
-    /// its header: the only fully matching rule sits at list index 299 of
-    /// both and is the worst-priority one, so proving it is the HPMR takes
-    /// the whole 300 × 300 lattice.
+    /// its header, rule `i` at priority `i` holding label `i` of both.
+    /// Only rule 299, the worst, matches; rule 0 shares the header's
+    /// protocol but not its source, which puts the protocol label at
+    /// priority 0, so the box grows one shell per priority: 299 × 299
+    /// combinations hold no hit before the last shell opens.
     fn wide_lists() -> (Classifier, Header) {
         let mut cls = Classifier::new(ArchConfig::large());
         let n: u16 = 300;
         for i in 0..n {
-            let proto = if i == n - 1 { 6 } else { 17 };
+            let proto = if i == 0 || i == n - 1 { 6 } else { 17 };
+            let src = if i == 0 {
+                Prefix::masked(0x0909_0909, 32)
+            } else {
+                Prefix::ANY
+            };
             let r = Rule::builder(Priority(u32::from(i)))
+                .src_ip(src)
                 .src_port(PortRange::new(1000 - i, 1000 + i).unwrap())
                 .dst_port(PortRange::new(2000 - i, 2000 + i).unwrap())
                 .proto(ProtoSpec::Exact(proto))
@@ -1363,13 +1480,51 @@ mod tests {
     #[test]
     fn priority_probe_survives_wide_label_lists() {
         // More than 256 labels in one dimension: combination indices must
-        // not be limited to u8.
+        // not be limited to u8. The HPMR's combination is the newest of
+        // the last shell, so it is the first one that shell probes.
         let (cls, h) = wide_lists();
         let c = cls.classify(&h);
         assert_eq!(c.hit.unwrap().rule.priority, Priority(299));
         let lattice: usize = label_lists(&cls, &h).iter().map(LabelList::len).product();
         assert_eq!(lattice, 300 * 300);
-        assert_eq!(c.combos_probed as usize, lattice);
+        assert_eq!(c.combos_probed, 299 * 299 + 1);
+        let truth = box_oracle(&cls, &h);
+        assert!(truth.may_stop, "{truth:?}");
+        assert_eq!((truth.combos, truth.last_shell), (300 * 300, 2 * 300 - 1));
+    }
+
+    #[test]
+    fn priority_probe_falls_back_on_tied_priorities() {
+        // Two rules at priority 2 match the header: `tied` (id 0) on the
+        // ports' oldest labels, `newest` (id 2) on their newest, which
+        // the shell probes first. `other` (id 1, protocol 17) holds those
+        // oldest labels at priority 1 without matching.
+        let rule = |p: u32, port: PortRange, proto: u8| {
+            Rule::builder(Priority(p))
+                .src_port(port)
+                .dst_port(port)
+                .proto(ProtoSpec::Exact(proto))
+                .build()
+        };
+        let (exact, range) = (PortRange::exact(1000), PortRange::new(999, 1001).unwrap());
+        let mut cls = Classifier::new(cfg());
+        let tied = cls.insert(rule(2, exact, 6)).unwrap().rule_id;
+        cls.insert(rule(1, exact, 17)).unwrap();
+        let newest = cls.insert(rule(2, range, 6)).unwrap().rule_id;
+        let h = Header::new([1, 1, 1, 1].into(), [2, 2, 2, 2].into(), 1000, 1000, 6);
+        assert_eq!(cls.shared_priorities(), 1);
+        let (c, truth) = (cls.classify(&h), box_oracle(&cls, &h));
+        assert_eq!(c.hit.unwrap().rule_id, tied, "the lower id wins the tie");
+        assert!(!truth.may_stop);
+        assert_eq!((c.combos_probed, truth.combos), (4, 4), "all of E");
+        assert_eq!(c.rule_filter_reads, truth.reads);
+        // With the tie gone the same header stops at its first probe.
+        cls.remove(tied).unwrap();
+        assert_eq!(cls.shared_priorities(), 0);
+        let (c, truth) = (cls.classify(&h), box_oracle(&cls, &h));
+        assert_eq!(c.hit.unwrap().rule_id, newest);
+        assert!(truth.may_stop);
+        assert_eq!((c.combos_probed, truth.combos), (1, 4));
     }
 
     #[test]
@@ -1612,7 +1767,8 @@ mod tests {
             .map(|h| cls.classify(&h))
             .collect();
         let memory: Vec<_> = cls.memory_report().blocks;
-        (verdicts, memory, cls.live_labels(), cls.len())
+        let ties = cls.shared_priorities();
+        (verdicts, memory, cls.live_labels(), cls.len(), ties)
     }
 
     #[test]
@@ -1679,8 +1835,8 @@ mod tests {
     }
 
     /// The controller's bookkeeping and the hardware it programmed: each
-    /// table's value → (label, refcount, best priority), the memory
-    /// report and the Rule Filter's slots.
+    /// table's value → (label, refcount, best priority), the live rules
+    /// per priority, the memory report and the Rule Filter's slots.
     fn controller_state(cls: &Classifier) -> impl PartialEq + std::fmt::Debug {
         let tables: Vec<std::collections::BTreeMap<_, _>> = cls
             .dims
@@ -1692,7 +1848,10 @@ mod tests {
             })
             .collect();
         let filter: Vec<_> = cls.rule_filter().iter().copied().collect();
-        (tables, cls.memory_report(), filter)
+        let priorities: std::collections::BTreeMap<_, _> =
+            cls.priorities.counts.clone().into_iter().collect();
+        let ties = (priorities, cls.shared_priorities());
+        (tables, ties, cls.memory_report(), filter)
     }
 
     /// Loads `batches` one after another into one classifier, inserts
@@ -1971,7 +2130,7 @@ mod tests {
         let h = Header::new([1, 1, 1, 1].into(), [100, 1, 2, 3].into(), 5, 81, 6);
         assert_eq!(cls.classify(&h).hit.map(|x| x.rule_id), Some(host));
         assert_eq!(
-            box_oracle(&cls, &h).0,
+            box_oracle(&cls, &h).best,
             Some((Priority(1), host)),
             "the oracle agrees"
         );

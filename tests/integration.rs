@@ -325,6 +325,11 @@ fn tcam_capacity_exhaustion_is_atomic_under_every_wrapper() {
 /// one slot per chain step, and a removal began shifting the rest of its
 /// run back instead of leaving a deleted marker: every one of them fell.
 /// No bits or cycles value moved.
+///
+/// The configurable reads were re-recorded when the combine began to
+/// return on the first hit that meets its shell's bound while no two live
+/// rules share a priority, probing each shell newest first: fewer probes
+/// under the same model. No bits or cycles value moved.
 #[test]
 fn modelled_costs_match_golden_constants() {
     // (family, leaf, then for the leaf, `shards=4,strategy=prio` and
@@ -348,30 +353,30 @@ fn modelled_costs_match_golden_constants() {
         (
             FilterKind::Acl,
             "configurable-bst",
-            (19_842, 73_611, 11_550),
-            (29_010, 94_293, 5_114),
-            (33_781, 84_012, 4_594),
+            (16_774, 73_611, 11_550),
+            (26_748, 94_293, 5_114),
+            (32_855, 84_012, 4_594),
         ),
         (
             FilterKind::Acl,
             "configurable-mbt",
-            (14_787, 437_638, 3_954),
-            (16_490, 837_967, 4_329),
-            (15_855, 743_799, 4_685),
+            (11_719, 437_638, 3_954),
+            (14_228, 837_967, 4_329),
+            (14_929, 743_799, 4_685),
         ),
         (
             FilterKind::Fw,
             "configurable-bst",
-            (68_128, 61_632, 4_718),
-            (61_013, 90_243, 2_687),
-            (52_223, 75_899, 2_318),
+            (57_739, 61_632, 4_718),
+            (51_432, 90_243, 2_687),
+            (46_436, 75_899, 2_318),
         ),
         (
             FilterKind::Fw,
             "configurable-mbt",
-            (63_702, 274_097, 2_932),
-            (50_349, 603_298, 3_156),
-            (36_756, 446_058, 3_352),
+            (53_313, 274_097, 2_932),
+            (40_768, 603_298, 3_156),
+            (30_969, 446_058, 3_352),
         ),
     ] {
         let rules = gen(kind, 256, 21);
