@@ -1,5 +1,6 @@
 //! Criterion ablation: classify time against MBT leaf provisioning
-//! (`mbt_leaf_nodes` 384 / 512 / 1024, `combine=first`, ACL 1000).
+//! (`mbt_leaf_nodes` 384 / 512 / 1024, `CombineStrategy::FirstLabel`,
+//! ACL 1000).
 //!
 //! The sweep axis the `spc_benchmark` ledger lacks is the provisioning
 //! knob: the ledger times one auto-sized configuration per workload

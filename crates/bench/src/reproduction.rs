@@ -20,7 +20,7 @@ use spc_classbench::{ruleset_stats, FilterKind, ScenarioScript, TraceGenerator};
 use spc_core::{ArchConfig, Classifier, CombineStrategy, IpAlg};
 use spc_engine::{run_scenario, ConfigurableEngine, EngineBuilder, EngineKind};
 use spc_hwsim::MIN_PACKET_BYTES;
-use spc_lookup::{FieldEngine, Label, LabelEntry, LabelStore, PortRegisters};
+use spc_lookup::{FieldEngine, Label, LabelEntry, LabelList, LabelStore, PortRegisters};
 use spc_types::{DimValue, PortRange, Priority, RuleSet};
 
 use crate::{kbits, markdown_table, mbits, ruleset, trace, SEED_RULES, SEED_TRACE};
@@ -415,13 +415,16 @@ fn table4(out: &mut Cells) {
         regs.insert(&mut store, DimValue::Port(*range), entry)
             .expect("registers provisioned");
     }
-    let result = regs.lookup(&store, 7812).expect("registers never fail");
-    for (pos, entry) in result.labels.iter().enumerate() {
+    let mut labels = LabelList::new();
+    let cost = regs
+        .lookup_into(&store, 7812, &mut labels)
+        .expect("registers never fail");
+    for (pos, entry) in labels.iter().enumerate() {
         let (row, _, paper) = table[usize::from(entry.label.0)];
         out.count(row, position, pos as u64 + 1, Some(paper));
     }
     let latency = col("latency", "cycles", 0);
-    out.count("lookup(7812)", latency, u64::from(result.cycles), Some(2));
+    out.count("lookup(7812)", latency, u64::from(cost.cycles), Some(2));
 }
 
 /// Table V and the per-block inventory behind it.

@@ -1405,7 +1405,7 @@ mod tests {
 
     #[test]
     fn first_label_heads_include_the_wildcard_register() {
-        // `combine=first` hashes the head of each phase-2 list, the
+        // `FirstLabel` hashes the head of each phase-2 list, the
         // wildcard register's entry merged in at its priority.
         for kind in [FilterKind::Acl, FilterKind::Fw] {
             for alg in [IpAlg::Bst, IpAlg::Mbt] {

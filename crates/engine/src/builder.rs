@@ -12,7 +12,7 @@ use crate::tcam::MAX_CAPACITY;
 use crate::{CachedEngine, ConfigurableEngine, EngineKind, PacketClassifier};
 use crate::{ShardedEngine, SnapshotEngine, SoftTcamEngine, TupleSpaceEngine};
 use spc_analyze::{AnalyzerLimits, RuleSetReport};
-use spc_core::{ArchConfig, Classifier, CombineStrategy, IpAlg};
+use spc_core::{ArchConfig, Classifier, IpAlg};
 use spc_types::{Dim, DimValue, RuleId, RuleSet, ALL_DIMS};
 use std::collections::HashMap;
 use std::fmt;
@@ -31,7 +31,7 @@ const MAX_RF_BITS: u32 = 22;
 /// backend a key belongs to is decided by the [`KindOpts`] variant that
 /// stores it (`inner` lives on the [`EngineBuilder`] node).
 const SPEC_KEYS: &[&str] = &[
-    "rf_bits", "combine", "inner", "shards", "strategy", "hash_dim", "flows", "capacity",
+    "rf_bits", "inner", "shards", "strategy", "hash_dim", "flows", "capacity",
 ];
 
 /// Error from [`EngineBuilder`].
@@ -157,18 +157,16 @@ const DEFAULT_HASH_DIM: Dim = Dim::DipLo;
 /// backend family, holding exactly the spec keys that family owns.
 /// Registering a key means adding a field here, its arms in
 /// [`KindOpts::set`] / [`KindOpts::write_spec`] (and [`KindOpts::check`]
-/// if it has a range), and its [`SPEC_KEYS`] row.
+/// if it has a range), its [`SPEC_KEYS`] row, and an alternate point in
+/// the composition oracle's profile (`tests/common`), which fails on a
+/// key of the table that no tree is built with.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum KindOpts {
     /// Backends without options of their own.
     None,
-    /// `configurable-mbt` / `configurable-bst`.
-    Configurable {
-        /// Rule Filter address width (`None`: auto-sized, see `arch_for`).
-        rf_bits: Option<u32>,
-        /// Phase-3 strategy (`None`: the `ArchConfig::large()` default).
-        combine: Option<CombineStrategy>,
-    },
+    /// `configurable-mbt` / `configurable-bst`: the Rule Filter address
+    /// width (`None`: auto-sized, see `arch_for`).
+    Configurable { rf_bits: Option<u32> },
     /// `sharded`.
     Sharded {
         shards: usize,
@@ -187,10 +185,9 @@ impl KindOpts {
     /// The default provisioning of `kind`.
     fn defaults(kind: EngineKind) -> Self {
         match kind {
-            EngineKind::ConfigurableMbt | EngineKind::ConfigurableBst => KindOpts::Configurable {
-                rf_bits: None,
-                combine: None,
-            },
+            EngineKind::ConfigurableMbt | EngineKind::ConfigurableBst => {
+                KindOpts::Configurable { rf_bits: None }
+            }
             EngineKind::Sharded => KindOpts::Sharded {
                 shards: 4,
                 strategy: ShardStrategy::PriorityBands,
@@ -212,14 +209,7 @@ impl KindOpts {
             value.parse().map_err(|_| ())
         }
         match (self, key) {
-            (KindOpts::Configurable { rf_bits, .. }, "rf_bits") => *rf_bits = Some(num(value)?),
-            (KindOpts::Configurable { combine, .. }, "combine") => {
-                *combine = Some(match value {
-                    "first" => CombineStrategy::FirstLabel,
-                    "probe" => CombineStrategy::PriorityProbe,
-                    _ => return Err(()),
-                });
-            }
+            (KindOpts::Configurable { rf_bits }, "rf_bits") => *rf_bits = Some(num(value)?),
             (KindOpts::Sharded { shards, .. }, "shards") => *shards = num(value)?,
             (KindOpts::Sharded { strategy, .. }, "strategy") => {
                 *strategy = match value {
@@ -262,10 +252,9 @@ impl KindOpts {
             _ => Ok(()),
         };
         match *self {
-            KindOpts::None | KindOpts::Configurable { rf_bits: None, .. } => Ok(()),
+            KindOpts::None | KindOpts::Configurable { rf_bits: None } => Ok(()),
             KindOpts::Configurable {
                 rf_bits: Some(bits),
-                ..
             } => {
                 let bits = bits as usize;
                 at_least_one("rf_bits", bits, " (the hash unit needs an address bit)")?;
@@ -303,12 +292,8 @@ impl KindOpts {
     fn write_spec(&self, out: &mut Vec<String>) {
         match *self {
             KindOpts::None => {}
-            KindOpts::Configurable { rf_bits, combine } => {
+            KindOpts::Configurable { rf_bits } => {
                 out.extend(rf_bits.map(|bits| format!("rf_bits={bits}")));
-                out.extend(combine.map(|c| match c {
-                    CombineStrategy::FirstLabel => "combine=first".to_string(),
-                    CombineStrategy::PriorityProbe => "combine=probe".to_string(),
-                }));
             }
             KindOpts::Sharded {
                 shards,
@@ -418,8 +403,10 @@ impl EngineBuilder {
     /// `:key=value[,key=value...]` options.
     ///
     /// Configurable backends take `rf_bits=N` (Rule Filter address
-    /// width, 1 to 22: the table is allocated up front) and
-    /// `combine=first|probe` (phase-3 strategy). The three
+    /// width, 1 to 22: the table is allocated up front) and always
+    /// combine with the exact priority box: the paper's one-probe head
+    /// combination can miss the HPMR, so only
+    /// [`ArchConfig::with_combine`] selects it. The three
     /// wrappers — `sharded`, `cached`, `snapshot` — take `inner=<spec>`,
     /// a *full* nested spec (default `configurable-bst`); parenthesise
     /// it when it contains commas, e.g.
@@ -585,9 +572,9 @@ impl EngineBuilder {
             EngineKind::ConfigurableMbt => IpAlg::Mbt,
             _ => IpAlg::Bst,
         };
-        let (rf_bits, combine) = match self.opts {
-            KindOpts::Configurable { rf_bits, combine } => (rf_bits, combine),
-            _ => (None, None),
+        let rf_bits = match self.opts {
+            KindOpts::Configurable { rf_bits } => rf_bits,
+            _ => None,
         };
         if let Some(bits) = rf_bits {
             cfg.rule_filter_addr_bits = bits;
@@ -599,9 +586,6 @@ impl EngineBuilder {
                 bits += 1;
             }
             cfg.rule_filter_addr_bits = bits;
-        }
-        if let Some(combine) = combine {
-            cfg.combine = combine;
         }
         cfg
     }
@@ -900,7 +884,7 @@ mod tests {
     #[test]
     fn spec_options_reach_the_classifier() {
         let rules = rules();
-        let b = EngineBuilder::from_spec("configurable-mbt:rf_bits=14,combine=first").unwrap();
+        let b = EngineBuilder::from_spec("configurable-mbt:rf_bits=14").unwrap();
         assert_eq!(b.kind(), EngineKind::ConfigurableMbt);
         // Inspect the *built* engine's live config through the adapter
         // accessor, so dropping the parsed options in build() would fail
@@ -908,7 +892,6 @@ mod tests {
         let engine = b.build_configurable(&rules).unwrap();
         let cfg = engine.classifier().config();
         assert_eq!(cfg.rule_filter_addr_bits, 14);
-        assert_eq!(cfg.combine, CombineStrategy::FirstLabel);
         assert_eq!(cfg.ip_alg, IpAlg::Mbt);
     }
 
@@ -929,6 +912,8 @@ mod tests {
             "sharded:skew=2",
             "sharded:strategy=prio,skew=1.5",
             "configurable-bst:optimize=validated",
+            "configurable-bst:combine=first",
+            "configurable-bst:combine=probe",
             "linear:optimize=off",
             "cached:inner=linear,optimize=validated",
             "tss:tables=8",
@@ -947,17 +932,13 @@ mod tests {
             Err(BuildError::BadOption { .. })
         ));
         assert!(matches!(
-            EngineBuilder::from_spec("configurable-mbt:combine=middle"),
-            Err(BuildError::BadOption { .. })
-        ));
-        assert!(matches!(
             EngineBuilder::from_spec("configurable-mbt:rf_bits"),
             Err(BuildError::BadOption { .. })
         ));
         // Keys for another backend must fail loudly, not be silently
         // discarded.
         assert!(matches!(
-            EngineBuilder::from_spec("rfc:combine=first"),
+            EngineBuilder::from_spec("rfc:capacity=64"),
             Err(BuildError::ConfigError { .. })
         ));
         assert!(matches!(
@@ -1023,7 +1004,7 @@ mod tests {
             );
         }
         // A key no part of the tree owns gets no such hint.
-        let e = EngineBuilder::from_spec("sharded:inner=linear,combine=probe");
+        let e = EngineBuilder::from_spec("sharded:inner=linear,rf_bits=13");
         assert!(
             matches!(&e, Err(BuildError::ConfigError { reason, .. })
                 if reason.contains("unknown key") && !reason.contains("inner=(")),
@@ -1073,7 +1054,6 @@ mod tests {
             "sharded:hash_dim=dst_port",            // hash_dim without strategy=hash
             "sharded:strategy=prio,hash_dim=proto", // same, explicit prio
             "sharded:inner=(linear:rf_bits=14)",    // rf_bits needs configurable inner
-            "sharded:inner=(linear:combine=probe)", // combine likewise
         ] {
             assert!(
                 matches!(
@@ -1092,7 +1072,7 @@ mod tests {
             Err(BuildError::BadOption { .. })
         ));
         // An unknown dimension name is an unparseable value: BadOption,
-        // like combine=middle.
+        // like shards=many.
         assert!(matches!(
             EngineBuilder::from_spec("sharded:strategy=hash,hash_dim=warp"),
             Err(BuildError::BadOption { .. })
@@ -1515,11 +1495,6 @@ mod tests {
             KindOpts::None => KindOpts::None,
             KindOpts::Configurable { .. } => KindOpts::Configurable {
                 rf_bits: [None, Some(10 + pick(8) as u32)][pick(2) as usize],
-                combine: [
-                    None,
-                    Some(CombineStrategy::FirstLabel),
-                    Some(CombineStrategy::PriorityProbe),
-                ][pick(3) as usize],
             },
             KindOpts::Sharded { .. } => {
                 let hash = pick(2) == 0;

@@ -12,7 +12,7 @@
 
 use crate::fields::FieldFrontEnd;
 use crate::{verdict, EngineKind, PacketClassifier, Verdict};
-use spc_lookup::{MbtConfig, SegTrieConfig};
+use spc_lookup::{LabelList, MbtConfig, SegTrieConfig};
 use spc_types::{Header, Priority, Rule, RuleId, RuleSet};
 use std::collections::HashMap;
 
@@ -107,7 +107,9 @@ impl PacketClassifier for Dcfl {
 
     fn classify(&self, h: &Header) -> Verdict {
         // Parallel field searches returning full label sets.
-        let ([rs, rd, rsp, rdp, rpr], mut accesses) = self.fields.lookup(h);
+        let mut lists: [LabelList; 5] = Default::default();
+        let mut accesses = self.fields.lookup(h, &mut lists);
+        let [rs, rd, rsp, rdp, rpr] = lists;
         // Aggregation network: each candidate pair costs one probe.
         let mut m1 = Vec::new();
         for a in &rs {

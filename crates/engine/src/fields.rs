@@ -17,7 +17,7 @@
 //! into their neighbours.
 
 use spc_lookup::{
-    EngineError, FieldEngine, Label, LabelEntry, LabelList, LabelStore, LookupResult, MbtConfig,
+    EngineError, FieldEngine, Label, LabelAllocator, LabelEntry, LabelList, LabelStore, MbtConfig,
     MultiBitTrie, ProtocolLut, SegTrieConfig, SegmentTrie,
 };
 use spc_types::{DimValue, Header, PortRange, Prefix, Priority, ProtoSpec, Rule};
@@ -29,18 +29,21 @@ use std::hash::Hash;
 /// label memory stores and what Option 1/2's key packs.
 pub(crate) const LABEL_WIDTHS: [u8; 5] = [13, 13, 13, 13, 4];
 
-/// One field: its engine, its label memory and the value → label map.
+/// One field: its engine, its label memory, the value → label map and
+/// the allocator of the memory's label width.
 #[derive(Debug)]
 pub(crate) struct Field<E, V> {
     pub(crate) engine: E,
     store: LabelStore,
     labels: HashMap<V, Label>,
+    alloc: LabelAllocator,
 }
 
 impl<E: FieldEngine, V: Copy + Eq + Hash> Field<E, V> {
     fn new(engine: E, store: LabelStore) -> Self {
         Field {
             engine,
+            alloc: LabelAllocator::new(store.label_bits()),
             store,
             labels: HashMap::new(),
         }
@@ -59,20 +62,18 @@ impl<E: FieldEngine, V: Copy + Eq + Hash> Field<E, V> {
         priority: Priority,
         insert: impl FnOnce(&mut E, &mut LabelStore, V, LabelEntry) -> Result<(), EngineError>,
     ) -> Result<Label, String> {
-        let next = self.labels.len();
         let slot = match self.labels.entry(value) {
             Entry::Occupied(seen) => return Ok(*seen.get()),
             Entry::Vacant(slot) => slot,
         };
-        let width = self.store.label_bits();
-        if next >> width != 0 {
-            return Err(format!(
-                "{}: more than {} distinct values overflow its {width}-bit labels",
+        let label = self.alloc.alloc().map_err(|_| {
+            format!(
+                "{}: more than {} distinct values overflow its {}-bit labels",
                 self.store.name(),
-                1u32 << width
-            ));
-        }
-        let label = Label(next as u16);
+                self.alloc.capacity(),
+                self.store.label_bits()
+            )
+        })?;
         let entry = LabelEntry::by_priority(label, priority);
         insert(&mut self.engine, &mut self.store, value, entry)
             .map_err(|e| format!("{} not sized for the rule set: {e}", self.store.name()))?;
@@ -80,11 +81,13 @@ impl<E: FieldEngine, V: Copy + Eq + Hash> Field<E, V> {
         Ok(label)
     }
 
+    /// The labels of `query` into `out`; the memory words read.
     // A field lookup's only error is a dirty BST's, and no field here is
     // a BST.
     #[allow(clippy::expect_used)]
-    fn lookup(&self, query: u16) -> LookupResult {
-        self.engine.lookup(&self.store, query).expect("in range")
+    fn lookup(&self, query: u16, out: &mut LabelList) -> u32 {
+        let cost = self.engine.lookup_into(&self.store, query, out);
+        cost.expect("in range").mem_reads
     }
 
     fn used_bits(&self) -> u64 {
@@ -93,8 +96,9 @@ impl<E: FieldEngine, V: Copy + Eq + Hash> Field<E, V> {
 }
 
 impl Field<MultiBitTrie, Prefix> {
-    fn lookup_key(&self, key: u32) -> LookupResult {
-        self.engine.lookup_key(&self.store, key)
+    /// [`Field::lookup`] of a full 32-bit address.
+    fn lookup_key(&self, key: u32, out: &mut LabelList) -> u32 {
+        self.engine.lookup_key_into(&self.store, key, out).mem_reads
     }
 }
 
@@ -160,20 +164,18 @@ impl FieldFrontEnd {
         ])
     }
 
-    /// The header's five label lists, in [`FieldFrontEnd::intern`]'s
-    /// order, and the memory words the five lookups read together.
+    /// The header's five label lists into `lists`, in
+    /// [`FieldFrontEnd::intern`]'s order; the memory words the five
+    /// lookups read together.
     // Inlined: each classifier had these five lookups in its `classify`.
     #[inline]
-    pub(crate) fn lookup(&self, h: &Header) -> ([LabelList; 5], u32) {
-        let sip = self.sip.lookup_key(h.src_ip.0);
-        let dip = self.dip.lookup_key(h.dst_ip.0);
-        let sport = self.sport.lookup(h.src_port);
-        let dport = self.dport.lookup(h.dst_port);
-        let proto = self.proto.lookup(u16::from(h.proto));
-        let reads =
-            sip.mem_reads + dip.mem_reads + sport.mem_reads + dport.mem_reads + proto.mem_reads;
-        let lists = [sip, dip, sport, dport, proto].map(|r| r.labels);
-        (lists, reads)
+    pub(crate) fn lookup(&self, h: &Header, lists: &mut [LabelList; 5]) -> u32 {
+        let [sip, dip, sport, dport, proto] = lists;
+        self.sip.lookup_key(h.src_ip.0, sip)
+            + self.dip.lookup_key(h.dst_ip.0, dip)
+            + self.sport.lookup(h.src_port, sport)
+            + self.dport.lookup(h.dst_port, dport)
+            + self.proto.lookup(u16::from(h.proto), proto)
     }
 
     /// Bits occupied by the five engines and their label memories.

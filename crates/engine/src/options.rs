@@ -15,7 +15,7 @@
 use crate::fields::{FieldFrontEnd, LABEL_WIDTHS};
 use crate::{verdict, EngineKind, PacketClassifier, Verdict};
 use spc_core::{Hit, RuleFilter};
-use spc_lookup::{MbtConfig, SegTrieConfig};
+use spc_lookup::{LabelList, MbtConfig, SegTrieConfig};
 use spc_types::{Header, RuleSet};
 
 /// A Table I option classifier (static build).
@@ -81,7 +81,9 @@ impl PacketClassifier for OptionClassifier {
     }
 
     fn classify(&self, h: &Header) -> Verdict {
-        let ([rs, rd, rsp, rdp, rpr], mut accesses) = self.fields.lookup(h);
+        let mut lists: [LabelList; 5] = Default::default();
+        let mut accesses = self.fields.lookup(h, &mut lists);
+        let [rs, rd, rsp, rdp, rpr] = lists;
         let rank = |h: &Hit| (h.rule.priority, h.rule_id);
         let mut best: Option<Hit> = None;
         for a in &rs {

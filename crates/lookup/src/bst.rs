@@ -55,7 +55,7 @@ struct IntervalWord {
 /// The balanced-BST engine over one 16-bit segment dimension.
 ///
 /// ```
-/// use spc_lookup::{RangeBst, LabelStore, LabelEntry, Label, FieldEngine};
+/// use spc_lookup::{RangeBst, LabelStore, LabelEntry, LabelList, Label, FieldEngine};
 /// use spc_types::{DimValue, SegPrefix, Priority};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -67,8 +67,11 @@ struct IntervalWord {
 ///     LabelEntry::by_priority(Label(3), Priority(2)),
 /// )?;
 /// bst.flush(&mut store)?;
-/// assert!(bst.lookup(&store, 0x9999)?.labels.contains(Label(3)));
-/// assert!(bst.lookup(&store, 0x7fff)?.labels.is_empty());
+/// let mut labels = LabelList::new();
+/// bst.lookup_into(&store, 0x9999, &mut labels)?;
+/// assert!(labels.contains(Label(3)));
+/// bst.lookup_into(&store, 0x7fff, &mut labels)?;
+/// assert!(labels.is_empty());
 /// # Ok(())
 /// # }
 /// ```
@@ -396,6 +399,7 @@ impl FieldEngine for RangeBst {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::lookup;
     use spc_types::Priority;
 
     fn store() -> LabelStore {
@@ -415,9 +419,9 @@ mod tests {
         let mut s = store();
         let mut bst = RangeBst::new(16);
         bst.flush(&mut s).unwrap();
-        let r = bst.lookup(&s, 0).unwrap();
-        assert!(r.labels.is_empty());
-        assert_eq!(r.mem_reads, 0);
+        let (labels, cost) = lookup(&bst, &s, 0).unwrap();
+        assert!(labels.is_empty());
+        assert_eq!(cost.mem_reads, 0);
     }
 
     #[test]
@@ -425,9 +429,9 @@ mod tests {
         let mut s = store();
         let mut bst = RangeBst::new(16);
         bst.insert(&mut s, seg(0, 0), entry(1, 1)).unwrap();
-        assert!(matches!(bst.lookup(&s, 0), Err(EngineError::Dirty)));
+        assert!(matches!(lookup(&bst, &s, 0), Err(EngineError::Dirty)));
         bst.flush(&mut s).unwrap();
-        assert!(bst.lookup(&s, 0).is_ok());
+        assert!(lookup(&bst, &s, 0).is_ok());
     }
 
     #[test]
@@ -438,13 +442,13 @@ mod tests {
         bst.insert(&mut s, seg(0xa200, 9), entry(2, 5)).unwrap();
         bst.insert(&mut s, seg(0xa234, 16), entry(3, 20)).unwrap();
         bst.flush(&mut s).unwrap();
-        let r = bst.lookup(&s, 0xa234).unwrap();
-        let ids: Vec<u16> = r.labels.iter().map(|e| e.label.0).collect();
+        let (labels, _) = lookup(&bst, &s, 0xa234).unwrap();
+        let ids: Vec<u16> = labels.iter().map(|e| e.label.0).collect();
         assert_eq!(ids, vec![2, 1, 3]);
-        let r2 = bst.lookup(&s, 0xa900).unwrap();
-        let ids2: Vec<u16> = r2.labels.iter().map(|e| e.label.0).collect();
+        let (labels2, _) = lookup(&bst, &s, 0xa900).unwrap();
+        let ids2: Vec<u16> = labels2.iter().map(|e| e.label.0).collect();
         assert_eq!(ids2, vec![1]);
-        assert!(bst.lookup(&s, 0x0001).unwrap().labels.is_empty());
+        assert!(lookup(&bst, &s, 0x0001).unwrap().0.is_empty());
     }
 
     #[test]
@@ -454,7 +458,7 @@ mod tests {
         bst.insert(&mut s, seg(0, 0), entry(7, 3)).unwrap();
         bst.flush(&mut s).unwrap();
         for q in [0u16, 0x7fff, 0xffff] {
-            assert!(bst.lookup(&s, q).unwrap().labels.contains(Label(7)));
+            assert!(lookup(&bst, &s, q).unwrap().0.contains(Label(7)));
         }
     }
 
@@ -465,15 +469,15 @@ mod tests {
         let p = SegPrefix::masked(0x4000, 3); // [0x4000, 0x5fff]
         bst.insert(&mut s, DimValue::Seg(p), entry(4, 0)).unwrap();
         bst.flush(&mut s).unwrap();
-        assert!(bst.lookup(&s, 0x4000).unwrap().labels.contains(Label(4)));
-        assert!(bst.lookup(&s, 0x5fff).unwrap().labels.contains(Label(4)));
-        assert!(!bst.lookup(&s, 0x3fff).unwrap().labels.contains(Label(4)));
-        assert!(!bst.lookup(&s, 0x6000).unwrap().labels.contains(Label(4)));
+        assert!(lookup(&bst, &s, 0x4000).unwrap().0.contains(Label(4)));
+        assert!(lookup(&bst, &s, 0x5fff).unwrap().0.contains(Label(4)));
+        assert!(!lookup(&bst, &s, 0x3fff).unwrap().0.contains(Label(4)));
+        assert!(!lookup(&bst, &s, 0x6000).unwrap().0.contains(Label(4)));
         // An empty interval's list still costs its head read: the search
         // walk plus one, exactly the cycle count.
-        let miss = bst.lookup(&s, 0x3fff).unwrap();
-        assert!(miss.labels.is_empty());
-        assert_eq!(miss.mem_reads, miss.cycles);
+        let (miss, cost) = lookup(&bst, &s, 0x3fff).unwrap();
+        assert!(miss.is_empty());
+        assert_eq!(cost.mem_reads, cost.cycles);
     }
 
     #[test]
@@ -484,7 +488,7 @@ mod tests {
         bst.flush(&mut s).unwrap();
         bst.remove(&mut s, seg(0x8000, 1), Label(1)).unwrap();
         bst.flush(&mut s).unwrap();
-        assert!(bst.lookup(&s, 0xffff).unwrap().labels.is_empty());
+        assert!(lookup(&bst, &s, 0xffff).unwrap().0.is_empty());
         assert!(matches!(
             bst.remove(&mut s, seg(0x8000, 1), Label(1)),
             Err(EngineError::NotFound)
@@ -502,11 +506,11 @@ mod tests {
         bst.flush(&mut s).unwrap();
         // ~1001 intervals -> ~11 binary search reads.
         assert!(bst.depth() <= 12, "depth {}", bst.depth());
-        let r = bst.lookup(&s, 0x1234).unwrap();
-        assert!(r.cycles <= bst.depth() + 1);
-        assert!(!r.labels.is_empty());
+        let (labels, cost) = lookup(&bst, &s, 0x1234).unwrap();
+        assert!(cost.cycles <= bst.depth() + 1);
+        assert!(!labels.is_empty());
         // Paper Table VI territory: ~16 accesses per packet at scale.
-        assert!(r.mem_reads <= 16, "reads {}", r.mem_reads);
+        assert!(cost.mem_reads <= 16, "reads {}", cost.mem_reads);
     }
 
     #[test]
@@ -523,13 +527,13 @@ mod tests {
         ));
         // A flush that failed has not made the engine clean: it answers
         // `Dirty`, not an empty list, until a flush of a set that fits.
-        assert!(matches!(bst.lookup(&s, 0), Err(EngineError::Dirty)));
+        assert!(matches!(lookup(&bst, &s, 0), Err(EngineError::Dirty)));
         assert!(bst.flush(&mut s).is_err());
         for i in 3..8u16 {
             bst.remove(&mut s, seg(i << 13, 3), Label(i)).unwrap();
         }
         bst.flush(&mut s).unwrap();
-        assert!(bst.lookup(&s, 2 << 13).unwrap().labels.contains(Label(2)));
+        assert!(lookup(&bst, &s, 2 << 13).unwrap().0.contains(Label(2)));
     }
 
     /// Everything a lookup can see, at every value a boundary could sit.
@@ -537,7 +541,7 @@ mod tests {
         let answers: Vec<_> = (0..=u16::MAX)
             .step_by(0x0800)
             .flat_map(|q| [q, q.wrapping_sub(1)])
-            .map(|q| bst.lookup(s, q).unwrap())
+            .map(|q| lookup(bst, s, q).unwrap())
             .collect();
         (answers, bst.used_bits(), s.used_bits(), s.entries_used())
     }
@@ -607,7 +611,7 @@ mod tests {
                 "{what}"
             );
             assert!(
-                matches!(bst.lookup(&s, 0), Err(EngineError::Dirty)),
+                matches!(lookup(&bst, &s, 0), Err(EngineError::Dirty)),
                 "{what}"
             );
             assert!(bst.flush(&mut s).is_err(), "{what}: still does not fit");
@@ -656,13 +660,13 @@ mod tests {
         bst.insert(&mut s, seg(0x4000, 2), entry(2, 2)).unwrap(); // [0x4000,0x7fff]
         bst.flush(&mut s).unwrap();
         assert_eq!(
-            bst.lookup(&s, 0x3fff).unwrap().labels.head().unwrap().label,
+            lookup(&bst, &s, 0x3fff).unwrap().0.head().unwrap().label,
             Label(1)
         );
         assert_eq!(
-            bst.lookup(&s, 0x4000).unwrap().labels.head().unwrap().label,
+            lookup(&bst, &s, 0x4000).unwrap().0.head().unwrap().label,
             Label(2)
         );
-        assert!(bst.lookup(&s, 0x8000).unwrap().labels.is_empty());
+        assert!(lookup(&bst, &s, 0x8000).unwrap().0.is_empty());
     }
 }

@@ -12,18 +12,6 @@ use spc_hwsim::MemoryError;
 use spc_types::DimValue;
 use std::fmt;
 
-/// Result of one engine lookup.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LookupResult {
-    /// All matching labels, sorted with the HPML first.
-    pub labels: crate::label::LabelList,
-    /// Memory-word reads performed (structure nodes + label lists).
-    pub mem_reads: u32,
-    /// Clock cycles of this lookup in the hardware model (fixed pipeline
-    /// latency for MBT, data-dependent depth for BST, ...).
-    pub cycles: u32,
-}
-
 /// Accounting of one engine lookup, separate from the label payload.
 ///
 /// [`FieldEngine::lookup_into`] returns this while writing the labels
@@ -36,7 +24,8 @@ pub struct LookupResult {
 pub struct LookupCost {
     /// Memory-word reads performed (structure nodes + label lists).
     pub mem_reads: u32,
-    /// Clock cycles of this lookup in the hardware model.
+    /// Clock cycles of this lookup in the hardware model (fixed pipeline
+    /// latency for MBT, data-dependent depth for BST, ...).
     pub cycles: u32,
 }
 
@@ -174,14 +163,13 @@ pub trait FieldEngine: fmt::Debug + Send + Sync {
     }
 
     /// Looks up all labels matching `query`, writing them into `out`
-    /// (cleared first) and returning only the cost counters.
+    /// (cleared first) and returning only the cost counters: an engine's
+    /// one lookup.
     ///
-    /// This is the allocation-free primitive behind
-    /// [`FieldEngine::lookup`]: batch callers hand in the same
-    /// [`crate::label::LabelList`] for every packet, so across a batch
-    /// the per-dimension label-list allocations collapse to buffer
-    /// clears. The filled `out` satisfies the usual list invariant (HPML
-    /// first).
+    /// Batch callers hand in the same [`crate::label::LabelList`] for
+    /// every packet, so across a batch the per-dimension label-list
+    /// allocations collapse to buffer clears. The filled `out` satisfies
+    /// the usual list invariant (HPML first).
     ///
     /// # Errors
     ///
@@ -195,23 +183,6 @@ pub trait FieldEngine: fmt::Debug + Send + Sync {
         query: u16,
         out: &mut crate::label::LabelList,
     ) -> Result<LookupCost, EngineError>;
-
-    /// Looks up all labels matching a 16-bit query value, allocating a
-    /// fresh list (single-shot convenience over
-    /// [`FieldEngine::lookup_into`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`FieldEngine::lookup_into`].
-    fn lookup(&self, store: &LabelStore, query: u16) -> Result<LookupResult, EngineError> {
-        let mut labels = crate::label::LabelList::new();
-        let cost = self.lookup_into(store, query, &mut labels)?;
-        Ok(LookupResult {
-            labels,
-            mem_reads: cost.mem_reads,
-            cycles: cost.cycles,
-        })
-    }
 
     /// Bits of structural memory provisioned (label store excluded).
     fn provisioned_bits(&self) -> u64;
@@ -229,8 +200,21 @@ pub trait FieldEngine: fmt::Debug + Send + Sync {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::label::LabelList;
+
+    /// One lookup into a fresh list: the labels and the cost the unit
+    /// suites compare.
+    pub(crate) fn lookup(
+        engine: &dyn FieldEngine,
+        store: &LabelStore,
+        query: u16,
+    ) -> Result<(LabelList, LookupCost), EngineError> {
+        let mut labels = LabelList::new();
+        let cost = engine.lookup_into(store, query, &mut labels)?;
+        Ok((labels, cost))
+    }
 
     #[test]
     fn error_conversions() {

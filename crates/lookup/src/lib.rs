@@ -44,7 +44,7 @@ mod store;
 mod trie;
 
 pub use bst::RangeBst;
-pub use engine::{EngineError, FieldEngine, LookupCost, LookupResult};
+pub use engine::{EngineError, FieldEngine, LookupCost};
 pub use label::{Label, LabelAllocator, LabelEntry, LabelError, LabelList, LabelWidths};
 pub use mbt::{MbtConfig, MultiBitTrie};
 pub use portregs::PortRegisters;

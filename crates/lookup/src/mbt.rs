@@ -16,7 +16,7 @@
 //! is *width-generic*: the same type implements the 32-bit, 5-level tries
 //! evaluated as "Option 1/2" in Table I.
 
-use crate::engine::{EngineError, FieldEngine, LookupCost, LookupResult};
+use crate::engine::{EngineError, FieldEngine, LookupCost};
 use crate::label::{Label, LabelEntry, LabelList};
 use crate::store::{LabelStore, ListPtr};
 use crate::trie::{Geometry, StrideTrie};
@@ -70,7 +70,7 @@ impl MbtConfig {
 /// The multi-bit trie engine.
 ///
 /// ```
-/// use spc_lookup::{MultiBitTrie, MbtConfig, LabelStore, LabelEntry, Label, FieldEngine};
+/// use spc_lookup::{MultiBitTrie, MbtConfig, LabelStore, LabelEntry, LabelList, Label, FieldEngine};
 /// use spc_types::{DimValue, SegPrefix, Priority};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -81,9 +81,11 @@ impl MbtConfig {
 ///     DimValue::Seg(SegPrefix::masked(0x0a00, 8)),
 ///     LabelEntry::by_priority(Label(0), Priority(0)),
 /// )?;
-/// let hit = mbt.lookup(&store, 0x0aff)?;
-/// assert_eq!(hit.labels.head().unwrap().label, Label(0));
-/// assert!(mbt.lookup(&store, 0x0bff)?.labels.is_empty());
+/// let mut labels = LabelList::new();
+/// mbt.lookup_into(&store, 0x0aff, &mut labels)?;
+/// assert_eq!(labels.head().unwrap().label, Label(0));
+/// mbt.lookup_into(&store, 0x0bff, &mut labels)?;
+/// assert!(labels.is_empty());
 /// # Ok(())
 /// # }
 /// ```
@@ -173,20 +175,8 @@ impl MultiBitTrie {
     }
 
     /// Looks up a full-width key (bits above the key width are
-    /// ignored), collecting label lists along the path.
-    pub fn lookup_key(&self, store: &LabelStore, key: u32) -> LookupResult {
-        let mut labels = LabelList::new();
-        let cost = self.lookup_key_into(store, key, &mut labels);
-        LookupResult {
-            labels,
-            mem_reads: cost.mem_reads,
-            cycles: cost.cycles,
-        }
-    }
-
-    /// As [`MultiBitTrie::lookup_key`], but writing into a caller-owned
-    /// list (cleared first) so batch callers pay no per-lookup
-    /// allocation.
+    /// ignored), writing the label lists along the path into a
+    /// caller-owned list (cleared first).
     pub fn lookup_key_into(&self, store: &LabelStore, key: u32, out: &mut LabelList) -> LookupCost {
         self.trie.lookup(store, key, self.wildcard, out)
     }
@@ -247,7 +237,15 @@ impl FieldEngine for MultiBitTrie {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::lookup;
     use spc_types::{Priority, SegPrefix};
+
+    /// One full-width lookup into a fresh list.
+    fn key(mbt: &MultiBitTrie, s: &LabelStore, key: u32) -> (LabelList, LookupCost) {
+        let mut labels = LabelList::new();
+        let cost = mbt.lookup_key_into(s, key, &mut labels);
+        (labels, cost)
+    }
 
     fn store() -> LabelStore {
         LabelStore::new("test", 4096, 13)
@@ -261,10 +259,10 @@ mod tests {
     fn empty_lookup_is_empty() {
         let s = store();
         let mbt = MultiBitTrie::new(MbtConfig::segment_paper(16));
-        let r = mbt.lookup(&s, 0x1234).unwrap();
-        assert!(r.labels.is_empty());
-        assert_eq!(r.cycles, 6); // paper §V.B: 6-cycle MBT latency
-        assert!(r.mem_reads >= 1);
+        let (labels, cost) = lookup(&mbt, &s, 0x1234).unwrap();
+        assert!(labels.is_empty());
+        assert_eq!(cost.cycles, 6); // paper §V.B: 6-cycle MBT latency
+        assert!(cost.mem_reads >= 1);
     }
 
     #[test]
@@ -275,12 +273,12 @@ mod tests {
         mbt.insert_prefix(&mut s, 0xa000, 4, entry(1, 10)).unwrap();
         mbt.insert_prefix(&mut s, 0xa200, 9, entry(2, 5)).unwrap();
         mbt.insert_prefix(&mut s, 0xa234, 16, entry(3, 20)).unwrap();
-        let r = mbt.lookup_key(&s, 0xa234);
-        let ids: Vec<u16> = r.labels.iter().map(|e| e.label.0).collect();
+        let (labels, _) = key(&mbt, &s, 0xa234);
+        let ids: Vec<u16> = labels.iter().map(|e| e.label.0).collect();
         assert_eq!(ids, vec![2, 1, 3]); // sorted by priority 5,10,20
                                         // Non-matching key sees only the /4.
-        let r2 = mbt.lookup_key(&s, 0xa900);
-        let ids2: Vec<u16> = r2.labels.iter().map(|e| e.label.0).collect();
+        let (labels2, _) = key(&mbt, &s, 0xa900);
+        let ids2: Vec<u16> = labels2.iter().map(|e| e.label.0).collect();
         assert_eq!(ids2, vec![1]);
     }
 
@@ -290,8 +288,8 @@ mod tests {
         let mut mbt = MultiBitTrie::new(MbtConfig::segment_paper(8));
         mbt.insert_prefix(&mut s, 0, 0, entry(9, 1)).unwrap();
         for q in [0u32, 0xffff, 0x8000] {
-            let r = mbt.lookup_key(&s, q);
-            assert!(r.labels.contains(Label(9)));
+            let (labels, _) = key(&mbt, &s, q);
+            assert!(labels.contains(Label(9)));
         }
     }
 
@@ -304,21 +302,13 @@ mod tests {
         let p = SegPrefix::masked(0x4600, 7);
         mbt.insert_prefix(&mut s, u32::from(p.value()), 7, entry(4, 0))
             .unwrap();
-        assert!(mbt
-            .lookup_key(&s, u32::from(p.first()))
-            .labels
+        assert!(key(&mbt, &s, u32::from(p.first())).0.contains(Label(4)));
+        assert!(key(&mbt, &s, u32::from(p.last())).0.contains(Label(4)));
+        assert!(!key(&mbt, &s, u32::from(p.first().wrapping_sub(1)))
+            .0
             .contains(Label(4)));
-        assert!(mbt
-            .lookup_key(&s, u32::from(p.last()))
-            .labels
-            .contains(Label(4)));
-        assert!(!mbt
-            .lookup_key(&s, u32::from(p.first().wrapping_sub(1)))
-            .labels
-            .contains(Label(4)));
-        assert!(!mbt
-            .lookup_key(&s, u32::from(p.last().wrapping_add(1)))
-            .labels
+        assert!(!key(&mbt, &s, u32::from(p.last().wrapping_add(1)))
+            .0
             .contains(Label(4)));
     }
 
@@ -328,7 +318,7 @@ mod tests {
         let mut mbt = MultiBitTrie::new(MbtConfig::segment_paper(8));
         mbt.insert_prefix(&mut s, 0xa000, 4, entry(1, 1)).unwrap();
         mbt.remove_prefix(&mut s, 0xa000, 4, Label(1)).unwrap();
-        assert!(mbt.lookup_key(&s, 0xa000).labels.is_empty());
+        assert!(key(&mbt, &s, 0xa000).0.is_empty());
         assert!(matches!(
             mbt.remove_prefix(&mut s, 0xa000, 4, Label(1)),
             Err(EngineError::NotFound)
@@ -351,16 +341,10 @@ mod tests {
         let mut mbt = MultiBitTrie::new(MbtConfig::segment_paper(8));
         mbt.insert_prefix(&mut s, 0xa000, 8, entry(1, 50)).unwrap();
         mbt.insert_prefix(&mut s, 0xa000, 4, entry(2, 10)).unwrap();
-        assert_eq!(
-            mbt.lookup_key(&s, 0xa0ff).labels.head().unwrap().label,
-            Label(2)
-        );
+        assert_eq!(key(&mbt, &s, 0xa0ff).0.head().unwrap().label, Label(2));
         // Label 1's value gains a higher-priority user.
         mbt.insert_prefix(&mut s, 0xa000, 8, entry(1, 1)).unwrap();
-        assert_eq!(
-            mbt.lookup_key(&s, 0xa0ff).labels.head().unwrap().label,
-            Label(1)
-        );
+        assert_eq!(key(&mbt, &s, 0xa0ff).0.head().unwrap().label, Label(1));
     }
 
     #[test]
@@ -385,15 +369,15 @@ mod tests {
         let mut mbt = MultiBitTrie::new(MbtConfig::segment_paper(8));
         mbt.insert_prefix(&mut s, 0xa000, 8, entry(1, 1)).unwrap();
         // Level-0 slot, level-1 slot, its one-label list.
-        assert_eq!(mbt.lookup_key(&s, 0xa0ff).mem_reads, 3);
+        assert_eq!(key(&mbt, &s, 0xa0ff).1.mem_reads, 3);
         // A second label on the same value is one more list word; the
         // wildcard list adds its own.
         mbt.insert_prefix(&mut s, 0xa000, 8, entry(2, 2)).unwrap();
-        assert_eq!(mbt.lookup_key(&s, 0xa0ff).mem_reads, 4);
+        assert_eq!(key(&mbt, &s, 0xa0ff).1.mem_reads, 4);
         mbt.insert_prefix(&mut s, 0, 0, entry(3, 3)).unwrap();
-        assert_eq!(mbt.lookup_key(&s, 0xa0ff).mem_reads, 5);
+        assert_eq!(key(&mbt, &s, 0xa0ff).1.mem_reads, 5);
         // Off the stored path only the root slot (and the wildcard) is read.
-        assert_eq!(mbt.lookup_key(&s, 0x1234).mem_reads, 2);
+        assert_eq!(key(&mbt, &s, 0x1234).1.mem_reads, 2);
     }
 
     #[test]
@@ -404,11 +388,11 @@ mod tests {
             .unwrap();
         mbt.insert_prefix(&mut s, 0x0a0b0c00, 24, entry(2, 2))
             .unwrap();
-        let r = mbt.lookup_key(&s, 0x0a0b0c0d);
-        assert_eq!(r.labels.len(), 2);
-        assert_eq!(r.cycles, 10); // 5 levels * 2
-        let r2 = mbt.lookup_key(&s, 0x0b000000);
-        assert!(r2.labels.is_empty());
+        let (labels, cost) = key(&mbt, &s, 0x0a0b0c0d);
+        assert_eq!(labels.len(), 2);
+        assert_eq!(cost.cycles, 10); // 5 levels * 2
+        let (labels2, _) = key(&mbt, &s, 0x0b000000);
+        assert!(labels2.is_empty());
     }
 
     #[test]

@@ -23,7 +23,7 @@ struct PortRegister {
 /// The parallel port-register engine.
 ///
 /// ```
-/// use spc_lookup::{PortRegisters, LabelStore, LabelEntry, Label, FieldEngine};
+/// use spc_lookup::{PortRegisters, LabelStore, LabelEntry, LabelList, Label, FieldEngine};
 /// use spc_types::{DimValue, PortRange, Priority};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -31,9 +31,10 @@ struct PortRegister {
 /// let mut regs = PortRegisters::new(128);
 /// regs.insert(&mut store, DimValue::Port(PortRange::exact(443)),
 ///             LabelEntry::by_priority(Label(0), Priority(0)))?;
-/// let r = regs.lookup(&store, 443)?;
-/// assert_eq!(r.labels.head().unwrap().label, Label(0));
-/// assert_eq!(r.cycles, 2);
+/// let mut labels = LabelList::new();
+/// let cost = regs.lookup_into(&store, 443, &mut labels)?;
+/// assert_eq!(labels.head().unwrap().label, Label(0));
+/// assert_eq!(cost.cycles, 2);
 /// # Ok(())
 /// # }
 /// ```
@@ -157,6 +158,7 @@ impl FieldEngine for PortRegisters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::lookup;
     use spc_types::Priority;
 
     fn store() -> LabelStore {
@@ -181,11 +183,11 @@ mod tests {
         ins(&mut regs, &mut s, 0, 65535, 0, 0); // A, highest rule priority
         ins(&mut regs, &mut s, 7812, 7812, 1, 1); // B
         ins(&mut regs, &mut s, 7810, 7820, 2, 2); // C
-        let r = regs.lookup(&s, 7812).unwrap();
-        let ids: Vec<u16> = r.labels.iter().map(|e| e.label.0).collect();
+        let (labels, cost) = lookup(&regs, &s, 7812).unwrap();
+        let ids: Vec<u16> = labels.iter().map(|e| e.label.0).collect();
         assert_eq!(ids, vec![1, 2, 0], "expected B, C, A");
-        assert_eq!(r.cycles, 2);
-        assert_eq!(r.mem_reads, 0);
+        assert_eq!(cost.cycles, 2);
+        assert_eq!(cost.mem_reads, 0);
     }
 
     #[test]
@@ -193,9 +195,9 @@ mod tests {
         let mut s = store();
         let mut regs = PortRegisters::new(16);
         ins(&mut regs, &mut s, 10, 20, 1, 0);
-        assert!(regs.lookup(&s, 9).unwrap().labels.is_empty());
-        assert!(regs.lookup(&s, 21).unwrap().labels.is_empty());
-        assert!(!regs.lookup(&s, 10).unwrap().labels.is_empty());
+        assert!(lookup(&regs, &s, 9).unwrap().0.is_empty());
+        assert!(lookup(&regs, &s, 21).unwrap().0.is_empty());
+        assert!(!lookup(&regs, &s, 10).unwrap().0.is_empty());
     }
 
     #[test]

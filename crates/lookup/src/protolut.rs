@@ -21,7 +21,7 @@ const ANY_ORDER: u64 = 1;
 /// The 256-entry protocol LUT engine.
 ///
 /// ```
-/// use spc_lookup::{ProtocolLut, LabelStore, LabelEntry, Label, FieldEngine};
+/// use spc_lookup::{ProtocolLut, LabelStore, LabelEntry, LabelList, Label, FieldEngine};
 /// use spc_types::{DimValue, ProtoSpec, Priority};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,9 +29,10 @@ const ANY_ORDER: u64 = 1;
 /// let mut lut = ProtocolLut::new();
 /// lut.insert(&mut store, DimValue::Proto(ProtoSpec::Exact(6)),
 ///            LabelEntry::by_priority(Label(0), Priority(0)))?;
-/// let r = lut.lookup(&store, 6)?;
-/// assert_eq!(r.cycles, 1);
-/// assert!(r.labels.contains(Label(0)));
+/// let mut labels = LabelList::new();
+/// let cost = lut.lookup_into(&store, 6, &mut labels)?;
+/// assert_eq!(cost.cycles, 1);
+/// assert!(labels.contains(Label(0)));
 /// # Ok(())
 /// # }
 /// ```
@@ -164,6 +165,7 @@ impl FieldEngine for ProtocolLut {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::lookup;
     use spc_types::Priority;
 
     fn store() -> LabelStore {
@@ -182,14 +184,14 @@ mod tests {
             .unwrap();
         lut.insert(&mut s, DimValue::Proto(ProtoSpec::Exact(6)), entry(1, 9))
             .unwrap();
-        let r = lut.lookup(&s, 6).unwrap();
-        let ids: Vec<u16> = r.labels.iter().map(|e| e.label.0).collect();
+        let (labels, _) = lookup(&lut, &s, 6).unwrap();
+        let ids: Vec<u16> = labels.iter().map(|e| e.label.0).collect();
         // Exact label first despite worse rule priority (§IV.C.1).
         assert_eq!(ids, vec![1, 0]);
         // Other protocols see only the wildcard.
-        let r2 = lut.lookup(&s, 17).unwrap();
-        assert_eq!(r2.labels.len(), 1);
-        assert_eq!(r2.labels.head().unwrap().label, Label(0));
+        let (labels2, _) = lookup(&lut, &s, 17).unwrap();
+        assert_eq!(labels2.len(), 1);
+        assert_eq!(labels2.head().unwrap().label, Label(0));
     }
 
     #[test]
@@ -198,9 +200,9 @@ mod tests {
         let mut lut = ProtocolLut::new();
         lut.insert(&mut s, DimValue::Proto(ProtoSpec::Exact(17)), entry(1, 0))
             .unwrap();
-        let r = lut.lookup(&s, 17).unwrap();
-        assert_eq!(r.cycles, 1);
-        assert_eq!(r.mem_reads, 1);
+        let (_, cost) = lookup(&lut, &s, 17).unwrap();
+        assert_eq!(cost.cycles, 1);
+        assert_eq!(cost.mem_reads, 1);
     }
 
     #[test]
@@ -213,7 +215,7 @@ mod tests {
             .unwrap();
         lut.remove(&mut s, DimValue::Proto(ProtoSpec::Exact(6)), Label(1))
             .unwrap();
-        assert_eq!(lut.lookup(&s, 6).unwrap().labels.len(), 1);
+        assert_eq!(lookup(&lut, &s, 6).unwrap().0.len(), 1);
         // Wrong label -> NotFound.
         assert!(matches!(
             lut.remove(&mut s, DimValue::Proto(ProtoSpec::Any), Label(9)),
@@ -221,7 +223,7 @@ mod tests {
         ));
         lut.remove(&mut s, DimValue::Proto(ProtoSpec::Any), Label(2))
             .unwrap();
-        assert!(lut.lookup(&s, 6).unwrap().labels.is_empty());
+        assert!(lookup(&lut, &s, 6).unwrap().0.is_empty());
     }
 
     #[test]
@@ -230,8 +232,8 @@ mod tests {
         let mut lut = ProtocolLut::new();
         lut.insert(&mut s, DimValue::Proto(ProtoSpec::Any), entry(2, 0))
             .unwrap();
-        let r = lut.lookup(&s, 0x1ff).unwrap();
-        assert_eq!(r.labels.len(), 1);
+        let (labels, _) = lookup(&lut, &s, 0x1ff).unwrap();
+        assert_eq!(labels.len(), 1);
     }
 
     #[test]

@@ -52,7 +52,7 @@ impl SegTrieConfig {
 /// The segment-trie engine for port ranges.
 ///
 /// ```
-/// use spc_lookup::{SegmentTrie, SegTrieConfig, LabelStore, LabelEntry, Label, FieldEngine};
+/// use spc_lookup::{SegmentTrie, SegTrieConfig, LabelStore, LabelEntry, LabelList, Label, FieldEngine};
 /// use spc_types::{DimValue, PortRange, Priority};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -63,8 +63,11 @@ impl SegTrieConfig {
 ///     DimValue::Port(PortRange::new(1024, 2047)?),
 ///     LabelEntry::by_priority(Label(1), Priority(0)),
 /// )?;
-/// assert!(st.lookup(&store, 1500)?.labels.contains(Label(1)));
-/// assert!(st.lookup(&store, 2048)?.labels.is_empty());
+/// let mut labels = LabelList::new();
+/// st.lookup_into(&store, 1500, &mut labels)?;
+/// assert!(labels.contains(Label(1)));
+/// st.lookup_into(&store, 2048, &mut labels)?;
+/// assert!(labels.is_empty());
 /// # Ok(())
 /// # }
 /// ```
@@ -179,6 +182,7 @@ impl FieldEngine for SegmentTrie {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::lookup;
     use spc_types::Priority;
 
     fn store() -> LabelStore {
@@ -195,9 +199,9 @@ mod tests {
         let mut t = SegmentTrie::new(SegTrieConfig::four_level(64));
         t.insert_range(&mut s, PortRange::exact(80), entry(1, 0))
             .unwrap();
-        assert!(t.lookup(&s, 80).unwrap().labels.contains(Label(1)));
-        assert!(t.lookup(&s, 81).unwrap().labels.is_empty());
-        assert!(t.lookup(&s, 79).unwrap().labels.is_empty());
+        assert!(lookup(&t, &s, 80).unwrap().0.contains(Label(1)));
+        assert!(lookup(&t, &s, 81).unwrap().0.is_empty());
+        assert!(lookup(&t, &s, 79).unwrap().0.is_empty());
     }
 
     #[test]
@@ -207,10 +211,10 @@ mod tests {
         t.insert_range(&mut s, PortRange::new(100, 9999).unwrap(), entry(2, 0))
             .unwrap();
         for q in [100u16, 101, 5000, 9998, 9999] {
-            assert!(t.lookup(&s, q).unwrap().labels.contains(Label(2)), "q={q}");
+            assert!(lookup(&t, &s, q).unwrap().0.contains(Label(2)), "q={q}");
         }
         for q in [99u16, 10000, 0, 65535] {
-            assert!(!t.lookup(&s, q).unwrap().labels.contains(Label(2)), "q={q}");
+            assert!(!lookup(&t, &s, q).unwrap().0.contains(Label(2)), "q={q}");
         }
     }
 
@@ -222,7 +226,7 @@ mod tests {
         t.insert_range(&mut s, PortRange::ANY, entry(3, 0)).unwrap();
         // Wildcard fills only the 16 root slots, no children.
         assert_eq!(t.used_bits(), root_only);
-        assert!(t.lookup(&s, 12345).unwrap().labels.contains(Label(3)));
+        assert!(lookup(&t, &s, 12345).unwrap().0.contains(Label(3)));
     }
 
     #[test]
@@ -235,11 +239,11 @@ mod tests {
             .unwrap();
         t.insert_range(&mut s, PortRange::exact(7812), entry(3, 10))
             .unwrap();
-        let r = t.lookup(&s, 7812).unwrap();
-        let ids: Vec<u16> = r.labels.iter().map(|e| e.label.0).collect();
+        let (labels, _) = lookup(&t, &s, 7812).unwrap();
+        let ids: Vec<u16> = labels.iter().map(|e| e.label.0).collect();
         assert_eq!(ids, vec![3, 2, 1]);
-        let r2 = t.lookup(&s, 7815).unwrap();
-        assert_eq!(r2.labels.len(), 2);
+        let (labels2, _) = lookup(&t, &s, 7815).unwrap();
+        assert_eq!(labels2.len(), 2);
     }
 
     #[test]
@@ -250,7 +254,7 @@ mod tests {
         t.insert_range(&mut s, r, entry(1, 0)).unwrap();
         t.remove_range(&mut s, r, Label(1)).unwrap();
         for q in [5u16, 150, 300] {
-            assert!(t.lookup(&s, q).unwrap().labels.is_empty());
+            assert!(lookup(&t, &s, q).unwrap().0.is_empty());
         }
         assert!(matches!(
             t.remove_range(&mut s, r, Label(1)),
@@ -264,7 +268,7 @@ mod tests {
         let mut t = SegmentTrie::new(SegTrieConfig::four_level(64));
         let probes = [0u16, 999, 1000, 1003, 1004, 1100, 1200, 65535];
         let state = |t: &SegmentTrie, s: &LabelStore| {
-            let seen: Vec<_> = probes.iter().map(|&q| t.lookup(s, q).unwrap()).collect();
+            let seen: Vec<_> = probes.iter().map(|&q| lookup(t, s, q).unwrap()).collect();
             (t.used_bits(), t.writes(), s.writes(), seen)
         };
         // Never inserted, empty trie: no node may be allocated on the way
@@ -311,7 +315,7 @@ mod tests {
         assert_eq!(t.latency_cycles(), 10);
         t.insert_range(&mut s, PortRange::new(1000, 2000).unwrap(), entry(1, 0))
             .unwrap();
-        assert!(t.lookup(&s, 1500).unwrap().labels.contains(Label(1)));
+        assert!(lookup(&t, &s, 1500).unwrap().0.contains(Label(1)));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 use rand::prelude::*;
 use spc_classbench::{FilterKind, RuleSetGenerator};
 use spc_lookup::{
-    EngineError, FieldEngine, Label, LabelEntry, LabelList, LabelStore, MbtConfig, MultiBitTrie,
-    PortRegisters, ProtocolLut, RangeBst, SegTrieConfig, SegmentTrie,
+    EngineError, FieldEngine, Label, LabelEntry, LabelList, LabelStore, LookupCost, MbtConfig,
+    MultiBitTrie, PortRegisters, ProtocolLut, RangeBst, SegTrieConfig, SegmentTrie,
 };
 use spc_types::{Dim, DimValue, PortRange, Priority, ProtoSpec, RuleSet, SegPrefix};
 use std::collections::BTreeSet;
@@ -65,8 +65,26 @@ fn expected_labels<T: Copy>(
         .collect()
 }
 
-fn got_labels(list: &spc_lookup::LabelList) -> BTreeSet<u16> {
+fn got_labels(list: &LabelList) -> BTreeSet<u16> {
     list.iter().map(|e| e.label.0).collect()
+}
+
+/// One lookup into a fresh list: the labels in order and the cost.
+fn lookup(
+    engine: &dyn FieldEngine,
+    store: &LabelStore,
+    q: u16,
+) -> Result<(LabelList, LookupCost), EngineError> {
+    let mut labels = LabelList::new();
+    let cost = engine.lookup_into(store, q, &mut labels)?;
+    Ok((labels, cost))
+}
+
+/// One full-width MBT lookup into a fresh list.
+fn key_labels(mbt: &MultiBitTrie, store: &LabelStore, key: u32) -> LabelList {
+    let mut labels = LabelList::new();
+    mbt.lookup_key_into(store, key, &mut labels);
+    labels
 }
 
 #[test]
@@ -87,13 +105,13 @@ fn mbt_matches_reference() {
         let mut queries: Vec<u16> = (0..8).map(|_| rng.gen()).collect();
         queries.extend(dedup.iter().map(|s| s.first()));
         for q in queries {
-            let r = mbt.lookup(&store, q).unwrap();
+            let (labels, cost) = lookup(&mbt, &store, q).unwrap();
             assert_eq!(
-                got_labels(&r.labels),
+                got_labels(&labels),
                 expected_labels(&dedup, q, |s: SegPrefix, q| s.matches(q)),
                 "case {case} q={q:#x}"
             );
-            assert_eq!(r.cycles, 6, "case {case}");
+            assert_eq!(cost.cycles, 6, "case {case}");
         }
     }
 }
@@ -115,17 +133,13 @@ fn bst_matches_mbt() {
         bst.flush(&mut s2).unwrap();
         for _ in 0..8 {
             let q: u16 = rng.gen();
-            let a = mbt.lookup(&s1, q).unwrap();
-            let b = bst.lookup(&s2, q).unwrap();
+            let (a, _) = lookup(&mbt, &s1, q).unwrap();
+            let (b, _) = lookup(&bst, &s2, q).unwrap();
             // Same label sets AND same head (both priority-ordered).
+            assert_eq!(got_labels(&a), got_labels(&b), "case {case} q={q:#x}");
             assert_eq!(
-                got_labels(&a.labels),
-                got_labels(&b.labels),
-                "case {case} q={q:#x}"
-            );
-            assert_eq!(
-                a.labels.head().map(|e| e.label),
-                b.labels.head().map(|e| e.label),
+                a.head().map(|e| e.label),
+                b.head().map(|e| e.label),
                 "case {case} q={q:#x}"
             );
         }
@@ -149,15 +163,11 @@ fn segment_trie_matches_registers() {
         let mut queries: Vec<u16> = (0..8).map(|_| rng.gen()).collect();
         queries.extend(dedup.iter().flat_map(|r| [r.lo(), r.hi()]));
         for q in queries {
-            let a = st.lookup(&s1, q).unwrap();
-            let b = regs.lookup(&s2, q).unwrap();
+            let (a, _) = lookup(&st, &s1, q).unwrap();
+            let (b, _) = lookup(&regs, &s2, q).unwrap();
+            assert_eq!(got_labels(&a), got_labels(&b), "case {case} q={q}");
             assert_eq!(
-                got_labels(&a.labels),
-                got_labels(&b.labels),
-                "case {case} q={q}"
-            );
-            assert_eq!(
-                got_labels(&a.labels),
+                got_labels(&a),
                 expected_labels(&dedup, q, |r: PortRange, q| r.contains(q)),
                 "case {case} q={q}"
             );
@@ -196,12 +206,12 @@ fn protocol_lut_matches_reference() {
             )
             .unwrap();
         }
-        let r = lut.lookup(&store, u16::from(q)).unwrap();
+        let (labels, _) = lookup(&lut, &store, u16::from(q)).unwrap();
         let want = expected_labels(&dedup, u16::from(q), |p: Option<u8>, q| match p {
             Some(v) => u16::from(v) == q,
             None => true,
         });
-        assert_eq!(got_labels(&r.labels), want, "case {case} q={q}");
+        assert_eq!(got_labels(&labels), want, "case {case} q={q}");
     }
 }
 
@@ -226,9 +236,9 @@ fn mbt_remove_is_inverse_of_insert() {
             mbt.remove(&mut store, DimValue::Seg(*s), Label(i as u16))
                 .unwrap();
         }
-        let r = mbt.lookup(&store, q).unwrap();
+        let (labels, _) = lookup(&mbt, &store, q).unwrap();
         let want = expected_labels(&dedup[..1], q, |s: SegPrefix, q| s.matches(q));
-        assert_eq!(got_labels(&r.labels), want, "case {case} q={q:#x}");
+        assert_eq!(got_labels(&labels), want, "case {case} q={q:#x}");
     }
 }
 
@@ -261,10 +271,10 @@ fn mbt_and_segment_trie_are_one_structure() {
                     [lo, hi, lo.wrapping_sub(1), hi.wrapping_add(1)]
                 });
                 for q in edges.chain((0..=u16::MAX).step_by(97)) {
-                    // `LookupResult` equality: labels in order, reads, cycles.
+                    // Labels in order, reads, cycles.
                     assert_eq!(
-                        mbt.lookup(s_mbt, q).unwrap(),
-                        seg.lookup(s_seg, q).unwrap(),
+                        lookup(mbt, s_mbt, q).unwrap(),
+                        lookup(seg, s_seg, q).unwrap(),
                         "{strides:?} q={q:#x}"
                     );
                 }
@@ -327,8 +337,8 @@ fn mbt_ip32_matches_reference_at_the_key_space_edges() {
                 .filter(|&(i, &(value, len))| live(i) && (key ^ value) >> (32 - len) == 0)
                 .map(|(i, _)| i as u16)
                 .collect();
-            let got = mbt.lookup_key(store, key);
-            assert_eq!(got_labels(&got.labels), want, "key={key:#x}");
+            let got = key_labels(mbt, store, key);
+            assert_eq!(got_labels(&got), want, "key={key:#x}");
         }
     };
     check(&mbt, &store, &|_| true);
@@ -409,7 +419,7 @@ impl PatchedBst {
     /// over the live prefixes.
     fn flush_and_check(&mut self, rng: &mut StdRng, what: &str) {
         assert!(
-            self.bst.lookup(&self.store, 0).is_err(),
+            lookup(&self.bst, &self.store, 0).is_err(),
             "{what}: not dirty"
         );
         self.bst.flush(&mut self.store).unwrap();
@@ -427,10 +437,10 @@ impl PatchedBst {
         });
         let random: Vec<u16> = (0..32).map(|_| rng.gen()).collect();
         for q in [0, u16::MAX].into_iter().chain(edges).chain(random) {
-            // `LookupResult` equality: labels in order, reads, cycles.
+            // Labels in order, reads, cycles.
             assert_eq!(
-                self.bst.lookup(&self.store, q).unwrap(),
-                want.bst.lookup(&want.store, q).unwrap(),
+                lookup(&self.bst, &self.store, q).unwrap(),
+                lookup(&want.bst, &want.store, q).unwrap(),
                 "{what} q={q:#x}"
             );
         }
@@ -439,8 +449,8 @@ impl PatchedBst {
 
 /// A flushed `RangeBst` is indistinguishable from one rebuilt from
 /// scratch over the same live prefixes, whatever sequence of adds, drops
-/// and re-prioritisations it was patched through: the same
-/// `LookupResult` at every interval edge and the same bits in the
+/// and re-prioritisations it was patched through: the same labels and
+/// cost at every interval edge and the same bits in the
 /// interval array and the label store — so a boundary left behind, or a
 /// list not copied on a split, shows here even where no label is wrong.
 #[test]

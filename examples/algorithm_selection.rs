@@ -2,7 +2,8 @@
 //! controller picks the backend per the application's critical parameter
 //! — lookup speed for a multi-end videoconference, rule density for an
 //! IoT policy, exactness for an audit tap — and the unified engine API
-//! makes the sweep a loop over config strings.
+//! makes the sweep a loop over config strings. Every choice is exact:
+//! each engine's verdicts are held to `linear`'s.
 //!
 //! Run with `cargo run --release --example algorithm_selection`.
 
@@ -20,13 +21,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let apps = [
         AppProfile {
             name: "multi-end videoconferencing",
-            spec: "configurable-mbt:rf_bits=14,combine=first",
+            spec: "configurable-mbt:rf_bits=14",
             rules: 1500,
             why: "real-time: lookup speed is the critical parameter [11]",
         },
         AppProfile {
             name: "IoT micro-segmentation",
-            spec: "configurable-bst:rf_bits=14,combine=first",
+            spec: "configurable-bst:rf_bits=14",
             rules: 6000,
             why: "large granular rule filter: density matters, latency doesn't",
         },
@@ -54,6 +55,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect_headers()?;
         let mut verdicts = Vec::new();
         let stats = engine.classify_batch(&trace, &mut verdicts);
+        let oracle = build_engine("linear", &rules)?;
+        if let Some(h) = trace
+            .iter()
+            .zip(&verdicts)
+            .find_map(|(h, v)| (v.rule != oracle.classify(h).rule).then_some(h))
+        {
+            return Err(format!("{} disagrees with linear at {h}", app.spec).into());
+        }
         println!("== {} ==", app.name);
         println!(
             "   controller choice: {}  ({})",

@@ -18,16 +18,14 @@ use std::collections::BTreeMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // An enterprise-scale firewall policy. A security middlebox needs the
-    // exact HPMR, so this example runs the PriorityProbe strategy: every
+    // exact HPMR, which is what every configurable spec builds: every
     // label combination that could hold a rule at least as good as the
     // HPMR is hashed into the Rule Filter. On wildcard-heavy FW rules
-    // that box is large, and its cost is reported honestly below (the
-    // paper's single-probe fast path — spec option `combine=first` — is
-    // cheaper but approximate).
+    // that box is large, and its cost is reported honestly below.
     let rules = RuleSetGenerator::new(FilterKind::Fw, 500)
         .seed(7)
         .generate();
-    let mut engine = build_engine("configurable-mbt:rf_bits=14,combine=probe", &rules)?;
+    let mut engine = build_engine("configurable-mbt:rf_bits=14", &rules)?;
     println!(
         "firewall with {} rules loaded on {}",
         engine.rules(),

@@ -406,7 +406,7 @@ fn mutated_spec_strings_never_panic_the_parser() {
     // The repo's own spec strings, deepest nesting included, as the
     // mutation substrate.
     let corpus = [
-        "configurable-bst:rf_bits=14,combine=first",
+        "configurable-bst:rf_bits=14",
         "sharded:inner=(configurable-mbt:rf_bits=13),shards=2",
         "sharded:inner=(tcam:capacity=64),shards=8,strategy=hash,hash_dim=dst_port",
         "cached:inner=(sharded:inner=configurable-bst,shards=4),flows=8192",

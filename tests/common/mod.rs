@@ -14,12 +14,15 @@ use spc::engine::{
 use spc::types::{Header, Priority, Rule, RuleId, RuleSet};
 
 /// The alternate profile: for each kind with spec keys, the one point
-/// off its defaults that a tree is also built at. The only composition
-/// literal the generator holds; every tree and path comes from
-/// `EngineKind::ALL` and `legal_nesting`.
-fn alternate_opts(kind: EngineKind) -> Option<&'static str> {
+/// off its defaults that a tree is also built at, naming every key the
+/// kind owns. The only composition literal the generator holds; every
+/// tree and path comes from `EngineKind::ALL` and `legal_nesting`.
+/// `rf_bits=10` is far below the auto-size (2^15 slots or more) and still
+/// holds the oracle's 400-rule sets.
+pub fn alternate_opts(kind: EngineKind) -> Option<&'static str> {
     match kind {
-        EngineKind::Sharded => Some("shards=2,strategy=hash"),
+        EngineKind::ConfigurableMbt | EngineKind::ConfigurableBst => Some("rf_bits=10"),
+        EngineKind::Sharded => Some("shards=2,strategy=hash,hash_dim=dst_port"),
         EngineKind::Cached => Some("flows=16"),
         EngineKind::SoftTcam => Some("capacity=65536"),
         _ => None,

@@ -21,8 +21,8 @@
 mod common;
 
 use common::{
-    assert_update_cost, churn_against_rebuild, illegal_paths, legal_paths, path_of, spec_of, trees,
-    updates_in_place, Churn, Tree,
+    alternate_opts, assert_update_cost, churn_against_rebuild, illegal_paths, legal_paths, path_of,
+    spec_of, trees, updates_in_place, Churn, Tree,
 };
 use rand::prelude::*;
 use spc::classbench::{FilterKind, RuleSetGenerator, TraceGenerator};
@@ -30,6 +30,7 @@ use spc::engine::{
     build_engine, BuildError, EngineBuilder, EngineKind, PacketClassifier, UpdateError, Verdict,
 };
 use spc::types::{Action, Header, PortRange, Priority, ProtoSpec, Rule, RuleId, RuleSet};
+use std::collections::HashSet;
 
 const SEED: u64 = 20_14;
 
@@ -41,12 +42,12 @@ const SEED: u64 = 20_14;
 /// nodes). Updatable: the 4 leaves that update in place under any of
 /// the 12 stacks (48), and the 6 build-once leaves under the 7 stacks
 /// that hold `snapshot` (42) — 90. The alternate profile moves every
-/// tree that holds `sharded`, `cached` or `tcam`: all but the 9 other
-/// leaves bare or under `snapshot` alone (18), so 120 + 102 = 222
-/// trees; 12 of the 18 are updatable (the 2 configurable leaves and
-/// `tss` either way, the 6 build-once ones under `snapshot`), so
-/// 90 + 78 = 168. Every spec parses, its `Display` round-trips to an
-/// equal tree, and no two trees are the same.
+/// tree that holds `sharded`, `cached`, `tcam` or a configurable leaf:
+/// all but the 7 other leaves bare or under `snapshot` alone (14), so
+/// 120 + 106 = 226 trees; 8 of the 14 are updatable (`tss` either way,
+/// the 6 build-once leaves under `snapshot`), so 90 + 82 = 172. Every
+/// spec parses, its `Display` round-trips to an equal tree, and no two
+/// trees are the same.
 #[test]
 fn the_generator_covers_the_nesting_table() {
     let paths = legal_paths();
@@ -55,11 +56,11 @@ fn the_generator_covers_the_nesting_table() {
         .collect();
     assert_eq!(by_nodes, [10, 30, 50, 30], "legal paths by node count");
     let trees = trees();
-    assert_eq!(trees.len(), 222);
+    assert_eq!(trees.len(), 226);
     let updatable = |trees: &[Tree]| trees.iter().filter(|t| t.updatable()).count();
     assert_eq!(updatable(&trees[..paths.len()]), 90, "at defaults");
-    assert_eq!(updatable(&trees), 168, "with the alternate profile");
-    let mut canonical = std::collections::HashSet::new();
+    assert_eq!(updatable(&trees), 172, "with the alternate profile");
+    let mut canonical = HashSet::new();
     for tree in &trees {
         let spec = &tree.spec;
         let parsed = EngineBuilder::from_spec(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
@@ -68,6 +69,31 @@ fn the_generator_covers_the_nesting_table() {
         assert_eq!(EngineBuilder::from_spec(&text), Ok(parsed), "{spec}");
         assert_eq!(path_of(spec), tree.path, "{spec}");
         assert!(canonical.insert(text), "{spec} generated twice");
+    }
+}
+
+/// Every spec key but `inner` is held to the oracle off its default:
+/// the alternate profile writes each key of the parser's table, read
+/// from the table itself through `BuildError::BadOption`'s message. A
+/// key added to the grammar without an alternate point fails here.
+#[test]
+fn the_alternate_profile_writes_every_spec_key() {
+    let Err(e @ BuildError::BadOption { .. }) = EngineBuilder::from_spec("linear:x") else {
+        panic!("an option without '=' is a BadOption");
+    };
+    let message = e.to_string();
+    let table = message
+        .split_once("(keys: ")
+        .and_then(|(_, keys)| keys.strip_suffix(')'))
+        .unwrap_or_else(|| panic!("no key list in {message:?}"));
+    let written: HashSet<&str> = EngineKind::ALL
+        .into_iter()
+        .filter_map(alternate_opts)
+        .flat_map(|opts| opts.split(','))
+        .filter_map(|opt| opt.split_once('=').map(|(key, _)| key))
+        .collect();
+    for key in table.split(", ").filter(|&key| key != "inner") {
+        assert!(written.contains(key), "{key}: no alternate point writes it");
     }
 }
 
@@ -467,11 +493,20 @@ fn churned_configurable_trees_cost_what_a_fresh_build_does() {
             EngineKind::ConfigurableMbt | EngineKind::ConfigurableBst
         )
     });
+    let mut pinned = HashSet::new();
     for tree in configurable {
-        let leaf = tree.leaf().to_string();
-        let spec = tree
-            .spec
-            .replacen(&leaf, &format!("{leaf}:rf_bits={RF_BITS}"), 1);
+        // The leaf leaves its alternate point for the pinned width; a tree
+        // that differed from another only there is run once.
+        let leaf = tree.leaf().as_str();
+        let alternate = format!("{leaf}:{}", alternate_opts(tree.leaf()).unwrap());
+        let spec = tree.spec.replacen(&alternate, leaf, 1).replacen(
+            leaf,
+            &format!("{leaf}:rf_bits={RF_BITS}"),
+            1,
+        );
+        if !pinned.insert(spec.clone()) {
+            continue;
+        }
         let mut engine = build_engine(&spec, &base).unwrap_or_else(|e| panic!("{spec}: {e}"));
         // `(global id, rule)` in insertion order, as `churn_against_rebuild` keeps it.
         let mut live: Vec<(RuleId, Rule)> = base.iter().map(|(id, r)| (id, *r)).collect();

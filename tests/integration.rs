@@ -11,7 +11,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use spc::classbench::{FilterKind, RuleSetGenerator, TraceGenerator};
-use spc::core::{ArchConfig, Classifier, IpAlg};
+use spc::core::{ArchConfig, Classifier, CombineStrategy, IpAlg};
 use spc::engine::UpdateError;
 use spc::engine::{build_engine, ConfigurableEngine, EngineKind, PacketClassifier};
 use spc::types::{Action, Header, Prefix, Priority, ProtoSpec, Rule, RuleId, RuleSet};
@@ -118,8 +118,15 @@ fn runtime_reconfiguration_is_transparent() {
 #[test]
 fn fast_path_hits_are_always_valid_matches() {
     // FirstLabel may return a sub-optimal rule but never an invalid one.
+    // No spec selects it: it is not exact, so it is built from its config.
     let rules = gen(FilterKind::Acl, 600, 21);
-    let engine = build_engine("configurable-mbt:rf_bits=14,combine=first", &rules).unwrap();
+    let mut cls = Classifier::new(
+        ArchConfig::large()
+            .with_combine(CombineStrategy::FirstLabel)
+            .with_rule_filter_bits(14),
+    );
+    cls.load(&rules).unwrap();
+    let engine = ConfigurableEngine::new(cls);
     for h in trace(&rules, 500) {
         if let Some(id) = engine.classify(&h).rule {
             let rule = rules.get(id).expect("verdict ids come from the build set");
