@@ -113,7 +113,8 @@ pub const SECTIONS: [Section; 11] = [
         inputs: "ACL, 5 000 rules requested; 2 000-header trace; every registry kind \
                  (`EngineKind::ALL`) built with `EngineBuilder::new(kind)` defaults.",
         notes: "The paper's table has the five baselines only. The configurable rows run \
-                the exact `combine=probe` default (see the note under Table VI), which \
+                the exact `CombineStrategy::PriorityProbe` default (see the note under Table \
+                VI), which \
                 probes only the label combinations a rule can occupy: `Prefix::segments` \
                 gives an address either a short hi with the `/0` lo or a full `/16` hi \
                 with any lo, and each address's hi/lo lists are walked as one list of \
@@ -121,8 +122,8 @@ pub const SECTIONS: [Section; 11] = [
                 blocks). A Rule Filter read is one aligned bucket of 8 slots, a wide word \
                 of ganged block RAMs (8 × 126 = 1 008 bits at `ArchConfig::large()`, \
                 8 × 116 = 928 at `paper_prototype()`), and a probe costs the buckets its \
-                chain touches. Homes, writes and provisioned bits stay per slot, so no bits \
-                or cycles figure depends on the bucket. This redefined the modelled read, \
+                chain touches. Writes and provisioned bits stay per slot. This redefined the \
+                modelled read, \
                 which had been one slot per chain step: every reads figure with a Rule \
                 Filter share fell with it (Configurable BST 285.62 → 253.38 here, Table \
                 VI's MBT row 1.33 → 1.04). It is a change of model, not a faster \
@@ -132,7 +133,14 @@ pub const SECTIONS: [Section; 11] = [
                 Since then the walk returns on the first hit whose priority is its \
                 shell's bound while no two live rules share a priority, and probes \
                 each shell newest first: fewer probes under the same model, not a \
-                model change (Configurable BST 253.38 → 224.12, MBT 223.59 → 194.33).",
+                model change (Configurable BST 253.38 → 224.12, MBT 223.59 → 194.33). \
+                The paper fixes no hash function; ours is a linear H3 unit (one fixed \
+                64-bit column per key bit, so a merged key's hash is the XOR of its \
+                labels'), and a key's hash picks a bucket whose first slot is its home. \
+                Both changed what the model counts: the FNV-1a hash and per-slot homes \
+                before them read Configurable BST 224.12 and MBT 194.33 here, Table VI's \
+                MBT row 1.04, and §V.A's deletes 0.2 cycles fewer (a run of keys sharing \
+                one home shifts back further).",
     },
     Section {
         name: "Table II",
@@ -183,18 +191,20 @@ pub const SECTIONS: [Section; 11] = [
         title: "the configurable IP algorithm: MBT versus BST",
         inputs: "ACL, 8 000 rules requested in MBT mode and 12 000 in BST mode (the \
                  \"+50 % rules\" pair, shared with Table VII); 3 000-header trace; \
-                 `ArchConfig::large()` with `combine=first`.",
+                 `ArchConfig::large()` with `CombineStrategy::FirstLabel` \
+                 (`ArchConfig::with_combine`).",
         notes: "Accesses per packet is the initiation interval: MBT is pipelined, BST pays \
-                its search depth. Stated deviation: `combine=first` hashes only the head \
+                its search depth. Stated deviation: `FirstLabel` hashes only the head \
                 label of each dimension, as the paper's datapath does, and on these sets \
                 that is the highest-priority matching rule for about one header in ten \
                 (HPMR agreement, checked against linear search). That is why the exact \
-                `combine=probe` is the default here, at hundreds of reads in Table I.",
+                `PriorityProbe` is the registry's only combine, at hundreds of reads in \
+                Table I.",
     },
     Section {
         name: "Table VII",
         title: "5-field hardware designs at 40-byte packets",
-        inputs: "Rule-count pair and `combine=first` as in Table VI; 2 000-header trace; \
+        inputs: "Rule-count pair and `FirstLabel` as in Table VI; 2 000-header trace; \
                  `ArchConfig::paper_prototype()` (paper-width labels) provisioned for the \
                  sets: `mbt_leaf_nodes = 1024`, `bst_max_intervals = 8192`, \
                  `ip_label_entries = 65536`, `rule_filter_addr_bits = 15`.",
@@ -205,7 +215,7 @@ pub const SECTIONS: [Section; 11] = [
         name: "Fig 3",
         title: "the four-phase lookup pipeline, average cycles per phase",
         inputs: "ACL, 4 000 rules requested; 3 000-header trace; `ArchConfig::large()` \
-                 with `combine=first`.",
+                 with `FirstLabel`.",
         notes: "Paper §V.B: the MBT engine phase takes 6 cycles (protocol 1, port 2), plus \
                 1 for the label pointer and 2 for the final phase, pipelined in MBT mode.",
     },

@@ -191,42 +191,35 @@ pub struct ClassifyScratch {
     hashed: usize,
 }
 
-/// Partial merged keys and, at the same index, the hash state over the
-/// key bytes each one completes.
+/// Partial merged keys and, at the same index, each one's hash.
 #[derive(Debug, Default)]
 struct Partials {
     keys: Vec<u128>,
-    states: Vec<u64>,
+    hashes: Vec<u64>,
 }
 
 impl Partials {
     /// Appends every key of `keys` ORed with every label, label-major,
-    /// its state advanced over the bytes the label completes.
-    fn extend(
-        &mut self,
-        labels: &[Placed],
-        keys: &[u128],
-        states: &[u64],
-        absorb: impl Fn(u64, u128) -> u64,
-    ) {
+    /// its hash XORed with the label's.
+    fn extend(&mut self, labels: &[Placed], keys: &[u128], hashes: &[u64]) {
         let Partials {
             keys: out,
-            states: out_states,
+            hashes: out_hashes,
         } = self;
         out.reserve(labels.len() * keys.len());
-        out_states.reserve(labels.len() * keys.len());
+        out_hashes.reserve(labels.len() * keys.len());
         for label in labels {
-            for (&key, &state) in keys.iter().zip(states) {
-                let key = key | label.bits;
-                out.push(key);
-                out_states.push(absorb(state, key));
+            for (&key, &hash) in keys.iter().zip(hashes) {
+                out.push(key | label.bits);
+                out_hashes.push(hash ^ label.hash);
             }
         }
     }
 }
 
 /// One label (or hi/lo pair of labels) of a priority-ordered list, at its
-/// dimensions' bit offsets in the merged key: combining labels is an OR.
+/// dimensions' bit offsets in the merged key, with its hash: combining
+/// labels is an OR of their bits and an XOR of their hashes.
 #[derive(Debug, Clone, Copy)]
 struct Placed {
     /// The worse of the label priorities: no rule stored under this
@@ -236,6 +229,8 @@ struct Placed {
     /// It orders the pairs one `priority` holds without label ids.
     min: Priority,
     bits: u128,
+    /// [`HashUnit::hash`] of `bits`.
+    hash: u64,
 }
 
 impl Placed {
@@ -246,6 +241,7 @@ impl Placed {
             priority: self.priority.max(lo.priority),
             min: self.min.min(lo.min),
             bits: self.bits | lo.bits,
+            hash: self.hash ^ lo.hash,
         }
     }
 }
@@ -267,46 +263,6 @@ impl ClassifyScratch {
 thread_local! {
     /// The scratch behind the single-shot [`Classifier::classify`].
     static SCRATCH: RefCell<ClassifyScratch> = RefCell::new(ClassifyScratch::new());
-}
-
-/// Evaluates `$body` with `$absorb` bound to a `(state, key) -> state`
-/// closure absorbing the byte range `$bytes` of `key`. The key layouts
-/// absorb 0, 1, 3, 4 or 5 bytes per level; each of those widths gets its
-/// own copy of `$body` with the rounds unrolled, any other the
-/// runtime-width loop.
-macro_rules! with_absorb {
-    ($bytes:expr, |$absorb:ident| $body:expr) => {{
-        let Range {
-            start: from,
-            end: to,
-        } = $bytes;
-        match to - from {
-            0 => {
-                let $absorb = |state: u64, _: u128| state;
-                $body
-            }
-            1 => {
-                let $absorb = |state, key| HashUnit::absorb_n::<1>(state, key, from);
-                $body
-            }
-            3 => {
-                let $absorb = |state, key| HashUnit::absorb_n::<3>(state, key, from);
-                $body
-            }
-            4 => {
-                let $absorb = |state, key| HashUnit::absorb_n::<4>(state, key, from);
-                $body
-            }
-            5 => {
-                let $absorb = |state, key| HashUnit::absorb_n::<5>(state, key, from);
-                $body
-            }
-            _ => {
-                let $absorb = |state, key| HashUnit::absorb(state, key, from, to);
-                $body
-            }
-        }
-    }};
 }
 
 /// The configurable label-based packet classifier.
@@ -334,11 +290,6 @@ pub struct Classifier {
     config: ArchConfig,
     dims: Vec<DimUnit>,
     rule_filter: RuleFilter,
-    /// Per [`LEVELS`] entry, the key bytes the hash absorbs when that
-    /// level's labels join a partial key of the levels below it: the
-    /// bytes under the next level up's first byte, and for level 0 the
-    /// rest of the key.
-    absorbs: [Range<usize>; LEVELS.len()],
     rules: HashMap<u32, Installed>,
     priorities: PriorityCounts,
     next_id: u32,
@@ -364,16 +315,10 @@ impl Classifier {
             .collect();
         let widths = ALL_DIMS.map(|dim| Self::label_width(&config, dim));
         let rule_filter = RuleFilter::new(config.rule_filter_addr_bits, &widths);
-        let first_byte = |l: usize| (rule_filter.shift(LEVELS[l].end - 1) / 8) as usize;
-        let absorbs = std::array::from_fn(|l| match l {
-            0 => first_byte(0)..rule_filter.key_bytes(),
-            _ => first_byte(l)..first_byte(l - 1),
-        });
         Classifier {
             config,
             dims,
             rule_filter,
-            absorbs,
             rules: HashMap::new(),
             priorities: PriorityCounts::default(),
             next_id: 0,
@@ -786,20 +731,21 @@ impl Classifier {
     /// key bits, which only a shell probed whole ever meets), so a churned
     /// classifier probes what a fresh load of its rules does.
     ///
-    /// The hash absorbs a key from its low byte up and level 0 sits in
-    /// the top bits, so the walk keeps, per level `l >= 1`, the *level
-    /// product* `P_l`: every partial key of levels `l..` inside the box
-    /// with its hash state, append-only within a lookup. A shell grows
-    /// the levels from the last up to level 1: level `k`'s new labels
-    /// `N_k` extend all of `P_{k+1}` into `P_k`, and the new partial keys
-    /// extend through the old ranges `[0, lo_l)` of the levels above it.
+    /// The hash is linear, so a combination's hash is the XOR of its
+    /// labels' hashes, each taken once per lookup (`Placed::hash`), and
+    /// the walk keeps, per level `l >= 1`, the *level product* `P_l`:
+    /// every partial key of levels `l..` inside the box with its hash,
+    /// append-only within a lookup. A shell grows the levels from the
+    /// last up to level 1: level `k`'s new labels `N_k` extend all of
+    /// `P_{k+1}` into `P_k`, and the new partial keys extend through the
+    /// old ranges `[0, lo_l)` of the levels above it.
     /// Those pieces tile the shell's part of `P_1`, so every partial key
     /// is hashed once. Level 0 then closes the shell from its last label
     /// to its first: a new one (`[lo_0, hi_0)`) is probed against all of
     /// `P_1`, an old one against the partial keys this shell appended,
     /// each run of keys last to first — every combination of the shell
-    /// once. Every loop runs over labels outside and partial keys inside,
-    /// with the absorb's width fixed per level (`with_absorb!`).
+    /// once, each probe one OR, one XOR and the Rule Filter's summary
+    /// test. Every loop runs over labels outside and partial keys inside.
     fn priority_probe(&self, scratch: &mut ClassifyScratch) -> (Option<Hit>, u32, u32) {
         let ClassifyScratch {
             lists,
@@ -807,12 +753,16 @@ impl Classifier {
             below,
             hashed,
         } = scratch;
-        let (filter, absorbs) = (&self.rule_filter, &self.absorbs);
+        let filter = &self.rule_filter;
         let shifts: [u32; 7] = std::array::from_fn(|d| filter.shift(d));
-        let place = |d: usize, e: &LabelEntry| Placed {
-            priority: e.priority,
-            min: e.priority,
-            bits: u128::from(e.label.0) << shifts[d],
+        let place = |d: usize, e: &LabelEntry| {
+            let bits = u128::from(e.label.0) << shifts[d];
+            Placed {
+                priority: e.priority,
+                min: e.priority,
+                bits,
+                hash: HashUnit::hash(bits),
+            }
         };
         for (level, dims) in placed.iter_mut().zip(LEVELS) {
             level.clear();
@@ -845,11 +795,11 @@ impl Classifier {
         }
         for partials in below.iter_mut() {
             partials.keys.clear();
-            partials.states.clear();
+            partials.hashes.clear();
         }
         let last = &mut below[LEVELS.len() - 1];
         last.keys.push(0);
-        last.states.push(HashUnit::SEED);
+        last.hashes.push(0);
         let (mut best, mut reads, mut combos): (Option<Hit>, _, _) = (None, 0, 0);
         let rank = |h: &Hit| (h.rule.priority, h.rule_id.0);
         // A hit at the shell's bound is the HPMR only if no rule ties it.
@@ -883,36 +833,35 @@ impl Classifier {
                     }
                     let (into, src) = below.split_at_mut(l);
                     let (into, src) = (&mut into[l - 1], &src[0]);
-                    let (labels_l, start) = (&levels[l][labels], into.keys.len());
-                    with_absorb!(absorbs[l].clone(), |absorb| {
-                        into.extend(labels_l, &src.keys[from.clone()], &src.states[from], absorb);
-                    });
+                    let start = into.keys.len();
+                    into.extend(
+                        &levels[l][labels],
+                        &src.keys[from.clone()],
+                        &src.hashes[from],
+                    );
                     *hashed += into.keys.len() - start;
                     (labels, from) = (0..lo[l - 1], start..into.keys.len());
                 }
             }
             // Level 0 closes the shell, newest first: a new label meets
             // all of `P_1`, an old one only the keys this shell appended.
-            let Partials { keys, states } = &below[0];
+            let Partials { keys, hashes } = &below[0];
             let stop = distinct.then_some(t);
-            with_absorb!(absorbs[0].clone(), |absorb| {
-                for (i, label) in levels[0][..hi[0]].iter().enumerate().rev() {
-                    let from = if i < lo[0] { appended } else { 0 };
-                    for (&key, &state) in keys[from..].iter().zip(&states[from..]).rev() {
-                        let key = key | label.bits;
-                        let probe = filter.probe_absorbed(absorb(state, key), key);
-                        reads += probe.reads;
-                        combos += 1;
-                        let Some(hit) = probe.hit else { continue };
-                        if Some(hit.rule.priority) == stop {
-                            return (Some(hit), reads, combos);
-                        }
-                        if best.map_or(true, |held| rank(&hit) < rank(&held)) {
-                            best = Some(hit);
-                        }
+            for (i, label) in levels[0][..hi[0]].iter().enumerate().rev() {
+                let from = if i < lo[0] { appended } else { 0 };
+                for (&key, &hash) in keys[from..].iter().zip(&hashes[from..]).rev() {
+                    let probe = filter.probe_hashed(hash ^ label.hash, key | label.bits);
+                    reads += probe.reads;
+                    combos += 1;
+                    let Some(hit) = probe.hit else { continue };
+                    if Some(hit.rule.priority) == stop {
+                        return (Some(hit), reads, combos);
+                    }
+                    if best.map_or(true, |held| rank(&hit) < rank(&held)) {
+                        best = Some(hit);
                     }
                 }
-            });
+            }
             lo = hi;
             // The next bound up: the best priority just outside the box.
             threshold = levels
@@ -1194,10 +1143,10 @@ mod tests {
         trace
     }
 
-    /// The key layouts the priority-box oracle runs on. Where dimension 0
-    /// starts decides which bytes the walk's last step absorbs: mid-byte
-    /// at bit 55 of 68, byte-aligned at bit 64 of 78, and at bit 66 of 81
-    /// with dimension 1 across bit 64.
+    /// The key layouts the priority-box oracle runs on. Dimension 0
+    /// starts mid-byte at bit 55 of 68, on a byte at bit 64 of 78, and at
+    /// bit 66 of 81 with dimension 1 across bit 64, so a label's hash
+    /// reads one, two or three byte tables from either half of the key.
     fn box_layouts() -> [(&'static str, ArchConfig); 3] {
         let straddling = ArchConfig {
             label_widths: spc_lookup::LabelWidths {
@@ -1215,22 +1164,17 @@ mod tests {
     }
 
     #[test]
-    fn box_layouts_reach_every_fixed_absorb_width() {
-        // `with_absorb!` unrolls 0, 1, 3, 4 and 5 bytes separately: an
-        // arm no layout of the oracle below reaches is an arm nothing
-        // checks. The address pairs absorb 3–5 bytes, the ports 1 and
-        // the protocol 0.
-        let mut widths = std::collections::BTreeSet::new();
-        for (layout, config) in box_layouts() {
-            let absorbs = Classifier::new(config).absorbs;
-            assert!(
-                absorbs.windows(2).all(|w| w[1].end == w[0].start),
-                "{layout}: {absorbs:?} must tile the key from byte 0 up"
-            );
-            assert_eq!(absorbs[LEVELS.len() - 1].start, 0, "{layout}");
-            widths.extend(absorbs.iter().map(ExactSizeIterator::len));
-        }
-        assert_eq!(widths.into_iter().collect::<Vec<_>>(), [0, 1, 3, 4, 5]);
+    fn box_layouts_place_labels_mid_byte_on_a_byte_and_across_bit_64() {
+        // The walk merges label hashes where a probe of the whole key
+        // hashes it at once: the oracle below holds the two to the same
+        // verdicts only on the placements its layouts reach.
+        let placements = box_layouts().map(|(_, config)| {
+            let widths = config.label_widths;
+            let f = Classifier::new(config).rule_filter;
+            let key_bits = f.shift(0) + u32::from(widths.ip);
+            (key_bits, f.shift(0), f.shift(1))
+        });
+        assert_eq!(placements, [(68, 55, 42), (78, 64, 50), (81, 66, 51)]);
     }
 
     /// A check of the walk over one classifier and its trace, returning

@@ -17,10 +17,19 @@
 //! key; the Table I options use five at 13/13/13/13/4.
 //!
 //! The memory is read one aligned bucket of `BUCKET` slots per access,
-//! a wide word of ganged block RAMs: a probe costs the buckets its chain
-//! touches, so a chain that stays inside its home's bucket is one read.
-//! Homes, the software layout, the provisioned bits and every write stay
-//! per slot.
+//! a wide word of ganged block RAMs, and a key's hash picks a bucket: its
+//! home is the bucket's first slot, and linear probing and removal run on
+//! from there. A probe costs the buckets its chain touches, so a chain
+//! that ends inside its home bucket is one read. The software layout, the
+//! provisioned bits and every write stay per slot.
+//!
+//! Beside the memory, each bucket keeps a *summary* word: one tag bit per
+//! key homed in it, picked by hash bits the address does not use, and a
+//! bit set while none of the bucket's slots is free. A key whose tag bit
+//! is clear in a bucket with a free slot is absent, and the walk would
+//! have ended inside the bucket, so such a miss is answered from that
+//! word at exactly one modelled read. Like the table's occupancy flags,
+//! the summary is derived software data the model never prices.
 
 use crate::ClassifierError;
 use spc_hwsim::{HashUnit, Probe, ProbeTable};
@@ -69,8 +78,9 @@ pub struct RuleFilter {
     /// Per field, the bit its label starts at and its width; the last
     /// field sits at bit 0.
     fields: Vec<(u32, u8)>,
-    /// Bytes of a key the hash absorbs: every byte a label reaches.
-    key_bytes: usize,
+    /// Per bucket, the [`tag`] of every key homed in it, and [`FULL`]
+    /// while none of its slots is free.
+    summary: Vec<u64>,
 }
 
 const RULE_BODY_BITS: u32 = 48;
@@ -79,13 +89,30 @@ const RULE_BODY_BITS: u32 = 48;
 /// 1 008 bits at `ArchConfig::large()`).
 const BUCKET: usize = 8;
 
-/// Reads charged to a probe of `steps` consecutive slots from `home`: the
-/// aligned buckets the chain touches, one more each time it enters the
-/// next bucket. Every table size is a power of two, so a chain that wraps
-/// past the last slot enters bucket 0 exactly where the count expects a
-/// new bucket (or, below `BUCKET` slots, stays in the table's only one).
-fn bucket_reads(home: usize, steps: usize) -> u32 {
-    ((home % BUCKET + steps - 1) / BUCKET + 1) as u32
+/// The summary bit of a bucket with no free slot: a walk from its first
+/// slot may leave it.
+const FULL: u64 = 1 << 63;
+
+/// A key's bit in its bucket's summary: one of the 63 below [`FULL`],
+/// from the hash's top half, which no address reaches.
+#[inline]
+fn tag(hash: u64) -> u64 {
+    1 << (((hash >> 32) * 63) >> 32)
+}
+
+/// Reads charged to a probe of `steps` consecutive slots from a bucket's
+/// first slot: one more each time the chain enters the next bucket. Every
+/// table size is a power of two, so a chain that wraps past the last slot
+/// enters bucket 0 exactly where the count expects a new bucket (or,
+/// below `BUCKET` slots, stays in the table's only one).
+fn bucket_reads(steps: usize) -> u32 {
+    ((steps - 1) / BUCKET + 1) as u32
+}
+
+/// The home of a hash: the first slot of the bucket its address lies in.
+#[inline]
+fn home_of(unit: HashUnit, hash: u64) -> usize {
+    unit.address(hash) & !(BUCKET - 1)
 }
 
 impl RuleFilter {
@@ -110,7 +137,7 @@ impl RuleFilter {
             table: ProbeTable::new("rule_filter", hash.slots(), key_bits + RULE_BODY_BITS),
             hash,
             fields,
-            key_bytes: key_bits.div_ceil(8) as usize,
+            summary: vec![0; hash.slots().div_ceil(BUCKET)],
         }
     }
 
@@ -131,11 +158,6 @@ impl RuleFilter {
     /// merging keys itself ORs `u128::from(label.0) << shift(field)`.
     pub fn shift(&self, field: usize) -> u32 {
         self.fields[field].0
-    }
-
-    /// Bytes of a key the hash absorbs (`key bits / 8`, rounded up).
-    pub(crate) fn key_bytes(&self) -> usize {
-        self.key_bytes
     }
 
     /// Bits of one rule word: the key and the rule body.
@@ -174,10 +196,18 @@ impl RuleFilter {
     /// [`ClassifierError::DuplicateKey`] if the key is already installed;
     /// [`ClassifierError::RuleFilterFull`] if no slot is free.
     pub fn insert(&mut self, key: u128, id: RuleId, rule: Rule) -> Result<(), ClassifierError> {
-        match self.table.find(self.hash.fold(key), |s| s.key == key).0 {
+        let hash = HashUnit::hash(key);
+        let home = home_of(self.hash, hash);
+        match self.table.find(home, |s| s.key == key).0 {
             Probe::Free(addr) => {
                 let hit = Hit { rule_id: id, rule };
                 self.table.put(addr, Stored { key, hit });
+                self.summary[home / BUCKET] |= tag(hash);
+                let bucket = addr / BUCKET;
+                let mut slots = bucket * BUCKET..((bucket + 1) * BUCKET).min(self.capacity());
+                if slots.all(|a| !self.table.is_free(a)) {
+                    self.summary[bucket] |= FULL;
+                }
                 Ok(())
             }
             Probe::Hit(_, s) => Err(ClassifierError::DuplicateKey {
@@ -193,48 +223,59 @@ impl RuleFilter {
     ///
     /// [`ClassifierError::UnknownRule`] when the key is absent.
     pub fn remove(&mut self, key: u128, id: RuleId) -> Result<Rule, ClassifierError> {
-        let hash = self.hash;
-        match self.table.find(hash.fold(key), |s| s.key == key).0 {
-            Probe::Hit(addr, _) => Ok(self.table.erase(addr, |s| hash.fold(s.key)).hit.rule),
-            _ => Err(ClassifierError::UnknownRule { id: id.0 }),
+        let home = home_of(self.hash, HashUnit::hash(key));
+        let Probe::Hit(addr, _) = self.table.find(home, |s| s.key == key).0 else {
+            return Err(ClassifierError::UnknownRule { id: id.0 });
+        };
+        let unit = self.hash;
+        let (gone, freed) = self
+            .table
+            .erase(addr, |s| home_of(unit, HashUnit::hash(s.key)));
+        self.summary[freed / BUCKET] &= !FULL;
+        // The keys still homed in the bucket all sit in the run from its
+        // first slot: no free slot lies between a key and its home.
+        let (mask, mut tags) = (self.capacity() - 1, 0);
+        for addr in (home..home + self.capacity()).map(|a| a & mask) {
+            let Some(s) = &self.table.block().as_slice()[addr] else {
+                break;
+            };
+            let hash = HashUnit::hash(s.key);
+            if home_of(unit, hash) == home {
+                tags |= tag(hash);
+            }
         }
+        self.summary[home / BUCKET] = self.summary[home / BUCKET] & FULL | tags;
+        Ok(gone.hit.rule)
     }
 
     /// Probes for a key (phase 4 of the lookup pipeline): the key is
-    /// folded once, the probe is charged the aligned buckets its chain
-    /// touches, and only a step over an occupied slot touches the slot
-    /// itself.
+    /// hashed once, and the probe is charged the buckets its chain
+    /// touches.
     pub fn probe(&self, key: u128) -> ProbeResult {
-        self.probe_at(self.hash.fold(key), key)
+        self.probe_hashed(HashUnit::hash(key), key)
     }
 
-    /// [`RuleFilter::probe`] for a caller that has absorbed `key`'s low
-    /// bytes into `state` already (through [`HashUnit::absorb`] from
-    /// [`HashUnit::SEED`]) — the priority-box walk, which shares hash
-    /// state between neighbouring keys. A free home, what most of the
-    /// walk's probes find, costs its one read from the occupancy flag
-    /// alone, before any chain walk.
+    /// [`RuleFilter::probe`] of a key whose [`HashUnit::hash`] the caller
+    /// has: the priority-box walk, which merges hashes as it merges keys.
+    /// A key whose tag bit is clear in a bucket that has a free slot,
+    /// what most of the walk's probes find, is a miss at one read
+    /// answered from the bucket's summary alone, before any chain walk.
     #[inline]
-    pub(crate) fn probe_absorbed(&self, state: u64, key: u128) -> ProbeResult {
-        let home = self.hash.finish(state, self.key_bytes);
-        if self.table.is_free(home) {
+    pub(crate) fn probe_hashed(&self, hash: u64, key: u128) -> ProbeResult {
+        let home = home_of(self.hash, hash);
+        if self.summary[home / BUCKET] & (tag(hash) | FULL) == 0 {
             return ProbeResult {
                 hit: None,
                 reads: 1,
             };
         }
-        self.probe_at(home, key)
-    }
-
-    /// A probe from `key`'s home slot.
-    fn probe_at(&self, home: usize, key: u128) -> ProbeResult {
         let (probe, steps) = self.table.find(home, |s| s.key == key);
         ProbeResult {
             hit: match probe {
                 Probe::Hit(_, s) => Some(s.hit),
                 _ => None,
             },
-            reads: bucket_reads(home, steps),
+            reads: bucket_reads(steps),
         }
     }
 
@@ -277,11 +318,11 @@ mod tests {
         assert_eq!(f.key(&top), 8191 << 55);
         let widest = [8191, 8191, 8191, 8191, 127, 127, 3].map(Label);
         assert_eq!(f.key(&widest), (1 << 68) - 1);
-        assert_eq!((f.key_bytes(), f.word_bits()), (9, 68 + 48));
+        assert_eq!(f.word_bits(), 68 + 48);
         // Table I's options: four 13-bit labels and a 4-bit protocol.
         let options = RuleFilter::new(4, &[13, 13, 13, 13, 4]);
         assert_eq!(options.key(&[1, 0, 0, 0, 2].map(Label)), 1 << 43 | 2);
-        assert_eq!((options.key_bytes(), options.word_bits()), (7, 56 + 48));
+        assert_eq!(options.word_bits(), 56 + 48);
     }
 
     #[test]
@@ -352,6 +393,24 @@ mod tests {
         assert!((1..4u128).chain([9]).all(|k| f.probe(k).hit.is_some()));
     }
 
+    /// The summary a bucket must hold, rebuilt from the table's slots:
+    /// the tag of every stored key homed in it, and `FULL` when none of
+    /// its slots is free.
+    fn rebuilt_summary(f: &RuleFilter) -> Vec<u64> {
+        let mut summary = vec![0; f.summary.len()];
+        let slots = f.table.block().as_slice();
+        for s in slots.iter().flatten() {
+            let hash = HashUnit::hash(s.key);
+            summary[home_of(f.hash, hash) / BUCKET] |= tag(hash);
+        }
+        for (bucket, word) in slots.chunks(BUCKET).zip(&mut summary) {
+            if bucket.iter().all(Option::is_some) {
+                *word |= FULL;
+            }
+        }
+        summary
+    }
+
     #[test]
     fn occupancy_mirrors_slot_state_under_churn() {
         // 96 keys over 64 slots, in alternating insert-heavy and
@@ -362,9 +421,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         let mut live: Vec<u128> = Vec::new();
         let (mut duplicate, mut full, mut unknown) = (0, 0, 0);
-        // Probes from an absorbed state that found a free home, walked a
-        // chain past the last slot, hit, and missed.
-        let (mut free_homes, mut wrapped, mut hits, mut misses) = (0, 0, 0, 0);
+        // Probes whose chain wrapped past the last slot, that hit, and
+        // that missed.
+        let (mut wrapped, mut hits, mut misses) = (0, 0, 0);
         for step in 0..2000u32 {
             let key = u128::from(rng.gen_range(0..96u32));
             let installed = live.contains(&key);
@@ -406,29 +465,29 @@ mod tests {
                     "step {step}, slot {addr}"
                 );
             }
-            assert_eq!(f.probe(key).hit.is_some(), live.contains(&key));
-            // The walk's probe, handed the state over the key's bytes,
-            // answers what a probe that folds the key itself does.
+            assert_eq!(f.summary, rebuilt_summary(&f), "step {step}");
             for k in 0..96u128 {
-                let state = HashUnit::absorb(HashUnit::SEED, k, 0, f.key_bytes());
-                let probe = f.probe_absorbed(state, k);
-                assert_eq!(probe, f.probe(k), "step {step}, key {k}");
-                let home = f.hash.fold(k);
+                let probe = f.probe(k);
+                assert_eq!(
+                    probe.hit.is_some(),
+                    live.contains(&k),
+                    "step {step}, key {k}"
+                );
+                let home = home_of(f.hash, HashUnit::hash(k));
                 let steps = f.table.find(home, |s| s.key == k).1;
-                free_homes += usize::from(f.table.is_free(home));
                 wrapped += usize::from(home + steps > f.capacity());
                 hits += usize::from(probe.hit.is_some());
                 misses += usize::from(probe.hit.is_none());
             }
         }
         assert!(duplicate > 0 && full > 0 && unknown > 0);
-        assert!(free_homes > 0 && wrapped > 0 && hits > 0 && misses > 0);
+        assert!(wrapped > 0 && hits > 0 && misses > 0);
     }
 
     /// The first keys of `0..` whose home is `home`, in order.
     fn keys_homed_at(f: &RuleFilter, home: usize, n: usize) -> Vec<u128> {
         (0u128..)
-            .filter(|&k| f.hash.fold(k) == home)
+            .filter(|&k| home_of(f.hash, HashUnit::hash(k)) == home)
             .take(n)
             .collect()
     }
@@ -437,7 +496,7 @@ mod tests {
     /// home's bucket and one more each time the walk enters another
     /// bucket, until a hit, a free slot or a whole lap of the table.
     fn reference_reads(f: &RuleFilter, key: u128) -> (Option<Hit>, u32) {
-        let (home, mask) = (f.hash.fold(key), f.capacity() - 1);
+        let (home, mask) = (home_of(f.hash, HashUnit::hash(key)), f.capacity() - 1);
         let mut reads = 0;
         let mut bucket = None;
         for i in 0..f.capacity() {
@@ -457,33 +516,32 @@ mod tests {
 
     #[test]
     fn a_probe_costs_the_buckets_its_chain_touches() {
-        // 64 slots, 8 buckets. A free home: one read.
+        // 64 slots, 8 buckets; every home is a bucket's first slot. An
+        // empty bucket: one read.
         let mut f = RuleFilter::new(6, &PAPER);
-        assert_eq!(f.probe(keys_homed_at(&f, 5, 1)[0]).reads, 1);
-        // Three keys homed at slot 2 sit in 2, 3 and 4: one bucket.
-        for k in keys_homed_at(&f, 2, 3) {
+        assert_eq!(f.probe(keys_homed_at(&f, 40, 1)[0]).reads, 1);
+        // Eight keys homed at slot 16 fill bucket 2: one read each.
+        let run = keys_homed_at(&f, 16, 10);
+        for &k in &run[..8] {
             f.insert(k, RuleId(0), rule(0)).unwrap();
             assert_eq!(f.probe(k).reads, 1, "key {k}");
         }
-        // Three keys homed at slot 6 sit in 6, 7 and 8: the third one's
-        // chain crosses into the next bucket.
-        let edge = keys_homed_at(&f, 6, 4);
-        for &k in &edge[..3] {
-            f.insert(k, RuleId(1), rule(0)).unwrap();
-        }
-        let reads: Vec<u32> = edge[..3].iter().map(|&k| f.probe(k).reads).collect();
-        assert_eq!(reads, [1, 1, 2]);
-        // A miss from slot 6 walks 6..=9 and ends on the free slot 9.
-        let miss = f.probe(edge[3]);
+        // A ninth spills into slot 24, the next bucket.
+        f.insert(run[8], RuleId(1), rule(0)).unwrap();
+        let reads: Vec<u32> = run[7..9].iter().map(|&k| f.probe(k).reads).collect();
+        assert_eq!(reads, [1, 2]);
+        // A miss from a full bucket walks 16..=25 and ends on the free
+        // slot 25.
+        let miss = f.probe(run[9]);
         assert_eq!((miss.hit, miss.reads), (None, 2));
-        // Three keys homed at the last slot wrap: 63, then 0 and 1 in
+        // Nine keys homed at the last bucket wrap: 56..=63, then 0 in
         // the first bucket — counted as any other edge.
-        let wrap = keys_homed_at(&f, 63, 4);
-        for &k in &wrap[..3] {
+        let wrap = keys_homed_at(&f, 56, 10);
+        for &k in &wrap[..9] {
             f.insert(k, RuleId(2), rule(0)).unwrap();
         }
-        let reads: Vec<u32> = wrap.iter().map(|&k| f.probe(k).reads).collect();
-        assert_eq!(reads, [1, 2, 2, 2]);
+        let reads: Vec<u32> = wrap[7..].iter().map(|&k| f.probe(k).reads).collect();
+        assert_eq!(reads, [1, 2, 2]);
         // Below one bucket the table is a single word: even a full lap
         // of a full 4-slot table is one read.
         let mut tiny = RuleFilter::new(2, &PAPER);
@@ -496,8 +554,11 @@ mod tests {
     #[test]
     fn probe_reads_equal_a_slot_by_slot_bucket_walk() {
         // Random fills of 16 to 256 slots, loads up to full, then churn:
-        // every present and absent key's charge equals the walk's.
+        // every present and absent key's charge equals the walk's, both
+        // for the misses the summary answers alone and for those it
+        // hands to the walk because the home bucket is full.
         let mut rng = StdRng::seed_from_u64(46);
+        let (mut one_load, mut full_bucket) = (0, 0);
         for round in 0..40 {
             let mut f = RuleFilter::new(rng.gen_range(4..=8), &PAPER);
             let universe = 2 * f.capacity() as u64;
@@ -529,9 +590,14 @@ mod tests {
                         "round {round}, key {key}"
                     );
                     assert_eq!(hit.is_some(), live.contains(&key));
+                    let hash = HashUnit::hash(key);
+                    let summary = f.summary[home_of(f.hash, hash) / BUCKET];
+                    one_load += usize::from(summary & (tag(hash) | FULL) == 0);
+                    full_bucket += usize::from(hit.is_none() && summary & FULL != 0);
                 }
             }
         }
+        assert!(one_load > 0 && full_bucket > 0, "{one_load}, {full_bucket}");
     }
 
     #[test]

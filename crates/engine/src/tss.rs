@@ -451,7 +451,7 @@ impl PacketClassifier for TupleSpaceEngine {
         let last = bucket.entries.len() == 1;
         let written = t.table.block().writes();
         let rule = if last {
-            t.table.erase(slot, |b| home(&b.key)).entries[0].rule
+            t.table.erase(slot, |b| home(&b.key)).0.entries[0].rule
         } else {
             t.table.update(slot, |b| {
                 let Some(pos) = b.entries.iter().position(|e| e.id == id) else {

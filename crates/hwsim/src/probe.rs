@@ -131,8 +131,9 @@ impl<S> ProbeTable<S> {
     /// Removes the entry in slot `hole` and closes the gap: each later
     /// entry of the run whose chain from its home (`home_of`, modulo the
     /// capacity) crosses the hole moves into it, leaving its own slot as
-    /// the next hole. Ends at a free slot or after one lap.
-    pub fn erase(&mut self, mut hole: usize, home_of: impl Fn(&S) -> usize) -> S {
+    /// the next hole. Ends at a free slot or after one lap, and returns
+    /// the entry with the one slot the removal left free.
+    pub fn erase(&mut self, mut hole: usize, home_of: impl Fn(&S) -> usize) -> (S, usize) {
         let mask = self.capacity() - 1;
         let gone = self.slots.take(hole).expect("address in range");
         let mut at = hole;
@@ -151,7 +152,7 @@ impl<S> ProbeTable<S> {
         }
         self.set(hole, None);
         self.live -= 1;
-        gone.expect("a live slot")
+        (gone.expect("a live slot"), hole)
     }
 
     /// Writes one slot and its occupancy flag together, so the mirror
@@ -257,7 +258,9 @@ mod tests {
                     }
                     Probe::Hit(addr, &entry) => {
                         let (charged, changed) = charge(&mut t, |t| {
-                            assert_eq!(t.erase(addr, |e| home(e.0)), entry);
+                            let (gone, freed) = t.erase(addr, |e| home(e.0));
+                            assert_eq!(gone, entry);
+                            assert!(t.is_free(freed));
                         });
                         model.remove(&key);
                         moved += charged - 1;

@@ -233,7 +233,9 @@ impl std::error::Error for LabelError {}
 #[derive(Debug, Clone)]
 pub struct LabelAllocator {
     width: u8,
-    next: u16,
+    /// Labels ever handed out; `2^width` of them at width 16 is one past
+    /// `u16::MAX`.
+    next: u32,
     free: Vec<Label>,
 }
 
@@ -262,7 +264,7 @@ impl LabelAllocator {
 
     /// Labels currently live.
     pub fn live(&self) -> usize {
-        usize::from(self.next) - self.free.len()
+        self.next as usize - self.free.len()
     }
 
     /// Allocates a fresh label.
@@ -274,10 +276,11 @@ impl LabelAllocator {
         if let Some(l) = self.free.pop() {
             return Ok(l);
         }
-        if usize::from(self.next) >= self.capacity() {
+        if self.next as usize >= self.capacity() {
             return Err(LabelError::Exhausted { width: self.width });
         }
-        let l = Label(self.next);
+        // Below `2^width <= 2^16`, so the label fits.
+        let l = Label(self.next as u16);
         self.next += 1;
         Ok(l)
     }
@@ -354,6 +357,19 @@ mod tests {
         a.alloc().unwrap();
         a.alloc().unwrap();
         assert!(matches!(a.alloc(), Err(LabelError::Exhausted { width: 1 })));
+    }
+
+    #[test]
+    fn allocator_exhausts_all_sixteen_bits_without_wrapping() {
+        let mut a = LabelAllocator::new(16);
+        for want in 0..=u16::MAX {
+            assert_eq!(a.alloc().unwrap(), Label(want));
+        }
+        assert_eq!(a.live(), 1 << 16);
+        assert!(matches!(
+            a.alloc(),
+            Err(LabelError::Exhausted { width: 16 })
+        ));
     }
 
     #[test]
